@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate (documented in ROADMAP.md).
 #
-# Twelve stages, strictly ordered so the cheapest failure fires first:
+# Thirteen stages, strictly ordered so the cheapest failure fires first:
 #   1. compile-all  — every file under src/ must byte-compile;
 #   2. tier-1       — the fast default suite (slow marks skipped);
 #   3. slow-tier check — the --runslow split must stay wired: slow-marked
@@ -42,18 +42,23 @@
 #  12. cluster smoke — bench_cluster.py: a two-worker multi-process
 #      deployment absorbs the SIGKILL of one worker mid-burst with zero
 #      client-visible errors, the dead worker's replicas re-placed onto
-#      the survivor and the process respawned, all on the flight record.
+#      the survivor and the process respawned, all on the flight record;
+#  13. layer-ledger gate — perfbench/run.py --workload iris-bulk --trace 1
+#      (2 s): routed FeBiMServer.submit_many keeps within reach of the
+#      legacy undeployed path on the same rows,
+#      ledger.router_sps >= 0.7 x ledger.legacy_sps (a ratio between two
+#      layers measured in one run, never an absolute rate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/12: compile-all =="
+echo "== stage 1/13: compile-all =="
 python -m compileall -q src
 
-echo "== stage 2/12: tier-1 (pytest -x -q) =="
+echo "== stage 2/13: tier-1 (pytest -x -q) =="
 python -m pytest -x -q
 
-echo "== stage 3/12: --runslow marker check =="
+echo "== stage 3/13: --runslow marker check =="
 # The slow tier must collect without errors and must not be empty —
 # an accidental marker rename would otherwise silently skip it forever.
 collected=$(python -m pytest --runslow -m slow --collect-only -q tests | tail -1)
@@ -70,31 +75,49 @@ if [[ "${CI_RUNSLOW:-0}" == "1" ]]; then
     python -m pytest --runslow -m slow -q tests
 fi
 
-echo "== stage 4/12: reliability smoke bench =="
+echo "== stage 4/13: reliability smoke bench =="
 python benchmarks/bench_reliability.py --smoke
 
-echo "== stage 5/12: campaign --workers determinism =="
+echo "== stage 5/13: campaign --workers determinism =="
 python benchmarks/bench_reliability.py --determinism
 
-echo "== stage 6/12: backend parity smoke =="
+echo "== stage 6/13: backend parity smoke =="
 python benchmarks/bench_backends.py --parity
 
-echo "== stage 7/12: router smoke gate =="
+echo "== stage 7/13: router smoke gate =="
 python benchmarks/bench_router.py
 
-echo "== stage 8/12: autoscale smoke gate =="
+echo "== stage 8/13: autoscale smoke gate =="
 python benchmarks/bench_autoscale.py --smoke
 
-echo "== stage 9/12: observability smoke gate =="
+echo "== stage 9/13: observability smoke gate =="
 python benchmarks/bench_observability.py --smoke
 
-echo "== stage 10/12: health smoke gate =="
+echo "== stage 10/13: health smoke gate =="
 python benchmarks/bench_health.py --smoke
 
-echo "== stage 11/12: kernel smoke gate =="
+echo "== stage 11/13: kernel smoke gate =="
 python benchmarks/bench_kernels.py --smoke
 
-echo "== stage 12/12: cluster smoke gate =="
+echo "== stage 12/13: cluster smoke gate =="
 python benchmarks/bench_cluster.py
+
+echo "== stage 13/13: layer-ledger gate =="
+# The benchmark's last output line is its JSON result.
+ledger=$(python3 perfbench/run.py --workload iris-bulk --seconds 2 --trace 1 | tail -n 1)
+python3 - "${ledger}" <<'EOF'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+router = result["metrics"]["ledger.router_sps"]["value"]
+legacy = result["metrics"]["ledger.legacy_sps"]["value"]
+print(f"ledger: router {router:.0f} sps / legacy {legacy:.0f} sps "
+      f"= {router / legacy:.2f} (gate >= 0.70)")
+if not result["correct"]:
+    sys.exit("error: the traced benchmark run served wrong answers")
+if router < 0.7 * legacy:
+    sys.exit("error: routed submit_many fell below 0.7x the legacy path")
+EOF
 
 echo "CI gate passed."

@@ -20,10 +20,11 @@ two:
   (each on its own backend technology) behind a routing policy;
   JSON-serialisable through :mod:`repro.io`, capability-validated
   before any array is programmed;
-* :class:`Router` — per-request arbitration across a deployment's
-  replicas (``cost`` / ``round_robin`` / ``sticky`` / ``mirror``
-  majority voting), one micro-batch queue per replica, transparent
-  failover, and the replica heal ladder
+* :class:`Router` — arbitration across a deployment's replicas, one
+  pick per request or per ``max_batch`` chunk of a ``submit_many``
+  (``cost`` / ``round_robin`` / ``sticky`` / ``mirror`` majority
+  voting), one micro-batch queue per replica, transparent failover,
+  and the replica heal ladder
   (refresh -> replace -> evict);
 * :class:`HealthMonitor` — canary health checks over the served
   engines with an automatic refresh -> replace repair ladder (the

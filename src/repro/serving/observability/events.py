@@ -42,7 +42,7 @@ EVENT_KINDS = frozenset(
         "displacement",  # queued victim evicted to admit a higher lane
         "backpressure_block",  # a blocking submit actually waited for space
         # routing (router)
-        "failover",  # one replica attempt failed; request resubmitted
+        "failover",  # one replica attempt failed; its rows resubmitted
         "replica_down",  # replica marked down after a confirmed failure
         # health (monitor / replica heal ladder)
         "canary_failure",  # a sweep found the engine off its baseline

@@ -4,8 +4,8 @@
 applied :class:`~repro.serving.deployment.Deployment` specs, one
 programmed engine *and one micro-batch scheduler per replica* — a slow
 ``memristor`` replica coalesces on its own worker and can never
-head-of-line-block an ``ideal`` one — and decides, per request, which
-replica answers:
+head-of-line-block an ``ideal`` one — and decides which replica
+answers each request (each ``max_batch`` chunk of a ``submit_many``):
 
 * ``cost`` — cheapest healthy replica: the backend's own
   ``inference_cost_batch`` unit delay (probed once at apply time),
@@ -89,6 +89,7 @@ from repro.serving.scheduler import (
     MicroBatchScheduler,
     Overloaded,
     ServedResult,
+    _Request,
 )
 
 #: Canary-set size probed per replica at apply time.
@@ -282,6 +283,70 @@ class _AppliedDeployment:
     @property
     def route(self) -> str:
         return f"{self.name}@v{self.version}"
+
+
+class _Attempt:
+    """One routing hop, shared by every row of a routed chunk.
+
+    It records where the rows were sent (``replica``), every replica
+    they have tried (``attempted``), the replicas that failed them
+    (``failed_chain``, marked down once another replica serves the
+    rows) and their priority lane.  The rows' scheduler reports back
+    once per batch: :meth:`served` for the rows that ran,
+    :meth:`failed` for rows a batch failed or a full or closed queue
+    refused.  A record is never mutated: a failover hands the failed
+    rows a new record one hop further on, so rows of one chunk that
+    fail in different batches each fail over from the same state.
+    """
+
+    __slots__ = (
+        "router", "dep", "replica", "attempted", "failed_chain",
+        "priority", "claimed",
+    )
+
+    def __init__(
+        self,
+        router: "Router",
+        dep: _AppliedDeployment,
+        replica: "_Replica",
+        attempted: set,
+        failed_chain: Tuple["_Replica", ...] = (),
+        priority: int = 0,
+        claimed: bool = False,
+    ):
+        self.router = router
+        self.dep = dep
+        self.replica = replica
+        self.attempted = attempted
+        self.failed_chain = failed_chain
+        self.priority = priority
+        # Whether the rows' futures are already running: set once a
+        # batch has executed (and failed) them, after which no client
+        # can cancel them and no scheduler may claim them again.
+        self.claimed = claimed
+
+    def served(self, n: int) -> None:
+        """``n`` rows of this hop were served by :attr:`replica`."""
+        telemetry = self.router.server.telemetry
+        telemetry.record_replica_served(self.replica.label, n)
+        # Failovers count only here, where the resubmission actually
+        # saved the client (one per earlier attempt of each row): a
+        # request that fails on *every* replica is an error, not N-1
+        # transparent rescues.
+        telemetry.record_failover((len(self.attempted) - 1) * n)
+        # A replica that failed rows this replica then served is
+        # confirmed bad (the rows were fine): mark it down so new
+        # traffic routes around while its queue drains through the
+        # same failover path.
+        for bad in self.failed_chain:
+            self.router._mark_down(bad)
+
+    def failed(
+        self, requests: List[_Request], exc: BaseException, ran: bool
+    ) -> None:
+        """Rows of this hop failed in a batch (``ran``) or were refused
+        by a full or closed queue: fail them over."""
+        self.router._failover(self, requests, exc, ran)
 
 
 def replica_stream_seed(
@@ -639,27 +704,79 @@ class Router:
         """
         if dep.spec.policy.kind == "mirror":
             return self._submit_mirror(dep, evidence_levels)
-        replica = self._pick(dep, client)
-        client_future: "Future" = Future()
+        return self._route(dep, (evidence_levels,), client)[0]
+
+    def submit_many(
+        self,
+        dep: _AppliedDeployment,
+        evidence_levels: np.ndarray,
+        client: Optional[object] = None,
+    ) -> List["Future"]:
+        """Route a stack of samples; one future per row.
+
+        The rows go in chunks of the batch policy's ``max_batch``, each
+        with one policy pick and queued under one scheduler lock:
+        ``cost`` re-scores every chunk against the queue depth the
+        chunks before it left, and ``round_robin`` alternates per
+        chunk.  Mirror fan-out stays per row.
+        """
+        if dep.spec.policy.kind == "mirror":
+            return [self._submit_mirror(dep, row) for row in evidence_levels]
+        step = self.server.policy.max_batch
+        futures: List["Future"] = []
+        for lo in range(0, len(evidence_levels), step):
+            futures += self._route(dep, evidence_levels[lo:lo + step], client)
+        return futures
+
+    def _route(
+        self,
+        dep: _AppliedDeployment,
+        rows,
+        client: Optional[object],
+    ) -> List["Future"]:
+        """Pick one replica for ``rows``, queue them there as one
+        attempt, and return their futures."""
+        label = None if client is None else str(client)
         slo = dep.spec.slo
-        priority = 0 if slo is None else slo.priority_for(
-            None if client is None else str(client)
-        )
+        priority = 0 if slo is None else slo.priority_for(label)
+        replica = self._pick(dep, client)
+        attempt = _Attempt(self, dep, replica, {replica}, priority=priority)
+        now = time.monotonic()
+        requests = [_Request(row, now, priority, attempt) for row in rows]
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            # One trace follows a row across every failover hop; the
+            # admit span starts when the trace does.
+            for request in requests:
+                request.trace = tracer.sample(dep.route, client=label)
+                if request.trace is not None:
+                    request.enqueued_at = request.trace.created_s
+        # Counted once here: a failover hop never counts a row again.
+        self.server.telemetry.record_submitted(len(requests))
         # Backpressure may only block the *first* attempt, which runs on
         # the client's own thread.  Failover attempts run on scheduler
         # worker threads — two workers blocking into each other's full
         # queues would deadlock the data plane.
-        block = bool(slo.backpressure) if slo is not None else False
-        trace = None
-        if self.tracer is not None:
-            trace = self.tracer.sample(
-                dep.route, client=None if client is None else str(client)
-            )
-        self._attempt(
-            dep, replica, evidence_levels, client_future, {replica},
-            priority=priority, block=block, trace=trace,
+        self._enqueue(
+            attempt, requests, block=slo is not None and bool(slo.backpressure)
         )
-        return client_future
+        return [request.future for request in requests]
+
+    def _enqueue(
+        self,
+        attempt: _Attempt,
+        requests: List[_Request],
+        block: bool = False,
+    ) -> None:
+        replica = attempt.replica
+        refused, refusal = replica.scheduler.enqueue(
+            replica.key, requests, block=block
+        )
+        if refused:
+            # A full queue (Overloaded) or a redeploy/undeploy racing
+            # the submit (SchedulerClosed); the failover contract still
+            # holds — spill to a sibling.
+            self._failover(attempt, refused, refusal, ran=False)
 
     def _next_fallback(
         self, dep: _AppliedDeployment, attempted: set
@@ -680,131 +797,88 @@ class Router:
 
     def _failover(
         self,
-        dep: _AppliedDeployment,
-        levels: np.ndarray,
-        client_future: "Future",
-        attempted: set,
-        failed_chain: Tuple[_Replica, ...],
+        attempt: _Attempt,
+        requests: List[_Request],
         exc: BaseException,
-        priority: int = 0,
-        trace=None,
+        ran: bool,
     ) -> None:
-        """Resubmit after a failed attempt, or surface the error.
+        """Re-enqueue rows that failed ``attempt`` on the next untried
+        replica, or surface the error.
 
-        When no untried replica is left the request failed everywhere —
-        a request problem (or, for :class:`Overloaded`, a saturated
+        ``ran`` says a batch executed (and so claimed) the rows.  When
+        no untried replica is left the rows failed everywhere — a
+        request problem (or, for :class:`Overloaded`, a saturated
         deployment), not a replica problem, so nobody is marked down
-        and the last error reaches the client.
+        and the last error reaches the clients.
         """
-        current, fallback = self._next_fallback(dep, attempted)
+        claimed = attempt.claimed or ran
+        current, fallback = self._next_fallback(attempt.dep, attempt.attempted)
         if fallback is None:
-            if trace is not None:
-                trace.finish("shed" if isinstance(exc, Overloaded) else "failed")
-            if client_future.set_running_or_notify_cancel():
-                client_future.set_exception(exc)
+            self._reject(requests, exc, claimed)
             return
-        attempted.add(fallback)
-        if trace is not None:
-            # Zero-width marker: the hop itself takes no request time
-            # (the next admit span starts immediately), but the trace
-            # shows where routing bounced and why.
-            now = time.monotonic()
-            trace.add_span(
-                "failover", now, now,
-                to_replica=fallback.label, reason=type(exc).__name__,
-            )
+        # Overloaded means *busy*, not broken: the rows were shed
+        # unattempted, so they spill to a sibling without ever putting
+        # this replica on the mark-down chain.
+        chain = attempt.failed_chain
+        if not isinstance(exc, Overloaded):
+            chain = chain + (attempt.replica,)
+        hop = _Attempt(
+            self, current, fallback, attempt.attempted | {fallback},
+            chain, attempt.priority, claimed,
+        )
+        now = time.monotonic()
+        reason = type(exc).__name__
+        for request in requests:
+            request.attempt = hop
+            request.enqueued_at = now
+            if request.trace is not None:
+                # Zero-width marker: the hop itself takes no request
+                # time (the next admit span starts immediately), but
+                # the trace shows where routing bounced and why.
+                request.trace.add_span(
+                    "failover", now, now,
+                    to_replica=fallback.label, reason=reason,
+                )
         self.server.telemetry.emit(
             "failover",
             model=current.name,
             to_replica=fallback.label,
-            reason=type(exc).__name__,
-            attempts=len(attempted),
+            reason=reason,
+            attempts=len(hop.attempted),
+            rows=len(requests),
         )
-        self._attempt(
-            current, fallback, levels, client_future, attempted,
-            failed_chain, priority=priority, trace=trace,
-        )
-
-    def _attempt(
-        self,
-        dep: _AppliedDeployment,
-        replica: _Replica,
-        levels: np.ndarray,
-        client_future: "Future",
-        attempted: set,
-        failed_chain: Tuple[_Replica, ...] = (),
-        priority: int = 0,
-        block: bool = False,
-        trace=None,
-    ) -> None:
         try:
-            inner = replica.scheduler.submit(
-                replica.key, levels, priority=priority, block=block,
-                trace=trace,
-            )
-        except BaseException as exc:  # noqa: BLE001 — e.g. SchedulerClosed
-            # A full queue (Overloaded) or a redeploy/undeploy racing
-            # the submit (SchedulerClosed); the failover contract still
-            # holds — spill to a sibling.
-            self._failover(
-                dep, levels, client_future, attempted, failed_chain, exc,
-                priority=priority, trace=trace,
-            )
-            return
+            self._enqueue(hop, requests)
+        except Exception as resubmit_exc:  # noqa: BLE001
+            # The client futures must always resolve, never hang.
+            self._reject(requests, resubmit_exc, claimed)
 
-        def done(f: "Future") -> None:
-            if f.cancelled():
-                if trace is not None:
-                    trace.finish("cancelled")
-                client_future.cancel()
-                return
-            exc = f.exception()
-            if exc is None:
-                if trace is not None:
-                    trace.finish("served")
-                if not client_future.set_running_or_notify_cancel():
-                    return  # client cancelled while we served it
-                self.server.telemetry.record_replica_served(replica.label)
-                # Failovers count only here, where the resubmission
-                # actually saved the client (one per earlier attempt):
-                # a request that fails on *every* replica is an error,
-                # not N-1 transparent rescues.
-                self.server.telemetry.record_failover(len(attempted) - 1)
-                # A replica that failed a request this replica then
-                # served is confirmed bad (the request was fine): mark
-                # it down so new traffic routes around while its queue
-                # drains through the same failover path.
-                for bad in failed_chain:
-                    self._mark_down(bad)
-                client_future.set_result(f.result())
-                return
-            # Overloaded means *busy*, not broken: the request was
-            # shed unattempted, so spill it to a sibling without ever
-            # putting this replica on the mark-down chain.
-            chain = (
-                failed_chain
-                if isinstance(exc, Overloaded)
-                else failed_chain + (replica,)
-            )
-            try:
-                self._failover(
-                    dep,
-                    levels,
-                    client_future,
-                    attempted,
-                    chain,
-                    exc,
-                    priority=priority,
-                    trace=trace,
-                )
-            except BaseException as resubmit_exc:  # noqa: BLE001
-                # The client future must always resolve, never hang.
-                if trace is not None:
-                    trace.finish("failed")
-                if client_future.set_running_or_notify_cancel():
-                    client_future.set_exception(resubmit_exc)
+    def _reject(
+        self, requests: List[_Request], exc: BaseException, claimed: bool
+    ) -> None:
+        """Resolve rows no replica could serve with ``exc``.
 
-        inner.add_done_callback(done)
+        Counted once per client request: as shed when every replica was
+        full, as failed otherwise, and as cancelled when the client
+        cancelled the row before any batch claimed it.
+        """
+        outcome = "shed" if isinstance(exc, Overloaded) else "failed"
+        resolved = 0
+        for request in requests:
+            if claimed or request.future.set_running_or_notify_cancel():
+                if request.trace is not None:
+                    request.trace.finish(outcome)
+                request.future.set_exception(exc)
+                resolved += 1
+            elif request.trace is not None:
+                request.trace.finish("cancelled")
+        telemetry = self.server.telemetry
+        if resolved and outcome == "shed":
+            telemetry.record_shed(resolved)
+        elif resolved:
+            telemetry.record_failed(resolved)
+        if resolved < len(requests):
+            telemetry.record_cancelled(len(requests) - resolved)
 
     def _mark_down(self, replica: _Replica) -> None:
         with self._lock:

@@ -59,10 +59,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, List, Optional
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -179,24 +179,42 @@ class Overloaded(RuntimeError):
 
 
 class _Request:
+    """One queued sample and the future its client holds.
+
+    ``attempt`` is ``None`` for a direct submit.  A row queued by the
+    router carries the routing hop it belongs to (shared by every row
+    of its chunk), and the scheduler reports back through it:
+    ``attempt.claimed`` says an earlier batch already set the future
+    running (the row is failing over), ``attempt.served(n)`` runs once
+    per batch for the ``n`` rows of the hop that were served, and
+    ``attempt.failed(rows, exc, ran)`` takes back rows a batch failed
+    (``ran=True``) or a full or closed queue refused.
+    """
+
     __slots__ = (
         "levels", "future", "enqueued_at", "lane",
-        "trace", "trace_owned", "queue_span",
+        "trace", "queue_span", "attempt",
     )
 
-    def __init__(self, levels: np.ndarray, enqueued_at: float, lane: int = 0):
+    def __init__(
+        self,
+        levels: np.ndarray,
+        enqueued_at: float,
+        lane: int = 0,
+        attempt=None,
+    ):
         self.levels = levels
         self.future: "Future[ServedResult]" = Future()
         self.enqueued_at = enqueued_at
         self.lane = lane
         # Tracing state: ``trace`` is the sampled Trace riding this
-        # request (almost always None), ``trace_owned`` says whether
-        # this scheduler must finish it (False when the router passed
-        # it in and finishes it after routing resolves), and
-        # ``queue_span`` is the currently-open lane-wait span.
+        # request (almost always None) and ``queue_span`` the
+        # currently-open lane-wait span.  Success and cancellation
+        # finish any trace here; an error finishes only a direct
+        # request's, because a routed row may still fail over.
         self.trace: Optional[Trace] = None
-        self.trace_owned = False
         self.queue_span: Optional[Span] = None
+        self.attempt = attempt
 
 
 class _LaneQueue:
@@ -287,9 +305,9 @@ class MicroBatchScheduler:
         the module docstring's admission-control contract.
     tracer:
         Optional request :class:`~repro.serving.observability.Tracer`.
-        When set, :meth:`submit` samples traces for requests not
-        already carrying one (the router passes its own via the
-        ``trace`` argument).  May also be attached after construction
+        When set, :meth:`submit` and :meth:`submit_many` sample traces
+        for direct requests (routed rows arrive carrying the router's).
+        May also be attached after construction
         (``scheduler.tracer = tracer``) — the attribute is read per
         submit.
 
@@ -338,7 +356,6 @@ class MicroBatchScheduler:
         priority: int = 0,
         block: bool = False,
         timeout: Optional[float] = None,
-        trace: Optional[Trace] = None,
     ) -> "Future[ServedResult]":
         """Enqueue one sample for ``key``; returns its result future.
 
@@ -350,28 +367,39 @@ class MicroBatchScheduler:
         survives sheds — first; only meaningful on a bounded queue).
         With ``block=True`` a full queue exerts backpressure: the call
         waits up to ``timeout`` seconds for space instead of shedding,
-        then raises :class:`Overloaded`.
-
-        ``trace`` attaches a caller-owned trace to this request (the
-        router's failover path resubmits one trace across replicas);
-        the scheduler appends admit/queue/execute spans but leaves
-        finishing to the caller.  Without it, an attached ``tracer``
-        may sample a scheduler-owned trace instead.
+        then raises :class:`Overloaded`.  An attached ``tracer`` may
+        sample a trace for the request.
         """
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 1:
             raise ValueError(
                 f"submit takes one 1-D sample, got shape {levels.shape}"
             )
-        lane = int(priority)
-        request = _Request(levels, time.monotonic(), lane=lane)
-        if trace is not None:
-            request.trace = trace
-        else:
-            tracer = self.tracer
-            if tracer is not None:
-                request.trace = tracer.sample(str(key))
-                request.trace_owned = request.trace is not None
+        request = _Request(levels, time.monotonic(), lane=int(priority))
+        tracer = self.tracer
+        if tracer is not None:
+            request.trace = tracer.sample(str(key))
+        self._admit(key, request, block, timeout)
+        return request.future
+
+    def _admit(
+        self,
+        key: Hashable,
+        request: _Request,
+        block: bool = False,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Queue one request under the admission contract.
+
+        Raises :class:`SchedulerClosed` after shutdown and
+        :class:`Overloaded` when a bounded queue refuses the request.
+        A direct request is counted here (submitted, or submitted and
+        shed).  A routed row was counted once by the router, so here it
+        only moves the lane-depth gauge, and a refusal is the router's
+        to resolve.
+        """
+        lane = request.lane
+        direct = request.attempt is None
         victim: Optional[_Request] = None
         rejection: Optional[Overloaded] = None
         blocked_at: Optional[float] = None
@@ -379,7 +407,7 @@ class MicroBatchScheduler:
         with self._lock:
             while True:
                 if self._closed:
-                    if request.trace is not None and request.trace_owned:
+                    if request.trace is not None and direct:
                         request.trace.finish("error")
                     raise SchedulerClosed("scheduler is shut down")
                 queue = self._queues.setdefault(key, _LaneQueue())
@@ -418,17 +446,7 @@ class MicroBatchScheduler:
                 break
             if rejection is None:
                 if request.trace is not None:
-                    # Spans attach before the request becomes visible
-                    # to the worker — it may pop (and must close) the
-                    # queue span the instant the lock drops.
-                    t_admitted = time.monotonic()
-                    request.trace.add_span(
-                        "admit", request.enqueued_at, t_admitted,
-                        key=str(key), lane=lane,
-                    )
-                    request.queue_span = request.trace.span(
-                        "queue", start_s=t_admitted, lane=lane
-                    )
+                    self._trace_admitted(key, request)
                 queue.append(request)
                 self._pending += 1
                 if victim is not None:
@@ -440,21 +458,22 @@ class MicroBatchScheduler:
                 # by the deadline it is already sleeping on.
                 if len(queue) == 1 or len(queue) == self.policy.max_batch:
                     self._wake.notify()
-        # Futures resolve outside the lock: a shed victim's done
-        # callback (e.g. the router's failover resubmit) may take other
-        # schedulers' locks.
+        # Futures resolve outside the lock: a displaced routed victim
+        # fails over, which takes other schedulers' locks.
         if rejection is not None:
-            # The arrival was counted in, then straight back out: both
-            # sides of the ledger move so in_flight stays balanced.
-            self.telemetry.record_submitted()
-            self.telemetry.record_shed(lane=lane)
+            if direct:
+                # The arrival was counted in, then straight back out:
+                # both sides of the ledger move so in_flight stays
+                # balanced.
+                self.telemetry.record_submitted()
+                self.telemetry.record_shed(lane=lane)
             if request.trace is not None:
                 request.trace.add_span(
                     "admit", request.enqueued_at, time.monotonic(),
                     key=str(key), lane=lane, outcome="shed",
                     depth=rejection.depth,
                 )
-                if request.trace_owned:
+                if direct:
                     request.trace.finish("shed")
             self.telemetry.emit(
                 "shed", key=str(key), lane=lane, depth=rejection.depth,
@@ -462,31 +481,58 @@ class MicroBatchScheduler:
             )
             raise rejection
         if victim is not None:
-            self.telemetry.record_shed(lane=victim.lane, dequeued=True)
-            if victim.trace is not None:
-                if victim.queue_span is not None:
-                    victim.queue_span.end(outcome="shed")
-                if victim.trace_owned:
-                    victim.trace.finish("shed")
-            self.telemetry.emit(
-                "displacement", key=str(key), lane=lane,
-                victim_lane=victim.lane, depth=self.max_queue_depth,
-            )
-            if victim.future.set_running_or_notify_cancel():
-                victim.future.set_exception(
-                    Overloaded(
-                        f"shed from the queue for {key!r} by a "
-                        f"priority-{lane} arrival",
-                        key=key, depth=self.max_queue_depth, lane=victim.lane,
-                    )
-                )
+            self._displace(key, victim, lane)
         if blocked_at is not None:
             self.telemetry.emit(
                 "backpressure_block", key=str(key), lane=lane,
                 waited_ms=(time.monotonic() - blocked_at) * 1e3,
             )
-        self.telemetry.record_submitted(lane=lane)
-        return request.future
+        if direct:
+            self.telemetry.record_submitted(lane=lane)
+        else:
+            self.telemetry.record_lane_queued(lane)
+
+    def _displace(self, key: Hashable, victim: _Request, lane: int) -> None:
+        """Resolve a queued request shed to admit a priority-``lane``
+        arrival.  A direct victim's future fails with
+        :class:`Overloaded`; a routed victim is busy, not broken, and
+        goes back to its attempt record to spill to a sibling."""
+        if victim.queue_span is not None:
+            victim.queue_span.end(outcome="shed")
+        self.telemetry.emit(
+            "displacement", key=str(key), lane=lane,
+            victim_lane=victim.lane, depth=self.max_queue_depth,
+        )
+        shed = Overloaded(
+            f"shed from the queue for {key!r} by a priority-{lane} arrival",
+            key=key, depth=self.max_queue_depth, lane=victim.lane,
+        )
+        if victim.attempt is not None:
+            self.telemetry.record_lane_drained(victim.lane)
+            victim.attempt.failed([victim], shed, ran=False)
+            return
+        self.telemetry.record_shed(lane=victim.lane, dequeued=True)
+        if victim.trace is not None:
+            victim.trace.finish("shed")
+        if victim.future.set_running_or_notify_cancel():
+            victim.future.set_exception(shed)
+
+    @staticmethod
+    def _trace_admitted(key: Hashable, request: _Request) -> None:
+        """Close the admit span and open the lane-wait span.
+
+        Runs under the lock, before the request becomes visible to the
+        worker — it may pop (and must close) the queue span the instant
+        the lock drops.
+        """
+        t_admitted = time.monotonic()
+        request.trace.add_span(
+            "admit", request.enqueued_at, t_admitted,
+            key=str(key), lane=request.lane,
+        )
+        request.queue_span = request.trace.span(
+            "queue", start_s=t_admitted, lane=request.lane
+        )
 
     def submit_many(
         self, key: Hashable, evidence_levels: np.ndarray, priority: int = 0
@@ -505,48 +551,74 @@ class MicroBatchScheduler:
             raise ValueError(
                 f"submit_many takes (n, features) samples, got {levels.shape}"
             )
-        if self.max_queue_depth is not None:
-            futures: List["Future[ServedResult]"] = []
-            for row in levels:
-                try:
-                    futures.append(self.submit(key, row, priority=priority))
-                except Overloaded as exc:
-                    rejected: "Future[ServedResult]" = Future()
-                    rejected.set_running_or_notify_cancel()
-                    rejected.set_exception(exc)
-                    futures.append(rejected)
-            return futures
         now = time.monotonic()
         requests = [_Request(row, now, lane=int(priority)) for row in levels]
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             for request in requests:
-                sampled = tracer.sample(str(key))
-                if sampled is not None:
-                    request.trace = sampled
-                    request.trace_owned = True
+                request.trace = tracer.sample(str(key))
+        refused, refusal = self.enqueue(key, requests)
+        if isinstance(refusal, SchedulerClosed):
+            for request in refused:
+                if request.trace is not None:
+                    request.trace.finish("error")
+            raise refusal
+        for request in refused:
+            request.future.set_running_or_notify_cancel()
+            request.future.set_exception(refusal)
+        return [r.future for r in requests]
+
+    def enqueue(
+        self,
+        key: Hashable,
+        requests: List[_Request],
+        block: bool = False,
+    ) -> Tuple[List[_Request], Optional[BaseException]]:
+        """Queue prebuilt requests of one lane for ``key``.
+
+        The entry point of :meth:`submit_many` and of the router.  An
+        unbounded queue takes the whole stack under one lock
+        acquisition.  A bounded queue admits row by row under the
+        :meth:`submit` contract (displacement, ``block`` backpressure,
+        door rejection).  Nothing is raised: returns the refused rows
+        and the last refusal, ``([], None)`` when every row was queued.
+        """
+        if not requests:
+            return [], None
+        if self.max_queue_depth is not None:
+            refused: List[_Request] = []
+            refusal: Optional[BaseException] = None
+            for request in requests:
+                try:
+                    self._admit(key, request, block)
+                except (Overloaded, SchedulerClosed) as exc:
+                    refused.append(request)
+                    refusal = exc
+            return refused, refusal
         with self._lock:
             if self._closed:
-                for request in requests:
-                    if request.trace is not None and request.trace_owned:
-                        request.trace.finish("error")
-                raise SchedulerClosed("scheduler is shut down")
-            queue = self._queues.setdefault(key, _LaneQueue())
+                return list(requests), SchedulerClosed(
+                    "scheduler is shut down"
+                )
+            queue = self._queues.get(key)
+            if queue is None:
+                queue = self._queues[key] = _LaneQueue()
+            before = len(queue)
             for request in requests:
                 if request.trace is not None:
-                    t_admitted = time.monotonic()
-                    request.trace.add_span(
-                        "admit", request.enqueued_at, t_admitted,
-                        key=str(key), lane=request.lane,
-                    )
-                    request.queue_span = request.trace.span(
-                        "queue", start_s=t_admitted, lane=request.lane
-                    )
+                    self._trace_admitted(key, request)
                 queue.append(request)
             self._pending += len(requests)
-            self._wake.notify()
-        self.telemetry.record_submitted(len(requests), lane=int(priority))
-        return [r.future for r in requests]
+            # As in _admit: wake the worker only for a new age-out
+            # deadline or a batch that just filled.
+            if before == 0 or before < self.policy.max_batch <= len(queue):
+                self._wake.notify()
+        lane = requests[0].lane
+        if requests[0].attempt is None:
+            self.telemetry.record_submitted(len(requests), lane=lane)
+        else:
+            self.telemetry.record_lane_queued(lane, len(requests))
+        return [], None
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Flush every queue now and wait until all requests resolved.
@@ -627,7 +699,9 @@ class MicroBatchScheduler:
 
         With ``drain=True`` (the default) every queued request is served
         first — the graceful path.  With ``drain=False`` queued requests
-        are cancelled (their futures report cancellation).
+        are cancelled (their futures report cancellation; a routed row
+        queued here by a failover is already running, so its future
+        raises :class:`~concurrent.futures.CancelledError` instead).
         """
         if drain:
             self.drain(timeout)
@@ -644,12 +718,18 @@ class MicroBatchScheduler:
             # and raise SchedulerClosed instead of sleeping forever.
             self._space.notify_all()
         for request in cancelled:
-            request.future.cancel()
+            attempt = request.attempt
+            if attempt is not None and attempt.claimed:
+                # The batch that failed this row over set its future
+                # running, so it can no longer be cancelled: it takes
+                # the cancellation as its error instead.
+                request.future.set_exception(CancelledError())
+            else:
+                request.future.cancel()
             if request.trace is not None:
                 if request.queue_span is not None:
                     request.queue_span.end(outcome="cancelled")
-                if request.trace_owned:
-                    request.trace.finish("cancelled")
+                request.trace.finish("cancelled")
         if cancelled:
             self.telemetry.record_cancelled(len(cancelled))
             by_lane: Dict[int, int] = {}
@@ -661,9 +741,14 @@ class MicroBatchScheduler:
 
     @property
     def pending(self) -> int:
-        """Requests queued but not yet launched in a batch."""
-        with self._lock:
-            return self._pending
+        """Requests queued but not yet launched in a batch.
+
+        Read without the queue lock: the router's cost score reads it
+        for every pick, and a count one request out of date is harmless
+        there, while contending with the batch worker for the lock is
+        not.
+        """
+        return self._pending
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self
@@ -735,16 +820,19 @@ class MicroBatchScheduler:
             # already cancelled drops out here, and a claimed (RUNNING)
             # future can no longer be cancelled under us — so the
             # set_result/set_exception calls below cannot raise
-            # InvalidStateError and kill the worker.
+            # InvalidStateError and kill the worker.  A routed row that
+            # is failing over was claimed by the batch that failed it.
             batch = []
             for r in popped:
-                if r.future.set_running_or_notify_cancel():
+                attempt = r.attempt
+                if (
+                    attempt is not None and attempt.claimed
+                ) or r.future.set_running_or_notify_cancel():
                     batch.append(r)
                 elif r.trace is not None:
                     if r.queue_span is not None:
                         r.queue_span.end(outcome="cancelled")
-                    if r.trace_owned:
-                        r.trace.finish("cancelled")
+                    r.trace.finish("cancelled")
             if len(batch) < len(popped):
                 self.telemetry.record_cancelled(len(popped) - len(batch))
             try:
@@ -763,10 +851,7 @@ class MicroBatchScheduler:
         try:
             engine = self.resolve_engine(key)
         except BaseException as exc:  # noqa: BLE001 — failures go to futures
-            self._trace_failure(batch, started, exc)
-            for request in batch:
-                request.future.set_exception(exc)
-            self.telemetry.record_failed(len(batch))
+            self._fail(batch, started, exc)
             return
         # Requests are stacked per feature width so one malformed
         # request can only fail its own group, never the well-formed
@@ -777,26 +862,38 @@ class MicroBatchScheduler:
         for group in groups.values():
             self._execute_group(key, engine, group, started)
 
-    def _trace_failure(
+    def _fail(
         self, requests: List[_Request], started: float, exc: BaseException
     ) -> None:
-        """Close spans on a batch whose engine resolve/read failed.
+        """Resolve the requests of a batch whose engine resolve/read failed.
 
-        Spans close *before* the futures resolve: a done callback (the
-        router's failover resubmit) may immediately append new spans to
-        the same trace, and those must come after these.
+        Spans close first: a routed row's failover appends new spans to
+        the same trace, and those must come after these.  A direct
+        request takes the error; routed rows go back to their attempt
+        record — one call per record, not per row — which re-enqueues
+        them on the next untried replica or surfaces the error.
         """
         now = time.monotonic()
+        direct = 0
+        routed: Dict[object, List[_Request]] = {}
         for request in requests:
-            if request.trace is None:
-                continue
-            if request.queue_span is not None:
-                request.queue_span.end(started)
-            request.trace.add_span(
-                "execute", started, now, error=type(exc).__name__
-            )
-            if request.trace_owned:
-                request.trace.finish("failed")
+            if request.trace is not None:
+                if request.queue_span is not None:
+                    request.queue_span.end(started)
+                request.trace.add_span(
+                    "execute", started, now, error=type(exc).__name__
+                )
+            if request.attempt is None:
+                if request.trace is not None:
+                    request.trace.finish("failed")
+                request.future.set_exception(exc)
+                direct += 1
+            else:
+                routed.setdefault(request.attempt, []).append(request)
+        if direct:
+            self.telemetry.record_failed(direct)
+        for attempt, rows in routed.items():
+            attempt.failed(rows, exc, ran=True)
 
     def _execute_group(
         self, key: Hashable, engine, group: List[_Request], started: float
@@ -814,22 +911,19 @@ class MicroBatchScheduler:
         try:
             report = engine.infer_batch(levels)
         except BaseException as exc:  # noqa: BLE001 — failures go to futures
-            self._trace_failure(group, started, exc)
-            for request in group:
-                request.future.set_exception(exc)
-            self.telemetry.record_failed(len(group))
+            self._fail(group, started, exc)
             return
         finally:
             self._scratch.give(levels)
         finished = time.monotonic()
         size = len(group)
+        model = str(key)
         # Close every trace before resolving any future: a batch can be
         # dozens of requests, each set_result runs its done callbacks
         # synchronously, and a trace finished only after its siblings'
         # callbacks would blame that time on nothing (the span-accounting
         # gate bounds the unexplained gap).  Success is terminal for
-        # owned and router-owned traces alike — the router's own
-        # finish("served") in its callback is an idempotent no-op.
+        # direct and routed traces alike.
         for i, request in enumerate(group):
             if request.trace is None:
                 continue
@@ -855,10 +949,24 @@ class MicroBatchScheduler:
                 pass
             request.trace.add_span("execute", started, finished, **attrs)
             request.trace.finish("served")
+        # Routed rows are accounted once per attempt record per batch
+        # (replica served, failovers, mark-down of the failed chain), and
+        # before any future resolves, so a client reading stats() after
+        # its result sees them.  A chunk's rows sit together in the
+        # queue, so a batch usually holds one or two records.
+        attempt, run = None, 0
+        for request in group:
+            if request.attempt is not attempt:
+                if attempt is not None:
+                    attempt.served(run)
+                attempt, run = request.attempt, 0
+            run += 1
+        if attempt is not None:
+            attempt.served(run)
         for i, request in enumerate(group):
             request.future.set_result(
                 ServedResult(
-                    model=str(key),
+                    model=model,
                     batch_size=size,
                     queue_wait_s=started - request.enqueued_at,
                     _report=report,

@@ -385,7 +385,13 @@ class FeBiMServer:
         version: Optional[int] = None,
         client: Optional[object] = None,
     ) -> List["Future[ServedResult]"]:
-        """Enqueue a stack of samples as independent single requests."""
+        """Enqueue a stack of samples, one future per row.
+
+        Deployed models route through :meth:`Router.submit_many` — one
+        policy pick per ``max_batch`` chunk, each chunk queued under one
+        scheduler lock.  Undeployed models take the legacy
+        single-engine path.
+        """
         deployment = self.router.deployment_for(name, version)
         if deployment is not None:
             levels = np.asarray(evidence_levels, dtype=int)
@@ -394,10 +400,7 @@ class FeBiMServer:
                     f"submit_many takes (n, features) samples, got "
                     f"{levels.shape}"
                 )
-            return [
-                self.router.submit(deployment, row, client=client)
-                for row in levels
-            ]
+            return self.router.submit_many(deployment, levels, client=client)
         return self.scheduler.submit_many(
             self._route(name, version), evidence_levels
         )

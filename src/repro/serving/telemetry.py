@@ -45,11 +45,14 @@ class TelemetrySnapshot:
     Attributes
     ----------
     submitted:
-        Requests accepted by :meth:`MicroBatchScheduler.submit`.
+        Client requests accepted: one per direct scheduler submit, one
+        per routed row however many replicas it visits.
     completed:
         Requests whose future resolved with a result.
     failed:
-        Requests whose future resolved with an exception.
+        Requests whose future resolved with an exception (a routed row
+        only when its error reached the client, never a failed-over
+        attempt).
     cancelled:
         Requests cancelled by a non-draining shutdown.
     batches:
@@ -89,7 +92,8 @@ class TelemetrySnapshot:
     shed_requests:
         Requests rejected or evicted by admission control (typed
         :class:`~repro.serving.scheduler.Overloaded`) — deliberate
-        load-shed, not failures.
+        load-shed, not failures.  A routed row counts only when every
+        replica refused it; a shed that spilled to a sibling does not.
     scale_ups / scale_downs:
         Replicas added / retired by the autoscale controller.
     lane_depth:
@@ -329,6 +333,13 @@ class Telemetry:
                 self._lane_depth[lane] = depth
             else:
                 self._lane_depth.pop(lane, None)
+
+    def record_lane_queued(self, lane: int, n: int = 1) -> None:
+        """``n`` routed rows entered ``lane``.  The router counted them
+        submitted once already, so neither their first enqueue nor a
+        failover re-enqueue counts them again."""
+        with self._lock:
+            self._lane_depth[lane] = self._lane_depth.get(lane, 0) + n
 
     def record_scale_up(self) -> None:
         """One replica added by the autoscale controller."""

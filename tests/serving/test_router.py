@@ -1,6 +1,7 @@
 """Router behaviour: policies, failover, heal ladder, bit-identity."""
 
 import time
+from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
@@ -29,6 +30,21 @@ def make_model(k=3, m=4, seed=0):
 
 POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
 SAMPLE = np.array([0, 1, 2])
+
+
+class CountingEngine:
+    """Engine proxy counting the rows its replica actually reads."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.rows = 0
+
+    def infer_batch(self, levels):
+        self.rows += len(levels)
+        return self.engine.infer_batch(levels)
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
 
 
 @pytest.fixture()
@@ -269,6 +285,49 @@ class TestFailover:
             future.result(timeout=10)
         # A request problem must not poison replica health.
         assert all(s.state == "healthy" for s in server.router.status("iris"))
+        # Counted once, as the one failure its client saw — not once
+        # per replica it failed on.
+        assert server.drain(timeout=10)
+        snapshot = server.stats()
+        assert snapshot.submitted == snapshot.failed == 1
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_failover_counts_each_client_request_once(self, tmp_path, bulk):
+        """40 requests over two round-robin replicas with replica 0
+        dead: half fail over, yet every request is counted once."""
+        # Four-row chunks alternate the round-robin pick evenly, just
+        # as single submits do.
+        policy = BatchPolicy(max_batch=4, max_wait_ms=1.0)
+        with FeBiMServer(
+            ModelRegistry(tmp_path / "reg"), policy=policy, seed=0
+        ) as srv:
+            srv.register("iris", make_model(seed=1))
+            deploy(
+                srv,
+                ReplicaSpec("ideal"),
+                ReplicaSpec("cmos"),
+                policy=RoutingPolicy("round_robin"),
+            )
+            srv.router.kill_replica("iris", 0)
+            block = np.tile(SAMPLE, (40, 1))
+            # Paused queues hold every row until all 40 are routed, so
+            # half of them meet the dead replica before it is marked
+            # down.
+            with srv.router.quiesce_model("iris"):
+                if bulk:
+                    futures = srv.submit_many("iris", block)
+                else:
+                    futures = [srv.submit("iris", row) for row in block]
+                assert srv.stats().lane_depth == {0: 40}
+            for future in futures:
+                future.result(timeout=10)
+            assert srv.drain(timeout=10)
+            snapshot = srv.stats()
+        assert snapshot.submitted == snapshot.completed == 40
+        assert snapshot.failed == 0
+        assert snapshot.failovers == 20
+        assert snapshot.in_flight == 0
+        assert snapshot.lane_depth == {}
 
     def test_all_replicas_evicted_rejects_submit(self, server):
         deploy(server, ReplicaSpec("ideal"), ReplicaSpec("cmos"))
@@ -278,6 +337,138 @@ class TestFailover:
         server.router.check_replica("iris", 1)
         with pytest.raises(RuntimeError, match="all evicted"):
             server.submit("iris", SAMPLE)
+
+
+class TestBlockPath:
+    """Routed submit_many: one future per row, one policy pick per
+    max_batch chunk, accounting once per batch."""
+
+    def test_failover_resolves_each_row_once_bit_identical(self, server):
+        dep = deploy(
+            server,
+            ReplicaSpec("ideal"),
+            ReplicaSpec("cmos"),
+            policy=RoutingPolicy("round_robin"),
+        )
+        server.router.kill_replica("iris", 0)
+        block = np.random.default_rng(0).integers(
+            0, 4, size=(3 * POLICY.max_batch, 3)
+        )
+        futures = server.submit_many("iris", block)
+        resolved = []
+        for i, future in enumerate(futures):
+            future.add_done_callback(lambda _f, i=i: resolved.append(i))
+        results = [future.result(timeout=10) for future in futures]
+        assert sorted(resolved) == list(range(len(block)))
+        survivor = dep.replicas[1].engine
+        assert [r.prediction for r in results] == list(survivor.predict(block))
+        assert [r.delay for r in results] == list(
+            survivor.infer_batch(block).delay
+        )
+        assert all(r.model == "iris@v1#r1" for r in results)
+        assert server.drain(timeout=10)
+        snapshot = server.stats()
+        assert snapshot.failed == 0 and snapshot.in_flight == 0
+
+    def test_cost_rescores_every_chunk(self, server):
+        """Two identical cost replicas both serve part of one block:
+        each chunk's pick sees the queue the chunks before it left."""
+        deploy(server, ReplicaSpec("ideal"), ReplicaSpec("ideal"))
+        n = 4 * POLICY.max_batch
+        # Paused queues keep every chunk pending while the next one is
+        # scored.
+        with server.router.quiesce_model("iris"):
+            futures = server.submit_many("iris", np.tile(SAMPLE, (n, 1)))
+        for future in futures:
+            future.result(timeout=10)
+        assert sorted(server.stats().per_replica.values()) == [n // 2] * 2
+
+    def test_cancelled_rows_are_never_read(self, server):
+        engines = []
+
+        def counting(engine, replica):
+            engines.append(CountingEngine(engine))
+            return engines[-1]
+
+        server.router.engine_wrapper = counting
+        deploy(server, ReplicaSpec("ideal"))
+        engines[0].rows = 0  # forget the deploy-time canary probe
+        n = 2 * POLICY.max_batch
+        with server.router.quiesce_model("iris"):
+            futures = server.submit_many("iris", np.tile(SAMPLE, (n, 1)))
+            doomed = futures[::3]
+            assert all(future.cancel() for future in doomed)
+        assert server.drain(timeout=10)
+        kept = [future for future in futures if not future.cancelled()]
+        assert len(kept) == n - len(doomed)
+        assert all(future.result(timeout=10) for future in kept)
+        assert engines[0].rows == len(kept)
+        snapshot = server.stats()
+        assert snapshot.completed == len(kept)
+        assert snapshot.cancelled == len(doomed)
+        assert snapshot.in_flight == 0
+
+    def test_close_without_drain_resolves_failed_over_rows(self, tmp_path):
+        server = FeBiMServer(
+            ModelRegistry(tmp_path / "reg"), policy=POLICY, seed=0
+        )
+        server.register("iris", make_model(seed=1))
+        dep = deploy(
+            server,
+            ReplicaSpec("ideal"),
+            ReplicaSpec("cmos"),
+            policy=RoutingPolicy("round_robin"),
+        )
+        server.router.kill_replica("iris", 0)
+        survivor = dep.replicas[1].scheduler
+        assert survivor.pause(timeout=5)
+        futures = server.submit_many(
+            "iris", np.tile(SAMPLE, (2 * POLICY.max_batch, 1))
+        )
+        # The dead replica's batch fails its chunk over onto the paused
+        # survivor, where it waits beside the survivor's own chunk.
+        assert dep.replicas[0].scheduler.drain(timeout=10)
+        assert survivor.pending == len(futures)
+        server.close(drain=False)
+        assert all(future.done() for future in futures)
+        for future in futures:
+            with pytest.raises(CancelledError):
+                future.result(timeout=0)
+        assert server.stats().in_flight == 0
+
+    def test_submit_many_builds_one_future_per_row(self, server, monkeypatch):
+        deploy(server, ReplicaSpec("ideal"))
+        built = []
+        init = Future.__init__
+
+        def counting_init(future):
+            built.append(future)
+            init(future)
+
+        monkeypatch.setattr(Future, "__init__", counting_init)
+        futures = server.submit_many(
+            "iris", np.tile(SAMPLE, (3 * POLICY.max_batch, 1))
+        )
+        for future in futures:
+            future.result(timeout=10)
+        assert built == futures
+
+    def test_traced_submit_many_spans_partition_each_row(self, server):
+        deploy(server, ReplicaSpec("ideal"))
+        obs = server.enable_observability(trace_rate=1.0)
+        n = 3 * POLICY.max_batch
+        futures = server.submit_many("iris", np.tile(SAMPLE, (n, 1)))
+        for future in futures:
+            future.result(timeout=10)
+        traces = obs.tracer.finished()
+        assert len(traces) == n
+        for trace in traces:
+            assert trace.outcome == "served"
+            names = [span.name for span in trace.spans]
+            assert names == ["admit", "queue", "execute"]
+            assert trace.open_spans() == []
+            gap = abs(trace.duration_s - trace.span_total_s())
+            assert gap <= max(0.05 * trace.duration_s, 5e-4)
 
 
 class TestHealLadder:
