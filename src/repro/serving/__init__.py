@@ -42,7 +42,8 @@ two:
   ``placement: local`` hosts replicas in-process (the default,
   bit-identical to the pre-placement behaviour), ``placement:
   process`` hosts them in supervised worker subprocesses speaking a
-  versioned length-prefixed JSON wire protocol, with heartbeat
+  versioned length-prefixed JSON wire protocol (one request frame per
+  ``max_batch`` chunk, one columnar result frame back), with heartbeat
   liveness, crash failover onto survivors, and respawn — routing
   decisions shared verbatim with the in-process router through the
   pure policy core (:mod:`repro.serving.policy`);

@@ -13,7 +13,11 @@ replica *handles* instead of live replicas — so ``local`` and
 cluster-global and minted by the front end: a worker applies its slice
 with explicit indices, pinning the per-replica stream seeds, so the
 engines a worker materialises are bit-identical to the ones a
-single-process deployment would have built.
+single-process deployment would have built.  Requests travel in
+blocks: ``submit_many`` sends one ``request`` frame per ``max_batch``
+chunk of rows (one pick each; ``submit`` is the one-row chunk), and
+each frame comes back as one columnar ``result`` frame that the front
+end accounts once.
 
 Supervision is the worker-level heal ladder, run on the
 :class:`~repro.serving.server.MaintenanceThread` cadence exactly like
@@ -24,7 +28,7 @@ replica health:
   one.
 * **rung 2 — replace**: a dead connection or a heartbeat older than
   ``lost_after_s`` marks the worker lost (``worker_lost``): its
-  in-flight requests fail over to surviving workers immediately
+  in-flight chunks fail over whole to surviving workers immediately
   (recorded ``failover`` events, zero client-visible errors while any
   survivor can serve), its replicas are re-placed onto survivors with
   their *original indices* (same stream seed — the cluster analogue of
@@ -45,6 +49,7 @@ the metrics exporter see the whole cluster.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -74,8 +79,9 @@ from repro.serving.telemetry import Telemetry, TelemetrySnapshot
 from repro.serving.transport.protocol import (
     MessageConnection,
     ProtocolError,
+    decode_block,
     decode_error,
-    decode_result,
+    encode_frame,
     make,
 )
 from repro.serving.worker import worker_main
@@ -113,6 +119,33 @@ class _Pending:
         self.replica = replica
 
 
+class _Chunk:
+    """Rows routed together: one ``request`` frame's worth.
+
+    Holds the rows' wire levels and client futures and the routing hop
+    they are on — the replica they were sent to, every replica they
+    have tried (``attempted``), the ``(replica, worker)`` pairs that
+    failed them (``failed_chain``, marked down once another replica
+    serves the rows) and their priority lane.  A chunk is never
+    mutated: a failover sends the rows that failed on as a new chunk
+    one hop further on.
+    """
+
+    __slots__ = ("dep", "replica", "levels", "futures", "attempted",
+                 "failed_chain", "priority", "t0")
+
+    def __init__(self, dep, replica, levels, futures, attempted,
+                 failed_chain, priority, t0):
+        self.dep = dep
+        self.replica = replica
+        self.levels = levels
+        self.futures = futures
+        self.attempted = attempted
+        self.failed_chain = failed_chain
+        self.priority = priority
+        self.t0 = t0
+
+
 class _WorkerHandle:
     """Front-end view of one worker process."""
 
@@ -137,8 +170,8 @@ class _ReplicaHandle:
     Duck-types the policy core's candidate surface (``index`` /
     ``state`` / ``unit_delay`` / ``weight`` / ``pending``) so
     arbitration code is shared verbatim with the in-process router.
-    ``pending`` counts *front-end* in-flight requests — the quantity
-    the cost policy needs, maintained without a round trip.
+    ``pending`` counts *front-end* in-flight rows — the quantity the
+    cost policy needs, maintained without a round trip.
     """
 
     def __init__(self, model: str, index: int, spec: ReplicaSpec,
@@ -715,52 +748,55 @@ class ClusterServer:
         )
 
     # --------------------------------------------------------------- serving
-    def submit(self, name: str, evidence_levels, version=None,
-               client: Optional[object] = None) -> "Future":
-        """Route one sample to a worker-hosted replica; returns a future.
-
-        The same contract as the in-process path: internal replica and
-        *worker* failures fail over transparently; the future errors
-        only when every serviceable replica failed the request.
-        """
+    def _deployment(self, name: str, version) -> _ClusterDeployment:
         dep = self.deployment_for(name, version)
         if dep is None:
             raise KeyError(
                 f"no process deployment for model {name!r}"
                 + ("" if version is None else f" at version {version}")
             )
+        return dep
+
+    def submit(self, name: str, evidence_levels, version=None,
+               client: Optional[object] = None) -> "Future":
+        """Route one sample to a worker-hosted replica; returns a future.
+
+        The same contract as the in-process path: internal replica and
+        *worker* failures fail over transparently; the future errors
+        only when every serviceable replica failed the request.  The
+        one-row case of :meth:`submit_many`.
+        """
+        dep = self._deployment(name, version)
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 1:
             raise ValueError(
                 f"submit takes one 1-D sample, got shape {levels.shape}"
             )
-        wire_levels = [int(v) for v in levels]
-        self.telemetry.record_submitted()
         if dep.spec.policy.kind == "mirror":
-            return self._submit_mirror(dep, wire_levels)
-        slo = dep.spec.slo
-        priority = 0 if slo is None else slo.priority_for(
-            None if client is None else str(client)
-        )
-        replica = self._pick(dep, client)
-        future: "Future" = Future()
-        self._attempt(
-            dep, replica, wire_levels, future, {replica}, (),
-            priority, time.monotonic(),
-        )
-        return future
+            return self._submit_mirror(dep, levels)
+        return self._route(dep, levels[None, :], client)[0]
 
     def submit_many(self, name: str, evidence_levels, version=None,
                     client: Optional[object] = None) -> List["Future"]:
+        """Route a stack of samples; one future per row.
+
+        The rows go in chunks of the batch policy's ``max_batch``: each
+        chunk gets one policy pick and travels as one ``request`` frame,
+        answered by one ``result`` frame.  Mirror fan-out stays per row.
+        """
+        dep = self._deployment(name, version)
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 2:
             raise ValueError(
                 f"submit_many takes (n, features) samples, got {levels.shape}"
             )
-        return [
-            self.submit(name, row, version=version, client=client)
-            for row in levels
-        ]
+        if dep.spec.policy.kind == "mirror":
+            return [self._submit_mirror(dep, row) for row in levels]
+        step = self.policy.max_batch
+        futures: List["Future"] = []
+        for lo in range(0, len(levels), step):
+            futures += self._route(dep, levels[lo:lo + step], client)
+        return futures
 
     def predict(self, name: str, evidence_levels, version=None,
                 timeout: Optional[float] = None,
@@ -769,69 +805,88 @@ class ClusterServer:
             name, evidence_levels, version=version, client=client
         ).result(timeout)
 
-    def _attempt(self, dep, replica, levels, future, attempted,
-                 failed_chain, priority, t0) -> None:
-        with self._lock:
-            sent_worker = replica.worker_id
-            handle = self._workers.get(sent_worker)
-            conn = None if handle is None else handle.conn
-            if handle is None or handle.state != "up" or conn is None:
-                handle = None
-            else:
-                replica.pending += 1
-        if handle is None:
-            self._failover(
-                dep, levels, future, attempted,
-                failed_chain + ((replica, sent_worker),),
-                WorkerLost(f"worker for {replica.label} is not up"),
-                priority, t0,
-            )
-            return
+    def _route(self, dep: _ClusterDeployment, rows: np.ndarray,
+               client: Optional[object]) -> List["Future"]:
+        """Pick one replica for ``rows`` and send them as one chunk."""
+        slo = dep.spec.slo
+        priority = 0 if slo is None else slo.priority_for(
+            None if client is None else str(client)
+        )
+        replica = self._pick(dep, client)
+        futures = [Future() for _ in range(len(rows))]
+        # Counted once here: a failover hop never counts a row again.
+        self.telemetry.record_submitted(len(futures))
+        self._attempt(_Chunk(
+            dep, replica, rows.tolist(), futures, {replica}, (), priority,
+            time.monotonic(),
+        ))
+        return futures
+
+    def _send(self, replica: _ReplicaHandle, levels: list, priority: int,
+              deliver) -> None:
+        """Ship ``levels`` (one list per row) to ``replica`` as one
+        ``request`` frame.
+
+        ``deliver(outcomes, worker_id)`` then runs exactly once, with one
+        outcome per row — a :class:`RemoteServedResult` or the row's
+        exception — from the reply, an ``error`` frame, the worker's
+        loss, or a worker that was not up.  Raises
+        :class:`ProtocolError`, having sent and registered nothing, when
+        the frame cannot be encoded (a block beyond ``MAX_FRAME``): that
+        is the rows' fault, not the worker's.
+        """
+        n = len(levels)
         request_id = f"r{next(self._ids)}"
+        frame = encode_frame(make(
+            "request",
+            id=request_id,
+            model=replica.model,
+            replica_index=replica.index,
+            levels=levels,
+            priority=priority,
+        ))
+
+        def settle() -> None:
+            with self._lock:
+                replica.pending -= n
 
         def on_result(message: dict) -> None:
-            with self._lock:
-                replica.pending -= 1
-            result = decode_result(message["result"])
-            if not future.set_running_or_notify_cancel():
-                return
-            self.telemetry.record_replica_served(replica.label)
-            self.telemetry.record_failover(len(attempted) - 1)
-            for bad, seen_worker in failed_chain:
-                self._mark_down(bad, seen_worker)
-            self.telemetry.record_completed(
-                dep.name, latencies_s=[time.monotonic() - t0]
-            )
-            future.set_result(result)
+            settle()
+            try:
+                outcomes = decode_block(message["result"])
+                if len(outcomes) != n:
+                    raise ProtocolError(
+                        f"{len(outcomes)} result rows for a {n}-row request"
+                    )
+            except Exception as exc:  # noqa: BLE001 — malformed reply
+                outcomes = [exc] * n
+            deliver(outcomes, worker_id)
 
         def on_error(exc: BaseException) -> None:
-            with self._lock:
-                replica.pending -= 1
-            if isinstance(exc, Overloaded):
-                # Busy, not broken — the worker's scheduler shed the
-                # request unattempted; count the shed for the
-                # autoscaler's pressure signal and spill to a sibling.
-                self.telemetry.record_shed()
-                chain = failed_chain
-            else:
-                chain = failed_chain + ((replica, sent_worker),)
-            self._failover(
-                dep, levels, future, attempted, chain, exc, priority, t0
-            )
+            settle()
+            deliver([exc] * n, worker_id)
 
         with self._lock:
-            self._pending[request_id] = _Pending(
-                on_result, on_error, replica.worker_id, replica
+            worker_id = replica.worker_id
+            handle = self._workers.get(worker_id)
+            conn = None if handle is None else handle.conn
+            up = (
+                handle is not None and handle.state == "up"
+                and conn is not None
             )
+            if up:
+                replica.pending += n
+                self._pending[request_id] = _Pending(
+                    on_result, on_error, worker_id, replica
+                )
+        if not up:
+            deliver(
+                [WorkerLost(f"worker for {replica.label} is not up")] * n,
+                worker_id,
+            )
+            return
         try:
-            conn.send(make(
-                "request",
-                id=request_id,
-                model=dep.name,
-                replica_index=replica.index,
-                levels=levels,
-                priority=priority,
-            ))
+            conn.send(frame)
         except Exception:
             # The connection died under us.  The loss path fails over
             # every pending on this worker — but if it already ran
@@ -845,31 +900,120 @@ class ClusterServer:
                     WorkerLost(f"worker {handle.worker_id} send failed")
                 )
 
-    def _failover(self, dep, levels, future, attempted, failed_chain,
-                  exc, priority, t0) -> None:
+    def _attempt(self, chunk: "_Chunk") -> None:
+        try:
+            self._send(
+                chunk.replica, chunk.levels, chunk.priority,
+                functools.partial(self._settle, chunk),
+            )
+        except ProtocolError as exc:
+            self._reject(chunk, range(len(chunk.futures)), exc)
+
+    def _settle(self, chunk: "_Chunk", outcomes: list,
+                seen_worker: str) -> None:
+        """Account one reply to ``chunk``, once for all its rows:
+        resolve the served rows, spill the shed ones, fail over the
+        rest."""
+        served, spilled, broken = [], [], []
+        spill_exc = broken_exc = None
+        for row, outcome in enumerate(outcomes):
+            if not isinstance(outcome, BaseException):
+                served.append(row)
+            elif isinstance(outcome, Overloaded):
+                spilled.append(row)
+                spill_exc = outcome
+            else:
+                broken.append(row)
+                broken_exc = outcome
+        if served:
+            self._serve(chunk, served, outcomes)
+        if spilled:
+            # Busy, not broken — the worker's scheduler shed these rows
+            # unattempted, so they spill to a sibling without putting
+            # the replica on the mark-down chain.
+            self._failover(chunk, spilled, spill_exc, chunk.failed_chain)
+        if broken:
+            self._failover(
+                chunk, broken, broken_exc,
+                chunk.failed_chain + ((chunk.replica, seen_worker),),
+            )
+
+    def _serve(self, chunk: "_Chunk", rows: List[int],
+               outcomes: list) -> None:
+        """Resolve rows ``chunk.replica`` served.
+
+        Counted before any future resolves, so a client reading
+        ``stats()`` after its result sees them."""
+        futures = chunk.futures
+        claimed = [
+            row for row in rows if futures[row].set_running_or_notify_cancel()
+        ]
+        served = len(claimed)
+        telemetry = self.telemetry
+        if served:
+            telemetry.record_replica_served(chunk.replica.label, served)
+            # One failover per earlier attempt of each served row: a
+            # row that failed on *every* replica is an error instead.
+            telemetry.record_failover((len(chunk.attempted) - 1) * served)
+            telemetry.record_completed(
+                chunk.dep.name, served,
+                latencies_s=[time.monotonic() - chunk.t0] * served,
+            )
+        if served < len(rows):
+            telemetry.record_cancelled(len(rows) - served)
+        # A replica that failed rows this replica then served is
+        # confirmed bad (the rows were fine).
+        for bad, seen_worker in chunk.failed_chain:
+            self._mark_down(bad, seen_worker)
+        for row in claimed:
+            futures[row].set_result(outcomes[row])
+
+    def _failover(self, chunk: "_Chunk", rows: List[int], exc: BaseException,
+                  failed_chain: tuple) -> None:
+        """Send ``rows`` of ``chunk`` on to the next untried serviceable
+        replica as a new chunk, or resolve them with ``exc``."""
+        dep = chunk.dep
         with self._lock:
             candidates = routing_policy.serviceable(dep.replicas)
             fallback = next(
-                (r for r in candidates if r not in attempted), None
+                (r for r in candidates if r not in chunk.attempted), None
             )
         if fallback is None:
-            if future.set_running_or_notify_cancel():
-                if not isinstance(exc, Overloaded):
-                    self.telemetry.record_failed(1)
-                future.set_exception(exc)
+            self._reject(chunk, rows, exc)
             return
-        attempted.add(fallback)
+        hop = _Chunk(
+            dep, fallback,
+            [chunk.levels[row] for row in rows],
+            [chunk.futures[row] for row in rows],
+            chunk.attempted | {fallback}, failed_chain, chunk.priority,
+            chunk.t0,
+        )
         self.telemetry.emit(
             "failover",
             model=dep.name,
             to_replica=fallback.label,
             reason=type(exc).__name__,
-            attempts=len(attempted),
+            attempts=len(hop.attempted),
+            rows=len(rows),
         )
-        self._attempt(
-            dep, fallback, levels, future, attempted, failed_chain,
-            priority, t0,
-        )
+        self._attempt(hop)
+
+    def _reject(self, chunk: "_Chunk", rows, exc: BaseException) -> None:
+        """Resolve rows no replica could serve with ``exc``, counted once
+        per client request: as shed when every replica was full, as
+        failed otherwise, as cancelled when the client cancelled."""
+        claimed = [
+            chunk.futures[row] for row in rows
+            if chunk.futures[row].set_running_or_notify_cancel()
+        ]
+        if claimed and isinstance(exc, Overloaded):
+            self.telemetry.record_shed(len(claimed))
+        elif claimed:
+            self.telemetry.record_failed(len(claimed))
+        if len(claimed) < len(rows):
+            self.telemetry.record_cancelled(len(rows) - len(claimed))
+        for future in claimed:
+            future.set_exception(exc)
 
     def _mark_down(self, replica: _ReplicaHandle,
                    seen_worker: Optional[str] = None) -> None:
@@ -891,11 +1035,12 @@ class ClusterServer:
 
     # ---------------------------------------------------------------- mirror
     def _submit_mirror(self, dep: _ClusterDeployment,
-                       levels: List[int]) -> "Future[MirroredResult]":
+                       levels: np.ndarray) -> "Future[MirroredResult]":
         policy = dep.spec.policy
         candidates = routing_policy.mirror_candidates(
             self._candidates(dep), policy.mirror_fanout
         )
+        self.telemetry.record_submitted()
         client_future: "Future[MirroredResult]" = Future()
         votes: Dict[int, Optional[object]] = {}
         overloaded: set = set()
@@ -903,10 +1048,18 @@ class ClusterServer:
         remaining = [len(candidates)]
         vote_lock = threading.Lock()
         t0 = time.monotonic()
+        wire_levels = [levels.tolist()]
 
-        def record_vote(index: int, result) -> None:
+        def record_vote(replica, outcomes, worker_id) -> None:
+            (outcome,) = outcomes
             with vote_lock:
-                votes[index] = result
+                seen_workers[replica.index] = worker_id
+                if isinstance(outcome, BaseException):
+                    votes[replica.index] = None
+                    if isinstance(outcome, Overloaded):
+                        overloaded.add(replica.index)
+                else:
+                    votes[replica.index] = outcome
                 remaining[0] -= 1
                 if remaining[0]:
                     return
@@ -916,62 +1069,17 @@ class ClusterServer:
             )
 
         for replica in candidates:
-            self._mirror_attempt(dep, replica, levels, record_vote,
-                                 overloaded, seen_workers)
+            deliver = functools.partial(record_vote, replica)
+            try:
+                self._send(replica, wire_levels, 0, deliver)
+            except ProtocolError as exc:
+                deliver([exc], replica.worker_id)
         return client_future
-
-    def _mirror_attempt(self, dep, replica, levels, record_vote,
-                        overloaded, seen_workers) -> None:
-        with self._lock:
-            seen_workers[replica.index] = replica.worker_id
-            handle = self._workers.get(replica.worker_id)
-            conn = None if handle is None else handle.conn
-            up = handle is not None and handle.state == "up" and conn
-            if up:
-                replica.pending += 1
-        if not up:
-            record_vote(replica.index, None)
-            return
-        request_id = f"r{next(self._ids)}"
-
-        def on_result(message: dict) -> None:
-            with self._lock:
-                replica.pending -= 1
-            record_vote(replica.index, decode_result(message["result"]))
-
-        def on_error(exc: BaseException) -> None:
-            with self._lock:
-                replica.pending -= 1
-            if isinstance(exc, Overloaded):
-                self.telemetry.record_shed()
-                overloaded.add(replica.index)
-            record_vote(replica.index, None)
-
-        with self._lock:
-            self._pending[request_id] = _Pending(
-                on_result, on_error, replica.worker_id, replica
-            )
-        try:
-            conn.send(make(
-                "request",
-                id=request_id,
-                model=dep.name,
-                replica_index=replica.index,
-                levels=levels,
-                priority=0,
-            ))
-        except Exception:
-            self._on_worker_lost(handle, "send failed")
-            with self._lock:
-                entry = self._pending.pop(request_id, None)
-            if entry is not None:
-                entry.on_error(
-                    WorkerLost(f"worker {handle.worker_id} send failed")
-                )
 
     def _resolve_mirror(self, dep, candidates, votes, overloaded,
                         client_future, t0, seen_workers) -> None:
         if not client_future.set_running_or_notify_cancel():
+            self.telemetry.record_cancelled(1)
             return
         succeeded = [
             (replica, votes[replica.index])
@@ -1052,8 +1160,9 @@ class ClusterServer:
             for dep in self._deployments.values():
                 for replica in dep.replicas:
                     if replica.worker_id == handle.worker_id:
+                        # ``pending`` comes back down as the orphans
+                        # below are settled, one chunk at a time.
                         replica.state = UNPLACED
-                        replica.pending = 0
                         displaced.append(replica)
         if conn is not None:
             conn.close()

@@ -189,6 +189,12 @@ class _Request:
     per batch for the ``n`` rows of the hop that were served, and
     ``attempt.failed(rows, exc, ran)`` takes back rows a batch failed
     (``ran=True``) or a full or closed queue refused.
+
+    ``future`` replaces the :class:`~concurrent.futures.Future` made per
+    request with any object implementing the four calls the scheduler
+    makes on it: ``set_running_or_notify_cancel``, ``set_result``,
+    ``set_exception`` and ``cancel`` (a worker process answers a whole
+    block of rows through such slots, with no Future per row).
     """
 
     __slots__ = (
@@ -202,9 +208,12 @@ class _Request:
         enqueued_at: float,
         lane: int = 0,
         attempt=None,
+        future=None,
     ):
         self.levels = levels
-        self.future: "Future[ServedResult]" = Future()
+        self.future: "Future[ServedResult]" = (
+            Future() if future is None else future
+        )
         self.enqueued_at = enqueued_at
         self.lane = lane
         # Tracing state: ``trace`` is the sampled Trace riding this

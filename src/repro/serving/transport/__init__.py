@@ -34,12 +34,13 @@ from repro.serving.transport.protocol import (
     ProtocolError,
     RemoteServedResult,
     RemoteWorkerError,
+    RESULT_COLUMNS,
+    decode_block,
     decode_error,
-    decode_mirrored,
     decode_result,
+    encode_block,
     encode_error,
     encode_frame,
-    encode_mirrored,
     encode_result,
     make,
 )
@@ -55,12 +56,13 @@ __all__ = [
     "ProtocolError",
     "RemoteServedResult",
     "RemoteWorkerError",
+    "RESULT_COLUMNS",
+    "decode_block",
     "decode_error",
-    "decode_mirrored",
     "decode_result",
+    "encode_block",
     "encode_error",
     "encode_frame",
-    "encode_mirrored",
     "encode_result",
     "make",
     "serve_deployment",

@@ -16,11 +16,19 @@ version field is checked on every frame — a future incompatible change
 bumps :data:`WIRE_VERSION` and old peers fail loudly with the version
 they saw, never by misparsing bytes.
 
-JSON is the body encoding because every payload that crosses the
-boundary here is small control/result state (predictions, delays,
-event details) — never bulk arrays; evidence levels are short integer
-lists.  ``allow_nan=False`` keeps the wire strict JSON: NaN margins are
-mapped to ``null`` explicitly before encoding.
+The request plane moves blocks, not rows: one ``request`` frame carries
+up to ``max_batch`` rows of evidence levels (a list of integer lists)
+for one replica, and the worker answers it with one ``result`` frame
+whose body holds the rows' columns in row order — ``prediction``,
+``delay``, ``energy_total``, ``queue_wait_s``, ``batch_size``,
+``margin`` — plus an ``errors`` list of ``[row, typed error]`` pairs
+for rows that failed (:func:`encode_block` / :func:`decode_block`).
+Framing, the socket write and JSON parsing are paid once per block.
+The bodies stay strict JSON — a block of short integer rows and float
+columns is small next to :data:`MAX_FRAME`, and Python's float repr
+round-trips every modelled delay and energy bit for bit.
+``allow_nan=False`` keeps the wire strict: NaN margins are mapped to
+``null`` explicitly before encoding.
 
 Typed scheduler errors survive the boundary: :func:`encode_error` /
 :func:`decode_error` rebuild :class:`~repro.serving.scheduler.Overloaded`
@@ -37,7 +45,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.base import CapabilityError
 from repro.serving.scheduler import Overloaded
@@ -46,16 +54,19 @@ from repro.serving.scheduler import Overloaded
 #: (HTTP, TLS, line noise) fails on the first frame.
 MAGIC = 0x4642
 
-#: Protocol revision; bumped on any incompatible frame/body change.
-WIRE_VERSION = 1
+#: Protocol revision; bumped on any incompatible frame/body change
+#: (2: block ``request`` / columnar ``result`` bodies).
+WIRE_VERSION = 2
 
 #: Frame header: (magic, version, body length), network byte order.
 HEADER = struct.Struct("!HHI")
 
-#: Upper bound on one frame's body.  Largest legitimate frame is a
-#: batched event forward or a deployment spec — kilobytes; 8 MiB is a
-#: generous ceiling that still rejects a corrupt length field before a
-#: multi-gigabyte allocation.
+#: Upper bound on one frame's body.  Block frames grow with
+#: ``max_batch``: a 256-row iris block is a few kilobytes, and 8 MiB
+#: holds tens of thousands of rows while still rejecting a corrupt
+#: length field before a multi-gigabyte allocation.  A block too large
+#: for it fails its own rows (front end) or is answered with an
+#: ``error`` frame (worker); it never takes a connection down.
 MAX_FRAME = 8 * 1024 * 1024
 
 #: Closed message taxonomy — same philosophy as the flight recorder's
@@ -74,7 +85,6 @@ MESSAGE_KINDS = frozenset(
         # request plane
         "request",
         "result",
-        "mirrored_result",
         "error",
         # supervision + observability (worker -> front end)
         "heartbeat",
@@ -188,8 +198,11 @@ class MessageConnection:
         self._ready: List[dict] = []
         self._closed = False
 
-    def send(self, message: dict) -> None:
-        frame = encode_frame(message)
+    def send(self, message: Union[dict, bytes]) -> None:
+        """Send one message dict, or a frame :func:`encode_frame`
+        already built (so a caller can settle encoding failures before
+        committing to the send)."""
+        frame = message if isinstance(message, bytes) else encode_frame(message)
         with self._send_lock:
             self._sock.sendall(frame)
 
@@ -307,72 +320,95 @@ class RemoteServedResult:
     worker: str = ""
 
 
+#: The per-row columns of a ``result`` body, in wire order.
+RESULT_COLUMNS = (
+    "prediction", "delay", "energy_total", "queue_wait_s", "batch_size",
+    "margin",
+)
+
+
+def encode_block(
+    model: str,
+    columns: Dict[str, list],
+    errors: Sequence[Tuple[int, BaseException]] = (),
+    replica: str = "",
+    worker: str = "",
+) -> dict:
+    """The ``result`` body answering one ``request`` frame.
+
+    ``columns`` maps every name in :data:`RESULT_COLUMNS` to a list with
+    one entry per row of the request, in row order.  ``errors`` names
+    the rows that failed as ``(row, exception)`` pairs; their column
+    entries go out as ``null`` and the exceptions as typed error
+    payloads.  NaN margins go out as ``null`` too.  The column lists are
+    used in place (failed rows are blanked in them), not copied.
+    """
+    body = {"model": model, "replica": replica, "worker": worker}
+    for name in RESULT_COLUMNS:
+        body[name] = columns[name]
+    body["margin"] = [None if m != m else m for m in body["margin"]]
+    wire_errors = []
+    for row, exc in errors:
+        for name in RESULT_COLUMNS:
+            body[name][row] = None
+        wire_errors.append([int(row), encode_error(exc)])
+    body["errors"] = wire_errors
+    return body
+
+
+def decode_block(
+    payload: dict,
+) -> List[Union[RemoteServedResult, BaseException]]:
+    """One outcome per row of a ``result`` body, in row order: the row's
+    :class:`RemoteServedResult`, or its typed exception."""
+    columns = [payload[name] for name in RESULT_COLUMNS]
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ProtocolError("result columns differ in length")
+    model = payload["model"]
+    replica = payload.get("replica", "")
+    worker = payload.get("worker", "")
+    failed = {
+        int(row): decode_error(error)
+        for row, error in payload.get("errors", ())
+    }
+    # RESULT_COLUMNS follows RemoteServedResult's field order.
+    return [
+        failed[i] if i in failed
+        else RemoteServedResult(model, *values, replica, worker)
+        for i, values in enumerate(zip(*columns))
+    ]
+
+
 def encode_result(result, margin: Optional[float] = None,
                   replica: str = "", worker: str = "") -> dict:
-    """The ``result`` message body for a served request.
+    """The ``result`` body for one served request: the one-row case of
+    :func:`encode_block`.
 
     Accepts a live :class:`ServedResult` or a :class:`RemoteServedResult`
     (margins default to the remote result's own when not overridden).
     """
     if margin is None:
         margin = getattr(result, "margin", None)
-    if margin is not None and margin != margin:  # NaN -> null on the wire
-        margin = None
-    return {
-        "model": result.model,
-        "prediction": int(result.prediction),
-        "delay": float(result.delay),
-        "energy_total": float(result.energy_total),
-        "queue_wait_s": float(result.queue_wait_s),
-        "batch_size": int(result.batch_size),
-        "margin": margin,
-        "replica": replica or getattr(result, "replica", ""),
-        "worker": worker or getattr(result, "worker", ""),
-    }
+    return encode_block(
+        result.model,
+        {
+            "prediction": [int(result.prediction)],
+            "delay": [float(result.delay)],
+            "energy_total": [float(result.energy_total)],
+            "queue_wait_s": [float(result.queue_wait_s)],
+            "batch_size": [int(result.batch_size)],
+            "margin": [margin],
+        },
+        replica=replica or getattr(result, "replica", ""),
+        worker=worker or getattr(result, "worker", ""),
+    )
 
 
 def decode_result(payload: dict) -> RemoteServedResult:
-    return RemoteServedResult(
-        model=payload["model"],
-        prediction=int(payload["prediction"]),
-        delay=float(payload["delay"]),
-        energy_total=float(payload["energy_total"]),
-        queue_wait_s=float(payload["queue_wait_s"]),
-        batch_size=int(payload["batch_size"]),
-        margin=payload.get("margin"),
-        replica=payload.get("replica", ""),
-        worker=payload.get("worker", ""),
-    )
-
-
-def encode_mirrored(result) -> dict:
-    """The ``mirrored_result`` body for a
-    :class:`~repro.serving.router.MirroredResult`."""
-    return {
-        "model": result.model,
-        "prediction": int(result.prediction),
-        "votes": [[label, vote] for label, vote in result.votes],
-        "agreement": float(result.agreement),
-        "delay": float(result.delay),
-        "energy_total": float(result.energy_total),
-        "queue_wait_s": float(result.queue_wait_s),
-        "batch_size": int(result.batch_size),
-    }
-
-
-def decode_mirrored(payload: dict):
-    from repro.serving.router import MirroredResult
-
-    return MirroredResult(
-        model=payload["model"],
-        prediction=int(payload["prediction"]),
-        votes=tuple(
-            (label, None if vote is None else int(vote))
-            for label, vote in payload["votes"]
-        ),
-        agreement=float(payload["agreement"]),
-        delay=float(payload["delay"]),
-        energy_total=float(payload["energy_total"]),
-        queue_wait_s=float(payload["queue_wait_s"]),
-        batch_size=int(payload["batch_size"]),
-    )
+    """The first row of a ``result`` body (raising its error, if it
+    failed): the one-row case of :func:`decode_block`."""
+    outcome = decode_block(payload)[0]
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome

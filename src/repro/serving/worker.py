@@ -12,10 +12,11 @@ requests shipped to its replicas, and reports back.
 Three threads per worker:
 
 * the **message loop** (main thread) dispatches control and request
-  frames; request execution itself is asynchronous — the scheduler's
-  batch workers resolve futures whose done-callbacks send the
-  ``result``/``error`` frame, so a slow batch never blocks control
-  traffic;
+  frames; request execution itself is asynchronous — a ``request``
+  frame's rows are queued as one chunk, each row holding a future-like
+  slot of the frame's :class:`_Block`, and the batch worker that
+  resolves the last row sends the frame's one ``result`` reply, so a
+  slow batch never blocks control traffic;
 * the **heartbeat thread** sends per-replica liveness
   (state/pending/unit delay) on the supervision cadence — the front
   end's replica views, and the signal whose absence triggers failover;
@@ -40,19 +41,26 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 import traceback
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+import numpy as np
+
+from repro.reliability.observability import margin_signal
 from repro.serving.deployment import Deployment, ReplicaSpec
+from repro.serving.health import _report_currents
 from repro.serving.registry import ModelRegistry
-from repro.serving.router import Router, result_margin
-from repro.serving.scheduler import BatchPolicy
+from repro.serving.router import Router
+from repro.serving.scheduler import BatchPolicy, _Request
 from repro.serving.server import FeBiMServer
 from repro.serving.transport.protocol import (
     MessageConnection,
     ProtocolError,
+    RESULT_COLUMNS,
+    encode_block,
     encode_error,
-    encode_result,
+    encode_frame,
     make,
 )
 
@@ -95,6 +103,105 @@ class _EventForwarder:
             ))
         except Exception:
             pass
+
+
+class _Block:
+    """One ``request`` frame's rows inside the worker.
+
+    Each row's scheduler request holds a :class:`_RowSlot` of the block
+    instead of a Future; the scheduler's calls on the slots land in
+    :meth:`resolve`, and the row that resolves last sends the frame's
+    one ``result`` reply (from whichever thread resolved it — normally
+    the batch worker, right after the read).
+    """
+
+    __slots__ = ("host", "request_id", "replica", "outcomes", "remaining",
+                 "lock")
+
+    def __init__(self, host: "WorkerHost", request_id, replica, n: int):
+        self.host = host
+        self.request_id = request_id
+        self.replica = replica
+        self.outcomes: List[object] = [None] * n
+        self.remaining = n
+        self.lock = threading.Lock()
+
+    def resolve(self, row: int, outcome) -> None:
+        """Row ``row`` served (a ServedResult) or failed (an exception)."""
+        with self.lock:
+            if self.outcomes[row] is not None:
+                return  # a row resolves once
+            self.outcomes[row] = outcome
+            self.remaining -= 1
+            if self.remaining:
+                return
+        self.host._reply(self)
+
+
+class _RowSlot:
+    """The future-like slot of one block row: the four calls the
+    scheduler makes on a request's future, routed to the block."""
+
+    __slots__ = ("block", "row")
+
+    def __init__(self, block: _Block, row: int):
+        self.block = block
+        self.row = row
+
+    def set_running_or_notify_cancel(self) -> bool:
+        return True  # no client in this process can cancel a row
+
+    def set_result(self, result) -> None:
+        self.block.resolve(self.row, result)
+
+    def set_exception(self, exc: BaseException) -> None:
+        self.block.resolve(self.row, exc)
+
+    def cancel(self) -> bool:
+        self.block.resolve(
+            self.row, RuntimeError("request cancelled in worker")
+        )
+        return True
+
+
+def _result_columns(outcomes: list) -> Dict[str, list]:
+    """The ``result`` columns of a block's served rows.
+
+    Rows are gathered per batch report — a block usually ran in one
+    batch — so each column is one fancy-index of the report's arrays and
+    the read margins are one :func:`margin_signal` call per report over
+    the currents the read already sensed.  Failed rows stay ``None``.
+    """
+    n = len(outcomes)
+    columns = {name: [None] * n for name in RESULT_COLUMNS}
+    by_report: Dict[int, tuple] = {}
+    for row, outcome in enumerate(outcomes):
+        if isinstance(outcome, BaseException):
+            continue
+        group = by_report.get(id(outcome._report))
+        if group is None:
+            group = by_report[id(outcome._report)] = (outcome._report, [], [])
+        group[1].append(row)
+        group[2].append(outcome._index)
+        columns["queue_wait_s"][row] = outcome.queue_wait_s
+        columns["batch_size"][row] = outcome.batch_size
+    for report, rows, index in by_report.values():
+        index = np.asarray(index)
+        try:
+            margins = margin_signal(_report_currents(report)[index])[0]
+        except Exception:  # noqa: BLE001 — a margin never fails a reply
+            margins = np.full(len(index), np.nan)
+        for name, values in (
+            ("prediction", np.asarray(report.predictions)[index]),
+            ("delay", np.asarray(report.delay, dtype=float)[index]),
+            ("energy_total",
+             np.asarray(report.energy.total, dtype=float)[index]),
+            ("margin", margins),
+        ):
+            column = columns[name]
+            for row, value in zip(rows, values.tolist()):
+                column[row] = value
+    return columns
 
 
 class WorkerHost:
@@ -259,52 +366,71 @@ class WorkerHost:
 
     # -------------------------------------------------------- request plane
     def _on_request(self, message: dict):
-        """Execute one routed request on the replica the front end chose.
+        """Queue one block of rows on the replica the front end chose.
 
-        The reply is sent from the scheduler worker's done-callback —
-        the message loop is already back on ``recv`` while the batch
-        coalesces, so a worker pipelines many in-flight requests.
+        The rows go in as one chunk under one scheduler lock, each with
+        a slot of the frame's :class:`_Block`; the reply leaves once the
+        last row resolves — the message loop is already back on
+        ``recv`` while the batch coalesces, so a worker pipelines many
+        in-flight blocks.
         """
-        request_id = message["id"]
         model = message["model"]
         dep = self.server.router.deployment_for(model)
         if dep is None:
             raise KeyError(f"worker hosts no deployment for {model!r}")
         replica = Router._replica_by_index(dep, int(message["replica_index"]))
-        levels = [int(v) for v in message["levels"]]
-        inner = replica.scheduler.submit(
-            replica.key, levels, priority=int(message.get("priority", 0))
-        )
+        levels = np.asarray(message["levels"], dtype=int)
+        if levels.ndim != 2 or not len(levels):
+            raise ProtocolError(
+                f"request levels must be a non-empty (rows, features) "
+                f"block, got shape {levels.shape}"
+            )
+        block = _Block(self, message["id"], replica, len(levels))
+        priority = int(message.get("priority", 0))
+        now = time.monotonic()
+        requests = [
+            _Request(row, now, priority, future=_RowSlot(block, i))
+            for i, row in enumerate(levels)
+        ]
+        refused, refusal = replica.scheduler.enqueue(replica.key, requests)
+        for request in refused:
+            request.future.set_exception(refusal)
 
-        def done(f) -> None:
-            if f.cancelled():
-                self._send_error(
-                    request_id, RuntimeError("request cancelled in worker")
-                )
-                return
-            exc = f.exception()
-            if exc is not None:
-                self._send_error(request_id, exc)
-                return
-            result = f.result()
-            margin = result_margin(result)
-            self.server.telemetry.record_replica_served(replica.label)
-            try:
-                self.conn.send(make(
-                    "result",
-                    id=request_id,
+    def _reply(self, block: _Block) -> None:
+        """Send a finished block's ``result`` frame.
+
+        A reply that cannot be encoded (larger than ``MAX_FRAME``, or
+        not strict JSON) is answered with an ``error`` frame instead, so
+        no front-end future waits forever on it.
+        """
+        replica = block.replica
+        errors = [
+            (row, outcome) for row, outcome in enumerate(block.outcomes)
+            if isinstance(outcome, BaseException)
+        ]
+        served = len(block.outcomes) - len(errors)
+        if served:
+            self.server.telemetry.record_replica_served(replica.label, served)
+        try:
+            frame = encode_frame(make(
+                "result",
+                id=block.request_id,
+                worker=self.worker_id,
+                result=encode_block(
+                    str(replica.key),
+                    _result_columns(block.outcomes),
+                    errors,
+                    replica=replica.label,
                     worker=self.worker_id,
-                    result=encode_result(
-                        result,
-                        margin=margin,
-                        replica=replica.label,
-                        worker=self.worker_id,
-                    ),
-                ))
-            except Exception:
-                pass
-
-        inner.add_done_callback(done)
+                ),
+            ))
+        except (ProtocolError, ValueError) as exc:
+            self._send_error(block.request_id, exc)
+            return
+        try:
+            self.conn.send(frame)
+        except Exception:
+            pass  # connection gone; the front end fails the block over
 
     # ------------------------------------------------------------- shutdown
     def _on_drain(self, message: dict):

@@ -6,7 +6,12 @@ chaos scenario (SIGKILL mid-burst) is additionally exercised every CI
 run by ``benchmarks/bench_cluster.py``.
 """
 
+import math
+import queue
+import sys
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,11 +24,22 @@ from repro.serving import (
     DeploymentError,
     FeBiMServer,
     ModelRegistry,
+    Overloaded,
     PlacementSpec,
     ReplicaSpec,
     RoutingPolicy,
+    SLOPolicy,
     serve_deployment,
 )
+from repro.serving import cluster as cluster_module
+from repro.serving.transport import (
+    FrameDecoder,
+    ProtocolError,
+    RemoteWorkerError,
+    make,
+    protocol,
+)
+from repro.serving.worker import WorkerHost, _Block, _RowSlot
 
 POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
 
@@ -54,12 +70,48 @@ def process_deployment(*specs, policy=None, workers=2):
     )
 
 
+def served_stream(results):
+    """The modeled quantities of a result stream (queue_wait_s is
+    wall-clock bookkeeping, not part of the contract)."""
+    return [(int(r.prediction), r.delay, r.energy_total) for r in results]
+
+
+def balanced(snap) -> bool:
+    """Every client request counted once: the ledger closes."""
+    return snap.submitted == (
+        snap.completed + snap.failed + snap.shed_requests + snap.cancelled
+    )
+
+
+def count_request_frames(cluster):
+    """Wrap each worker connection's ``send``; returns the list every
+    ``request`` frame the front end sends is appended to."""
+    sent = []
+    for handle in cluster._workers.values():
+        conn = handle.conn
+        original = conn.send
+
+        def send(message, original=original):
+            frame = message if isinstance(message, bytes) else None
+            if frame is not None:
+                (decoded,) = FrameDecoder().feed(frame)
+                if decoded["kind"] == "request":
+                    sent.append(decoded)
+            original(message)
+
+        conn.send = send
+    return sent
+
+
 class TestBitIdentity:
     def test_process_placement_serves_local_bytes(self, registry_root):
         """The acceptance gate: a 2-worker process placement serves the
         byte-identical stream a local placement serves — same replica
-        stream seeds, same engines, same routing decisions."""
-        levels = np.random.default_rng(0).integers(0, 4, size=(24, 3))
+        stream seeds, same engines, same routing decisions — through
+        both ``submit`` and ``submit_many``, with a row count that
+        leaves a short last chunk."""
+        levels = np.random.default_rng(0).integers(0, 4, size=(29, 3))
+        assert len(levels) % POLICY.max_batch
 
         local_dep = Deployment(
             "iris",
@@ -76,20 +128,16 @@ class TestBitIdentity:
             registry_root, policy=POLICY, seed=7, maintenance_period_s=None
         ) as cluster:
             cluster.deploy(process_deployment())
+            remote_many = [
+                f.result(30) for f in cluster.submit_many("iris", levels)
+            ]
             remote = [
                 cluster.submit("iris", row).result(30) for row in levels
             ]
             assert sorted(cluster.worker_pids()) == ["w0", "w1"]
 
-        # The modeled quantities must match byte for byte (queue_wait_s
-        # is wall-clock bookkeeping, not part of the contract).
-        local_stream = [
-            (int(r.prediction), r.delay, r.energy_total) for r in local
-        ]
-        remote_stream = [
-            (int(r.prediction), r.delay, r.energy_total) for r in remote
-        ]
-        assert remote_stream == local_stream
+        assert served_stream(remote_many) == served_stream(local)
+        assert served_stream(remote) == served_stream(local)
 
 
 class TestClusterBehaviour:
@@ -142,14 +190,16 @@ class TestClusterBehaviour:
             assert "worker_heartbeat" in kinds
 
     def test_typed_overload_crosses_the_boundary(self, registry_root):
-        from repro.serving import Overloaded, SLOPolicy
-
+        """Shed rows spill to the sibling replica; the client sees a
+        typed ``Overloaded`` only when both are full, and every client
+        request is counted exactly once (a spilled attempt that a
+        sibling served is not a shed)."""
         dep = Deployment(
             "iris",
-            [ReplicaSpec("fefet")],
+            [ReplicaSpec("fefet"), ReplicaSpec("fefet")],
             RoutingPolicy("cost"),
             slo=SLOPolicy(
-                max_queue_depth=1, min_replicas=1, max_replicas=1,
+                max_queue_depth=1, min_replicas=2, max_replicas=2,
             ),
             placement=PlacementSpec(kind="process", workers=1),
         )
@@ -174,7 +224,14 @@ class TestClusterBehaviour:
                     shed += 1
             assert served >= 1
             assert shed >= 1
-            assert cluster.stats().shed_requests == shed
+            snap = cluster.stats()
+            assert snap.submitted == 64
+            assert snap.completed == served
+            assert snap.shed_requests == shed
+            assert snap.failed == 0
+            assert balanced(snap)
+            # Busy is not broken: nobody was marked down.
+            assert {s.state for s in cluster.status("iris")} == {"healthy"}
 
     def test_mirror_votes_across_workers(self, registry_root):
         dep = process_deployment(
@@ -191,6 +248,205 @@ class TestClusterBehaviour:
             assert len(result.votes) == 3
             assert result.agreement == 1.0
             assert cluster.stats().mirror_votes == 1
+
+
+@pytest.fixture(scope="module")
+def block_registry(tmp_path_factory):
+    root = tmp_path_factory.mktemp("block-reg")
+    registry = ModelRegistry(root)
+    registry.register("solo", make_model())
+    registry.register("pair", make_model())
+    return str(root)
+
+
+class TestBlockPath:
+    """One ``request`` frame per ``max_batch`` chunk, one reply each."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self, registry_root):
+        with ClusterServer(
+            registry_root,
+            policy=BatchPolicy(max_batch=256, max_wait_ms=1.0),
+            seed=0,
+            maintenance_period_s=None,
+        ) as cluster:
+            cluster.deploy(process_deployment(
+                ReplicaSpec("fefet"), policy=RoutingPolicy("cost"), workers=1,
+            ))
+            yield cluster
+
+    def test_one_request_frame_per_chunk(self, cluster):
+        rows = np.random.default_rng(4).integers(0, 4, size=(600, 3))
+        sent = count_request_frames(cluster)
+        futures = cluster.submit_many("iris", rows)
+        assert len(futures) == 600
+        assert all(f.result(30).prediction in (0, 1, 2) for f in futures)
+        assert len(sent) == math.ceil(600 / 256)
+        assert [len(m["levels"]) for m in sent] == [256, 256, 88]
+        del sent[:]
+        cluster.submit("iris", rows[0]).result(30)
+        assert len(sent) == 1 and sent[0]["levels"] == [rows[0].tolist()]
+        # The cost signal counts rows and settles back to zero.
+        assert [s.pending for s in cluster.status("iris")] == [0]
+
+    def test_oversized_block_fails_its_rows_not_the_worker(
+        self, cluster, monkeypatch
+    ):
+        """A chunk whose frame exceeds MAX_FRAME fails its own rows with
+        the ProtocolError (counted as failed); the worker stays up and
+        keeps serving."""
+        rows = np.random.default_rng(5).integers(0, 4, size=(256, 3))
+        before = cluster.stats()
+        # Small enough that one 256-row request cannot be framed, large
+        # enough for heartbeats and a one-row round trip.
+        monkeypatch.setattr(protocol, "MAX_FRAME", 2048)
+        futures = cluster.submit_many("iris", rows)
+        for future in futures:
+            with pytest.raises(ProtocolError, match="MAX_FRAME"):
+                future.result(30)
+        assert cluster.submit("iris", rows[0]).result(30).prediction in (
+            0, 1, 2)
+        monkeypatch.undo()
+        assert all(
+            f.result(30).prediction in (0, 1, 2)
+            for f in cluster.submit_many("iris", rows)
+        )
+        after = cluster.stats()
+        assert after.failed - before.failed == 256
+        assert after.workers_lost == 0
+        assert sorted(cluster.worker_pids()) == ["w0"]
+        assert [s.state for s in cluster.status("iris")] == ["healthy"]
+        assert balanced(after)
+
+    def test_block_overload_spills_rows_to_a_sibling(self, block_registry):
+        """An 8-row block against a 4-deep queue: alone, the replica
+        serves 4 rows and the client sees 4 typed sheds; with a sibling,
+        the shed half spills there and all 8 are served, with no shed
+        and nobody marked down."""
+        slo = SLOPolicy(max_queue_depth=4, min_replicas=1, max_replicas=2)
+        rows = np.random.default_rng(6).integers(0, 4, size=(8, 3))
+        with ClusterServer(
+            block_registry,
+            policy=BatchPolicy(max_batch=8, max_wait_ms=100.0),
+            seed=0,
+            maintenance_period_s=None,
+        ) as cluster:
+            for name, n in (("solo", 1), ("pair", 2)):
+                cluster.deploy(Deployment(
+                    name, [ReplicaSpec("fefet")] * n, RoutingPolicy("cost"),
+                    slo=slo, placement=PlacementSpec(kind="process", workers=1),
+                ))
+            sent = count_request_frames(cluster)
+
+            outcomes = [f.exception(30) for f in cluster.submit_many("solo", rows)]
+            assert len(sent) == 1  # one chunk, one frame
+            assert sum(e is None for e in outcomes) == 4
+            assert all(
+                isinstance(e, Overloaded) for e in outcomes if e is not None
+            )
+            snap = cluster.stats()
+            assert (snap.completed, snap.shed_requests) == (4, 4)
+
+            outcomes = [f.exception(30) for f in cluster.submit_many("pair", rows)]
+            assert outcomes == [None] * 8
+            snap = cluster.stats()
+            assert (snap.completed, snap.shed_requests) == (12, 4)
+            assert snap.failovers == 4  # the spilled half, once each
+            assert {s.state for s in cluster.status("pair")} == {"healthy"}
+            assert balanced(snap)
+
+
+class _FakeConnection:
+    """Collects what a WorkerHost sends, in order."""
+
+    def __init__(self):
+        self.sent = queue.Queue()
+
+    def send(self, message):
+        if isinstance(message, bytes):
+            (message,) = FrameDecoder().feed(message)
+        self.sent.put(message)
+
+    def next(self, kind):
+        while True:
+            message = self.sent.get(timeout=30)
+            if message["kind"] == kind:
+                return message
+
+
+class TestWorkerReplies:
+    def test_unencodable_result_is_answered_with_an_error(
+        self, registry_root, monkeypatch
+    ):
+        """A reply too large for one frame still answers its request:
+        the worker sends an ``error`` frame for the request id."""
+        conn = _FakeConnection()
+        host = WorkerHost("w0", conn, {"registry_root": registry_root,
+                                       "seed": 0, "max_batch": 64})
+        try:
+            sub = Deployment("iris", [ReplicaSpec("fefet")],
+                             RoutingPolicy("cost"))
+            host._dispatch(make("apply", id="c1", deployment=sub.to_dict(),
+                                indices=[0]))
+            assert conn.next("applied")["id"] == "c1"
+            levels = [[0, 1, 2]] * 40
+            host._dispatch(make("request", id="r1", model="iris",
+                                replica_index=0, levels=levels, priority=0))
+            reply = conn.next("result")
+            assert reply["id"] == "r1" and reply["result"]["errors"] == []
+            assert len(reply["result"]["prediction"]) == 40
+
+            monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
+            host._dispatch(make("request", id="r2", model="iris",
+                                replica_index=0, levels=levels, priority=0))
+            error = conn.next("error")
+            assert error["id"] == "r2"
+            rebuilt = protocol.decode_error(error["error"])
+            assert isinstance(rebuilt, RemoteWorkerError)
+            assert rebuilt.exc_type == "ProtocolError"
+        finally:
+            host.server.close(drain=False)
+
+    def test_block_replies_once_under_racing_resolutions(self):
+        """Rows of one block resolved from many threads at once, each
+        row twice: the first resolution of a row sticks, the second is
+        ignored, and exactly one reply leaves once every row is in."""
+        replies = []
+
+        class Host:
+            def _reply(self, block):
+                replies.append(list(block.outcomes))
+
+        n, n_threads = 512, 8
+        block = _Block(Host(), "r1", None, n)
+        slots = [_RowSlot(block, row) for row in range(n)]
+        start = threading.Barrier(n_threads)
+
+        def resolve(k):
+            start.wait(timeout=10)
+            for row in range(k, n, n_threads):
+                slots[row].set_result(("served", row))
+                # Races the row's owner thread; whichever lands second
+                # must change nothing.
+                slots[(row + 1) % n].set_exception(RuntimeError("late"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=resolve, args=(k,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(replies) == 1
+        assert block.remaining == 0
+        assert all(outcome is not None for outcome in replies[0])
 
 
 class TestPlacementGuards:
@@ -288,3 +544,43 @@ class TestChaos:
             assert all(
                 s.state == "healthy" for s in cluster.status("iris")
             )
+
+    def test_sigkill_under_a_block_resolves_every_row_once(
+        self, registry_root, monkeypatch
+    ):
+        """A worker SIGKILLed while a 4 x max_batch ``submit_many`` is
+        in flight: its orphaned chunks fail over whole, and every row
+        resolves exactly once, with zero errors."""
+
+        class CountingFuture(Future):
+            def __init__(self):
+                super().__init__()
+                self.claims = 0
+
+            def set_running_or_notify_cancel(self):
+                self.claims += 1
+                return super().set_running_or_notify_cancel()
+
+        monkeypatch.setattr(cluster_module, "Future", CountingFuture)
+        dep = Deployment(
+            "iris",
+            [ReplicaSpec("fefet")] * 4,
+            RoutingPolicy("round_robin"),
+            placement=PlacementSpec(kind="process", workers=2),
+        )
+        with ClusterServer(
+            registry_root, policy=POLICY, seed=7,
+            heartbeat_period_s=0.1, maintenance_period_s=0.1,
+        ) as cluster:
+            cluster.deploy(dep)
+            rows = np.random.default_rng(8).integers(
+                0, 4, size=(4 * POLICY.max_batch, 3)
+            )
+            futures = cluster.submit_many("iris", rows)
+            cluster.kill_worker("w0")
+            errors = [f.exception(timeout=30) for f in futures]
+            assert errors == [None] * len(rows)
+            assert all(f.claims == 1 for f in futures)
+            snap = cluster.stats()
+            assert snap.completed == len(rows)
+            assert balanced(snap)

@@ -9,25 +9,25 @@ import threading
 import pytest
 
 from repro.backends.base import CapabilityError
-from repro.serving.router import MirroredResult
 from repro.serving.scheduler import Overloaded
 from repro.serving.transport import (
     HEADER,
     MAGIC,
     MAX_FRAME,
     MESSAGE_KINDS,
+    RESULT_COLUMNS,
     WIRE_VERSION,
     FrameDecoder,
     MessageConnection,
     ProtocolError,
     RemoteServedResult,
     RemoteWorkerError,
+    decode_block,
     decode_error,
-    decode_mirrored,
     decode_result,
+    encode_block,
     encode_error,
     encode_frame,
-    encode_mirrored,
     encode_result,
     make,
 )
@@ -54,9 +54,8 @@ SAMPLE_BODIES = {
     "replica_retired": {"id": "c3", "worker": "w0", "model": "iris",
                         "replica": {}},
     "request": {"id": "r1", "model": "iris", "replica_index": 0,
-                "levels": [3, 0, 1], "priority": 1},
+                "levels": [[3, 0, 1], [2, 2, 0]], "priority": 1},
     "result": {"id": "r1", "worker": "w0", "result": {"model": "iris"}},
-    "mirrored_result": {"id": "r2", "result": {"model": "iris"}},
     "error": {"id": "r1", "worker": "w0", "error": {"type": "runtime"}},
     "heartbeat": {"worker": "w0", "replicas": []},
     "event": {"worker": "w0", "event_kind": "shed", "detail": {}},
@@ -91,6 +90,17 @@ class TestFraming:
     def test_unknown_version_rejected(self):
         frame = HEADER.pack(MAGIC, WIRE_VERSION + 1, 2) + b"{}"
         with pytest.raises(ProtocolError, match="version"):
+            FrameDecoder().feed(frame)
+
+    def test_v1_per_row_frame_refused(self):
+        # Version 2 changed the request and result bodies to blocks; a
+        # v1 peer must fail loudly on its first frame, never misparse.
+        assert WIRE_VERSION == 2
+        body = json.dumps({"kind": "request", "id": "r1", "model": "iris",
+                           "replica_index": 0, "levels": [3, 0, 1],
+                           "priority": 0}).encode()
+        frame = HEADER.pack(MAGIC, 1, len(body)) + body
+        with pytest.raises(ProtocolError, match="unsupported wire version 1"):
             FrameDecoder().feed(frame)
 
     def test_oversize_length_rejected_before_buffering(self):
@@ -141,7 +151,7 @@ class TestFraming:
             queue_wait_s=0.0, batch_size=1, margin=float("nan"),
         )
         payload = encode_result(result)
-        assert payload["margin"] is None
+        assert payload["margin"] == [None]
         # The full frame must be strict JSON (allow_nan=False holds).
         frame = encode_frame(make("result", id="r1", result=payload))
         json.loads(frame[HEADER.size:])
@@ -178,6 +188,19 @@ class TestTypedErrors:
         assert "no such model" in str(rebuilt)
 
 
+def block_columns(n, margins=None):
+    """Columns of an ``n``-row block with awkward float values."""
+    return {
+        "prediction": [i % 3 for i in range(n)],
+        "delay": [3.7e-10 + i * 1.1e-13 for i in range(n)],
+        "energy_total": [1.7142e-14 / (i + 3) for i in range(n)],
+        "queue_wait_s": [0.1 + 1e-7 * i for i in range(n)],
+        "batch_size": [n] * n,
+        "margin": list(margins) if margins is not None
+        else [0.2 / (i + 1) for i in range(n)],
+    }
+
+
 class TestResultCodecs:
     def test_result_round_trip(self):
         result = RemoteServedResult(
@@ -195,17 +218,68 @@ class TestResultCodecs:
         back = decode_result(encode_result(result))
         assert back.margin is None
 
-    def test_mirrored_round_trip(self):
-        mirrored = MirroredResult(
-            model="iris", prediction=1,
-            votes=(("iris@v1#r0[fefet]", 1), ("iris@v1#r1[cmos]", None)),
-            agreement=0.5, delay=2e-9, energy_total=3e-15,
-            queue_wait_s=1e-3, batch_size=4,
-        )
-        back = decode_mirrored(roundtrip(
-            make("mirrored_result", id="r2", result=encode_mirrored(mirrored))
-        )["result"])
-        assert back == mirrored
+    def test_columnar_block_round_trips_bit_identically(self):
+        n = 29
+        columns = block_columns(n)
+        expected = {name: list(values) for name, values in columns.items()}
+        message = make("result", id="r7", worker="w1", result=encode_block(
+            "iris@v1#r0", columns, replica="iris@v1/r0[fefet]", worker="w1",
+        ))
+        outcomes = decode_block(roundtrip(message)["result"])
+        assert len(outcomes) == n
+        for i, outcome in enumerate(outcomes):
+            assert outcome == RemoteServedResult(
+                "iris@v1#r0", *(expected[name][i] for name in RESULT_COLUMNS),
+                "iris@v1/r0[fefet]", "w1",
+            )
+            # Bit for bit, not approximately.
+            assert outcome.delay.hex() == expected["delay"][i].hex()
+            assert (outcome.energy_total.hex()
+                    == expected["energy_total"][i].hex())
+
+    def test_nan_margins_go_to_null_and_back(self):
+        margins = [0.5, float("nan"), None, 0.25]
+        body = encode_block("iris", block_columns(4, margins))
+        assert body["margin"] == [0.5, None, None, 0.25]
+        frame = encode_frame(make("result", id="r1", result=body))
+        json.loads(frame[HEADER.size:])  # strict JSON: no NaN token
+        outcomes = decode_block(roundtrip(make("result", result=body))["result"])
+        assert [o.margin for o in outcomes] == [0.5, None, None, 0.25]
+
+    def test_error_rows_decode_to_typed_exceptions(self):
+        errors = [
+            (1, Overloaded("queue full", key="iris#r0", depth=4, lane=2)),
+            (3, CapabilityError("memristor", "margin-probe")),
+            (4, KeyError("gone")),
+        ]
+        body = encode_block("iris", block_columns(5), errors)
+        assert [row for row, _ in body["errors"]] == [1, 3, 4]
+        # Failed rows carry no column values.
+        assert body["prediction"][1] is None and body["delay"][3] is None
+        outcomes = decode_block(roundtrip(make("result", result=body))["result"])
+        assert isinstance(outcomes[0], RemoteServedResult)
+        assert isinstance(outcomes[2], RemoteServedResult)
+        shed = outcomes[1]
+        assert isinstance(shed, Overloaded)
+        assert (shed.key, shed.depth, shed.lane) == ("iris#r0", 4, 2)
+        refused = outcomes[3]
+        assert isinstance(refused, CapabilityError)
+        assert (refused.backend, refused.capability) == (
+            "memristor", "margin-probe")
+        assert isinstance(outcomes[4], RemoteWorkerError)
+        assert outcomes[4].exc_type == "KeyError"
+
+    def test_one_row_error_raises_from_decode_result(self):
+        body = encode_block("iris", block_columns(1),
+                            [(0, Overloaded("full", key="iris"))])
+        with pytest.raises(Overloaded):
+            decode_result(body)
+
+    def test_ragged_columns_rejected(self):
+        body = encode_block("iris", block_columns(3))
+        body["delay"].pop()
+        with pytest.raises(ProtocolError, match="length"):
+            decode_block(body)
 
 
 class TestMessageConnection:
