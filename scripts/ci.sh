@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate (documented in ROADMAP.md).
 #
-# Thirteen stages, strictly ordered so the cheapest failure fires first:
+# Fourteen stages, strictly ordered so the cheapest failure fires first:
 #   1. compile-all  — every file under src/ must byte-compile;
 #   2. tier-1       — the fast default suite (slow marks skipped);
 #   3. slow-tier check — the --runslow split must stay wired: slow-marked
@@ -50,18 +50,21 @@
 #      over the wire (ClusterServer.submit_many to one worker process,
 #      block frames) keep within reach of the routed path,
 #      ledger.cluster_sps >= 0.5 x ledger.router_sps — ratios between
-#      layers measured in one run, never an absolute rate.
+#      layers measured in one run, never an absolute rate;
+#  14. examples — every examples/*.py runs to a zero exit (the
+#      user-facing flows, serving_demo.py and reliability_demo.py among
+#      them, drive the public API end to end).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/13: compile-all =="
+echo "== stage 1/14: compile-all =="
 python -m compileall -q src
 
-echo "== stage 2/13: tier-1 (pytest -x -q) =="
+echo "== stage 2/14: tier-1 (pytest -x -q) =="
 python -m pytest -x -q
 
-echo "== stage 3/13: --runslow marker check =="
+echo "== stage 3/14: --runslow marker check =="
 # The slow tier must collect without errors and must not be empty —
 # an accidental marker rename would otherwise silently skip it forever.
 collected=$(python -m pytest --runslow -m slow --collect-only -q tests | tail -1)
@@ -78,34 +81,34 @@ if [[ "${CI_RUNSLOW:-0}" == "1" ]]; then
     python -m pytest --runslow -m slow -q tests
 fi
 
-echo "== stage 4/13: reliability smoke bench =="
+echo "== stage 4/14: reliability smoke bench =="
 python benchmarks/bench_reliability.py --smoke
 
-echo "== stage 5/13: campaign --workers determinism =="
+echo "== stage 5/14: campaign --workers determinism =="
 python benchmarks/bench_reliability.py --determinism
 
-echo "== stage 6/13: backend parity smoke =="
+echo "== stage 6/14: backend parity smoke =="
 python benchmarks/bench_backends.py --parity
 
-echo "== stage 7/13: router smoke gate =="
+echo "== stage 7/14: router smoke gate =="
 python benchmarks/bench_router.py
 
-echo "== stage 8/13: autoscale smoke gate =="
+echo "== stage 8/14: autoscale smoke gate =="
 python benchmarks/bench_autoscale.py --smoke
 
-echo "== stage 9/13: observability smoke gate =="
+echo "== stage 9/14: observability smoke gate =="
 python benchmarks/bench_observability.py --smoke
 
-echo "== stage 10/13: health smoke gate =="
+echo "== stage 10/14: health smoke gate =="
 python benchmarks/bench_health.py --smoke
 
-echo "== stage 11/13: kernel smoke gate =="
+echo "== stage 11/14: kernel smoke gate =="
 python benchmarks/bench_kernels.py --smoke
 
-echo "== stage 12/13: cluster smoke gate =="
+echo "== stage 12/14: cluster smoke gate =="
 python benchmarks/bench_cluster.py
 
-echo "== stage 13/13: layer-ledger gate =="
+echo "== stage 13/14: layer-ledger gate =="
 # The benchmark's last output line is its JSON result.
 ledger=$(python3 perfbench/run.py --workload iris-bulk --seconds 2 --trace 1 | tail -n 1)
 python3 - "${ledger}" <<'EOF'
@@ -127,5 +130,11 @@ if router < 0.7 * legacy:
 if cluster < 0.5 * router:
     sys.exit("error: cluster submit_many fell below 0.5x the routed path")
 EOF
+
+echo "== stage 14/14: examples =="
+for example in examples/*.py; do
+    echo "-- ${example}"
+    python "${example}" > /dev/null
+done
 
 echo "CI gate passed."

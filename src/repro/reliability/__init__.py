@@ -65,6 +65,7 @@ from repro.reliability.observability import (
     MarginReading,
     format_health_timeline,
     margin_signal,
+    report_currents,
     sample_margin,
 )
 
@@ -87,6 +88,7 @@ __all__ = [
     "WearState",
     "format_health_timeline",
     "margin_signal",
+    "report_currents",
     "sample_margin",
     "aging_points",
     "apply_mitigation",

@@ -44,6 +44,7 @@ from repro.devices.endurance import EnduranceModel
 from repro.devices.retention import RetentionModel
 from repro.reliability.faults import AgeClock, FaultSpec, WearState, inject_into_engine
 from repro.reliability.mitigation import MITIGATIONS, apply_mitigation
+from repro.reliability.observability import report_currents
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -374,9 +375,7 @@ def _run_trial(payload) -> TrialResult:
     def measure():
         """(predictions, mean winning current) from one batched read."""
         report = engine.infer_batch(levels_te)
-        currents = getattr(report, "wordline_currents", None)
-        if currents is None:
-            currents = report.tile_currents
+        currents = report_currents(report)
         return report.predictions, float(np.mean(np.max(currents, axis=1)))
 
     pristine_pred, pristine_signal = measure()

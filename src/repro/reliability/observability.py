@@ -54,6 +54,16 @@ def _or_none(value) -> Optional[float]:
 
 
 # ---------------------------------------------------------------- margin math
+def report_currents(report) -> np.ndarray:
+    """Per-sample current signature from either batch-report flavour:
+    wordline currents of a flat engine, per-tile winner currents of a
+    tiled one."""
+    currents = getattr(report, "wordline_currents", None)
+    if currents is None:
+        currents = report.tile_currents
+    return np.asarray(currents, dtype=float)
+
+
 def margin_signal(currents: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-sample ``(margins, signals)`` from a batch of read currents.
 

@@ -20,12 +20,16 @@ two:
   (each on its own backend technology) behind a routing policy;
   JSON-serialisable through :mod:`repro.io`, capability-validated
   before any array is programmed;
-* :class:`Router` — arbitration across a deployment's replicas, one
-  pick per request or per ``max_batch`` chunk of a ``submit_many``
-  (``cost`` / ``round_robin`` / ``sticky`` / ``mirror`` majority
-  voting), one micro-batch queue per replica, transparent failover,
-  and the replica heal ladder
-  (refresh -> replace -> evict);
+* the request plane (:mod:`repro.serving.plane`) — one routed path
+  for both placements: one policy pick per request or per
+  ``max_batch`` chunk of a ``submit_many`` (``cost`` / ``round_robin``
+  / ``sticky`` / ``mirror`` majority voting), transparent failover,
+  stale-guarded mark-down and per-client-request accounting, over each
+  replica's *queue* — the only placement-specific request code (a
+  local micro-batch scheduler, or a worker connection);
+* :class:`Router` — the local host of a deployment's replicas: one
+  programmed engine and one micro-batch queue per replica, and the
+  replica heal ladder (refresh -> replace -> evict);
 * :class:`HealthMonitor` — canary health checks over the served
   engines with an automatic refresh -> replace repair ladder (the
   serving face of :mod:`repro.reliability`);
@@ -44,9 +48,8 @@ two:
   process`` hosts them in supervised worker subprocesses speaking a
   versioned length-prefixed JSON wire protocol (one request frame per
   ``max_batch`` chunk, one columnar result frame back), with heartbeat
-  liveness, crash failover onto survivors, and respawn — routing
-  decisions shared verbatim with the in-process router through the
-  pure policy core (:mod:`repro.serving.policy`);
+  liveness, crash failover onto survivors, and respawn — the same
+  request plane as the in-process router, over remote queues;
 * :class:`Observability` — the debugging plane
   (:mod:`repro.serving.observability`): sampled per-request
   :class:`Trace`/:class:`Span` decomposition of the admit -> queue ->
@@ -107,9 +110,9 @@ from repro.serving.observability import (
     parse_prometheus,
     to_prometheus,
 )
+from repro.serving.plane import MirroredResult
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import (
-    MirroredResult,
     ReplicaHealthReport,
     ReplicaStatus,
     Router,

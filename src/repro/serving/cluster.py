@@ -6,18 +6,18 @@ each a full in-process serving stack hosting a slice of every
 deployment's replicas, and keeps for itself exactly the two things
 that must be global: **routing** and **supervision**.
 
-Routing runs the same pure policy core (:mod:`repro.serving.policy`)
-the in-process :class:`~repro.serving.router.Router` runs, over
-replica *handles* instead of live replicas — so ``local`` and
-``process`` placement make identical decisions.  Replica indices are
-cluster-global and minted by the front end: a worker applies its slice
-with explicit indices, pinning the per-replica stream seeds, so the
-engines a worker materialises are bit-identical to the ones a
-single-process deployment would have built.  Requests travel in
-blocks: ``submit_many`` sends one ``request`` frame per ``max_batch``
-chunk of rows (one pick each; ``submit`` is the one-row chunk), and
-each frame comes back as one columnar ``result`` frame that the front
-end accounts once.
+Routing is the same :class:`~repro.serving.plane.RequestPlane` the
+in-process :class:`~repro.serving.router.Router` holds, over replica
+*handles* instead of live replicas — so ``local`` and ``process``
+placement make identical decisions and keep identical books.  Replica
+indices are cluster-global and minted by the front end: a worker
+applies its slice with explicit indices, pinning the per-replica
+stream seeds, so the engines a worker materialises are bit-identical
+to the ones a single-process deployment would have built.  The only
+request code here is a replica's queue (:class:`_RemoteQueue`): each
+``max_batch`` chunk the plane routes travels as one ``request`` frame
+and comes back as one columnar ``result`` frame, settled once through
+the chunk's attempt record.
 
 Supervision is the worker-level heal ladder, run on the
 :class:`~repro.serving.server.MaintenanceThread` cadence exactly like
@@ -49,7 +49,6 @@ the metrics exporter see the whole cluster.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import multiprocessing
 import os
@@ -60,8 +59,6 @@ import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.serving import policy as routing_policy
 from repro.serving.deployment import (
     Deployment,
@@ -70,9 +67,10 @@ from repro.serving.deployment import (
     RoutingPolicy,
 )
 from repro.serving.observability.events import EVENT_KINDS
-from repro.serving.policy import DOWN, DRAINING, HEALTHY, RETIRED
+from repro.serving.plane import DeploymentTable, RequestPlane
+from repro.serving.policy import DRAINING, HEALTHY, RETIRED
 from repro.serving.registry import ModelRegistry
-from repro.serving.router import MirroredResult, ReplicaStatus
+from repro.serving.router import ReplicaStatus, Router
 from repro.serving.scheduler import BatchPolicy, Overloaded
 from repro.serving.server import MaintenanceThread
 from repro.serving.telemetry import Telemetry, TelemetrySnapshot
@@ -105,9 +103,9 @@ class _Pending:
     """One in-flight frame awaiting its reply.
 
     ``on_result(message)`` / ``on_error(exc)`` carry all the
-    continuation logic — request failover, mirror vote recording, and
-    control-call futures all reduce to this one shape, so the reader
-    loop and the worker-loss sweep resolve every kind identically.
+    continuation logic — a request frame's settlement and a control
+    call's future both reduce to this one shape, so the reader loop and
+    the worker-loss sweep resolve every kind identically.
     """
 
     __slots__ = ("on_result", "on_error", "worker_id", "replica")
@@ -119,31 +117,124 @@ class _Pending:
         self.replica = replica
 
 
-class _Chunk:
-    """Rows routed together: one ``request`` frame's worth.
+class _RemoteQueue:
+    """A worker-hosted replica's request-plane queue: one placement of
+    the replica on one worker (a re-placed replica gets a new queue,
+    which makes failure seen through this one stale evidence).
 
-    Holds the rows' wire levels and client futures and the routing hop
-    they are on — the replica they were sent to, every replica they
-    have tried (``attempted``), the ``(replica, worker)`` pairs that
-    failed them (``failed_chain``, marked down once another replica
-    serves the rows) and their priority lane.  A chunk is never
-    mutated: a failover sends the rows that failed on as a new chunk
-    one hop further on.
+    :meth:`enqueue` ships one attempt's rows as one ``request`` frame
+    with one pending entry; the worker's columnar reply, an ``error``
+    frame or the worker's loss then settles every row through the
+    attempt record at once.  ``block`` is ignored — backpressure is the
+    worker scheduler's, and never blocks a frame — and rows are not
+    traced.
     """
 
-    __slots__ = ("dep", "replica", "levels", "futures", "attempted",
-                 "failed_chain", "priority", "t0")
+    __slots__ = ("cluster", "replica", "worker")
 
-    def __init__(self, dep, replica, levels, futures, attempted,
-                 failed_chain, priority, t0):
-        self.dep = dep
+    def __init__(self, cluster: "ClusterServer", replica: "_ReplicaHandle",
+                 worker: "_WorkerHandle"):
+        self.cluster = cluster
         self.replica = replica
-        self.levels = levels
-        self.futures = futures
-        self.attempted = attempted
-        self.failed_chain = failed_chain
-        self.priority = priority
-        self.t0 = t0
+        self.worker = worker
+
+    def enqueue(self, requests: list, block: bool = False):
+        """Send the rows; returns ``(refused, refusal)`` — all of them,
+        with the error, when the frame cannot be encoded (a block
+        beyond ``MAX_FRAME``) or the worker is not up."""
+        cluster, replica, worker = self.cluster, self.replica, self.worker
+        n = len(requests)
+        request_id = f"r{next(cluster._ids)}"
+        try:
+            frame = encode_frame(make(
+                "request",
+                id=request_id,
+                model=replica.model,
+                replica_index=replica.index,
+                levels=[request.levels.tolist() for request in requests],
+                priority=requests[0].lane,
+            ))
+        except ProtocolError as exc:
+            return requests, exc
+
+        def on_result(message: dict) -> None:
+            try:
+                outcomes = decode_block(message["result"])
+                if len(outcomes) != n:
+                    raise ProtocolError(
+                        f"{len(outcomes)} result rows for a {n}-row request"
+                    )
+            except Exception as exc:  # noqa: BLE001 — malformed reply
+                outcomes = [exc] * n
+            self._settle(requests, outcomes)
+
+        with cluster._lock:
+            conn = worker.conn
+            up = worker.state == "up" and conn is not None
+            if up:
+                replica.pending += n
+                cluster._pending[request_id] = _Pending(
+                    on_result,
+                    lambda exc: self._settle(requests, [exc] * n),
+                    worker.worker_id,
+                    replica,
+                )
+        if not up:
+            return requests, WorkerLost(f"worker for {replica.label} is not up")
+        try:
+            conn.send(frame)
+        except Exception:
+            # The connection died under us.  The loss path fails over
+            # every pending on this worker — but if it already ran
+            # (reader EOF won the race) our just-registered entry was
+            # not in its orphan scan, so resolve it here explicitly.
+            cluster._on_worker_lost(worker, "send failed")
+            with cluster._lock:
+                entry = cluster._pending.pop(request_id, None)
+            if entry is not None:
+                entry.on_error(
+                    WorkerLost(f"worker {worker.worker_id} send failed")
+                )
+        return [], None
+
+    def _settle(self, requests: list, outcomes: list) -> None:
+        """Account one reply, once for all its rows: resolve the served
+        rows, hand the shed and the failed ones back to their attempt."""
+        cluster = self.cluster
+        with cluster._lock:
+            self.replica.pending -= len(requests)
+        attempt = requests[0].attempt
+        served, spilled, broken = [], [], []
+        for request, outcome in zip(requests, outcomes):
+            if not isinstance(outcome, BaseException):
+                served.append((request, outcome))
+            elif isinstance(outcome, Overloaded):
+                spilled.append(request)
+                spill_exc = outcome
+            else:
+                broken.append(request)
+                broken_exc = outcome
+        claimed = [
+            (request, result) for request, result in served
+            if request.future.set_running_or_notify_cancel()
+        ]
+        telemetry = cluster.telemetry
+        if len(claimed) < len(served):
+            telemetry.record_cancelled(len(served) - len(claimed))
+        # Counted before any future resolves, so a client reading
+        # ``stats()`` after its result sees them.
+        if claimed and attempt.served(len(claimed)):
+            now = time.monotonic()
+            telemetry.record_completed(
+                self.replica.model, len(claimed),
+                latencies_s=[now - request.enqueued_at for request, _ in claimed],
+            )
+        for request, result in claimed:
+            request.future.set_result(result)
+        if spilled:
+            attempt.failed(spilled, spill_exc, ran=False)
+        if broken:
+            attempt.failed(broken, broken_exc, ran=False)
 
 
 class _WorkerHandle:
@@ -167,11 +258,12 @@ class _WorkerHandle:
 class _ReplicaHandle:
     """Front-end view of one replica, wherever it currently lives.
 
-    Duck-types the policy core's candidate surface (``index`` /
-    ``state`` / ``unit_delay`` / ``weight`` / ``pending``) so
-    arbitration code is shared verbatim with the in-process router.
-    ``pending`` counts *front-end* in-flight rows — the quantity the
-    cost policy needs, maintained without a round trip.
+    Duck-types the request plane's replica surface (``index`` /
+    ``state`` / ``unit_delay`` / ``weight`` / ``pending`` / ``label`` /
+    ``queue``) so arbitration code is shared verbatim with the
+    in-process router.  ``pending`` counts *front-end* in-flight rows —
+    the quantity the cost policy needs, maintained without a round
+    trip; ``queue`` is the current placement's :class:`_RemoteQueue`.
     """
 
     def __init__(self, model: str, index: int, spec: ReplicaSpec,
@@ -184,6 +276,7 @@ class _ReplicaHandle:
         self.state = HEALTHY
         self.unit_delay = unit_delay
         self.pending = 0
+        self.queue: Optional[_RemoteQueue] = None
         self.drain_step = 0
         self.drain_steps = 0
 
@@ -250,6 +343,11 @@ class _ClusterRouterAdapter:
 
     def retire_replica(self, name: str, index: int,
                        timeout=None, drain_steps: int = 1) -> ReplicaStatus:
+        if int(drain_steps) > 1:
+            raise DeploymentError(
+                f"drain_steps={drain_steps} is not supported on process "
+                f"placement: {name!r} replicas retire at once"
+            )
         return self._cluster.retire_replica(name, index, timeout=timeout)
 
     def deployments(self) -> Dict[str, Deployment]:
@@ -261,7 +359,7 @@ class _ClusterRouterAdapter:
         return self._cluster.check_workers()
 
 
-class ClusterServer:
+class ClusterServer(DeploymentTable):
     """Multi-process serving front end (``placement: process``).
 
     Parameters mirror :class:`~repro.serving.server.FeBiMServer` where
@@ -320,6 +418,12 @@ class ClusterServer:
         self._deployments: Dict[str, _ClusterDeployment] = {}
         self._pending: Dict[str, _Pending] = {}
         self._ids = itertools.count()
+        # Client futures come from this module's ``Future``, which lets a
+        # test substitute a subclass that counts how often each resolves.
+        self.plane = RequestPlane(
+            self.telemetry, self.policy.max_batch, self._lock,
+            self.deployment_for, Future,
+        )
         self._closed = False
         self._ctx = multiprocessing.get_context("spawn")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -570,14 +674,16 @@ class ClusterServer:
             worker.models.add(deployment.model)
             for row in reply["replicas"]:
                 index = int(row["index"])
-                handles.append(_ReplicaHandle(
+                handle = _ReplicaHandle(
                     model=deployment.model,
                     index=index,
                     spec=specs_by_index[index],
                     worker_id=worker.worker_id,
                     label=row["replica"],
                     unit_delay=float(row["unit_delay_s"]),
-                ))
+                )
+                handle.queue = _RemoteQueue(self, handle, worker)
+                handles.append(handle)
         handles.sort(key=lambda r: r.index)
         applied = _ClusterDeployment(deployment, version, handles)
         with self._lock:
@@ -607,45 +713,28 @@ class ClusterServer:
             placement=None,
         )
 
-    def deployment_for(self, name: str,
-                       version=None) -> Optional[_ClusterDeployment]:
-        with self._lock:
-            dep = self._deployments.get(name)
-        if dep is None:
-            return None
-        if version is not None and int(version) != dep.version:
-            return None
-        return dep
-
-    def deployments(self) -> Dict[str, Deployment]:
-        with self._lock:
-            return {name: dep.spec for name, dep in self._deployments.items()}
-
     def status(self, name: str) -> List[ReplicaStatus]:
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         with self._lock:
-            return [
-                ReplicaStatus(
-                    replica=r.label,
-                    backend=r.spec.backend,
-                    state=r.state,
-                    weight=r.spec.weight,
-                    unit_delay_s=r.unit_delay,
-                    pending=r.pending,
-                    index=r.index,
-                )
-                for r in dep.replicas
-            ]
+            return [self._status_of(r) for r in dep.replicas]
+
+    @staticmethod
+    def _status_of(r: _ReplicaHandle) -> ReplicaStatus:
+        return ReplicaStatus(
+            replica=r.label,
+            backend=r.spec.backend,
+            state=r.state,
+            weight=r.spec.weight,
+            unit_delay_s=r.unit_delay,
+            pending=r.pending,
+            index=r.index,
+        )
 
     # ------------------------------------------------------------ elasticity
     def add_replica(self, name: str, spec: ReplicaSpec,
                     index: Optional[int] = None) -> ReplicaStatus:
         """Grow ``name`` by one replica on the least-loaded worker."""
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         with self._lock:
             if index is None:
                 index = dep.next_index
@@ -656,11 +745,11 @@ class ClusterServer:
                 unit_delay=float("inf"),
             )
             replica.state = UNPLACED
-            dep.replicas.append(replica)
+            dep.replicas = dep.replicas + [replica]
         placed = self._place(dep, replica)
         if not placed:
             with self._lock:
-                dep.replicas.remove(replica)
+                dep.replicas = [r for r in dep.replicas if r is not replica]
             raise RuntimeError(
                 f"no live worker could host a new replica of {name!r}"
             )
@@ -669,17 +758,9 @@ class ClusterServer:
     def retire_replica(self, name: str, index: int,
                        timeout: Optional[float] = None) -> ReplicaStatus:
         """Shrink ``name``: drain and remove one replica (via its worker)."""
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         with self._lock:
-            replica = next(
-                (r for r in dep.replicas if r.index == index), None
-            )
-            if replica is None:
-                raise KeyError(
-                    f"deployment {name!r} has no replica with index {index}"
-                )
+            replica = Router._replica_by_index(dep, index)
             candidates = routing_policy.serviceable(dep.replicas)
             if replica in candidates and len(candidates) <= 1:
                 raise DeploymentError(
@@ -698,17 +779,8 @@ class ClusterServer:
                 pass  # the worker died mid-retire; the replica goes anyway
         with self._lock:
             replica.state = RETIRED
-            if replica in dep.replicas:
-                dep.replicas.remove(replica)
-        return ReplicaStatus(
-            replica=replica.label,
-            backend=replica.spec.backend,
-            state=RETIRED,
-            weight=replica.spec.weight,
-            unit_delay_s=replica.unit_delay,
-            pending=replica.pending,
-            index=replica.index,
-        )
+            dep.replicas = [r for r in dep.replicas if r is not replica]
+        return self._status_of(replica)
 
     def enable_autoscale(self, name: str, pool=None, **controller_kwargs):
         """Cluster-wide autoscaling: the stock controller over the
@@ -725,78 +797,30 @@ class ClusterServer:
     def autoscaler(self, name: str):
         return self._autoscalers.get(name)
 
-    # --------------------------------------------------------------- routing
-    def _candidates(self, dep: _ClusterDeployment) -> List[_ReplicaHandle]:
-        candidates = routing_policy.serviceable(dep.replicas)
-        if not candidates:
-            raise RuntimeError(
-                f"deployment {dep.name!r} v{dep.version} has no serviceable "
-                f"replicas (all evicted)"
-            )
-        return candidates
-
-    def _pick(self, dep: _ClusterDeployment,
-              client: Optional[object]) -> _ReplicaHandle:
-        candidates = self._candidates(dep)
-        kind = dep.spec.policy.kind
-        if kind == "sticky":
-            draining = [r for r in dep.replicas if r.state == DRAINING]
-            return routing_policy.pick_sticky(candidates, client, draining)
-        return routing_policy.pick_replica(
-            kind, candidates,
-            rr_tick=next(dep.rr_counter) if kind == "round_robin" else 0,
-        )
-
     # --------------------------------------------------------------- serving
-    def _deployment(self, name: str, version) -> _ClusterDeployment:
-        dep = self.deployment_for(name, version)
-        if dep is None:
-            raise KeyError(
-                f"no process deployment for model {name!r}"
-                + ("" if version is None else f" at version {version}")
-            )
-        return dep
-
     def submit(self, name: str, evidence_levels, version=None,
                client: Optional[object] = None) -> "Future":
         """Route one sample to a worker-hosted replica; returns a future.
 
-        The same contract as the in-process path: internal replica and
-        *worker* failures fail over transparently; the future errors
-        only when every serviceable replica failed the request.  The
-        one-row case of :meth:`submit_many`.
+        The same :class:`~repro.serving.plane.RequestPlane` contract as
+        the in-process path: internal replica and *worker* failures
+        fail over transparently; the future errors only when every
+        serviceable replica failed the request.
         """
-        dep = self._deployment(name, version)
-        levels = np.asarray(evidence_levels, dtype=int)
-        if levels.ndim != 1:
-            raise ValueError(
-                f"submit takes one 1-D sample, got shape {levels.shape}"
-            )
-        if dep.spec.policy.kind == "mirror":
-            return self._submit_mirror(dep, levels)
-        return self._route(dep, levels[None, :], client)[0]
+        return self.plane.submit(
+            self._deployment(name, version), evidence_levels, client
+        )
 
     def submit_many(self, name: str, evidence_levels, version=None,
                     client: Optional[object] = None) -> List["Future"]:
         """Route a stack of samples; one future per row.
 
-        The rows go in chunks of the batch policy's ``max_batch``: each
-        chunk gets one policy pick and travels as one ``request`` frame,
-        answered by one ``result`` frame.  Mirror fan-out stays per row.
+        Each ``max_batch`` chunk gets one policy pick and travels as one
+        ``request`` frame, answered by one ``result`` frame.
         """
-        dep = self._deployment(name, version)
-        levels = np.asarray(evidence_levels, dtype=int)
-        if levels.ndim != 2:
-            raise ValueError(
-                f"submit_many takes (n, features) samples, got {levels.shape}"
-            )
-        if dep.spec.policy.kind == "mirror":
-            return [self._submit_mirror(dep, row) for row in levels]
-        step = self.policy.max_batch
-        futures: List["Future"] = []
-        for lo in range(0, len(levels), step):
-            futures += self._route(dep, levels[lo:lo + step], client)
-        return futures
+        return self.plane.submit_many(
+            self._deployment(name, version), evidence_levels, client
+        )
 
     def predict(self, name: str, evidence_levels, version=None,
                 timeout: Optional[float] = None,
@@ -804,338 +828,6 @@ class ClusterServer:
         return self.submit(
             name, evidence_levels, version=version, client=client
         ).result(timeout)
-
-    def _route(self, dep: _ClusterDeployment, rows: np.ndarray,
-               client: Optional[object]) -> List["Future"]:
-        """Pick one replica for ``rows`` and send them as one chunk."""
-        slo = dep.spec.slo
-        priority = 0 if slo is None else slo.priority_for(
-            None if client is None else str(client)
-        )
-        replica = self._pick(dep, client)
-        futures = [Future() for _ in range(len(rows))]
-        # Counted once here: a failover hop never counts a row again.
-        self.telemetry.record_submitted(len(futures))
-        self._attempt(_Chunk(
-            dep, replica, rows.tolist(), futures, {replica}, (), priority,
-            time.monotonic(),
-        ))
-        return futures
-
-    def _send(self, replica: _ReplicaHandle, levels: list, priority: int,
-              deliver) -> None:
-        """Ship ``levels`` (one list per row) to ``replica`` as one
-        ``request`` frame.
-
-        ``deliver(outcomes, worker_id)`` then runs exactly once, with one
-        outcome per row — a :class:`RemoteServedResult` or the row's
-        exception — from the reply, an ``error`` frame, the worker's
-        loss, or a worker that was not up.  Raises
-        :class:`ProtocolError`, having sent and registered nothing, when
-        the frame cannot be encoded (a block beyond ``MAX_FRAME``): that
-        is the rows' fault, not the worker's.
-        """
-        n = len(levels)
-        request_id = f"r{next(self._ids)}"
-        frame = encode_frame(make(
-            "request",
-            id=request_id,
-            model=replica.model,
-            replica_index=replica.index,
-            levels=levels,
-            priority=priority,
-        ))
-
-        def settle() -> None:
-            with self._lock:
-                replica.pending -= n
-
-        def on_result(message: dict) -> None:
-            settle()
-            try:
-                outcomes = decode_block(message["result"])
-                if len(outcomes) != n:
-                    raise ProtocolError(
-                        f"{len(outcomes)} result rows for a {n}-row request"
-                    )
-            except Exception as exc:  # noqa: BLE001 — malformed reply
-                outcomes = [exc] * n
-            deliver(outcomes, worker_id)
-
-        def on_error(exc: BaseException) -> None:
-            settle()
-            deliver([exc] * n, worker_id)
-
-        with self._lock:
-            worker_id = replica.worker_id
-            handle = self._workers.get(worker_id)
-            conn = None if handle is None else handle.conn
-            up = (
-                handle is not None and handle.state == "up"
-                and conn is not None
-            )
-            if up:
-                replica.pending += n
-                self._pending[request_id] = _Pending(
-                    on_result, on_error, worker_id, replica
-                )
-        if not up:
-            deliver(
-                [WorkerLost(f"worker for {replica.label} is not up")] * n,
-                worker_id,
-            )
-            return
-        try:
-            conn.send(frame)
-        except Exception:
-            # The connection died under us.  The loss path fails over
-            # every pending on this worker — but if it already ran
-            # (reader EOF won the race) our just-registered entry was
-            # not in its orphan scan, so resolve it here explicitly.
-            self._on_worker_lost(handle, "send failed")
-            with self._lock:
-                entry = self._pending.pop(request_id, None)
-            if entry is not None:
-                entry.on_error(
-                    WorkerLost(f"worker {handle.worker_id} send failed")
-                )
-
-    def _attempt(self, chunk: "_Chunk") -> None:
-        try:
-            self._send(
-                chunk.replica, chunk.levels, chunk.priority,
-                functools.partial(self._settle, chunk),
-            )
-        except ProtocolError as exc:
-            self._reject(chunk, range(len(chunk.futures)), exc)
-
-    def _settle(self, chunk: "_Chunk", outcomes: list,
-                seen_worker: str) -> None:
-        """Account one reply to ``chunk``, once for all its rows:
-        resolve the served rows, spill the shed ones, fail over the
-        rest."""
-        served, spilled, broken = [], [], []
-        spill_exc = broken_exc = None
-        for row, outcome in enumerate(outcomes):
-            if not isinstance(outcome, BaseException):
-                served.append(row)
-            elif isinstance(outcome, Overloaded):
-                spilled.append(row)
-                spill_exc = outcome
-            else:
-                broken.append(row)
-                broken_exc = outcome
-        if served:
-            self._serve(chunk, served, outcomes)
-        if spilled:
-            # Busy, not broken — the worker's scheduler shed these rows
-            # unattempted, so they spill to a sibling without putting
-            # the replica on the mark-down chain.
-            self._failover(chunk, spilled, spill_exc, chunk.failed_chain)
-        if broken:
-            self._failover(
-                chunk, broken, broken_exc,
-                chunk.failed_chain + ((chunk.replica, seen_worker),),
-            )
-
-    def _serve(self, chunk: "_Chunk", rows: List[int],
-               outcomes: list) -> None:
-        """Resolve rows ``chunk.replica`` served.
-
-        Counted before any future resolves, so a client reading
-        ``stats()`` after its result sees them."""
-        futures = chunk.futures
-        claimed = [
-            row for row in rows if futures[row].set_running_or_notify_cancel()
-        ]
-        served = len(claimed)
-        telemetry = self.telemetry
-        if served:
-            telemetry.record_replica_served(chunk.replica.label, served)
-            # One failover per earlier attempt of each served row: a
-            # row that failed on *every* replica is an error instead.
-            telemetry.record_failover((len(chunk.attempted) - 1) * served)
-            telemetry.record_completed(
-                chunk.dep.name, served,
-                latencies_s=[time.monotonic() - chunk.t0] * served,
-            )
-        if served < len(rows):
-            telemetry.record_cancelled(len(rows) - served)
-        # A replica that failed rows this replica then served is
-        # confirmed bad (the rows were fine).
-        for bad, seen_worker in chunk.failed_chain:
-            self._mark_down(bad, seen_worker)
-        for row in claimed:
-            futures[row].set_result(outcomes[row])
-
-    def _failover(self, chunk: "_Chunk", rows: List[int], exc: BaseException,
-                  failed_chain: tuple) -> None:
-        """Send ``rows`` of ``chunk`` on to the next untried serviceable
-        replica as a new chunk, or resolve them with ``exc``."""
-        dep = chunk.dep
-        with self._lock:
-            candidates = routing_policy.serviceable(dep.replicas)
-            fallback = next(
-                (r for r in candidates if r not in chunk.attempted), None
-            )
-        if fallback is None:
-            self._reject(chunk, rows, exc)
-            return
-        hop = _Chunk(
-            dep, fallback,
-            [chunk.levels[row] for row in rows],
-            [chunk.futures[row] for row in rows],
-            chunk.attempted | {fallback}, failed_chain, chunk.priority,
-            chunk.t0,
-        )
-        self.telemetry.emit(
-            "failover",
-            model=dep.name,
-            to_replica=fallback.label,
-            reason=type(exc).__name__,
-            attempts=len(hop.attempted),
-            rows=len(rows),
-        )
-        self._attempt(hop)
-
-    def _reject(self, chunk: "_Chunk", rows, exc: BaseException) -> None:
-        """Resolve rows no replica could serve with ``exc``, counted once
-        per client request: as shed when every replica was full, as
-        failed otherwise, as cancelled when the client cancelled."""
-        claimed = [
-            chunk.futures[row] for row in rows
-            if chunk.futures[row].set_running_or_notify_cancel()
-        ]
-        if claimed and isinstance(exc, Overloaded):
-            self.telemetry.record_shed(len(claimed))
-        elif claimed:
-            self.telemetry.record_failed(len(claimed))
-        if len(claimed) < len(rows):
-            self.telemetry.record_cancelled(len(rows) - len(claimed))
-        for future in claimed:
-            future.set_exception(exc)
-
-    def _mark_down(self, replica: _ReplicaHandle,
-                   seen_worker: Optional[str] = None) -> None:
-        """Mark a replica down — unless the failure evidence is stale.
-
-        ``seen_worker`` is the worker the failure was observed on; if
-        the replica has since been re-placed onto a different worker
-        (the loss path raced ahead of this callback), the observation
-        says nothing about the replica's *new* home, so it stays up.
-        """
-        with self._lock:
-            if seen_worker is not None and replica.worker_id != seen_worker:
-                return
-            flipped = replica.state == HEALTHY
-            if flipped:
-                replica.state = DOWN
-        if flipped:
-            self.telemetry.emit("replica_down", replica=replica.label)
-
-    # ---------------------------------------------------------------- mirror
-    def _submit_mirror(self, dep: _ClusterDeployment,
-                       levels: np.ndarray) -> "Future[MirroredResult]":
-        policy = dep.spec.policy
-        candidates = routing_policy.mirror_candidates(
-            self._candidates(dep), policy.mirror_fanout
-        )
-        self.telemetry.record_submitted()
-        client_future: "Future[MirroredResult]" = Future()
-        votes: Dict[int, Optional[object]] = {}
-        overloaded: set = set()
-        seen_workers: Dict[int, str] = {}
-        remaining = [len(candidates)]
-        vote_lock = threading.Lock()
-        t0 = time.monotonic()
-        wire_levels = [levels.tolist()]
-
-        def record_vote(replica, outcomes, worker_id) -> None:
-            (outcome,) = outcomes
-            with vote_lock:
-                seen_workers[replica.index] = worker_id
-                if isinstance(outcome, BaseException):
-                    votes[replica.index] = None
-                    if isinstance(outcome, Overloaded):
-                        overloaded.add(replica.index)
-                else:
-                    votes[replica.index] = outcome
-                remaining[0] -= 1
-                if remaining[0]:
-                    return
-            self._resolve_mirror(
-                dep, candidates, votes, overloaded, client_future, t0,
-                seen_workers,
-            )
-
-        for replica in candidates:
-            deliver = functools.partial(record_vote, replica)
-            try:
-                self._send(replica, wire_levels, 0, deliver)
-            except ProtocolError as exc:
-                deliver([exc], replica.worker_id)
-        return client_future
-
-    def _resolve_mirror(self, dep, candidates, votes, overloaded,
-                        client_future, t0, seen_workers) -> None:
-        if not client_future.set_running_or_notify_cancel():
-            self.telemetry.record_cancelled(1)
-            return
-        succeeded = [
-            (replica, votes[replica.index])
-            for replica in candidates
-            if votes.get(replica.index) is not None
-        ]
-        if not succeeded:
-            self.telemetry.record_failed(1)
-            client_future.set_exception(RuntimeError(
-                f"mirror vote failed: no replica of {dep.name!r} answered"
-            ))
-            return
-        for replica in candidates:
-            if votes.get(replica.index) is None and (
-                replica.index not in overloaded
-            ):
-                self._mark_down(replica, seen_workers.get(replica.index))
-        weighted = dep.spec.policy.mirror_weighted
-        winner, _ = routing_policy.resolve_votes(
-            [
-                (
-                    int(result.prediction),
-                    result.margin if weighted else 1.0,
-                )
-                for _, result in succeeded
-            ],
-            weighted=weighted,
-        )
-        agreed = sum(
-            1 for _, result in succeeded if int(result.prediction) == winner
-        )
-        agreement = agreed / len(candidates)
-        for replica, _ in succeeded:
-            self.telemetry.record_replica_served(replica.label)
-        self.telemetry.record_mirror_vote(unanimous=agreement == 1.0)
-        self.telemetry.record_completed(
-            dep.name, latencies_s=[time.monotonic() - t0]
-        )
-        client_future.set_result(MirroredResult(
-            model=dep.route,
-            prediction=winner,
-            votes=tuple(
-                (
-                    replica.label,
-                    None
-                    if votes.get(replica.index) is None
-                    else int(votes[replica.index].prediction),
-                )
-                for replica in candidates
-            ),
-            agreement=agreement,
-            delay=max(r.delay for _, r in succeeded),
-            energy_total=sum(r.energy_total for _, r in succeeded),
-            queue_wait_s=max(r.queue_wait_s for _, r in succeeded),
-            batch_size=max(r.batch_size for _, r in succeeded),
-        ))
 
     # ------------------------------------------------------------ supervision
     def _on_worker_lost(self, handle: _WorkerHandle, reason: str) -> None:
@@ -1249,6 +941,7 @@ class ClusterServer:
         with self._lock:
             replica.label = row["replica"]
             replica.unit_delay = float(row["unit_delay_s"])
+            replica.queue = _RemoteQueue(self, replica, target)
             replica.state = HEALTHY
         self.telemetry.emit(
             "replace",

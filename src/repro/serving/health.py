@@ -35,7 +35,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.reliability.mitigation import refresh_engine
-from repro.reliability.observability import MarginProbe, MarginReading
+from repro.reliability.observability import (
+    MarginProbe,
+    MarginReading,
+    report_currents,
+)
 
 if TYPE_CHECKING:  # import cycle: server -> router -> health
     from repro.serving.server import FeBiMServer
@@ -94,14 +98,6 @@ class _CanaryState:
     predictions: np.ndarray
     currents: np.ndarray
     probe: MarginProbe
-
-
-def _report_currents(report) -> np.ndarray:
-    """Per-sample current signature from either batch-report flavour."""
-    currents = getattr(report, "wordline_currents", None)
-    if currents is None:
-        currents = report.tile_currents
-    return np.asarray(currents, dtype=float)
 
 
 def agreement_from_predictions(
@@ -263,7 +259,7 @@ class HealthMonitor:
             )
         engine = self.server.engine_for(name, version)
         report = engine.infer_batch(levels)
-        currents = _report_currents(report).copy()
+        currents = report_currents(report).copy()
         self._canaries[(name, version)] = _CanaryState(
             levels=levels.copy(),
             predictions=np.asarray(report.predictions).copy(),
@@ -284,7 +280,7 @@ class HealthMonitor:
         failed, accuracy = agreement_from_predictions(
             report.predictions, state.predictions
         )
-        currents = _report_currents(report)
+        currents = report_currents(report)
         baseline = np.abs(state.currents)
         shift = float(
             np.mean(

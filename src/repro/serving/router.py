@@ -4,8 +4,10 @@
 applied :class:`~repro.serving.deployment.Deployment` specs, one
 programmed engine *and one micro-batch scheduler per replica* — a slow
 ``memristor`` replica coalesces on its own worker and can never
-head-of-line-block an ``ideal`` one — and decides which replica
-answers each request (each ``max_batch`` chunk of a ``submit_many``):
+head-of-line-block an ``ideal`` one — and the
+:class:`~repro.serving.plane.RequestPlane` that decides which replica
+answers each request (each ``max_batch`` chunk of a ``submit_many``);
+a replica's queue is its scheduler bound to its key:
 
 * ``cost`` — cheapest healthy replica: the backend's own
   ``inference_cost_batch`` unit delay (probed once at apply time),
@@ -16,14 +18,15 @@ answers each request (each ``max_batch`` chunk of a ``submit_many``):
   hashing, so losing one replica remaps only *its* clients (~1/N of
   traffic), never reshuffles the survivors' tenants;
 * ``mirror`` — fan out to N healthy replicas and majority-vote the
-  predictions (:class:`MirroredResult`), the reliability mode.
+  predictions (:class:`~repro.serving.plane.MirroredResult`), the
+  reliability mode.
 
 Failures route around automatically on two timescales.  Per request,
-a replica attempt that errors is transparently resubmitted to another
-replica (the client future never sees the internal failure; telemetry
-records a *failover*), and a replica that failed a request another
-replica then served is marked down — its queue drains through the same
-failover path while new traffic skips it.  Per sweep,
+the plane resubmits a replica attempt that errors to another replica
+(the client future never sees the internal failure; telemetry records
+a *failover*), and marks down a replica that failed a request another
+replica then served — its queue drains through the same failover path
+while new traffic skips it.  Per sweep,
 :meth:`Router.check_replica` runs the canary heal ladder one rung
 deeper than the single-engine
 :class:`~repro.serving.health.HealthMonitor`: **refresh** (reprogram in
@@ -54,7 +57,7 @@ import zlib
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,7 +68,7 @@ from repro.reliability.observability import (
     DeviceHealthSample,
     MarginProbe,
     MarginReading,
-    sample_margin,
+    report_currents,
 )
 from repro.serving.deployment import (
     Deployment,
@@ -73,11 +76,8 @@ from repro.serving.deployment import (
     ReplicaSpec,
     validate_replica_spec,
 )
-from repro.serving.health import (
-    _report_currents,
-    agreement_from_predictions,
-)
-from repro.serving import policy as routing_policy
+from repro.serving.health import agreement_from_predictions
+from repro.serving.plane import DeploymentTable, RequestPlane
 from repro.serving.policy import (
     DOWN,
     DRAINING,
@@ -85,12 +85,7 @@ from repro.serving.policy import (
     HEALTHY,
     RETIRED,
 )
-from repro.serving.scheduler import (
-    MicroBatchScheduler,
-    Overloaded,
-    ServedResult,
-    _Request,
-)
+from repro.serving.scheduler import MicroBatchScheduler
 
 #: Canary-set size probed per replica at apply time.
 N_CANARIES = 8
@@ -165,38 +160,22 @@ class ReplicaHealthReport:
         }
 
 
-@dataclass(frozen=True)
-class MirroredResult:
-    """A mirrored request's majority vote across replicas.
-
-    Quacks like :class:`~repro.serving.scheduler.ServedResult` where it
-    matters (``prediction`` / ``delay`` / ``energy_total`` /
-    ``queue_wait_s`` / ``batch_size``), with the vote detail on top:
-    ``votes`` maps each participating replica label to its prediction
-    (``None`` for a replica whose attempt failed — it abstains, is
-    marked down, and counts *against* ``agreement``, which is the
-    winner's share of all participants, not of the respondents).
-
-    Delay is the slowest participant (mirrors run in parallel), energy
-    the sum over participants — the price of the redundancy.
-    """
-
-    model: str
-    prediction: int
-    votes: Tuple[Tuple[str, Optional[int]], ...]
-    agreement: float
-    delay: float
-    energy_total: float
-    queue_wait_s: float
-    batch_size: int
-
-    @property
-    def unanimous(self) -> bool:
-        return self.agreement == 1.0
-
-
 class KilledReplicaError(RuntimeError):
     """Raised when a batch resolves an engine on a killed replica."""
+
+
+class _LocalQueue:
+    """A local replica's request-plane queue: its micro-batch scheduler,
+    bound to its key."""
+
+    __slots__ = ("replica",)
+
+    def __init__(self, replica: "_Replica"):
+        self.replica = replica
+
+    def enqueue(self, requests, block: bool = False):
+        replica = self.replica
+        return replica.scheduler.enqueue(replica.key, requests, block)
 
 
 class _Replica:
@@ -213,6 +192,7 @@ class _Replica:
         self.spec = spec
         self.key = key
         self.scheduler: Optional[MicroBatchScheduler] = None
+        self.queue = _LocalQueue(self)
         self.state = HEALTHY
         self.killed = False
         self.recoverable = True
@@ -240,8 +220,8 @@ class _Replica:
     def label(self) -> str:
         return f"{self.key}[{self.spec.backend}]"
 
-    # Duck-typed view attributes the pure policy core arbitrates on
-    # (shared with the cluster front end's replica handles).
+    # Duck-typed view attributes the policy core and the request plane
+    # arbitrate on (shared with the cluster front end's replica handles).
     @property
     def weight(self) -> float:
         return self.spec.weight
@@ -285,70 +265,6 @@ class _AppliedDeployment:
         return f"{self.name}@v{self.version}"
 
 
-class _Attempt:
-    """One routing hop, shared by every row of a routed chunk.
-
-    It records where the rows were sent (``replica``), every replica
-    they have tried (``attempted``), the replicas that failed them
-    (``failed_chain``, marked down once another replica serves the
-    rows) and their priority lane.  The rows' scheduler reports back
-    once per batch: :meth:`served` for the rows that ran,
-    :meth:`failed` for rows a batch failed or a full or closed queue
-    refused.  A record is never mutated: a failover hands the failed
-    rows a new record one hop further on, so rows of one chunk that
-    fail in different batches each fail over from the same state.
-    """
-
-    __slots__ = (
-        "router", "dep", "replica", "attempted", "failed_chain",
-        "priority", "claimed",
-    )
-
-    def __init__(
-        self,
-        router: "Router",
-        dep: _AppliedDeployment,
-        replica: "_Replica",
-        attempted: set,
-        failed_chain: Tuple["_Replica", ...] = (),
-        priority: int = 0,
-        claimed: bool = False,
-    ):
-        self.router = router
-        self.dep = dep
-        self.replica = replica
-        self.attempted = attempted
-        self.failed_chain = failed_chain
-        self.priority = priority
-        # Whether the rows' futures are already running: set once a
-        # batch has executed (and failed) them, after which no client
-        # can cancel them and no scheduler may claim them again.
-        self.claimed = claimed
-
-    def served(self, n: int) -> None:
-        """``n`` rows of this hop were served by :attr:`replica`."""
-        telemetry = self.router.server.telemetry
-        telemetry.record_replica_served(self.replica.label, n)
-        # Failovers count only here, where the resubmission actually
-        # saved the client (one per earlier attempt of each row): a
-        # request that fails on *every* replica is an error, not N-1
-        # transparent rescues.
-        telemetry.record_failover((len(self.attempted) - 1) * n)
-        # A replica that failed rows this replica then served is
-        # confirmed bad (the rows were fine): mark it down so new
-        # traffic routes around while its queue drains through the
-        # same failover path.
-        for bad in self.failed_chain:
-            self.router._mark_down(bad)
-
-    def failed(
-        self, requests: List[_Request], exc: BaseException, ran: bool
-    ) -> None:
-        """Rows of this hop failed in a batch (``ran``) or were refused
-        by a full or closed queue: fail them over."""
-        self.router._failover(self, requests, exc, ran)
-
-
 def replica_stream_seed(
     base_seed: Optional[int], name: str, version: int, replica: int
 ) -> Optional[int]:
@@ -375,25 +291,8 @@ def replica_stream_seed(
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def result_margin(result: ServedResult) -> float:
-    """One served sample's winner/runner-up read margin.
-
-    Recovered from the currents the serving read already sensed (the
-    same per-row signature ``read_margin_batch`` probes), so weighting
-    a mirror vote costs one partition over a handful of wordlines —
-    never an extra array read.  NaN when the report carries no usable
-    currents (degenerate geometry, wrapped engines).
-    """
-    try:
-        row = _report_currents(result._report)[result._index]
-        margin, _ = sample_margin(row)
-        return margin
-    except Exception:  # noqa: BLE001 — weighting must never fail a vote
-        return float("nan")
-
-
-class Router:
-    """Deployment owner and per-request replica arbiter.
+class Router(DeploymentTable):
+    """Deployment owner and local host of the request plane.
 
     Parameters
     ----------
@@ -409,6 +308,9 @@ class Router:
     transitions take the router lock; the submit hot path reads the
     replica list without copying (replica lists are never mutated in
     place — eviction flips a state flag).
+
+    :attr:`plane` routes every request (``submit`` / ``submit_many``
+    delegate to it); :attr:`tracer` is its request tracer.
     """
 
     def __init__(self, server):
@@ -419,13 +321,10 @@ class Router:
         # (e.g. a pacing proxy that models slower hardware).  Leave
         # ``None`` in production.
         self.engine_wrapper = None
-        # Optional request tracer (set by ``server.enable_observability``).
-        # The router owns any trace it samples: one trace follows a
-        # request across every failover hop, and only the router knows
-        # when routing has finally resolved.  Mirror fan-out is not
-        # traced — parallel replica reads would overlap in time and
-        # break the span-sum-equals-duration invariant.
-        self.tracer = None
+        self.plane = RequestPlane(
+            server.telemetry, server.policy.max_batch, self._lock,
+            self.deployment_for,
+        )
         # Optional device-health ledger (set by
         # ``server.enable_observability``): every ``hardware_status``
         # sample is recorded into it.  ``None`` costs nothing.
@@ -437,30 +336,17 @@ class Router:
         # but never trigger repairs).
         self.min_signal_ratio = 0.0
 
+    @property
+    def tracer(self):
+        """Optional request tracer (set by
+        ``server.enable_observability``); see :class:`RequestPlane`."""
+        return self.plane.tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self.plane.tracer = tracer
+
     # ------------------------------------------------------------ deployment
-    def deployments(self) -> Dict[str, Deployment]:
-        """Applied specs by model name."""
-        with self._lock:
-            return {name: dep.spec for name, dep in self._deployments.items()}
-
-    def deployment_for(
-        self, name: str, version: Optional[int] = None
-    ) -> Optional[_AppliedDeployment]:
-        """The applied deployment serving ``name`` at ``version``.
-
-        ``None`` when the model is undeployed *or* the caller pinned a
-        version other than the one the deployment resolved at apply
-        time — pinned lookups of historical versions keep working
-        through the legacy path.
-        """
-        with self._lock:
-            dep = self._deployments.get(name)
-        if dep is None:
-            return None
-        if version is not None and int(version) != dep.version:
-            return None
-        return dep
-
     def apply(
         self,
         deployment: Deployment,
@@ -630,7 +516,7 @@ class Router:
         # The same probe read seeds the margin baseline: deploy-time
         # pristine currents against which every later sweep's signal
         # ratio is scored.
-        currents = _report_currents(report)
+        currents = report_currents(report)
         replica.probe = MarginProbe(currents)
         replica.margin_reading = replica.probe.observe(currents)
 
@@ -655,238 +541,14 @@ class Router:
                     stack.enter_context(replica.scheduler.quiesce(timeout))
             yield
 
-    # ------------------------------------------------------------- arbitration
-    def _candidates(self, dep: _AppliedDeployment) -> List[_Replica]:
-        candidates = routing_policy.serviceable(dep.replicas)
-        if not candidates:
-            raise RuntimeError(
-                f"deployment {dep.name!r} v{dep.version} has no serviceable "
-                f"replicas (all evicted)"
-            )
-        return candidates
-
-    def _score(self, replica: _Replica) -> float:
-        """Cost-policy score: lower is better (see
-        :func:`repro.serving.policy.cost_score`)."""
-        return routing_policy.cost_score(replica)
-
-    def _pick(
-        self, dep: _AppliedDeployment, client: Optional[object]
-    ) -> _Replica:
-        """Policy arbitration, delegated to the pure core
-        (:mod:`repro.serving.policy`) over the live replica objects —
-        the identical decision function the cluster front end runs over
-        worker-reported replica views."""
-        candidates = self._candidates(dep)
-        kind = dep.spec.policy.kind
-        if kind == "sticky":
-            draining = [r for r in dep.replicas if r.state == DRAINING]
-            return routing_policy.pick_sticky(candidates, client, draining)
-        return routing_policy.pick_replica(
-            kind, candidates,
-            rr_tick=next(dep.rr_counter) if kind == "round_robin" else 0,
-        )
-
     # ---------------------------------------------------------------- submit
-    def submit(
-        self,
-        dep: _AppliedDeployment,
-        evidence_levels: np.ndarray,
-        client: Optional[object] = None,
-    ) -> "Future":
-        """Route one sample through the deployment's policy.
+    def submit(self, dep, evidence_levels, client=None) -> "Future":
+        """Route one sample (:meth:`RequestPlane.submit`)."""
+        return self.plane.submit(dep, evidence_levels, client)
 
-        Returns a future resolving to a
-        :class:`~repro.serving.scheduler.ServedResult` (or a
-        :class:`MirroredResult` under the mirror policy).  Internal
-        replica failures fail over transparently; the client future
-        errors only when every serviceable replica failed the request.
-        """
-        if dep.spec.policy.kind == "mirror":
-            return self._submit_mirror(dep, evidence_levels)
-        return self._route(dep, (evidence_levels,), client)[0]
-
-    def submit_many(
-        self,
-        dep: _AppliedDeployment,
-        evidence_levels: np.ndarray,
-        client: Optional[object] = None,
-    ) -> List["Future"]:
-        """Route a stack of samples; one future per row.
-
-        The rows go in chunks of the batch policy's ``max_batch``, each
-        with one policy pick and queued under one scheduler lock:
-        ``cost`` re-scores every chunk against the queue depth the
-        chunks before it left, and ``round_robin`` alternates per
-        chunk.  Mirror fan-out stays per row.
-        """
-        if dep.spec.policy.kind == "mirror":
-            return [self._submit_mirror(dep, row) for row in evidence_levels]
-        step = self.server.policy.max_batch
-        futures: List["Future"] = []
-        for lo in range(0, len(evidence_levels), step):
-            futures += self._route(dep, evidence_levels[lo:lo + step], client)
-        return futures
-
-    def _route(
-        self,
-        dep: _AppliedDeployment,
-        rows,
-        client: Optional[object],
-    ) -> List["Future"]:
-        """Pick one replica for ``rows``, queue them there as one
-        attempt, and return their futures."""
-        label = None if client is None else str(client)
-        slo = dep.spec.slo
-        priority = 0 if slo is None else slo.priority_for(label)
-        replica = self._pick(dep, client)
-        attempt = _Attempt(self, dep, replica, {replica}, priority=priority)
-        now = time.monotonic()
-        requests = [_Request(row, now, priority, attempt) for row in rows]
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            # One trace follows a row across every failover hop; the
-            # admit span starts when the trace does.
-            for request in requests:
-                request.trace = tracer.sample(dep.route, client=label)
-                if request.trace is not None:
-                    request.enqueued_at = request.trace.created_s
-        # Counted once here: a failover hop never counts a row again.
-        self.server.telemetry.record_submitted(len(requests))
-        # Backpressure may only block the *first* attempt, which runs on
-        # the client's own thread.  Failover attempts run on scheduler
-        # worker threads — two workers blocking into each other's full
-        # queues would deadlock the data plane.
-        self._enqueue(
-            attempt, requests, block=slo is not None and bool(slo.backpressure)
-        )
-        return [request.future for request in requests]
-
-    def _enqueue(
-        self,
-        attempt: _Attempt,
-        requests: List[_Request],
-        block: bool = False,
-    ) -> None:
-        replica = attempt.replica
-        refused, refusal = replica.scheduler.enqueue(
-            replica.key, requests, block=block
-        )
-        if refused:
-            # A full queue (Overloaded) or a redeploy/undeploy racing
-            # the submit (SchedulerClosed); the failover contract still
-            # holds — spill to a sibling.
-            self._failover(attempt, refused, refusal, ran=False)
-
-    def _next_fallback(
-        self, dep: _AppliedDeployment, attempted: set
-    ) -> Tuple[_AppliedDeployment, Optional[_Replica]]:
-        """The next serviceable replica no attempt has visited.
-
-        Resolved against the *live* deployment for the model: if the
-        one the request was routed under has been replaced mid-flight,
-        failover hops onto the replacement's (fresh, untried) replicas
-        instead of dying with the old schedulers.
-        """
-        current = self.deployment_for(dep.name) or dep
-        try:
-            candidates = self._candidates(current)
-        except RuntimeError:
-            return current, None
-        return current, next((r for r in candidates if r not in attempted), None)
-
-    def _failover(
-        self,
-        attempt: _Attempt,
-        requests: List[_Request],
-        exc: BaseException,
-        ran: bool,
-    ) -> None:
-        """Re-enqueue rows that failed ``attempt`` on the next untried
-        replica, or surface the error.
-
-        ``ran`` says a batch executed (and so claimed) the rows.  When
-        no untried replica is left the rows failed everywhere — a
-        request problem (or, for :class:`Overloaded`, a saturated
-        deployment), not a replica problem, so nobody is marked down
-        and the last error reaches the clients.
-        """
-        claimed = attempt.claimed or ran
-        current, fallback = self._next_fallback(attempt.dep, attempt.attempted)
-        if fallback is None:
-            self._reject(requests, exc, claimed)
-            return
-        # Overloaded means *busy*, not broken: the rows were shed
-        # unattempted, so they spill to a sibling without ever putting
-        # this replica on the mark-down chain.
-        chain = attempt.failed_chain
-        if not isinstance(exc, Overloaded):
-            chain = chain + (attempt.replica,)
-        hop = _Attempt(
-            self, current, fallback, attempt.attempted | {fallback},
-            chain, attempt.priority, claimed,
-        )
-        now = time.monotonic()
-        reason = type(exc).__name__
-        for request in requests:
-            request.attempt = hop
-            request.enqueued_at = now
-            if request.trace is not None:
-                # Zero-width marker: the hop itself takes no request
-                # time (the next admit span starts immediately), but
-                # the trace shows where routing bounced and why.
-                request.trace.add_span(
-                    "failover", now, now,
-                    to_replica=fallback.label, reason=reason,
-                )
-        self.server.telemetry.emit(
-            "failover",
-            model=current.name,
-            to_replica=fallback.label,
-            reason=reason,
-            attempts=len(hop.attempted),
-            rows=len(requests),
-        )
-        try:
-            self._enqueue(hop, requests)
-        except Exception as resubmit_exc:  # noqa: BLE001
-            # The client futures must always resolve, never hang.
-            self._reject(requests, resubmit_exc, claimed)
-
-    def _reject(
-        self, requests: List[_Request], exc: BaseException, claimed: bool
-    ) -> None:
-        """Resolve rows no replica could serve with ``exc``.
-
-        Counted once per client request: as shed when every replica was
-        full, as failed otherwise, and as cancelled when the client
-        cancelled the row before any batch claimed it.
-        """
-        outcome = "shed" if isinstance(exc, Overloaded) else "failed"
-        resolved = 0
-        for request in requests:
-            if claimed or request.future.set_running_or_notify_cancel():
-                if request.trace is not None:
-                    request.trace.finish(outcome)
-                request.future.set_exception(exc)
-                resolved += 1
-            elif request.trace is not None:
-                request.trace.finish("cancelled")
-        telemetry = self.server.telemetry
-        if resolved and outcome == "shed":
-            telemetry.record_shed(resolved)
-        elif resolved:
-            telemetry.record_failed(resolved)
-        if resolved < len(requests):
-            telemetry.record_cancelled(len(requests) - resolved)
-
-    def _mark_down(self, replica: _Replica) -> None:
-        with self._lock:
-            flipped = replica.state == HEALTHY
-            if flipped:
-                replica.state = DOWN
-        if flipped:
-            self.server.telemetry.emit("replica_down", replica=replica.label)
+    def submit_many(self, dep, evidence_levels, client=None) -> List["Future"]:
+        """Route a stack of samples (:meth:`RequestPlane.submit_many`)."""
+        return self.plane.submit_many(dep, evidence_levels, client)
 
     def _shares_legacy_engine(self, replica: _Replica) -> bool:
         """Whether this replica's engine is the legacy path's cache
@@ -896,128 +558,6 @@ class Router:
             replica.index == 0
             and replica.spec.backend == self.server.registry.backend
             and not replica.spec.backend_options
-        )
-
-    # ---------------------------------------------------------------- mirror
-    def _submit_mirror(
-        self, dep: _AppliedDeployment, levels: np.ndarray
-    ) -> "Future[MirroredResult]":
-        policy = dep.spec.policy
-        candidates = routing_policy.mirror_candidates(
-            self._candidates(dep), policy.mirror_fanout
-        )
-        client_future: "Future[MirroredResult]" = Future()
-        votes: Dict[int, Optional[ServedResult]] = {}
-        overloaded: set = set()
-        remaining = [len(candidates)]
-        vote_lock = threading.Lock()
-
-        def record_vote(index: int, result: Optional[ServedResult]) -> None:
-            with vote_lock:
-                votes[index] = result
-                remaining[0] -= 1
-                if remaining[0]:
-                    return
-            self._resolve_vote(dep, candidates, votes, client_future, overloaded)
-
-        def voted(index: int, f: "Future") -> None:
-            result = None
-            if not f.cancelled() and f.exception() is None:
-                result = f.result()
-            elif not f.cancelled() and isinstance(f.exception(), Overloaded):
-                overloaded.add(index)
-            record_vote(index, result)
-
-        for replica in candidates:
-            try:
-                inner = replica.scheduler.submit(replica.key, levels)
-            except BaseException as exc:  # noqa: BLE001 — abstain, don't hang the vote
-                if isinstance(exc, Overloaded):
-                    overloaded.add(replica.index)
-                record_vote(replica.index, None)
-                continue
-            inner.add_done_callback(
-                lambda f, i=replica.index: voted(i, f)
-            )
-        return client_future
-
-    def _resolve_vote(
-        self,
-        dep: _AppliedDeployment,
-        candidates: List[_Replica],
-        votes: Dict[int, Optional[ServedResult]],
-        client_future: "Future[MirroredResult]",
-        overloaded: Optional[set] = None,
-    ) -> None:
-        if not client_future.set_running_or_notify_cancel():
-            return
-        succeeded = [
-            (replica, votes[replica.index])
-            for replica in candidates
-            if votes.get(replica.index) is not None
-        ]
-        if not succeeded:
-            client_future.set_exception(
-                RuntimeError(
-                    f"mirror vote failed: no replica of {dep.name!r} "
-                    f"answered"
-                )
-            )
-            return
-        # A participant that failed a request its peers served is
-        # confirmed bad, exactly as on the failover path: mark it down
-        # so the next mirrored request stops wasting fan-out on it.
-        # An *overloaded* abstention is busy, not broken — skipped.
-        for replica in candidates:
-            if votes.get(replica.index) is None and (
-                overloaded is None or replica.index not in overloaded
-            ):
-                self._mark_down(replica)
-        # Majority (optionally weighted by each answer's read margin —
-        # see RoutingPolicy.mirror_weighted); deterministic tie-break
-        # on the lower class label either way.
-        weighted = dep.spec.policy.mirror_weighted
-        winner, _ = routing_policy.resolve_votes(
-            [
-                (
-                    int(result.prediction),
-                    result_margin(result) if weighted else 1.0,
-                )
-                for _, result in succeeded
-            ],
-            weighted=weighted,
-        )
-        # Agreement is over the *participants*, not the respondents (a
-        # dead replica is a lost vote, and a 2-way mirror with one
-        # corpse must read 0.5, never a unanimous vote of one) — and it
-        # stays a head count under weighting: the margin decides the
-        # winner, not how united the replicas looked.
-        agreed = sum(
-            1 for _, result in succeeded if int(result.prediction) == winner
-        )
-        agreement = agreed / len(candidates)
-        for replica, _ in succeeded:
-            self.server.telemetry.record_replica_served(replica.label)
-        self.server.telemetry.record_mirror_vote(unanimous=agreement == 1.0)
-        client_future.set_result(
-            MirroredResult(
-                model=dep.route,
-                prediction=winner,
-                votes=tuple(
-                    (
-                        replica.label,
-                        None
-                        if votes.get(replica.index) is None
-                        else int(votes[replica.index].prediction),
-                    )
-                    for replica in candidates
-                ),
-                agreement=agreement,
-                delay=max(r.delay for _, r in succeeded),
-                energy_total=sum(r.energy_total for _, r in succeeded),
-                queue_wait_s=max(r.queue_wait_s for _, r in succeeded),
-                batch_size=max(r.batch_size for _, r in succeeded),
-            )
         )
 
     # ------------------------------------------------------------- elasticity
@@ -1055,9 +595,7 @@ class Router:
         bit-identical engine).  Indices are never reused — a collision
         with a live replica is an error.
         """
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         with self._lock:
             if index is None:
                 index = dep.next_index
@@ -1111,9 +649,7 @@ class Router:
         retire would.
         """
         drain_steps = int(drain_steps)
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         if drain_steps > 1 and dep.spec.policy.kind != "sticky":
             raise DeploymentError(
                 f"drain_steps={drain_steps} is only meaningful under the "
@@ -1207,9 +743,7 @@ class Router:
 
     def status(self, name: str) -> List[ReplicaStatus]:
         """Live per-replica view of one deployment."""
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         return [self._status_of(replica) for replica in dep.replicas]
 
     def kill_replica(self, name: str, index: int, recoverable: bool = False) -> None:
@@ -1225,9 +759,7 @@ class Router:
         hardware; the default unrecoverable kill (the array slot is
         gone) ends in eviction.
         """
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         replica = self._replica_by_index(dep, index)
         replica.killed = True
         replica.recoverable = bool(recoverable)
@@ -1251,9 +783,7 @@ class Router:
         scheduler quiesce so live traffic never reads a
         half-reprogrammed array.
         """
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         replica = self._replica_by_index(dep, index)
         if replica.state == EVICTED:
             return ReplicaHealthReport(
@@ -1277,7 +807,7 @@ class Router:
             telemetry.record_health_check(failed)
             if replica.probe is not None:
                 replica.margin_reading = replica.probe.observe(
-                    _report_currents(report)
+                    report_currents(report)
                 )
             return agreement
 
@@ -1536,9 +1066,7 @@ class Router:
         count and the latest margin reading — one
         :class:`~repro.reliability.observability.DeviceHealthSample`
         per replica, recorded into the attached ledger."""
-        dep = self.deployment_for(name)
-        if dep is None:
-            raise KeyError(f"no deployment for model {name!r}")
+        dep = self._deployment(name)
         return [
             self._hardware_sample(dep, replica) for replica in dep.replicas
         ]

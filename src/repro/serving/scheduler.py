@@ -56,6 +56,8 @@ macro's thermal noise would).
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 import time
 from collections import deque
@@ -67,19 +69,9 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.kernels.scratch import default_pool
-from repro.reliability.observability import sample_margin
+from repro.reliability.observability import report_currents, sample_margin
 from repro.serving.observability.trace import Span, Trace, Tracer
 from repro.serving.telemetry import Telemetry
-
-
-def _span_currents(report) -> np.ndarray:
-    """Per-sample current signature from either batch-report flavour
-    (mirrors the health module's ``_report_currents``; duplicated to
-    keep the scheduler free of a health-layer import)."""
-    currents = getattr(report, "wordline_currents", None)
-    if currents is None:
-        currents = report.tile_currents
-    return np.asarray(currents, dtype=float)
 from repro.utils.validation import check_positive_int
 
 
@@ -144,6 +136,22 @@ class ServedResult:
         """Total inference energy attributed to this sample (J)."""
         return float(self._report.energy.total[self._index])
 
+    @property
+    def margin(self) -> float:
+        """Winner/runner-up read margin of this sample.
+
+        Recovered from the currents the serving read already sensed
+        (the per-row signature ``read_margin_batch`` probes), so
+        weighting a mirror vote costs one partition over a handful of
+        wordlines — never an extra array read.  NaN when the report
+        carries no usable currents (degenerate geometry, wrapped
+        engines).
+        """
+        try:
+            return sample_margin(report_currents(self._report)[self._index])[0]
+        except Exception:  # noqa: BLE001 — weighting must never fail a vote
+            return float("nan")
+
     def report(self):
         """The full scalar per-sample report (flat or tiled flavour)."""
         return self._report.sample(self._index)
@@ -161,8 +169,8 @@ class Overloaded(RuntimeError):
     blocking submit timed out), and set on the future of a queued
     request that was shed to admit a higher-priority arrival.  A shed
     is *not* a failure — the request was never attempted — so the
-    router's failover path retries it elsewhere without marking the
-    overloaded replica down.
+    request plane's failover path retries it elsewhere without marking
+    the overloaded replica down.
     """
 
     def __init__(
@@ -182,13 +190,16 @@ class _Request:
     """One queued sample and the future its client holds.
 
     ``attempt`` is ``None`` for a direct submit.  A row queued by the
-    router carries the routing hop it belongs to (shared by every row
-    of its chunk), and the scheduler reports back through it:
-    ``attempt.claimed`` says an earlier batch already set the future
-    running (the row is failing over), ``attempt.served(n)`` runs once
-    per batch for the ``n`` rows of the hop that were served, and
-    ``attempt.failed(rows, exc, ran)`` takes back rows a batch failed
-    (``ran=True``) or a full or closed queue refused.
+    request plane (:mod:`repro.serving.plane`) carries the routing hop
+    it belongs to (shared by every row of its chunk), and the scheduler
+    reports back through it: ``attempt.claimed`` says an earlier batch
+    already set the future running (the row is failing over),
+    ``attempt.served(n)`` runs once per batch for the ``n`` rows of the
+    hop that were served and returns how many of them are client
+    requests (a mirror participant's row is a vote, completed when its
+    vote resolves), and ``attempt.failed(rows, exc, ran)`` takes back
+    rows a batch failed (``ran=True``) or a full or closed queue
+    refused.
 
     ``future`` replaces the :class:`~concurrent.futures.Future` made per
     request with any object implementing the four calls the scheduler
@@ -726,6 +737,7 @@ class MicroBatchScheduler:
             # Blocked (backpressure) submitters must observe _closed
             # and raise SchedulerClosed instead of sleeping forever.
             self._space.notify_all()
+        clients = 0
         for request in cancelled:
             attempt = request.attempt
             if attempt is not None and attempt.claimed:
@@ -733,14 +745,18 @@ class MicroBatchScheduler:
                 # running, so it can no longer be cancelled: it takes
                 # the cancellation as its error instead.
                 request.future.set_exception(CancelledError())
-            else:
-                request.future.cancel()
+                clients += 1
+            elif request.future.cancel():
+                # (A mirror participant's vote slot refuses: its
+                # client request is the vote's to account.)
+                clients += 1
             if request.trace is not None:
                 if request.queue_span is not None:
                     request.queue_span.end(outcome="cancelled")
                 request.trace.finish("cancelled")
+        if clients:
+            self.telemetry.record_cancelled(clients)
         if cancelled:
-            self.telemetry.record_cancelled(len(cancelled))
             by_lane: Dict[int, int] = {}
             for request in cancelled:
                 by_lane[request.lane] = by_lane.get(request.lane, 0) + 1
@@ -950,7 +966,7 @@ class MicroBatchScheduler:
                 # Read-margin stats for this sample, derived from the
                 # currents the read already produced — sampled traces
                 # only, so the untraced hot path never touches them.
-                margin, signal = sample_margin(_span_currents(report)[i])
+                margin, signal = sample_margin(report_currents(report)[i])
                 if margin == margin:  # NaN never leaks into dumps
                     attrs["margin"] = margin
                     attrs["signal"] = signal
@@ -962,16 +978,16 @@ class MicroBatchScheduler:
         # (replica served, failovers, mark-down of the failed chain), and
         # before any future resolves, so a client reading stats() after
         # its result sees them.  A chunk's rows sit together in the
-        # queue, so a batch usually holds one or two records.
-        attempt, run = None, 0
-        for request in group:
-            if request.attempt is not attempt:
-                if attempt is not None:
-                    attempt.served(run)
-                attempt, run = request.attempt, 0
-            run += 1
-        if attempt is not None:
-            attempt.served(run)
+        # queue, so a batch usually holds one or two records.  Only
+        # client requests complete here: a record's served() says how
+        # many of its rows are.
+        completed: List[_Request] = []
+        for attempt, run in itertools.groupby(
+            group, operator.attrgetter("attempt")
+        ):
+            run = list(run)
+            if attempt is None or attempt.served(len(run)):
+                completed += run
         for i, request in enumerate(group):
             request.future.set_result(
                 ServedResult(
@@ -982,9 +998,10 @@ class MicroBatchScheduler:
                     _index=i,
                 )
             )
-        self.telemetry.record_batch(
-            str(key),
-            size,
-            latencies_s=np.array([finished - r.enqueued_at for r in group]),
-            max_batch=self.policy.max_batch,
-        )
+        self.telemetry.record_executed(size, max_batch=self.policy.max_batch)
+        if completed:
+            self.telemetry.record_completed(
+                model,
+                len(completed),
+                latencies_s=[finished - r.enqueued_at for r in completed],
+            )

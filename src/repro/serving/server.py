@@ -370,12 +370,7 @@ class FeBiMServer:
         """
         deployment = self.router.deployment_for(name, version)
         if deployment is not None:
-            levels = np.asarray(evidence_levels, dtype=int)
-            if levels.ndim != 1:
-                raise ValueError(
-                    f"submit takes one 1-D sample, got shape {levels.shape}"
-                )
-            return self.router.submit(deployment, levels, client=client)
+            return self.router.submit(deployment, evidence_levels, client=client)
         return self.scheduler.submit(self._route(name, version), evidence_levels)
 
     def submit_many(
@@ -394,13 +389,9 @@ class FeBiMServer:
         """
         deployment = self.router.deployment_for(name, version)
         if deployment is not None:
-            levels = np.asarray(evidence_levels, dtype=int)
-            if levels.ndim != 2:
-                raise ValueError(
-                    f"submit_many takes (n, features) samples, got "
-                    f"{levels.shape}"
-                )
-            return self.router.submit_many(deployment, levels, client=client)
+            return self.router.submit_many(
+                deployment, evidence_levels, client=client
+            )
         return self.scheduler.submit_many(
             self._route(name, version), evidence_levels
         )

@@ -358,7 +358,14 @@ class Telemetry:
         latencies_s: Optional[np.ndarray] = None,
         max_batch: Optional[int] = None,
     ) -> None:
-        """One executed micro-batch of ``size`` completed requests.
+        """One executed micro-batch of ``size`` completed requests:
+        :meth:`record_executed` plus :meth:`record_completed`."""
+        self.record_executed(size, max_batch)
+        self.record_completed(model, size, latencies_s)
+
+    def record_executed(self, size: int, max_batch: Optional[int] = None) -> None:
+        """One executed micro-batch of ``size`` rows, for the batch and
+        occupancy counters only.
 
         ``max_batch`` is the *executing scheduler's* coalescing limit;
         occupancy is accumulated against it (falling back to this
@@ -369,10 +376,6 @@ class Telemetry:
             self._batches += 1
             self._batched_samples += size
             self._occupancy_sum += size / (max_batch or self.max_batch)
-            self._completed += size
-            self._per_model[model] = self._per_model.get(model, 0) + size
-            if latencies_s is not None:
-                self._latencies.extend(float(v) for v in latencies_s)
 
     def record_completed(
         self,
@@ -380,12 +383,14 @@ class Telemetry:
         n: int = 1,
         latencies_s: Optional[np.ndarray] = None,
     ) -> None:
-        """``n`` requests completed *without* a local micro-batch.
+        """``n`` client requests completed, with their end-to-end
+        latencies.
 
-        The cluster front end's accounting hook: the executing batch
-        ran in a worker process (counted in the worker's own
-        telemetry), so the front end records completion and end-to-end
-        latency only — never phantom batches or occupancy.
+        Separate from :meth:`record_executed` because the two need not
+        match: a mirror participant's row runs in a batch but its
+        client request completes when the vote resolves, and a cluster
+        front end completes rows whose batch ran in a worker process
+        (counted in the worker's own telemetry).
         """
         with self._lock:
             self._completed += n

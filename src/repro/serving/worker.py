@@ -47,9 +47,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.reliability.observability import margin_signal
+from repro.reliability.observability import margin_signal, report_currents
 from repro.serving.deployment import Deployment, ReplicaSpec
-from repro.serving.health import _report_currents
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import Router
 from repro.serving.scheduler import BatchPolicy, _Request
@@ -188,7 +187,7 @@ def _result_columns(outcomes: list) -> Dict[str, list]:
     for report, rows, index in by_report.values():
         index = np.asarray(index)
         try:
-            margins = margin_signal(_report_currents(report)[index])[0]
+            margins = margin_signal(report_currents(report)[index])[0]
         except Exception:  # noqa: BLE001 — a margin never fails a reply
             margins = np.full(len(index), np.nan)
         for name, values in (

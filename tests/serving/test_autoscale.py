@@ -388,7 +388,7 @@ class TestRouterOverload:
         # Pin every request to one replica (the cost policy would just
         # balance around the backlog), then park and fill that replica.
         dep = server.router.deployment_for("iris")
-        pinned = server.router._pick(dep, "alice").index
+        pinned = server.router.plane.pick(dep, "alice").index
         gate = gates[pinned]
         gate.armed = True
         first = server.submit("iris", SAMPLE, client="alice")

@@ -234,10 +234,13 @@ class TestClusterBehaviour:
             assert {s.state for s in cluster.status("iris")} == {"healthy"}
 
     def test_mirror_votes_across_workers(self, registry_root):
+        """Mirror on process placement: each client request is counted
+        once, and the votes are the ones a local mirror casts."""
         dep = process_deployment(
             ReplicaSpec("fefet"), ReplicaSpec("ideal"), ReplicaSpec("cmos"),
             policy=RoutingPolicy("mirror", mirror_weighted=True),
         )
+        rows = np.random.default_rng(9).integers(0, 4, size=(10, 3))
         with ClusterServer(
             registry_root, policy=POLICY, seed=0, maintenance_period_s=None
         ) as cluster:
@@ -248,6 +251,33 @@ class TestClusterBehaviour:
             assert len(result.votes) == 3
             assert result.agreement == 1.0
             assert cluster.stats().mirror_votes == 1
+
+            remote = [cluster.predict("iris", row, timeout=30) for row in rows]
+            snap = cluster.stats()
+            assert snap.submitted == snap.completed == snap.mirror_votes == 11
+            assert snap.failed == 0
+            assert balanced(snap)
+
+            doomed = cluster.submit("iris", rows[0])
+            cancelled = doomed.cancel()
+            # Each replica answers in order, so once a later vote has
+            # resolved, the cancelled one has been accounted too.
+            cluster.predict("iris", rows[1], timeout=30)
+            snap = cluster.stats()
+            assert snap.cancelled == int(cancelled)
+            assert snap.mirror_votes == 13 - int(cancelled)
+            assert balanced(snap) and snap.in_flight == 0
+
+        with FeBiMServer(
+            ModelRegistry(registry_root), policy=POLICY, seed=0
+        ) as server:
+            server.deploy(Deployment("iris", list(dep.replicas), dep.policy))
+            local = [server.predict("iris", row, timeout=10) for row in rows]
+
+        def vote(r):
+            return (r.prediction, r.votes, r.agreement, r.delay, r.energy_total)
+
+        assert [vote(r) for r in remote] == [vote(r) for r in local]
 
 
 @pytest.fixture(scope="module")
@@ -476,6 +506,15 @@ class TestPlacementGuards:
             serve_deployment(
                 ModelRegistry(registry_root), dep, heartbeat_period_s=0.1
             )
+
+    def test_process_placement_refuses_gradual_drains(self, registry_root):
+        """Cluster replicas retire at once, so the router adapter the
+        autoscaler drives refuses drain_steps rather than drop it."""
+        with ClusterServer(
+            registry_root, policy=POLICY, maintenance_period_s=None
+        ) as cluster:
+            with pytest.raises(DeploymentError, match="process placement"):
+                cluster.router.retire_replica("iris", 0, drain_steps=3)
 
     def test_placement_spec_validation(self):
         with pytest.raises(DeploymentError, match="placement"):

@@ -16,7 +16,6 @@ from repro.serving import (
     ReplicaSpec,
     RoutingPolicy,
 )
-from repro.serving.router import result_margin
 
 POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
 SAMPLE = np.array([0, 1, 2])
@@ -76,7 +75,7 @@ class TestWeightedMirror:
             "iris", [ReplicaSpec("fefet")], RoutingPolicy("cost"),
         ))
         result = server.predict("iris", SAMPLE, timeout=10)
-        margin = result_margin(result)
+        margin = result.margin
         assert math.isfinite(margin)
         assert margin >= 0.0
 

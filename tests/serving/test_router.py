@@ -161,13 +161,13 @@ class TestRoutingPolicies:
         router = server.router
         dep = router.deployment_for("iris")
         clients = [f"tenant-{i}" for i in range(200)]
-        before = {c: router._pick(dep, c).index for c in clients}
+        before = {c: router.plane.pick(dep, c).index for c in clients}
         # Every replica should anchor a non-trivial share.
         shares = {i: sum(1 for v in before.values() if v == i) for i in range(4)}
         assert all(share >= 10 for share in shares.values()), shares
 
         router.retire_replica("iris", 2)
-        after = {c: router._pick(dep, c).index for c in clients}
+        after = {c: router.plane.pick(dep, c).index for c in clients}
         moved = [c for c in clients if before[c] != after[c]]
         # Minimal disruption: exactly the orphaned clients move, no one
         # else — and they are ~1/N of the population.
@@ -184,9 +184,9 @@ class TestRoutingPolicies:
         router = server.router
         dep = router.deployment_for("iris")
         clients = [f"tenant-{i}" for i in range(200)]
-        before = {c: router._pick(dep, c).index for c in clients}
+        before = {c: router.plane.pick(dep, c).index for c in clients}
         router.add_replica("iris", ReplicaSpec("ideal"))
-        after = {c: router._pick(dep, c).index for c in clients}
+        after = {c: router.plane.pick(dep, c).index for c in clients}
         moved = [c for c in clients if before[c] != after[c]]
         # Growth only pulls clients toward the new replica.
         assert all(after[c] == 4 for c in moved), "client moved sideways"
@@ -240,6 +240,46 @@ class TestRoutingPolicies:
         assert states["iris@v1#r0[ideal]"] == "down"
         follow_up = server.predict("iris", SAMPLE, timeout=5)
         assert len(follow_up.votes) == 1
+
+    def test_mirror_counts_each_client_request_once(self, server):
+        """A mirrored request is one client request however many
+        replicas vote on it — also when a participant dies and when the
+        client cancels."""
+        deploy(
+            server,
+            *[ReplicaSpec("ideal") for _ in range(3)],
+            policy=RoutingPolicy("mirror"),
+        )
+
+        def balanced(snap):
+            return snap.submitted == (
+                snap.completed + snap.failed + snap.shed_requests
+                + snap.cancelled
+            )
+
+        for _ in range(10):
+            server.submit("iris", SAMPLE).result(timeout=10)
+        snapshot = server.stats()
+        assert snapshot.submitted == snapshot.completed == 10
+        assert snapshot.mirror_votes == 10
+
+        server.router.kill_replica("iris", 2)
+        futures = [server.submit("iris", SAMPLE) for _ in range(10)]
+        assert all(f.exception(timeout=10) is None for f in futures)
+        assert server.drain(timeout=10)
+        snapshot = server.stats()
+        assert snapshot.failed == 0
+        assert snapshot.submitted == snapshot.completed == 20
+        assert balanced(snapshot)
+
+        with server.router.quiesce_model("iris"):
+            doomed = server.submit("iris", SAMPLE)
+            assert doomed.cancel()
+        assert server.drain(timeout=10)
+        snapshot = server.stats()
+        assert snapshot.cancelled == 1
+        assert snapshot.mirror_votes == 20
+        assert balanced(snapshot) and snapshot.in_flight == 0
 
     def test_mirror_fanout_limits_participants(self, server):
         deploy(
