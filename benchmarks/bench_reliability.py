@@ -43,7 +43,7 @@ from repro.reliability import (
     format_campaign,
     run_campaign,
 )
-from repro.serving import FeBiMServer, HealthMonitor, ModelRegistry
+from repro.serving import FeBiMServer, ModelRegistry
 
 FAULT_RATES = (0.0, 0.01, 0.05)
 AGES_S = (1e4, 1e6, 3.15e7, 3.15e8)  # 2.8 h .. 10 years
@@ -153,9 +153,9 @@ def run_healing_demo():
         registry = ModelRegistry(tmp)
         pipe.register_into(registry, "iris")
         with FeBiMServer(registry, seed=42) as server:
-            monitor = HealthMonitor(server, max_current_shift=0.05)
+            server.router.max_current_shift = 0.05
             canaries = pipe.transform_levels(X_te[:32])
-            monitor.install("iris", canaries)
+            server.router.install_canaries("iris", canaries)
             engine = server.engine_for("iris")
             baseline = engine.infer_batch(canaries).predictions.copy()
 
@@ -166,8 +166,8 @@ def run_healing_demo():
                 column, mode="off"
             )
 
-            detect = monitor.check("iris")
-            final = monitor.check("iris")
+            detect = server.router.check_replica("iris", 0)
+            final = server.router.check_replica("iris", 0)
             served = np.array(
                 [
                     server.predict("iris", level).prediction
@@ -183,7 +183,7 @@ def check_healing(detect, final, bit_identical, snapshot) -> None:
     # Detected: the sweep saw the stuck column...
     assert detect.action == "replace", detect
     # ...refresh alone was correctly insufficient (stuck hardware), so
-    # the monitor escalated to replacement, which healed it.
+    # the heal ladder escalated to replacement, which healed it.
     assert detect.healed
     assert snapshot.refreshes >= 1 and snapshot.replacements >= 1
     # Pristine accuracy restored: the post-heal sweep is clean and the

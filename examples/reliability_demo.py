@@ -15,8 +15,10 @@ each one:
    cumulative program cycles until the spec's top state is physically
    unreachable;
 4. **self-healing serving** — the same faults hit a *live served*
-   model: canaries detect, the monitor escalates refresh -> replace,
-   traffic returns to bit-identical results.
+   model: caller-installed canaries (``Router.install_canaries``)
+   detect, the router's heal ladder (``Router.check_replica``)
+   escalates refresh -> replace, traffic returns to bit-identical
+   results.
 
 Run with::
 
@@ -33,7 +35,6 @@ from repro import (
     FaultSpec,
     FeBiMPipeline,
     FeBiMServer,
-    HealthMonitor,
     ModelRegistry,
     WearState,
     load_iris,
@@ -110,10 +111,11 @@ def main() -> None:
         registry = ModelRegistry(tmp)
         served_pipe.register_into(registry, "iris")
         with FeBiMServer(registry, seed=42) as server:
-            monitor = HealthMonitor(server, max_current_shift=0.05)
+            server.router.max_current_shift = 0.05
             canaries = served_pipe.transform_levels(X_te[:32])
-            monitor.install("iris", canaries)
-            print(f"canaries installed: {monitor.check('iris')}")
+            server.router.install_canaries("iris", canaries)
+            print(f"canaries installed: "
+                  f"{server.router.check_replica('iris', 0)}")
             live = server.engine_for("iris")
             masks = live.layout.active_columns_batch(canaries)
             column = int(np.argmax(masks.sum(axis=0)))
@@ -121,11 +123,12 @@ def main() -> None:
                 column, mode="off"
             )
             print(f"killed bitline {column} of the live engine")
-            report = monitor.check("iris")
+            report = server.router.check_replica("iris", 0)
             print(f"sweep: shift {report.current_shift * 100:.1f} % -> "
                   f"action={report.action}, healed={report.healed}")
-            print(f"post-heal sweep: {monitor.check('iris').action} "
-                  f"(accuracy {monitor.check('iris').accuracy * 100:.0f} %)")
+            final = server.router.check_replica("iris", 0)
+            print(f"post-heal sweep: {final.action} "
+                  f"(accuracy {final.accuracy * 100:.0f} %)")
             print(server.stats().format_lines())
 
 

@@ -45,8 +45,10 @@
 #      the survivor and the process respawned, all on the flight record;
 #  13. layer-ledger gate — perfbench/run.py --workload iris-bulk --trace 1
 #      (2 s): routed FeBiMServer.submit_many keeps within reach of the
-#      legacy undeployed path on the same rows,
-#      ledger.router_sps >= 0.7 x ledger.legacy_sps, and the same rows
+#      undeployed model's path on the same rows (now an implicit
+#      one-replica deployment), ledger.router_sps >= 0.7 x
+#      ledger.legacy_sps, and of a bare MicroBatchScheduler,
+#      ledger.router_sps >= 0.7 x ledger.scheduler_sps; the same rows
 #      over the wire (ClusterServer.submit_many to one worker process,
 #      block frames) keep within reach of the routed path,
 #      ledger.cluster_sps >= 0.5 x ledger.router_sps — ratios between
@@ -118,15 +120,20 @@ import sys
 result = json.loads(sys.argv[1])
 router = result["metrics"]["ledger.router_sps"]["value"]
 legacy = result["metrics"]["ledger.legacy_sps"]["value"]
+scheduler = result["metrics"]["ledger.scheduler_sps"]["value"]
 cluster = result["metrics"]["ledger.cluster_sps"]["value"]
 print(f"ledger: router {router:.0f} sps / legacy {legacy:.0f} sps "
       f"= {router / legacy:.2f} (gate >= 0.70)")
+print(f"ledger: router {router:.0f} sps / scheduler {scheduler:.0f} sps "
+      f"= {router / scheduler:.2f} (gate >= 0.70)")
 print(f"ledger: cluster {cluster:.0f} sps / router {router:.0f} sps "
       f"= {cluster / router:.2f} (gate >= 0.50)")
 if not result["correct"]:
     sys.exit("error: the traced benchmark run served wrong answers")
 if router < 0.7 * legacy:
     sys.exit("error: routed submit_many fell below 0.7x the legacy path")
+if router < 0.7 * scheduler:
+    sys.exit("error: routed submit_many fell below 0.7x a bare scheduler")
 if cluster < 0.5 * router:
     sys.exit("error: cluster submit_many fell below 0.5x the routed path")
 EOF

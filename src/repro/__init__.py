@@ -80,7 +80,6 @@ from repro.reliability import (
 from repro.serving import (
     BatchPolicy,
     FeBiMServer,
-    HealthMonitor,
     MicroBatchScheduler,
     ModelRegistry,
 )
@@ -145,7 +144,6 @@ __all__ = [
     # serving
     "BatchPolicy",
     "FeBiMServer",
-    "HealthMonitor",
     "MicroBatchScheduler",
     "ModelRegistry",
 ]

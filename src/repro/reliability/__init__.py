@@ -21,9 +21,10 @@ modes a production deployment meets after programming:
   (:class:`DeviceHealthLedger`) and the aggregated
   :class:`HardwareGauges` the serving metrics exporter publishes.
 
-The serving-side consumer is :class:`repro.serving.HealthMonitor`,
-which runs canary inputs against live engines and triggers the same
-repairs automatically.  See ``benchmarks/RELIABILITY.md`` for measured
+The serving-side consumer is the heal ladder of
+:meth:`repro.serving.Router.check_replica`, which runs canary inputs
+against every live replica and triggers the same repairs
+automatically.  See ``benchmarks/RELIABILITY.md`` for measured
 curves and ``examples/reliability_demo.py`` for a walkthrough.
 """
 

@@ -10,9 +10,10 @@ two:
 * :class:`MicroBatchScheduler` — a thread-safe queue that coalesces
   pending requests per model into batched crossbar reads under a
   ``max_batch`` / ``max_wait_ms`` policy, resolving per-request futures;
-* :class:`FeBiMServer` — the multi-tenant front end: routing,
-  independent per-model RNG streams, telemetry, graceful drain, and
-  scheduled background health sweeps
+* :class:`FeBiMServer` — the multi-tenant front end: every request
+  routes to a deployment (an undeployed model to its implicit
+  one-replica deployment), independent per-model RNG streams,
+  telemetry, graceful drain, and scheduled background health sweeps
   (:meth:`~repro.serving.server.FeBiMServer.enable_maintenance` /
   :class:`MaintenanceThread`);
 * :class:`Deployment` / :class:`ReplicaSpec` / :class:`RoutingPolicy` —
@@ -28,11 +29,13 @@ two:
   replica's *queue* — the only placement-specific request code (a
   local micro-batch scheduler, or a worker connection);
 * :class:`Router` — the local host of a deployment's replicas: one
-  programmed engine and one micro-batch queue per replica, and the
-  replica heal ladder (refresh -> replace -> evict);
-* :class:`HealthMonitor` — canary health checks over the served
-  engines with an automatic refresh -> replace repair ladder (the
-  serving face of :mod:`repro.reliability`);
+  programmed engine and one micro-batch queue per replica, implicit
+  one-replica deployments for undeployed models, and the one heal
+  ladder (refresh -> spare repair -> replace -> evict) every replica
+  is swept by, over built-in or caller-installed canaries
+  (:meth:`~repro.serving.router.Router.install_canaries`), with a
+  current-shift and a read-margin early warning — the serving face of
+  :mod:`repro.reliability`, reported as :class:`HealthReport`;
 * :class:`SLOPolicy` / :class:`AutoscaleController` /
   :class:`HardwarePool` — the closed loop: bounded per-replica queues
   with typed :class:`Overloaded` load-shed, priority lanes and
@@ -89,9 +92,7 @@ from repro.serving.deployment import (
 )
 from repro.serving.health import (
     DeploymentPressure,
-    HealthMonitor,
     HealthReport,
-    measure_agreement,
     measure_pressure,
 )
 from repro.serving.observability import (
@@ -113,7 +114,6 @@ from repro.serving.observability import (
 from repro.serving.plane import MirroredResult
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import (
-    ReplicaHealthReport,
     ReplicaStatus,
     Router,
     replica_stream_seed,
@@ -149,7 +149,6 @@ __all__ = [
     "FlightRecorder",
     "HardwarePool",
     "HardwareSlot",
-    "HealthMonitor",
     "HealthReport",
     "MaintenanceThread",
     "MetricsPoint",
@@ -165,7 +164,6 @@ __all__ = [
     "ProtocolError",
     "RemoteServedResult",
     "RemoteWorkerError",
-    "ReplicaHealthReport",
     "ReplicaSpec",
     "ReplicaStatus",
     "Router",
@@ -182,7 +180,6 @@ __all__ = [
     "WorkerLost",
     "format_events",
     "format_trace_dicts",
-    "measure_agreement",
     "measure_pressure",
     "model_stream_seed",
     "parse_prometheus",

@@ -59,6 +59,7 @@ import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.reliability.faults import WearState
 from repro.serving import policy as routing_policy
 from repro.serving.deployment import (
     Deployment,
@@ -263,12 +264,16 @@ class _ReplicaHandle:
     ``queue``) so arbitration code is shared verbatim with the
     in-process router.  ``pending`` counts *front-end* in-flight rows —
     the quantity the cost policy needs, maintained without a round
-    trip; ``queue`` is the current placement's :class:`_RemoteQueue`.
+    trip; ``queue`` is the current placement's :class:`_RemoteQueue`;
+    ``wear`` books one programming cycle per placement, as the local
+    router books one per programming pass.
     """
 
     def __init__(self, model: str, index: int, spec: ReplicaSpec,
-                 worker_id: str, label: str, unit_delay: float):
+                 worker_id: str, label: str, unit_delay: float,
+                 wear: Optional[WearState] = None):
         self.model = model
+        self.wear = wear if wear is not None else WearState()
         self.index = index
         self.spec = spec
         self.worker_id = worker_id
@@ -307,17 +312,6 @@ class _ClusterDeployment:
         return f"{self.name}@v{self.version}"
 
 
-class _NullMonitor:
-    """No single-engine canaries on the front end (workers own the
-    engines); satisfies the MaintenanceThread monitor surface."""
-
-    def installed(self):
-        return []
-
-    def check(self, name, version):  # pragma: no cover — installed() is empty
-        raise KeyError(name)
-
-
 class _ClusterRouterAdapter:
     """The router-shaped facade supervision and autoscale drive.
 
@@ -339,7 +333,7 @@ class _ClusterRouterAdapter:
 
     def add_replica(self, name: str, spec: ReplicaSpec,
                     wear=None, index=None) -> ReplicaStatus:
-        return self._cluster.add_replica(name, spec, index=index)
+        return self._cluster.add_replica(name, spec, wear=wear, index=index)
 
     def retire_replica(self, name: str, index: int,
                        timeout=None, drain_steps: int = 1) -> ReplicaStatus:
@@ -422,7 +416,7 @@ class ClusterServer(DeploymentTable):
         # test substitute a subclass that counts how often each resolves.
         self.plane = RequestPlane(
             self.telemetry, self.policy.max_batch, self._lock,
-            self.deployment_for, Future,
+            lambda dep: self.deployment_for(dep.name), Future,
         )
         self._closed = False
         self._ctx = multiprocessing.get_context("spawn")
@@ -682,6 +676,7 @@ class ClusterServer(DeploymentTable):
                     label=row["replica"],
                     unit_delay=float(row["unit_delay_s"]),
                 )
+                handle.wear.add_cycles(1)  # the worker's apply programmed it
                 handle.queue = _RemoteQueue(self, handle, worker)
                 handles.append(handle)
         handles.sort(key=lambda r: r.index)
@@ -728,12 +723,18 @@ class ClusterServer(DeploymentTable):
             unit_delay_s=r.unit_delay,
             pending=r.pending,
             index=r.index,
+            wear_fraction=r.wear.fraction_used,
         )
 
     # ------------------------------------------------------------ elasticity
     def add_replica(self, name: str, spec: ReplicaSpec,
-                    index: Optional[int] = None) -> ReplicaStatus:
-        """Grow ``name`` by one replica on the least-loaded worker."""
+                    index: Optional[int] = None,
+                    wear: Optional[WearState] = None) -> ReplicaStatus:
+        """Grow ``name`` by one replica on the least-loaded worker.
+
+        An optional ``wear`` ledger (a
+        :class:`~repro.serving.autoscale.HardwareSlot`'s) becomes the
+        replica's, and its placement books one programming cycle."""
         dep = self._deployment(name)
         with self._lock:
             if index is None:
@@ -742,7 +743,7 @@ class ClusterServer(DeploymentTable):
             replica = _ReplicaHandle(
                 model=name, index=index, spec=spec, worker_id="",
                 label=f"{name}@v{dep.version}/r{index}[{spec.backend}]",
-                unit_delay=float("inf"),
+                unit_delay=float("inf"), wear=wear,
             )
             replica.state = UNPLACED
             dep.replicas = dep.replicas + [replica]
@@ -938,6 +939,7 @@ class ClusterServer(DeploymentTable):
                 if replica.state == PLACING:
                     replica.state = UNPLACED
             return False
+        replica.wear.add_cycles(1)  # one programming pass
         with self._lock:
             replica.label = row["replica"]
             replica.unit_delay = float(row["unit_delay_s"])
@@ -1039,7 +1041,6 @@ class ClusterServer(DeploymentTable):
         cadence, reusing the stock MaintenanceThread loop."""
         self.stop_maintenance()
         self.maintenance = MaintenanceThread(
-            _NullMonitor(),
             period_s,
             telemetry=self.telemetry,
             router=self.router,

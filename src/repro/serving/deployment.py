@@ -617,10 +617,11 @@ def single_replica_deployment(
     backend_options: Optional[dict] = None,
     version: Optional[int] = None,
 ) -> Deployment:
-    """The implicit legacy tenancy model as an explicit spec.
+    """The implicit deployment of an undeployed model, as a spec.
 
     ``server.register(...)`` / ``submit(...)`` callers are served
-    through exactly this shape: one replica on the registry's own
+    through exactly this shape (:meth:`~repro.serving.router.Router.
+    serving` builds it on first use): one replica on the registry's own
     backend, cost policy (degenerate over one replica).
     """
     return Deployment(

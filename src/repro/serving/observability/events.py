@@ -44,7 +44,7 @@ EVENT_KINDS = frozenset(
         # routing (router)
         "failover",  # one replica attempt failed; its rows resubmitted
         "replica_down",  # replica marked down after a confirmed failure
-        # health (monitor / replica heal ladder)
+        # health (the router's replica heal ladder)
         "canary_failure",  # a sweep found the engine off its baseline
         "refresh",  # rung 1: reprogram in place
         "replace",  # rung 2: fresh hardware, same stream seed

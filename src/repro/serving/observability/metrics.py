@@ -246,7 +246,8 @@ class MetricsSampler:
 
 
 def count_replicas(server) -> int:
-    """Serviceable replicas across all deployments (legacy path = 1)."""
+    """Serviceable replicas across applied deployments (at least 1: an
+    undeployed model is served by one implicit replica)."""
     router = getattr(server, "router", None)
     if router is None:
         return 1

@@ -88,7 +88,8 @@ class DeploymentTable:
 
         ``None`` when the model is undeployed *or* the caller pinned a
         version other than the one the deployment resolved at apply
-        time (a local server serves such pins through its legacy path).
+        time (a local server serves such pins through an implicit
+        deployment).
         """
         with self._lock:
             dep = self._deployments.get(name)
@@ -225,11 +226,12 @@ class RequestPlane:
 
     ``telemetry`` is the owner's counters and event bus, ``max_batch``
     the rows per ``submit_many`` chunk, ``lock`` the owner's
-    replica-state lock, ``live(name)`` the owner's current deployment of
-    a model (so rows routed under a deployment replaced mid-flight fail
-    over onto the replacement's replicas) and ``future`` the class
-    client futures are built from.  Deployments expose ``name`` /
-    ``version`` / ``route`` / ``spec`` / ``replicas`` / ``rr_counter``;
+    replica-state lock, ``live(dep)`` the owner's deployment now serving
+    in ``dep``'s place, or ``None`` (so rows routed under a deployment
+    replaced mid-flight fail over onto the replacement's replicas) and
+    ``future`` the class client futures are built from.  Deployments
+    expose ``name`` / ``version`` / ``route`` / ``spec`` / ``replicas``
+    / ``rr_counter``;
     replicas the policy core's candidate surface plus ``label`` and
     ``queue``.  :attr:`tracer` (``None`` = off) samples traces that
     follow a routed row across every failover hop; mirror fan-out is not
@@ -237,7 +239,7 @@ class RequestPlane:
     """
 
     def __init__(self, telemetry, max_batch: int, lock,
-                 live: Callable[[str], object], future=Future):
+                 live: Callable[[object], object], future=Future):
         self.telemetry = telemetry
         self.max_batch = max_batch
         self._lock = lock
@@ -355,7 +357,7 @@ class RequestPlane:
         and the last error reaches the clients.
         """
         claimed = attempt.claimed or ran
-        dep = self._live(attempt.dep.name) or attempt.dep
+        dep = self._live(attempt.dep) or attempt.dep
         fallback = next(
             (r for r in routing_policy.serviceable(dep.replicas)
              if r not in attempt.attempted),

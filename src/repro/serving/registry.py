@@ -109,6 +109,10 @@ class ModelRegistry:
         # dropped by invalidate(); registrations made by *other
         # processes* become visible after invalidate(name).
         self._latest: Dict[str, int] = {}
+        # Invalidation stamps (see generation()): per name, plus an
+        # epoch that invalidate() of every name moves.
+        self._generations: Dict[str, int] = {}
+        self._epoch = 0
 
     # ---------------------------------------------------------- persistence
     def _model_dir(self, name: str) -> Path:
@@ -270,7 +274,7 @@ class ModelRegistry:
         resolve to the registry defaults, so a single-replica
         deployment on the registry backend shares the *same cache
         entry* (and therefore the same programmed engine object) as a
-        legacy lookup.
+        lookup without overrides.
 
         Engines are cached (LRU) when the configuration is hashable and
         reproducible: ``seed`` of ``None``/``int`` and default
@@ -336,6 +340,7 @@ class ModelRegistry:
 
     # ------------------------------------------------------------ cache admin
     def _invalidate_locked(self, name: str) -> None:
+        self._generations[name] = self._generations.get(name, 0) + 1
         self._latest.pop(name, None)
         for key in [k for k in self._engines if k[0] == name]:
             del self._engines[key]
@@ -346,10 +351,18 @@ class ModelRegistry:
         the registry directory."""
         with self._lock:
             if name is None:
+                self._epoch += 1
                 self._engines.clear()
                 self._latest.clear()
             else:
                 self._invalidate_locked(name)
+
+    def generation(self, name: str) -> tuple:
+        """A stamp that changes whenever ``name``'s engines are
+        invalidated (:meth:`register`, :meth:`unregister`,
+        :meth:`invalidate`): holders of engines built outside the cache
+        compare it to know when to rebuild."""
+        return self._epoch, self._generations.get(name, 0)
 
     def cached_engines(self) -> List[tuple]:
         """Cache keys currently alive, least- to most-recently used."""

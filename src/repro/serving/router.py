@@ -21,18 +21,23 @@ a replica's queue is its scheduler bound to its key:
   predictions (:class:`~repro.serving.plane.MirroredResult`), the
   reliability mode.
 
+A model nobody deployed is served all the same: :meth:`Router.serving`
+builds it an *implicit* one-replica ``cost`` deployment on the
+registry's backend on first use, kept per ``(name, version)`` until the
+registry invalidates the model or the sweep evicts its replica, whose
+replica keeps the ``name@vN`` routing key.  So every request takes the
+routed path and every replica is swept by one heal ladder.
+
 Failures route around automatically on two timescales.  Per request,
 the plane resubmits a replica attempt that errors to another replica
 (the client future never sees the internal failure; telemetry records
 a *failover*), and marks down a replica that failed a request another
 replica then served — its queue drains through the same failover path
-while new traffic skips it.  Per sweep,
-:meth:`Router.check_replica` runs the canary heal ladder one rung
-deeper than the single-engine
-:class:`~repro.serving.health.HealthMonitor`: **refresh** (reprogram in
-place), **replace** (fresh hardware, same stream seed), and finally
-**evict** — the replica is removed from the routing set for good and
-the deployment keeps serving on the survivors.
+while new traffic skips it.  Per sweep, :meth:`Router.check_replica`
+runs the canary heal ladder: **refresh** (reprogram in place),
+**spare repair**, **replace** (fresh hardware, same stream seed), and
+finally **evict** — the replica is removed from the routing set for
+good and the deployment keeps serving on the survivors.
 
 Deployments carrying an :class:`~repro.serving.deployment.SLOPolicy`
 get two more behaviours.  Admission control: each replica's scheduler
@@ -55,9 +60,8 @@ import threading
 import time
 import zlib
 from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,15 +72,17 @@ from repro.reliability.observability import (
     DeviceHealthSample,
     MarginProbe,
     MarginReading,
+    _or_none,
     report_currents,
 )
 from repro.serving.deployment import (
     Deployment,
     DeploymentError,
     ReplicaSpec,
+    single_replica_deployment,
     validate_replica_spec,
 )
-from repro.serving.health import agreement_from_predictions
+from repro.serving.health import HealthReport
 from repro.serving.plane import DeploymentTable, RequestPlane
 from repro.serving.policy import (
     DOWN,
@@ -85,10 +91,12 @@ from repro.serving.policy import (
     HEALTHY,
     RETIRED,
 )
-from repro.serving.scheduler import MicroBatchScheduler
+from repro.serving.scheduler import MicroBatchScheduler, SchedulerClosed
 
 #: Canary-set size probed per replica at apply time.
 N_CANARIES = 8
+#: How long a heal-ladder pass waits for a replica's in-flight batch.
+QUIESCE_TIMEOUT_S = 30.0
 
 
 class ReplicaKey(NamedTuple):
@@ -100,6 +108,18 @@ class ReplicaKey(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.name}@v{self.version}#r{self.replica}"
+
+
+class RouteKey(NamedTuple):
+    """A resolved routing identity, model name plus pinned version: the
+    key of an implicit deployment's one replica, so its results and
+    counters read ``name@vN``."""
+
+    name: str
+    version: int
+
+    def __str__(self) -> str:
+        return f"{self.name}@v{self.version}"
 
 
 @dataclass(frozen=True)
@@ -128,38 +148,6 @@ class ReplicaStatus:
         }
 
 
-@dataclass(frozen=True)
-class ReplicaHealthReport:
-    """Outcome of one replica heal-ladder pass (``check_replica``).
-
-    ``signal_ratio`` / ``margin`` are the replica's read-margin stats
-    from the *last* canary read of the pass (post-repair when the
-    ladder ran) — NaN when the replica could not be read at all.
-    """
-
-    replica: str
-    state: str
-    agreement: float
-    action: str  # "ok" | "refresh" | "spare_repair" | "replace" | "evict"
-    healed: bool
-    signal_ratio: float = float("nan")
-    margin: float = float("nan")
-
-    def to_dict(self) -> dict:
-        return {
-            "replica": self.replica,
-            "state": self.state,
-            "agreement": self.agreement,
-            "action": self.action,
-            "healed": self.healed,
-            "signal_ratio": (
-                None if self.signal_ratio != self.signal_ratio
-                else self.signal_ratio
-            ),
-            "margin": None if self.margin != self.margin else self.margin,
-        }
-
-
 class KilledReplicaError(RuntimeError):
     """Raised when a batch resolves an engine on a killed replica."""
 
@@ -185,7 +173,7 @@ class _Replica:
         self,
         index: int,
         spec: ReplicaSpec,
-        key: ReplicaKey,
+        key: NamedTuple,
         wear: Optional[WearState] = None,
     ):
         self.index = index
@@ -203,7 +191,10 @@ class _Replica:
         self.drain_steps = 0
         self.engine = None
         self.unit_delay = float("inf")
+        # Canary baseline: predictions and wordline currents of the
+        # deployment's canaries on this replica while it was pristine.
         self.baseline: Optional[np.ndarray] = None
+        self.currents: Optional[np.ndarray] = None
         # Pure bookkeeping ledgers (crossbar=None): programming cycles
         # and in-service age are counted without ever rewriting the
         # live template — serving stays bit-identical.
@@ -246,10 +237,15 @@ class _AppliedDeployment:
         version: int,
         replicas: List[_Replica],
         canaries: np.ndarray,
+        implicit: bool = False,
     ):
         self.spec = spec
         self.name = spec.model
         self.version = version
+        # Built by Router.serving for an undeployed route, not applied;
+        # rebuilt once the registry's generation of the model moves.
+        self.implicit = implicit
+        self.generation = None
         # Never mutated in place: add/retire swap in a fresh list so
         # lock-free readers of the reference stay consistent.
         self.replicas = replicas
@@ -272,9 +268,10 @@ def replica_stream_seed(
 
     Replica 0 uses the unmodified per-tenant stream
     (:func:`~repro.serving.server.model_stream_seed`) so a
-    single-replica deployment materialises the bit-identical engine the
-    legacy path serves; higher replicas extend the entropy tuple with
-    their index for statistically independent streams.
+    single-replica deployment materialises the bit-identical engine an
+    undeployed model's implicit deployment serves; higher replicas
+    extend the entropy tuple with their index for statistically
+    independent streams.
     """
     from repro.serving.server import model_stream_seed
 
@@ -301,13 +298,14 @@ class Router(DeploymentTable):
         batch policy, telemetry and seed the router shares.  Engines
         materialise through the registry (per-replica backend
         overrides), so a single-replica deployment on the registry's
-        own backend shares the legacy path's cache entry — and its
-        programmed engine object — bit for bit.
+        own backend is bit for bit the implicit deployment of the same
+        route.
 
     Thread safety: deployment application/removal and replica state
     transitions take the router lock; the submit hot path reads the
     replica list without copying (replica lists are never mutated in
-    place — eviction flips a state flag).
+    place — eviction flips a state flag).  Heal-ladder passes and
+    canary installs run one at a time.
 
     :attr:`plane` routes every request (``submit`` / ``submit_many``
     delegate to it); :attr:`tracer` is its request tracer.
@@ -317,24 +315,48 @@ class Router(DeploymentTable):
         self.server = server
         self._lock = threading.Lock()
         self._deployments: Dict[str, _AppliedDeployment] = {}
+        # Implicit one-replica deployments by (name, version), and the
+        # canary sets callers installed on them (a rebuild keeps them).
+        self._implicit: Dict[Tuple[str, int], _AppliedDeployment] = {}
+        self._installed: Dict[Tuple[str, int], np.ndarray] = {}
+        self._build_lock = threading.Lock()
+        self._heal_lock = threading.Lock()
+        self._closed = False
         # Test/benchmark hook: wraps every materialised replica engine
         # (e.g. a pacing proxy that models slower hardware).  Leave
         # ``None`` in production.
         self.engine_wrapper = None
         self.plane = RequestPlane(
             server.telemetry, server.policy.max_batch, self._lock,
-            self.deployment_for,
+            self._live,
         )
         # Optional device-health ledger (set by
         # ``server.enable_observability``): every ``hardware_status``
         # sample is recorded into it.  ``None`` costs nothing.
         self.ledger = None
         # Margin floor for the heal ladder: a replica whose canary
-        # signal ratio (vs its apply-time pristine baseline) falls
-        # below this enters the ladder *before* any prediction flips.
-        # 0.0 = observe-only (margins are still measured and exported,
-        # but never trigger repairs).
+        # signal ratio (vs its pristine baseline) falls below this
+        # enters the ladder *before* any prediction flips.  0.0 =
+        # observe-only (margins are still measured and exported, but
+        # never trigger repairs).
         self.min_signal_ratio = 0.0
+        self.max_current_shift = float("inf")
+
+    @property
+    def max_current_shift(self) -> float:
+        """Current-shift ceiling for the heal ladder: a replica whose
+        canary wordline currents moved (mean relative shift from its
+        baseline) by more than this enters the ladder with every
+        prediction intact — FeBiM decisions are robust, so stuck
+        columns and drift show in the analog read long before they flip
+        a decision.  Off (infinite) by default."""
+        return self._max_current_shift
+
+    @max_current_shift.setter
+    def max_current_shift(self, value: float) -> None:
+        if value < 0:
+            raise ValueError("max_current_shift must be >= 0")
+        self._max_current_shift = float(value)
 
     @property
     def tracer(self):
@@ -345,6 +367,98 @@ class Router(DeploymentTable):
     @tracer.setter
     def tracer(self, tracer) -> None:
         self.plane.tracer = tracer
+
+    # --------------------------------------------------------------- lookup
+    def serving(self, name: str, version: Optional[int] = None):
+        """The deployment that serves ``name`` at ``version``.
+
+        The applied deployment when its pinned version matches;
+        otherwise the route's implicit one-replica ``cost`` deployment
+        on the registry's backend, built (programmed and probed) on
+        first use and kept per ``(name, version)``.  ``version=None``
+        follows the latest registered version.  Once the registry
+        invalidates the model (a re-register, an unregister) or the
+        sweep evicts the replica, the next request rebuilds the route —
+        same stream seed, same canaries — and drains the model's stale
+        implicit deployments.  Raises ``KeyError`` for an unknown model
+        and :class:`SchedulerClosed` after :meth:`close`.
+        """
+        dep = self.deployment_for(name, version)
+        if dep is not None:
+            return dep
+        registry = self.server.registry
+        version = registry.resolve_version(name, version)
+        dep = self._implicit.get((name, version))
+        if dep is not None and self._current(dep):
+            return dep
+        with self._build_lock:
+            dep = self._implicit.get((name, version))
+            if dep is not None and self._current(dep):
+                return dep
+            if self._closed:
+                raise SchedulerClosed("router is shut down")
+            generation = registry.generation(name)
+            dep = self._build(
+                single_replica_deployment(name, registry.backend, version=version),
+                version,
+                implicit=True,
+                canaries=self._installed.get((name, version)),
+            )
+            dep.generation = generation
+            with self._lock:
+                stale = self._pop_stale(name)
+                applied = self._deployments.get(name)
+                if applied is not None and applied.version == version:
+                    # apply() won the race and serves this version now.
+                    stale.append(dep)
+                    dep = applied
+                else:
+                    self._implicit[(name, version)] = dep
+        for gone in stale:
+            self._shutdown_deployment(gone)
+        return dep
+
+    def _current(self, dep: _AppliedDeployment) -> bool:
+        """Whether an implicit deployment may keep serving its route:
+        built at the registry's current generation of the model, with a
+        replica the sweep has not evicted."""
+        return dep.generation == self.server.registry.generation(
+            dep.name
+        ) and any(r.state != EVICTED for r in dep.replicas)
+
+    def _pop_stale(self, name: Optional[str] = None) -> List[_AppliedDeployment]:
+        """Unlink the implicit deployments (of ``name``, or every
+        model's) that are no longer :meth:`_current`; the caller holds
+        the lock and drain-shuts them after releasing it."""
+        keys = [
+            key for key, dep in self._implicit.items()
+            if (name is None or key[0] == name) and not self._current(dep)
+        ]
+        return [self._implicit.pop(key) for key in keys]
+
+    def _deployment(self, name: str, version: Optional[int] = None):
+        """The deployment serving ``name`` — applied, or implicit and
+        already built (a control call never builds one)."""
+        dep = self.deployment_for(name, version) or self._implicit.get(
+            (name, self.server.registry.resolve_version(name, version))
+        )
+        return dep or super()._deployment(name, version)
+
+    def _live(self, dep) -> Optional[_AppliedDeployment]:
+        """Where rows routed under ``dep`` fail over: the model's
+        applied deployment — for an implicit deployment, one at its own
+        version, else the route's rebuilt implicit deployment."""
+        if not dep.implicit:
+            return self.deployment_for(dep.name)
+        return self.deployment_for(dep.name, dep.version) or self._implicit.get(
+            (dep.name, dep.version)
+        )
+
+    def _all(self) -> List[_AppliedDeployment]:
+        with self._lock:
+            return list(self._deployments.values()) + list(
+                self._implicit.values()
+            )
 
     # ------------------------------------------------------------ deployment
     def apply(
@@ -367,6 +481,9 @@ class Router(DeploymentTable):
         deployment it owns must mint the *cluster-wide* indices, because
         the per-replica stream seed — and therefore the engine's bits —
         derives from them.
+
+        The deployment supersedes its route's implicit deployment, if
+        one was built: that one drains and shuts down.
         """
         deployment.validate()
         if indices is not None:
@@ -380,14 +497,39 @@ class Router(DeploymentTable):
                 raise DeploymentError(
                     f"replica indices must be unique and >= 0, got {indices}"
                 )
-        registry = self.server.registry
-        version = registry.resolve_version(deployment.model, deployment.version)
-        canaries = self._canary_levels(deployment, version)
+        version = self.server.registry.resolve_version(
+            deployment.model, deployment.version
+        )
+        applied = self._build(deployment, version, indices)
+        with self._lock:
+            previous = self._deployments.get(deployment.model)
+            self._deployments[deployment.model] = applied
+            superseded = self._implicit.pop((deployment.model, version), None)
+        for old in (previous, superseded):
+            if old is not None:
+                self._shutdown_deployment(old)
+        return applied
 
+    def _build(
+        self,
+        deployment: Deployment,
+        version: int,
+        indices: Optional[List[int]] = None,
+        implicit: bool = False,
+        canaries: Optional[np.ndarray] = None,
+    ) -> _AppliedDeployment:
+        """Program and probe every replica of ``deployment`` (on the
+        default canary set unless ``canaries`` is given).  Raises
+        ``KeyError`` for an unregistered version."""
+        default = self._canary_levels(deployment, version)
+        canaries = default if canaries is None else canaries
         replicas: List[_Replica] = []
         for i, spec in enumerate(deployment.replicas):
             index = i if indices is None else indices[i]
-            key = ReplicaKey(deployment.model, version, index)
+            key = (
+                RouteKey(deployment.model, version) if implicit
+                else ReplicaKey(deployment.model, version, index)
+            )
             replica = _Replica(index, spec, key)
             replica.scheduler = self._make_scheduler(replica, deployment)
             try:
@@ -401,15 +543,11 @@ class Router(DeploymentTable):
                     f"for {deployment.model!r} v{version}: {exc}"
                 ) from exc
             replicas.append(replica)
-
-        applied = _AppliedDeployment(deployment, version, replicas, canaries)
+        applied = _AppliedDeployment(
+            deployment, version, replicas, canaries, implicit
+        )
         if indices is not None:
             applied.next_index = max(indices) + 1
-        with self._lock:
-            previous = self._deployments.get(deployment.model)
-            self._deployments[deployment.model] = applied
-        if previous is not None:
-            self._shutdown_deployment(previous)
         return applied
 
     def remove(self, name: str, timeout: Optional[float] = None) -> bool:
@@ -451,7 +589,7 @@ class Router(DeploymentTable):
         spec = replica.spec
         # A replica on the registry's own technology with no options of
         # its own inherits the registry's serving configuration — and
-        # therefore the legacy path's cache key (single-replica
+        # therefore an implicit deployment's cache key (single-replica
         # bit-identity, enforced by tests/serving/test_router.py).
         backend = None if spec.backend == registry.backend else spec.backend
         options = spec.backend_options or (None if backend is None else {})
@@ -463,7 +601,7 @@ class Router(DeploymentTable):
             # shared engine (no real redundancy, and a data race on
             # stateful readers).  A Generator seed keeps the fresh
             # entropy while bypassing the cache; replica 0 stays on the
-            # cached entry the legacy path shares.
+            # cached entry.
             seed = np.random.default_rng()
         engine = registry.get_engine(
             name,
@@ -510,36 +648,62 @@ class Router(DeploymentTable):
         """
         replica.engine = self._materialise(name, version, replica)
         replica.wear.add_cycles(1)  # one programming pass
-        report = replica.engine.infer_batch(canaries)
-        replica.baseline = np.asarray(report.predictions).copy()
+        report = replica.resolve().infer_batch(canaries)
+        self._baseline(replica, report)
         replica.unit_delay = float(np.mean(report.delay))
-        # The same probe read seeds the margin baseline: deploy-time
-        # pristine currents against which every later sweep's signal
-        # ratio is scored.
-        currents = report_currents(report)
+
+    @staticmethod
+    def _baseline(replica: _Replica, report) -> None:
+        """Make a canary read the replica's pristine baseline: the
+        predictions and currents every later sweep is scored against,
+        and the margin probe's reference."""
+        replica.baseline = np.asarray(report.predictions).copy()
+        currents = report_currents(report).copy()
+        replica.currents = currents
         replica.probe = MarginProbe(currents)
         replica.margin_reading = replica.probe.observe(currents)
 
-    @contextmanager
-    def quiesce_model(
-        self, name: str, timeout: Optional[float] = None
-    ) -> Iterator[None]:
-        """Pause every replica queue of ``name``'s deployment (no-op
-        when undeployed) for the body.
+    def install_canaries(
+        self, name: str, levels: np.ndarray, version: Optional[int] = None
+    ) -> int:
+        """Make ``levels`` the canary set of the deployment serving
+        ``name`` (built if it is an implicit one not yet served).
 
-        Engine repairs outside the router — the single-engine
-        :class:`~repro.serving.health.HealthMonitor` ladder — must hold
-        this alongside the legacy scheduler's quiesce: replica 0 of a
-        deployment on the registry backend *shares* the legacy path's
-        cached engine object, so a reprogram under only one scheduler's
-        quiesce would race the other's live batches.
+        Every replica not evicted re-baselines on the set — predictions,
+        currents and margin probe, not its unit delay — with all of the
+        deployment's queues quiesced, so install while the arrays are
+        known good; replicas added later baseline on it too.  All or
+        nothing: when a replica cannot be read (killed, or its queue
+        does not quiesce in time) the install raises and nothing
+        changes — heal the replica first.  Returns the served version.
         """
-        dep = self.deployment_for(name)
-        with contextlib.ExitStack() as stack:
-            if dep is not None:
-                for replica in dep.replicas:
-                    stack.enter_context(replica.scheduler.quiesce(timeout))
-            yield
+        levels = np.array(levels, dtype=int)  # a private copy
+        if levels.ndim != 2 or levels.shape[0] == 0:
+            raise ValueError(
+                f"canary levels must be a non-empty (n, features) matrix, "
+                f"got shape {levels.shape}"
+            )
+        dep = self.serving(name, version)
+        with self._heal_lock, contextlib.ExitStack() as stack:
+            replicas = [r for r in dep.replicas if r.state != EVICTED]
+            reads = []
+            for replica in replicas:
+                try:
+                    stack.enter_context(
+                        replica.scheduler.quiesce(QUIESCE_TIMEOUT_S)
+                    )
+                    reads.append(replica.resolve().infer_batch(levels))
+                except Exception as exc:
+                    raise DeploymentError(
+                        f"cannot install canaries on {dep.route}: replica "
+                        f"{replica.label} could not be read ({exc})"
+                    ) from exc
+            for replica, report in zip(replicas, reads):
+                self._baseline(replica, report)
+            dep.canaries = levels
+            if dep.implicit:
+                self._installed[(dep.name, dep.version)] = levels
+        return dep.version
 
     # ---------------------------------------------------------------- submit
     def submit(self, dep, evidence_levels, client=None) -> "Future":
@@ -549,16 +713,6 @@ class Router(DeploymentTable):
     def submit_many(self, dep, evidence_levels, client=None) -> List["Future"]:
         """Route a stack of samples (:meth:`RequestPlane.submit_many`)."""
         return self.plane.submit_many(dep, evidence_levels, client)
-
-    def _shares_legacy_engine(self, replica: _Replica) -> bool:
-        """Whether this replica's engine is the legacy path's cache
-        entry (replica 0 on the registry's backend with inherited
-        options — the configurations collapse to one cache key)."""
-        return (
-            replica.index == 0
-            and replica.spec.backend == self.server.registry.backend
-            and not replica.spec.backend_options
-        )
 
     # ------------------------------------------------------------- elasticity
     @staticmethod
@@ -612,16 +766,19 @@ class Router(DeploymentTable):
         key = ReplicaKey(dep.name, dep.version, index)
         replica = _Replica(index, spec, key, wear=wear)
         replica.scheduler = self._make_scheduler(replica, dep.spec)
-        try:
-            self._probe(dep.name, dep.version, replica, dep.canaries)
-        except Exception as exc:
-            replica.scheduler.shutdown(drain=False)
-            raise DeploymentError(
-                f"replica {index} ({spec.backend}) failed to materialise "
-                f"for {dep.name!r} v{dep.version}: {exc}"
-            ) from exc
-        with self._lock:
-            dep.replicas = dep.replicas + [replica]
+        # Under the heal lock: a canary install must not re-baseline the
+        # deployment between this probe and the replica joining it.
+        with self._heal_lock:
+            try:
+                self._probe(dep.name, dep.version, replica, dep.canaries)
+            except Exception as exc:
+                replica.scheduler.shutdown(drain=False)
+                raise DeploymentError(
+                    f"replica {index} ({spec.backend}) failed to materialise "
+                    f"for {dep.name!r} v{dep.version}: {exc}"
+                ) from exc
+            with self._lock:
+                dep.replicas = dep.replicas + [replica]
         return self._status_of(replica)
 
     def retire_replica(
@@ -700,9 +857,7 @@ class Router(DeploymentTable):
         statuses of replicas that finalised this sweep.
         """
         finalised: List[_Replica] = []
-        with self._lock:
-            deployed = list(self._deployments.values())
-        for dep in deployed:
+        for dep in self._all():
             for replica in list(dep.replicas):
                 if replica.state != DRAINING:
                     continue
@@ -765,158 +920,167 @@ class Router(DeploymentTable):
         replica.recoverable = bool(recoverable)
         replica.engine = None
 
-    def check_replica(self, name: str, index: int) -> ReplicaHealthReport:
+    def check_replica(self, name: str, index: int) -> HealthReport:
         """One canary sweep over a replica, healing up the full ladder.
 
-        Rungs: **refresh** (reprogram in place — clears drift, cannot
-        fix stuck hardware), **spare repair** (remap BIST-flagged rows
-        onto manufactured spares, when the backend has any — fixes
-        stuck hardware without burning a fresh array), **replace**
-        (drop the cached engine and re-materialise on fresh hardware,
-        same stream seed), **evict** (remove the replica from routing
-        permanently; the deployment keeps serving on the survivors).
-        The ladder is entered on canary disagreement *or* — when
-        :attr:`min_signal_ratio` is raised above its observe-only
-        default of 0 — on read-margin collapse while every prediction
-        is still correct (a ``margin_warning`` flight event marks that
-        early-warning entry).  Repairs run under the replica's own
-        scheduler quiesce so live traffic never reads a
-        half-reprogrammed array.
+        The replica fails the sweep on canary disagreement below the
+        policy's ``min_agreement``, on a current shift above
+        :attr:`max_current_shift`, or on a signal ratio below
+        :attr:`min_signal_ratio` (the last two fire with every
+        prediction still intact: a ``drift_alarm`` or ``margin_warning``
+        flight event marks that early-warning entry).  A failed sweep
+        emits ``canary_failure`` and climbs the rungs: **refresh**
+        (reprogram in place — clears drift, cannot fix stuck hardware),
+        **spare repair** (remap BIST-flagged rows onto manufactured
+        spares, when the backend has any), **replace** (drop the cached
+        engine and re-materialise on fresh hardware, same stream seed),
+        **evict** (remove the replica from routing permanently; the
+        deployment keeps serving on the survivors).  A deployment's last
+        serviceable replica is never evicted once a replace has given it
+        a live engine.  The pass runs under the replica's own scheduler
+        quiesce, so live traffic never reads a half-reprogrammed array.
         """
-        dep = self._deployment(name)
-        replica = self._replica_by_index(dep, index)
-        if replica.state == EVICTED:
-            return ReplicaHealthReport(
-                replica.label, EVICTED, 0.0, action="evict", healed=False
-            )
-        if replica.state == DRAINING:
-            # A draining replica is already leaving: running the heal
-            # ladder on it would waste repairs — or worse, flip it back
-            # to HEALTHY and resurrect a retirement in progress.
-            return ReplicaHealthReport(
-                replica.label, DRAINING, 1.0, action="ok", healed=True
-            )
-        min_agreement = dep.spec.policy.min_agreement
+        return self._check(self._deployment(name), index)
+
+    def _check(self, dep: _AppliedDeployment, index: int) -> HealthReport:
+        with self._heal_lock:
+            replica = self._replica_by_index(dep, index)
+            if replica.state == EVICTED:
+                return HealthReport(
+                    replica.label, EVICTED, 0.0, action="evict", healed=False
+                )
+            if replica.state == DRAINING:
+                # A draining replica is already leaving: running the
+                # heal ladder on it would waste repairs — or worse, flip
+                # it back to HEALTHY and resurrect a retirement in
+                # progress.
+                return HealthReport(
+                    replica.label, DRAINING, 1.0, action="ok", healed=True
+                )
+            # The initial read is quiesced too: a canary read must never
+            # interleave with live batches on stateful readers (an
+            # ``advance_streams`` replica's LFSR draws).
+            with replica.scheduler.quiesce(timeout=QUIESCE_TIMEOUT_S):
+                return self._ladder(dep, replica)
+
+    def _ladder(
+        self, dep: _AppliedDeployment, replica: _Replica
+    ) -> HealthReport:
         telemetry = self.server.telemetry
+        canaries = dep.canaries
+        min_agreement = dep.spec.policy.min_agreement
 
-        def measure() -> float:
-            report = replica.resolve().infer_batch(dep.canaries)
-            failed, agreement = agreement_from_predictions(
-                report.predictions, replica.baseline
+        def read():
+            """One canary read: ``(failed, accuracy, shift)``, with the
+            replica's margin reading refreshed."""
+            report = replica.resolve().infer_batch(canaries)
+            predictions = np.asarray(report.predictions)
+            failed = int(np.count_nonzero(predictions != replica.baseline))
+            accuracy = 1.0 - failed / len(canaries)
+            currents = report_currents(report)
+            reference = replica.currents
+            shift = float(np.mean(
+                np.abs(currents - reference)
+                / np.maximum(np.abs(reference), 1e-30)
+            ))
+            replica.margin_reading = replica.probe.observe(currents)
+            return failed, accuracy, shift
+
+        def healthy(accuracy: float, shift: float) -> bool:
+            # ``not (ratio < floor)``: a NaN ratio (degenerate geometry,
+            # no runner-up class) never fails the margin channel.
+            return (
+                accuracy >= min_agreement
+                and shift <= self.max_current_shift
+                and not (replica.margin_reading.signal_ratio
+                         < self.min_signal_ratio)
             )
-            telemetry.record_health_check(failed)
-            if replica.probe is not None:
-                replica.margin_reading = replica.probe.observe(
-                    report_currents(report)
+
+        def heals() -> bool:
+            try:
+                return healthy(*read()[1:])
+            except Exception:  # noqa: BLE001 — an unreadable replica fails
+                return False
+
+        try:
+            failed, accuracy, shift = read()
+            ratio = replica.margin_reading.signal_ratio
+            margin = replica.margin_reading.margin_p50
+            passed = healthy(accuracy, shift)
+        except Exception:  # noqa: BLE001 — a dead replica answers nothing
+            failed, accuracy, passed = len(canaries), 0.0, False
+            shift = ratio = margin = float("nan")
+        telemetry.record_health_check(failed)
+        found = dict(
+            accuracy=accuracy, current_shift=shift,
+            signal_ratio=ratio, margin=margin,
+        )
+        label = replica.label
+        if accuracy >= min_agreement:
+            if ratio < self.min_signal_ratio:
+                telemetry.emit(
+                    "margin_warning", model=dep.name, replica=label,
+                    signal_ratio=ratio, margin_p50=margin,
                 )
-            return agreement
-
-        def ratio_now() -> float:
-            reading = replica.margin_reading
-            return float("nan") if reading is None else reading.signal_ratio
-
-        def margin_now() -> float:
-            reading = replica.margin_reading
-            return float("nan") if reading is None else reading.margin_p50
-
-        def healthy(agreement: float) -> bool:
-            # NaN ratio (dead replica, degenerate geometry) never fails
-            # the margin channel — agreement already covers dead.
-            return agreement >= min_agreement and not (
-                ratio_now() < self.min_signal_ratio
+            if shift > self.max_current_shift:
+                telemetry.emit(
+                    "drift_alarm", model=dep.name, replica=label, shift=shift,
+                    signal_ratio=_or_none(ratio),
+                )
+        if passed:
+            with self._lock:
+                if replica.state == DOWN:
+                    replica.state = HEALTHY
+            return HealthReport(
+                label, replica.state, action="ok", healed=True, **found
             )
-
-        # The whole check runs quiesced, the initial probe included: a
-        # canary read must never interleave with live batches on
-        # stateful readers (an ``advance_streams`` replica's LFSR
-        # draws), and a failing probe escalates straight into repairs.
-        # When the replica shares its engine object with the legacy
-        # path (same registry cache entry), the legacy scheduler pauses
-        # too — mirroring the dual quiesce HealthMonitor holds — but
-        # unrelated tenants are not stalled for replicas that cannot
-        # share.
-        with contextlib.ExitStack() as quiesced:
-            if self._shares_legacy_engine(replica):
-                quiesced.enter_context(
-                    self.server.scheduler.quiesce(timeout=30.0)
-                )
-            quiesced.enter_context(replica.scheduler.quiesce(timeout=30.0))
+        telemetry.emit(
+            "canary_failure", model=dep.name, replica=label, failed=failed,
+            accuracy=accuracy, shift=_or_none(shift),
+            signal_ratio=_or_none(ratio), margin_p50=_or_none(margin),
+        )
+        # Rung 1: refresh — reprogram in place.
+        action = "refresh"
+        try:
+            refresh_engine(replica.resolve())
+            replica.wear.add_cycles(1)
+            telemetry.record_refresh()
+            telemetry.emit("refresh", model=dep.name, replica=label)
+            healed = heals()
+        except Exception:  # noqa: BLE001
+            healed = False
+        # Rung 2: spare repair — remap BIST-flagged rows onto spares;
+        # skipped silently when the backend has no (free) spares.
+        if not healed and self._try_spare_repair(dep, replica):
+            action = "spare_repair"
+            healed = heals()
+        if not healed:
+            # Rung 3: replace — fresh hardware, same stream seed.  An
+            # unrecoverably killed replica has no slot to put fresh
+            # hardware into; it falls through to eviction.
+            action = "replace"
+            live = False
             try:
-                agreement = measure()
-            except Exception:
-                agreement = 0.0
-            if healthy(agreement):
-                with self._lock:
-                    if replica.state == DOWN:
-                        replica.state = HEALTHY
-                return ReplicaHealthReport(
-                    replica.label, replica.state, agreement,
-                    action="ok", healed=True,
-                    signal_ratio=ratio_now(), margin=margin_now(),
+                if replica.killed and not replica.recoverable:
+                    raise KilledReplicaError(
+                        f"replica {label} is unrecoverable"
+                    )
+                replica.killed = False
+                replica.engine = self._materialise(
+                    dep.name, dep.version, replica, fresh=True
                 )
-            if agreement >= min_agreement:
-                # Predictions intact, margin collapsed: the early
-                # warning armed the ladder before accuracy could flip.
-                telemetry.emit(
-                    "margin_warning",
-                    model=dep.name, replica=replica.label,
-                    signal_ratio=ratio_now(), margin_p50=margin_now(),
-                )
-            else:
-                telemetry.emit(
-                    "canary_failure",
-                    model=dep.name, replica=replica.label,
-                    agreement=agreement,
-                )
-            # Rung 1: refresh — reprogram in place.
-            try:
-                refresh_engine(replica.resolve())
+                live = True
                 replica.wear.add_cycles(1)
-                telemetry.record_refresh()
-                telemetry.emit(
-                    "refresh", model=dep.name, replica=replica.label
-                )
-                agreement = measure()
-            except Exception:
-                agreement = 0.0
-            if healthy(agreement):
-                action = "refresh"
-            else:
-                # Rung 2: spare repair — remap BIST-flagged rows onto
-                # manufactured spares.  Fixes stuck hardware a refresh
-                # cannot, without discarding the array; skipped
-                # silently when the backend has no (free) spares.
-                action = ""
-                if self._try_spare_repair(dep, replica):
-                    try:
-                        agreement = measure()
-                    except Exception:
-                        agreement = 0.0
-                    if healthy(agreement):
-                        action = "spare_repair"
-            if not action:
-                # Rung 3: replace — fresh hardware, same stream seed.
-                # An unrecoverably killed replica has no slot to put
-                # fresh hardware into; fall through to eviction.
-                action = "replace"
-                try:
-                    if replica.killed and not replica.recoverable:
-                        raise KilledReplicaError(
-                            f"replica {replica.label} is unrecoverable"
-                        )
-                    replica.killed = False
-                    replica.engine = self._materialise(
-                        dep.name, dep.version, replica, fresh=True
-                    )
-                    replica.wear.add_cycles(1)
-                    telemetry.record_replacement()
-                    telemetry.emit(
-                        "replace", model=dep.name, replica=replica.label
-                    )
-                    agreement = measure()
-                except Exception:
-                    agreement = 0.0
-            if not healthy(agreement):
+                telemetry.record_replacement()
+                telemetry.emit("replace", model=dep.name, replica=label)
+                healed = heals()
+            except Exception:  # noqa: BLE001
+                healed = False
+            last = not any(
+                r is not replica and r.state in (HEALTHY, DOWN)
+                for r in dep.replicas
+            )
+            if not healed and not (live and last):
                 # Rung 4: evict — out of the routing set for good.
                 with self._lock:
                     replica.state = EVICTED
@@ -924,19 +1088,15 @@ class Router(DeploymentTable):
                 replica.engine = None
                 telemetry.record_replica_eviction()
                 telemetry.emit(
-                    "evict",
-                    model=dep.name, replica=replica.label,
-                    agreement=agreement,
+                    "evict", model=dep.name, replica=label, accuracy=accuracy,
                 )
-                return ReplicaHealthReport(
-                    replica.label, EVICTED, agreement,
-                    action="evict", healed=False,
+                return HealthReport(
+                    label, EVICTED, action="evict", healed=False, **found
                 )
         with self._lock:
             replica.state = HEALTHY
-        return ReplicaHealthReport(
-            replica.label, HEALTHY, agreement, action=action, healed=True,
-            signal_ratio=ratio_now(), margin=margin_now(),
+        return HealthReport(
+            label, HEALTHY, action=action, healed=healed, **found
         )
 
     def _try_spare_repair(self, dep, replica: _Replica) -> int:
@@ -973,21 +1133,25 @@ class Router(DeploymentTable):
             )
         return repaired
 
-    def check_all(self) -> List[ReplicaHealthReport]:
-        """Heal-ladder sweep over every replica of every deployment.
+    def check_all(self) -> List[HealthReport]:
+        """Heal-ladder sweep over every replica of every deployment,
+        implicit ones included.
 
         Gradual drains advance first: a draining replica steps one
         client cohort per sweep, and one that finalises here is gone
-        before the ladder below would have probed it.
+        before the ladder below would have probed it.  Stale implicit
+        deployments (see :meth:`serving`) drain and shut next.
         """
         self.advance_drains()
-        reports = []
         with self._lock:
-            deployed = list(self._deployments.values())
-        for dep in deployed:
+            stale = self._pop_stale()
+        for dep in stale:
+            self._shutdown_deployment(dep)
+        reports = []
+        for dep in self._all():
             for replica in list(dep.replicas):
                 try:
-                    reports.append(self.check_replica(dep.name, replica.index))
+                    reports.append(self._check(dep, replica.index))
                 except KeyError:
                     # Retired between the snapshot and the check — an
                     # autoscaler scale-down racing the sweep, not an
@@ -1082,9 +1246,7 @@ class Router(DeploymentTable):
         stragglers.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            deployed = list(self._deployments.values())
-        schedulers = [r.scheduler for d in deployed for r in d.replicas]
+        schedulers = [r.scheduler for d in self._all() for r in d.replicas]
         ok = True
         for _ in range(2):
             for scheduler in schedulers:
@@ -1099,15 +1261,16 @@ class Router(DeploymentTable):
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Shut every replica scheduler down; idempotent.
 
-        A graceful close drains every queue *before* any scheduler
-        shuts, so a failover from a late-draining replica cannot land
-        on an already-closed sibling.
+        No implicit deployment is built afterwards.  A graceful close
+        drains every queue *before* any scheduler shuts, so a failover
+        from a late-draining replica cannot land on an already-closed
+        sibling.
         """
+        with self._build_lock:
+            self._closed = True
         if drain:
             self.drain(timeout)
-        with self._lock:
-            deployed = list(self._deployments.values())
-        for dep in deployed:
+        for dep in self._all():
             for replica in dep.replicas:
                 replica.scheduler.shutdown(drain=drain, timeout=timeout)
 

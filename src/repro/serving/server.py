@@ -2,11 +2,13 @@
 
 :class:`FeBiMServer` ties the serving layers together: a
 :class:`~repro.serving.registry.ModelRegistry` says *what* can be
-served, a :class:`~repro.serving.scheduler.MicroBatchScheduler`
-decides *when* requests reach the crossbar, and the server handles the
-*who* — routing each request to its model's programmed engine, with
-every tenant drawing from an independent RNG stream so one model's
-noise realisation can never leak into another's.
+served, the :class:`~repro.serving.router.Router` says *where* —
+every request routes to a deployment, an undeployed model to its
+implicit one-replica deployment — and each replica's
+:class:`~repro.serving.scheduler.MicroBatchScheduler` decides *when*
+requests reach the crossbar, with every tenant drawing from an
+independent RNG stream so one model's noise realisation can never leak
+into another's.
 
 The per-model streams are derived the same way the engine splits its
 own seed (:func:`~repro.utils.rng.spawn_rngs` /
@@ -20,10 +22,9 @@ tenants get statistically independent streams.
 from __future__ import annotations
 
 import threading
-import time
 import zlib
 from concurrent.futures import Future
-from typing import Dict, Hashable, List, NamedTuple, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.serving.observability import (
 )
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import Router
-from repro.serving.scheduler import BatchPolicy, MicroBatchScheduler, ServedResult
+from repro.serving.scheduler import BatchPolicy, ServedResult
 from repro.serving.telemetry import Telemetry, TelemetrySnapshot
 
 
@@ -58,35 +59,33 @@ def model_stream_seed(base_seed: Optional[int], name: str, version: int) -> Opti
 
 
 class MaintenanceThread:
-    """Scheduled background health sweeps over a server's engines.
+    """Scheduled background sweeps over a server's replicas.
 
     The primary health path: instead of callers remembering to invoke
-    :meth:`~repro.serving.health.HealthMonitor.check`, the server runs
-    ``monitor.check_all()`` every ``period_s`` seconds on a daemon
-    thread.  Each sweep quiesces the scheduler only if it heals (the
-    monitor's own ladder), so healthy sweeps never stall traffic.
+    :meth:`~repro.serving.router.Router.check_replica`, the thread runs
+    ``router.check_all()`` — the heal ladder over every replica — every
+    ``period_s`` seconds, then steps the autoscale controllers and
+    samples metrics.  A replica's queue is quiesced only for its own
+    check, so healthy sweeps never stall other traffic.
 
     Shutdown is drain-safe: :meth:`stop` wakes the sleeper, waits out
     any in-progress sweep and joins the thread *before* the server
-    drains its scheduler, so a sweep can never race a closing queue.
-    Tenants are checked individually: a check that raises (e.g. its
-    model was unregistered mid-sweep) is counted in ``sweep_errors``
-    and the sweep moves on — one bad tenant must not starve health
-    checks for the rest.
+    drains its schedulers, so a sweep can never race a closing queue.
+    Each step is isolated: one that raises is counted in
+    ``sweep_errors`` and the sweep moves on, and a sweep that raises
+    outright costs one sweep, never the thread.
     """
 
     def __init__(
         self,
-        monitor,
         period_s: float,
+        router,
         telemetry=None,
-        router=None,
         controllers=None,
         metrics_hook=None,
     ):
         if period_s <= 0:
             raise ValueError(f"period_s must be positive, got {period_s}")
-        self.monitor = monitor
         self.period_s = float(period_s)
         self.telemetry = telemetry
         self.router = router
@@ -112,35 +111,18 @@ class MaintenanceThread:
     def _run(self) -> None:
         while not self._stop.wait(self.period_s):
             try:
-                # Per-tenant isolation (not monitor.check_all(), which
-                # aborts on the first raising tenant): a canary set
-                # whose model vanished must not shadow the tenants
-                # after it.  installed() snapshots the canary dict, but
-                # it (and telemetry) runs outside the per-tenant guard,
-                # so the loop wraps the whole sweep too — e.g. an
-                # install() racing the snapshot must degrade to one
-                # missed sweep, never kill the thread.
-                for name, version in self.monitor.installed():
-                    if self._stop.is_set():
-                        break
-                    try:
-                        self.monitor.check(name, version)
-                    except Exception:  # noqa: BLE001 — survive bad tenants
-                        self.sweep_errors += 1
-                if self.router is not None and not self._stop.is_set():
-                    # Deployment replicas sweep through their own heal
-                    # ladder (refresh -> replace -> evict); same
-                    # isolation contract — a failing deployment must
-                    # not starve the canary checks above.
-                    try:
-                        self.router.check_all()
-                    except Exception:  # noqa: BLE001
-                        self.sweep_errors += 1
+                # Every replica sweeps through the heal ladder
+                # (refresh -> spare repair -> replace -> evict).
+                try:
+                    self.router.check_all()
+                except Exception:  # noqa: BLE001 — survive a bad sweep
+                    self.sweep_errors += 1
                 if self.controllers is not None and not self._stop.is_set():
                     # Autoscale controllers step on the same cadence,
                     # after health: a replica the heal ladder just
                     # evicted should be seen missing *this* sweep, not
-                    # next.  Same isolation contract as above.
+                    # next.  A failing controller must not starve the
+                    # ones after it.
                     for controller in self.controllers():
                         if self._stop.is_set():
                             break
@@ -169,16 +151,6 @@ class MaintenanceThread:
         return not self._thread.is_alive()
 
 
-class RouteKey(NamedTuple):
-    """A resolved routing identity: model name plus pinned version."""
-
-    name: str
-    version: int
-
-    def __str__(self) -> str:
-        return f"{self.name}@v{self.version}"
-
-
 class FeBiMServer:
     """Online serving over a model registry with micro-batched execution.
 
@@ -199,11 +171,9 @@ class FeBiMServer:
         fan-in limit; flat engines otherwise.
     maintenance_period_s:
         When given, start a background :class:`MaintenanceThread`
-        immediately: a default auto-healing
-        :class:`~repro.serving.health.HealthMonitor` sweeps every
-        installed canary set on this period.  Install canaries through
-        :attr:`monitor`; :meth:`enable_maintenance` configures a custom
-        monitor instead.
+        immediately: the router's heal ladder sweeps every replica on
+        this period (install caller-chosen canaries with
+        :meth:`~repro.serving.router.Router.install_canaries`).
 
     Use as a context manager for guaranteed graceful shutdown::
 
@@ -227,11 +197,7 @@ class FeBiMServer:
         self.seed = seed
         self.max_rows = max_rows
         self.telemetry = Telemetry(self.policy.max_batch)
-        self.scheduler = MicroBatchScheduler(
-            self._resolve, policy=self.policy, telemetry=self.telemetry
-        )
         self.router = Router(self)
-        self.monitor = None
         self.observability: Optional[Observability] = None
         self.maintenance: Optional[MaintenanceThread] = None
         # Autoscale controllers by model name; stepped on the
@@ -241,25 +207,16 @@ class FeBiMServer:
             self.enable_maintenance(maintenance_period_s)
 
     # ---------------------------------------------------------------- routing
-    def _route(self, name: str, version: Optional[int]) -> RouteKey:
-        return RouteKey(name, self.registry.resolve_version(name, version))
-
-    def _resolve(self, key: Hashable):
-        name, version = key
-        return self.registry.get_engine(
-            name,
-            version,
-            max_rows=self.max_rows,
-            seed=model_stream_seed(self.seed, name, version),
-        )
-
     def engine_for(self, name: str, version: Optional[int] = None):
-        """The engine instance requests for ``name`` are served by.
+        """The engine replica 0 of the deployment serving ``name`` reads
+        (the lowest-indexed live replica once replica 0 is gone).
 
-        Materialises (and caches) it if needed — useful for comparing
-        served results against direct ``infer_batch`` calls.
+        Builds the route's implicit deployment if needed — useful for
+        comparing served results against direct ``infer_batch`` calls.
         """
-        return self._resolve(self._route(name, version))
+        dep = self.router.serving(name, version)
+        live = [r for r in dep.replicas if not r.killed]
+        return min(live or dep.replicas, key=lambda r: r.index).resolve()
 
     # ---------------------------------------------------------------- tenants
     def register(
@@ -289,9 +246,9 @@ class FeBiMServer:
         :attr:`router` — subsequent :meth:`submit`/:meth:`predict`
         calls for the model are arbitrated across the replicas by the
         deployment's routing policy, each replica coalescing on its own
-        micro-batch queue.  Undeployed models keep being served through
-        the legacy single-engine path, which is exactly a one-replica
-        deployment on the registry's backend.
+        micro-batch queue.  Undeployed models are served by an implicit
+        one-replica ``cost`` deployment on the registry's backend, which
+        this deployment supersedes for its version.
 
         The resolved model version is pinned at apply time; re-apply
         after registering a new version to roll the deployment forward.
@@ -318,8 +275,8 @@ class FeBiMServer:
     def undeploy(self, name: str, timeout: Optional[float] = None) -> bool:
         """Remove a model's deployment (drains its replica queues).
 
-        The model falls back to the legacy single-engine path; returns
-        ``False`` when no deployment was applied.
+        The model falls back to its implicit one-replica deployment;
+        returns ``False`` when no deployment was applied.
         """
         self._autoscalers.pop(name, None)
         return self.router.remove(name, timeout=timeout)
@@ -362,16 +319,16 @@ class FeBiMServer:
     ) -> "Future[ServedResult]":
         """Enqueue one discretised sample for ``name``; returns a future.
 
-        Deployed models route through the :attr:`router`'s policy
-        (``client`` is the affinity identity the ``sticky`` policy
-        hashes; the other policies ignore it).  Undeployed models — and
-        version pins older than the applied deployment — take the
-        legacy single-engine path unchanged.
+        The request routes through the :attr:`router`'s policy for the
+        deployment serving ``name`` at ``version`` (``client`` is the
+        affinity identity the ``sticky`` policy hashes; the other
+        policies ignore it).  Undeployed models — and version pins other
+        than the applied deployment's — are served by the route's
+        implicit one-replica deployment.
         """
-        deployment = self.router.deployment_for(name, version)
-        if deployment is not None:
-            return self.router.submit(deployment, evidence_levels, client=client)
-        return self.scheduler.submit(self._route(name, version), evidence_levels)
+        return self.router.submit(
+            self.router.serving(name, version), evidence_levels, client=client
+        )
 
     def submit_many(
         self,
@@ -382,18 +339,11 @@ class FeBiMServer:
     ) -> List["Future[ServedResult]"]:
         """Enqueue a stack of samples, one future per row.
 
-        Deployed models route through :meth:`Router.submit_many` — one
-        policy pick per ``max_batch`` chunk, each chunk queued under one
-        scheduler lock.  Undeployed models take the legacy
-        single-engine path.
+        Routes through :meth:`Router.submit_many` — one policy pick per
+        ``max_batch`` chunk, each chunk queued under one scheduler lock.
         """
-        deployment = self.router.deployment_for(name, version)
-        if deployment is not None:
-            return self.router.submit_many(
-                deployment, evidence_levels, client=client
-            )
-        return self.scheduler.submit_many(
-            self._route(name, version), evidence_levels
+        return self.router.submit_many(
+            self.router.serving(name, version), evidence_levels, client=client
         )
 
     def predict(
@@ -417,9 +367,9 @@ class FeBiMServer:
 
         Pass an existing :class:`~repro.serving.observability.
         Observability` bundle, or ``kwargs`` to build one here (e.g.
-        ``trace_rate=0.05``).  Wiring: the tracer attaches to the
-        legacy scheduler and the router (deployment requests are traced
-        across failover hops by the router itself), the flight recorder
+        ``trace_rate=0.05``).  Wiring: the tracer attaches to the router
+        (requests are traced across failover hops by the request plane
+        itself), the flight recorder
         hangs off :attr:`telemetry` so every layer's ``emit`` lands in
         it, and the metrics ring is sampled on the maintenance cadence
         once maintenance runs (or by a
@@ -434,7 +384,6 @@ class FeBiMServer:
             observability = Observability(**kwargs)
         self.observability = observability
         self.telemetry.recorder = observability.recorder
-        self.scheduler.tracer = observability.tracer
         self.router.tracer = observability.tracer
         self.router.ledger = getattr(observability, "ledger", None)
         return observability
@@ -443,7 +392,6 @@ class FeBiMServer:
         """Detach all observability surfaces (hot path back to zero)."""
         self.observability = None
         self.telemetry.recorder = None
-        self.scheduler.tracer = None
         self.router.tracer = None
         self.router.ledger = None
 
@@ -487,49 +435,26 @@ class FeBiMServer:
         )
 
     # ------------------------------------------------------------ maintenance
-    def enable_maintenance(
-        self,
-        period_s: float,
-        monitor=None,
-        **monitor_kwargs,
-    ):
-        """Start (or replace) the background health-sweep thread.
-
-        ``monitor`` is an existing
-        :class:`~repro.serving.health.HealthMonitor`; when omitted a
-        default auto-healing one is created over this server with
-        ``monitor_kwargs`` forwarded (e.g. ``max_current_shift=0.05``).
-        Returns the monitor, whose
-        :meth:`~repro.serving.health.HealthMonitor.install` arms
-        canaries per model — until then sweeps are no-ops.
-        """
-        from repro.serving.health import HealthMonitor
-
-        # Validate everything BEFORE stopping the running thread or
-        # touching self.monitor: a bad argument must leave live
-        # maintenance (and its installed canary baselines) untouched.
+    def enable_maintenance(self, period_s: float) -> MaintenanceThread:
+        """Start (or restart) the background sweep thread: the router's
+        heal ladder over every replica, autoscale stepping and metrics
+        sampling on one cadence.  Returns the thread."""
         if period_s <= 0:
+            # Checked before the running thread stops: a bad argument
+            # must leave live maintenance untouched.
             raise ValueError(f"period_s must be positive, got {period_s}")
-        if monitor is not None and monitor_kwargs:
-            raise ValueError(
-                "pass monitor_kwargs only when the monitor is created here"
-            )
-        if monitor is None:
-            monitor = HealthMonitor(self, **monitor_kwargs)
         self.stop_maintenance()
-        self.monitor = monitor
         self.maintenance = MaintenanceThread(
-            monitor,
             period_s,
             telemetry=self.telemetry,
             router=self.router,
             controllers=lambda: list(self._autoscalers.values()),
             metrics_hook=self.sample_metrics,
         )
-        return monitor
+        return self.maintenance
 
     def stop_maintenance(self, timeout: Optional[float] = None) -> bool:
-        """Stop the background sweeps (the monitor stays usable
+        """Stop the background sweeps (``router.check_all`` stays usable
         directly); idempotent.
 
         Returns ``True`` when no sweep thread is left running.  On a
@@ -551,32 +476,25 @@ class FeBiMServer:
         return self.telemetry.snapshot()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Serve everything queued (legacy queue *and* every deployment
-        replica queue); returns False on timeout.
+        """Serve everything queued on every replica queue; returns False
+        on timeout.
 
         ``timeout`` bounds the whole drain with one shared deadline.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        drained = self.scheduler.drain(timeout)
-        remaining = (
-            None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        )
-        return self.router.drain(remaining) and drained
+        return self.router.drain(timeout)
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Graceful (draining) shutdown by default; idempotent.
 
         The maintenance thread stops (and any in-flight sweep
         finishes) *before* the schedulers drain, so a healing repair
-        can never race the shutdown; deployment replica queues shut
-        down alongside the legacy queue.  ``timeout`` bounds each
-        phase: when set, a sweep mid-heal may be left finishing on its
-        daemon thread (the stop flag is set, so it exits right after)
-        instead of blocking the close indefinitely.
+        can never race the shutdown.  ``timeout`` bounds each phase:
+        when set, a sweep mid-heal may be left finishing on its daemon
+        thread (the stop flag is set, so it exits right after) instead
+        of blocking the close indefinitely.
         """
         self.stop_maintenance(timeout)
         self.router.close(drain=drain, timeout=timeout)
-        self.scheduler.shutdown(drain=drain, timeout=timeout)
 
     def __enter__(self) -> "FeBiMServer":
         return self

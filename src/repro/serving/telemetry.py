@@ -67,18 +67,21 @@ class TelemetrySnapshot:
     per_model:
         Completed-request count per routing key.
     health_checks / canary_failures:
-        Canary sweeps run by the :class:`~repro.serving.health.
-        HealthMonitor` and the canary predictions that disagreed with
-        their pristine baseline across them.
+        Heal-ladder passes, one per replica per
+        :meth:`~repro.serving.router.Router.check_replica` (however
+        many rungs it climbs), and the canary predictions each pass
+        *found* disagreeing with the replica's baseline (all of them
+        when the replica could not be read).
     refreshes / replacements:
-        Automatic repairs the monitor triggered: in-place reprograms
-        and full engine re-materialisations.
+        Automatic repairs the heal ladder triggered: in-place
+        reprograms and full engine re-materialisations.
     maintenance_sweeps:
         Background sweeps completed by the server's maintenance
-        thread (each sweep runs every installed canary check).
+        thread (each sweep runs the heal ladder over every replica).
     per_replica:
         Completed-request count per deployment replica (keys like
-        ``"iris@v1#r0[ideal]"``) — the counter the routing-policy
+        ``"iris@v1#r0[ideal]"``; an undeployed model's implicit replica
+        reads ``"iris@v1[fefet]"``) — the counter the routing-policy
         acceptance gates assert against.
     failovers:
         Requests transparently resubmitted to another replica after
@@ -287,8 +290,8 @@ class Telemetry:
     def emit(self, kind: str, **detail) -> None:
         """Forward one typed event to the attached flight recorder.
 
-        Telemetry is the object every layer (scheduler, router, health
-        monitor, autoscale controller) already holds, so it doubles as
+        Telemetry is the object every layer (scheduler, router and its
+        heal ladder, autoscale controller) already holds, so it doubles as
         the event bus: call sites ``emit`` next to their ``record_*``
         call and pass the detail only they know (victim lane, replica
         label, triggering snapshot).  With no recorder attached this is
@@ -407,13 +410,14 @@ class Telemetry:
             self._cancelled += n
 
     def record_health_check(self, failed_canaries: int = 0) -> None:
-        """One canary sweep with ``failed_canaries`` baseline mismatches."""
+        """One heal-ladder pass that found ``failed_canaries`` baseline
+        mismatches."""
         with self._lock:
             self._health_checks += 1
             self._canary_failures += failed_canaries
 
     def record_refresh(self) -> None:
-        """One automatic in-place reprogram triggered by the monitor."""
+        """One automatic in-place reprogram triggered by the heal ladder."""
         with self._lock:
             self._refreshes += 1
 

@@ -1035,9 +1035,9 @@ def _run_aging_phase(
 ):
     """One deployment aged along ``ages_s`` with per-step heal sweeps.
 
-    ``min_signal_ratio`` is the :class:`HealthMonitor`'s margin floor
-    (0 = reactive: the ladder only fires on a prediction flip, since
-    the shift channel is disarmed too).  ``cyclic`` restarts the age
+    ``min_signal_ratio`` is the router's margin floor (0 = reactive:
+    the ladder only fires on a prediction flip, since the shift channel
+    is off too).  ``cyclic`` restarts the age
     schedule from the top after any heal (the bake clock restarts with
     the reprogrammed array — the early-warning phase's steady state);
     the reactive phase runs the schedule straight through so the flip
@@ -1047,7 +1047,6 @@ def _run_aging_phase(
     from repro.devices.retention import RetentionModel
     from repro.reliability.faults import AgeClock
     from repro.serving.deployment import Deployment, ReplicaSpec, RoutingPolicy
-    from repro.serving.health import HealthMonitor
 
     model = "iris"
     with tempfile.TemporaryDirectory() as tmp:
@@ -1067,18 +1066,15 @@ def _run_aging_phase(
                     policy=RoutingPolicy(kind="cost"),
                 )
             )
-            # The monitor carries the margin floor; the shift channel
-            # is disarmed so the reactive phase fails on prediction
+            # The router carries the margin floor; its shift channel
+            # stays off, so the reactive phase fails on prediction
             # flips alone.
-            monitor = HealthMonitor(
-                server,
-                max_current_shift=float("inf"),
-                min_signal_ratio=float(min_signal_ratio),
+            server.router.min_signal_ratio = float(min_signal_ratio)
+            server.router.install_canaries(
+                model, pipe.transform_levels(X_te[:32])
             )
-            monitor.install(model, pipe.transform_levels(X_te[:32]))
-            # Replica 0 on the registry backend shares the legacy
-            # cached engine object, so baking this engine ages the
-            # serving replica the router samples.
+            # Baking this engine ages the serving replica the sweep
+            # checks and the hardware ledger samples.
             engine = server.engine_for(model)
             clock = AgeClock(
                 engine.backend, retention=RetentionModel(drift_rate=drift_rate)
@@ -1090,12 +1086,9 @@ def _run_aging_phase(
                 target = float(ages_s[pos])
                 clock.advance(max(target - clock.age_s, 0.0))
                 pos += 1
-                # Router sweep first: refreshes the per-replica margin
-                # reading the hardware ledger samples (its synthetic
-                # canaries are flip-proof at this corner, so it only
-                # observes), then the monitor's real-canary ladder.
-                server.router.check_all()
-                report = monitor.check(model)
+                # The sweep refreshes the replica's margin reading
+                # before the hardware ledger samples it.
+                report = server.router.check_replica(model, 0)
                 server.sample_metrics()
                 steps.append({"step": step, "age_s": target, **report.to_dict()})
                 if report.action in ("refresh", "replace"):
@@ -1103,10 +1096,12 @@ def _run_aging_phase(
                     # from pristine, so the clock restarts too.
                     clock.reset()
                     if post_heal_ratio != post_heal_ratio:
-                        # Unaged post-heal read: exactly 1.0 when the
+                        # Unaged follow-up sweep: exactly 1.0 when the
                         # reprogram restored the pristine currents
                         # bit-identically.
-                        post_heal_ratio = monitor.check(model).signal_ratio
+                        post_heal_ratio = server.router.check_replica(
+                            model, 0
+                        ).signal_ratio
                     if cyclic:
                         pos = 0
                 if pos >= len(ages_s):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import quantize_model
+from repro.reliability import WearState
 from repro.serving import (
     BatchPolicy,
     ClusterServer,
@@ -167,6 +168,28 @@ class TestClusterBehaviour:
             statuses = cluster.status("iris")
             assert [s.index for s in statuses] == [0, 1]
             assert all(s.state == "healthy" for s in statuses)
+
+            # Wear: each deployed replica booked the programming cycle
+            # local placement books, and a placed replica adds exactly
+            # one cycle to the ledger it was handed (a pool slot's).
+            with FeBiMServer(
+                ModelRegistry(registry_root), policy=POLICY, seed=0
+            ) as local:
+                local.deploy(Deployment(
+                    "iris", [ReplicaSpec("fefet"), ReplicaSpec("ideal")],
+                    RoutingPolicy("cost"),
+                ))
+                local_wear = [
+                    s.wear_fraction for s in local.router.status("iris")
+                ]
+            assert local_wear[0] > 0.0
+            assert [s.wear_fraction for s in statuses] == local_wear
+            slot_wear = WearState(cycles=3)
+            added = cluster.router.add_replica(
+                "iris", ReplicaSpec("ideal"), wear=slot_wear
+            )
+            assert slot_wear.cycles == 4
+            assert added.wear_fraction == slot_wear.fraction_used
 
             # Telemetry: every request completed on the front end's
             # books, workers started, none lost.

@@ -1,6 +1,6 @@
 """Hardware-plane observability wired through the serving stack.
 
-Margin channels on the health monitor and router ladder, the
+Margin and current-shift channels on the router's heal ladder, the
 device-health ledger behind ``sample_metrics``, hardware gauges in the
 Prometheus rendering, the spare-repair rung, and margin attributes on
 traced execute spans.
@@ -13,7 +13,7 @@ from repro.core.pipeline import FeBiMPipeline
 from repro.datasets import load_iris, train_test_split
 from repro.devices import RetentionModel
 from repro.reliability import AgeClock, FaultInjector
-from repro.serving import FeBiMServer, HealthMonitor, ModelRegistry
+from repro.serving import FeBiMServer, ModelRegistry
 from repro.serving.deployment import Deployment, ReplicaSpec, RoutingPolicy
 from repro.serving.observability import parse_prometheus, to_prometheus
 
@@ -42,12 +42,21 @@ def _events(obs, kind):
     return [e for e in obs.recorder.events() if e.kind == kind]
 
 
-class TestMonitorMarginChannel:
+def _install(server, pipe, X_te):
+    canaries = pipe.transform_levels(X_te[:32])
+    server.router.install_canaries("iris", canaries)
+    return canaries
+
+
+def _check(server):
+    return server.router.check_replica("iris", 0)
+
+
+class TestSweepMarginChannel:
     def test_pristine_report_carries_unity_margin_fields(self, served):
         server, pipe, X_te = served
-        monitor = HealthMonitor(server)
-        monitor.install("iris", pipe.transform_levels(X_te[:32]))
-        report = monitor.check("iris")
+        _install(server, pipe, X_te)
+        report = _check(server)
         assert report.ok
         assert report.signal_ratio == pytest.approx(1.0)
         assert report.margin == report.margin  # a real number, not NaN
@@ -58,18 +67,14 @@ class TestMonitorMarginChannel:
     def test_margin_warning_arms_ladder_before_flip(self, served):
         server, pipe, X_te = served
         obs = server.enable_observability()
-        monitor = HealthMonitor(
-            server,
-            max_current_shift=float("inf"),
-            min_signal_ratio=0.7,
-        )
-        monitor.install("iris", pipe.transform_levels(X_te[:32]))
+        server.router.min_signal_ratio = 0.7
+        _install(server, pipe, X_te)
         engine = server.engine_for("iris")
         clock = AgeClock(
             engine.backend, retention=RetentionModel(drift_rate=0.2)
         )
         clock.advance(0.658)  # signal ratio ~0.61: below floor, no flip
-        report = monitor.check("iris")
+        report = _check(server)
         assert report.accuracy == 1.0, "corner drifted into a real flip"
         assert report.action == "refresh" and report.healed
         assert report.signal_ratio < 0.7
@@ -81,16 +86,14 @@ class TestMonitorMarginChannel:
     def test_drift_alarm_on_shift_without_flip(self, served):
         server, pipe, X_te = served
         obs = server.enable_observability()
-        monitor = HealthMonitor(
-            server, max_current_shift=0.05, min_signal_ratio=0.0
-        )
-        monitor.install("iris", pipe.transform_levels(X_te[:32]))
+        server.router.max_current_shift = 0.05
+        _install(server, pipe, X_te)
         engine = server.engine_for("iris")
         clock = AgeClock(
             engine.backend, retention=RetentionModel(drift_rate=0.2)
         )
         clock.advance(0.3)
-        report = monitor.check("iris")
+        report = _check(server)
         assert report.accuracy == 1.0
         assert report.current_shift > 0.05
         alarms = _events(obs, "drift_alarm")
@@ -99,21 +102,46 @@ class TestMonitorMarginChannel:
     def test_canary_failure_event_carries_margin_detail(self, served):
         server, pipe, X_te = served
         obs = server.enable_observability()
-        monitor = HealthMonitor(server, max_current_shift=0.05)
-        canaries = pipe.transform_levels(X_te[:32])
-        monitor.install("iris", canaries)
+        server.router.max_current_shift = 0.05
+        canaries = _install(server, pipe, X_te)
         engine = server.engine_for("iris")
         masks = engine.layout.active_columns_batch(canaries)
         column = int(np.argmax(masks.sum(axis=0)))
         FaultInjector(engine.crossbar, seed=5).inject_dead_column(
             column, mode="off"
         )
-        monitor.check("iris")
+        _check(server)
         failures = _events(obs, "canary_failure")
         assert failures
         detail = failures[0].detail
         assert "accuracy" in detail and "shift" in detail
         assert "signal_ratio" in detail and "margin_p50" in detail
+
+    def test_sweep_reads_the_replica_that_serves(self, served):
+        """The sweep checks the engine requests are served by: replica
+        0 of an ``ideal`` + ``cmos`` deployment over a ``fefet``
+        registry, not a registry engine no request reads."""
+        server, pipe, X_te = served
+        server.deploy(
+            Deployment(
+                model="iris",
+                replicas=(ReplicaSpec("ideal"), ReplicaSpec("cmos")),
+                policy=RoutingPolicy(kind="cost"),
+            )
+        )
+        server.router.max_current_shift = 0.05
+        _install(server, pipe, X_te)
+        engine = server.router.deployment_for("iris").replicas[0].resolve()
+        assert engine is server.engine_for("iris")
+        stuck = np.zeros(
+            (engine.backend.rows, engine.backend.cols), dtype=bool
+        )
+        stuck[:, : engine.backend.cols // 2] = True
+        engine.backend.inject_stuck_faults(stuck_off=stuck)
+        report = _check(server)
+        assert report.replica.endswith("[ideal]")
+        assert report.action in ("refresh", "spare_repair", "replace", "evict")
+        assert report.current_shift > 0.05
 
 
 class TestRouterHardwarePlane:
@@ -197,7 +225,8 @@ class TestRouterHardwarePlane:
         engine.backend.inject_stuck_faults(stuck_off=stuck)
         report = server.router.check_replica("iris", 0)
         assert report.action == "spare_repair", report
-        assert report.healed and report.agreement == 1.0
+        assert report.healed and report.accuracy < 1.0
+        assert server.router.check_replica("iris", 0).accuracy == 1.0
         repairs = _events(obs, "spare_repair")
         assert repairs and row in repairs[0].detail["rows"]
         assert engine.backend.spare_rows_free < 2
@@ -218,12 +247,15 @@ class TestRouterHardwarePlane:
         clock.advance(5.0)  # deep common-mode collapse, no flip
         report = server.router.check_replica("iris", 0)
         assert report.action == "refresh" and report.healed
-        assert report.agreement == 1.0
-        assert report.signal_ratio == pytest.approx(1.0)  # post-heal read
+        assert report.accuracy == 1.0
+        assert report.signal_ratio < 0.7  # the state the sweep found
         warnings = _events(obs, "margin_warning")
         refreshes = _events(obs, "refresh")
         assert warnings and refreshes
         assert warnings[0].seq < refreshes[0].seq
+        follow_up = server.router.check_replica("iris", 0)
+        assert follow_up.ok
+        assert follow_up.signal_ratio == pytest.approx(1.0)
 
 
 class TestExecuteSpanMargin:

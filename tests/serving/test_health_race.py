@@ -1,10 +1,10 @@
 """Health sweeps racing each other and an autoscale-style retire.
 
 Three actors share one deployment: a ``MaintenanceThread`` sweeping on
-a tiny period (canary checks, the router heal ladder, the metrics
-hook), a foreground thread hammering ``HealthMonitor.check_all()`` and
-``Router.check_all()`` directly, and the autoscale scale-down primitive
-retiring the very replica the sweeps are checking.  The contract under
+a tiny period (the router heal ladder over installed canaries, the
+metrics hook), a foreground thread hammering ``Router.check_all()``
+directly, and the autoscale scale-down primitive retiring the very
+replica the sweeps are checking.  The contract under
 contention: no actor crashes, the request counters stay balanced
 (``in_flight`` returns to zero), and the flight ring loses no event —
 every recorded kind stays inside the closed taxonomy with strictly
@@ -54,8 +54,9 @@ def served(tmp_path):
 def test_check_all_races_sweep_and_retire(served):
     server, pipe, canaries = served
     obs = server.enable_observability()
-    monitor = server.enable_maintenance(PERIOD_S, max_current_shift=0.05)
-    monitor.install("iris", canaries)
+    server.router.max_current_shift = 0.05
+    server.enable_maintenance(PERIOD_S)
+    server.router.install_canaries("iris", canaries)
 
     stop = threading.Event()
     crashes = []
@@ -65,7 +66,6 @@ def test_check_all_races_sweep_and_retire(served):
         # overlapping the background sweeps checking the same engines.
         while not stop.is_set():
             try:
-                monitor.check_all()
                 server.router.check_all()
             except Exception as exc:  # noqa: BLE001 — the assertion
                 crashes.append(exc)

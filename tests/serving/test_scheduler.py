@@ -10,13 +10,24 @@ from repro.serving import BatchPolicy, MicroBatchScheduler, SchedulerClosed
 
 
 class RecordingEngine:
-    """Engine stub: argmax over levels, records every batch it sees."""
+    """Engine stub: argmax over levels, records every batch it sees.
 
-    def __init__(self, block_s=0.0):
+    A ``gated`` engine sets ``started`` as each batch reaches it and
+    holds that batch until the test sets ``release``, so a test knows
+    the worker is inside a batch without sleeping on it.
+    """
+
+    def __init__(self, block_s=0.0, gated=False):
         self.batches = []
         self.block_s = block_s
+        self.started = threading.Event()
+        self.release = threading.Event()
+        if not gated:
+            self.release.set()
 
     def infer_batch(self, levels):
+        self.started.set()
+        assert self.release.wait(10), "gated batch never released"
         if self.block_s:
             time.sleep(self.block_s)
         self.batches.append(np.array(levels))
@@ -211,12 +222,23 @@ class TestLifecycle:
             sched.submit("m", np.array([1]))
 
     def test_non_draining_shutdown_cancels_queued(self):
-        engine = RecordingEngine(block_s=0.2)
+        engine = RecordingEngine(gated=True)
         sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
         first = sched.submit("m", np.array([1]))
-        time.sleep(0.05)  # the worker is now blocked inside batch 1
+        assert engine.started.wait(5)  # the worker is inside batch 1
         queued = [sched.submit("m", np.array([i])) for i in range(5)]
-        sched.shutdown(drain=False)
+        resolved = threading.Semaphore(0)
+        for future in queued:
+            future.add_done_callback(lambda _: resolved.release())
+        # shutdown() cancels the queue before it joins the worker, which
+        # is held inside batch 1 until the cancellations have landed.
+        stopper = threading.Thread(
+            target=sched.shutdown, kwargs={"drain": False}
+        )
+        stopper.start()
+        assert all(resolved.acquire(timeout=5) for _ in queued)
+        engine.release.set()
+        stopper.join(5)
         first.result(timeout=5)  # in-flight batch still completes
         cancelled = sum(1 for f in queued if f.cancelled())
         assert cancelled == 5
@@ -224,13 +246,14 @@ class TestLifecycle:
 
     def test_client_cancel_does_not_kill_worker(self):
         """A client cancelling its own future must not poison serving."""
-        engine = RecordingEngine(block_s=0.15)
+        engine = RecordingEngine(gated=True)
         sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
         try:
             blocker = sched.submit("m", np.array([1]))
-            time.sleep(0.05)  # worker now blocked inside batch 1
+            assert engine.started.wait(5)  # worker inside batch 1
             doomed = sched.submit("m", np.array([2]))
             assert doomed.cancel()  # still queued -> cancellable
+            engine.release.set()
             blocker.result(timeout=5)
             # The worker survived the cancelled future and keeps serving.
             after = sched.submit("m", np.array([3, 4]))
@@ -317,30 +340,35 @@ class TestQuiesce:
             sched.shutdown()
 
     def test_pause_waits_out_inflight_batch(self):
-        engine = RecordingEngine(block_s=0.2)
+        engine = RecordingEngine(gated=True)
         sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
         try:
             future = sched.submit("m", np.array([7]))
-            time.sleep(0.05)  # let the worker pick the batch up
+            assert engine.started.wait(5)  # the worker holds the batch
+            releaser = threading.Timer(0.05, engine.release.set)
             start = time.monotonic()
+            releaser.start()
             assert sched.pause(timeout=5)
-            # pause() returned only after the blocking batch finished.
+            # pause() returned only after the held batch finished.
             assert future.done()
             assert time.monotonic() - start > 0.05
             sched.resume()
         finally:
+            engine.release.set()
             sched.shutdown()
 
     def test_pause_timeout_leaves_scheduler_running(self):
-        engine = RecordingEngine(block_s=0.5)
+        engine = RecordingEngine(gated=True)
         sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
         try:
             sched.submit("m", np.array([1]))
-            time.sleep(0.05)
+            assert engine.started.wait(5)
             assert not sched.pause(timeout=0.01)  # batch still in flight
+            engine.release.set()
             later = sched.submit("m", np.array([2]))
             assert later.result(timeout=5).prediction == 2  # not paused
         finally:
+            engine.release.set()
             sched.shutdown()
 
     def test_quiesce_context_manager(self):

@@ -1,10 +1,19 @@
 """The multi-tenant server: routing, RNG streams, telemetry, lifecycle."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import quantize_model
-from repro.serving import BatchPolicy, FeBiMServer, ModelRegistry
+from repro.serving import (
+    BatchPolicy,
+    Deployment,
+    FeBiMServer,
+    ModelRegistry,
+    ReplicaSpec,
+    RoutingPolicy,
+)
 from repro.serving.server import model_stream_seed
 
 
@@ -126,6 +135,128 @@ class TestTelemetryAndLifecycle:
         server = FeBiMServer(ModelRegistry(tmp_path / "reg4"), seed=0)
         server.close()
         server.close()
+
+    def test_implicit_deployments_leave_nothing_behind(self, tmp_path):
+        """Each undeployed route is served by an implicit deployment
+        owning a scheduler thread; close() must stop every one of them
+        and leave the request ledger balanced."""
+        before = set(threading.enumerate())
+        server = FeBiMServer(
+            ModelRegistry(tmp_path / "reg6"),
+            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            seed=0,
+        )
+        for seed, name in enumerate(("alpha", "beta", "gamma", "delta")):
+            server.register(name, make_model(seed=seed + 1))
+        server.register("alpha", make_model(k=5, seed=9))
+        server.deploy(
+            Deployment(
+                "delta",
+                [ReplicaSpec("fefet"), ReplicaSpec("ideal")],
+                RoutingPolicy("round_robin"),
+            )
+        )
+        futures = []
+        for name, version in (
+            ("alpha", 1), ("beta", None), ("gamma", None), ("delta", None)
+        ):
+            futures.append(server.submit(name, np.array([0, 1, 2]), version))
+            futures += server.submit_many(
+                name, np.zeros((5, 3), dtype=int), version
+            )
+        # Three implicit replicas and two deployed ones, a thread each.
+        assert len(set(threading.enumerate()) - before) >= 5
+        assert [f.result(timeout=5).model for f in futures[:6]] == (
+            ["alpha@v1"] * 6
+        )
+        assert list(server.deployments()) == ["delta"]
+        server.close()
+        assert set(threading.enumerate()) - before == set()
+        snapshot = server.stats()
+        assert snapshot.in_flight == 0
+        assert snapshot.submitted == len(futures)
+        assert snapshot.submitted == (
+            snapshot.completed + snapshot.failed
+            + snapshot.shed_requests + snapshot.cancelled
+        )
+
+
+class TestImplicitLifecycle:
+    """An implicit deployment lives as long as the registry's view of
+    its model: invalidation or eviction rebuilds the route and drains
+    the stale deployment."""
+
+    SAMPLE = np.array([0, 1, 2])
+
+    def test_reregister_keeps_thread_count_bounded(self, server):
+        server.predict("alpha", self.SAMPLE, timeout=5)
+        threads = threading.active_count()
+        for version in range(2, 7):
+            server.register("alpha", make_model(seed=version + 1))
+            pinned = server.predict("alpha", self.SAMPLE, version=1, timeout=5)
+            assert pinned.model == "alpha@v1"
+            latest = server.predict("alpha", self.SAMPLE, timeout=5)
+            assert latest.model == f"alpha@v{version}"
+            # v1 (rebuilt) and the latest version; stale ones drained.
+            assert threading.active_count() <= threads + 1
+        snapshot = server.stats()
+        assert snapshot.completed == snapshot.submitted == 11
+
+    def test_unregistered_model_stops_serving(self, server):
+        before = set(threading.enumerate())
+        server.predict("alpha", self.SAMPLE, version=1, timeout=5)
+        server.registry.unregister("alpha")
+        with pytest.raises(KeyError, match="no version 1"):
+            server.submit("alpha", self.SAMPLE, version=1)
+        # The sweep drains the orphan; nothing else is deployed.
+        assert server.router.check_all() == []
+        assert set(threading.enumerate()) - before == set()
+
+    def test_evicted_implicit_replica_is_rebuilt(self, server):
+        canaries = np.array([[0, 1, 2], [3, 2, 1], [1, 1, 1]])
+        server.router.install_canaries("alpha", canaries)
+        server.router.kill_replica("alpha", 0)
+        assert server.router.check_replica("alpha", 0).action == "evict"
+        # The next sweep drains the dead deployment; the next request
+        # rebuilds the route on the installed canaries.
+        assert server.router.check_all() == []
+        result = server.predict("alpha", self.SAMPLE, timeout=5)
+        assert result.model == "alpha@v1"
+        np.testing.assert_array_equal(
+            server.router.serving("alpha").canaries, canaries
+        )
+        assert server.router.check_replica("alpha", 0).ok
+
+    def test_deploy_racing_an_implicit_build_wins(self, server, monkeypatch):
+        router = server.router
+        build = router._build
+        spec = Deployment("alpha", [ReplicaSpec("fefet")], RoutingPolicy("cost"))
+
+        def racing(deployment, version, indices=None, implicit=False,
+                   canaries=None):
+            built = build(deployment, version, indices, implicit, canaries)
+            if implicit:
+                server.deploy(spec)  # lands before the build is published
+            return built
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(router, "_build", racing)
+        dep = router.serving("alpha")
+        assert dep is router.deployment_for("alpha") and not dep.implicit
+        # Only the deployment's replica runs; the losing build shut down.
+        assert len(set(threading.enumerate()) - before) == 1
+
+    def test_engine_for_skips_a_dead_replica_0(self, server):
+        dep = server.deploy(
+            Deployment(
+                "alpha",
+                [ReplicaSpec("fefet"), ReplicaSpec("ideal")],
+                RoutingPolicy("cost"),
+            )
+        )
+        assert server.engine_for("alpha") is dep.replicas[0].engine
+        server.router.kill_replica("alpha", 0)
+        assert server.engine_for("alpha") is dep.replicas[1].engine
 
 
 class TestTiledRouting:
