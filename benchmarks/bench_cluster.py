@@ -13,7 +13,11 @@ SIGKILL of one worker mid-burst with
 3. the supervisor healing the fleet — the killed worker respawns
    (``worker_respawn``) and the cluster reports its full worker
    complement after the burst;
-4. every replica healthy again once the dust settles.
+4. every replica healthy again once the dust settles;
+5. the heal ladder reaching the workers — the maintenance sweeps ran a
+   canary check on every worker-hosted replica (``health_checks`` at
+   least the replica count), and none was evicted: a sweep that
+   overlaps the SIGKILL leaves re-placement to the worker pool.
 
 Also runnable directly::
 
@@ -81,6 +85,8 @@ def run_bench() -> dict:
     checks["worker_lost_events"] = counts.get("worker_lost", 0)
     checks["replace_events"] = counts.get("replace", 0)
     checks["respawn_events"] = counts.get("worker_respawn", 0)
+    checks["health_checks"] = result.telemetry.health_checks
+    checks["evict_events"] = counts.get("evict", 0)
     checks["workers_up_after"] = result.workers_up_after
     checks["replica_states"] = sorted(
         r["state"] for r in result.replicas
@@ -102,6 +108,10 @@ def check(checks: dict) -> None:
     assert checks["respawn_events"] >= 1, checks
     assert checks["workers_up_after"] == 2, checks
     assert checks["replica_states"] == ["healthy"] * 4, checks
+    # The heal ladder swept every worker-hosted replica, and a sweep
+    # overlapping the kill evicted nothing.
+    assert checks["health_checks"] >= 4, checks
+    assert checks["evict_events"] == 0, checks
 
 
 def test_cluster_smoke(once):

@@ -43,6 +43,9 @@
 #      deployment absorbs the SIGKILL of one worker mid-burst with zero
 #      client-visible errors, the dead worker's replicas re-placed onto
 #      the survivor and the process respawned, all on the flight record;
+#      the heal ladder reached the workers (health_checks >= 4, one
+#      canary sweep per worker-hosted replica at least) and no sweep
+#      overlapping the kill evicted a replica (zero evict events);
 #  13. layer-ledger gate — perfbench/run.py --workload iris-bulk --trace 1
 #      (2 s): routed FeBiMServer.submit_many keeps within reach of the
 #      undeployed model's path on the same rows (now an implicit

@@ -25,17 +25,17 @@ two:
   for both placements: one policy pick per request or per
   ``max_batch`` chunk of a ``submit_many`` (``cost`` / ``round_robin``
   / ``sticky`` / ``mirror`` majority voting), transparent failover,
-  stale-guarded mark-down and per-client-request accounting, over each
-  replica's *queue* — the only placement-specific request code (a
-  local micro-batch scheduler, or a worker connection);
-* :class:`Router` — the local host of a deployment's replicas: one
-  programmed engine and one micro-batch queue per replica, implicit
-  one-replica deployments for undeployed models, and the one heal
-  ladder (refresh -> spare repair -> replace -> evict) every replica
-  is swept by, over built-in or caller-installed canaries
+  stale-guarded mark-down and per-client-request accounting;
+* :class:`Router` — the one owner of every replica: implicit
+  one-replica deployments for undeployed models, elasticity and
+  gradual drains, and the one heal ladder (refresh -> spare repair ->
+  replace -> evict) every replica is swept by, over built-in or
+  caller-installed canaries
   (:meth:`~repro.serving.router.Router.install_canaries`), with a
   current-shift and a read-margin early warning — the serving face of
-  :mod:`repro.reliability`, reported as :class:`HealthReport`;
+  :mod:`repro.reliability`, reported as :class:`HealthReport`.  A
+  replica's programmed engine and micro-batch queue live in its host
+  (:mod:`repro.serving.host`): in process, or in a worker process;
 * :class:`SLOPolicy` / :class:`AutoscaleController` /
   :class:`HardwarePool` — the closed loop: bounded per-replica queues
   with typed :class:`Overloaded` load-shed, priority lanes and
@@ -48,11 +48,13 @@ two:
   (:mod:`repro.serving.transport`, :mod:`repro.serving.cluster`):
   ``placement: local`` hosts replicas in-process (the default,
   bit-identical to the pre-placement behaviour), ``placement:
-  process`` hosts them in supervised worker subprocesses speaking a
-  versioned length-prefixed JSON wire protocol (one request frame per
-  ``max_batch`` chunk, one columnar result frame back), with heartbeat
-  liveness, crash failover onto survivors, and respawn — the same
-  request plane as the in-process router, over remote queues;
+  process`` hosts them in supervised worker subprocesses — a
+  ``ClusterServer`` is a ``FeBiMServer`` whose router places every
+  replica's host with a worker pool — speaking a versioned
+  length-prefixed JSON wire protocol (one request frame per
+  ``max_batch`` chunk, one columnar result frame back, per-replica
+  control frames for the heal ladder), with heartbeat liveness, crash
+  failover onto survivors, re-placement and respawn;
 * :class:`Observability` — the debugging plane
   (:mod:`repro.serving.observability`): sampled per-request
   :class:`Trace`/:class:`Span` decomposition of the admit -> queue ->
@@ -113,11 +115,8 @@ from repro.serving.observability import (
 )
 from repro.serving.plane import MirroredResult
 from repro.serving.registry import ModelRegistry
-from repro.serving.router import (
-    ReplicaStatus,
-    Router,
-    replica_stream_seed,
-)
+from repro.serving.host import replica_stream_seed
+from repro.serving.router import ReplicaStatus, Router
 from repro.serving.scheduler import (
     BatchPolicy,
     MicroBatchScheduler,

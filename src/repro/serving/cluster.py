@@ -1,50 +1,45 @@
-"""Cluster front end: supervised worker processes behind one serving API.
+"""Process placement: a supervised worker pool under the one router.
 
-``placement: process`` hosting.  A :class:`ClusterServer` owns no
-engines — it spawns worker subprocesses (:mod:`repro.serving.worker`),
-each a full in-process serving stack hosting a slice of every
-deployment's replicas, and keeps for itself exactly the two things
-that must be global: **routing** and **supervision**.
+``placement: process`` hosting.  A :class:`ClusterServer` is a
+:class:`~repro.serving.server.FeBiMServer` whose
+:class:`~repro.serving.router.Router` places every replica's host on a
+worker subprocess (:mod:`repro.serving.worker`) instead of in process.
+The router still owns every replica — routing, the heal ladder,
+elasticity, gradual drains, autoscaling, tracing — and placement
+decides only where a replica's engine and queue live.  The front end
+programs no engine.
 
-Routing is the same :class:`~repro.serving.plane.RequestPlane` the
-in-process :class:`~repro.serving.router.Router` holds, over replica
-*handles* instead of live replicas — so ``local`` and ``process``
-placement make identical decisions and keep identical books.  Replica
-indices are cluster-global and minted by the front end: a worker
-applies its slice with explicit indices, pinning the per-replica
-stream seeds, so the engines a worker materialises are bit-identical
-to the ones a single-process deployment would have built.  The only
-request code here is a replica's queue (:class:`_RemoteQueue`): each
-``max_batch`` chunk the plane routes travels as one ``request`` frame
-and comes back as one columnar ``result`` frame, settled once through
-the chunk's attempt record.
+A worker-hosted replica's host is a :class:`_RemoteHost`: each
+``max_batch`` chunk the request plane routes to it travels as one
+``request`` frame, and the heal ladder and lifecycle reach it through
+per-replica control frames (:mod:`repro.serving.transport.protocol`)
+that the worker answers by calling the same
+:class:`~repro.serving.host.ReplicaHost` methods a local replica's host
+runs.  Placement ids are minted here, one per placement, so a worker
+can hold an old and a new ``r0`` at once during a re-apply.
 
-Supervision is the worker-level heal ladder, run on the
-:class:`~repro.serving.server.MaintenanceThread` cadence exactly like
-replica health:
+The :class:`WorkerPool` is the supervision half, run first in every
+maintenance sweep (:meth:`~repro.serving.router.Router.check_all`):
 
-* **rung 1 — wait**: a worker is alive while heartbeats arrive; every
-  sweep records a ``worker_heartbeat`` event with the age of the last
-  one.
+* **rung 1 — wait**: a worker is alive while heartbeats arrive
+  (liveness only); every sweep records a ``worker_heartbeat`` event with
+  the age of the last one.
 * **rung 2 — replace**: a dead connection or a heartbeat older than
-  ``lost_after_s`` marks the worker lost (``worker_lost``): its
-  in-flight chunks fail over whole to surviving workers immediately
-  (recorded ``failover`` events, zero client-visible errors while any
-  survivor can serve), its replicas are re-placed onto survivors with
-  their *original indices* (same stream seed — the cluster analogue of
-  the replace rung's "fresh hardware, same stream", recorded as
-  ``replace`` events), and a fresh process is respawned under the same
-  worker id (``worker_respawn``).
-* **rung 3 — evict**: a worker that burned through ``max_respawns``
+  ``LOST_AFTER_PERIODS`` periods marks the worker lost
+  (``worker_lost``): its in-flight chunks fail over whole to surviving
+  replicas immediately (recorded ``failover`` events, zero
+  client-visible errors while any survivor can serve), its replicas are
+  re-placed onto survivors — same index, so same stream seed, the
+  *same engine bits* (``replace`` events) — and a fresh process is
+  respawned under the same worker id (``worker_respawn``).  A replica
+  between workers is ``unplaced``: no traffic, and the heal ladder runs
+  no rung on it.
+* **rung 3 — evict**: a worker that burned through ``MAX_RESPAWNS``
   stays down for good; its capacity remains on the survivors.
-
-Shutdown is graceful: drain messages wait out every worker's queues
-before ``shutdown`` frames and process joins.
 
 Worker observability is merged, not lost: every event a worker's
 telemetry emits arrives as an ``event`` frame and is replayed into the
-front end's recorder tagged ``worker=<id>``, so ``febim events`` and
-the metrics exporter see the whole cluster.
+front end's recorder tagged ``worker=<id>``.
 """
 
 from __future__ import annotations
@@ -56,25 +51,18 @@ import signal
 import socket
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
-from repro.reliability.faults import WearState
-from repro.serving import policy as routing_policy
-from repro.serving.deployment import (
-    Deployment,
-    DeploymentError,
-    ReplicaSpec,
-    RoutingPolicy,
-)
+import numpy as np
+
+from repro.serving.host import CanaryRead, WorkerLost
 from repro.serving.observability.events import EVENT_KINDS
-from repro.serving.plane import DeploymentTable, RequestPlane
-from repro.serving.policy import DRAINING, HEALTHY, RETIRED
+from repro.serving.policy import DOWN, DRAINING, HEALTHY, UNPLACED
 from repro.serving.registry import ModelRegistry
-from repro.serving.router import ReplicaStatus, Router
 from repro.serving.scheduler import BatchPolicy, Overloaded
-from repro.serving.server import MaintenanceThread
-from repro.serving.telemetry import Telemetry, TelemetrySnapshot
+from repro.serving.server import FeBiMServer
 from repro.serving.transport.protocol import (
     MessageConnection,
     ProtocolError,
@@ -85,23 +73,16 @@ from repro.serving.transport.protocol import (
 )
 from repro.serving.worker import worker_main
 
-#: Replica-handle bookkeeping states private to the front end (a
-#: replica between owners).  Deliberately outside the policy core's
-#: taxonomy: ``serviceable`` never routes to them, ``measure_pressure``
-#: never counts them.
-UNPLACED = "unplaced"
-PLACING = "placing"
-
 #: Heartbeats older than this many periods mean the worker is lost.
 LOST_AFTER_PERIODS = 4
+#: Respawns per worker id before the evict rung.
+MAX_RESPAWNS = 2
+#: Bound on worker start-up and on blocking control calls.
+SPAWN_TIMEOUT_S = 60.0
 
 
-class WorkerLost(RuntimeError):
-    """A request or control call could not complete: its worker died."""
-
-
-class _Pending:
-    """One in-flight frame awaiting its reply.
+class _Pending(NamedTuple):
+    """One in-flight frame awaiting its reply from ``worker``.
 
     ``on_result(message)`` / ``on_error(exc)`` carry all the
     continuation logic — a request frame's settlement and a control
@@ -109,49 +90,71 @@ class _Pending:
     the worker-loss sweep resolve every kind identically.
     """
 
-    __slots__ = ("on_result", "on_error", "worker_id", "replica")
+    on_result: Callable[[dict], None]
+    on_error: Callable[[BaseException], None]
+    worker: "_WorkerHandle"
 
-    def __init__(self, on_result, on_error, worker_id, replica=None):
-        self.on_result = on_result
-        self.on_error = on_error
+
+class _WorkerHandle:
+    """Front-end view of one incarnation of a worker process: a
+    respawn gets a new handle under the same worker id, so a host placed
+    on a lost incarnation stays lost."""
+
+    def __init__(self, worker_id: str, respawns: int = 0):
         self.worker_id = worker_id
-        self.replica = replica
+        self.respawns = respawns
+        self.process = None
+        self.conn: Optional[MessageConnection] = None
+        # starting | up | lost | respawned | evicted | stopped
+        self.state = "starting"
+        self.last_heartbeat: Optional[float] = None
+        self.hello = threading.Event()
+
+    @property
+    def pid(self) -> Optional[int]:
+        return None if self.process is None else self.process.pid
 
 
-class _RemoteQueue:
-    """A worker-hosted replica's request-plane queue: one placement of
-    the replica on one worker (a re-placed replica gets a new queue,
-    which makes failure seen through this one stale evidence).
+class _RemoteHost:
+    """A worker-hosted replica's host, seen from the front end: one
+    placement of the replica on one worker (a re-placed replica gets a
+    new host, which makes failure seen through this one stale evidence).
 
-    :meth:`enqueue` ships one attempt's rows as one ``request`` frame
-    with one pending entry; the worker's columnar reply, an ``error``
-    frame or the worker's loss then settles every row through the
-    attempt record at once.  ``block`` is ignored — backpressure is the
-    worker scheduler's, and never blocks a frame — and rows are not
-    traced.
+    Its queue (:meth:`enqueue`) ships one attempt's rows as one
+    ``request`` frame with one pending entry; the worker's columnar
+    reply, an ``error`` frame or the worker's loss then settles every
+    row through the attempt record at once.  ``block`` is ignored —
+    backpressure is the worker scheduler's, and never blocks a frame.
+    ``pending`` counts the front end's in-flight rows, the cost
+    policy's signal, kept without a round trip.  The control methods
+    mirror :class:`~repro.serving.host.ReplicaHost`'s; each quiesces the
+    replica in the worker, and raises :class:`WorkerLost` when the
+    worker is gone.
     """
 
-    __slots__ = ("cluster", "replica", "worker")
-
-    def __init__(self, cluster: "ClusterServer", replica: "_ReplicaHandle",
-                 worker: "_WorkerHandle"):
-        self.cluster = cluster
-        self.replica = replica
+    def __init__(self, pool: "WorkerPool", worker: _WorkerHandle, replica,
+                 identity: dict):
+        self.pool = pool
         self.worker = worker
+        self.replica = replica
+        self.identity = identity
+        self.placement = f"p{next(pool._ids)}"
+        self.pending = 0
+        self.retired = False
 
+    # ------------------------------------------------------------------ queue
     def enqueue(self, requests: list, block: bool = False):
         """Send the rows; returns ``(refused, refusal)`` — all of them,
         with the error, when the frame cannot be encoded (a block
         beyond ``MAX_FRAME``) or the worker is not up."""
-        cluster, replica, worker = self.cluster, self.replica, self.worker
+        pool, worker = self.pool, self.worker
         n = len(requests)
-        request_id = f"r{next(cluster._ids)}"
+        request_id = f"r{next(pool._ids)}"
         try:
             frame = encode_frame(make(
                 "request",
                 id=request_id,
-                model=replica.model,
-                replica_index=replica.index,
+                placement=self.placement,
                 levels=[request.levels.tolist() for request in requests],
                 priority=requests[0].lane,
             ))
@@ -169,41 +172,27 @@ class _RemoteQueue:
                 outcomes = [exc] * n
             self._settle(requests, outcomes)
 
-        with cluster._lock:
-            conn = worker.conn
-            up = worker.state == "up" and conn is not None
-            if up:
-                replica.pending += n
-                cluster._pending[request_id] = _Pending(
-                    on_result,
-                    lambda exc: self._settle(requests, [exc] * n),
-                    worker.worker_id,
-                    replica,
-                )
-        if not up:
-            return requests, WorkerLost(f"worker for {replica.label} is not up")
-        try:
-            conn.send(frame)
-        except Exception:
-            # The connection died under us.  The loss path fails over
-            # every pending on this worker — but if it already ran
-            # (reader EOF won the race) our just-registered entry was
-            # not in its orphan scan, so resolve it here explicitly.
-            cluster._on_worker_lost(worker, "send failed")
-            with cluster._lock:
-                entry = cluster._pending.pop(request_id, None)
-            if entry is not None:
-                entry.on_error(
-                    WorkerLost(f"worker {worker.worker_id} send failed")
-                )
+        with pool._lock:
+            self.pending += n
+        if not pool._send(
+            worker, request_id, frame, on_result,
+            lambda exc: self._settle(requests, [exc] * n),
+        ):
+            with pool._lock:
+                self.pending -= n
+            return requests, WorkerLost(
+                f"worker {worker.worker_id} of {self.replica.label} is not up"
+            )
         return [], None
 
     def _settle(self, requests: list, outcomes: list) -> None:
         """Account one reply, once for all its rows: resolve the served
         rows, hand the shed and the failed ones back to their attempt."""
-        cluster = self.cluster
-        with cluster._lock:
-            self.replica.pending -= len(requests)
+        pool = self.pool
+        with pool._lock:
+            self.pending -= len(requests)
+            if not self.pending:
+                pool._settled.notify_all()
         attempt = requests[0].attempt
         served, spilled, broken = [], [], []
         for request, outcome in zip(requests, outcomes):
@@ -215,11 +204,13 @@ class _RemoteQueue:
             else:
                 broken.append(request)
                 broken_exc = outcome
-        claimed = [
-            (request, result) for request, result in served
-            if request.future.set_running_or_notify_cancel()
-        ]
-        telemetry = cluster.telemetry
+        claimed = []
+        for request, result in served:
+            if request.future.set_running_or_notify_cancel():
+                claimed.append((request, result))
+            elif request.trace is not None:
+                request.trace.finish("cancelled")
+        telemetry = pool.server.telemetry
         if len(claimed) < len(served):
             telemetry.record_cancelled(len(served) - len(claimed))
         # Counted before any future resolves, so a client reading
@@ -227,209 +218,100 @@ class _RemoteQueue:
         if claimed and attempt.served(len(claimed)):
             now = time.monotonic()
             telemetry.record_completed(
-                self.replica.model, len(claimed),
+                str(self.replica.key), len(claimed),
                 latencies_s=[now - request.enqueued_at for request, _ in claimed],
             )
         for request, result in claimed:
+            if request.trace is not None:
+                request.trace.finish("served")
             request.future.set_result(result)
         if spilled:
             attempt.failed(spilled, spill_exc, ran=False)
         if broken:
             attempt.failed(broken, broken_exc, ran=False)
 
+    # ---------------------------------------------------------------- control
+    def _call(self, kind: str, timeout: Optional[float] = None, **fields):
+        """The result the worker's host method of ``kind`` returned."""
+        return self.pool.call(
+            self.worker, kind, timeout, placement=self.placement, **fields
+        )["result"]
 
-class _WorkerHandle:
-    """Front-end view of one worker process."""
+    def place(self, canaries=None, fresh: bool = False) -> Optional[CanaryRead]:
+        read = self._call(
+            "place",
+            host=self.identity,
+            canaries=None if canaries is None else np.asarray(canaries).tolist(),
+            fresh=fresh,
+        )
+        return None if read is None else CanaryRead.from_fields(read)
 
-    def __init__(self, worker_id: str, process):
-        self.worker_id = worker_id
-        self.process = process
-        self.conn: Optional[MessageConnection] = None
-        self.state = "starting"  # starting | up | lost | evicted | stopped
-        self.last_heartbeat: Optional[float] = None
-        self.respawns = 0
-        self.models: set = set()  # deployments this worker hosts a slice of
-        self.hello = threading.Event()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return None if self.process is None else self.process.pid
-
-
-class _ReplicaHandle:
-    """Front-end view of one replica, wherever it currently lives.
-
-    Duck-types the request plane's replica surface (``index`` /
-    ``state`` / ``unit_delay`` / ``weight`` / ``pending`` / ``label`` /
-    ``queue``) so arbitration code is shared verbatim with the
-    in-process router.  ``pending`` counts *front-end* in-flight rows —
-    the quantity the cost policy needs, maintained without a round
-    trip; ``queue`` is the current placement's :class:`_RemoteQueue`;
-    ``wear`` books one programming cycle per placement, as the local
-    router books one per programming pass.
-    """
-
-    def __init__(self, model: str, index: int, spec: ReplicaSpec,
-                 worker_id: str, label: str, unit_delay: float,
-                 wear: Optional[WearState] = None):
-        self.model = model
-        self.wear = wear if wear is not None else WearState()
-        self.index = index
-        self.spec = spec
-        self.worker_id = worker_id
-        self.label = label
-        self.state = HEALTHY
-        self.unit_delay = unit_delay
-        self.pending = 0
-        self.queue: Optional[_RemoteQueue] = None
-        self.drain_step = 0
-        self.drain_steps = 0
-
-    @property
-    def weight(self) -> float:
-        return self.spec.weight
-
-
-class _ClusterDeployment:
-    """One applied deployment's cluster-wide routing view."""
-
-    def __init__(self, spec: Deployment, version: int,
-                 replicas: List[_ReplicaHandle]):
-        self.spec = spec
-        self.version = version
-        self.replicas = replicas
-        self.rr_counter = itertools.count()
-        self.next_index = (
-            max(r.index for r in replicas) + 1 if replicas else 0
+    def read(self, levels) -> CanaryRead:
+        return CanaryRead.from_fields(
+            self._call("read", levels=np.asarray(levels).tolist())
         )
 
-    @property
-    def name(self) -> str:
-        return self.spec.model
+    def program(self) -> None:
+        self._call("program")
 
-    @property
-    def route(self) -> str:
-        return f"{self.name}@v{self.version}"
+    def repair(self) -> list:
+        return self._call("repair")
 
+    def inventory(self):
+        return tuple(self._call("inventory"))
 
-class _ClusterRouterAdapter:
-    """The router-shaped facade supervision and autoscale drive.
+    def kill(self) -> None:
+        self._call("kill")
 
-    :class:`~repro.serving.autoscale.AutoscaleController` and
-    :class:`MaintenanceThread` only ever touch ``deployment_for`` /
-    ``status`` / ``add_replica`` / ``retire_replica`` / ``check_all``
-    — this adapter maps each onto the cluster, so both reuse the
-    single-process control loops unchanged.
-    """
-
-    def __init__(self, cluster: "ClusterServer"):
-        self._cluster = cluster
-
-    def deployment_for(self, name: str, version=None):
-        return self._cluster.deployment_for(name, version)
-
-    def status(self, name: str) -> List[ReplicaStatus]:
-        return self._cluster.status(name)
-
-    def add_replica(self, name: str, spec: ReplicaSpec,
-                    wear=None, index=None) -> ReplicaStatus:
-        return self._cluster.add_replica(name, spec, wear=wear, index=index)
-
-    def retire_replica(self, name: str, index: int,
-                       timeout=None, drain_steps: int = 1) -> ReplicaStatus:
-        if int(drain_steps) > 1:
-            raise DeploymentError(
-                f"drain_steps={drain_steps} is not supported on process "
-                f"placement: {name!r} replicas retire at once"
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Wait until no row the front end sent here is in flight."""
+        with self.pool._settled:
+            return self.pool._settled.wait_for(
+                lambda: not self.pending, timeout
             )
-        return self._cluster.retire_replica(name, index, timeout=timeout)
 
-    def deployments(self) -> Dict[str, Deployment]:
-        return self._cluster.deployments()
+    def retire(self, drain: bool = True,
+               timeout: Optional[float] = None) -> None:
+        """Drop the replica from its worker, which serves what is queued
+        first when ``drain`` (its replies precede the ack on the
+        connection); a lost worker has nothing left to drop."""
+        self.retired = True
+        self.pool._drop(self)
+        try:
+            self._call("retire", timeout, drain=drain)
+        except WorkerLost:
+            pass
 
-    def check_all(self):
-        """The supervision sweep, riding the maintenance slot replica
-        health uses in-process."""
-        return self._cluster.check_workers()
 
+class WorkerPool:
+    """Spawns, supervises and places onto worker processes.
 
-class ClusterServer(DeploymentTable):
-    """Multi-process serving front end (``placement: process``).
-
-    Parameters mirror :class:`~repro.serving.server.FeBiMServer` where
-    they overlap — ``registry`` (a path or :class:`ModelRegistry`;
-    workers re-open the same root), ``policy`` (micro-batch bounds,
-    applied inside each worker), ``seed`` / ``max_rows`` (engine
-    materialisation, identical to local placement) — plus the
-    cluster-only knobs:
-
-    heartbeat_period_s:
-        Worker liveness cadence; a worker is lost after
-        ``LOST_AFTER_PERIODS`` silent periods.
-    maintenance_period_s:
-        Supervision sweep cadence (``None`` disables the background
-        thread — call :meth:`check_workers` manually, e.g. in tests).
-    max_respawns:
-        Respawn budget per worker id before the evict rung.
-    spawn_timeout_s:
-        Bound on worker start-up and on blocking control calls.
-
-    Use as a context manager for guaranteed worker teardown::
-
-        with ClusterServer(root, seed=0) as cluster:
-            cluster.deploy(dep)           # dep.placement.kind == "process"
-            cluster.predict("iris", levels)
+    ``server`` is the :class:`ClusterServer` whose registry, policy,
+    seed, ``max_rows``, telemetry and router the pool serves.  Workers
+    connect back over a loopback socket and say ``hello``; the pool
+    tracks one handle per incarnation, every host it placed, and every
+    frame awaiting a reply.
     """
 
-    def __init__(
-        self,
-        registry: Union[ModelRegistry, str],
-        policy: Optional[BatchPolicy] = None,
-        seed: Optional[int] = None,
-        max_rows: Optional[int] = None,
-        heartbeat_period_s: float = 0.25,
-        maintenance_period_s: Optional[float] = 0.25,
-        max_respawns: int = 2,
-        spawn_timeout_s: float = 60.0,
-    ):
-        if not isinstance(registry, ModelRegistry):
-            registry = ModelRegistry(registry)
-        self.registry = registry
-        self.policy = policy or BatchPolicy()
-        self.seed = seed
-        self.max_rows = max_rows
+    def __init__(self, server, heartbeat_period_s: float):
+        self.server = server
         self.heartbeat_period_s = float(heartbeat_period_s)
         self.lost_after_s = LOST_AFTER_PERIODS * self.heartbeat_period_s
-        self.max_respawns = int(max_respawns)
-        self.spawn_timeout_s = float(spawn_timeout_s)
-        self.telemetry = Telemetry(self.policy.max_batch)
-        self.observability = None
-        self.maintenance: Optional[MaintenanceThread] = None
-        self.router = _ClusterRouterAdapter(self)
-        self._autoscalers: Dict[str, object] = {}
         self._lock = threading.RLock()
+        self._settled = threading.Condition(self._lock)
         self._workers: Dict[str, _WorkerHandle] = {}
-        self._deployments: Dict[str, _ClusterDeployment] = {}
+        self._hosts: Dict[str, _RemoteHost] = {}
         self._pending: Dict[str, _Pending] = {}
         self._ids = itertools.count()
-        # Client futures come from this module's ``Future``, which lets a
-        # test substitute a subclass that counts how often each resolves.
-        self.plane = RequestPlane(
-            self.telemetry, self.policy.max_batch, self._lock,
-            lambda dep: self.deployment_for(dep.name), Future,
-        )
         self._closed = False
         self._ctx = multiprocessing.get_context("spawn")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(32)
         self._address = self._listener.getsockname()
-        self._accept_thread = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name="cluster-accept", daemon=True
-        )
-        self._accept_thread.start()
-        if maintenance_period_s is not None:
-            self.enable_maintenance(maintenance_period_s)
+        ).start()
 
     # ----------------------------------------------------------- connections
     def _accept_loop(self) -> None:
@@ -440,59 +322,48 @@ class ClusterServer(DeploymentTable):
                 return  # listener closed — shutting down
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(
-                target=self._greet, args=(MessageConnection(sock),),
+                target=self._serve, args=(MessageConnection(sock),),
                 daemon=True,
             ).start()
 
-    def _greet(self, conn: MessageConnection) -> None:
-        """Match an inbound connection to its worker via the hello frame."""
+    def _serve(self, conn: MessageConnection) -> None:
+        """Match an inbound connection to its worker via the hello
+        frame, then read the worker's frames until the connection ends."""
         try:
             hello = conn.recv()
         except (ProtocolError, OSError):
-            conn.close()
-            return
-        if hello is None or hello.get("kind") != "hello":
-            conn.close()
-            return
-        worker_id = hello.get("worker")
+            hello = None
+        worker_id = None if hello is None else hello.get("worker")
         with self._lock:
             handle = self._workers.get(worker_id)
-            if handle is None or handle.state != "starting":
-                conn.close()  # unknown or duplicate hello
+            if hello is None or hello.get("kind") != "hello" or (
+                handle is None or handle.state != "starting"
+            ):
+                conn.close()  # not a worker, or an unknown or duplicate hello
                 return
             handle.conn = conn
             handle.state = "up"
             handle.last_heartbeat = time.monotonic()
-            respawned = handle.respawns > 0
-        threading.Thread(
-            target=self._reader_loop, args=(handle, conn),
-            name=f"cluster-reader-{worker_id}", daemon=True,
-        ).start()
-        if respawned:
-            self.telemetry.record_worker_respawn()
-            self.telemetry.emit(
+        telemetry = self.server.telemetry
+        if handle.respawns:
+            telemetry.record_worker_respawn()
+            telemetry.emit(
                 "worker_respawn", worker=worker_id, pid=hello.get("pid"),
                 respawns=handle.respawns,
             )
         else:
-            self.telemetry.record_worker_started()
-            self.telemetry.emit(
+            telemetry.record_worker_started()
+            telemetry.emit(
                 "worker_start", worker=worker_id, pid=hello.get("pid"),
             )
         handle.hello.set()
-
-    def _reader_loop(self, handle: _WorkerHandle,
-                     conn: MessageConnection) -> None:
         while True:
             try:
                 message = conn.recv()
             except (ProtocolError, OSError):
                 message = None
             if message is None:
-                # Only the handle's *current* connection reports the
-                # loss — a respawn has already replaced a stale one.
-                if handle.conn is conn:
-                    self._on_worker_lost(handle, "connection closed")
+                self._on_worker_lost(handle, "connection closed")
                 return
             try:
                 self._on_message(handle, message)
@@ -503,7 +374,6 @@ class ClusterServer(DeploymentTable):
         kind = message["kind"]
         if kind == "heartbeat":
             handle.last_heartbeat = time.monotonic()
-            self._fold_heartbeat(message)
             return
         if kind == "event":
             event_kind = message.get("event_kind")
@@ -513,15 +383,12 @@ class ClusterServer(DeploymentTable):
                     for k, v in (message.get("detail") or {}).items()
                     if k != "worker"
                 }
-                self.telemetry.emit(
+                self.server.telemetry.emit(
                     event_kind, worker=message.get("worker"), **detail
                 )
             return
-        entry = None
-        request_id = message.get("id")
-        if request_id is not None:
-            with self._lock:
-                entry = self._pending.pop(request_id, None)
+        with self._lock:
+            entry = self._pending.pop(message.get("id"), None)
         if entry is None:
             return  # reply raced a worker-loss resolution; already handled
         if kind == "error":
@@ -529,46 +396,22 @@ class ClusterServer(DeploymentTable):
         else:
             entry.on_result(message)
 
-    def _fold_heartbeat(self, message: dict) -> None:
-        """Refresh per-replica unit delays from a worker's liveness frame.
-
-        State stays front-end-owned: the front end marks down / retires
-        / re-places; the worker reports cost so routing tracks real
-        queue economics."""
-        with self._lock:
-            for view in message.get("replicas", ()):
-                dep = self._deployments.get(view.get("model"))
-                if dep is None:
-                    continue
-                for replica in dep.replicas:
-                    if (
-                        replica.index == view.get("index")
-                        and replica.worker_id == message.get("worker")
-                    ):
-                        replica.unit_delay = float(
-                            view.get("unit_delay_s", replica.unit_delay)
-                        )
-
     # -------------------------------------------------------------- spawning
-    def _worker_config(self) -> dict:
-        return {
-            "registry_root": str(self.registry.root),
-            "backend": self.registry.backend,
-            "backend_options": dict(self.registry.backend_options),
-            "seed": self.seed,
-            "max_rows": self.max_rows,
-            "max_batch": self.policy.max_batch,
-            "max_wait_ms": self.policy.max_wait_ms,
+    def _spawn(self, handle: _WorkerHandle) -> None:
+        server = self.server
+        config = {
+            "registry_root": str(server.registry.root),
+            "backend": server.registry.backend,
+            "backend_options": dict(server.registry.backend_options),
+            "seed": server.seed,
+            "max_rows": server.max_rows,
+            "max_batch": server.policy.max_batch,
+            "max_wait_ms": server.policy.max_wait_ms,
             "heartbeat_period_s": self.heartbeat_period_s,
         }
-
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        handle.hello = threading.Event()
-        handle.state = "starting"
-        handle.conn = None
         handle.process = self._ctx.Process(
             target=worker_main,
-            args=(handle.worker_id, self._address, self._worker_config()),
+            args=(handle.worker_id, self._address, config),
             name=f"febim-{handle.worker_id}",
             daemon=True,
         )
@@ -584,255 +427,112 @@ class ClusterServer(DeploymentTable):
                 worker_id = f"w{i}"
                 handle = self._workers.get(worker_id)
                 if handle is None:
-                    handle = _WorkerHandle(worker_id, None)
-                    self._workers[worker_id] = handle
+                    handle = self._workers[worker_id] = _WorkerHandle(worker_id)
                     self._spawn(handle)
                 handles.append(handle)
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         for handle in handles:
             if not handle.hello.wait(max(deadline - time.monotonic(), 0.0)):
                 raise RuntimeError(
                     f"worker {handle.worker_id} did not connect within "
-                    f"{self.spawn_timeout_s:g}s"
+                    f"{SPAWN_TIMEOUT_S:g}s"
                 )
         return handles
 
-    def _up_workers(self) -> List[_WorkerHandle]:
-        with self._lock:
-            return [h for h in self._workers.values() if h.state == "up"]
+    def _least_loaded(self, candidates) -> Optional[_WorkerHandle]:
+        """The up candidate hosting the fewest replicas (lowest id on a
+        tie), or ``None``; the caller holds the lock."""
+        up = [h for h in candidates if h.state == "up"]
+        loads = Counter(host.worker for host in self._hosts.values())
+        return min(up, key=lambda h: (loads[h], h.worker_id), default=None)
 
-    # --------------------------------------------------------- control calls
-    def _call(self, handle: _WorkerHandle, kind: str,
-              timeout: Optional[float] = None, **fields) -> dict:
-        """One blocking acked control frame to a worker."""
-        conn = handle.conn
-        if handle.state != "up" or conn is None:
-            raise WorkerLost(f"worker {handle.worker_id} is not up")
+    def _new_host(self, worker, replica, identity: dict) -> _RemoteHost:
+        with self._lock:
+            host = _RemoteHost(self, worker, replica, identity)
+            self._hosts[host.placement] = host
+        return host
+
+    def _drop(self, host: _RemoteHost) -> None:
+        with self._lock:
+            self._hosts.pop(host.placement, None)
+
+    # ------------------------------------------------------------- placement
+    def host(self, deployment, version: int, replica,
+             max_queue_depth: Optional[int]) -> _RemoteHost:
+        """A new, unprogrammed host for one of ``deployment``'s replicas,
+        on the least-loaded of the deployment's ``placement.workers``
+        workers (one worker for a deployment written without a
+        placement, such as an undeployed model's implicit one)."""
+        placement = deployment.placement
+        workers = self._ensure_workers(
+            1 if placement is None else placement.workers
+        )
+        with self._lock:
+            target = self._least_loaded(workers) or self._least_loaded(
+                list(self._workers.values())
+            )
+        if target is None:
+            raise WorkerLost(
+                f"no live worker can host a replica of {deployment.model!r}"
+            )
+        return self._new_host(target, replica, {
+            "name": deployment.model,
+            "version": int(version),
+            "index": replica.index,
+            "spec": replica.spec.to_dict(),
+            "key": str(replica.key),
+            "max_queue_depth": max_queue_depth,
+        })
+
+    def _send(self, worker: _WorkerHandle, frame_id: str, frame,
+              on_result, on_error) -> bool:
+        """Send one frame whose reply settles through ``on_result`` /
+        ``on_error``; ``False`` (nothing sent) when the worker is not up.
+
+        Registered under the lock that flips a worker lost, so the loss
+        path's orphan scan either sees the entry or this sees the loss.
+        """
+        with self._lock:
+            conn = worker.conn
+            if worker.state != "up" or conn is None:
+                return False
+            self._pending[frame_id] = _Pending(on_result, on_error, worker)
+        try:
+            conn.send(frame)
+        except Exception:  # noqa: BLE001 — the connection died under us
+            # The loss path fails over every pending on this worker — but
+            # if it already ran (reader EOF won the race) this entry was
+            # not in its orphan scan, so resolve it here explicitly.
+            self._on_worker_lost(worker, "send failed")
+            with self._lock:
+                entry = self._pending.pop(frame_id, None)
+            if entry is not None:
+                entry.on_error(
+                    WorkerLost(f"worker {worker.worker_id} send failed")
+                )
+        return True
+
+    def call(self, worker: _WorkerHandle, kind: str,
+             timeout: Optional[float] = None, **fields) -> dict:
+        """One blocking acked control frame to a worker; raises
+        :class:`WorkerLost` when the worker is gone or never answers."""
         call_id = f"c{next(self._ids)}"
         future: "Future[dict]" = Future()
-        with self._lock:
-            self._pending[call_id] = _Pending(
-                future.set_result, future.set_exception, handle.worker_id
-            )
+        if not self._send(
+            worker, call_id, make(kind, id=call_id, **fields),
+            future.set_result, future.set_exception,
+        ):
+            raise WorkerLost(f"worker {worker.worker_id} is not up")
         try:
-            conn.send(make(kind, id=call_id, **fields))
-        except Exception as exc:
-            with self._lock:
-                self._pending.pop(call_id, None)
+            return future.result(SPAWN_TIMEOUT_S if timeout is None else timeout)
+        except TimeoutError:
             raise WorkerLost(
-                f"worker {handle.worker_id} went away mid-call: {exc}"
+                f"worker {worker.worker_id} did not answer {kind!r} in time"
             )
-        return future.result(self.spawn_timeout_s if timeout is None
-                             else timeout)
-
-    # ------------------------------------------------------------ deployment
-    def deploy(self, deployment: Deployment) -> _ClusterDeployment:
-        """Apply a ``placement: process`` deployment across the workers.
-
-        Spawns (or reuses) ``placement.workers`` worker processes,
-        partitions the replica indices round-robin across them, and
-        sends each worker its slice with explicit cluster-wide indices
-        — the workers materialise exactly the engines a local apply
-        would have, validated and probed before the deployment goes
-        live.  A deployment carrying an ``slo`` gets a cluster-wide
-        autoscale controller, exactly like the in-process server.
-        """
-        deployment.validate()
-        placement = deployment.placement
-        if placement is None or placement.kind != "process":
-            raise DeploymentError(
-                "ClusterServer hosts 'process' placements; use FeBiMServer "
-                "(or serve_deployment) for local ones"
-            )
-        version = self.registry.resolve_version(
-            deployment.model, deployment.version
-        )
-        workers = self._ensure_workers(placement.workers)
-        slices: Dict[str, List[Tuple[int, ReplicaSpec]]] = {}
-        for index, spec in enumerate(deployment.replicas):
-            worker = workers[index % len(workers)]
-            slices.setdefault(worker.worker_id, []).append((index, spec))
-        specs_by_index = dict(enumerate(deployment.replicas))
-        handles: List[_ReplicaHandle] = []
-        for worker in workers:
-            assigned = slices.get(worker.worker_id)
-            if not assigned:
-                continue
-            indices = [index for index, _ in assigned]
-            sub = self._sub_deployment(
-                deployment, [spec for _, spec in assigned], version
-            )
-            reply = self._call(
-                worker, "apply", deployment=sub.to_dict(), indices=indices
-            )
-            worker.models.add(deployment.model)
-            for row in reply["replicas"]:
-                index = int(row["index"])
-                handle = _ReplicaHandle(
-                    model=deployment.model,
-                    index=index,
-                    spec=specs_by_index[index],
-                    worker_id=worker.worker_id,
-                    label=row["replica"],
-                    unit_delay=float(row["unit_delay_s"]),
-                )
-                handle.wear.add_cycles(1)  # the worker's apply programmed it
-                handle.queue = _RemoteQueue(self, handle, worker)
-                handles.append(handle)
-        handles.sort(key=lambda r: r.index)
-        applied = _ClusterDeployment(deployment, version, handles)
-        with self._lock:
-            self._deployments[deployment.model] = applied
-        self._autoscalers.pop(deployment.model, None)
-        if deployment.slo is not None:
-            self.enable_autoscale(deployment.model)
-        return applied
-
-    @staticmethod
-    def _sub_deployment(deployment: Deployment, specs: List[ReplicaSpec],
-                        version: int) -> Deployment:
-        """A worker's slice of ``deployment``.
-
-        The policy collapses to ``cost``: arbitration is the front
-        end's job, a worker only executes index-addressed requests (and
-        a one-replica slice of a mirror spec would not even validate).
-        The ``slo`` rides along — admission bounds and priority lanes
-        apply inside each worker's schedulers exactly as locally.
-        """
-        return Deployment(
-            model=deployment.model,
-            replicas=tuple(specs),
-            policy=RoutingPolicy(),
-            version=version,
-            slo=deployment.slo,
-            placement=None,
-        )
-
-    def status(self, name: str) -> List[ReplicaStatus]:
-        dep = self._deployment(name)
-        with self._lock:
-            return [self._status_of(r) for r in dep.replicas]
-
-    @staticmethod
-    def _status_of(r: _ReplicaHandle) -> ReplicaStatus:
-        return ReplicaStatus(
-            replica=r.label,
-            backend=r.spec.backend,
-            state=r.state,
-            weight=r.spec.weight,
-            unit_delay_s=r.unit_delay,
-            pending=r.pending,
-            index=r.index,
-            wear_fraction=r.wear.fraction_used,
-        )
-
-    # ------------------------------------------------------------ elasticity
-    def add_replica(self, name: str, spec: ReplicaSpec,
-                    index: Optional[int] = None,
-                    wear: Optional[WearState] = None) -> ReplicaStatus:
-        """Grow ``name`` by one replica on the least-loaded worker.
-
-        An optional ``wear`` ledger (a
-        :class:`~repro.serving.autoscale.HardwareSlot`'s) becomes the
-        replica's, and its placement books one programming cycle."""
-        dep = self._deployment(name)
-        with self._lock:
-            if index is None:
-                index = dep.next_index
-            dep.next_index = max(dep.next_index, index + 1)
-            replica = _ReplicaHandle(
-                model=name, index=index, spec=spec, worker_id="",
-                label=f"{name}@v{dep.version}/r{index}[{spec.backend}]",
-                unit_delay=float("inf"), wear=wear,
-            )
-            replica.state = UNPLACED
-            dep.replicas = dep.replicas + [replica]
-        placed = self._place(dep, replica)
-        if not placed:
-            with self._lock:
-                dep.replicas = [r for r in dep.replicas if r is not replica]
-            raise RuntimeError(
-                f"no live worker could host a new replica of {name!r}"
-            )
-        return self.status(name)[-1]
-
-    def retire_replica(self, name: str, index: int,
-                       timeout: Optional[float] = None) -> ReplicaStatus:
-        """Shrink ``name``: drain and remove one replica (via its worker)."""
-        dep = self._deployment(name)
-        with self._lock:
-            replica = Router._replica_by_index(dep, index)
-            candidates = routing_policy.serviceable(dep.replicas)
-            if replica in candidates and len(candidates) <= 1:
-                raise DeploymentError(
-                    f"refusing to retire the last serviceable replica of "
-                    f"{name!r}"
-                )
-            replica.state = DRAINING
-            worker = self._workers.get(replica.worker_id)
-        if worker is not None and worker.state == "up":
-            try:
-                self._call(
-                    worker, "retire_replica", timeout=timeout,
-                    model=name, index=index,
-                )
-            except WorkerLost:
-                pass  # the worker died mid-retire; the replica goes anyway
-        with self._lock:
-            replica.state = RETIRED
-            dep.replicas = [r for r in dep.replicas if r is not replica]
-        return self._status_of(replica)
-
-    def enable_autoscale(self, name: str, pool=None, **controller_kwargs):
-        """Cluster-wide autoscaling: the stock controller over the
-        router adapter — scale-ups place on the least-loaded worker,
-        scale-downs retire through the owning worker."""
-        from repro.serving.autoscale import AutoscaleController
-
-        controller = AutoscaleController(
-            self, name, pool=pool, **controller_kwargs
-        )
-        self._autoscalers[name] = controller
-        return controller
-
-    def autoscaler(self, name: str):
-        return self._autoscalers.get(name)
-
-    # --------------------------------------------------------------- serving
-    def submit(self, name: str, evidence_levels, version=None,
-               client: Optional[object] = None) -> "Future":
-        """Route one sample to a worker-hosted replica; returns a future.
-
-        The same :class:`~repro.serving.plane.RequestPlane` contract as
-        the in-process path: internal replica and *worker* failures
-        fail over transparently; the future errors only when every
-        serviceable replica failed the request.
-        """
-        return self.plane.submit(
-            self._deployment(name, version), evidence_levels, client
-        )
-
-    def submit_many(self, name: str, evidence_levels, version=None,
-                    client: Optional[object] = None) -> List["Future"]:
-        """Route a stack of samples; one future per row.
-
-        Each ``max_batch`` chunk gets one policy pick and travels as one
-        ``request`` frame, answered by one ``result`` frame.
-        """
-        return self.plane.submit_many(
-            self._deployment(name, version), evidence_levels, client
-        )
-
-    def predict(self, name: str, evidence_levels, version=None,
-                timeout: Optional[float] = None,
-                client: Optional[object] = None):
-        return self.submit(
-            name, evidence_levels, version=version, client=client
-        ).result(timeout)
 
     # ------------------------------------------------------------ supervision
     def _on_worker_lost(self, handle: _WorkerHandle, reason: str) -> None:
-        """Rung 2 of the worker heal ladder: reroute, re-place, respawn.
+        """Rung 2 of the worker heal ladder: reroute, then re-place.
 
         Idempotent per incarnation — the reader's EOF and the sweep's
         heartbeat timeout race here, one of them wins the state flip.
@@ -843,24 +543,26 @@ class ClusterServer(DeploymentTable):
             handle.state = "lost"
             conn, handle.conn = handle.conn, None
             orphans = [
-                (request_id, entry)
-                for request_id, entry in self._pending.items()
-                if entry.worker_id == handle.worker_id
+                self._pending.pop(request_id)
+                for request_id, entry in list(self._pending.items())
+                if entry.worker is handle
             ]
-            for request_id, _ in orphans:
-                self._pending.pop(request_id, None)
-            displaced: List[_ReplicaHandle] = []
-            for dep in self._deployments.values():
-                for replica in dep.replicas:
-                    if replica.worker_id == handle.worker_id:
-                        # ``pending`` comes back down as the orphans
-                        # below are settled, one chunk at a time.
-                        replica.state = UNPLACED
-                        displaced.append(replica)
+            displaced = [
+                h.replica for h in self._hosts.values()
+                if h.worker is handle and h.replica.host is h
+            ]
         if conn is not None:
             conn.close()
-        self.telemetry.record_worker_lost()
-        self.telemetry.emit(
+        router = self.server.router
+        with router._lock:
+            for replica in displaced:
+                if replica.state in (HEALTHY, DOWN):
+                    # ``pending`` comes back down as the orphans below
+                    # are settled, one chunk at a time.
+                    replica.state = UNPLACED
+        telemetry = self.server.telemetry
+        telemetry.record_worker_lost()
+        telemetry.emit(
             "worker_lost",
             worker=handle.worker_id,
             reason=reason,
@@ -869,100 +571,80 @@ class ClusterServer(DeploymentTable):
         )
         # Orphaned requests fail over right now — they must not wait a
         # supervision sweep to resolve.
-        for _, entry in orphans:
-            try:
-                entry.on_error(
-                    WorkerLost(f"worker {handle.worker_id} {reason}")
-                )
-            except Exception:  # noqa: BLE001 — one orphan must not block the rest
-                pass
+        self._fail(orphans, f"worker {handle.worker_id} {reason}")
         # Displaced replicas re-place immediately too, while the sweep
         # owns the (slower) respawn.
-        if not self._closed:
-            self._reconcile_placement()
+        self._reconcile()
 
-    def _reconcile_placement(self) -> None:
-        """Re-home unplaced replicas onto the least-loaded live workers.
+    def _reconcile(self) -> None:
+        """Re-place every replica whose host's worker was lost onto the
+        least-loaded live worker.
 
-        The cluster replace rung: the replica keeps its index, hence
-        its stream seed — the survivor materialises the *same engine
-        bits* the lost worker held."""
+        The cluster replace rung: the replica keeps its index, hence its
+        stream seed — the survivor materialises the *same engine bits*
+        the lost worker held.  A draining replica keeps draining on its
+        new host; an evicted or retired one is left where it fell."""
         with self._lock:
-            unplaced = [
-                (dep, replica)
-                for dep in self._deployments.values()
-                for replica in dep.replicas
-                if replica.state == UNPLACED
-            ]
-        for dep, replica in unplaced:
-            self._place(dep, replica)
+            if self._closed:
+                return
+            lost = [h for h in self._hosts.values() if h.worker.state != "up"]
+        serving = {
+            id(r) for dep in self.server.router._all() for r in dep.replicas
+        }
+        for host in lost:
+            if id(host.replica) in serving:
+                self._replace(host)
 
-    def _place(self, dep: _ClusterDeployment,
-               replica: _ReplicaHandle) -> bool:
+    def _replace(self, old: _RemoteHost) -> None:
+        """Re-place ``old``'s replica on a new host (one sweep at a time:
+        the first to unlink ``old`` owns the move)."""
+        replica = old.replica
+        router = self.server.router
         with self._lock:
-            up = [h for h in self._workers.values() if h.state == "up"]
-            if not up:
-                return False
-            loads: Dict[str, int] = {h.worker_id: 0 for h in up}
-            for d in self._deployments.values():
-                for r in d.replicas:
-                    if r.worker_id in loads and r.state not in (
-                        UNPLACED, PLACING,
-                    ):
-                        loads[r.worker_id] += 1
-            target = min(up, key=lambda h: (loads[h.worker_id], h.worker_id))
-            replica.state = PLACING
-            replica.worker_id = target.worker_id
-            hosts_model = dep.name in target.models
+            if self._hosts.pop(old.placement, None) is None:
+                return
+            target = self._least_loaded(list(self._workers.values()))
+        with router._lock:
+            if replica.host is not old or replica.state not in (
+                UNPLACED, DRAINING,
+            ):
+                return
+        new = None if target is None else self._new_host(
+            target, replica, old.identity
+        )
         try:
-            if hosts_model:
-                reply = self._call(
-                    target, "add_replica",
-                    model=dep.name,
-                    replica=replica.spec.to_dict(),
-                    index=replica.index,
-                )
-                row = reply["replica"]
-            else:
-                sub = self._sub_deployment(
-                    dep.spec, [replica.spec], dep.version
-                )
-                reply = self._call(
-                    target, "apply",
-                    deployment=sub.to_dict(),
-                    indices=[replica.index],
-                )
-                target.models.add(dep.name)
-                row = reply["replicas"][0]
-        except Exception:  # noqa: BLE001 — the sweep retries placement
+            if new is None:
+                raise WorkerLost("no live worker")
+            new.place()
+        except Exception:  # noqa: BLE001 — the next sweep retries
+            if new is not None:
+                self._drop(new)
             with self._lock:
-                if replica.state == PLACING:
-                    replica.state = UNPLACED
-            return False
+                self._hosts[old.placement] = old
+            return
+        with router._lock:
+            # The router may have retired the replica meanwhile.
+            swap = not old.retired and replica.host is old
+            if swap:
+                replica.host = new
+                if replica.state == UNPLACED:
+                    replica.state = HEALTHY
+        if not swap:
+            new.retire(drain=False)
+            return
         replica.wear.add_cycles(1)  # one programming pass
-        with self._lock:
-            replica.label = row["replica"]
-            replica.unit_delay = float(row["unit_delay_s"])
-            replica.queue = _RemoteQueue(self, replica, target)
-            replica.state = HEALTHY
-        self.telemetry.emit(
+        self.server.telemetry.emit(
             "replace",
             replica=replica.label,
             worker=target.worker_id,
-            model=dep.name,
+            model=old.identity["name"],
         )
-        return True
 
-    def check_workers(self) -> List[dict]:
-        """One supervision sweep (the MaintenanceThread calls this on
-        its cadence through the router adapter's ``check_all``).
-
-        Returns a per-worker report list, mirroring ``check_all``'s
-        report-per-subject shape."""
+    def check(self) -> None:
+        """One supervision sweep: heartbeat ages, respawns, re-placement."""
         now = time.monotonic()
         with self._lock:
             handles = list(self._workers.values())
-        reports = []
         for handle in handles:
             if handle.state == "up":
                 age = (
@@ -976,147 +658,30 @@ class ClusterServer(DeploymentTable):
                         f"(bound {self.lost_after_s:.2f}s)",
                     )
                 else:
-                    self.telemetry.emit(
+                    self.server.telemetry.emit(
                         "worker_heartbeat",
                         worker=handle.worker_id,
                         age_s=round(age, 4),
                     )
-            if handle.state == "lost" and not self._closed:
-                if handle.respawns >= self.max_respawns:
-                    handle.state = "evicted"
-                else:
-                    handle.respawns += 1
-                    handle.models = set()
-                    self._spawn(handle)
-            reports.append({
-                "worker": handle.worker_id,
-                "state": handle.state,
-                "respawns": handle.respawns,
-            })
-        if not self._closed:
-            self._reconcile_placement()
-        return reports
+            respawn = None
+            with self._lock:
+                if handle.state == "lost" and not self._closed:
+                    if handle.respawns >= MAX_RESPAWNS:
+                        handle.state = "evicted"
+                    else:
+                        handle.state = "respawned"
+                        respawn = self._workers[handle.worker_id] = (
+                            _WorkerHandle(handle.worker_id, handle.respawns + 1)
+                        )
+            if respawn is not None:
+                self._spawn(respawn)
+        self._reconcile()
 
-    # ------------------------------------------------------------ observability
-    def enable_observability(self, observability=None, **kwargs):
-        """Arm the flight recorder + metrics ring over the whole cluster.
-
-        Worker-side events stream in over the wire and land in this
-        recorder tagged ``worker=<id>``; front-end routing and
-        supervision events land directly.  (Per-request tracing stays a
-        worker-local concern — spans never cross the boundary.)
-        """
-        from repro.serving.observability import Observability
-
-        if observability is not None and kwargs:
-            raise ValueError(
-                "pass kwargs only when the bundle is created here"
-            )
-        if observability is None:
-            observability = Observability(**kwargs)
-        self.observability = observability
-        self.telemetry.recorder = observability.recorder
-        return observability
-
-    def disable_observability(self) -> None:
-        self.observability = None
-        self.telemetry.recorder = None
-
-    def sample_metrics(self):
-        observability = self.observability
-        if observability is None:
-            return None
-        with self._lock:
-            replicas = sum(
-                len(dep.replicas) for dep in self._deployments.values()
-            )
-        return observability.metrics.sample(
-            self.telemetry.snapshot(), replicas=replicas
-        )
-
-    # ------------------------------------------------------------ maintenance
-    def enable_maintenance(self, period_s: float) -> MaintenanceThread:
-        """Start (or restart) the supervision sweep thread — worker
-        liveness, respawn, re-placement and autoscale stepping on one
-        cadence, reusing the stock MaintenanceThread loop."""
-        self.stop_maintenance()
-        self.maintenance = MaintenanceThread(
-            period_s,
-            telemetry=self.telemetry,
-            router=self.router,
-            controllers=lambda: list(self._autoscalers.values()),
-            metrics_hook=self.sample_metrics,
-        )
-        return self.maintenance
-
-    def stop_maintenance(self, timeout: Optional[float] = None) -> bool:
-        if self.maintenance is None:
-            return True
-        if not self.maintenance.stop(timeout):
-            return False
-        self.maintenance = None
-        return True
-
-    # -------------------------------------------------------------- lifecycle
-    def stats(self) -> TelemetrySnapshot:
-        return self.telemetry.snapshot()
-
-    def worker_pids(self) -> Dict[str, Optional[int]]:
-        """Live worker process ids (chaos/ops surface)."""
-        with self._lock:
-            return {
-                h.worker_id: h.pid
-                for h in self._workers.values()
-                if h.state in ("starting", "up")
-            }
-
-    def kill_worker(self, worker_id: str) -> None:
-        """Chaos hook: SIGKILL one worker process, no warning —
-        exactly what a crashed host looks like to the front end."""
-        with self._lock:
-            handle = self._workers.get(worker_id)
-            pid = None if handle is None else handle.pid
-        if pid is None:
-            raise KeyError(f"no live worker {worker_id!r}")
-        os.kill(pid, signal.SIGKILL)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait out every in-flight request and worker queue."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        complete = True
-        for handle in self._up_workers():
-            remaining = (
-                None if deadline is None
-                else max(deadline - time.monotonic(), 0.1)
-            )
-            try:
-                reply = self._call(handle, "drain", timeout=remaining)
-                complete = complete and bool(reply.get("complete", False))
-            except Exception:  # noqa: BLE001 — a dying worker has no queue left
-                pass
-        while self._pending_requests():
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            time.sleep(0.01)
-        return complete
-
-    def _pending_requests(self) -> int:
-        with self._lock:
-            return sum(
-                1 for entry in self._pending.values()
-                if entry.replica is not None
-            )
-
-    def close(self, drain: bool = True,
-              timeout: Optional[float] = None) -> None:
-        """Graceful teardown: stop supervision, drain, shut workers down."""
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Shut every worker down and fail whatever is still pending."""
         with self._lock:
             if self._closed:
                 return
-        self.stop_maintenance(timeout)
-        if drain:
-            self.drain(timeout)
-        with self._lock:
             self._closed = True
             handles = list(self._workers.values())
         for handle in handles:
@@ -1129,14 +694,12 @@ class ClusterServer(DeploymentTable):
         for handle in handles:
             process = handle.process
             # A process whose start() itself failed cannot be joined.
-            if process is None or getattr(process, "_popen", None) is None:
-                continue
-            process.join(2.0 if timeout is None else timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(1.0)
-            handle.state = "stopped"
-        for handle in handles:
+            if process is not None and getattr(process, "_popen", None):
+                process.join(2.0 if timeout is None else timeout)
+                if process.is_alive():
+                    process.terminate()
+                    process.join(1.0)
+                handle.state = "stopped"
             if handle.conn is not None:
                 handle.conn.close()
                 handle.conn = None
@@ -1147,24 +710,77 @@ class ClusterServer(DeploymentTable):
         with self._lock:
             leftovers = list(self._pending.values())
             self._pending.clear()
-        for entry in leftovers:
+        self._fail(leftovers, "cluster closed")
+
+    @staticmethod
+    def _fail(entries: List[_Pending], reason: str) -> None:
+        """Resolve frames no reply will answer with :class:`WorkerLost`."""
+        for entry in entries:
             try:
-                entry.on_error(WorkerLost("cluster closed"))
-            except Exception:  # noqa: BLE001
+                entry.on_error(WorkerLost(reason))
+            except Exception:  # noqa: BLE001 — one must not block the rest
                 pass
 
-    def __enter__(self) -> "ClusterServer":
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
+class ClusterServer(FeBiMServer):
+    """Multi-process serving (``placement: process``): a
+    :class:`~repro.serving.server.FeBiMServer` whose router places every
+    replica on a worker process of its :class:`WorkerPool`.
 
-    def __repr__(self) -> str:
-        with self._lock:
-            up = sum(1 for h in self._workers.values() if h.state == "up")
-            total = len(self._workers)
-            deployments = len(self._deployments)
-        return (
-            f"ClusterServer({up}/{total} workers up, "
-            f"{deployments} deployments)"
-        )
+    Parameters mirror :class:`~repro.serving.server.FeBiMServer` —
+    ``registry`` (a path or :class:`ModelRegistry`; workers re-open the
+    same root), ``policy`` (micro-batch bounds, applied inside each
+    worker), ``seed`` / ``max_rows`` (engine materialisation, identical
+    to local placement) — plus:
+
+    heartbeat_period_s:
+        Worker liveness cadence; a worker is lost after
+        ``LOST_AFTER_PERIODS`` silent periods.
+    maintenance_period_s:
+        Sweep cadence — supervision, then the heal ladder over every
+        worker-hosted replica (``None`` disables the background thread:
+        call ``router.check_all()`` manually, e.g. in tests).
+
+    Everything else is the server's.  A deployment's
+    ``placement.workers`` workers are spawned on first use; an
+    undeployed model's implicit deployment is placed on a worker too.
+    Use as a context manager for guaranteed worker teardown::
+
+        with ClusterServer(root, seed=0) as cluster:
+            cluster.deploy(dep)           # dep.placement.kind == "process"
+            cluster.predict("iris", levels)
+    """
+
+    def __init__(
+        self,
+        registry: Union[ModelRegistry, str],
+        policy: Optional[BatchPolicy] = None,
+        seed: Optional[int] = None,
+        max_rows: Optional[int] = None,
+        heartbeat_period_s: float = 0.25,
+        maintenance_period_s: Optional[float] = 0.25,
+    ):
+        super().__init__(registry, policy=policy, seed=seed, max_rows=max_rows)
+        self.pool = self.router.pool = WorkerPool(self, heartbeat_period_s)
+        # Client futures come from this module's ``Future``, which lets a
+        # test substitute a subclass that counts how often each resolves.
+        self.router.plane.future = Future
+        if maintenance_period_s is not None:
+            self.enable_maintenance(maintenance_period_s)
+
+    def worker_pids(self) -> Dict[str, Optional[int]]:
+        """Live worker process ids (chaos/ops surface)."""
+        with self.pool._lock:
+            return {
+                h.worker_id: h.pid
+                for h in self.pool._workers.values()
+                if h.state in ("starting", "up")
+            }
+
+    def kill_worker(self, worker_id: str) -> None:
+        """Chaos hook: SIGKILL one worker process, no warning —
+        exactly what a crashed host looks like to the front end."""
+        pid = self.worker_pids().get(worker_id)
+        if pid is None:
+            raise KeyError(f"no live worker {worker_id!r}")
+        os.kill(pid, signal.SIGKILL)

@@ -32,8 +32,9 @@ class HealthReport:
     the sweep *found*: its first canary read, before any repair (NaN
     when the replica could not be read).  ``action`` is the deepest rung
     taken (``"ok"``, ``"refresh"``, ``"spare_repair"``, ``"replace"`` or
-    ``"evict"``), ``healed`` whether the replica left the pass reading
-    clean canaries, and ``state`` its routing state afterwards.
+    ``"evict"``; ``"wait"`` for a worker-hosted replica between workers,
+    which no rung touches), ``healed`` whether the replica left the pass
+    reading clean canaries, and ``state`` its routing state afterwards.
     """
 
     replica: str

@@ -152,10 +152,12 @@ class Trace:
         return [s for s in self.spans if not s.closed]
 
     # -------------------------------------------------------------- lifecycle
-    def finish(self, outcome: str = "served") -> "Trace":
-        """Mark the request resolved (idempotent; first outcome wins)."""
+    def finish(self, outcome: str = "served",
+               end_s: Optional[float] = None) -> "Trace":
+        """Mark the request resolved at ``end_s`` (default: now);
+        idempotent, the first outcome wins."""
         if self.finished_s is None:
-            self.finished_s = time.monotonic()
+            self.finished_s = time.monotonic() if end_s is None else end_s
             self.outcome = outcome
         return self
 

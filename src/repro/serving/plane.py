@@ -1,25 +1,26 @@
 """The request plane: a routed request's path, written once for both placements.
 
-:class:`RequestPlane`, held by both the in-process
-:class:`~repro.serving.router.Router` and the cross-process
-:class:`~repro.serving.cluster.ClusterServer`, owns shape checks and
-``max_batch`` chunking, the policy pick (:mod:`repro.serving.policy`),
-the immutable :class:`_Attempt` record, failover against the *live*
-deployment, rejection counted once per client request, stale-guarded
-mark-down, and mirror fan-out with one vote resolution.
+:class:`RequestPlane`, held by the :class:`~repro.serving.router.Router`
+that owns every replica, owns shape checks and ``max_batch`` chunking,
+the policy pick (:mod:`repro.serving.policy`), the immutable
+:class:`_Attempt` record, failover against the *live* deployment,
+rejection counted once per client request, stale-guarded mark-down,
+and mirror fan-out with one vote resolution.
 
-Only each replica's *queue* depends on where it lives: one method,
+Only where each replica's engine and queue live depends on its
+placement: the plane calls one method of a replica's *host*,
 ``enqueue(requests, block) -> (refused, refusal)``, taking the
 :class:`~repro.serving.scheduler._Request` rows of one attempt and
 reporting back through their attempt record — ``served(n)`` before any
 of their futures resolves (returning how many of the ``n`` rows are
 client requests), ``failed(rows, exc, ran)`` for rows a batch failed or
 the queue lost (``ran``: their futures were already set running).  A
-local replica's queue is its micro-batch scheduler bound to its key; a
-remote one ships the rows to its worker as one ``request`` frame.  A
-replica gets a fresh queue object each time it is placed, and that
-object is the stale-evidence token: a failure seen through a queue the
-replica no longer uses says nothing about its new home.
+local replica's host queues them on its micro-batch scheduler
+(:class:`~repro.serving.host.ReplicaHost`); a worker-hosted one ships
+them to its worker as one ``request`` frame.  A replica gets a fresh
+host each time it is placed, and that object is the stale-evidence
+token: a failure seen through a host the replica no longer uses says
+nothing about its new home.
 
 Mirror participants ride the same queues as one-row attempts whose
 future is a vote slot (:class:`_Seat`), so no queue counts a
@@ -33,7 +34,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,53 +73,18 @@ class MirroredResult:
         return self.agreement == 1.0
 
 
-class DeploymentTable:
-    """The applied deployments of a request plane's owner, by model
-    name (``_deployments``, guarded by the owner's ``_lock``), shared by
-    the :class:`~repro.serving.router.Router` and the
-    :class:`~repro.serving.cluster.ClusterServer`."""
-
-    def deployments(self) -> Dict[str, object]:
-        """Applied specs by model name."""
-        with self._lock:
-            return {name: dep.spec for name, dep in self._deployments.items()}
-
-    def deployment_for(self, name: str, version: Optional[int] = None):
-        """The applied deployment serving ``name`` at ``version``.
-
-        ``None`` when the model is undeployed *or* the caller pinned a
-        version other than the one the deployment resolved at apply
-        time (a local server serves such pins through an implicit
-        deployment).
-        """
-        with self._lock:
-            dep = self._deployments.get(name)
-        if dep is None or (version is not None and int(version) != dep.version):
-            return None
-        return dep
-
-    def _deployment(self, name: str, version: Optional[int] = None):
-        dep = self.deployment_for(name, version)
-        if dep is None:
-            raise KeyError(
-                f"no deployment for model {name!r}"
-                + ("" if version is None else f" at version {version}")
-            )
-        return dep
-
-
 class _Attempt:
     """One routing hop, shared by every row of a routed chunk.
 
-    Where the rows were sent (``replica`` and the ``queue`` it had
-    then), every replica they have tried (``attempted``) and the queues
+    Where the rows were sent (``replica`` and the ``host`` it had then),
+    every replica they have tried (``attempted``) and the earlier hops
     that failed them (``failed_chain``, marked down once another replica
     serves the rows).  Never mutated: a failover hands the failed rows
     a new record one hop further on.
     """
 
     __slots__ = (
-        "plane", "dep", "replica", "queue", "attempted", "failed_chain",
+        "plane", "dep", "replica", "host", "attempted", "failed_chain",
         "claimed",
     )
 
@@ -127,7 +93,7 @@ class _Attempt:
         self.plane = plane
         self.dep = dep
         self.replica = replica
-        self.queue = replica.queue
+        self.host = replica.host
         self.attempted = attempted
         self.failed_chain = failed_chain
         # Whether the rows' futures are already running: set once a
@@ -188,14 +154,14 @@ class _Seat:
     As the row's future it casts whatever the queue resolves it with.
     """
 
-    __slots__ = ("vote", "replica", "queue", "outcome")
+    __slots__ = ("vote", "replica", "host", "outcome")
 
     claimed = False
 
     def __init__(self, vote: _Vote, replica):
         self.vote = vote
         self.replica = replica
-        self.queue = replica.queue
+        self.host = replica.host
         self.outcome = None
 
     def served(self, n: int) -> int:
@@ -228,23 +194,23 @@ class RequestPlane:
     the rows per ``submit_many`` chunk, ``lock`` the owner's
     replica-state lock, ``live(dep)`` the owner's deployment now serving
     in ``dep``'s place, or ``None`` (so rows routed under a deployment
-    replaced mid-flight fail over onto the replacement's replicas) and
-    ``future`` the class client futures are built from.  Deployments
+    replaced mid-flight fail over onto the replacement's replicas);
+    :attr:`future` is the class client futures are built from.  Deployments
     expose ``name`` / ``version`` / ``route`` / ``spec`` / ``replicas``
     / ``rr_counter``;
     replicas the policy core's candidate surface plus ``label`` and
-    ``queue``.  :attr:`tracer` (``None`` = off) samples traces that
+    ``host``.  :attr:`tracer` (``None`` = off) samples traces that
     follow a routed row across every failover hop; mirror fan-out is not
     traced (parallel reads would break the span-sum invariant).
     """
 
     def __init__(self, telemetry, max_batch: int, lock,
-                 live: Callable[[object], object], future=Future):
+                 live: Callable[[object], object]):
         self.telemetry = telemetry
         self.max_batch = max_batch
         self._lock = lock
         self._live = live
-        self._future = future
+        self.future = Future
         self.tracer = None
 
     @staticmethod
@@ -318,7 +284,7 @@ class RequestPlane:
         replica = self.pick(dep, client)
         attempt = _Attempt(self, dep, replica, {replica})
         now = time.monotonic()
-        new = self._future
+        new = self.future
         requests = [_Request(row, now, priority, attempt, new()) for row in rows]
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -340,7 +306,7 @@ class RequestPlane:
 
     def _enqueue(self, attempt: _Attempt, requests: List[_Request],
                  block: bool = False) -> None:
-        refused, refusal = attempt.queue.enqueue(requests, block)
+        refused, refusal = attempt.host.enqueue(requests, block)
         if refused:
             # A full or closed queue, or a lost worker: spill onward.
             self._failover(attempt, refused, refusal, ran=False)
@@ -371,7 +337,7 @@ class RequestPlane:
         # the mark-down chain.
         chain = attempt.failed_chain
         if not isinstance(exc, Overloaded):
-            chain = chain + (attempt.queue,)
+            chain = chain + (attempt,)
         hop = _Attempt(
             self, dep, fallback, attempt.attempted | {fallback}, chain, claimed
         )
@@ -426,12 +392,13 @@ class RequestPlane:
                 request.trace.finish(outcome)
             request.future.set_exception(exc)
 
-    def _mark_down(self, queue) -> None:
-        """Mark ``queue``'s replica down — unless the evidence is stale
-        (the replica has been placed again, on a new queue)."""
-        replica = queue.replica
+    def _mark_down(self, hop) -> None:
+        """Mark the replica of ``hop`` (an attempt or a mirror seat) down
+        — unless the evidence is stale (the replica has been placed
+        again, on a new host)."""
+        replica = hop.replica
         with self._lock:
-            flipped = replica.queue is queue and replica.state == HEALTHY
+            flipped = replica.host is hop.host and replica.state == HEALTHY
             if flipped:
                 replica.state = DOWN
         if flipped:
@@ -444,12 +411,12 @@ class RequestPlane:
             routing_policy.mirror_candidates(
                 self._candidates(dep), dep.spec.policy.mirror_fanout
             ),
-            self._future(),
+            self.future(),
         )
         self.telemetry.record_submitted()
         now = time.monotonic()
         for seat in vote.seats:
-            refused, refusal = seat.queue.enqueue(
+            refused, refusal = seat.host.enqueue(
                 [_Request(levels, now, 0, seat, seat)], False
             )
             if refused:
@@ -481,7 +448,7 @@ class RequestPlane:
             if isinstance(seat.outcome, BaseException) and not isinstance(
                 seat.outcome, Overloaded
             ):
-                self._mark_down(seat.queue)
+                self._mark_down(seat)
         # Majority, optionally weighted by each answer's read margin;
         # deterministic tie-break on the lower class label either way.
         weighted = vote.dep.spec.policy.mirror_weighted

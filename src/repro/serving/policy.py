@@ -1,23 +1,19 @@
 """Pure routing-policy core: replica arbitration with no threads or sockets.
 
-The :class:`~repro.serving.router.Router` used to fuse two concerns:
-*deciding* which replica answers a request, and *executing* that
-decision against in-process schedulers.  The cross-process serving
-plane (:mod:`repro.serving.cluster`) needs the first half without the
-second — the front end arbitrates over replica *views* reported by
-worker processes, then ships the request over a socket instead of into
-a queue.  This module is that first half, factored out: every function
-here is a pure decision over snapshot state, trivially unit-testable,
-and shared verbatim by the in-process router and the cluster front end
-so ``local`` and ``process`` placement route identically.
+*Deciding* which replica answers a request is kept apart from
+*executing* that decision on a replica's host (in process, or in a
+worker process): every function here is a pure decision over snapshot
+state, trivially unit-testable, and the
+:class:`~repro.serving.router.Router` applies it the same way on both
+placements.
 
 Candidates are duck-typed: anything exposing ``index`` / ``state`` /
 ``unit_delay`` / ``weight`` / ``pending`` participates (the router's
-live ``_Replica`` objects and the cluster's ``_ReplicaHandle`` rows
-both do), so the hot path never copies replica state into intermediate
+live ``_Replica`` objects do, wherever their host lives, and so do test
+doubles), so the hot path never copies replica state into intermediate
 view objects.
 
-Two policy refinements live here alongside the extraction:
+Two policy refinements live here beside the plain picks:
 
 * **Weighted mirror votes** (:func:`resolve_votes` with per-vote
   weights): instead of one-replica-one-vote, each vote carries the
@@ -45,6 +41,9 @@ DOWN = "down"
 DRAINING = "draining"
 EVICTED = "evicted"
 RETIRED = "retired"
+#: A worker-hosted replica between workers (its worker was lost) until
+#: a survivor takes it over: no traffic, no heal-ladder rung.
+UNPLACED = "unplaced"
 
 
 def serviceable(replicas: Iterable) -> List:

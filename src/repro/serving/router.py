@@ -1,16 +1,22 @@
 """Cost- and health-aware request routing across deployment replicas.
 
-:class:`Router` is the serving layer's arbitration engine: it owns the
-applied :class:`~repro.serving.deployment.Deployment` specs, one
-programmed engine *and one micro-batch scheduler per replica* — a slow
-``memristor`` replica coalesces on its own worker and can never
-head-of-line-block an ``ideal`` one — and the
-:class:`~repro.serving.plane.RequestPlane` that decides which replica
-answers each request (each ``max_batch`` chunk of a ``submit_many``);
-a replica's queue is its scheduler bound to its key:
+:class:`Router` is the serving layer's arbitration engine and the one
+owner of every replica: it holds the applied
+:class:`~repro.serving.deployment.Deployment` specs, one replica record
+per replica — routing state, canary baseline, wear and age ledgers —
+and the :class:`~repro.serving.plane.RequestPlane` that decides which
+replica answers each request (each ``max_batch`` chunk of a
+``submit_many``).  A replica's programmed engine and its micro-batch
+scheduler live in its *host* (:class:`~repro.serving.host.ReplicaHost`):
+in process, or — when the router has a worker pool, on a
+:class:`~repro.serving.cluster.ClusterServer` — in a worker process
+reached through per-replica control frames.  Placement decides only
+where the host lives; a slow ``memristor`` replica coalesces on its own
+queue and can never head-of-line-block an ``ideal`` one either way.
+The policies:
 
 * ``cost`` — cheapest healthy replica: the backend's own
-  ``inference_cost_batch`` unit delay (probed once at apply time),
+  ``inference_cost_batch`` unit delay (probed once at placement),
   scaled by live queue occupancy and divided by the replica weight;
 * ``round_robin`` — healthy replicas in turn;
 * ``sticky`` — per-tenant affinity: the request's ``client`` identity
@@ -24,9 +30,11 @@ a replica's queue is its scheduler bound to its key:
 A model nobody deployed is served all the same: :meth:`Router.serving`
 builds it an *implicit* one-replica ``cost`` deployment on the
 registry's backend on first use, kept per ``(name, version)`` until the
-registry invalidates the model or the sweep evicts its replica, whose
-replica keeps the ``name@vN`` routing key.  So every request takes the
-routed path and every replica is swept by one heal ladder.
+registry invalidates the model, the sweep evicts its replica, or more
+than ``registry.engine_cache_size`` routes are live (the least recently
+served one drains and shuts); its replica keeps the ``name@vN``
+routing key.  So every request takes the routed path and every replica
+is swept by one heal ladder.
 
 Failures route around automatically on two timescales.  Per request,
 the plane resubmits a replica attempt that errors to another replica
@@ -54,26 +62,20 @@ mode) so placement can prefer the least-worn hardware.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
-import zlib
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import Capability
 from repro.reliability.faults import AgeClock, WearState
-from repro.reliability.mitigation import refresh_engine, spare_row_repair
 from repro.reliability.observability import (
     DeviceHealthSample,
     MarginProbe,
     MarginReading,
     _or_none,
-    report_currents,
 )
 from repro.serving.deployment import (
     Deployment,
@@ -83,20 +85,25 @@ from repro.serving.deployment import (
     validate_replica_spec,
 )
 from repro.serving.health import HealthReport
-from repro.serving.plane import DeploymentTable, RequestPlane
+from repro.serving.host import (
+    CanaryRead,
+    KilledReplicaError,
+    ReplicaHost,
+    WorkerLost,
+)
+from repro.serving.plane import RequestPlane
 from repro.serving.policy import (
     DOWN,
     DRAINING,
     EVICTED,
     HEALTHY,
     RETIRED,
+    UNPLACED,
 )
-from repro.serving.scheduler import MicroBatchScheduler, SchedulerClosed
+from repro.serving.scheduler import SchedulerClosed
 
 #: Canary-set size probed per replica at apply time.
 N_CANARIES = 8
-#: How long a heal-ladder pass waits for a replica's in-flight batch.
-QUIESCE_TIMEOUT_S = 30.0
 
 
 class ReplicaKey(NamedTuple):
@@ -148,26 +155,11 @@ class ReplicaStatus:
         }
 
 
-class KilledReplicaError(RuntimeError):
-    """Raised when a batch resolves an engine on a killed replica."""
-
-
-class _LocalQueue:
-    """A local replica's request-plane queue: its micro-batch scheduler,
-    bound to its key."""
-
-    __slots__ = ("replica",)
-
-    def __init__(self, replica: "_Replica"):
-        self.replica = replica
-
-    def enqueue(self, requests, block: bool = False):
-        replica = self.replica
-        return replica.scheduler.enqueue(replica.key, requests, block)
-
-
 class _Replica:
-    """One applied replica: spec, engine, scheduler, live state."""
+    """One replica as the router owns it: spec, routing state, canary
+    baseline and ledgers — and its host, where its engine and queue
+    live (:class:`~repro.serving.host.ReplicaHost` in process, or a
+    worker's, reached over the wire)."""
 
     def __init__(
         self,
@@ -179,8 +171,7 @@ class _Replica:
         self.index = index
         self.spec = spec
         self.key = key
-        self.scheduler: Optional[MicroBatchScheduler] = None
-        self.queue = _LocalQueue(self)
+        self.host = None
         self.state = HEALTHY
         self.killed = False
         self.recoverable = True
@@ -189,7 +180,6 @@ class _Replica:
         # replica finalises when the step reaches ``drain_steps``.
         self.drain_step = 0
         self.drain_steps = 0
-        self.engine = None
         self.unit_delay = float("inf")
         # Canary baseline: predictions and wordline currents of the
         # deployment's canaries on this replica while it was pristine.
@@ -200,8 +190,8 @@ class _Replica:
         # live template — serving stays bit-identical.
         self.wear = wear if wear is not None else WearState()
         self.age = AgeClock()
-        # Margin probe against the apply-time pristine read; the latest
-        # reading is refreshed by every canary sweep and hardware
+        # Margin probe against the placement-time pristine read; the
+        # latest reading is refreshed by every canary sweep and hardware
         # sample — no extra array reads, ever.
         self.probe: Optional[MarginProbe] = None
         self.margin_reading: Optional[MarginReading] = None
@@ -212,20 +202,28 @@ class _Replica:
         return f"{self.key}[{self.spec.backend}]"
 
     # Duck-typed view attributes the policy core and the request plane
-    # arbitrate on (shared with the cluster front end's replica handles).
+    # arbitrate on.
     @property
     def weight(self) -> float:
         return self.spec.weight
 
     @property
     def pending(self) -> int:
-        return self.scheduler.pending
+        return self.host.pending
+
+    # An in-process host's engine and scheduler, for tests and tools
+    # that reach into a local replica.
+    @property
+    def engine(self):
+        return self.host.engine
+
+    @property
+    def scheduler(self):
+        return self.host.scheduler
 
     def resolve(self):
         """The engine serving this replica; raises when killed."""
-        if self.killed or self.engine is None:
-            raise KilledReplicaError(f"replica {self.label} is dead")
-        return self.engine
+        return self.host.resolve()
 
 
 class _AppliedDeployment:
@@ -246,6 +244,9 @@ class _AppliedDeployment:
         # rebuilt once the registry's generation of the model moves.
         self.implicit = implicit
         self.generation = None
+        # Stamp of the last request routed here (implicit deployments:
+        # the least recently served one is shut first).
+        self.served_at = 0
         # Never mutated in place: add/retire swap in a fresh list so
         # lock-free readers of the reference stay consistent.
         self.replicas = replicas
@@ -261,35 +262,8 @@ class _AppliedDeployment:
         return f"{self.name}@v{self.version}"
 
 
-def replica_stream_seed(
-    base_seed: Optional[int], name: str, version: int, replica: int
-) -> Optional[int]:
-    """Deterministic per-replica engine seed.
-
-    Replica 0 uses the unmodified per-tenant stream
-    (:func:`~repro.serving.server.model_stream_seed`) so a
-    single-replica deployment materialises the bit-identical engine an
-    undeployed model's implicit deployment serves; higher replicas
-    extend the entropy tuple with their index for statistically
-    independent streams.
-    """
-    from repro.serving.server import model_stream_seed
-
-    if replica == 0:
-        return model_stream_seed(base_seed, name, version)
-    if base_seed is None:
-        return None
-    entropy = (
-        int(base_seed),
-        zlib.crc32(name.encode("utf-8")),
-        int(version),
-        int(replica),
-    )
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
-
-
-class Router(DeploymentTable):
-    """Deployment owner and local host of the request plane.
+class Router:
+    """Owner of every replica, and of the request plane over them.
 
     Parameters
     ----------
@@ -301,14 +275,19 @@ class Router(DeploymentTable):
         own backend is bit for bit the implicit deployment of the same
         route.
 
+    :attr:`pool` (``None`` = in process) is the
+    :class:`~repro.serving.cluster.WorkerPool` a ``ClusterServer``
+    places every replica's host with; its supervision sweep runs first
+    in :meth:`check_all`.
+
     Thread safety: deployment application/removal and replica state
     transitions take the router lock; the submit hot path reads the
     replica list without copying (replica lists are never mutated in
     place — eviction flips a state flag).  Heal-ladder passes and
     canary installs run one at a time.
 
-    :attr:`plane` routes every request (``submit`` / ``submit_many``
-    delegate to it); :attr:`tracer` is its request tracer.
+    :attr:`plane` routes every request; :attr:`tracer` is its request
+    tracer.
     """
 
     def __init__(self, server):
@@ -321,7 +300,9 @@ class Router(DeploymentTable):
         self._installed: Dict[Tuple[str, int], np.ndarray] = {}
         self._build_lock = threading.Lock()
         self._heal_lock = threading.Lock()
+        self._served = itertools.count(1)
         self._closed = False
+        self.pool = None
         # Test/benchmark hook: wraps every materialised replica engine
         # (e.g. a pacing proxy that models slower hardware).  Leave
         # ``None`` in production.
@@ -380,8 +361,11 @@ class Router(DeploymentTable):
         invalidates the model (a re-register, an unregister) or the
         sweep evicts the replica, the next request rebuilds the route —
         same stream seed, same canaries — and drains the model's stale
-        implicit deployments.  Raises ``KeyError`` for an unknown model
-        and :class:`SchedulerClosed` after :meth:`close`.
+        implicit deployments.  At most ``registry.engine_cache_size``
+        implicit deployments live at once: a build beyond that drains
+        and shuts the least recently served one, which rebuilds the
+        same way on its next request.  Raises ``KeyError`` for an
+        unknown model and :class:`SchedulerClosed` after :meth:`close`.
         """
         dep = self.deployment_for(name, version)
         if dep is not None:
@@ -389,8 +373,16 @@ class Router(DeploymentTable):
         registry = self.server.registry
         version = registry.resolve_version(name, version)
         dep = self._implicit.get((name, version))
-        if dep is not None and self._current(dep):
-            return dep
+        if dep is None or not self._current(dep):
+            dep = self._build_implicit(name, version)
+        if dep.implicit:
+            dep.served_at = next(self._served)
+        return dep
+
+    def _build_implicit(self, name: str, version: int):
+        """Build, publish and return the route's implicit deployment
+        (or the applied one, when an ``apply`` races the build)."""
+        registry = self.server.registry
         with self._build_lock:
             dep = self._implicit.get((name, version))
             if dep is not None and self._current(dep):
@@ -405,6 +397,7 @@ class Router(DeploymentTable):
                 canaries=self._installed.get((name, version)),
             )
             dep.generation = generation
+            dep.served_at = next(self._served)
             with self._lock:
                 stale = self._pop_stale(name)
                 applied = self._deployments.get(name)
@@ -414,6 +407,7 @@ class Router(DeploymentTable):
                     dep = applied
                 else:
                     self._implicit[(name, version)] = dep
+                    stale += self._pop_least_served()
         for gone in stale:
             self._shutdown_deployment(gone)
         return dep
@@ -436,13 +430,44 @@ class Router(DeploymentTable):
         ]
         return [self._implicit.pop(key) for key in keys]
 
+    def _pop_least_served(self) -> List[_AppliedDeployment]:
+        """Unlink the least recently served implicit deployments beyond
+        ``registry.engine_cache_size``; the caller holds the lock and
+        drain-shuts them after releasing it."""
+        keys = sorted(self._implicit, key=lambda k: self._implicit[k].served_at)
+        excess = len(keys) - self.server.registry.engine_cache_size
+        return [self._implicit.pop(key) for key in keys[:max(excess, 0)]]
+
+    def deployments(self) -> Dict[str, Deployment]:
+        """Applied specs by model name."""
+        with self._lock:
+            return {name: dep.spec for name, dep in self._deployments.items()}
+
+    def deployment_for(self, name: str, version: Optional[int] = None):
+        """The applied deployment serving ``name`` at ``version``.
+
+        ``None`` when the model is undeployed *or* the caller pinned a
+        version other than the one the deployment resolved at apply
+        time (such pins are served by an implicit deployment).
+        """
+        with self._lock:
+            dep = self._deployments.get(name)
+        if dep is None or (version is not None and int(version) != dep.version):
+            return None
+        return dep
+
     def _deployment(self, name: str, version: Optional[int] = None):
         """The deployment serving ``name`` — applied, or implicit and
         already built (a control call never builds one)."""
         dep = self.deployment_for(name, version) or self._implicit.get(
             (name, self.server.registry.resolve_version(name, version))
         )
-        return dep or super()._deployment(name, version)
+        if dep is None:
+            raise KeyError(
+                f"no deployment for model {name!r}"
+                + ("" if version is None else f" at version {version}")
+            )
+        return dep
 
     def _live(self, dep) -> Optional[_AppliedDeployment]:
         """Where rows routed under ``dep`` fail over: the model's
@@ -461,46 +486,24 @@ class Router(DeploymentTable):
             )
 
     # ------------------------------------------------------------ deployment
-    def apply(
-        self,
-        deployment: Deployment,
-        indices: Optional[List[int]] = None,
-    ) -> _AppliedDeployment:
+    def apply(self, deployment: Deployment) -> _AppliedDeployment:
         """Validate, program and install a deployment (replacing any
         previous deployment of the same model).
 
-        Every replica is materialised, probed for its unit cost and
-        canary baseline *before* the deployment goes live — a spec that
-        cannot serve fails here, not mid-traffic.  The resolved model
-        version is pinned: re-apply to roll a deployment forward after
-        registering a new version.
-
-        ``indices`` assigns explicit global replica indices (one per
-        spec replica, in order) instead of ``0..n-1``.  This is the
-        cluster worker's hosting hook: a worker applying the slice of a
-        deployment it owns must mint the *cluster-wide* indices, because
-        the per-replica stream seed — and therefore the engine's bits —
-        derives from them.
+        Every replica is placed, materialised and probed for its unit
+        cost and canary baseline *before* the deployment goes live — a
+        spec that cannot serve fails here, not mid-traffic.  The
+        resolved model version is pinned: re-apply to roll a deployment
+        forward after registering a new version.
 
         The deployment supersedes its route's implicit deployment, if
         one was built: that one drains and shuts down.
         """
         deployment.validate()
-        if indices is not None:
-            indices = [int(i) for i in indices]
-            if len(indices) != len(deployment.replicas):
-                raise DeploymentError(
-                    f"apply got {len(indices)} indices for "
-                    f"{len(deployment.replicas)} replicas"
-                )
-            if len(set(indices)) != len(indices) or min(indices) < 0:
-                raise DeploymentError(
-                    f"replica indices must be unique and >= 0, got {indices}"
-                )
         version = self.server.registry.resolve_version(
             deployment.model, deployment.version
         )
-        applied = self._build(deployment, version, indices)
+        applied = self._build(deployment, version)
         with self._lock:
             previous = self._deployments.get(deployment.model)
             self._deployments[deployment.model] = applied
@@ -514,41 +517,35 @@ class Router(DeploymentTable):
         self,
         deployment: Deployment,
         version: int,
-        indices: Optional[List[int]] = None,
         implicit: bool = False,
         canaries: Optional[np.ndarray] = None,
     ) -> _AppliedDeployment:
-        """Program and probe every replica of ``deployment`` (on the
-        default canary set unless ``canaries`` is given).  Raises
+        """Place, program and probe every replica of ``deployment`` (on
+        the default canary set unless ``canaries`` is given).  Raises
         ``KeyError`` for an unregistered version."""
         default = self._canary_levels(deployment, version)
         canaries = default if canaries is None else canaries
         replicas: List[_Replica] = []
-        for i, spec in enumerate(deployment.replicas):
-            index = i if indices is None else indices[i]
+        for index, spec in enumerate(deployment.replicas):
             key = (
                 RouteKey(deployment.model, version) if implicit
                 else ReplicaKey(deployment.model, version, index)
             )
             replica = _Replica(index, spec, key)
-            replica.scheduler = self._make_scheduler(replica, deployment)
             try:
-                self._probe(deployment.model, version, replica, canaries)
+                self._probe(deployment, version, replica, canaries)
             except Exception as exc:
-                replica.scheduler.shutdown(drain=False)
-                for built in replicas:
-                    built.scheduler.shutdown(drain=False)
+                for built in replicas + [replica]:
+                    if built.host is not None:
+                        built.host.retire(drain=False)
                 raise DeploymentError(
-                    f"replica {i} ({spec.backend}) failed to materialise "
-                    f"for {deployment.model!r} v{version}: {exc}"
+                    f"replica {index} ({spec.backend}) failed to "
+                    f"materialise for {deployment.model!r} v{version}: {exc}"
                 ) from exc
             replicas.append(replica)
-        applied = _AppliedDeployment(
+        return _AppliedDeployment(
             deployment, version, replicas, canaries, implicit
         )
-        if indices is not None:
-            applied.next_index = max(indices) + 1
-        return applied
 
     def remove(self, name: str, timeout: Optional[float] = None) -> bool:
         """Undeploy ``name`` (drain its replica queues); False if absent."""
@@ -563,7 +560,7 @@ class Router(DeploymentTable):
         self, dep: _AppliedDeployment, timeout: Optional[float] = None
     ) -> None:
         for replica in dep.replicas:
-            replica.scheduler.shutdown(drain=True, timeout=timeout)
+            replica.host.retire(drain=True, timeout=timeout)
 
     def _canary_levels(self, deployment: Deployment, version: int) -> np.ndarray:
         """A small deterministic probe set over the model's level widths."""
@@ -576,92 +573,51 @@ class Router(DeploymentTable):
             levels[:, f] = (np.arange(N_CANARIES) * (f + 1)) % width
         return levels
 
-    def _materialise(
-        self, name: str, version: int, replica: _Replica, fresh: bool = False
-    ):
-        """Program (or fetch from cache) one replica's engine.
-
-        ``fresh=True`` forces a new materialisation that takes over the
-        cache slot (the replace rung) without touching the model's
-        other cached engines.
-        """
-        registry = self.server.registry
-        spec = replica.spec
-        # A replica on the registry's own technology with no options of
-        # its own inherits the registry's serving configuration — and
-        # therefore an implicit deployment's cache key (single-replica
-        # bit-identity, enforced by tests/serving/test_router.py).
-        backend = None if spec.backend == registry.backend else spec.backend
-        options = spec.backend_options or (None if backend is None else {})
-        seed = replica_stream_seed(self.server.seed, name, version, replica.index)
-        if seed is None and replica.index > 0:
-            # A seedless server draws fresh entropy per engine, but the
-            # registry caches seed=None configurations under one key —
-            # which would collapse same-backend replicas into a single
-            # shared engine (no real redundancy, and a data race on
-            # stateful readers).  A Generator seed keeps the fresh
-            # entropy while bypassing the cache; replica 0 stays on the
-            # cached entry.
-            seed = np.random.default_rng()
-        engine = registry.get_engine(
-            name,
-            version,
-            max_rows=self.server.max_rows,
-            seed=seed,
-            backend=backend,
-            backend_options=options,
-            fresh=fresh,
-        )
-        if self.engine_wrapper is not None:
-            engine = self.engine_wrapper(engine, replica)
-        return engine
-
-    def _make_scheduler(
-        self, replica: _Replica, deployment: Deployment
-    ) -> MicroBatchScheduler:
-        """One scheduler per replica, bounded when the spec carries an SLO.
-
-        The scheduler resolves its replica directly (not through the
-        live deployment table): requests queued on a deployment that is
-        later replaced drain on the engines they were routed to, never
-        on the replacement's replicas.
-        """
-        slo = deployment.slo
-        return MicroBatchScheduler(
-            lambda _key, r=replica: r.resolve(),
-            policy=self.server.policy,
-            telemetry=self.server.telemetry,
-            max_queue_depth=None if slo is None else slo.max_queue_depth,
-        )
-
     def _probe(
         self,
-        name: str,
+        deployment: Deployment,
         version: int,
         replica: _Replica,
         canaries: np.ndarray,
     ) -> None:
-        """Materialise + canary-probe one replica (unit cost, baseline).
+        """Host, materialise and canary-probe one replica (unit cost,
+        baseline).
 
-        Shared by :meth:`apply` and :meth:`add_replica`; raises the
-        materialisation/probe error for the caller to wrap.
+        The host is placed on a worker when the router has a pool, and
+        lives in process otherwise (each materialised engine wrapped by
+        :attr:`engine_wrapper`, read at materialisation time); its
+        scheduler is bounded when the spec carries an SLO.  Shared by
+        :meth:`apply` and :meth:`add_replica`; raises the placement,
+        materialisation or probe error for the caller to wrap
+        (``replica.host`` is set once a host exists, for it to retire).
         """
-        replica.engine = self._materialise(name, version, replica)
+        slo = deployment.slo
+        depth = None if slo is None else slo.max_queue_depth
+        if self.pool is not None:
+            replica.host = self.pool.host(deployment, version, replica, depth)
+        else:
+            def wrap(engine):
+                wrapper = self.engine_wrapper
+                return engine if wrapper is None else wrapper(engine, replica)
+
+            replica.host = ReplicaHost(
+                self.server, deployment.model, version, replica.index,
+                replica.spec, replica.key, depth, wrap,
+            )
+        read = replica.host.place(canaries)
         replica.wear.add_cycles(1)  # one programming pass
-        report = replica.resolve().infer_batch(canaries)
-        self._baseline(replica, report)
-        replica.unit_delay = float(np.mean(report.delay))
+        self._baseline(replica, read)
+        replica.unit_delay = read.delay
 
     @staticmethod
-    def _baseline(replica: _Replica, report) -> None:
+    def _baseline(replica: _Replica, read: CanaryRead) -> None:
         """Make a canary read the replica's pristine baseline: the
         predictions and currents every later sweep is scored against,
         and the margin probe's reference."""
-        replica.baseline = np.asarray(report.predictions).copy()
-        currents = report_currents(report).copy()
-        replica.currents = currents
-        replica.probe = MarginProbe(currents)
-        replica.margin_reading = replica.probe.observe(currents)
+        replica.baseline = read.predictions
+        replica.currents = read.currents
+        replica.probe = MarginProbe(read.currents)
+        replica.margin_reading = replica.probe.observe(read.currents)
 
     def install_canaries(
         self, name: str, levels: np.ndarray, version: Optional[int] = None
@@ -670,8 +626,8 @@ class Router(DeploymentTable):
         ``name`` (built if it is an implicit one not yet served).
 
         Every replica not evicted re-baselines on the set — predictions,
-        currents and margin probe, not its unit delay — with all of the
-        deployment's queues quiesced, so install while the arrays are
+        currents and margin probe, not its unit delay — from one canary
+        read under its queue's quiesce, so install while the arrays are
         known good; replicas added later baseline on it too.  All or
         nothing: when a replica cannot be read (killed, or its queue
         does not quiesce in time) the install raises and nothing
@@ -684,35 +640,23 @@ class Router(DeploymentTable):
                 f"got shape {levels.shape}"
             )
         dep = self.serving(name, version)
-        with self._heal_lock, contextlib.ExitStack() as stack:
+        with self._heal_lock:
             replicas = [r for r in dep.replicas if r.state != EVICTED]
             reads = []
             for replica in replicas:
                 try:
-                    stack.enter_context(
-                        replica.scheduler.quiesce(QUIESCE_TIMEOUT_S)
-                    )
-                    reads.append(replica.resolve().infer_batch(levels))
+                    reads.append(replica.host.read(levels))
                 except Exception as exc:
                     raise DeploymentError(
                         f"cannot install canaries on {dep.route}: replica "
                         f"{replica.label} could not be read ({exc})"
                     ) from exc
-            for replica, report in zip(replicas, reads):
-                self._baseline(replica, report)
+            for replica, read in zip(replicas, reads):
+                self._baseline(replica, read)
             dep.canaries = levels
             if dep.implicit:
                 self._installed[(dep.name, dep.version)] = levels
         return dep.version
-
-    # ---------------------------------------------------------------- submit
-    def submit(self, dep, evidence_levels, client=None) -> "Future":
-        """Route one sample (:meth:`RequestPlane.submit`)."""
-        return self.plane.submit(dep, evidence_levels, client)
-
-    def submit_many(self, dep, evidence_levels, client=None) -> List["Future"]:
-        """Route a stack of samples (:meth:`RequestPlane.submit_many`)."""
-        return self.plane.submit_many(dep, evidence_levels, client)
 
     # ------------------------------------------------------------- elasticity
     @staticmethod
@@ -731,7 +675,6 @@ class Router(DeploymentTable):
         name: str,
         spec: ReplicaSpec,
         wear: Optional[WearState] = None,
-        index: Optional[int] = None,
     ) -> ReplicaStatus:
         """Grow ``name``'s deployment by one replica at runtime.
 
@@ -741,38 +684,23 @@ class Router(DeploymentTable):
         the routing set, and an optional ``wear`` ledger (e.g. a
         :class:`~repro.serving.autoscale.HardwareSlot`'s) seeds the
         replica's lifetime accounting.  Returns the new replica's
-        status.
-
-        An explicit ``index`` re-hosts a specific global replica
-        identity (the cluster failover path moving a dead worker's
-        replica onto a survivor: same index + same stream seed = the
-        bit-identical engine).  Indices are never reused — a collision
-        with a live replica is an error.
+        status.  Indices are never reused.
         """
         dep = self._deployment(name)
         with self._lock:
-            if index is None:
-                index = dep.next_index
-                dep.next_index += 1
-            else:
-                index = int(index)
-                if any(r.index == index for r in dep.replicas):
-                    raise DeploymentError(
-                        f"deployment {name!r} already has a replica "
-                        f"with index {index}"
-                    )
-                dep.next_index = max(dep.next_index, index + 1)
+            index = dep.next_index
+            dep.next_index += 1
         validate_replica_spec(spec, index, dep.spec.policy.min_agreement)
         key = ReplicaKey(dep.name, dep.version, index)
         replica = _Replica(index, spec, key, wear=wear)
-        replica.scheduler = self._make_scheduler(replica, dep.spec)
         # Under the heal lock: a canary install must not re-baseline the
         # deployment between this probe and the replica joining it.
         with self._heal_lock:
             try:
-                self._probe(dep.name, dep.version, replica, dep.canaries)
+                self._probe(dep.spec, dep.version, replica, dep.canaries)
             except Exception as exc:
-                replica.scheduler.shutdown(drain=False)
+                if replica.host is not None:
+                    replica.host.retire(drain=False)
                 raise DeploymentError(
                     f"replica {index} ({spec.backend}) failed to materialise "
                     f"for {dep.name!r} v{dep.version}: {exc}"
@@ -842,7 +770,7 @@ class Router(DeploymentTable):
         self.server.telemetry.emit(
             "retire", model=name, replica=replica.label
         )
-        replica.scheduler.shutdown(drain=True, timeout=timeout)
+        replica.host.retire(drain=True, timeout=timeout)
         return self._status_of(replica)
 
     def advance_drains(self) -> List[ReplicaStatus]:
@@ -880,7 +808,7 @@ class Router(DeploymentTable):
                 if done:
                     finalised.append(replica)
         for replica in finalised:
-            replica.scheduler.shutdown(drain=True)
+            replica.host.retire(drain=True)
         return [self._status_of(r) for r in finalised]
 
     # ----------------------------------------------------------------- health
@@ -891,7 +819,7 @@ class Router(DeploymentTable):
             state=replica.state,
             weight=replica.spec.weight,
             unit_delay_s=replica.unit_delay,
-            pending=replica.scheduler.pending,
+            pending=replica.pending,
             index=replica.index,
             wear_fraction=replica.wear.fraction_used,
         )
@@ -918,7 +846,7 @@ class Router(DeploymentTable):
         replica = self._replica_by_index(dep, index)
         replica.killed = True
         replica.recoverable = bool(recoverable)
-        replica.engine = None
+        replica.host.kill()
 
     def check_replica(self, name: str, index: int) -> HealthReport:
         """One canary sweep over a replica, healing up the full ladder.
@@ -937,8 +865,12 @@ class Router(DeploymentTable):
         **evict** (remove the replica from routing permanently; the
         deployment keeps serving on the survivors).  A deployment's last
         serviceable replica is never evicted once a replace has given it
-        a live engine.  The pass runs under the replica's own scheduler
-        quiesce, so live traffic never reads a half-reprogrammed array.
+        a live engine.  Every read and reprogram runs under the
+        replica's scheduler quiesce, wherever the replica lives, so live
+        traffic never reads a half-reprogrammed array; a queue that does
+        not quiesce in time raises ``TimeoutError`` (busy is not
+        broken).  A worker-hosted replica between workers gets a
+        ``wait`` report and no rung: the worker pool re-places it.
         """
         return self._check(self._deployment(name), index)
 
@@ -957,33 +889,36 @@ class Router(DeploymentTable):
                 return HealthReport(
                     replica.label, DRAINING, 1.0, action="ok", healed=True
                 )
-            # The initial read is quiesced too: a canary read must never
-            # interleave with live batches on stateful readers (an
-            # ``advance_streams`` replica's LFSR draws).
-            with replica.scheduler.quiesce(timeout=QUIESCE_TIMEOUT_S):
-                return self._ladder(dep, replica)
+            if replica.state != UNPLACED:
+                try:
+                    return self._ladder(dep, replica, replica.host)
+                except WorkerLost:
+                    pass
+            # Between workers: the pool re-places the replica, and no
+            # rung runs on it.
+            return HealthReport(
+                replica.label, replica.state, float("nan"), action="wait",
+                healed=False,
+            )
 
     def _ladder(
-        self, dep: _AppliedDeployment, replica: _Replica
+        self, dep: _AppliedDeployment, replica: _Replica, host
     ) -> HealthReport:
         telemetry = self.server.telemetry
         canaries = dep.canaries
         min_agreement = dep.spec.policy.min_agreement
 
-        def read():
-            """One canary read: ``(failed, accuracy, shift)``, with the
+        def score(read: CanaryRead):
+            """A canary read as ``(failed, accuracy, shift)``, with the
             replica's margin reading refreshed."""
-            report = replica.resolve().infer_batch(canaries)
-            predictions = np.asarray(report.predictions)
-            failed = int(np.count_nonzero(predictions != replica.baseline))
+            failed = int(np.count_nonzero(read.predictions != replica.baseline))
             accuracy = 1.0 - failed / len(canaries)
-            currents = report_currents(report)
             reference = replica.currents
             shift = float(np.mean(
-                np.abs(currents - reference)
+                np.abs(read.currents - reference)
                 / np.maximum(np.abs(reference), 1e-30)
             ))
-            replica.margin_reading = replica.probe.observe(currents)
+            replica.margin_reading = replica.probe.observe(read.currents)
             return failed, accuracy, shift
 
         def healthy(accuracy: float, shift: float) -> bool:
@@ -996,20 +931,33 @@ class Router(DeploymentTable):
                          < self.min_signal_ratio)
             )
 
-        def heals() -> bool:
+        def attempt(call, failed):
+            """``call()``, or ``failed`` when a host call in it raised —
+            unless the host's worker was lost, which ends the pass, or
+            its queue did not quiesce in time (busy is not broken)."""
             try:
-                return healthy(*read()[1:])
-            except Exception:  # noqa: BLE001 — an unreadable replica fails
-                return False
+                return call()
+            except (WorkerLost, TimeoutError):
+                raise
+            except Exception:  # noqa: BLE001 — a dead replica answers nothing
+                return failed
 
-        try:
-            failed, accuracy, shift = read()
+        def heals(step=None) -> bool:
+            """Whether the replica reads clean canaries after ``step``
+            (a host call returning a read; ``None``: a fresh read)."""
+            return attempt(lambda: healthy(*score(
+                host.read(canaries) if step is None else step()
+            )[1:]), False)
+
+        found = attempt(lambda: score(host.read(canaries)), None)
+        if found is None:
+            failed, accuracy, passed = len(canaries), 0.0, False
+            shift = ratio = margin = float("nan")
+        else:
+            failed, accuracy, shift = found
             ratio = replica.margin_reading.signal_ratio
             margin = replica.margin_reading.margin_p50
             passed = healthy(accuracy, shift)
-        except Exception:  # noqa: BLE001 — a dead replica answers nothing
-            failed, accuracy, passed = len(canaries), 0.0, False
-            shift = ratio = margin = float("nan")
         telemetry.record_health_check(failed)
         found = dict(
             accuracy=accuracy, current_shift=shift,
@@ -1039,53 +987,68 @@ class Router(DeploymentTable):
             accuracy=accuracy, shift=_or_none(shift),
             signal_ratio=_or_none(ratio), margin_p50=_or_none(margin),
         )
-        # Rung 1: refresh — reprogram in place.
-        action = "refresh"
-        try:
-            refresh_engine(replica.resolve())
+
+        def refresh():
+            host.program()
             replica.wear.add_cycles(1)
             telemetry.record_refresh()
             telemetry.emit("refresh", model=dep.name, replica=label)
-            healed = heals()
-        except Exception:  # noqa: BLE001
-            healed = False
-        # Rung 2: spare repair — remap BIST-flagged rows onto spares;
-        # skipped silently when the backend has no (free) spares.
-        if not healed and self._try_spare_repair(dep, replica):
-            action = "spare_repair"
-            healed = heals()
-        if not healed:
-            # Rung 3: replace — fresh hardware, same stream seed.  An
-            # unrecoverably killed replica has no slot to put fresh
+            return host.read(canaries)
+
+        placed = []
+
+        def replace():
+            # An unrecoverably killed replica has no slot to put fresh
             # hardware into; it falls through to eviction.
-            action = "replace"
-            live = False
-            try:
-                if replica.killed and not replica.recoverable:
-                    raise KilledReplicaError(
-                        f"replica {label} is unrecoverable"
-                    )
-                replica.killed = False
-                replica.engine = self._materialise(
-                    dep.name, dep.version, replica, fresh=True
+            if replica.killed and not replica.recoverable:
+                raise KilledReplicaError(f"replica {label} is unrecoverable")
+            replica.killed = False
+            read = host.place(canaries, fresh=True)
+            placed.append(read)
+            replica.wear.add_cycles(1)
+            telemetry.record_replacement()
+            telemetry.emit("replace", model=dep.name, replica=label)
+            return read
+
+        # Rung 1: refresh — reprogram in place.
+        action = "refresh"
+        healed = heals(refresh)
+        # Rung 2: spare repair — remap BIST-flagged rows onto spares;
+        # skipped silently when no array has free spares, the scan is
+        # clean or the replica is dead.
+        if not healed:
+            repaired = attempt(host.repair, [])
+            for rows, spares_free in repaired:
+                telemetry.emit(
+                    "spare_repair", model=dep.name, replica=label,
+                    rows=rows, spares_free=spares_free,
                 )
-                live = True
-                replica.wear.add_cycles(1)
-                telemetry.record_replacement()
-                telemetry.emit("replace", model=dep.name, replica=label)
+            if repaired:
+                action = "spare_repair"
                 healed = heals()
-            except Exception:  # noqa: BLE001
-                healed = False
+        if not healed:
+            # Rung 3: replace — fresh hardware, same stream seed.
+            action = "replace"
+            healed = heals(replace)
             last = not any(
                 r is not replica and r.state in (HEALTHY, DOWN)
                 for r in dep.replicas
             )
-            if not healed and not (live and last):
+            if not healed and not (placed and last):
                 # Rung 4: evict — out of the routing set for good.
                 with self._lock:
-                    replica.state = EVICTED
+                    evicted = replica.host is host and replica.state in (
+                        HEALTHY, DOWN,
+                    )
+                    if evicted:
+                        replica.state = EVICTED
+                if not evicted:
+                    raise WorkerLost(f"replica {label} left its host")
                 replica.killed = True
-                replica.engine = None
+                try:
+                    host.kill()
+                except WorkerLost:
+                    pass  # the pool leaves an evicted replica where it fell
                 telemetry.record_replica_eviction()
                 telemetry.emit(
                     "evict", model=dep.name, replica=label, accuracy=accuracy,
@@ -1094,54 +1057,25 @@ class Router(DeploymentTable):
                     label, EVICTED, action="evict", healed=False, **found
                 )
         with self._lock:
-            replica.state = HEALTHY
+            if replica.host is host and replica.state in (HEALTHY, DOWN):
+                replica.state = HEALTHY
         return HealthReport(
             label, HEALTHY, action=action, healed=healed, **found
         )
-
-    def _try_spare_repair(self, dep, replica: _Replica) -> int:
-        """The spare-repair rung: remap flagged rows onto spares.
-
-        Returns rows repaired; 0 means the rung was skipped (dead
-        replica, no spare-capable array, dry pool, or a clean scan) and
-        the ladder escalates straight to replace.  Emits one
-        ``spare_repair`` flight event per repaired array.
-        """
-        try:
-            engine = replica.resolve()
-        except KilledReplicaError:
-            return 0
-        repaired = 0
-        for tile in getattr(engine, "tiles", None) or [engine]:
-            backend = getattr(tile, "backend", None)
-            if backend is None or not backend.supports(Capability.SPARE_ROWS):
-                continue
-            if backend.spare_rows_free <= 0:
-                continue
-            try:
-                rows = spare_row_repair(tile)
-            except Exception:
-                continue
-            if not rows:
-                continue
-            repaired += len(rows)
-            self.server.telemetry.emit(
-                "spare_repair",
-                model=dep.name, replica=replica.label,
-                rows=[int(r) for r in rows],
-                spares_free=int(backend.spare_rows_free),
-            )
-        return repaired
 
     def check_all(self) -> List[HealthReport]:
         """Heal-ladder sweep over every replica of every deployment,
         implicit ones included.
 
-        Gradual drains advance first: a draining replica steps one
-        client cohort per sweep, and one that finalises here is gone
-        before the ladder below would have probed it.  Stale implicit
-        deployments (see :meth:`serving`) drain and shut next.
+        With a worker pool, its supervision sweep runs first (worker
+        liveness, respawn, re-placement).  Gradual drains advance next:
+        a draining replica steps one client cohort per sweep, and one
+        that finalises here is gone before the ladder below would have
+        probed it.  Stale implicit deployments (see :meth:`serving`)
+        drain and shut next.
         """
+        if self.pool is not None:
+            self.pool.check()
         self.advance_drains()
         with self._lock:
             stale = self._pop_stale()
@@ -1181,31 +1115,16 @@ class Router(DeploymentTable):
             # rewritten here).
             replica.age.advance(max(now - replica._hw_t, 0.0))
         replica._hw_t = now
-        spares: Optional[int] = None
-        faults: Optional[int] = None
         try:
-            engine = replica.resolve()
-        except KilledReplicaError:
-            engine = None
-        if engine is not None:
-            for tile in getattr(engine, "tiles", None) or [engine]:
-                backend = getattr(tile, "backend", None)
-                if backend is None:
-                    continue
-                if backend.supports(Capability.SPARE_ROWS):
-                    free = int(backend.spare_rows_free)
-                    spares = free if spares is None else spares + free
-                try:
-                    flagged = int(np.count_nonzero(backend.bist_scan()))
-                except Exception:
-                    continue
-                faults = flagged if faults is None else faults + flagged
-            if faults:
-                self.server.telemetry.emit(
-                    "bist_scan",
-                    model=dep.name, replica=replica.label,
-                    faulty_cells=faults,
-                )
+            spares, faults = replica.host.inventory()
+        except Exception:  # noqa: BLE001 — a dead or unplaced replica
+            spares = faults = None
+        if faults:
+            self.server.telemetry.emit(
+                "bist_scan",
+                model=dep.name, replica=replica.label,
+                faulty_cells=faults,
+            )
         reading = replica.margin_reading
         nan = float("nan")
         sample = DeviceHealthSample(
@@ -1246,20 +1165,21 @@ class Router(DeploymentTable):
         stragglers.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        schedulers = [r.scheduler for d in self._all() for r in d.replicas]
+        hosts = [r.host for d in self._all() for r in d.replicas]
         ok = True
         for _ in range(2):
-            for scheduler in schedulers:
+            for host in hosts:
                 remaining = (
                     None
                     if deadline is None
                     else max(deadline - time.monotonic(), 0.0)
                 )
-                ok = scheduler.drain(remaining) and ok
+                ok = host.drain(remaining) and ok
         return ok
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut every replica scheduler down; idempotent.
+        """Shut every replica host down, then the worker pool, if any;
+        idempotent.
 
         No implicit deployment is built afterwards.  A graceful close
         drains every queue *before* any scheduler shuts, so a failover
@@ -1272,7 +1192,9 @@ class Router(DeploymentTable):
             self.drain(timeout)
         for dep in self._all():
             for replica in dep.replicas:
-                replica.scheduler.shutdown(drain=drain, timeout=timeout)
+                replica.host.retire(drain=drain, timeout=timeout)
+        if self.pool is not None:
+            self.pool.close(timeout)
 
     def __repr__(self) -> str:
         with self._lock:

@@ -69,7 +69,11 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.kernels.scratch import default_pool
-from repro.reliability.observability import report_currents, sample_margin
+from repro.reliability.observability import (
+    margin_signal,
+    report_currents,
+    sample_margin,
+)
 from repro.serving.observability.trace import Span, Trace, Tracer
 from repro.serving.telemetry import Telemetry
 from repro.utils.validation import check_positive_int
@@ -920,6 +924,32 @@ class MicroBatchScheduler:
         for attempt, rows in routed.items():
             attempt.failed(rows, exc, ran=True)
 
+    @staticmethod
+    def _trace_attrs(report, rows: List[int], size: int) -> List[dict]:
+        """``execute`` span attributes of a batch's traced ``rows``: the
+        modeled device cost of each sample (all real engines report it)
+        and its read margin, from one :func:`margin_signal` call over the
+        currents the read already produced — sampled traces only, so the
+        untraced hot path never touches them."""
+        attrs = [{"batch": size} for _ in rows]
+        try:
+            for row_attrs, i in zip(attrs, rows):
+                row_attrs["delay_s"] = float(report.delay[i])
+                row_attrs["energy_j"] = float(report.energy.total[i])
+        except Exception:  # noqa: BLE001 — tracing never fails a batch
+            pass
+        try:
+            margins, signals = margin_signal(report_currents(report)[rows])
+            for row_attrs, margin, signal in zip(
+                attrs, margins.tolist(), signals.tolist()
+            ):
+                if margin == margin:  # NaN never leaks into dumps
+                    row_attrs["margin"] = margin
+                    row_attrs["signal"] = signal
+        except Exception:  # noqa: BLE001 — tracing never fails a batch
+            pass
+        return attrs
+
     def _execute_group(
         self, key: Hashable, engine, group: List[_Request], started: float
     ) -> None:
@@ -940,40 +970,28 @@ class MicroBatchScheduler:
             return
         finally:
             self._scratch.give(levels)
-        finished = time.monotonic()
         size = len(group)
         model = str(key)
-        # Close every trace before resolving any future: a batch can be
-        # dozens of requests, each set_result runs its done callbacks
-        # synchronously, and a trace finished only after its siblings'
-        # callbacks would blame that time on nothing (the span-accounting
-        # gate bounds the unexplained gap).  Success is terminal for
-        # direct and routed traces alike.
-        for i, request in enumerate(group):
-            if request.trace is None:
-                continue
+        traced = [
+            i for i, request in enumerate(group) if request.trace is not None
+        ]
+        # The traced rows' span attributes are computed first, inside
+        # ``execute``; then one clock read ends each traced row's span
+        # and finishes its trace, so no per-row work (and no thread
+        # switch during it) opens a hole between the two.  Every trace
+        # closes before any future resolves: each set_result runs its
+        # done callbacks synchronously, and a trace finished only after
+        # its siblings' callbacks would blame that time on nothing (the
+        # span-accounting gate bounds the unexplained gap).  Success is
+        # terminal for direct and routed traces alike.
+        attrs = self._trace_attrs(report, traced, size) if traced else ()
+        finished = time.monotonic()
+        for i, row_attrs in zip(traced, attrs):
+            request = group[i]
             if request.queue_span is not None:
                 request.queue_span.end(started)
-            attrs = {"batch": size}
-            try:
-                # Modeled device cost for this sample, when the
-                # report carries it (all real engines do).
-                attrs["delay_s"] = float(report.delay[i])
-                attrs["energy_j"] = float(report.energy.total[i])
-            except Exception:  # noqa: BLE001 — tracing never fails a batch
-                pass
-            try:
-                # Read-margin stats for this sample, derived from the
-                # currents the read already produced — sampled traces
-                # only, so the untraced hot path never touches them.
-                margin, signal = sample_margin(report_currents(report)[i])
-                if margin == margin:  # NaN never leaks into dumps
-                    attrs["margin"] = margin
-                    attrs["signal"] = signal
-            except Exception:  # noqa: BLE001 — tracing never fails a batch
-                pass
-            request.trace.add_span("execute", started, finished, **attrs)
-            request.trace.finish("served")
+            request.trace.add_span("execute", started, finished, **row_attrs)
+            request.trace.finish("served", finished)
         # Routed rows are accounted once per attempt record per batch
         # (replica served, failovers, mark-down of the failed chain), and
         # before any future resolves, so a client reading stats() after

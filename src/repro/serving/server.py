@@ -259,12 +259,18 @@ class FeBiMServer:
         Returns the applied deployment handle (status/introspection).
         """
         placement = deployment.placement
-        if placement is not None and placement.kind == "process":
+        process = placement is not None and placement.kind == "process"
+        if process and self.router.pool is None:
             raise DeploymentError(
                 f"deployment {deployment.model!r} asks for process "
                 f"placement; host it on a ClusterServer (or "
                 f"repro.serving.transport.serve_deployment) — FeBiMServer "
                 f"hosts local placements only"
+            )
+        if not process and self.router.pool is not None:
+            raise DeploymentError(
+                "ClusterServer hosts 'process' placements; use FeBiMServer "
+                "(or serve_deployment) for local ones"
             )
         applied = self.router.apply(deployment)
         self._autoscalers.pop(deployment.model, None)
@@ -284,6 +290,10 @@ class FeBiMServer:
     def deployments(self) -> Dict[str, Deployment]:
         """Applied deployment specs by model name."""
         return self.router.deployments()
+
+    def status(self, name: str):
+        """Live per-replica view of the deployment serving ``name``."""
+        return self.router.status(name)
 
     def enable_autoscale(self, name: str, pool=None, **controller_kwargs):
         """Attach (or replace) the autoscale controller for ``name``.
@@ -326,8 +336,8 @@ class FeBiMServer:
         than the applied deployment's — are served by the route's
         implicit one-replica deployment.
         """
-        return self.router.submit(
-            self.router.serving(name, version), evidence_levels, client=client
+        return self.router.plane.submit(
+            self.router.serving(name, version), evidence_levels, client
         )
 
     def submit_many(
@@ -339,11 +349,11 @@ class FeBiMServer:
     ) -> List["Future[ServedResult]"]:
         """Enqueue a stack of samples, one future per row.
 
-        Routes through :meth:`Router.submit_many` — one policy pick per
+        Routes through the router's request plane — one policy pick per
         ``max_batch`` chunk, each chunk queued under one scheduler lock.
         """
-        return self.router.submit_many(
-            self.router.serving(name, version), evidence_levels, client=client
+        return self.router.plane.submit_many(
+            self.router.serving(name, version), evidence_levels, client
         )
 
     def predict(

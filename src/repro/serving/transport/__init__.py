@@ -1,22 +1,23 @@
 """Placement/transport layer: where a deployment's replicas live.
 
-Two placements behind one interface:
+Two placements behind one server class:
 
 * ``local`` (the default, and any spec without a ``placement`` block):
   replicas are hosted in-process by
   :class:`~repro.serving.server.FeBiMServer` — bit-identical to the
   pre-placement behaviour, zero new overhead on the submit path.
-* ``process``: replicas live in supervised worker subprocesses behind
-  a :class:`~repro.serving.cluster.ClusterServer`, speaking the
-  versioned length-prefixed JSON protocol in
-  :mod:`repro.serving.transport.protocol`.
+* ``process``: replicas live in supervised worker subprocesses of a
+  :class:`~repro.serving.cluster.ClusterServer` — a ``FeBiMServer``
+  whose router places every replica's engine and queue on a worker —
+  speaking the versioned length-prefixed JSON protocol in
+  :mod:`repro.serving.transport.protocol`: one ``request`` frame per
+  routed chunk, one columnar ``result`` frame back, and per-replica
+  control frames for placement, the heal ladder and retirement.
 
 :func:`serve_deployment` is the switch: hand it a registry and a
 deployment spec and it returns whichever server the spec's placement
-calls for, already deployed — both expose the same
-``submit`` / ``submit_many`` / ``predict`` / ``status`` / ``stats`` /
-``close`` surface, so callers (and the CLI) never branch on placement
-again.
+calls for, already deployed — one surface either way, so callers (and
+the CLI) never branch on placement again.
 """
 
 from __future__ import annotations
@@ -86,28 +87,22 @@ def serve_deployment(
     way the deployment is applied before the server is returned — use
     as a context manager for guaranteed teardown.
     """
+    from repro.serving.cluster import ClusterServer
+    from repro.serving.server import FeBiMServer
+
     placement = deployment.placement
     if placement is not None and placement.kind == "process":
-        from repro.serving.cluster import ClusterServer
-
-        cluster = ClusterServer(
-            registry, policy=policy, seed=seed, max_rows=max_rows,
-            **cluster_kwargs,
-        )
-        try:
-            cluster.deploy(deployment)
-        except BaseException:
-            cluster.close(drain=False)
-            raise
-        return cluster
-    if cluster_kwargs:
+        server_class = ClusterServer
+    elif cluster_kwargs:
         raise TypeError(
             f"local placement takes no cluster kwargs, got "
             f"{sorted(cluster_kwargs)}"
         )
-    from repro.serving.server import FeBiMServer
-
-    server = FeBiMServer(registry, policy=policy, seed=seed, max_rows=max_rows)
+    else:
+        server_class = FeBiMServer
+    server = server_class(
+        registry, policy=policy, seed=seed, max_rows=max_rows, **cluster_kwargs
+    )
     try:
         server.deploy(deployment)
     except BaseException:

@@ -1,8 +1,8 @@
 """Versioned length-prefixed JSON wire protocol for the serving plane.
 
 The cross-process placement layer (:mod:`repro.serving.cluster` front
-end, :mod:`repro.serving.worker` hosts) speaks frames over a stream
-socket.  Each frame is::
+end, :mod:`repro.serving.worker` replica hosts) speaks frames over a
+stream socket.  Each frame is::
 
     !HHI header  = (magic 0x4642 "FB", wire version, body length)
     body         = UTF-8 strict JSON object with a "kind" field
@@ -16,9 +16,19 @@ version field is checked on every frame — a future incompatible change
 bumps :data:`WIRE_VERSION` and old peers fail loudly with the version
 they saw, never by misparsing bytes.
 
+The front end's router owns every replica; a worker only hosts them,
+each under a placement id the front end mints.  Per-replica control
+frames carry the heal ladder and the replica lifecycle to the host —
+``place`` (materialise and probe, or with ``fresh`` swap in new
+hardware: the replace rung), ``read`` (a canary read: predictions and
+wordline currents), ``program`` (the refresh rung), ``repair`` (the
+spare-repair rung), ``kill`` (chaos), ``inventory`` (spare rows and
+BIST faults) and ``retire`` — each acked by one ``done`` frame or
+answered by an ``error``.  Heartbeats carry liveness only.
+
 The request plane moves blocks, not rows: one ``request`` frame carries
 up to ``max_batch`` rows of evidence levels (a list of integer lists)
-for one replica, and the worker answers it with one ``result`` frame
+for one placed replica, and the worker answers it with one ``result`` frame
 whose body holds the rows' columns in row order — ``prediction``,
 ``delay``, ``energy_total``, ``queue_wait_s``, ``batch_size``,
 ``margin`` — plus an ``errors`` list of ``[row, typed error]`` pairs
@@ -55,8 +65,9 @@ from repro.serving.scheduler import Overloaded
 MAGIC = 0x4642
 
 #: Protocol revision; bumped on any incompatible frame/body change
-#: (2: block ``request`` / columnar ``result`` bodies).
-WIRE_VERSION = 2
+#: (2: block ``request`` / columnar ``result`` bodies; 3: workers host
+#: replicas by placement id under per-replica control frames).
+WIRE_VERSION = 3
 
 #: Frame header: (magic, version, body length), network byte order.
 HEADER = struct.Struct("!HHI")
@@ -75,13 +86,15 @@ MESSAGE_KINDS = frozenset(
     {
         # session establishment (worker -> front end)
         "hello",
-        # deployment control (front end -> worker, acked)
-        "apply",
-        "applied",
-        "add_replica",
-        "replica_added",
-        "retire_replica",
-        "replica_retired",
+        # per-replica control (front end -> worker, acked by "done")
+        "place",
+        "read",
+        "program",
+        "repair",
+        "kill",
+        "inventory",
+        "retire",
+        "done",
         # request plane
         "request",
         "result",
@@ -89,9 +102,7 @@ MESSAGE_KINDS = frozenset(
         # supervision + observability (worker -> front end)
         "heartbeat",
         "event",
-        # shutdown sequencing (front end -> worker, drain acked)
-        "drain",
-        "drained",
+        # shutdown (front end -> worker)
         "shutdown",
     }
 )

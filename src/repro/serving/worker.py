@@ -1,15 +1,20 @@
-"""Worker process host: one subprocess owning a slice of a deployment.
+"""Worker process: replica hosts behind a message loop.
 
-A worker is a full in-process serving stack — registry, schedulers,
-router, engines — wrapped in a message loop.  The cluster front end
-(:mod:`repro.serving.cluster`) makes every *routing* decision; the
-worker only *executes*: it applies the sub-deployment it is told to
-own (with explicit cluster-wide replica indices, so the per-replica
-stream seeds — and therefore the engine bits — match what a
-single-process deployment would have materialised), serves the
-requests shipped to its replicas, and reports back.
+A worker hosts replicas for a :class:`~repro.serving.cluster.ClusterServer`
+front end, whose :class:`~repro.serving.router.Router` owns them — every
+routing decision, every heal-ladder verdict and every state flip is the
+front end's.  The worker keeps no router and no server: only one
+:class:`~repro.serving.host.ReplicaHost` (a programmed engine and its
+micro-batch scheduler) per placement id the front end minted, so during
+a re-apply one worker can hold an old and a new ``r0`` at once.  Engines
+materialise with the replica's own index and the front end's base seed,
+so they are bit-identical to the ones a local deployment would build.
 
-Three threads per worker:
+Control frames call the host's methods — ``place`` (materialise and
+probe; ``fresh`` swaps in new hardware), ``read`` (canary read),
+``program`` (refresh), ``repair`` (spare rows), ``kill``,
+``inventory`` and ``retire`` — and are acked by one ``done`` frame (or
+an ``error``).  Three threads per worker:
 
 * the **message loop** (main thread) dispatches control and request
   frames; request execution itself is asynchronous — a ``request``
@@ -17,18 +22,14 @@ Three threads per worker:
   slot of the frame's :class:`_Block`, and the batch worker that
   resolves the last row sends the frame's one ``result`` reply, so a
   slow batch never blocks control traffic;
-* the **heartbeat thread** sends per-replica liveness
-  (state/pending/unit delay) on the supervision cadence — the front
-  end's replica views, and the signal whose absence triggers failover;
-* the scheduler's own batch workers (inherited from the in-process
-  stack, untouched).
+* the **heartbeat thread** sends liveness only, on the supervision
+  cadence — the signal whose absence triggers failover;
+* each host's scheduler batch worker.
 
 Worker-side observability is not lost: a :class:`_EventForwarder`
 attached as the worker telemetry's flight recorder ships every emitted
-event (sheds, failovers, heal-ladder rungs) upstream as ``event``
-frames, which the front end replays into its own recorder tagged with
-the worker id — ``febim trace`` / ``febim events`` on the front end
-see the whole cluster.
+event (sheds, displacements) upstream as ``event`` frames, which the
+front end replays into its own recorder tagged with the worker id.
 
 The module-level :func:`worker_main` entry point is what
 ``multiprocessing`` (spawn context — no forked locks, a clean
@@ -43,16 +44,16 @@ import socket
 import threading
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.reliability.observability import margin_signal, report_currents
-from repro.serving.deployment import Deployment, ReplicaSpec
+from repro.serving.deployment import ReplicaSpec
+from repro.serving.host import CanaryRead, ReplicaHost
 from repro.serving.registry import ModelRegistry
-from repro.serving.router import Router
 from repro.serving.scheduler import BatchPolicy, _Request
-from repro.serving.server import FeBiMServer
+from repro.serving.telemetry import Telemetry
 from repro.serving.transport.protocol import (
     MessageConnection,
     ProtocolError,
@@ -82,10 +83,10 @@ class _EventForwarder:
 
     Attached as ``telemetry.recorder`` inside the worker: every
     :meth:`~repro.serving.telemetry.Telemetry.emit` call site in the
-    scheduler/router/health layers transparently becomes an ``event``
-    frame.  Send failures are swallowed — a dying connection must not
-    take the serving path down with it; the front end notices the loss
-    through the heartbeat/reader channel instead.
+    scheduler transparently becomes an ``event`` frame.  Send failures
+    are swallowed — a dying connection must not take the serving path
+    down with it; the front end notices the loss through the
+    heartbeat/reader channel instead.
     """
 
     def __init__(self, conn: MessageConnection, worker_id: str):
@@ -204,42 +205,42 @@ def _result_columns(outcomes: list) -> Dict[str, list]:
 
 
 class WorkerHost:
-    """The message loop around one worker's in-process serving stack."""
+    """The message loop around one worker's replica hosts.
+
+    Carries the ``registry`` / ``policy`` / ``telemetry`` / ``seed`` /
+    ``max_rows`` context every :class:`~repro.serving.host.ReplicaHost`
+    it builds materialises and batches with.
+    """
 
     def __init__(self, worker_id: str, conn: MessageConnection, config: dict):
         self.worker_id = worker_id
         self.conn = conn
-        self.config = config
-        policy = BatchPolicy(
+        self.policy = BatchPolicy(
             max_batch=int(config.get("max_batch", 32)),
             max_wait_ms=float(config.get("max_wait_ms", 2.0)),
         )
-        registry = ModelRegistry(
+        self.registry = ModelRegistry(
             config["registry_root"],
             backend=config.get("backend", "fefet"),
             backend_options=config.get("backend_options"),
         )
-        self.server = FeBiMServer(
-            registry,
-            policy=policy,
-            seed=config.get("seed"),
-            max_rows=config.get("max_rows"),
-        )
-        self.server.telemetry.recorder = _EventForwarder(conn, worker_id)
+        self.seed = config.get("seed")
+        self.max_rows = config.get("max_rows")
+        self.telemetry = Telemetry(self.policy.max_batch)
+        self.telemetry.recorder = _EventForwarder(conn, worker_id)
+        self.hosts: Dict[str, ReplicaHost] = {}
         self.heartbeat_period_s = float(config.get("heartbeat_period_s", 0.25))
         self._closed = threading.Event()
-        self._heartbeat_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------- lifecycle
     def run(self) -> None:
         """Serve frames until ``shutdown`` or the connection dies."""
         self.conn.send(make("hello", worker=self.worker_id, pid=os.getpid()))
-        self._heartbeat_thread = threading.Thread(
+        threading.Thread(
             target=self._heartbeat_loop,
             name=f"worker-{self.worker_id}-heartbeat",
             daemon=True,
-        )
-        self._heartbeat_thread.start()
+        ).start()
         try:
             while not self._closed.is_set():
                 try:
@@ -251,40 +252,22 @@ class WorkerHost:
                 if not self._dispatch(message):
                     break
         finally:
-            self._closed.set()
-            try:
-                self.server.close(drain=False)
-            except Exception:
-                pass
+            self.close()
             self.conn.close()
+
+    def close(self) -> None:
+        """Stop every host's scheduler, cancelling what is queued."""
+        self._closed.set()
+        for host in list(self.hosts.values()):
+            host.retire(drain=False)
+        self.hosts.clear()
 
     def _heartbeat_loop(self) -> None:
         while not self._closed.wait(self.heartbeat_period_s):
             try:
-                self.conn.send(make(
-                    "heartbeat",
-                    worker=self.worker_id,
-                    replicas=self._replica_views(),
-                ))
+                self.conn.send(make("heartbeat", worker=self.worker_id))
             except Exception:
                 return  # connection gone; the message loop is dying too
-
-    def _replica_views(self) -> list:
-        views = []
-        for name in self.server.router.deployments():
-            try:
-                statuses = self.server.router.status(name)
-            except KeyError:
-                continue
-            for status in statuses:
-                views.append({
-                    "model": name,
-                    "index": status.index,
-                    "state": status.state,
-                    "pending": status.pending,
-                    "unit_delay_s": status.unit_delay_s,
-                })
-        return views
 
     # -------------------------------------------------------------- dispatch
     def _dispatch(self, message: dict) -> bool:
@@ -314,58 +297,62 @@ class WorkerHost:
         except Exception:
             pass
 
-    # -------------------------------------------------- deployment control
-    def _on_apply(self, message: dict):
-        """Host a sub-deployment: this worker's replica slice, with the
-        cluster-wide indices that pin each replica's stream seed."""
-        spec = Deployment.from_dict(message["deployment"])
-        indices = [int(i) for i in message["indices"]]
-        applied = self.server.router.apply(spec, indices=indices)
-        if spec.slo is not None:
-            # The *front end* owns elasticity for the whole cluster; a
-            # worker-local autoscaler would fight it replica by replica.
-            self.server._autoscalers.pop(spec.model, None)
+    def _done(self, message: dict, result=None) -> None:
+        """Ack a control frame with the host method's ``result``."""
+        if isinstance(result, CanaryRead):
+            result = result.fields()
         self.conn.send(make(
-            "applied",
-            id=message.get("id"),
-            worker=self.worker_id,
-            model=spec.model,
-            version=applied.version,
-            replicas=[
-                s.to_dict() for s in self.server.router.status(spec.model)
-            ],
+            "done", id=message.get("id"), worker=self.worker_id, result=result
         ))
 
-    def _on_add_replica(self, message: dict):
-        spec = ReplicaSpec.from_dict(message["replica"])
-        status = self.server.router.add_replica(
-            message["model"], spec, index=int(message["index"])
-        )
-        self.conn.send(make(
-            "replica_added",
-            id=message.get("id"),
-            worker=self.worker_id,
-            model=message["model"],
-            replica=status.to_dict(),
-        ))
+    def _host(self, message: dict) -> ReplicaHost:
+        placement = message["placement"]
+        host = self.hosts.get(placement)
+        if host is None:
+            raise KeyError(f"worker {self.worker_id} hosts no {placement!r}")
+        return host
 
-    def _on_retire_replica(self, message: dict):
-        status = self.server.router.retire_replica(
-            message["model"],
-            int(message["index"]),
-            drain_steps=int(message.get("drain_steps", 1)),
+    # ------------------------------------------------------ replica control
+    def _on_place(self, message: dict):
+        """Host a replica under the placement id the front end minted
+        (``host`` holds its :class:`ReplicaHost` arguments), materialise
+        and probe it; with ``fresh``, swap new hardware into a placed one
+        (the replace rung)."""
+        if message.get("fresh"):
+            return self._on_control(message)
+        args = message["host"]
+        host = ReplicaHost(
+            self, **dict(args, spec=ReplicaSpec.from_dict(args["spec"]))
         )
-        self.conn.send(make(
-            "replica_retired",
-            id=message.get("id"),
-            worker=self.worker_id,
-            model=message["model"],
-            replica=status.to_dict(),
-        ))
+        try:
+            read = host.place(message.get("canaries"))
+        except Exception:
+            host.retire(drain=False)
+            raise
+        self.hosts[message["placement"]] = host
+        self._done(message, read)
+
+    def _on_control(self, message: dict):
+        """``read`` / ``program`` / ``repair`` / ``kill`` / ``inventory``
+        and a fresh ``place``: the host method of the frame's kind, its
+        result in the ack."""
+        args = {
+            k: v for k, v in message.items()
+            if k not in ("kind", "id", "placement", "host")
+        }
+        self._done(message, getattr(self._host(message), message["kind"])(**args))
+
+    _on_read = _on_program = _on_repair = _on_kill = _on_inventory = _on_control
+
+    def _on_retire(self, message: dict):
+        host = self.hosts.pop(message["placement"], None)
+        if host is not None:
+            host.retire(drain=bool(message.get("drain", True)))
+        self._done(message)
 
     # -------------------------------------------------------- request plane
     def _on_request(self, message: dict):
-        """Queue one block of rows on the replica the front end chose.
+        """Queue one block of rows on the placed replica it addresses.
 
         The rows go in as one chunk under one scheduler lock, each with
         a slot of the frame's :class:`_Block`; the reply leaves once the
@@ -373,25 +360,21 @@ class WorkerHost:
         ``recv`` while the batch coalesces, so a worker pipelines many
         in-flight blocks.
         """
-        model = message["model"]
-        dep = self.server.router.deployment_for(model)
-        if dep is None:
-            raise KeyError(f"worker hosts no deployment for {model!r}")
-        replica = Router._replica_by_index(dep, int(message["replica_index"]))
+        host = self._host(message)
         levels = np.asarray(message["levels"], dtype=int)
         if levels.ndim != 2 or not len(levels):
             raise ProtocolError(
                 f"request levels must be a non-empty (rows, features) "
                 f"block, got shape {levels.shape}"
             )
-        block = _Block(self, message["id"], replica, len(levels))
+        block = _Block(self, message["id"], host, len(levels))
         priority = int(message.get("priority", 0))
         now = time.monotonic()
         requests = [
             _Request(row, now, priority, future=_RowSlot(block, i))
             for i, row in enumerate(levels)
         ]
-        refused, refusal = replica.scheduler.enqueue(replica.key, requests)
+        refused, refusal = host.enqueue(requests)
         for request in refused:
             request.future.set_exception(refusal)
 
@@ -402,24 +385,21 @@ class WorkerHost:
         not strict JSON) is answered with an ``error`` frame instead, so
         no front-end future waits forever on it.
         """
-        replica = block.replica
+        host = block.replica
         errors = [
             (row, outcome) for row, outcome in enumerate(block.outcomes)
             if isinstance(outcome, BaseException)
         ]
-        served = len(block.outcomes) - len(errors)
-        if served:
-            self.server.telemetry.record_replica_served(replica.label, served)
         try:
             frame = encode_frame(make(
                 "result",
                 id=block.request_id,
                 worker=self.worker_id,
                 result=encode_block(
-                    str(replica.key),
+                    str(host.key),
                     _result_columns(block.outcomes),
                     errors,
-                    replica=replica.label,
+                    replica=host.label,
                     worker=self.worker_id,
                 ),
             ))
@@ -431,18 +411,8 @@ class WorkerHost:
         except Exception:
             pass  # connection gone; the front end fails the block over
 
-    # ------------------------------------------------------------- shutdown
-    def _on_drain(self, message: dict):
-        drained = self.server.drain(timeout=message.get("timeout"))
-        self.conn.send(make(
-            "drained",
-            id=message.get("id"),
-            worker=self.worker_id,
-            complete=bool(drained),
-        ))
-
     def _on_shutdown(self, message: dict):
-        return False  # run()'s finally closes the stack
+        return False  # run()'s finally stops every host
 
 
 def worker_main(worker_id: str, address, config: dict) -> None:

@@ -425,6 +425,56 @@ def request_pool(
     return pool
 
 
+def _checked_run(registry, deployment, n_requests: int, submitters: int,
+                 n_clients: int) -> ModelRegistry:
+    """Validate a deployment run's arguments; returns the registry."""
+    check_positive_int(n_requests, "n_requests")
+    check_positive_int(submitters, "submitters")
+    check_positive_int(n_clients, "n_clients")
+    if not isinstance(registry, ModelRegistry):
+        registry = ModelRegistry(registry)
+    deployment.validate()
+    if deployment.model not in registry:
+        raise KeyError(
+            f"deployment model {deployment.model!r} is not registered in "
+            f"{registry.root}"
+        )
+    return registry
+
+
+def _drive_deployment(server, deployment, n_requests: int, submitters: int,
+                      n_clients: int, seed: int, chaos=None):
+    """Apply ``deployment`` on ``server`` and fire ``n_requests`` from
+    concurrent submitters, cycling ``n_clients`` client identities (the
+    ``sticky`` policy's affinity keys); ``chaos(i)``, when given, runs
+    before request ``i``.  Returns ``(applied, wall_s, errors)``, errors
+    being client-visible failures."""
+    pool = request_pool(
+        server.registry, deployment.model, deployment.version, seed=seed
+    )
+    applied = server.deploy(deployment)
+
+    def submit_request(i: int):
+        if chaos is not None:
+            chaos(i)
+        return server.submit(
+            deployment.model,
+            pool[i % pool.shape[0]],
+            client=f"client-{i % n_clients}",
+        )
+
+    futures, wall = _drive_submitters(
+        submit_request, n_requests, submitters, server.drain
+    )
+    errors = sum(
+        1 for future in futures
+        if future is None
+        or future.cancelled()
+        or future.exception(timeout=30.0) is not None
+    )
+    return applied, wall, errors
+
+
 def run_deployment_workload(
     registry: "ModelRegistry | str",
     deployment,
@@ -445,45 +495,13 @@ def run_deployment_workload(
     the final telemetry snapshot — per-replica counters included, which
     is what the routing-policy benchmarks tabulate.
     """
-    check_positive_int(n_requests, "n_requests")
-    check_positive_int(submitters, "submitters")
-    check_positive_int(n_clients, "n_clients")
-    if not isinstance(registry, ModelRegistry):
-        registry = ModelRegistry(registry)
-    deployment.validate()
-    if deployment.model not in registry:
-        raise KeyError(
-            f"deployment model {deployment.model!r} is not registered in "
-            f"{registry.root}"
-        )
-    policy = policy or BatchPolicy()
-    pool = request_pool(registry, deployment.model, deployment.version, seed=seed)
-
+    registry = _checked_run(registry, deployment, n_requests, submitters,
+                            n_clients)
     with FeBiMServer(registry, policy=policy, seed=seed) as server:
-        applied = server.deploy(deployment)
-
-        def submit_request(i: int):
-            return server.submit(
-                deployment.model,
-                pool[i % pool.shape[0]],
-                client=f"client-{i % n_clients}",
-            )
-
-        futures, wall = _drive_submitters(
-            submit_request, n_requests, submitters, server.drain
+        applied, wall, errors = _drive_deployment(
+            server, deployment, n_requests, submitters, n_clients, seed
         )
-
-        errors = 0
-        for future in futures:
-            if (
-                future is None
-                or future.cancelled()
-                or future.exception(timeout=30.0) is not None
-            ):
-                errors += 1
-        statuses = tuple(
-            s.to_dict() for s in server.router.status(deployment.model)
-        )
+        statuses = tuple(s.to_dict() for s in server.status(deployment.model))
         telemetry = server.stats()
 
     return DeploymentRunResult(
@@ -502,13 +520,20 @@ def run_deployment_workload(
 def format_deployment_run(result: DeploymentRunResult) -> str:
     """Human-readable report (``febim serve --deployment``)."""
     spec = result.deployment
-    lines = [
+    return _format_run(result, [
         f"deployment workload: {spec['model']}@v{result.version} "
         f"[{spec['policy']['kind']}] — {result.n_requests} requests, "
         f"{result.submitters} submitters",
+    ])
+
+
+def _format_run(result: DeploymentRunResult, lines: List[str]) -> str:
+    """A run report: the header ``lines[0]``, the run's throughput, the
+    rest of ``lines``, then its replicas and telemetry."""
+    lines.insert(1, (
         f"throughput served {result.served_sps:.0f} sps, "
-        f"{result.errors} client-visible errors",
-    ]
+        f"{result.errors} client-visible errors"
+    ))
     for replica in result.replicas:
         lines.append(
             f"  {replica['replica']:26s} {replica['state']:8s} "
@@ -1228,7 +1253,7 @@ def format_health_run(result: HealthRunResult) -> str:
 
 
 @dataclass(frozen=True)
-class ClusterRunResult:
+class ClusterRunResult(DeploymentRunResult):
     """Outcome of one traffic run against a ``placement: process`` cluster.
 
     ``errors`` counts client-visible failures, exactly as in
@@ -1239,37 +1264,20 @@ class ClusterRunResult:
     ``worker_respawn``, ``failover``, ``replace``, ...).
     """
 
-    deployment: dict
-    version: int
     workers: int
-    n_requests: int
-    submitters: int
-    wall_s: float
-    served_sps: float
-    errors: int
     killed_worker: Optional[str]
     workers_up_after: int
-    replicas: Tuple[dict, ...]
     event_counts: Dict[str, int]
-    telemetry: TelemetrySnapshot
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (``febim cluster --json``)."""
         return {
+            **super().to_dict(),
             "bench": "cluster",
-            "deployment": dict(self.deployment),
-            "version": self.version,
             "workers": self.workers,
-            "n_requests": self.n_requests,
-            "submitters": self.submitters,
-            "wall_s": self.wall_s,
-            "served_sps": self.served_sps,
-            "errors": self.errors,
             "killed_worker": self.killed_worker,
             "workers_up_after": self.workers_up_after,
-            "replicas": [dict(r) for r in self.replicas],
             "event_counts": dict(self.event_counts),
-            "telemetry": self.telemetry.to_dict(),
         }
 
 
@@ -1298,24 +1306,13 @@ def run_cluster_workload(
     """
     from repro.serving.cluster import ClusterServer
 
-    check_positive_int(n_requests, "n_requests")
-    check_positive_int(submitters, "submitters")
-    check_positive_int(n_clients, "n_clients")
-    if not isinstance(registry, ModelRegistry):
-        registry = ModelRegistry(registry)
-    deployment.validate()
+    registry = _checked_run(registry, deployment, n_requests, submitters,
+                            n_clients)
     placement = deployment.placement
     if placement is None or placement.kind != "process":
         raise ValueError(
             "run_cluster_workload needs a 'process' placement deployment"
         )
-    if deployment.model not in registry:
-        raise KeyError(
-            f"deployment model {deployment.model!r} is not registered in "
-            f"{registry.root}"
-        )
-    policy = policy or BatchPolicy()
-    pool = request_pool(registry, deployment.model, deployment.version, seed=seed)
     kill_at = n_requests // 4
     killed: List[Optional[str]] = [None]
 
@@ -1326,33 +1323,18 @@ def run_cluster_workload(
         heartbeat_period_s=heartbeat_period_s,
         maintenance_period_s=maintenance_period_s,
     ) as cluster:
-        applied = cluster.deploy(deployment)
         cluster.enable_observability(trace_rate=0.0)
 
-        def submit_request(i: int):
+        def chaos(i: int) -> None:
             if kill_worker and i == kill_at and killed[0] is None:
                 victim = sorted(cluster.worker_pids())[0]
                 killed[0] = victim
                 cluster.kill_worker(victim)
-            return cluster.submit(
-                deployment.model,
-                pool[i % pool.shape[0]],
-                client=f"client-{i % n_clients}",
-            )
 
-        futures, wall = _drive_submitters(
-            submit_request, n_requests, submitters, cluster.drain
+        applied, wall, errors = _drive_deployment(
+            cluster, deployment, n_requests, submitters, n_clients, seed,
+            chaos,
         )
-
-        errors = 0
-        for future in futures:
-            if (
-                future is None
-                or future.cancelled()
-                or future.exception(timeout=30.0) is not None
-            ):
-                errors += 1
-
         if kill_worker:
             # Wait out the supervision ladder: the killed worker must
             # respawn (or exhaust its budget) before the report reads
@@ -1398,8 +1380,6 @@ def format_cluster_run(result: ClusterRunResult) -> str:
         f"cluster workload: {spec['model']}@v{result.version} "
         f"[{spec['policy']['kind']}] — {result.workers} workers, "
         f"{result.n_requests} requests, {result.submitters} submitters",
-        f"throughput served {result.served_sps:.0f} sps, "
-        f"{result.errors} client-visible errors",
     ]
     if result.killed_worker is not None:
         counts = result.event_counts
@@ -1411,11 +1391,4 @@ def format_cluster_run(result: ClusterRunResult) -> str:
             f"{result.telemetry.failovers} failovers; "
             f"{result.workers_up_after}/{result.workers} workers up after"
         )
-    for replica in result.replicas:
-        lines.append(
-            f"  {replica['replica']:26s} {replica['state']:8s} "
-            f"unit delay {replica['unit_delay_s'] * 1e9:8.1f} ns  "
-            f"weight {replica['weight']:g}"
-        )
-    lines.append(result.telemetry.format_lines())
-    return "\n".join(lines)
+    return _format_run(result, lines)

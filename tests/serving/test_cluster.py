@@ -33,6 +33,7 @@ from repro.serving import (
     serve_deployment,
 )
 from repro.serving import cluster as cluster_module
+from repro.serving.observability import Trace
 from repro.serving.transport import (
     FrameDecoder,
     ProtocolError,
@@ -88,7 +89,7 @@ def count_request_frames(cluster):
     """Wrap each worker connection's ``send``; returns the list every
     ``request`` frame the front end sends is appended to."""
     sent = []
-    for handle in cluster._workers.values():
+    for handle in cluster.pool._workers.values():
         conn = handle.conn
         original = conn.send
 
@@ -437,28 +438,29 @@ class TestWorkerReplies:
         host = WorkerHost("w0", conn, {"registry_root": registry_root,
                                        "seed": 0, "max_batch": 64})
         try:
-            sub = Deployment("iris", [ReplicaSpec("fefet")],
-                             RoutingPolicy("cost"))
-            host._dispatch(make("apply", id="c1", deployment=sub.to_dict(),
-                                indices=[0]))
-            assert conn.next("applied")["id"] == "c1"
+            host._dispatch(make("place", id="c1", placement="p0", host={
+                "name": "iris", "version": 1, "index": 0,
+                "spec": ReplicaSpec("fefet").to_dict(), "key": "iris@v1#r0",
+                "max_queue_depth": None,
+            }, canaries=[[0, 1, 2]], fresh=False))
+            assert conn.next("done")["id"] == "c1"
             levels = [[0, 1, 2]] * 40
-            host._dispatch(make("request", id="r1", model="iris",
-                                replica_index=0, levels=levels, priority=0))
+            host._dispatch(make("request", id="r1", placement="p0",
+                                levels=levels, priority=0))
             reply = conn.next("result")
             assert reply["id"] == "r1" and reply["result"]["errors"] == []
             assert len(reply["result"]["prediction"]) == 40
 
             monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
-            host._dispatch(make("request", id="r2", model="iris",
-                                replica_index=0, levels=levels, priority=0))
+            host._dispatch(make("request", id="r2", placement="p0",
+                                levels=levels, priority=0))
             error = conn.next("error")
             assert error["id"] == "r2"
             rebuilt = protocol.decode_error(error["error"])
             assert isinstance(rebuilt, RemoteWorkerError)
             assert rebuilt.exc_type == "ProtocolError"
         finally:
-            host.server.close(drain=False)
+            host.close()
 
     def test_block_replies_once_under_racing_resolutions(self):
         """Rows of one block resolved from many threads at once, each
@@ -530,20 +532,153 @@ class TestPlacementGuards:
                 ModelRegistry(registry_root), dep, heartbeat_period_s=0.1
             )
 
-    def test_process_placement_refuses_gradual_drains(self, registry_root):
-        """Cluster replicas retire at once, so the router adapter the
-        autoscaler drives refuses drain_steps rather than drop it."""
-        with ClusterServer(
-            registry_root, policy=POLICY, maintenance_period_s=None
-        ) as cluster:
-            with pytest.raises(DeploymentError, match="process placement"):
-                cluster.router.retire_replica("iris", 0, drain_steps=3)
-
     def test_placement_spec_validation(self):
         with pytest.raises(DeploymentError, match="placement"):
             PlacementSpec(kind="cloud").validate()
         with pytest.raises(DeploymentError, match="workers"):
             PlacementSpec(kind="process", workers=0).validate()
+
+
+@pytest.fixture(scope="module")
+def shared(tmp_path_factory):
+    """One two-worker cluster for the worker-hosted ladder tests, over a
+    registry holding ``iris`` and ``tenant`` (never deployed); each test
+    applies the deployment it needs."""
+    root = tmp_path_factory.mktemp("shared-reg")
+    registry = ModelRegistry(root)
+    registry.register("iris", make_model())
+    registry.register("tenant", make_model(seed=4))
+    with ClusterServer(
+        registry, policy=POLICY, seed=7, maintenance_period_s=None
+    ) as cluster:
+        yield cluster
+
+
+def failures(futures):
+    return sum(1 for f in futures if f.exception(timeout=30) is not None)
+
+
+class TestWorkerHostedReplicas:
+    """The router's heal ladder, drains and tracing on replicas whose
+    engines live in worker processes."""
+
+    ROWS = np.random.default_rng(12).integers(0, 4, size=(8, 3))
+
+    def test_canary_sweep_reads_every_worker_hosted_replica(self, shared):
+        shared.deploy(process_deployment(policy=RoutingPolicy("cost")))
+        shared.router.max_current_shift = 0.0
+        try:
+            shared.router.install_canaries("iris", self.ROWS)
+            before = shared.stats().health_checks
+            reports = shared.router.check_all()
+        finally:
+            shared.router.max_current_shift = float("inf")
+        labels = [s.replica for s in shared.status("iris")]
+        assert {r.replica for r in reports} >= set(labels)
+        assert all(r.ok for r in reports), reports
+        assert {(r.accuracy, r.current_shift) for r in reports} == {(1.0, 0.0)}
+        assert shared.stats().health_checks - before == len(reports)
+
+    def test_killed_replica_heals_by_replace_then_evicts(self, shared):
+        shared.deploy(process_deployment(policy=RoutingPolicy("cost")))
+
+        def serve_block():
+            results = [f.result(30) for f in shared.submit_many("iris", self.ROWS)]
+            assert len({r.model for r in results}) == 1  # one chunk, one replica
+            return results
+
+        before = serve_block()
+        index = int(before[0].model.rsplit("#r", 1)[1])
+        shared.router.kill_replica("iris", index, recoverable=True)
+        assert failures(shared.submit_many("iris", self.ROWS)) == 0
+        reports = {r.replica: r for r in shared.router.check_all()}
+        label = shared.status("iris")[index].replica
+        assert reports[label].action == "replace" and reports[label].healed
+        after = serve_block()
+        assert after[0].model == before[0].model
+        assert served_stream(after) == served_stream(before)
+
+        shared.router.kill_replica("iris", index)
+        assert failures(shared.submit_many("iris", self.ROWS)) == 0
+        reports = {r.replica: r for r in shared.router.check_all()}
+        assert reports[label].action == "evict"
+        assert failures(shared.submit_many("iris", self.ROWS)) == 0
+        states = [s.state for s in shared.status("iris")]
+        assert states.count("evicted") == 1 and states.count("healthy") == 1
+
+    def test_process_placement_drains_gradually(self, shared):
+        """A sticky process deployment retired with ``drain_steps=3``
+        keeps serving while it drains and leaves the deployment on the
+        third sweep."""
+        shared.deploy(process_deployment(policy=RoutingPolicy("sticky")))
+        obs = shared.enable_observability(trace_rate=0.0)
+        try:
+            status = shared.router.retire_replica("iris", 0, drain_steps=3)
+            assert status.state == "draining"
+            for _ in range(2):
+                shared.router.check_all()
+                assert [s.state for s in shared.status("iris")] == [
+                    "draining", "healthy"]
+                futures = [
+                    shared.submit("iris", row, client=f"c{i}")
+                    for i, row in enumerate(self.ROWS)
+                ]
+                assert failures(futures) == 0
+            shared.router.check_all()
+            assert [s.index for s in shared.status("iris")] == [1]
+            steps = [
+                e.detail.get("step") for e in obs.recorder.events()
+                if e.kind == "retire"
+            ]
+            assert steps == [0, 1, 2, 3]
+        finally:
+            shared.disable_observability()
+
+    def test_undeployed_model_serves_local_bytes_from_a_worker(
+        self, shared
+    ):
+        rows = np.random.default_rng(13).integers(0, 4, size=(19, 3))
+        remote = [f.result(30) for f in shared.submit_many("tenant", rows)]
+        assert shared.router.serving("tenant").implicit
+        assert len(shared.registry._engines) == 0  # no engine up front
+        with FeBiMServer(
+            ModelRegistry(shared.registry.root), policy=POLICY, seed=7
+        ) as server:
+            local = [f.result(10) for f in server.submit_many("tenant", rows)]
+        assert served_stream(remote) == served_stream(local)
+        assert {r.model for r in remote} == {"tenant@v1"}
+
+    def test_every_traced_row_finishes_once_with_its_outcome(
+        self, shared, monkeypatch
+    ):
+        shared.deploy(process_deployment(policy=RoutingPolicy("round_robin")))
+        finishes = {}
+        finish = Trace.finish
+
+        def counting(trace, outcome="served", end_s=None):
+            finishes[trace.trace_id] = finishes.get(trace.trace_id, 0) + 1
+            return finish(trace, outcome, end_s)
+
+        monkeypatch.setattr(Trace, "finish", counting)
+        obs = shared.enable_observability(trace_rate=1.0)
+        try:
+            rows = np.random.default_rng(14).integers(0, 4, size=(20, 3))
+            served = shared.submit_many("iris", rows)
+            assert failures(served) == 0
+            # A chunk no frame can carry fails on both replicas.
+            limit = protocol.MAX_FRAME
+            monkeypatch.setattr(protocol, "MAX_FRAME", 64)
+            doomed = shared.submit_many("iris", rows[:8])
+            assert failures(doomed) == 8
+            monkeypatch.setattr(protocol, "MAX_FRAME", limit)
+            traces = obs.tracer.traces()
+        finally:
+            shared.disable_observability()
+        assert len(traces) == 28
+        assert all(t.finished for t in traces)
+        assert [t.outcome for t in traces] == ["served"] * 20 + ["failed"] * 8
+        assert set(finishes.values()) == {1}
+        assert len(finishes) == 28
 
 
 @pytest.mark.slow

@@ -227,14 +227,44 @@ class TestImplicitLifecycle:
         )
         assert server.router.check_replica("alpha", 0).ok
 
+    def test_implicit_deployments_are_capped(self, tmp_path):
+        """At most ``engine_cache_size`` implicit deployments live: a
+        build beyond that drains and shuts the least recently served
+        one, whose next request rebuilds it bit for bit."""
+        with FeBiMServer(
+            ModelRegistry(tmp_path / "reg", engine_cache_size=2),
+            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            seed=0,
+        ) as server:
+            names = ["m0", "m1", "m2", "m3"]
+            for i, name in enumerate(names):
+                server.register(name, make_model(seed=i + 1))
+            before = set(threading.enumerate())
+            first = server.predict("m0", self.SAMPLE, timeout=5)
+            for name in names[1:]:
+                server.predict(name, self.SAMPLE, timeout=5)
+            schedulers = {
+                t for t in set(threading.enumerate()) - before
+                if t.name == "febim-microbatch"
+            }
+            assert len(schedulers) <= 2
+            assert sorted(
+                name for name, _ in server.router._implicit
+            ) == ["m2", "m3"]
+            again = server.predict("m0", self.SAMPLE, timeout=5)
+            assert (again.prediction, again.delay, again.energy_total) == (
+                first.prediction, first.delay, first.energy_total
+            )
+            snapshot = server.stats()
+            assert snapshot.completed == snapshot.submitted == 5
+
     def test_deploy_racing_an_implicit_build_wins(self, server, monkeypatch):
         router = server.router
         build = router._build
         spec = Deployment("alpha", [ReplicaSpec("fefet")], RoutingPolicy("cost"))
 
-        def racing(deployment, version, indices=None, implicit=False,
-                   canaries=None):
-            built = build(deployment, version, indices, implicit, canaries)
+        def racing(deployment, version, implicit=False, canaries=None):
+            built = build(deployment, version, implicit, canaries)
             if implicit:
                 server.deploy(spec)  # lands before the build is published
             return built

@@ -42,25 +42,26 @@ def roundtrip(message: dict) -> dict:
 
 SAMPLE_BODIES = {
     "hello": {"worker": "w0", "pid": 1234},
-    "apply": {"id": "c1", "deployment": {"model": "iris"}, "indices": [0, 2]},
-    "applied": {"id": "c1", "worker": "w0", "model": "iris", "version": 1,
-                "replicas": []},
-    "add_replica": {"id": "c2", "model": "iris", "replica": {"backend": "fefet"},
-                    "index": 3},
-    "replica_added": {"id": "c2", "worker": "w0", "model": "iris",
-                      "replica": {}},
-    "retire_replica": {"id": "c3", "model": "iris", "index": 1,
-                       "drain_steps": 2},
-    "replica_retired": {"id": "c3", "worker": "w0", "model": "iris",
-                        "replica": {}},
-    "request": {"id": "r1", "model": "iris", "replica_index": 0,
+    "place": {"id": "c1", "placement": "p0",
+              "host": {"name": "iris", "version": 1, "index": 0,
+                       "spec": {"backend": "fefet"}, "key": "iris@v1#r0",
+                       "max_queue_depth": None},
+              "canaries": [[0, 1, 2]], "fresh": False},
+    "read": {"id": "c2", "placement": "p0", "levels": [[0, 1, 2]]},
+    "program": {"id": "c3", "placement": "p0"},
+    "repair": {"id": "c4", "placement": "p0"},
+    "kill": {"id": "c5", "placement": "p0"},
+    "inventory": {"id": "c6", "placement": "p0"},
+    "retire": {"id": "c7", "placement": "p0", "drain": True},
+    "done": {"id": "c2", "worker": "w0",
+             "result": {"predictions": [1], "delay": 3.7e-10,
+                        "currents": [[1.5e-06, 2.25e-07, 3e-07]]}},
+    "request": {"id": "r1", "placement": "p0",
                 "levels": [[3, 0, 1], [2, 2, 0]], "priority": 1},
     "result": {"id": "r1", "worker": "w0", "result": {"model": "iris"}},
     "error": {"id": "r1", "worker": "w0", "error": {"type": "runtime"}},
-    "heartbeat": {"worker": "w0", "replicas": []},
+    "heartbeat": {"worker": "w0"},
     "event": {"worker": "w0", "event_kind": "shed", "detail": {}},
-    "drain": {"id": "c4", "timeout": 5.0},
-    "drained": {"id": "c4", "worker": "w0", "complete": True},
     "shutdown": {},
 }
 
@@ -93,9 +94,10 @@ class TestFraming:
             FrameDecoder().feed(frame)
 
     def test_v1_per_row_frame_refused(self):
-        # Version 2 changed the request and result bodies to blocks; a
-        # v1 peer must fail loudly on its first frame, never misparse.
-        assert WIRE_VERSION == 2
+        # Version 2 changed the request and result bodies to blocks, and
+        # version 3 addresses replicas by placement id; a v1 peer must
+        # fail loudly on its first frame, never misparse.
+        assert WIRE_VERSION == 3
         body = json.dumps({"kind": "request", "id": "r1", "model": "iris",
                            "replica_index": 0, "levels": [3, 0, 1],
                            "priority": 0}).encode()
