@@ -31,24 +31,19 @@ Also runnable directly::
 import argparse
 import json
 
-from repro.serving.workload import format_autoscale_run, run_autoscale_workload
+from repro.serving.workload import run_scenario, spike
 
 SMOKE_DURATION_S = 1.5
 FULL_DURATION_S = 2.5
-POOL_WEAR = (0.6, 0.2, 0.9)  # least-worn first placement must be slot1
 
 
 def run_bench(duration_s: float = FULL_DURATION_S, seed: int = 0):
-    return run_autoscale_workload(
-        duration_s=duration_s, pool_wear=POOL_WEAR, seed=seed
-    )
+    return run_scenario(spike(duration_s, seed=seed))
 
 
 def run_baseline(duration_s: float = FULL_DURATION_S, seed: int = 0):
     """The control: same trace, no SLO, one fixed unbounded replica."""
-    return run_autoscale_workload(
-        duration_s=duration_s, pool_wear=POOL_WEAR, seed=seed, autoscale=False
-    )
+    return run_scenario(spike(duration_s, slo=False, seed=seed))
 
 
 def check(result, smoke: bool = False) -> None:
@@ -67,11 +62,11 @@ def check(result, smoke: bool = False) -> None:
         f"{result.shed_by_class}"
     )
     # Elasticity: the controller reacted to the spike.
-    assert result.scale_ups >= 1, "spike produced no scale-up"
+    assert result.telemetry.scale_ups >= 1, "spike produced no scale-up"
     if smoke:
         return
     # ...and returned the capacity after it.
-    assert result.scale_downs >= 1, "no scale-down after the spike"
+    assert result.telemetry.scale_downs >= 1, "no scale-down after the spike"
     assert result.final_replicas == 1, (
         f"did not return to min_replicas: {result.final_replicas}"
     )
@@ -80,7 +75,7 @@ def check(result, smoke: bool = False) -> None:
         f"p95 {result.p95_ms:.1f} ms missed the "
         f"{result.target_p95_ms:.0f} ms target"
     )
-    # Wear-aware placement: ups walk the pool in wear order
+    # Wear-aware placement: ups walk the pool (POOL_WEAR) in wear order
     # (slot1 at 0.2, then slot0 at 0.6, then slot2 at 0.9).
     order = [p["slot"] for p in result.placements]
     expected = ["slot1", "slot0", "slot2"][: len(order)]
@@ -93,7 +88,7 @@ def check_baseline(result, scaled) -> None:
     assert result.failed == 0 and result.shed == 0, (
         f"baseline shed/failed unexpectedly: {result.shed}/{result.failed}"
     )
-    assert result.scale_ups == 0 and result.final_replicas == 1
+    assert result.telemetry.scale_ups == 0 and result.final_replicas == 1
     assert result.p95_ms > scaled.p95_ms, (
         f"baseline p95 {result.p95_ms:.1f} ms not worse than scaled "
         f"{scaled.p95_ms:.1f} ms — the spike is too gentle to gate on"
@@ -103,7 +98,7 @@ def check_baseline(result, scaled) -> None:
 def test_autoscale_smoke(once):
     result = once(lambda: run_bench(duration_s=SMOKE_DURATION_S))
     print()
-    print(format_autoscale_run(result))
+    print(result.format())
     check(result, smoke=True)
 
 
@@ -136,10 +131,10 @@ def main() -> int:
     if args.json:
         print(json.dumps(snapshot, indent=2))
     else:
-        print(format_autoscale_run(result))
+        print(result.format())
         if not args.smoke:
             print()
-            print(format_autoscale_run(baseline))
+            print(baseline.format())
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(snapshot, fh, indent=2)
@@ -154,7 +149,8 @@ def main() -> int:
     mode = "smoke" if args.smoke else "full"
     print(
         f"autoscale {mode} gate PASS: {result.ok} served, {result.shed} shed, "
-        f"0 failed; {result.scale_ups} ups / {result.scale_downs} downs; "
+        f"0 failed; {result.telemetry.scale_ups} ups / "
+        f"{result.telemetry.scale_downs} downs; "
         f"p95 {result.p95_ms:.1f} ms"
     )
     return 0

@@ -40,7 +40,7 @@ from repro.serving import (
     ReplicaSpec,
     RoutingPolicy,
 )
-from repro.serving.workload import run_cluster_workload
+from repro.serving.workload import MAINTENANCE_S, Fault, Scenario, run_scenario
 
 N_REQUESTS = 200
 
@@ -55,70 +55,54 @@ def make_model(k=3, m=4, seed=1):
     return quantize_model(tables, prior / prior.sum(), n_levels=4)
 
 
-def run_bench() -> dict:
-    checks = {}
+def run_bench():
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         registry.register("iris", make_model())
-        deployment = Deployment(
-            "iris",
-            [ReplicaSpec("fefet")] * 4,
-            RoutingPolicy("cost"),
-            placement=PlacementSpec(kind="process", workers=2),
-        )
-        result = run_cluster_workload(
-            registry,
-            deployment,
+        scenario = Scenario(
+            deployment=Deployment(
+                "iris",
+                [ReplicaSpec("fefet")] * 4,
+                RoutingPolicy("cost"),
+                placement=PlacementSpec(kind="process", workers=2),
+            ),
             n_requests=N_REQUESTS,
             submitters=4,
             policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            maintenance_s=MAINTENANCE_S,
             seed=7,
-            kill_worker=True,
+            faults=(Fault("kill_worker", at=N_REQUESTS // 4),),
         )
-    counts = result.event_counts
-    checks["errors"] = result.errors
-    checks["killed_worker"] = result.killed_worker
-    checks["served_sps"] = round(result.served_sps, 1)
-    checks["workers_lost"] = result.telemetry.workers_lost
-    checks["worker_respawns"] = result.telemetry.worker_respawns
-    checks["failovers"] = result.telemetry.failovers
-    checks["worker_lost_events"] = counts.get("worker_lost", 0)
-    checks["replace_events"] = counts.get("replace", 0)
-    checks["respawn_events"] = counts.get("worker_respawn", 0)
-    checks["health_checks"] = result.telemetry.health_checks
-    checks["evict_events"] = counts.get("evict", 0)
-    checks["workers_up_after"] = result.workers_up_after
-    checks["replica_states"] = sorted(
-        r["state"] for r in result.replicas
-    )
-    return checks
+        return run_scenario(scenario, registry)
 
 
-def check(checks: dict) -> None:
+def check(result) -> None:
+    counts, telemetry = result.event_counts, result.telemetry
     # The kill is absorbed: no client ever sees an error.
-    assert checks["errors"] == 0, checks
-    assert checks["killed_worker"] is not None, checks
+    assert result.errors == 0, result.faults
+    assert "worker" in result.faults[0], result.faults
     # The incident is on the record.
-    assert checks["workers_lost"] == 1, checks
-    assert checks["worker_lost_events"] == 1, checks
-    assert checks["replace_events"] >= 1, checks
-    assert checks["failovers"] >= 1, checks
+    assert telemetry.workers_lost == 1, counts
+    assert counts.get("worker_lost") == 1, counts
+    assert counts.get("replace", 0) >= 1, counts
+    assert telemetry.failovers >= 1, counts
     # The supervisor heals the fleet back to full strength.
-    assert checks["worker_respawns"] >= 1, checks
-    assert checks["respawn_events"] >= 1, checks
-    assert checks["workers_up_after"] == 2, checks
-    assert checks["replica_states"] == ["healthy"] * 4, checks
+    assert telemetry.worker_respawns >= 1, counts
+    assert counts.get("worker_respawn", 0) >= 1, counts
+    assert result.workers_up == 2, result.workers_up
+    states = [replica["state"] for replica in result.replicas]
+    assert states == ["healthy"] * 4, states
     # The heal ladder swept every worker-hosted replica, and a sweep
     # overlapping the kill evicted nothing.
-    assert checks["health_checks"] >= 4, checks
-    assert checks["evict_events"] == 0, checks
+    assert telemetry.health_checks >= 4, telemetry.health_checks
+    assert counts.get("evict", 0) == 0, counts
 
 
 def test_cluster_smoke(once):
-    checks = once(run_bench)
+    result = once(run_bench)
     print()
-    print("cluster smoke:", checks)
-    check(checks)
+    print(result.format())
+    check(result)
 
 
 if __name__ == "__main__":
@@ -126,7 +110,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable snapshot instead of the table",
+        help="emit the machine-readable snapshot instead of the report",
     )
     parser.add_argument(
         "--out",
@@ -134,19 +118,15 @@ if __name__ == "__main__":
         help="also write the JSON snapshot here (e.g. BENCH_cluster.json)",
     )
     args = parser.parse_args()
-    checks = run_bench()
-    snapshot = {"bench": "cluster", **checks}
-    if args.json:
-        print(json.dumps(snapshot, indent=2))
-    else:
-        for key, value in checks.items():
-            print(f"{key:24s} {value}")
+    result = run_bench()
+    snapshot = result.to_dict()
+    print(json.dumps(snapshot, indent=2) if args.json else result.format())
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(snapshot, fh, indent=2)
             fh.write("\n")
     try:
-        check(checks)
+        check(result)
     except AssertionError as exc:
         print(f"FAIL: {exc}")
         raise SystemExit(1)

@@ -21,9 +21,10 @@ only if the margin probes buy real lead time.  Four contracts:
    device-health ledger renders a non-empty timeline;
 4. **off means off** — with observability disabled the read path pays
    nothing for any of this.  Asserted on the tight-loop submit path
-   (no tracer vs rate-0 tracer, best-of-N chunked min — the margin
-   span attrs live inside the traced-only block) plus, in full mode,
-   an end-to-end A/B backstop.
+   (no tracer vs rate-0 tracer — the margin span attrs live inside the
+   traced-only block) plus, in full mode, an end-to-end A/B backstop:
+   the same probe and A/B ``bench_observability.py`` gates, imported
+   from it.
 
 Also runnable directly::
 
@@ -33,29 +34,20 @@ Also runnable directly::
 
 import argparse
 import json
-import time
 
+from bench_observability import (
+    check_overhead,
+    check_submit_path,
+    measure_overhead,
+    measure_submit_path,
+)
 from repro.serving.observability import (
     EVENT_KINDS,
-    Tracer,
     parse_prometheus,
     to_prometheus,
 )
 from repro.reliability.observability import format_health_timeline
-from repro.serving.workload import (
-    HEALTH_WARN_RATIO,
-    run_health_workload,
-    run_serving_workload,
-)
-
-#: Disabled-probe read path vs no observability at all (tight chunked
-#: min over the real submit path, same form as bench_observability).
-READ_PATH_MARGIN = 0.80
-READ_PATH_CALLS = 8000
-#: End-to-end A/B backstop (full mode only) — workload throughput
-#: swings ~30 % run-to-run, so only the submit-path bound is tight.
-OVERHEAD_MARGIN = 0.60
-OVERHEAD_REQUESTS = 2048
+from repro.serving.workload import HEALTH_WARN_RATIO, run_health_workload
 
 
 def run_aging(seed: int = 0):
@@ -190,95 +182,6 @@ def check_prometheus(result) -> None:
     )
 
 
-def measure_read_path(
-    n_calls: int = READ_PATH_CALLS, repeats: int = 5, seed: int = 0
-):
-    """Tight-loop submit rate: no observability vs rate-0 tracer.
-
-    The margin/span attrs ride the traced-only block in the execute
-    path and the ledger is pull-based, so a disabled plane must leave
-    the submit path at one attribute read + one integer compare.  Same
-    chunked-min form as bench_observability: the min over short chunks
-    filters shared-box preemption spikes.  Returns best-of-N
-    submits/sec ``(bare, armed0)``.
-    """
-    from repro.core.pipeline import FeBiMPipeline
-    from repro.datasets import load_dataset, train_test_split
-    from repro.serving.scheduler import BatchPolicy, MicroBatchScheduler
-
-    data = load_dataset("iris")
-    X_tr, X_te, y_tr, _ = train_test_split(
-        data.data, data.target, test_size=0.5, seed=seed
-    )
-    pipe = FeBiMPipeline(q_f=4, q_l=2, seed=seed, backend="ideal").fit(
-        X_tr, y_tr
-    )
-    sample = pipe.transform_levels(X_te)[0]
-
-    chunk = 500
-
-    def run(tracer) -> float:
-        scheduler = MicroBatchScheduler(
-            lambda key: pipe.engine_,
-            policy=BatchPolicy(max_batch=2 * n_calls, max_wait_ms=500.0),
-            tracer=tracer,
-        )
-        best = float("inf")
-        try:
-            for _ in range(n_calls // chunk):
-                start = time.perf_counter()
-                for _ in range(chunk):
-                    scheduler.submit("iris", sample)
-                best = min(best, time.perf_counter() - start)
-            scheduler.drain(30.0)
-        finally:
-            scheduler.shutdown()
-        return chunk / max(best, 1e-12)
-
-    run(None), run(Tracer(0.0))  # warm-up, discarded
-    bare, armed0 = 0.0, 0.0
-    for _ in range(repeats):  # alternate arms so drift hits both equally
-        bare = max(bare, run(None))
-        armed0 = max(armed0, run(Tracer(0.0)))
-    return bare, armed0
-
-
-def check_read_path(bare_sps: float, armed0_sps: float) -> None:
-    assert armed0_sps >= READ_PATH_MARGIN * bare_sps, (
-        f"read path with probes disabled runs at {armed0_sps:.0f}/s vs "
-        f"{bare_sps:.0f}/s bare ({armed0_sps / bare_sps:.2f}x < "
-        f"{READ_PATH_MARGIN}x) — disabled hardware observability is not "
-        f"free"
-    )
-
-
-def measure_overhead(seed: int = 0, repeats: int = 3):
-    """End-to-end A/B backstop: unarmed vs armed-at-zero serving run."""
-
-    def run(armed: bool) -> float:
-        result = run_serving_workload(
-            n_requests=OVERHEAD_REQUESTS,
-            submitters=4,
-            seed=seed,
-            metrics_period_s=60.0 if armed else None,
-        )
-        return result.served_sps
-
-    run(False), run(True)  # cold-start warm-up, discarded
-    base = max(run(False) for _ in range(repeats))
-    armed = max(run(True) for _ in range(repeats))
-    return base, armed
-
-
-def check_overhead(base_sps: float, armed_sps: float) -> None:
-    assert armed_sps >= OVERHEAD_MARGIN * base_sps, (
-        f"probes-off serving throughput dropped to {armed_sps:.0f} sps vs "
-        f"{base_sps:.0f} sps unarmed ({armed_sps / base_sps:.2f}x < "
-        f"{OVERHEAD_MARGIN}x) — hardware observability is doing work "
-        f"while disabled"
-    )
-
-
 # ------------------------------------------------------------ pytest entries
 def test_health_early_warning(once):
     result = once(run_aging)
@@ -298,8 +201,8 @@ def test_health_prometheus(once):
 
 
 def test_health_read_path(once):
-    bare_sps, armed0_sps = once(measure_read_path)
-    check_read_path(bare_sps, armed0_sps)
+    bare_sps, armed0_sps = once(measure_submit_path)
+    check_submit_path(bare_sps, armed0_sps)
 
 
 # ------------------------------------------------------------------- __main__
@@ -324,7 +227,7 @@ def main() -> int:
     args = parser.parse_args()
 
     result = run_aging(seed=args.seed)
-    bare_sps, armed0_sps = measure_read_path(seed=args.seed)
+    bare_sps, armed0_sps = measure_submit_path(seed=args.seed)
     snapshot = {
         "bench": "health",
         "warn_ratio": HEALTH_WARN_RATIO,
@@ -350,7 +253,7 @@ def main() -> int:
         check_flight(result)
         check_ledger(result)
         check_prometheus(result)
-        check_read_path(bare_sps, armed0_sps)
+        check_submit_path(bare_sps, armed0_sps)
         if not args.smoke:
             base_sps, armed_sps = measure_overhead(seed=args.seed)
             check_overhead(base_sps, armed_sps)

@@ -21,11 +21,17 @@ contracts before anyone is allowed to trust it during an incident:
 4. **off means off** — with tracing disabled the serving hot path pays
    one attribute read and one integer comparison.  Asserted at two
    levels: a tight loop over the real ``scheduler.submit`` path (no
-   tracer vs a rate-0 tracer, best-of-N — the resolution where a
-   per-request allocation or lock would actually show), and a loose
-   end-to-end A/B on the serving workload as a gross-regression
-   backstop (workload throughput swings ~30 % run-to-run from
-   batching dynamics, so only the submit-path bound is tight).
+   tracer vs a rate-0 tracer, interleaved chunk by chunk — the
+   resolution where a per-request allocation or lock would actually
+   show), and a loose end-to-end A/B on the serving scenario as a
+   gross-regression backstop (workload throughput swings ~30 %
+   run-to-run from batching dynamics, so only the submit-path bound
+   is tight).  ``bench_health.py`` gates the same probe.
+
+The spike runs through :func:`~repro.serving.workload.run_scenario`,
+whose invariants cover the flight order on every run: sequence numbers
+strictly increase and every ``scale_up`` follows an up
+``scale_decision``.
 
 Also runnable directly::
 
@@ -43,7 +49,7 @@ from repro.serving.observability import (
     parse_prometheus,
     to_prometheus,
 )
-from repro.serving.workload import run_autoscale_workload, run_serving_workload
+from repro.serving.workload import Scenario, run_scenario, spike
 
 TRACE_RATE = 0.1
 SMOKE_DURATION_S = 1.5
@@ -53,10 +59,14 @@ FULL_DURATION_S = 2.5
 #: and thread-handoff granularity).
 SPAN_SUM_REL_TOL = 0.05
 SPAN_SUM_ABS_TOL_MS = 0.5
-#: Disabled-tracing submit hot path vs no tracer at all, best-of-N
-#: tight-loop submit rates (the precise form of "off the hot path").
+#: Disabled-tracing submit hot path vs no tracer at all: fastest-chunk
+#: submit rates, the two arms interleaved round by round (the precise
+#: form of "off the hot path").
 SUBMIT_PATH_MARGIN = 0.80
-SUBMIT_PATH_CALLS = 8000
+SUBMIT_PATH_ROUNDS = 192
+SUBMIT_PATH_CHUNK = 250
+#: Rounds discarded while caches and the allocator warm up.
+SUBMIT_PATH_WARMUP = 2
 #: Armed-at-rate-0 vs unarmed *end-to-end* serving throughput — a
 #: gross-regression backstop only; workload throughput swings ~30 %
 #: run-to-run from batching dynamics, so the tight assertion lives on
@@ -67,9 +77,7 @@ OVERHEAD_REQUESTS = 2048
 
 def run_spike(duration_s: float = FULL_DURATION_S, seed: int = 0):
     """The bench_autoscale spike, traced — the gate's evidence run."""
-    return run_autoscale_workload(
-        duration_s=duration_s, trace_rate=TRACE_RATE, seed=seed
-    )
+    return run_scenario(spike(duration_s, trace_rate=TRACE_RATE, seed=seed))
 
 
 # ------------------------------------------------------------------ contracts
@@ -104,19 +112,16 @@ def check_traces(result) -> None:
 def check_flight(result) -> None:
     flight = list(result.flight)
     assert flight, "flight recorder captured nothing"
-    seqs = [e["seq"] for e in flight]
-    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs), (
-        "event sequence numbers are not strictly increasing"
-    )
     kinds = {e["kind"] for e in flight}
     assert kinds <= EVENT_KINDS, f"unknown kinds leaked: {kinds - EVENT_KINDS}"
     assert "shed" in kinds, "the spike shed nothing — no storm to debug"
 
     ups = [e["seq"] for e in flight if e["kind"] == "scale_up"]
     downs = [e["seq"] for e in flight if e["kind"] == "scale_down"]
-    assert len(ups) == result.scale_ups and len(downs) == result.scale_downs, (
+    counted = (result.telemetry.scale_ups, result.telemetry.scale_downs)
+    assert (len(ups), len(downs)) == counted, (
         f"recorder saw {len(ups)} ups / {len(downs)} downs but telemetry "
-        f"counted {result.scale_ups} / {result.scale_downs}"
+        f"counted {counted[0]} / {counted[1]}"
     )
     # One spike, one recovery: capacity grows, then comes back.
     if ups and downs:
@@ -127,17 +132,13 @@ def check_flight(result) -> None:
         "replaying the scale events does not reproduce the final replica "
         "count"
     )
-    # Every action was announced by a decision carrying its evidence.
-    decisions = [e for e in flight if e["kind"] == "scale_decision"]
-    for decision in decisions:
-        assert isinstance(decision.get("snapshot"), dict), (
-            "scale_decision without its triggering telemetry snapshot"
-        )
-    decided_ups = [e["seq"] for e in decisions if e["action"] == "up"]
-    for seq in ups:
-        assert any(d < seq for d in decided_ups), (
-            f"scale_up #{seq} has no preceding up decision"
-        )
+    # Every decision carries its evidence (the runner checked that each
+    # scale_up follows an up decision).
+    for decision in flight:
+        if decision["kind"] == "scale_decision":
+            assert isinstance(decision.get("snapshot"), dict), (
+                "scale_decision without its triggering telemetry snapshot"
+            )
 
 
 def check_prometheus(result) -> None:
@@ -161,7 +162,9 @@ def check_metrics_series(result) -> None:
 
 
 def measure_submit_path(
-    n_calls: int = SUBMIT_PATH_CALLS, repeats: int = 5, seed: int = 0
+    rounds: int = SUBMIT_PATH_ROUNDS,
+    chunk: int = SUBMIT_PATH_CHUNK,
+    seed: int = 0,
 ):
     """Tight-loop ``scheduler.submit`` rate: no tracer vs rate-0 tracer.
 
@@ -169,8 +172,15 @@ def measure_submit_path(
     ``sample_rate=0`` the per-submit tracing cost is one attribute read
     and one integer comparison, which a tight loop over the real submit
     path can actually resolve (unlike end-to-end workload throughput,
-    which is dominated by batching dynamics).  Returns best-of-N
-    submits/sec ``(untraced, rate0)``.
+    which is dominated by batching dynamics).
+
+    Both arms' schedulers stay alive for the whole measurement and are
+    interleaved: each round times one chunk of submits per arm, the arm
+    that goes first alternating, and drains both queues untimed.  A
+    drift or a noisy neighbour then hits both arms alike, and the
+    fastest chunk per arm filters the multi-millisecond preemption
+    spikes a shared box injects.  Returns submits/sec
+    ``(untraced, rate0)``.
     """
     from repro.core.pipeline import FeBiMPipeline
     from repro.datasets import load_dataset, train_test_split
@@ -184,38 +194,35 @@ def measure_submit_path(
         X_tr, y_tr
     )
     sample = pipe.transform_levels(X_te)[0]
-
-    chunk = 500
-
-    def run(tracer) -> float:
-        # max_batch above n_calls and a long max_wait keep the worker
-        # asleep while the loop runs — the timing sees the submit path
-        # alone, not GIL contention with batch execution.  The rate is
-        # the *fastest chunk* of submits: a min over short chunks
-        # filters the multi-millisecond preemption spikes a shared box
-        # injects, which would otherwise dwarf the effect under test.
-        scheduler = MicroBatchScheduler(
+    # A batch bound above the chunk and a long wait keep the worker
+    # asleep while a chunk is timed: the timing sees the submit path
+    # alone, not GIL contention with batch execution.
+    arms = [
+        MicroBatchScheduler(
             lambda key: pipe.engine_,
-            policy=BatchPolicy(max_batch=2 * n_calls, max_wait_ms=500.0),
+            policy=BatchPolicy(max_batch=2 * chunk, max_wait_ms=60_000.0),
             tracer=tracer,
         )
-        best = float("inf")
-        try:
-            for _ in range(n_calls // chunk):
+        for tracer in (None, Tracer(0.0))
+    ]
+    best = [float("inf"), float("inf")]
+    try:
+        for round_ in range(rounds):
+            order = (0, 1) if round_ % 2 == 0 else (1, 0)
+            for arm in order:
+                submit = arms[arm].submit
                 start = time.perf_counter()
                 for _ in range(chunk):
-                    scheduler.submit("iris", sample)
-                best = min(best, time.perf_counter() - start)
-            scheduler.drain(30.0)
-        finally:
+                    submit("iris", sample)
+                elapsed = time.perf_counter() - start
+                if round_ >= SUBMIT_PATH_WARMUP:
+                    best[arm] = min(best[arm], elapsed)
+            for scheduler in arms:
+                scheduler.drain(30.0)
+    finally:
+        for scheduler in arms:
             scheduler.shutdown()
-        return chunk / max(best, 1e-12)
-
-    run(None), run(Tracer(0.0))  # warm-up, discarded
-    untraced, rate0 = 0.0, 0.0
-    for _ in range(repeats):  # alternate arms so drift hits both equally
-        untraced = max(untraced, run(None))
-        rate0 = max(rate0, run(Tracer(0.0)))
+    untraced, rate0 = (chunk / max(b, 1e-12) for b in best)
     return untraced, rate0
 
 
@@ -238,15 +245,14 @@ def measure_overhead(seed: int = 0, repeats: int = 3):
     """
 
     def run(armed: bool) -> float:
-        # metrics_period_s (longer than the run) arms the observability
-        # plane while the tracer stays at rate 0 — the disabled-tracing
-        # hot path under test, with zero sampling work during the run.
-        result = run_serving_workload(
+        # metrics_s (longer than the run) arms the observability plane
+        # while the tracer stays at rate 0 — the disabled-tracing hot
+        # path under test, with zero sampling work during the run.
+        result = run_scenario(Scenario(
             n_requests=OVERHEAD_REQUESTS,
-            submitters=4,
             seed=seed,
-            metrics_period_s=60.0 if armed else None,
-        )
+            metrics_s=60.0 if armed else None,
+        ))
         return result.served_sps
 
     run(False), run(True)  # cold-start warm-up, discarded
@@ -313,8 +319,8 @@ def main() -> int:
         "served_traces": len(served),
         "flight_events": len(result.flight),
         "metrics_points": len(result.metrics),
-        "scale_ups": result.scale_ups,
-        "scale_downs": result.scale_downs,
+        "scale_ups": result.telemetry.scale_ups,
+        "scale_downs": result.telemetry.scale_downs,
     }
     if args.out:
         with open(args.out, "w") as fh:

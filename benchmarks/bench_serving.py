@@ -20,24 +20,18 @@ import argparse
 import json
 
 from repro.serving.scheduler import BatchPolicy
-from repro.serving.workload import format_serving, run_serving_workload
+from repro.serving.workload import Scenario, run_scenario
 
 REQUIRED_FRACTION = 0.5
 N_REQUESTS = 2048
-SUBMITTERS = 4
 
 
 def run_bench():
-    return run_serving_workload(
+    return run_scenario(Scenario(
         dataset="synthetic",
-        n_models=2,
         n_requests=N_REQUESTS,
-        submitters=SUBMITTERS,
         policy=BatchPolicy(max_batch=64, max_wait_ms=2.0),
-        synthetic_classes=32,
-        synthetic_features=48,
-        seed=0,
-    )
+    ))
 
 
 def check(result) -> None:
@@ -62,7 +56,7 @@ def check(result) -> None:
 def test_serving_throughput(once):
     result = once(run_bench)
     print()
-    print(format_serving(result))
+    print(result.format())
     check(result)
 
 
@@ -80,11 +74,8 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     result = run_bench()
-    snapshot = {"bench": "serving", **result.to_dict()}
-    if args.json:
-        print(json.dumps(snapshot, indent=2))
-    else:
-        print(format_serving(result))
+    snapshot = result.to_dict()
+    print(json.dumps(snapshot, indent=2) if args.json else result.format())
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(snapshot, fh, indent=2)

@@ -22,18 +22,26 @@
 #   8. autoscale smoke — bench_autoscale.py --smoke: a 12x traffic
 #      spike against an SLO deployment is survived with zero failed
 #      requests (only typed load-shed) and at least one scale-up;
+#      stages 8, 9 and 12 (and stage 10's full-mode A/B) drive their
+#      traffic through repro.serving.workload.run_scenario, which fails
+#      a run that leaves a future pending, books that disagree with
+#      the clients, a queued row, flight events out of causal order,
+#      or a thread or worker process alive after its server;
 #   9. observability smoke — bench_observability.py --smoke: a traced
 #      spike yields spans that partition every sampled request, a
 #      flight ring that replays the scale story in causal order with
 #      snapshots attached, a metrics series whose shed deltas match
 #      the counters, a Prometheus export that round-trips the strict
-#      parser, and a submit path that tracing-disabled does not slow;
+#      parser, and a submit path that tracing-disabled does not slow
+#      (no tracer vs a rate-0 tracer, the two arms interleaved chunk by
+#      chunk, gated at 0.8x);
 #  10. health smoke — bench_health.py --smoke: a seeded aging run where
 #      the margin gauge crosses the warning threshold strictly before
 #      the first accuracy-affecting flip, the armed margin floor heals
 #      from the early warning with zero flips and a bit-identical
 #      margin restore, the hardware gauges round-trip Prometheus, and
-#      the probes-disabled read path pays nothing;
+#      the probes-disabled read path pays nothing (stage 9's submit-path
+#      probe and gate, imported from bench_observability.py);
 #  11. kernel smoke — bench_kernels.py --smoke: the fast read kernels
 #      (affine GEMM, fused read+decide) beat the reference elementwise
 #      path >= 3x on the synthetic shape at 100 % argmax parity, and

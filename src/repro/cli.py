@@ -12,12 +12,15 @@ Commands
              over batch sizes, vs the per-sample baseline loop).
              ``--backend`` runs the sweep on any registered array
              technology (fefet/ideal/cmos/memristor).
-``serve``    Run a mixed-tenant online serving workload through the
-             micro-batching scheduler and report served throughput,
-             occupancy and latency against the offline ceiling.
-             ``--deployment spec.json`` drives the traffic through a
-             declarative replica deployment instead (cost/round-robin/
-             sticky/mirror routing, per-replica telemetry).
+``serve``    Run a serving scenario (:func:`repro.serving.workload.
+             run_scenario`, every serving invariant checked) and report
+             served throughput, occupancy and latency against the
+             offline ceiling: mixed-tenant traffic by default,
+             ``--slo`` the autoscale spike, or ``--deployment
+             spec.json`` through a declarative replica deployment on
+             either placement (``--workers N`` forces process
+             placement, ``--kill-worker`` SIGKILLs a worker mid-burst
+             and reports the failover and respawn).
 ``trace``    Run a traced workload and print sampled request traces —
              the admit/queue/execute (and failover) span decomposition
              with modeled device delay and energy on the execute span.
@@ -29,10 +32,6 @@ Commands
              table (a dry-run apply).
 ``submit``   One-shot request against a registry directory: register
              (if needed), route, serve, print the result.
-``cluster``  Drive a workload through a multi-process deployment
-             (``placement: process`` — supervised worker subprocesses
-             behind the wire protocol); ``--kill-worker`` SIGKILLs a
-             worker mid-burst and reports the failover/respawn.
 ``reliability``  Run a Monte-Carlo fault or aging campaign (stuck
              cells, dead lines, retention bake) with a selectable
              mitigation strategy over a process pool.
@@ -149,157 +148,143 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_metrics(path: str, metrics) -> None:
-    """Write a metrics time-series (``MetricsPoint.to_dict`` rows) as
-    JSONL — the ``--metrics-out`` sink."""
+def _write_jsonl(path: str, rows) -> None:
+    """Write dict rows (traces, events, metrics points) as strict JSONL."""
     import json
 
     with open(path, "w") as fh:
-        for point in metrics:
-            fh.write(json.dumps(point, allow_nan=False) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
+
+
+def _emit_rows(args: argparse.Namespace, rows: list, noun: str, render,
+               limit: Optional[int] = None) -> int:
+    """The tail ``trace`` and ``events`` share: every row to ``--out``
+    as JSONL, or the first ``limit`` printed one JSON object per line
+    (``--json``) or rendered by ``render``."""
+    import json
+
+    if args.out:
+        _write_jsonl(args.out, rows)
+        print(f"{len(rows)} {noun} written to {args.out}")
+    elif args.json:
+        for row in rows[:limit]:
+            print(json.dumps(row, allow_nan=False))
+    else:
+        print(render(rows[:limit]))
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
     from repro.serving.scheduler import BatchPolicy
-    from repro.serving.workload import format_serving, run_serving_workload
+    from repro.serving.workload import (
+        MAINTENANCE_S,
+        Fault,
+        Scenario,
+        run_scenario,
+        spike,
+    )
 
-    if args.slo:
-        from repro.serving.workload import (
-            format_autoscale_run,
-            run_autoscale_workload,
-        )
-
-        # --metrics-out needs the observability plane armed; the
-        # maintenance thread then samples the ring on its cadence.
-        trace_rate = args.trace_rate
-        if args.metrics_out and trace_rate <= 0:
-            trace_rate = 0.05
-        result = run_autoscale_workload(seed=args.seed, trace_rate=trace_rate)
-        if args.metrics_out:
-            _write_metrics(args.metrics_out, result.metrics)
-            print(f"metrics time-series written to {args.metrics_out}")
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-        else:
-            print(format_autoscale_run(result))
-        return 0 if result.failed == 0 else 1
-
-    if args.deployment:
-        if args.metrics_out or args.trace_rate > 0:
-            print(
-                "error: --metrics-out / --trace-rate are not supported with "
-                "--deployment (use the plain or --slo workload)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.io import load_deployment
-        from repro.serving.registry import ModelRegistry
-        from repro.serving.workload import (
-            format_deployment_run,
-            run_deployment_workload,
-        )
-
-        if not args.registry:
-            print(
-                "error: --deployment needs --registry (the directory the "
-                "deployed model is registered in)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            deployment = load_deployment(args.deployment)
-            result = run_deployment_workload(
-                ModelRegistry(args.registry, backend=args.backend),
-                deployment,
-                n_requests=args.requests,
-                submitters=args.submitters,
-                policy=BatchPolicy(
-                    max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-                ),
-                seed=args.seed,
-            )
-        except (ValueError, KeyError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-        else:
-            print(format_deployment_run(result))
-        return 0 if result.errors == 0 else 1
-
-    result = run_serving_workload(
-        dataset=args.dataset,
-        n_models=args.models,
+    registry = args.registry
+    common = dict(
+        policy=BatchPolicy(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms),
         n_requests=args.requests,
         submitters=args.submitters,
-        policy=BatchPolicy(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms),
-        q_f=args.qf,
-        q_l=args.ql,
-        registry_root=args.registry,
-        seed=args.seed,
-        backend=args.backend,
         trace_rate=args.trace_rate,
-        metrics_period_s=0.1 if args.metrics_out else None,
+        metrics_s=0.1 if args.metrics_out else None,
+        seed=args.seed,
     )
+    try:
+        if (args.workers or args.kill_worker) and not args.deployment:
+            raise ValueError("--workers and --kill-worker need --deployment")
+        if args.slo:
+            registry = None
+            scenario = dataclasses.replace(
+                spike(trace_rate=args.trace_rate, seed=args.seed),
+                metrics_s=common["metrics_s"],
+            )
+        elif args.deployment:
+            from repro.io import load_deployment
+            from repro.serving.deployment import PlacementSpec
+            from repro.serving.registry import ModelRegistry
+
+            if not args.registry:
+                raise ValueError(
+                    "--deployment needs --registry (the directory the "
+                    "deployed model is registered in)"
+                )
+            deployment = load_deployment(args.deployment)
+            if args.workers is not None:
+                # Force the spec onto process placement without editing
+                # the file.
+                deployment = dataclasses.replace(
+                    deployment,
+                    placement=PlacementSpec(
+                        kind="process", workers=args.workers
+                    ).validate(),
+                )
+            registry = ModelRegistry(args.registry, backend=args.backend)
+            scenario = Scenario(
+                deployment=deployment,
+                maintenance_s=MAINTENANCE_S if args.kill_worker else None,
+                faults=(
+                    (Fault("kill_worker", at=args.requests // 4),)
+                    if args.kill_worker else ()
+                ),
+                **common,
+            )
+        else:
+            scenario = Scenario(
+                dataset=args.dataset,
+                n_models=args.models,
+                q_f=args.qf,
+                q_l=args.ql,
+                backend=args.backend,
+                **common,
+            )
+        result = run_scenario(scenario, registry)
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.metrics_out:
-        _write_metrics(args.metrics_out, result.metrics)
+        _write_jsonl(args.metrics_out, result.metrics)
         print(f"metrics time-series written to {args.metrics_out}")
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
-        print(format_serving(result))
-    if args.report and not args.json:
-        snapshot = result.telemetry
-        print(f"drain clean: {snapshot.in_flight == 0}")
-    return 0
+        print(result.format())
+        if args.report:
+            print(f"drain clean: {result.telemetry.in_flight == 0}")
+    return 0 if result.errors == 0 else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.serving.observability import format_trace_dicts
+    from repro.serving.workload import Scenario, run_scenario, spike
 
     if not 0.0 < args.rate <= 1.0:
         print("error: --rate must lie in (0, 1]", file=sys.stderr)
         return 2
     if args.slo:
-        from repro.serving.workload import run_autoscale_workload
-
-        result = run_autoscale_workload(seed=args.seed, trace_rate=args.rate)
+        scenario = spike(trace_rate=args.rate, seed=args.seed)
     else:
-        from repro.serving.workload import run_serving_workload
-
-        result = run_serving_workload(
+        scenario = Scenario(
             n_models=args.models,
             n_requests=args.requests,
             submitters=args.submitters,
             seed=args.seed,
             trace_rate=args.rate,
         )
-    traces = list(result.traces)
-    if args.out:
-        with open(args.out, "w") as fh:
-            for trace in traces:
-                fh.write(json.dumps(trace) + "\n")
-        print(f"{len(traces)} traces written to {args.out}")
-        return 0
-    if args.limit is not None:
-        traces = traces[: args.limit]
-    if args.json:
-        for trace in traces:
-            print(json.dumps(trace))
-    else:
-        print(format_trace_dicts(traces))
-    return 0
+    traces = list(run_scenario(scenario).traces)
+    return _emit_rows(args, traces, "traces", format_trace_dicts, args.limit)
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    import json
-
     from repro.serving.observability import EVENT_KINDS, format_events
-    from repro.serving.workload import run_autoscale_workload
+    from repro.serving.workload import run_scenario, spike
 
     kinds = None
     if args.kinds:
@@ -312,26 +297,13 @@ def _cmd_events(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    result = run_autoscale_workload(
-        seed=args.seed,
-        trace_rate=args.rate,
-        spike_factor=args.spike_factor,
+    result = run_scenario(
+        spike(spike_factor=args.spike_factor, trace_rate=args.rate, seed=args.seed)
     )
     events = [
         e for e in result.flight if kinds is None or e["kind"] in kinds
     ]
-    if args.out:
-        with open(args.out, "w") as fh:
-            for event in events:
-                fh.write(json.dumps(event, allow_nan=False) + "\n")
-        print(f"{len(events)} events written to {args.out}")
-        return 0
-    if args.json:
-        for event in events:
-            print(json.dumps(event, allow_nan=False))
-    else:
-        print(format_events(events))
-    return 0
+    return _emit_rows(args, events, "events", format_events)
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
@@ -475,65 +447,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             f"{payload['queue_wait_ms']:.2f} ms queued"
         )
     return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from repro.io import load_deployment
-    from repro.serving.deployment import PlacementSpec
-    from repro.serving.registry import ModelRegistry
-    from repro.serving.scheduler import BatchPolicy
-    from repro.serving.workload import format_cluster_run, run_cluster_workload
-
-    try:
-        deployment = load_deployment(args.spec)
-    except (ValueError, OSError) as exc:
-        print(f"error: invalid deployment spec: {exc}", file=sys.stderr)
-        return 2
-    if args.workers is not None:
-        # Force a spec onto the process placement without editing the
-        # file — handy for trying a local spec across worker counts.
-        try:
-            placement = PlacementSpec(kind="process", workers=args.workers).validate()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        deployment = dataclasses.replace(deployment, placement=placement)
-    if deployment.placement is None or deployment.placement.kind != "process":
-        print(
-            "error: the cluster workload needs 'placement': {'kind': "
-            "'process'} in the spec (or --workers N to force it)",
-            file=sys.stderr,
-        )
-        return 2
-    registry = ModelRegistry(args.registry, backend=args.backend)
-    try:
-        result = run_cluster_workload(
-            registry,
-            deployment,
-            n_requests=args.requests,
-            submitters=args.submitters,
-            policy=BatchPolicy(
-                max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-            ),
-            seed=args.seed,
-            kill_worker=args.kill_worker,
-        )
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"cluster run written to {args.out}")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    elif not args.out:
-        print(format_cluster_run(result))
-    return 0 if result.errors == 0 else 1
 
 
 def _parse_float_list(text: str, flag: str) -> List[float]:
@@ -726,7 +639,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC.json",
         help="drive the traffic through this deployment spec instead of "
         "auto-trained tenants (needs --registry with the model registered; "
-        "see 'febim deploy')",
+        "see 'febim deploy'); 'placement: process' specs run on worker "
+        "processes",
+    )
+    serve.add_argument(
+        "--workers",
+        type=int,
+        help="with --deployment: force 'process' placement with this many "
+        "workers, overriding the spec's placement block",
+    )
+    serve.add_argument(
+        "--kill-worker",
+        action="store_true",
+        help="with a process-placed --deployment: SIGKILL one worker a "
+        "quarter into the burst and report the supervised failover",
     )
     serve.add_argument(
         "--slo",
@@ -760,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="PATH",
         help="write the run's telemetry time-series as JSONL "
-        "(arms observability; sampled every 100 ms, or on the "
+        "(arms observability; sampled every 100 ms, and on the "
         "maintenance cadence with --slo)",
     )
     serve.set_defaults(func=_cmd_serve)
@@ -893,39 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_flag(submit)
     submit.add_argument("--json", action="store_true", help="emit JSON")
     submit.set_defaults(func=_cmd_submit)
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="drive a workload through a multi-process (placement: "
-        "process) cluster, optionally SIGKILLing a worker mid-burst",
-    )
-    cluster.add_argument("registry", help="registry directory holding the model")
-    cluster.add_argument(
-        "spec", help="deployment spec JSON (see repro.io.save_deployment)"
-    )
-    cluster.add_argument(
-        "--workers",
-        type=int,
-        help="force 'process' placement with this many workers, "
-        "overriding the spec's placement block",
-    )
-    cluster.add_argument("--requests", type=int, default=256)
-    cluster.add_argument("--submitters", type=int, default=4)
-    cluster.add_argument(
-        "--kill-worker",
-        action="store_true",
-        help="SIGKILL one worker a quarter into the burst and report "
-        "the supervised failover (the chaos acceptance scenario)",
-    )
-    cluster.add_argument("--max-batch", type=int, default=32)
-    cluster.add_argument("--max-wait-ms", type=float, default=2.0)
-    cluster.add_argument("--seed", type=int, default=0)
-    add_backend_flag(cluster)
-    cluster.add_argument("--json", action="store_true", help="emit JSON")
-    cluster.add_argument(
-        "--out", metavar="PATH", help="write the run as JSON instead"
-    )
-    cluster.set_defaults(func=_cmd_cluster)
 
     reliability = sub.add_parser(
         "reliability",

@@ -309,9 +309,10 @@ class WorkerPool:
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(32)
         self._address = self._listener.getsockname()
-        threading.Thread(
+        self._acceptor = threading.Thread(
             target=self._accept_loop, name="cluster-accept", daemon=True
-        ).start()
+        )
+        self._acceptor.start()
 
     # ----------------------------------------------------------- connections
     def _accept_loop(self) -> None:
@@ -703,10 +704,14 @@ class WorkerPool:
             if handle.conn is not None:
                 handle.conn.close()
                 handle.conn = None
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down first makes accept raise.
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
+        self._acceptor.join(2.0 if timeout is None else timeout)
         with self._lock:
             leftovers = list(self._pending.values())
             self._pending.clear()

@@ -100,6 +100,41 @@ def replica_stream_seed(
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+def replica_engine(server, name: str, version: int, index: int, spec,
+                   fresh: bool = False):
+    """Program (or fetch from the registry cache) the engine replica
+    ``index`` of ``name`` v``version`` serves on ``spec``, under
+    ``server``'s registry, seed and ``max_rows``; ``fresh=True`` forces
+    new hardware that takes over the cache slot without touching the
+    model's other cached engines."""
+    registry = server.registry
+    # A replica on the registry's own technology with no options of
+    # its own inherits the registry's serving configuration — and
+    # therefore an implicit deployment's cache key (single-replica
+    # bit-identity, enforced by tests/serving/test_router.py).
+    backend = None if spec.backend == registry.backend else spec.backend
+    options = spec.backend_options or (None if backend is None else {})
+    seed = replica_stream_seed(server.seed, name, version, index)
+    if seed is None and index > 0:
+        # A seedless server draws fresh entropy per engine, but the
+        # registry caches seed=None configurations under one key —
+        # which would collapse same-backend replicas into a single
+        # shared engine (no real redundancy, and a data race on
+        # stateful readers).  A Generator seed keeps the fresh
+        # entropy while bypassing the cache; replica 0 stays on the
+        # cached entry.
+        seed = np.random.default_rng()
+    return registry.get_engine(
+        name,
+        version,
+        max_rows=server.max_rows,
+        seed=seed,
+        backend=backend,
+        backend_options=options,
+        fresh=fresh,
+    )
+
+
 class ReplicaHost:
     """One replica's engine and micro-batch scheduler.
 
@@ -154,36 +189,9 @@ class ReplicaHost:
     # ------------------------------------------------------------ programming
     def _materialise(self, fresh: bool):
         """Program (or fetch from the registry cache) this replica's
-        engine; ``fresh=True`` forces new hardware that takes over the
-        cache slot without touching the model's other cached engines."""
-        registry = self.server.registry
-        spec = self.spec
-        # A replica on the registry's own technology with no options of
-        # its own inherits the registry's serving configuration — and
-        # therefore an implicit deployment's cache key (single-replica
-        # bit-identity, enforced by tests/serving/test_router.py).
-        backend = None if spec.backend == registry.backend else spec.backend
-        options = spec.backend_options or (None if backend is None else {})
-        seed = replica_stream_seed(
-            self.server.seed, self.name, self.version, self.index
-        )
-        if seed is None and self.index > 0:
-            # A seedless server draws fresh entropy per engine, but the
-            # registry caches seed=None configurations under one key —
-            # which would collapse same-backend replicas into a single
-            # shared engine (no real redundancy, and a data race on
-            # stateful readers).  A Generator seed keeps the fresh
-            # entropy while bypassing the cache; replica 0 stays on the
-            # cached entry.
-            seed = np.random.default_rng()
-        engine = registry.get_engine(
-            self.name,
-            self.version,
-            max_rows=self.server.max_rows,
-            seed=seed,
-            backend=backend,
-            backend_options=options,
-            fresh=fresh,
+        engine, wrapped; see :func:`replica_engine`."""
+        engine = replica_engine(
+            self.server, self.name, self.version, self.index, self.spec, fresh
         )
         return engine if self.wrap is None else self.wrap(engine)
 

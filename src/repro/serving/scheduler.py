@@ -471,6 +471,14 @@ class MicroBatchScheduler:
             if rejection is None:
                 if request.trace is not None:
                     self._trace_admitted(key, request)
+                # The lane gauge rises before the row is visible to the
+                # worker: a drain recorded first would clamp at zero and
+                # leave this rise behind as a phantom queued row.  The
+                # telemetry lock is a leaf, so nesting it here is safe.
+                if direct:
+                    self.telemetry.record_submitted(lane=lane)
+                else:
+                    self.telemetry.record_lane_queued(lane)
                 queue.append(request)
                 self._pending += 1
                 if victim is not None:
@@ -511,10 +519,6 @@ class MicroBatchScheduler:
                 "backpressure_block", key=str(key), lane=lane,
                 waited_ms=(time.monotonic() - blocked_at) * 1e3,
             )
-        if direct:
-            self.telemetry.record_submitted(lane=lane)
-        else:
-            self.telemetry.record_lane_queued(lane)
 
     def _displace(self, key: Hashable, victim: _Request, lane: int) -> None:
         """Resolve a queued request shed to admit a priority-``lane``
@@ -628,6 +632,12 @@ class MicroBatchScheduler:
             if queue is None:
                 queue = self._queues[key] = _LaneQueue()
             before = len(queue)
+            # As in _admit: the gauge rises before any row is visible.
+            lane = requests[0].lane
+            if requests[0].attempt is None:
+                self.telemetry.record_submitted(len(requests), lane=lane)
+            else:
+                self.telemetry.record_lane_queued(lane, len(requests))
             for request in requests:
                 if request.trace is not None:
                     self._trace_admitted(key, request)
@@ -637,11 +647,6 @@ class MicroBatchScheduler:
             # deadline or a batch that just filled.
             if before == 0 or before < self.policy.max_batch <= len(queue):
                 self._wake.notify()
-        lane = requests[0].lane
-        if requests[0].attempt is None:
-            self.telemetry.record_submitted(len(requests), lane=lane)
-        else:
-            self.telemetry.record_lane_queued(lane, len(requests))
         return [], None
 
     def drain(self, timeout: Optional[float] = None) -> bool:

@@ -1,24 +1,42 @@
-"""Synthetic serving workloads: mixed-tenant traffic against a server.
+"""Seeded serving scenarios: one runner, checked invariants.
 
-Shared by ``febim serve``, ``benchmarks/bench_serving.py`` and
-``examples/serving_demo.py``: train a few tenant models, register them,
-fire a stream of single-sample requests from concurrent submitter
-threads, and report sustained served throughput next to the offline
-``infer_batch`` ceiling the scheduler is trying to reach.
+A :class:`Scenario` says what is served, how traffic arrives, and what
+goes wrong (a timeline of :class:`Fault` incidents); :func:`run_scenario`
+drives it and returns one :class:`ScenarioResult`, and :func:`spike` is
+the SLO spike preset.  ``febim serve`` / ``trace`` / ``events``, the
+serving, autoscale, observability and cluster benchmarks and the
+property tests all run through it.  Before it returns, every run checks
+the serving invariants and raises :class:`InvariantViolation` naming
+each one it broke:
 
-The offline ceiling is measured on the *same engines* that serve the
-traffic (one dense ``infer_batch`` at ``offline_batch`` samples), so
-``served_fraction`` isolates exactly the cost of the online layer:
-queueing, coalescing, futures and thread handoff.
+* ``futures`` — every accepted client future is done;
+* ``books`` — the client's own tallies (ok, shed, failed, cancelled)
+  equal the server's (completed, shed, failed, cancelled) and sum to
+  its ``submitted``; submits that raised are ``refused``, counted apart;
+* ``queues`` — ``in_flight`` is 0 and no lane reports a depth;
+* ``flight`` — flight-recorder sequence numbers strictly increase, and
+  every ``scale_up`` follows an up ``scale_decision``;
+* ``leaks`` — no thread or worker process the run started outlives its
+  server.
+
+The offline ceiling is measured on the engines that serve the traffic,
+so ``served_fraction`` isolates the cost of the online layer.  The
+health aging runner (:func:`run_health_workload`) steps a clock and
+sweeps with no traffic, so it stays a runner of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import sys
 import tempfile
 import threading
 import time
 import zlib
+from collections import Counter
+from concurrent.futures import CancelledError, wait
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +46,16 @@ from repro.core.pipeline import FeBiMPipeline
 from repro.datasets import load_dataset, make_gaussian_blobs
 from repro.datasets.splits import train_test_split
 from repro.devices.endurance import EnduranceModel
-from repro.serving.observability import MetricsSampler, Observability
+from repro.serving.autoscale import HardwarePool
+from repro.serving.cluster import ClusterServer
+from repro.serving.deployment import (
+    Deployment,
+    ReplicaSpec,
+    RoutingPolicy,
+    SLOPolicy,
+)
+from repro.serving.host import replica_engine
+from repro.serving.observability import FlightRecorder, MetricsSampler
 from repro.serving.registry import ModelRegistry
 from repro.serving.scheduler import BatchPolicy, Overloaded
 from repro.serving.server import FeBiMServer
@@ -38,369 +65,45 @@ from repro.utils.validation import check_positive, check_positive_int
 
 #: Dense batch size used for the offline throughput ceiling.
 OFFLINE_BATCH = 256
-
-
-@dataclass(frozen=True)
-class ServingRunResult:
-    """Outcome of one mixed-traffic serving run.
-
-    Attributes
-    ----------
-    served_sps:
-        Sustained served samples/sec over the whole run (submit of the
-        first request to completion of the last, drain included).
-    offline_sps:
-        Offline ``infer_batch`` ceiling at :data:`OFFLINE_BATCH`
-        samples, traffic-weighted across tenants.
-    matched:
-        Requests whose served prediction was verified bit-identical to
-        the direct offline prediction for the same sample.
-    traces / metrics:
-        Sampled request traces and the periodic metrics time-series
-        (as plain dicts), empty unless the run armed observability.
-    """
-
-    dataset: str
-    models: Tuple[str, ...]
-    policy: BatchPolicy
-    n_requests: int
-    submitters: int
-    wall_s: float
-    served_sps: float
-    offline_sps: float
-    matched: int
-    telemetry: TelemetrySnapshot
-    backend: str = "fefet"
-    traces: Tuple[dict, ...] = ()
-    metrics: Tuple[dict, ...] = ()
-
-    @property
-    def served_fraction(self) -> float:
-        """Served throughput as a fraction of the offline ceiling."""
-        if self.offline_sps <= 0:
-            return float("nan")
-        return self.served_sps / self.offline_sps
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (``febim serve --json``)."""
-        return {
-            "bench": "serving",
-            "dataset": self.dataset,
-            "backend": self.backend,
-            "models": list(self.models),
-            "policy": {
-                "max_batch": self.policy.max_batch,
-                "max_wait_ms": self.policy.max_wait_ms,
-            },
-            "n_requests": self.n_requests,
-            "submitters": self.submitters,
-            "wall_s": self.wall_s,
-            "served_sps": self.served_sps,
-            "offline_sps": self.offline_sps,
-            "served_fraction": self.served_fraction,
-            "matched": self.matched,
-            "telemetry": self.telemetry.to_dict(),
-            "traces": [dict(t) for t in self.traces],
-            "metrics": [dict(p) for p in self.metrics],
-        }
-
-
-def _tenant_datasets(
-    dataset: str,
-    n_models: int,
-    seed_pool,
-    synthetic_classes: int,
-    synthetic_features: int,
-) -> List[Tuple[str, object]]:
-    """Tenant (name, dataset) pairs for the workload.
-
-    ``"synthetic"`` draws one independent many-class blob problem per
-    tenant (the serving-bench shape: enough classes/features that the
-    numpy read dominates scheduler overhead); bundled datasets share
-    the data but train tenants on independent splits.
-    """
-    tenants = []
-    for i, rng in enumerate(seed_pool):
-        name = f"{dataset}-{chr(ord('a') + i)}"
-        if dataset == "synthetic":
-            data = make_gaussian_blobs(
-                n_samples=1500,
-                n_features=synthetic_features,
-                n_classes=synthetic_classes,
-                class_sep=2.5,
-                seed=rng,
-            )
-        else:
-            data = load_dataset(dataset)
-        tenants.append((name, data))
-    return tenants
-
-
-def _drive_submitters(
-    submit_request,
-    n_requests: int,
-    submitters: int,
-    drain,
-    timeout_s: float = 120.0,
-):
-    """Fire ``n_requests`` from concurrent submitter threads.
-
-    ``submit_request(i)`` submits request ``i`` and returns its future;
-    ``drain(timeout)`` flushes the server.  Returns ``(futures,
-    wall_s)`` measured from the submitters' start barrier to
-    drain-clean.  A submitter whose submit raises stops; its remaining
-    slots stay ``None`` for the caller to account as errors.  The
-    shared harness of both workload runners — GIL switch-interval
-    tuning included (the default 5 ms interval convoys the scheduler
-    worker behind the submitters).
-    """
-    futures: List[Optional[object]] = [None] * n_requests
-    barrier = threading.Barrier(submitters + 1)
-
-    def submitter(worker: int) -> None:
-        barrier.wait()
-        try:
-            for i in range(worker, n_requests, submitters):
-                futures[i] = submit_request(i)
-        except Exception as exc:  # noqa: BLE001 — Nones counted by callers
-            # Keep the cause visible: an error-count assertion downstream
-            # is undebuggable without it.
-            print(
-                f"workload submitter {worker} stopped: {exc!r}",
-                file=sys.stderr,
-            )
-
-    threads = [
-        threading.Thread(target=submitter, args=(w,), daemon=True)
-        for w in range(submitters)
-    ]
-    prev_switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-3)
-    try:
-        for t in threads:
-            t.start()
-        barrier.wait()
-        started = time.perf_counter()
-        for t in threads:
-            t.join()
-        if not drain(timeout_s):
-            raise RuntimeError(
-                f"serving workload failed to drain in {timeout_s:.0f} s"
-            )
-        wall = time.perf_counter() - started
-    finally:
-        sys.setswitchinterval(prev_switch)
-    return futures, wall
-
-
-def run_serving_workload(
-    dataset: str = "iris",
-    n_models: int = 2,
-    n_requests: int = 2048,
-    submitters: int = 4,
-    policy: Optional[BatchPolicy] = None,
-    q_f: int = 4,
-    q_l: int = 2,
-    registry_root: Optional[str] = None,
-    offline_batch: int = OFFLINE_BATCH,
-    synthetic_classes: int = 20,
-    synthetic_features: int = 24,
-    seed: int = 0,
-    backend: str = "fefet",
-    trace_rate: float = 0.0,
-    metrics_period_s: Optional[float] = None,
-) -> ServingRunResult:
-    """Serve a mixed request stream and measure sustained throughput.
-
-    Parameters
-    ----------
-    dataset:
-        A bundled dataset name, or ``"synthetic"`` for independent
-        many-class blob tenants.
-    n_models:
-        Number of tenant models registered and mixed in the traffic.
-    n_requests:
-        Total single-sample requests across all submitters.
-    submitters:
-        Concurrent submitter threads (each owns a disjoint slice of the
-        request stream, round-robin across tenants).
-    registry_root:
-        Registry directory; a temporary one is used when omitted.
-    offline_batch:
-        Dense batch size for the offline ceiling measurement.
-    backend:
-        Array technology the registry serves (every tenant engine is
-        built on it).
-    trace_rate:
-        When positive, arm observability and sample this fraction of
-        requests into traces (``result.traces``).
-    metrics_period_s:
-        When set, a :class:`~repro.serving.observability.MetricsSampler`
-        records the telemetry time-series on this period
-        (``result.metrics``); implies arming observability.
-
-    Returns
-    -------
-    :class:`ServingRunResult` — throughput, ceiling, verification and
-    the final telemetry snapshot after a draining shutdown.
-    """
-    check_positive_int(n_models, "n_models")
-    check_positive_int(n_requests, "n_requests")
-    check_positive_int(submitters, "submitters")
-    check_positive_int(offline_batch, "offline_batch")
-    policy = policy or BatchPolicy()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        root = registry_root or tmp
-        registry = ModelRegistry(
-            root, engine_cache_size=max(8, 2 * n_models), backend=backend
-        )
-
-        # Train and register the tenants; keep each tenant's discretised
-        # request pool and its expected offline predictions.
-        tenant_rngs = spawn_rngs(seed, n_models)
-        names: List[str] = []
-        pools: Dict[str, np.ndarray] = {}
-        tenants = _tenant_datasets(
-            dataset, n_models, tenant_rngs, synthetic_classes, synthetic_features
-        )
-        for name, data in tenants:
-            X_tr, X_te, y_tr, _ = train_test_split(
-                data.data, data.target, test_size=0.5, seed=zlib.crc32(name.encode())
-            )
-            pipe = FeBiMPipeline(
-                q_f=q_f, q_l=q_l, seed=seed, backend=backend
-            ).fit(X_tr, y_tr)
-            pipe.register_into(registry, name)
-            pools[name] = pipe.transform_levels(X_te)
-            names.append(name)
-
-        with FeBiMServer(registry, policy=policy, seed=seed) as server:
-            observability = None
-            sampler = None
-            if trace_rate > 0 or metrics_period_s is not None:
-                observability = server.enable_observability(
-                    trace_rate=trace_rate
-                )
-                if metrics_period_s is not None:
-                    sampler = MetricsSampler(
-                        observability.metrics, server, metrics_period_s
-                    )
-            # Warm every tenant's engine so the run measures steady-state
-            # serving, not one-time crossbar programming.
-            engines = {name: server.engine_for(name) for name in names}
-            expected = {
-                name: engines[name].infer_batch(pools[name]).predictions
-                for name in names
-            }
-
-            # Offline ceiling: dense infer_batch on the serving engines,
-            # weighted by each tenant's share of the traffic.
-            per_model_sps = []
-            for name in names:
-                pool = pools[name]
-                idx = np.arange(offline_batch) % pool.shape[0]
-                dense = pool[idx]
-                best = float("inf")
-                for _ in range(3):
-                    start = time.perf_counter()
-                    engines[name].infer_batch(dense)
-                    best = min(best, time.perf_counter() - start)
-                per_model_sps.append(offline_batch / max(best, 1e-12))
-            offline_sps = float(
-                1.0 / np.mean([1.0 / sps for sps in per_model_sps])
-            )
-
-            # The mixed request stream: submitter s owns requests
-            # s, s + submitters, ... — round-robin across tenants by
-            # request index so traffic interleaves models.
-            plan = [
-                (names[i % len(names)], i) for i in range(n_requests)
-            ]
-
-            def submit_request(i: int):
-                name, req = plan[i]
-                pool = pools[name]
-                return server.submit(name, pool[req % pool.shape[0]])
-
-            futures, wall = _drive_submitters(
-                submit_request, n_requests, submitters, server.drain
-            )
-
-            # Verify: every future resolved exactly once with the
-            # bit-identical offline prediction for its sample.
-            matched = 0
-            for i, future in enumerate(futures):
-                name, req = plan[i]
-                if future is None:
-                    continue
-                result = future.result(timeout=0)
-                pool = pools[name]
-                if result.prediction == expected[name][req % pool.shape[0]]:
-                    matched += 1
-            if sampler is not None:
-                sampler.stop(timeout=5.0)
-            telemetry = server.stats()
-            traces: Tuple[dict, ...] = ()
-            metrics: Tuple[dict, ...] = ()
-            if observability is not None:
-                traces = tuple(
-                    t.to_dict() for t in observability.tracer.traces()
-                )
-                metrics = tuple(
-                    p.to_dict() for p in observability.metrics.points()
-                )
-
-    return ServingRunResult(
-        dataset=dataset,
-        models=tuple(names),
-        policy=policy,
-        n_requests=n_requests,
-        submitters=submitters,
-        wall_s=wall,
-        served_sps=n_requests / max(wall, 1e-12),
-        offline_sps=offline_sps,
-        matched=matched,
-        telemetry=telemetry,
-        backend=backend,
-        traces=traces,
-        metrics=metrics,
-    )
-
-
-@dataclass(frozen=True)
-class DeploymentRunResult:
-    """Outcome of one mixed-traffic run against a deployment.
-
-    ``errors`` counts client-visible failures (a request that failed on
-    every serviceable replica); internal replica failures that failed
-    over transparently appear in ``telemetry.failovers`` instead.
-    """
-
-    deployment: dict
-    version: int
-    n_requests: int
-    submitters: int
-    wall_s: float
-    served_sps: float
-    errors: int
-    replicas: Tuple[dict, ...]
-    telemetry: TelemetrySnapshot
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (``febim serve --deployment --json``)."""
-        return {
-            "bench": "deployment",
-            "deployment": dict(self.deployment),
-            "version": self.version,
-            "n_requests": self.n_requests,
-            "submitters": self.submitters,
-            "wall_s": self.wall_s,
-            "served_sps": self.served_sps,
-            "errors": self.errors,
-            "replicas": [dict(r) for r in self.replicas],
-            "telemetry": self.telemetry.to_dict(),
-        }
+#: One ``"synthetic"`` tenant: independent many-class blobs, large
+#: enough that the numpy read, not the scheduler, dominates a batch.
+SYNTHETIC_CLASSES = 32
+SYNTHETIC_FEATURES = 48
+#: Every ``INTERACTIVE_SHARE``-th request carries the high-priority
+#: ``"interactive"`` client identity; the rest cycle through
+#: ``BATCH_CLIENTS`` batch tenants (the sticky policy's affinity keys).
+INTERACTIVE_SHARE = 4
+BATCH_CLIENTS = 5
+#: The spike preset: open-loop base rate, the burst's window as
+#: fractions of the trace, and the SLO the deployment must hold.
+SPIKE_BASE_RPS = 100.0
+SPIKE_WINDOW = (0.3, 0.55)
+SPIKE_SLO = SLOPolicy(
+    target_p95_ms=150.0,
+    max_queue_depth=16,
+    min_replicas=1,
+    max_replicas=3,
+    priorities={"interactive": 10},
+)
+#: Spare hardware an SLO deployment scales onto, pre-worn (fractions of
+#: usable life) so the least-worn placement order is observable.
+POOL_WEAR = (0.6, 0.2, 0.9)
+#: Consecutive calm controller steps before a scale-down.
+SCALE_DOWN_PATIENCE = 3
+#: Worker heartbeat period of a process-placed scenario, and the sweep
+#: cadence (supervision, then the heal ladder) of the cluster story.
+HEARTBEAT_S = 0.1
+MAINTENANCE_S = 0.1
+#: Bounds on the drain, on a drained server's last futures settling, on
+#: the worker pool's respawn after a kill, and on threads and worker
+#: processes exiting after the server closed.
+DRAIN_TIMEOUT_S = 120.0
+SETTLE_TIMEOUT_S = 5.0
+RESPAWN_TIMEOUT_S = 30.0
+LEAK_TIMEOUT_S = 5.0
+FAULT_KINDS = (
+    "kill_worker", "kill_replica", "retire_replica", "add_replica", "sweep",
+)
 
 
 def request_pool(
@@ -423,125 +126,6 @@ def request_pool(
     for f, width in enumerate(widths):
         pool[:, f] = rng.integers(0, width, size=n_samples)
     return pool
-
-
-def _checked_run(registry, deployment, n_requests: int, submitters: int,
-                 n_clients: int) -> ModelRegistry:
-    """Validate a deployment run's arguments; returns the registry."""
-    check_positive_int(n_requests, "n_requests")
-    check_positive_int(submitters, "submitters")
-    check_positive_int(n_clients, "n_clients")
-    if not isinstance(registry, ModelRegistry):
-        registry = ModelRegistry(registry)
-    deployment.validate()
-    if deployment.model not in registry:
-        raise KeyError(
-            f"deployment model {deployment.model!r} is not registered in "
-            f"{registry.root}"
-        )
-    return registry
-
-
-def _drive_deployment(server, deployment, n_requests: int, submitters: int,
-                      n_clients: int, seed: int, chaos=None):
-    """Apply ``deployment`` on ``server`` and fire ``n_requests`` from
-    concurrent submitters, cycling ``n_clients`` client identities (the
-    ``sticky`` policy's affinity keys); ``chaos(i)``, when given, runs
-    before request ``i``.  Returns ``(applied, wall_s, errors)``, errors
-    being client-visible failures."""
-    pool = request_pool(
-        server.registry, deployment.model, deployment.version, seed=seed
-    )
-    applied = server.deploy(deployment)
-
-    def submit_request(i: int):
-        if chaos is not None:
-            chaos(i)
-        return server.submit(
-            deployment.model,
-            pool[i % pool.shape[0]],
-            client=f"client-{i % n_clients}",
-        )
-
-    futures, wall = _drive_submitters(
-        submit_request, n_requests, submitters, server.drain
-    )
-    errors = sum(
-        1 for future in futures
-        if future is None
-        or future.cancelled()
-        or future.exception(timeout=30.0) is not None
-    )
-    return applied, wall, errors
-
-
-def run_deployment_workload(
-    registry: "ModelRegistry | str",
-    deployment,
-    n_requests: int = 1024,
-    submitters: int = 4,
-    policy: Optional[BatchPolicy] = None,
-    n_clients: int = 8,
-    seed: int = 0,
-) -> DeploymentRunResult:
-    """Drive a mixed request stream through a deployment's router.
-
-    The deployment's model must already be registered in ``registry``
-    (a path builds a :class:`ModelRegistry` with default options).
-    ``n_clients`` distinct client identities are cycled through the
-    traffic so the ``sticky`` policy has affinity keys to hash.
-
-    Returns sustained served throughput, client-visible error count and
-    the final telemetry snapshot — per-replica counters included, which
-    is what the routing-policy benchmarks tabulate.
-    """
-    registry = _checked_run(registry, deployment, n_requests, submitters,
-                            n_clients)
-    with FeBiMServer(registry, policy=policy, seed=seed) as server:
-        applied, wall, errors = _drive_deployment(
-            server, deployment, n_requests, submitters, n_clients, seed
-        )
-        statuses = tuple(s.to_dict() for s in server.status(deployment.model))
-        telemetry = server.stats()
-
-    return DeploymentRunResult(
-        deployment=deployment.to_dict(),
-        version=applied.version,
-        n_requests=n_requests,
-        submitters=submitters,
-        wall_s=wall,
-        served_sps=n_requests / max(wall, 1e-12),
-        errors=errors,
-        replicas=statuses,
-        telemetry=telemetry,
-    )
-
-
-def format_deployment_run(result: DeploymentRunResult) -> str:
-    """Human-readable report (``febim serve --deployment``)."""
-    spec = result.deployment
-    return _format_run(result, [
-        f"deployment workload: {spec['model']}@v{result.version} "
-        f"[{spec['policy']['kind']}] — {result.n_requests} requests, "
-        f"{result.submitters} submitters",
-    ])
-
-
-def _format_run(result: DeploymentRunResult, lines: List[str]) -> str:
-    """A run report: the header ``lines[0]``, the run's throughput, the
-    rest of ``lines``, then its replicas and telemetry."""
-    lines.insert(1, (
-        f"throughput served {result.served_sps:.0f} sps, "
-        f"{result.errors} client-visible errors"
-    ))
-    for replica in result.replicas:
-        lines.append(
-            f"  {replica['replica']:26s} {replica['state']:8s} "
-            f"unit delay {replica['unit_delay_s'] * 1e9:8.1f} ns  "
-            f"weight {replica['weight']:g}"
-        )
-    lines.append(result.telemetry.format_lines())
-    return "\n".join(lines)
 
 
 class PacedEngine:
@@ -623,366 +207,723 @@ def bursty_trace(
     return np.sort(np.concatenate(chunks))
 
 
+# ------------------------------------------------------------------ scenario
 @dataclass(frozen=True)
-class AutoscaleRunResult:
-    """Outcome of one bursty open-loop run against an SLO deployment.
+class Fault:
+    """One incident, fired before request ``at`` is handed out.
 
-    The acceptance contract of ``benchmarks/bench_autoscale.py``: the
-    spike must be survived with zero *failed* requests (``shed`` are
-    typed :class:`~repro.serving.scheduler.Overloaded` rejections, a
-    deliberate admission decision), both a scale-up and a scale-down
-    observed, and every scale-up placed on the least-worn pool slot.
+    Faults share the submitters' request counter, so a timeline fires in
+    ``at`` order whatever the thread interleaving.  ``kill_worker``
+    SIGKILLs the first live worker; ``kill_replica`` hard-fails replica
+    ``replica`` (``recoverable``: the replace rung can heal it);
+    ``retire_replica`` drains and removes it; ``add_replica`` grows the
+    deployment by a copy of its first spec; ``sweep`` runs the heal
+    ladder.  A fault the server refuses (retiring the last serviceable
+    replica, a gone index) is recorded with the refusal, not raised.
     """
 
+    kind: str
+    at: int = 0
+    replica: int = 0
+    recoverable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(
+                f"unknown fault {self.kind!r} (one of {', '.join(FAULT_KINDS)})"
+            )
+        if self.at < 0:
+            raise ValueError(f"fault time must be >= 0, got {self.at}")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A seeded serving run.
+
+    **Served**: without ``deployment``, ``n_models`` freshly trained
+    tenants of ``dataset`` (``"synthetic"``: many-class blobs) at
+    ``q_f``/``q_l`` bits on ``backend``, named ``<dataset>-a``, ``-b``,
+    ... on their implicit deployments; with it, its model (from the
+    registry given to :func:`run_scenario`, else a trained tenant) on a
+    :class:`~repro.serving.cluster.ClusterServer` for ``process``
+    placement.  An ``slo`` deployment scales onto spares worn per
+    :data:`POOL_WEAR`, and its controller is stepped after the drain
+    until the spike capacity is back.  **Traffic**: ``n_requests`` from
+    ``submitters`` closed-loop threads, or with ``duration_s`` the
+    open-loop :func:`bursty_trace` (``spike_factor`` burst) from one
+    paced submitter; round-robin across tenants, every
+    :data:`INTERACTIVE_SHARE`-th request ``"interactive"``.
+    **Serving**: ``policy``; ``service_time_ms`` paces in-process
+    engines (:class:`PacedEngine`); ``maintenance_s`` runs the sweep.
+    **Observed**: ``trace_rate`` and ``metrics_s`` (the series period)
+    arm observability; a flight recorder runs in every scenario.
+    """
+
+    dataset: str = "iris"
+    n_models: int = 2
+    q_f: int = 4
+    q_l: int = 2
+    backend: str = "fefet"
+    deployment: Optional[Deployment] = None
+    n_requests: int = 2048
+    submitters: int = 4
+    duration_s: Optional[float] = None
+    spike_factor: float = 12.0
+    policy: BatchPolicy = BatchPolicy()
+    service_time_ms: Optional[float] = None
+    maintenance_s: Optional[float] = None
+    trace_rate: float = 0.0
+    metrics_s: Optional[float] = None
+    seed: int = 0
+    faults: Tuple[Fault, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "faults", tuple(self.faults))
+        check_positive_int(self.n_models, "n_models")
+        check_positive_int(self.n_requests, "n_requests")
+        check_positive_int(self.submitters, "submitters")
+        for name in ("duration_s", "service_time_ms", "maintenance_s",
+                     "metrics_s"):
+            if getattr(self, name) is not None:
+                check_positive(getattr(self, name), name)
+        kinds = {fault.kind for fault in self.faults}
+        if kinds and self.deployment is None:
+            raise ValueError("a fault timeline needs a deployment to act on")
+        if "kill_worker" in kinds and not self.process:
+            raise ValueError(
+                "kill_worker needs a deployment with process placement"
+            )
+        if "kill_worker" in kinds and self.maintenance_s is None:
+            raise ValueError(
+                "kill_worker needs maintenance_s: the sweep respawns the "
+                "killed worker"
+            )
+        if self.process and self.service_time_ms is not None:
+            raise ValueError(
+                "service_time_ms paces in-process engines; process "
+                "placement cannot"
+            )
+
+    @property
+    def process(self) -> bool:
+        """Whether the deployment places its replicas on workers."""
+        placement = None if self.deployment is None else self.deployment.placement
+        return placement is not None and placement.kind == "process"
+
+    def to_dict(self) -> dict:
+        data = dataclasses.asdict(self)
+        if self.deployment is not None:
+            data["deployment"] = self.deployment.to_dict()
+        return data
+
+
+def spike(
+    duration_s: float = 2.5,
+    spike_factor: float = 12.0,
+    slo: bool = True,
+    trace_rate: float = 0.0,
+    seed: int = 0,
+) -> Scenario:
+    """The SLO spike: a diurnal open-loop trace with a ``spike_factor``
+    burst against one paced ``ideal`` replica (2 ms per sample) of an
+    iris tenant.  With ``slo`` it carries :data:`SPIKE_SLO` and scales
+    on the maintenance cadence, interactive traffic on the priority
+    lane; without it, the control: one unbounded replica, no controller.
+    """
+    return Scenario(
+        dataset="iris",
+        n_models=1,
+        backend="ideal",
+        deployment=Deployment(
+            model="iris-a",
+            replicas=(ReplicaSpec("ideal"),),
+            policy=RoutingPolicy("cost"),
+            slo=SPIKE_SLO if slo else None,
+        ),
+        duration_s=duration_s,
+        spike_factor=spike_factor,
+        policy=BatchPolicy(max_batch=16, max_wait_ms=2.0),
+        service_time_ms=2.0,
+        maintenance_s=0.12 if slo else None,
+        trace_rate=trace_rate,
+        seed=seed,
+    )
+
+
+class InvariantViolation(AssertionError):
+    """A scenario run broke serving invariants; the message names each
+    one (``futures``, ``books``, ``queues``, ``flight``, ``leaks``)."""
+
+    def __init__(self, broken: List[str]):
+        super().__init__("serving invariants broken: " + "; ".join(broken))
+        self.broken = tuple(broken)
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """Outcome of one :func:`run_scenario` run.
+
+    Every request is ``ok``, ``shed`` (a typed
+    :class:`~repro.serving.scheduler.Overloaded` rejection, not a
+    failure), ``failed``, ``cancelled`` or ``refused`` (its submit
+    raised).  ``matched`` served predictions equal an offline read of
+    the row on the serving replica's engine configuration, whose dense
+    ``infer_batch`` rate is ``offline_sps`` (traffic-weighted).
+    ``faults`` records the fired incidents, ``events`` the autoscale
+    controller's actions, ``event_counts`` the flight-recorder events by
+    kind (the events themselves are in ``flight`` when observability was
+    armed), ``workers_up`` the live workers at the end.
+    """
+
+    scenario: Scenario
+    models: Tuple[str, ...]
+    version: int
     n_requests: int
+    wall_s: float
+    offline_sps: float
+    matched: int
     ok: int
     shed: int
     failed: int
+    cancelled: int
+    refused: int
     shed_by_class: Dict[str, int]
-    wall_s: float
-    p95_ms: float
-    target_p95_ms: Optional[float]
-    held_slo: bool
-    scale_ups: int
-    scale_downs: int
-    final_replicas: int
+    replicas: Tuple[dict, ...]
+    workers_up: Optional[int]
+    faults: Tuple[dict, ...]
     events: Tuple[dict, ...]
-    placements: Tuple[dict, ...]
-    autoscale: bool
-    base_rps: float
-    spike_factor: float
+    event_counts: Dict[str, int]
     telemetry: TelemetrySnapshot
-    traces: Tuple[dict, ...] = ()
-    flight: Tuple[dict, ...] = ()
-    metrics: Tuple[dict, ...] = ()
-    hardware: Tuple[dict, ...] = ()
+    traces: Tuple[dict, ...]
+    flight: Tuple[dict, ...]
+    metrics: Tuple[dict, ...]
+    hardware: Tuple[dict, ...]
+
+    @property
+    def bench(self) -> str:
+        return "serving" if self.scenario.deployment is None else "deployment"
+
+    @property
+    def served_sps(self) -> float:
+        """Requests per second from the start barrier to drain-clean."""
+        return self.n_requests / max(self.wall_s, 1e-12)
+
+    @property
+    def served_fraction(self) -> float:
+        """Served throughput as a fraction of the offline ceiling."""
+        if self.offline_sps <= 0:
+            return float("nan")
+        return self.served_sps / self.offline_sps
+
+    @property
+    def errors(self) -> int:
+        """Client-visible errors: failed, cancelled and refused."""
+        return self.failed + self.cancelled + self.refused
+
+    @property
+    def p95_ms(self) -> float:
+        return float(self.telemetry.p95_latency_s * 1e3)
+
+    @property
+    def target_p95_ms(self) -> Optional[float]:
+        dep = self.scenario.deployment
+        return None if dep is None or dep.slo is None else dep.slo.target_p95_ms
+
+    @property
+    def held_slo(self) -> bool:
+        return self.target_p95_ms is None or self.p95_ms <= self.target_p95_ms
+
+    @property
+    def final_replicas(self) -> int:
+        """Serviceable replicas of the deployment at the end."""
+        return sum(r["state"] in ("healthy", "down") for r in self.replicas)
+
+    @property
+    def placements(self) -> Tuple[dict, ...]:
+        """Scale-ups in order, with the pool slot each landed on."""
+        return tuple(
+            {k: e[k] for k in ("slot", "replica", "wear_fraction")}
+            for e in self.events
+            if e["action"] == "up"
+        )
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (``BENCH_autoscale.json``)."""
-        return {
-            "bench": "autoscale",
-            "autoscale": self.autoscale,
-            "base_rps": self.base_rps,
-            "spike_factor": self.spike_factor,
-            "n_requests": self.n_requests,
-            "ok": self.ok,
-            "shed": self.shed,
-            "failed": self.failed,
-            "shed_by_class": dict(self.shed_by_class),
-            "wall_s": self.wall_s,
-            "p95_ms": self.p95_ms,
-            "target_p95_ms": self.target_p95_ms,
-            "held_slo": self.held_slo,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "final_replicas": self.final_replicas,
-            "events": [dict(e) for e in self.events],
-            "placements": [dict(p) for p in self.placements],
-            "telemetry": self.telemetry.to_dict(),
-            "traces": [dict(t) for t in self.traces],
-            "flight": [dict(e) for e in self.flight],
-            "metrics": [dict(p) for p in self.metrics],
-            "hardware": [dict(s) for s in self.hardware],
-        }
-
-
-def run_autoscale_workload(
-    duration_s: float = 2.5,
-    base_rps: float = 100.0,
-    spike_factor: float = 12.0,
-    spike_window: Tuple[float, float] = (0.3, 0.55),
-    service_time_ms: float = 2.0,
-    target_p95_ms: float = 150.0,
-    max_queue_depth: int = 16,
-    min_replicas: int = 1,
-    max_replicas: int = 3,
-    pool_wear: Tuple[float, ...] = (0.6, 0.2, 0.9),
-    maintenance_period_s: float = 0.12,
-    scale_down_patience: int = 3,
-    max_batch: int = 16,
-    interactive_share: int = 4,
-    seed: int = 0,
-    autoscale: bool = True,
-    trace_rate: float = 0.0,
-) -> AutoscaleRunResult:
-    """Drive a diurnal + spike trace into an SLO-scaled deployment.
-
-    One paced replica (``PacedEngine`` at ``service_time_ms`` per
-    sample — a capacity of ``1000 / service_time_ms`` samples/sec)
-    serves an iris deployment whose
-    :class:`~repro.serving.deployment.SLOPolicy` bounds every queue at
-    ``max_queue_depth`` and allows growth to ``max_replicas``.  An
-    :class:`~repro.serving.autoscale.AutoscaleController` on the
-    maintenance cadence absorbs the ``spike_factor`` burst by drawing
-    replicas from a :class:`~repro.serving.autoscale.HardwarePool`
-    whose slots are pre-worn per ``pool_wear`` (fractions of usable
-    life), so placement order is observable.  Every
-    ``interactive_share``-th request carries the high-priority
-    ``"interactive"`` client identity; the rest are low-priority batch
-    tenants — the shed ordering the result's ``shed_by_class``
-    reports.
-
-    After the trace drains, the controller is stepped synchronously
-    (no wall-clock polling) until its calm-streak logic has had every
-    chance to retire the spike capacity — the scale-*down* half of the
-    loop, made deterministic.
-
-    ``autoscale=False`` runs the no-SLO baseline: one unbounded
-    replica, no controller — every request is served eventually and
-    the p95 shows what the spike does without the loop closed.
-
-    ``trace_rate > 0`` arms the observability plane for the run: the
-    result then carries sampled request traces (``traces``), the
-    flight-recorder event log (``flight`` — scale decisions with their
-    triggering snapshots, sheds, failovers in causal order) and the
-    metrics time-series (``metrics``, sampled on the maintenance
-    cadence plus a final post-scale-down point).
-    """
-    check_positive(duration_s, "duration_s")
-    check_positive(service_time_ms, "service_time_ms")
-    check_positive_int(max_batch, "max_batch")
-    check_positive_int(interactive_share, "interactive_share")
-    from repro.datasets import load_dataset as _load
-    from repro.serving.autoscale import HardwarePool
-    from repro.serving.deployment import (
-        Deployment,
-        ReplicaSpec,
-        RoutingPolicy,
-        SLOPolicy,
-    )
-
-    model = "iris"
-    arrivals = bursty_trace(
-        duration_s,
-        base_rps,
-        spike_factor=spike_factor,
-        spike_window=spike_window,
-        seed=seed,
-    )
-    n_requests = int(arrivals.shape[0])
-
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(tmp, backend="ideal")
-        data = _load(model)
-        X_tr, X_te, y_tr, _ = train_test_split(
-            data.data, data.target, test_size=0.5, seed=seed
+        """JSON-serialisable form (``febim serve --json``)."""
+        data = _plain(self)
+        data.update(
+            {name: getattr(self, name) for name in (
+                "bench", "served_sps", "served_fraction", "errors", "p95_ms",
+                "target_p95_ms", "held_slo", "final_replicas", "placements",
+            )},
+            scenario=self.scenario.to_dict(),
         )
-        pipe = FeBiMPipeline(q_f=4, q_l=2, seed=seed, backend="ideal").fit(
-            X_tr, y_tr
-        )
-        pipe.register_into(registry, model)
-        pool = pipe.transform_levels(X_te)
+        return data
 
-        policy = BatchPolicy(max_batch=max_batch, max_wait_ms=2.0)
-        slo = SLOPolicy(
-            target_p95_ms=target_p95_ms,
-            max_queue_depth=max_queue_depth,
-            min_replicas=min_replicas,
-            max_replicas=max_replicas,
-            priorities={"interactive": 10},
+    def format(self) -> str:
+        """Human-readable report (``febim serve``)."""
+        s = self.scenario
+        dep = s.deployment
+        if dep is None:
+            served = f"{len(self.models)} {s.dataset} tenants [{s.backend}]"
+        else:
+            served = f"{dep.model}@v{self.version} [{dep.policy.kind}]"
+            if s.process:
+                served += f" on {dep.placement.workers} workers"
+        traffic = (
+            f"{s.submitters} submitters" if s.duration_s is None
+            else f"open loop, x{s.spike_factor:g} spike in {s.duration_s:g} s"
         )
-        deployment = Deployment(
-            model=model,
-            replicas=tuple(ReplicaSpec("ideal") for _ in range(min_replicas)),
-            policy=RoutingPolicy(kind="cost"),
-            slo=slo if autoscale else None,
-        )
-
-        with FeBiMServer(registry, policy=policy, seed=seed) as server:
-            observability = None
-            if trace_rate > 0:
-                observability = server.enable_observability(
-                    trace_rate=trace_rate
-                )
-            server.router.engine_wrapper = lambda engine, replica: PacedEngine(
-                engine, service_time_ms / 1e3
+        lines = [
+            f"{self.bench} workload: {served} — {self.n_requests} "
+            f"requests, {traffic}",
+            f"policy     max_batch {s.policy.max_batch}, "
+            f"max_wait {s.policy.max_wait_ms} ms",
+            f"throughput served {self.served_sps:.0f} sps vs offline ceiling "
+            f"{self.offline_sps:.0f} sps ({self.served_fraction * 100:.0f}%)",
+            f"outcome    {self.ok} served  {self.shed} shed  {self.failed} "
+            f"failed  {self.cancelled} cancelled  {self.refused} refused  "
+            f"in {self.wall_s:.2f} s",
+            f"verified   {self.matched}/{self.ok} served predictions "
+            f"bit-identical to offline",
+        ]
+        if self.target_p95_ms is not None:
+            lines.append(
+                f"slo        p95 {self.p95_ms:.1f} ms vs target "
+                f"{self.target_p95_ms:g} ms "
+                f"({'HELD' if self.held_slo else 'MISSED'}); "
+                f"{self.final_replicas} replicas at end"
             )
-            server.deploy(deployment)
-            if observability is not None:
-                # Anchor the time-series before traffic; the maintenance
-                # thread's metrics hook samples during the run.
-                server.sample_metrics()
-            controller = None
-            if autoscale:
-                life = EnduranceModel().cycles_to_window_fraction(0.5)
-                hw_pool = HardwarePool(
-                    (ReplicaSpec("ideal"), frac * life) for frac in pool_wear
+        for cls in sorted(self.shed_by_class):
+            lines.append(f"  shed {cls:12s} {self.shed_by_class[cls]}")
+        for event in self.events:
+            if event["action"] != "hold":
+                slot = f" slot={event['slot']}" if event["slot"] else ""
+                lines.append(
+                    f"  step {event['step']:3d} {event['action']:4s} "
+                    f"{event['replica'] or '':26s}{slot}  ({event['reason']})"
                 )
+        counts = self.event_counts
+        for fault in self.faults:
+            if fault["kind"] == "kill_worker" and "refused" not in fault:
+                lines.append(
+                    f"chaos: SIGKILL {fault['worker']} mid-burst — "
+                    f"{counts.get('worker_lost', 0)} lost, "
+                    f"{counts.get('replace', 0)} replicas re-placed, "
+                    f"{counts.get('worker_respawn', 0)} respawned, "
+                    f"{self.telemetry.failovers} failovers; "
+                    f"{self.workers_up}/{dep.placement.workers} workers up "
+                    f"after"
+                )
+            else:
+                refused = fault.get("refused")
+                lines.append(
+                    f"fault      {fault['kind']} before request {fault['at']}"
+                    + (f" refused: {refused}" if refused else "")
+                )
+        for replica in self.replicas:
+            lines.append(
+                f"  {replica['replica']:26s} {replica['state']:8s} "
+                f"unit delay {replica['unit_delay_s'] * 1e9:8.1f} ns  "
+                f"weight {replica['weight']:g}"
+            )
+        lines.append(self.telemetry.format_lines())
+        return "\n".join(lines)
+
+
+# -------------------------------------------------------------------- runner
+def _plain(result) -> dict:
+    """A frozen result's fields as a dict, its telemetry snapshot too."""
+    data = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    data["telemetry"] = result.telemetry.to_dict()
+    return data
+
+
+def _client(i: int) -> str:
+    """Request ``i``'s client identity (priority lane, sticky key)."""
+    if i % INTERACTIVE_SHARE == 0:
+        return "interactive"
+    return f"batch-{i % BATCH_CLIENTS}"
+
+
+def _train_tenants(s: Scenario, registry: ModelRegistry) -> List[tuple]:
+    """Train and register the scenario's tenants; returns ``(name,
+    version, pool)`` per tenant, ``pool`` its discretised held-out
+    rows."""
+    routes = []
+    for i, rng in enumerate(spawn_rngs(s.seed, s.n_models)):
+        name = f"{s.dataset}-{chr(ord('a') + i)}"
+        data = load_dataset(s.dataset) if s.dataset != "synthetic" else (
+            make_gaussian_blobs(1500, SYNTHETIC_FEATURES, SYNTHETIC_CLASSES,
+                                class_sep=2.5, seed=rng)
+        )
+        X_tr, X_te, y_tr, _ = train_test_split(
+            data.data, data.target, test_size=0.5,
+            seed=zlib.crc32(name.encode()),
+        )
+        pipe = FeBiMPipeline(
+            q_f=s.q_f, q_l=s.q_l, seed=s.seed, backend=s.backend
+        ).fit(X_tr, y_tr)
+        version = pipe.register_into(registry, name)
+        routes.append((name, version, pipe.transform_levels(X_te)))
+    return routes
+
+
+def _offline_sps(engine, pool: np.ndarray) -> float:
+    """Best-of-3 dense ``infer_batch`` rate at :data:`OFFLINE_BATCH`."""
+    dense = pool[np.arange(OFFLINE_BATCH) % pool.shape[0]]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        engine.infer_batch(dense)
+        best = min(best, time.perf_counter() - start)
+    return OFFLINE_BATCH / max(best, 1e-12)
+
+
+def _spec_slot(served_by: str, n_specs: int) -> int:
+    """The spec a served row's replica was built from: its index
+    (``name@vN#rI``) when the spec lists it, else the first — runtime
+    additions copy it — as for implicit and mirrored results."""
+    _, sep, index = served_by.rpartition("#r")
+    return int(index) if sep and int(index) < n_specs else 0
+
+
+def _fire(server, dep: Deployment, fault: Fault) -> dict:
+    """Apply one fault; returns its record (the refusal, if any)."""
+    router = server.router
+    record = {"kind": fault.kind, "at": fault.at}
+    try:
+        if fault.kind == "kill_worker":
+            record["worker"] = min(server.worker_pids())
+            server.kill_worker(record["worker"])
+        elif fault.kind == "kill_replica":
+            router.kill_replica(dep.model, fault.replica, fault.recoverable)
+        elif fault.kind == "retire_replica":
+            router.retire_replica(dep.model, fault.replica)
+        elif fault.kind == "add_replica":
+            record["replica"] = router.add_replica(
+                dep.model, dep.replicas[0]
+            ).replica
+        else:
+            router.check_all()
+    except (KeyError, ValueError, RuntimeError) as exc:
+        record["refused"] = f"{type(exc).__name__}: {exc}"
+    return record
+
+
+def _drive(submit, fire, n: int, threads: int, arrivals) -> Tuple[list, float]:
+    """Hand request indices ``0..n-1`` to ``threads`` submitter threads
+    from one shared counter; open loop (``arrivals`` set) holds each
+    index until its arrival time.  ``fire(i)`` runs under the counter
+    lock before index ``i`` is handed out.  A submit that raises leaves
+    its exception in the slot — a refused request — and the submitter
+    keeps going.  Returns the futures-or-exceptions by index and the
+    clock reading at the start barrier."""
+    handles: list = [None] * n
+    indices = iter(range(n))
+    lock = threading.Lock()
+    started: List[float] = []
+    barrier = threading.Barrier(
+        threads + 1, action=lambda: started.append(time.perf_counter())
+    )
+
+    def submitter() -> None:
+        barrier.wait()
+        while True:
+            with lock:
+                i = next(indices, None)
+                if i is None:
+                    return
+                fire(i)
+            if arrivals is not None:
+                lead = arrivals[i] - (time.perf_counter() - started[0])
+                if lead > 0:
+                    time.sleep(lead)
+            try:
+                handles[i] = submit(i)
+            except Exception as exc:  # noqa: BLE001 — tallied as refused
+                handles[i] = exc
+
+    workers = [
+        threading.Thread(
+            target=submitter, name="scenario-submitter", daemon=True
+        )
+        for _ in range(threads)
+    ]
+    for worker in workers:
+        worker.start()
+    barrier.wait()
+    for worker in workers:
+        worker.join()
+    return handles, started[0]
+
+
+def _broken(telemetry: TelemetrySnapshot, tally: Dict[str, int],
+            pending: int, flight: Tuple[dict, ...]) -> List[str]:
+    """The invariants a drained run broke (see the module docstring)."""
+    broken = []
+    if pending:
+        broken.append(f"futures: {pending} accepted futures still pending")
+    client = tuple(tally[k] for k in ("ok", "shed", "failed", "cancelled"))
+    books = (telemetry.completed, telemetry.shed_requests, telemetry.failed,
+             telemetry.cancelled)
+    if client != books or sum(client) != telemetry.submitted:
+        broken.append(
+            f"books: client ok/shed/failed/cancelled {client} vs server "
+            f"completed/shed/failed/cancelled {books}, "
+            f"{telemetry.submitted} submitted"
+        )
+    if telemetry.in_flight or telemetry.lane_depth:
+        broken.append(
+            f"queues: in_flight {telemetry.in_flight}, lane depth "
+            f"{telemetry.lane_depth} after the drain"
+        )
+    seqs = [event["seq"] for event in flight]
+    if any(a >= b for a, b in zip(seqs, seqs[1:])):
+        broken.append("flight: sequence numbers do not strictly increase")
+    # Each scale_up spends one earlier up decision.  A ring that dropped
+    # its oldest events (first seq above 0) may have dropped the
+    # decision of the first scale_up it kept.
+    credit = 0 if not seqs or seqs[0] == 0 else 1
+    for event in flight:
+        if event["kind"] == "scale_decision" and event["action"] == "up":
+            credit += 1
+        elif event["kind"] == "scale_up":
+            credit -= 1
+            if credit < 0:
+                broken.append(
+                    f"flight: scale_up #{event['seq']} has no preceding up "
+                    f"scale_decision"
+                )
+                break
+    return broken
+
+
+def _leaks(threads: set, children: set) -> List[str]:
+    """Threads and worker processes started since the baseline that
+    are still alive (a bounded poll: exits trail their joins)."""
+    deadline = time.monotonic() + LEAK_TIMEOUT_S
+    while True:
+        alive = [t.name for t in set(threading.enumerate()) - threads]
+        alive += [
+            p.name for p in set(multiprocessing.active_children()) - children
+        ]
+        if not alive or time.monotonic() >= deadline:
+            break
+        time.sleep(0.01)
+    if not alive:
+        return []
+    return [f"leaks: {sorted(alive)} outlived the server"]
+
+
+def run_scenario(
+    scenario: Scenario, registry: "ModelRegistry | str | None" = None
+) -> ScenarioResult:
+    """Run ``scenario`` to drain-clean and check the serving invariants.
+
+    ``registry`` (a path builds a :class:`ModelRegistry` on the
+    scenario's ``backend``) holds the deployment's model; without a
+    deployment the trained tenants are registered into it, and with no
+    registry at all into a temporary one.  Raises
+    :class:`InvariantViolation` naming every invariant the run broke.
+    """
+    s = scenario
+    dep = s.deployment
+    threads = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
+    with ExitStack() as stack:
+        trained = registry is None or dep is None
+        if registry is None:
+            registry = stack.enter_context(tempfile.TemporaryDirectory())
+        if not isinstance(registry, ModelRegistry):
+            registry = ModelRegistry(
+                registry, engine_cache_size=max(8, 2 * s.n_models),
+                backend=s.backend,
+            )
+        routes = _train_tenants(s, registry) if trained else []
+        if dep is not None:
+            if dep.model not in registry:
+                raise KeyError(
+                    f"deployment model {dep.model!r} is not registered in "
+                    f"{registry.root}"
+                )
+            routes = [r for r in routes if r[0] == dep.model] or [(
+                dep.model, registry.resolve_version(dep.model, dep.version),
+                request_pool(registry, dep.model, dep.version, seed=s.seed),
+            )]
+        server = stack.enter_context(
+            ClusterServer(
+                registry, policy=s.policy, seed=s.seed,
+                heartbeat_period_s=HEARTBEAT_S, maintenance_period_s=None,
+            ) if s.process
+            else FeBiMServer(registry, policy=s.policy, seed=s.seed)
+        )
+        observability = None
+        if s.trace_rate > 0 or s.metrics_s is not None:
+            observability = server.enable_observability(trace_rate=s.trace_rate)
+        else:
+            server.telemetry.recorder = FlightRecorder()
+        if s.service_time_ms is not None:
+            pace = s.service_time_ms / 1e3
+            server.router.engine_wrapper = (
+                lambda engine, replica: PacedEngine(engine, pace)
+            )
+        controller = None
+        if dep is None:
+            # Build every tenant's implicit deployment now, so the run
+            # measures steady-state serving, not crossbar programming.
+            for name, _, _ in routes:
+                server.router.serving(name)
+            specs = (ReplicaSpec(registry.backend),)
+        else:
+            routes[0] = (dep.model, server.deploy(dep).version, routes[0][2])
+            specs = dep.replicas
+            if dep.slo is not None:
+                life = EnduranceModel().cycles_to_window_fraction(0.5)
                 controller = server.enable_autoscale(
-                    model,
-                    pool=hw_pool,
-                    scale_down_patience=scale_down_patience,
+                    dep.model,
+                    pool=HardwarePool(
+                        (dep.replicas[0], wear * life) for wear in POOL_WEAR
+                    ),
+                    scale_down_patience=SCALE_DOWN_PATIENCE,
                     cooldown_steps=1,
                 )
-                server.enable_maintenance(maintenance_period_s)
+        # Reference reads on each spec's engine configuration, and the
+        # offline ceiling on the first, before the clock starts.
+        references, rates = {}, []
+        for name, version, pool in routes:
+            for slot, spec in enumerate(specs):
+                engine = replica_engine(server, name, version, slot, spec)
+                references[name, slot] = engine.infer_batch(pool).predictions
+                if slot == 0:
+                    rates.append(_offline_sps(engine, pool))
+        offline_sps = float(1.0 / np.mean([1.0 / rate for rate in rates]))
+        if observability is not None:
+            server.sample_metrics()  # anchor the series before traffic
+        if s.maintenance_s is not None:
+            server.enable_maintenance(s.maintenance_s)
+        if s.metrics_s is not None:
+            stack.callback(MetricsSampler(
+                observability.metrics, server, s.metrics_s
+            ).stop, 5.0)
 
-            clients = [
-                "interactive" if i % interactive_share == 0 else f"batch-{i % 5}"
-                for i in range(n_requests)
-            ]
-            futures: List[Optional[object]] = [None] * n_requests
-            prev_switch = sys.getswitchinterval()
-            sys.setswitchinterval(1e-3)
-            started = time.perf_counter()
-            try:
-                for i in range(n_requests):
-                    lead = arrivals[i] - (time.perf_counter() - started)
-                    if lead > 0:
-                        time.sleep(lead)
-                    futures[i] = server.submit(
-                        model,
-                        pool[i % pool.shape[0]],
-                        client=clients[i],
-                    )
-                if not server.drain(60.0):
-                    raise RuntimeError(
-                        "autoscale workload failed to drain in 60 s"
-                    )
-                wall = time.perf_counter() - started
-            finally:
-                sys.setswitchinterval(prev_switch)
-
-            # Let the controller observe the calm and give capacity
-            # back — stepped synchronously so the scale-down half needs
-            # no wall-clock polling (and no sleeps in tests).
-            if autoscale:
-                server.stop_maintenance()
-                for _ in range(
-                    (scale_down_patience + 2) * (max_replicas + 1)
-                ):
-                    controller.step()
-
-            ok = shed = failed = 0
-            shed_by_class: Dict[str, int] = {}
-            for i, future in enumerate(futures):
-                exc = None if future is None else future.exception(timeout=30.0)
-                if future is not None and exc is None:
-                    ok += 1
-                elif isinstance(exc, Overloaded):
-                    shed += 1
-                    cls = (
-                        "interactive"
-                        if clients[i] == "interactive"
-                        else "batch"
-                    )
-                    shed_by_class[cls] = shed_by_class.get(cls, 0) + 1
-                else:
-                    failed += 1
-            telemetry = server.stats()
-            final_replicas = len(
-                [
-                    s
-                    for s in server.router.status(model)
-                    if s.state in ("healthy", "down")
-                ]
+        arrivals = None
+        if s.duration_s is not None:
+            arrivals = bursty_trace(
+                s.duration_s, SPIKE_BASE_RPS, spike_factor=s.spike_factor,
+                spike_window=SPIKE_WINDOW, seed=s.seed,
             )
-            events = tuple(
-                e.to_dict() for e in (controller.history if controller else ())
-            )
-            traces: Tuple[dict, ...] = ()
-            flight: Tuple[dict, ...] = ()
-            metrics: Tuple[dict, ...] = ()
-            hardware: Tuple[dict, ...] = ()
-            if observability is not None:
-                # Close the series on the post-scale-down steady state.
-                server.sample_metrics()
-                traces = tuple(
-                    t.to_dict() for t in observability.tracer.traces()
-                )
-                flight = tuple(
-                    e.to_dict() for e in observability.recorder.events()
-                )
-                metrics = tuple(
-                    p.to_dict() for p in observability.metrics.points()
-                )
-                hardware = tuple(
-                    s.to_dict() for s in observability.ledger.samples()
-                )
+        n = s.n_requests if arrivals is None else len(arrivals)
+        timeline = sorted(s.faults, key=lambda fault: fault.at)
+        fired: List[dict] = []
 
-    placements = tuple(
-        {
-            "slot": e["slot"],
-            "replica": e["replica"],
-            "wear_fraction": e["wear_fraction"],
-        }
-        for e in events
-        if e["action"] == "up"
-    )
-    p95_ms = float(telemetry.p95_latency_s * 1e3)
-    target = target_p95_ms if autoscale else None
-    return AutoscaleRunResult(
-        n_requests=n_requests,
-        ok=ok,
-        shed=shed,
-        failed=failed,
-        shed_by_class=shed_by_class,
-        wall_s=wall,
-        p95_ms=p95_ms,
-        target_p95_ms=target,
-        held_slo=(target is None or p95_ms <= target),
-        scale_ups=telemetry.scale_ups,
-        scale_downs=telemetry.scale_downs,
-        final_replicas=final_replicas,
-        events=events,
-        placements=placements,
-        autoscale=autoscale,
-        base_rps=base_rps,
-        spike_factor=spike_factor,
-        telemetry=telemetry,
-        traces=traces,
-        flight=flight,
-        metrics=metrics,
-        hardware=hardware,
-    )
+        def fire(i: float) -> None:
+            while timeline and timeline[0].at <= i:
+                fired.append(_fire(server, dep, timeline.pop(0)))
 
+        def submit(i: int):
+            name, _, pool = routes[i % len(routes)]
+            return server.submit(name, pool[i % len(pool)], client=_client(i))
 
-def format_autoscale_run(result: AutoscaleRunResult) -> str:
-    """Human-readable report (``febim serve --slo``)."""
-    mode = "slo autoscale" if result.autoscale else "baseline (no slo)"
-    lines = [
-        f"autoscale workload [{mode}]: {result.n_requests} requests, "
-        f"base {result.base_rps:g} rps, spike x{result.spike_factor:g}",
-        f"outcome    {result.ok} served  {result.shed} shed  "
-        f"{result.failed} failed  in {result.wall_s:.2f} s",
-        f"latency    p95 {result.p95_ms:.1f} ms"
-        + (
-            f" vs target {result.target_p95_ms:g} ms "
-            f"({'HELD' if result.held_slo else 'MISSED'})"
-            if result.target_p95_ms is not None
-            else ""
-        ),
-        f"scaling    {result.scale_ups} ups  {result.scale_downs} downs  "
-        f"{result.final_replicas} replicas at end",
-    ]
-    for cls in sorted(result.shed_by_class):
-        lines.append(f"  shed {cls:12s} {result.shed_by_class[cls]}")
-    for event in result.events:
-        if event["action"] == "hold":
-            continue
-        slot = f" slot={event['slot']}" if event["slot"] else ""
-        lines.append(
-            f"  step {event['step']:3d} {event['action']:4s} "
-            f"{event['replica'] or '':26s}{slot}  ({event['reason']})"
+        # The default 5 ms switch interval convoys the queue workers
+        # behind the submitters.
+        stack.callback(sys.setswitchinterval, sys.getswitchinterval())
+        sys.setswitchinterval(1e-3)
+        handles, started = _drive(
+            submit, fire, n, 1 if arrivals is not None else s.submitters,
+            arrivals,
         )
-    lines.append(result.telemetry.format_lines())
-    return "\n".join(lines)
+        fire(float("inf"))
+        server.drain(DRAIN_TIMEOUT_S)
+        wall = time.perf_counter() - started
+        if any(f["kind"] == "kill_worker" and "refused" not in f for f in fired):
+            # The killed worker respawns on the maintenance cadence.
+            deadline = time.monotonic() + RESPAWN_TIMEOUT_S
+            while time.monotonic() < deadline and not (
+                len(server.worker_pids()) >= dep.placement.workers
+                and server.stats().worker_respawns
+            ):
+                time.sleep(0.05)
+        if controller is not None:
+            # Let the controller observe the calm and give capacity back,
+            # stepped synchronously so the scale-down half needs no
+            # wall-clock polling.
+            server.stop_maintenance()
+            for _ in range((SCALE_DOWN_PATIENCE + 2) * (dep.slo.max_replicas + 1)):
+                controller.step()
 
+        accepted = [h for h in handles if not isinstance(h, BaseException)]
+        pending = wait(accepted, timeout=SETTLE_TIMEOUT_S).not_done
+        tally = dict.fromkeys(("ok", "shed", "failed", "cancelled", "refused"), 0)
+        shed_by_class: Dict[str, int] = {}
+        matched = 0
+        for i, handle in enumerate(handles):
+            if isinstance(handle, BaseException):
+                outcome = "refused"
+            elif handle in pending:
+                continue
+            elif handle.cancelled():
+                outcome = "cancelled"
+            else:
+                exc = handle.exception()
+                outcome = (
+                    "ok" if exc is None
+                    else "shed" if isinstance(exc, Overloaded)
+                    else "cancelled" if isinstance(exc, CancelledError)
+                    else "failed"
+                )
+            tally[outcome] += 1
+            if outcome == "shed":
+                cls = "interactive" if _client(i) == "interactive" else "batch"
+                shed_by_class[cls] = shed_by_class.get(cls, 0) + 1
+            elif outcome == "ok":
+                name, _, pool = routes[i % len(routes)]
+                result = handle.result()
+                slot = _spec_slot(result.model, len(specs))
+                expected = references[name, slot][i % len(pool)]
+                matched += int(int(result.prediction) == expected)
 
-def format_serving(result: ServingRunResult) -> str:
-    """Human-readable report block (``febim serve --report``)."""
-    lines = [
-        f"serving workload on {result.dataset} [{result.backend}]: "
-        f"{result.n_requests} requests, {result.submitters} submitters, "
-        f"{len(result.models)} tenants",
-        f"policy     max_batch {result.policy.max_batch}, "
-        f"max_wait {result.policy.max_wait_ms} ms",
-        f"throughput served {result.served_sps:.0f} sps vs offline ceiling "
-        f"{result.offline_sps:.0f} sps ({result.served_fraction * 100:.0f}%)",
-        f"verified   {result.matched}/{result.n_requests} predictions "
-        f"bit-identical to offline",
-        result.telemetry.format_lines(),
-    ]
-    return "\n".join(lines)
+        if observability is not None:
+            server.sample_metrics()  # close the series on the steady state
+        telemetry = server.stats()
+        recorded = tuple(
+            e.to_dict() for e in server.telemetry.recorder.events()
+        )
+        broken = _broken(telemetry, tally, len(pending), recorded)
+        traces = flight = metrics = hardware = ()
+        if observability is not None:
+            flight = recorded
+            traces = tuple(t.to_dict() for t in observability.tracer.traces())
+            metrics = tuple(p.to_dict() for p in observability.metrics.points())
+            hardware = tuple(x.to_dict() for x in observability.ledger.samples())
+        result = ScenarioResult(
+            scenario=s,
+            models=tuple(name for name, _, _ in routes),
+            version=routes[0][1],
+            n_requests=n,
+            wall_s=wall,
+            offline_sps=offline_sps,
+            matched=matched,
+            shed_by_class=shed_by_class,
+            replicas=() if dep is None else tuple(
+                status.to_dict() for status in server.status(dep.model)
+            ),
+            workers_up=len(server.worker_pids()) if s.process else None,
+            faults=tuple(fired),
+            events=tuple(
+                e.to_dict() for e in (controller.history if controller else ())
+            ),
+            event_counts=dict(Counter(e["kind"] for e in recorded)),
+            telemetry=telemetry,
+            traces=traces,
+            flight=flight,
+            metrics=metrics,
+            hardware=hardware,
+            **tally,
+        )
+    broken += _leaks(threads, children)
+    if broken:
+        raise InvariantViolation(broken)
+    return result
 
 
 # --------------------------------------------------------------------- health
@@ -1019,24 +960,7 @@ class HealthRunResult:
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (``BENCH_health.json``)."""
-        return {
-            "bench": "health",
-            "warn_ratio": self.warn_ratio,
-            "drift_rate": self.drift_rate,
-            "ages_s": list(self.ages_s),
-            "reactive": [dict(s) for s in self.reactive],
-            "first_warning_step": self.first_warning_step,
-            "first_flip_step": self.first_flip_step,
-            "early": [dict(s) for s in self.early],
-            "heal_step": self.heal_step,
-            "post_heal_signal_ratio": self.post_heal_signal_ratio,
-            "early_flips": self.early_flips,
-            "reactive_events": [dict(e) for e in self.reactive_events],
-            "events": [dict(e) for e in self.events],
-            "ledger": [dict(s) for s in self.ledger],
-            "metrics": [dict(p) for p in self.metrics],
-            "telemetry": self.telemetry.to_dict(),
-        }
+        return {"bench": "health", **_plain(self)}
 
 
 #: Age schedule for the aging phases: log-spaced bake times, one sweep
@@ -1248,147 +1172,3 @@ def format_health_run(result: HealthRunResult) -> str:
     return "\n".join(lines)
 
 
-# --------------------------------------------------------------------------
-# cluster (cross-process placement) workload
-
-
-@dataclass(frozen=True)
-class ClusterRunResult(DeploymentRunResult):
-    """Outcome of one traffic run against a ``placement: process`` cluster.
-
-    ``errors`` counts client-visible failures, exactly as in
-    :class:`DeploymentRunResult` — with ``killed_worker`` set the run
-    SIGKILLed a worker mid-burst, so a zero here means every orphaned
-    request failed over to a survivor.  ``event_counts`` tallies the
-    flight-recorder kinds the incident produced (``worker_lost``,
-    ``worker_respawn``, ``failover``, ``replace``, ...).
-    """
-
-    workers: int
-    killed_worker: Optional[str]
-    workers_up_after: int
-    event_counts: Dict[str, int]
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (``febim cluster --json``)."""
-        return {
-            **super().to_dict(),
-            "bench": "cluster",
-            "workers": self.workers,
-            "killed_worker": self.killed_worker,
-            "workers_up_after": self.workers_up_after,
-            "event_counts": dict(self.event_counts),
-        }
-
-
-def run_cluster_workload(
-    registry: "ModelRegistry | str",
-    deployment,
-    n_requests: int = 512,
-    submitters: int = 4,
-    policy: Optional[BatchPolicy] = None,
-    n_clients: int = 8,
-    seed: int = 0,
-    kill_worker: bool = False,
-    heartbeat_period_s: float = 0.1,
-    maintenance_period_s: float = 0.1,
-) -> ClusterRunResult:
-    """Drive a request stream through a multi-process cluster.
-
-    The deployment must carry ``placement: process``.  With
-    ``kill_worker`` the run SIGKILLs one worker a quarter of the way
-    into the burst — the supervised-failover acceptance scenario: the
-    orphaned in-flight requests must fail over to survivors (zero
-    client-visible errors), the dead worker's replicas re-place, and
-    the supervisor respawns the process, all recorded in the flight
-    ring.  After the burst the run waits for the respawn to land so
-    ``workers_up_after`` reports the healed cluster.
-    """
-    from repro.serving.cluster import ClusterServer
-
-    registry = _checked_run(registry, deployment, n_requests, submitters,
-                            n_clients)
-    placement = deployment.placement
-    if placement is None or placement.kind != "process":
-        raise ValueError(
-            "run_cluster_workload needs a 'process' placement deployment"
-        )
-    kill_at = n_requests // 4
-    killed: List[Optional[str]] = [None]
-
-    with ClusterServer(
-        registry,
-        policy=policy,
-        seed=seed,
-        heartbeat_period_s=heartbeat_period_s,
-        maintenance_period_s=maintenance_period_s,
-    ) as cluster:
-        cluster.enable_observability(trace_rate=0.0)
-
-        def chaos(i: int) -> None:
-            if kill_worker and i == kill_at and killed[0] is None:
-                victim = sorted(cluster.worker_pids())[0]
-                killed[0] = victim
-                cluster.kill_worker(victim)
-
-        applied, wall, errors = _drive_deployment(
-            cluster, deployment, n_requests, submitters, n_clients, seed,
-            chaos,
-        )
-        if kill_worker:
-            # Wait out the supervision ladder: the killed worker must
-            # respawn (or exhaust its budget) before the report reads
-            # the healed cluster state.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if len(cluster.worker_pids()) >= placement.workers and (
-                    cluster.stats().worker_respawns > 0
-                ):
-                    break
-                time.sleep(0.05)
-
-        statuses = tuple(
-            s.to_dict() for s in cluster.status(deployment.model)
-        )
-        telemetry = cluster.stats()
-        event_counts: Dict[str, int] = {}
-        for event in cluster.observability.recorder.events():
-            event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-        workers_up_after = len(cluster.worker_pids())
-
-    return ClusterRunResult(
-        deployment=deployment.to_dict(),
-        version=applied.version,
-        workers=placement.workers,
-        n_requests=n_requests,
-        submitters=submitters,
-        wall_s=wall,
-        served_sps=n_requests / max(wall, 1e-12),
-        errors=errors,
-        killed_worker=killed[0],
-        workers_up_after=workers_up_after,
-        replicas=statuses,
-        event_counts=event_counts,
-        telemetry=telemetry,
-    )
-
-
-def format_cluster_run(result: ClusterRunResult) -> str:
-    """Human-readable report (``febim cluster``)."""
-    spec = result.deployment
-    lines = [
-        f"cluster workload: {spec['model']}@v{result.version} "
-        f"[{spec['policy']['kind']}] — {result.workers} workers, "
-        f"{result.n_requests} requests, {result.submitters} submitters",
-    ]
-    if result.killed_worker is not None:
-        counts = result.event_counts
-        lines.append(
-            f"chaos: SIGKILL {result.killed_worker} mid-burst — "
-            f"{counts.get('worker_lost', 0)} lost, "
-            f"{counts.get('replace', 0)} replicas re-placed, "
-            f"{counts.get('worker_respawn', 0)} respawned, "
-            f"{result.telemetry.failovers} failovers; "
-            f"{result.workers_up_after}/{result.workers} workers up after"
-        )
-    return _format_run(result, lines)

@@ -504,6 +504,29 @@ class TestWorkerReplies:
         assert all(outcome is not None for outcome in replies[0])
 
 
+class TestTeardown:
+    def test_close_leaves_no_accept_thread(self, registry_root):
+        """Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on Linux: ``close`` must shut the listener down, or
+        every closed cluster leaks its ``cluster-accept`` thread."""
+        before = set(threading.enumerate())
+        for _ in range(3):
+            ClusterServer(
+                registry_root, policy=POLICY, maintenance_period_s=None
+            ).close()
+
+        def accepting():
+            return [
+                t for t in set(threading.enumerate()) - before
+                if t.name == "cluster-accept"
+            ]
+
+        deadline = time.monotonic() + 5.0
+        while accepting() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert accepting() == []
+
+
 class TestPlacementGuards:
     def test_febim_server_refuses_process_placement(self, registry_root):
         with FeBiMServer(

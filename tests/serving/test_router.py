@@ -675,18 +675,20 @@ class TestLifecycle:
 
 class TestDeploymentWorkload:
     def test_runner_round_trips(self, tmp_path, server):
-        from repro.serving.workload import run_deployment_workload
+        from repro.serving.workload import Scenario, run_scenario
 
-        result = run_deployment_workload(
-            server.registry,
-            Deployment(
-                "iris",
-                [ReplicaSpec("ideal"), ReplicaSpec("cmos")],
-                RoutingPolicy("round_robin"),
+        result = run_scenario(
+            Scenario(
+                deployment=Deployment(
+                    "iris",
+                    [ReplicaSpec("ideal"), ReplicaSpec("cmos")],
+                    RoutingPolicy("round_robin"),
+                ),
+                n_requests=64,
+                submitters=2,
+                seed=0,
             ),
-            n_requests=64,
-            submitters=2,
-            seed=0,
+            server.registry,
         )
         assert result.errors == 0
         assert result.telemetry.completed == 64

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serving import BatchPolicy, MicroBatchScheduler, SchedulerClosed
+from repro.serving.telemetry import Telemetry
 
 
 class RecordingEngine:
@@ -403,5 +404,57 @@ class TestQuiesce:
             sched.resume()
             assert sched.drain(timeout=5)
             assert len(engine.batches) == 1
+        finally:
+            sched.shutdown()
+
+
+class TestLaneGauge:
+    @pytest.mark.parametrize("path", ["submit", "submit_many", "bounded"])
+    def test_drained_scheduler_reports_no_phantom_queued_row(self, path):
+        """The lane gauge rises before the worker can see the row.
+
+        Were it raised after the scheduler lock is released, the worker
+        could pop and drain the row first: the drain clamps at zero and
+        the late rise sticks, so a drained scheduler reports a queued
+        row forever.  The hook forces that interleaving whenever the row
+        is already queued as the gauge rises (the scheduler is paused,
+        so ``pending`` says so without racing the worker).
+        """
+        drained = threading.Event()
+        late = []
+
+        class GatedTelemetry(Telemetry):
+            def record_lane_drained(self, lane, n=1):
+                super().record_lane_drained(lane, n)
+                drained.set()
+
+            def record_submitted(self, n=1, lane=None):
+                if lane is not None and sched.pending:
+                    late.append(lane)
+                    sched.resume()
+                    assert drained.wait(10), "the worker never drained"
+                super().record_submitted(n, lane)
+
+        engine = RecordingEngine()
+        sched = MicroBatchScheduler(
+            lambda key: engine,
+            BatchPolicy(max_batch=8, max_wait_ms=0),
+            telemetry=GatedTelemetry(8),
+            max_queue_depth=4 if path == "bounded" else None,
+        )
+        try:
+            assert sched.pause(timeout=5)
+            levels = np.array([[1, 2]])
+            if path == "submit_many":
+                futures = sched.submit_many("m", levels)
+            else:
+                futures = [sched.submit("m", levels[0])]
+            if not late:
+                sched.resume()
+            assert [f.result(timeout=5).prediction for f in futures] == [3]
+            assert sched.drain(timeout=5)
+            snapshot = sched.telemetry.snapshot()
+            assert snapshot.in_flight == 0
+            assert snapshot.lane_depth == {}
         finally:
             sched.shutdown()
