@@ -20,8 +20,8 @@ only if the margin probes buy real lead time.  Four contracts:
    strict parser next to the heal-ladder counters, and the
    device-health ledger renders a non-empty timeline;
 4. **off means off** — with observability disabled the read path pays
-   nothing for any of this.  Asserted on the tight-loop submit path
-   (no tracer vs rate-0 tracer — the margin span attrs live inside the
+   nothing for any of this.  Asserted on the tight-loop routed submit
+   path (no tracer vs rate-0 tracer — the margin span attrs live inside the
    traced-only block) plus, in full mode, an end-to-end A/B backstop:
    the same probe and A/B ``bench_observability.py`` gates, imported
    from it.

@@ -34,6 +34,16 @@ or under pytest-benchmark::
     pytest benchmarks/bench_kernels.py --benchmark-only
 """
 
+import os
+
+# One BLAS thread, pinned before numpy loads its BLAS (so it holds when
+# the script runs directly, as CI stage 11 runs it): the gate compares
+# single-core kernels, and a multi-threaded BLAS on a small, shared host
+# spends the smoke shape's GEMM on thread hand-offs (it read 0.3-0.8x
+# the reference kernel there instead of >20x).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
 import time
 

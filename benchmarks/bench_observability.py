@@ -20,10 +20,10 @@ contracts before anyone is allowed to trust it during an incident:
    malformed lines) and reproduces the headline counters exactly;
 4. **off means off** — with tracing disabled the serving hot path pays
    one attribute read and one integer comparison.  Asserted at two
-   levels: a tight loop over the real ``scheduler.submit`` path (no
-   tracer vs a rate-0 tracer, interleaved chunk by chunk — the
-   resolution where a per-request allocation or lock would actually
-   show), and a loose end-to-end A/B on the serving scenario as a
+   levels: a tight loop over the routed ``FeBiMServer.submit`` path
+   (no tracer vs a rate-0 tracer on the router, interleaved chunk by
+   chunk — the resolution where a per-request allocation or lock would
+   actually show), and a loose end-to-end A/B on the serving scenario as a
    gross-regression backstop (workload throughput swings ~30 %
    run-to-run from batching dynamics, so only the submit-path bound
    is tight).  ``bench_health.py`` gates the same probe.
@@ -166,25 +166,29 @@ def measure_submit_path(
     chunk: int = SUBMIT_PATH_CHUNK,
     seed: int = 0,
 ):
-    """Tight-loop ``scheduler.submit`` rate: no tracer vs rate-0 tracer.
+    """Tight-loop ``FeBiMServer.submit`` rate: no tracer vs rate-0 tracer.
 
     This is the assertion the "free when off" claim reduces to: with
     ``sample_rate=0`` the per-submit tracing cost is one attribute read
-    and one integer comparison, which a tight loop over the real submit
-    path can actually resolve (unlike end-to-end workload throughput,
-    which is dominated by batching dynamics).
+    and one integer comparison, which a tight loop over the submit path
+    that serves traffic — the router's request plane into an undeployed
+    model's implicit deployment — can actually resolve (unlike
+    end-to-end workload throughput, which is dominated by batching
+    dynamics).
 
-    Both arms' schedulers stay alive for the whole measurement and are
+    Both arms' servers stay alive for the whole measurement and are
     interleaved: each round times one chunk of submits per arm, the arm
-    that goes first alternating, and drains both queues untimed.  A
+    that goes first alternating, and drains both servers untimed.  A
     drift or a noisy neighbour then hits both arms alike, and the
     fastest chunk per arm filters the multi-millisecond preemption
     spikes a shared box injects.  Returns submits/sec
     ``(untraced, rate0)``.
     """
+    import tempfile
+
     from repro.core.pipeline import FeBiMPipeline
     from repro.datasets import load_dataset, train_test_split
-    from repro.serving.scheduler import BatchPolicy, MicroBatchScheduler
+    from repro.serving import BatchPolicy, FeBiMServer, ModelRegistry
 
     data = load_dataset("iris")
     X_tr, X_te, y_tr, _ = train_test_split(
@@ -197,31 +201,35 @@ def measure_submit_path(
     # A batch bound above the chunk and a long wait keep the worker
     # asleep while a chunk is timed: the timing sees the submit path
     # alone, not GIL contention with batch execution.
-    arms = [
-        MicroBatchScheduler(
-            lambda key: pipe.engine_,
-            policy=BatchPolicy(max_batch=2 * chunk, max_wait_ms=60_000.0),
-            tracer=tracer,
-        )
-        for tracer in (None, Tracer(0.0))
-    ]
+    policy = BatchPolicy(max_batch=2 * chunk, max_wait_ms=60_000.0)
     best = [float("inf"), float("inf")]
-    try:
-        for round_ in range(rounds):
-            order = (0, 1) if round_ % 2 == 0 else (1, 0)
-            for arm in order:
-                submit = arms[arm].submit
-                start = time.perf_counter()
-                for _ in range(chunk):
-                    submit("iris", sample)
-                elapsed = time.perf_counter() - start
-                if round_ >= SUBMIT_PATH_WARMUP:
-                    best[arm] = min(best[arm], elapsed)
-            for scheduler in arms:
-                scheduler.drain(30.0)
-    finally:
-        for scheduler in arms:
-            scheduler.shutdown()
+    with tempfile.TemporaryDirectory() as root:
+        arms = []
+        try:
+            for arm, tracer in enumerate((None, Tracer(0.0))):
+                server = FeBiMServer(
+                    ModelRegistry(f"{root}/{arm}", backend="ideal"),
+                    policy=policy, seed=seed,
+                )
+                arms.append(server)
+                server.register("iris", pipe.quantized_model_, pipe.engine_.spec)
+                server.engine_for("iris")  # the implicit deployment, untimed
+                server.router.tracer = tracer
+            for round_ in range(rounds):
+                order = (0, 1) if round_ % 2 == 0 else (1, 0)
+                for arm in order:
+                    submit = arms[arm].submit
+                    start = time.perf_counter()
+                    for _ in range(chunk):
+                        submit("iris", sample)
+                    elapsed = time.perf_counter() - start
+                    if round_ >= SUBMIT_PATH_WARMUP:
+                        best[arm] = min(best[arm], elapsed)
+                for server in arms:
+                    server.drain(30.0)
+        finally:
+            for server in arms:
+                server.close()
     untraced, rate0 = (chunk / max(b, 1e-12) for b in best)
     return untraced, rate0
 

@@ -32,9 +32,10 @@
 #      flight ring that replays the scale story in causal order with
 #      snapshots attached, a metrics series whose shed deltas match
 #      the counters, a Prometheus export that round-trips the strict
-#      parser, and a submit path that tracing-disabled does not slow
-#      (no tracer vs a rate-0 tracer, the two arms interleaved chunk by
-#      chunk, gated at 0.8x);
+#      parser, and a submit path that tracing-disabled does not slow:
+#      the path served traffic takes (FeBiMServer.submit into an
+#      undeployed model's implicit deployment), no router tracer vs a
+#      rate-0 one, the two arms interleaved chunk by chunk, gated at 0.8x;
 #  10. health smoke — bench_health.py --smoke: a seeded aging run where
 #      the margin gauge crosses the warning threshold strictly before
 #      the first accuracy-affecting flip, the armed margin floor heals
@@ -46,7 +47,9 @@
 #      (affine GEMM, fused read+decide) beat the reference elementwise
 #      path >= 3x on the synthetic shape at 100 % argmax parity, and
 #      backends without tables (memristor, noisy FeFET) refuse explicit
-#      fast kernels while "auto" degrades to the reference kernel;
+#      fast kernels while "auto" degrades to the reference kernel; the
+#      bench pins BLAS to one thread before numpy loads (a
+#      multi-threaded BLAS on a small shared host read gemm below 1x);
 #  12. cluster smoke — bench_cluster.py: a two-worker multi-process
 #      deployment absorbs the SIGKILL of one worker mid-burst with zero
 #      client-visible errors, the dead worker's replicas re-placed onto

@@ -120,16 +120,17 @@ class _RemoteHost:
     placement of the replica on one worker (a re-placed replica gets a
     new host, which makes failure seen through this one stale evidence).
 
-    Its queue (:meth:`enqueue`) ships one attempt's rows as one
-    ``request`` frame with one pending entry; the worker's columnar
-    reply, an ``error`` frame or the worker's loss then settles every
-    row through the attempt record at once.  ``block`` is ignored —
-    backpressure is the worker scheduler's, and never blocks a frame.
-    ``pending`` counts the front end's in-flight rows, the cost
-    policy's signal, kept without a round trip.  The control methods
-    mirror :class:`~repro.serving.host.ReplicaHost`'s; each quiesces the
-    replica in the worker, and raises :class:`WorkerLost` when the
-    worker is gone.
+    Its queue (:meth:`enqueue`) ships one hop's rows as one ``request``
+    frame with one pending entry; the worker's columnar reply, an
+    ``error`` frame or the worker's loss then settles the rows through
+    their owner, as a local scheduler would after a batch: ``claim`` and
+    ``served`` for the served rows, ``failed`` for the rest.  ``block``
+    is ignored — backpressure is the worker scheduler's, and never
+    blocks a frame.  ``pending`` counts the front end's in-flight rows,
+    the cost policy's signal, kept without a round trip.  The control
+    methods mirror :class:`~repro.serving.host.ReplicaHost`'s; each
+    quiesces the replica in the worker, and raises :class:`WorkerLost`
+    when the worker is gone.
     """
 
     def __init__(self, pool: "WorkerPool", worker: _WorkerHandle, replica,
@@ -143,10 +144,10 @@ class _RemoteHost:
         self.retired = False
 
     # ------------------------------------------------------------------ queue
-    def enqueue(self, requests: list, block: bool = False):
-        """Send the rows; returns ``(refused, refusal)`` — all of them,
-        with the error, when the frame cannot be encoded (a block
-        beyond ``MAX_FRAME``) or the worker is not up."""
+    def enqueue(self, requests: list, block: bool = False) -> None:
+        """Send the rows; all of them fail back to their owner when the
+        frame cannot be encoded (a block beyond ``MAX_FRAME``) or the
+        worker is not up."""
         pool, worker = self.pool, self.worker
         n = len(requests)
         request_id = f"r{next(pool._ids)}"
@@ -159,7 +160,8 @@ class _RemoteHost:
                 priority=requests[0].lane,
             ))
         except ProtocolError as exc:
-            return requests, exc
+            requests[0].owner.failed(requests, exc, ran=False)
+            return
 
         def on_result(message: dict) -> None:
             try:
@@ -180,55 +182,41 @@ class _RemoteHost:
         ):
             with pool._lock:
                 self.pending -= n
-            return requests, WorkerLost(
+            requests[0].owner.failed(requests, WorkerLost(
                 f"worker {worker.worker_id} of {self.replica.label} is not up"
-            )
-        return [], None
+            ), ran=False)
 
     def _settle(self, requests: list, outcomes: list) -> None:
-        """Account one reply, once for all its rows: resolve the served
-        rows, hand the shed and the failed ones back to their attempt."""
+        """Settle one reply through the rows' owner, one call per
+        outcome kind: the served rows it claims, then the shed and the
+        failed ones."""
         pool = self.pool
         with pool._lock:
             self.pending -= len(requests)
             if not self.pending:
                 pool._settled.notify_all()
-        attempt = requests[0].attempt
-        served, spilled, broken = [], [], []
+        owner = requests[0].owner
+        served, results, spilled, broken = [], [], [], []
         for request, outcome in zip(requests, outcomes):
             if not isinstance(outcome, BaseException):
-                served.append((request, outcome))
+                served.append(request)
+                results.append(outcome)
             elif isinstance(outcome, Overloaded):
                 spilled.append(request)
                 spill_exc = outcome
             else:
                 broken.append(request)
                 broken_exc = outcome
-        claimed = []
-        for request, result in served:
-            if request.future.set_running_or_notify_cancel():
-                claimed.append((request, result))
-            elif request.trace is not None:
-                request.trace.finish("cancelled")
-        telemetry = pool.server.telemetry
+        claimed = owner.claim(served)
         if len(claimed) < len(served):
-            telemetry.record_cancelled(len(served) - len(claimed))
-        # Counted before any future resolves, so a client reading
-        # ``stats()`` after its result sees them.
-        if claimed and attempt.served(len(claimed)):
-            now = time.monotonic()
-            telemetry.record_completed(
-                str(self.replica.key), len(claimed),
-                latencies_s=[now - request.enqueued_at for request, _ in claimed],
-            )
-        for request, result in claimed:
-            if request.trace is not None:
-                request.trace.finish("served")
-            request.future.set_result(result)
+            kept = set(claimed)
+            results = [r for row, r in zip(served, results) if row in kept]
+        if claimed:
+            owner.served(claimed, results, time.monotonic())
         if spilled:
-            attempt.failed(spilled, spill_exc, ran=False)
+            owner.failed(spilled, spill_exc, ran=False)
         if broken:
-            attempt.failed(broken, broken_exc, ran=False)
+            owner.failed(broken, broken_exc, ran=False)
 
     # ---------------------------------------------------------------- control
     def _call(self, kind: str, timeout: Optional[float] = None, **fields):

@@ -506,6 +506,18 @@ class Deployment:
             )
         if self.placement is not None:
             self.placement.validate()
+            if (
+                self.placement.kind == "process"
+                and self.slo is not None
+                and self.slo.backpressure
+            ):
+                # A worker-hosted queue answers a full queue with a shed
+                # frame; it cannot block the submitter across the wire.
+                raise DeploymentError(
+                    "slo.backpressure=True needs placement.kind 'local': "
+                    "a process-placed queue cannot block its submitter, "
+                    "so it would shed where the spec asks it to block"
+                )
         return self
 
     # --------------------------------------------------------------- JSON IO

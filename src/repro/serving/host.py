@@ -172,7 +172,8 @@ class ReplicaHost:
         return self.scheduler.pending
 
     def enqueue(self, requests, block: bool = False):
-        """The request plane's queue: the scheduler, bound to the key."""
+        """The request plane's queue: the scheduler, bound to the key
+        (refused rows go back to their owner)."""
         return self.scheduler.enqueue(self.key, requests, block)
 
     def resolve(self):

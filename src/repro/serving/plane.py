@@ -9,23 +9,29 @@ and mirror fan-out with one vote resolution.
 
 Only where each replica's engine and queue live depends on its
 placement: the plane calls one method of a replica's *host*,
-``enqueue(requests, block) -> (refused, refusal)``, taking the
-:class:`~repro.serving.scheduler._Request` rows of one attempt and
-reporting back through their attempt record — ``served(n)`` before any
-of their futures resolves (returning how many of the ``n`` rows are
-client requests), ``failed(rows, exc, ran)`` for rows a batch failed or
-the queue lost (``ran``: their futures were already set running).  A
-local replica's host queues them on its micro-batch scheduler
-(:class:`~repro.serving.host.ReplicaHost`); a worker-hosted one ships
-them to its worker as one ``request`` frame.  A replica gets a fresh
-host each time it is placed, and that object is the stale-evidence
-token: a failure seen through a host the replica no longer uses says
-nothing about its new home.
+``enqueue(requests, block)``, with the
+:class:`~repro.serving.scheduler._Request` rows of one hop, and each
+row's ``owner`` is that hop.  A local replica's host queues the rows on
+its micro-batch scheduler (:class:`~repro.serving.host.ReplicaHost`); a
+worker-hosted one ships them to its worker as one ``request`` frame.
+Either way the rows come back through the scheduler's owner protocol,
+a run of one owner's rows at a time — ``claim`` before the read
+(rows their clients cancelled drop out), then ``served``, ``failed``
+or ``cancel`` — made by the local scheduler after each batch, or by
+the remote host when the worker's reply or loss settles the frame.
 
-Mirror participants ride the same queues as one-row attempts whose
-future is a vote slot (:class:`_Seat`), so no queue counts a
-participant as a client request: the mirrored request completes, once,
-when its vote resolves.
+An :class:`_Attempt` is a client-future owner
+(:class:`~repro.serving.scheduler._ClientFutures`, which counts each
+client request once, finishes its trace and resolves its future) that
+also books the replica that served, marks down the replicas that failed
+rows this one then served, and fails failed rows over.  A mirror
+participant's row is owned by its :class:`_Seat`, whose settlement is
+its vote, so no queue counts a participant as a client request: the
+mirrored request completes, once, when its vote resolves.
+
+A replica gets a fresh host each time it is placed, and that object is
+the stale-evidence token: a failure seen through a host the replica no
+longer uses says nothing about its new home.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from repro.serving import policy as routing_policy
 from repro.serving.policy import DOWN, DRAINING, HEALTHY
-from repro.serving.scheduler import Overloaded, _Request
+from repro.serving.scheduler import Overloaded, _ClientFutures, _Request
 
 
 @dataclass(frozen=True)
@@ -73,8 +79,9 @@ class MirroredResult:
         return self.agreement == 1.0
 
 
-class _Attempt:
-    """One routing hop, shared by every row of a routed chunk.
+class _Attempt(_ClientFutures):
+    """One routing hop, shared by every row of a routed chunk, and the
+    owner the rows settle through.
 
     Where the rows were sent (``replica`` and the ``host`` it had then),
     every replica they have tried (``attempted``) and the earlier hops
@@ -83,26 +90,23 @@ class _Attempt:
     a new record one hop further on.
     """
 
-    __slots__ = (
-        "plane", "dep", "replica", "host", "attempted", "failed_chain",
-        "claimed",
-    )
+    __slots__ = ("plane", "dep", "replica", "host", "attempted",
+                 "failed_chain")
 
     def __init__(self, plane, dep, replica, attempted: set,
                  failed_chain: tuple = (), claimed: bool = False):
+        super().__init__(plane.telemetry, claimed)
         self.plane = plane
         self.dep = dep
         self.replica = replica
         self.host = replica.host
         self.attempted = attempted
         self.failed_chain = failed_chain
-        # Whether the rows' futures are already running: set once a
-        # batch has executed (and failed) them, after which no client
-        # can cancel them and no scheduler may claim them again.
-        self.claimed = claimed
 
-    def served(self, n: int) -> int:
-        telemetry = self.plane.telemetry
+    def served(self, rows: List[_Request], results: list,
+               finished: float) -> None:
+        n = len(rows)
+        telemetry = self.telemetry
         telemetry.record_replica_served(self.replica.label, n)
         # One failover per earlier attempt of each row: a request that
         # fails on *every* replica is an error, not N-1 rescues.
@@ -111,11 +115,61 @@ class _Attempt:
         # bad (the rows were fine).
         for bad in self.failed_chain:
             self.plane._mark_down(bad)
-        return n
+        super().served(rows, results, finished)
 
-    def failed(self, requests: List[_Request], exc: BaseException,
+    def failed(self, rows: List[_Request], exc: BaseException,
                ran: bool) -> None:
-        self.plane._failover(self, requests, exc, ran)
+        """Re-enqueue rows that failed this hop on the next untried
+        replica of the live deployment, or reject them.
+
+        When no untried replica is left the rows failed everywhere — a
+        request problem (or, for :class:`Overloaded`, a saturated
+        deployment), not a replica problem, so nobody is marked down
+        and the last error reaches the clients.
+        """
+        plane = self.plane
+        dep = plane._live(self.dep) or self.dep
+        fallback = next(
+            (r for r in routing_policy.serviceable(dep.replicas)
+             if r not in self.attempted),
+            None,
+        )
+        if fallback is None:
+            super().failed(rows, exc, ran)
+            return
+        # Overloaded means *busy*, not broken: the rows were shed
+        # unattempted, so they spill without putting this replica on
+        # the mark-down chain.
+        chain = self.failed_chain
+        if not isinstance(exc, Overloaded):
+            chain = chain + (self,)
+        hop = _Attempt(plane, dep, fallback, self.attempted | {fallback},
+                       chain, self.claimed or ran)
+        now = time.monotonic()
+        reason = type(exc).__name__
+        for row in rows:
+            row.owner = hop
+            row.enqueued_at = now
+            if row.trace is not None:
+                # Zero-width marker: the hop takes no request time, but
+                # the trace shows where routing bounced and why.
+                row.trace.add_span(
+                    "failover", now, now,
+                    to_replica=fallback.label, reason=reason,
+                )
+        self.telemetry.emit(
+            "failover",
+            model=dep.name,
+            to_replica=fallback.label,
+            reason=reason,
+            attempts=len(hop.attempted),
+            rows=len(rows),
+        )
+        try:
+            hop.host.enqueue(rows)
+        except Exception as resubmit_exc:  # noqa: BLE001
+            # The client futures must always resolve, never hang.
+            _ClientFutures.failed(hop, rows, resubmit_exc, ran)
 
 
 class _Vote:
@@ -146,17 +200,14 @@ class _Vote:
 
 
 class _Seat:
-    """One mirror participant: a one-row attempt on one replica, and the
-    future-like vote slot of that row.
+    """One mirror participant: the owner of one row on one replica,
+    whose settlement is its vote.
 
-    As an attempt it never fails over (a failed participant abstains)
-    and its row is no client request, so :meth:`served` reports none.
-    As the row's future it casts whatever the queue resolves it with.
+    It never fails over (a failed participant abstains), and its row is
+    no client request, so it books only the replica's served row.
     """
 
     __slots__ = ("vote", "replica", "host", "outcome")
-
-    claimed = False
 
     def __init__(self, vote: _Vote, replica):
         self.vote = vote
@@ -164,31 +215,28 @@ class _Seat:
         self.host = replica.host
         self.outcome = None
 
-    def served(self, n: int) -> int:
-        self.vote.plane.telemetry.record_replica_served(self.replica.label, n)
-        return 0
+    def claim(self, rows: List[_Request]) -> List[_Request]:
+        return rows  # only the client's own future can be cancelled
 
-    def failed(self, requests, exc: BaseException, ran: bool) -> None:
+    def served(self, rows: List[_Request], results: list,
+               finished: float) -> None:
+        self.vote.plane.telemetry.record_replica_served(
+            self.replica.label, len(rows)
+        )
+        self.vote.cast(self, results[0])
+
+    def failed(self, rows: List[_Request], exc: BaseException,
+               ran: bool) -> None:
         self.vote.cast(self, exc)
 
-    def set_running_or_notify_cancel(self) -> bool:
-        return True  # only the client's own future can be cancelled
-
-    def set_result(self, result) -> None:
-        self.vote.cast(self, result)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self.vote.cast(self, exc)
-
-    def cancel(self) -> bool:
-        # A queue shutting down abstains the participant.  False: no
-        # client request was cancelled here — the vote accounts for it.
+    def cancel(self, rows: List[_Request]) -> None:
+        # A queue shutting down abstains the participant.
         self.vote.cast(self, CancelledError())
-        return False
 
 
 class RequestPlane:
-    """Pick, attempt, failover, reject, mark-down and mirror vote.
+    """Pick, attempt, mark-down and mirror vote (failover and rejection
+    are the :class:`_Attempt`'s).
 
     ``telemetry`` is the owner's counters and event bus, ``max_batch``
     the rows per ``submit_many`` chunk, ``lock`` the owner's
@@ -299,98 +347,10 @@ class RequestPlane:
         # the client's own thread.  Failover attempts run on queue
         # worker threads — two workers blocking into each other's full
         # queues would deadlock the data plane.
-        self._enqueue(
-            attempt, requests, block=slo is not None and bool(slo.backpressure)
+        attempt.host.enqueue(
+            requests, block=slo is not None and bool(slo.backpressure)
         )
         return [request.future for request in requests]
-
-    def _enqueue(self, attempt: _Attempt, requests: List[_Request],
-                 block: bool = False) -> None:
-        refused, refusal = attempt.host.enqueue(requests, block)
-        if refused:
-            # A full or closed queue, or a lost worker: spill onward.
-            self._failover(attempt, refused, refusal, ran=False)
-
-    # ---------------------------------------------------------------- failover
-    def _failover(self, attempt: _Attempt, requests: List[_Request],
-                  exc: BaseException, ran: bool) -> None:
-        """Re-enqueue rows that failed ``attempt`` on the next untried
-        replica of the live deployment, or reject them.
-
-        When no untried replica is left the rows failed everywhere — a
-        request problem (or, for :class:`Overloaded`, a saturated
-        deployment), not a replica problem, so nobody is marked down
-        and the last error reaches the clients.
-        """
-        claimed = attempt.claimed or ran
-        dep = self._live(attempt.dep) or attempt.dep
-        fallback = next(
-            (r for r in routing_policy.serviceable(dep.replicas)
-             if r not in attempt.attempted),
-            None,
-        )
-        if fallback is None:
-            self._reject(requests, exc, claimed)
-            return
-        # Overloaded means *busy*, not broken: the rows were shed
-        # unattempted, so they spill without putting this replica on
-        # the mark-down chain.
-        chain = attempt.failed_chain
-        if not isinstance(exc, Overloaded):
-            chain = chain + (attempt,)
-        hop = _Attempt(
-            self, dep, fallback, attempt.attempted | {fallback}, chain, claimed
-        )
-        now = time.monotonic()
-        reason = type(exc).__name__
-        for request in requests:
-            request.attempt = hop
-            request.enqueued_at = now
-            if request.trace is not None:
-                # Zero-width marker: the hop takes no request time, but
-                # the trace shows where routing bounced and why.
-                request.trace.add_span(
-                    "failover", now, now,
-                    to_replica=fallback.label, reason=reason,
-                )
-        self.telemetry.emit(
-            "failover",
-            model=dep.name,
-            to_replica=fallback.label,
-            reason=reason,
-            attempts=len(hop.attempted),
-            rows=len(requests),
-        )
-        try:
-            self._enqueue(hop, requests)
-        except Exception as resubmit_exc:  # noqa: BLE001
-            # The client futures must always resolve, never hang.
-            self._reject(requests, resubmit_exc, claimed)
-
-    def _reject(self, requests: List[_Request], exc: BaseException,
-                claimed: bool) -> None:
-        """Resolve rows no replica could serve with ``exc``, counted once
-        per client request before any future resolves: shed when every
-        replica was full, failed otherwise, cancelled when the client
-        cancelled the row before anything claimed it."""
-        outcome = "shed" if isinstance(exc, Overloaded) else "failed"
-        doomed = []
-        for request in requests:
-            if claimed or request.future.set_running_or_notify_cancel():
-                doomed.append(request)
-            elif request.trace is not None:
-                request.trace.finish("cancelled")
-        telemetry = self.telemetry
-        if doomed and outcome == "shed":
-            telemetry.record_shed(len(doomed))
-        elif doomed:
-            telemetry.record_failed(len(doomed))
-        if len(doomed) < len(requests):
-            telemetry.record_cancelled(len(requests) - len(doomed))
-        for request in doomed:
-            if request.trace is not None:
-                request.trace.finish(outcome)
-            request.future.set_exception(exc)
 
     def _mark_down(self, hop) -> None:
         """Mark the replica of ``hop`` (an attempt or a mirror seat) down
@@ -416,11 +376,7 @@ class RequestPlane:
         self.telemetry.record_submitted()
         now = time.monotonic()
         for seat in vote.seats:
-            refused, refusal = seat.host.enqueue(
-                [_Request(levels, now, 0, seat, seat)], False
-            )
-            if refused:
-                seat.failed(refused, refusal, ran=False)
+            seat.host.enqueue([_Request(levels, now, 0, seat)])
         return vote.future
 
     def _resolve_vote(self, vote: _Vote) -> None:
@@ -435,6 +391,12 @@ class RequestPlane:
             if not isinstance(seat.outcome, BaseException)
         ]
         if not results:
+            if all(isinstance(seat.outcome, CancelledError) for seat in seats):
+                # Every seat was cancelled (a non-draining close): so
+                # is the request.
+                telemetry.record_cancelled(1)
+                future.set_exception(CancelledError())
+                return
             telemetry.record_failed(1)
             future.set_exception(RuntimeError(
                 f"mirror vote failed: no replica of {vote.dep.name!r} "

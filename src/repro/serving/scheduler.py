@@ -52,6 +52,18 @@ is enforced by ``tests/property/test_serving_equivalence.py``.  With
 ``sigma_read > 0`` the noise stream is consumed in batch order, so
 per-request draws depend on traffic interleaving (exactly as a real
 macro's thermal noise would).
+
+Settlement
+----------
+
+The scheduler never resolves a row itself.  Every queued row carries
+its *owner*, the hop that queued it, and the scheduler hands each run
+of one owner's rows back through four calls (see :class:`_Request`):
+``claim`` before the read, then exactly one of ``served``, ``failed``
+or ``cancel``.  Counting a client request, finishing its trace and
+resolving its future are the owner's.  The scheduler keeps only the
+batch counters, the lane gauge and the spans it opens (admit, queue,
+execute).
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ from collections import deque
 from concurrent.futures import CancelledError, Future
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional
 
 import numpy as np
 
@@ -74,7 +86,7 @@ from repro.reliability.observability import (
     report_currents,
     sample_margin,
 )
-from repro.serving.observability.trace import Span, Trace, Tracer
+from repro.serving.observability.trace import Span, Trace
 from repro.serving.telemetry import Telemetry
 from repro.utils.validation import check_positive_int
 
@@ -191,54 +203,136 @@ class Overloaded(RuntimeError):
 
 
 class _Request:
-    """One queued sample and the future its client holds.
+    """One queued sample and the owner it settles through.
 
-    ``attempt`` is ``None`` for a direct submit.  A row queued by the
-    request plane (:mod:`repro.serving.plane`) carries the routing hop
-    it belongs to (shared by every row of its chunk), and the scheduler
-    reports back through it: ``attempt.claimed`` says an earlier batch
-    already set the future running (the row is failing over),
-    ``attempt.served(n)`` runs once per batch for the ``n`` rows of the
-    hop that were served and returns how many of them are client
-    requests (a mirror participant's row is a vote, completed when its
-    vote resolves), and ``attempt.failed(rows, exc, ran)`` takes back
-    rows a batch failed (``ran=True``) or a full or closed queue
-    refused.
+    ``owner`` is the hop that queued the row, and the only code that
+    resolves it.  The scheduler hands each run of one owner's rows back
+    through four calls:
 
-    ``future`` replaces the :class:`~concurrent.futures.Future` made per
-    request with any object implementing the four calls the scheduler
-    makes on it: ``set_running_or_notify_cancel``, ``set_result``,
-    ``set_exception`` and ``cancel`` (a worker process answers a whole
-    block of rows through such slots, with no Future per row).
+    * ``claim(rows) -> rows`` before the read: a row its client already
+      cancelled drops out, never read;
+    * ``served(rows, results, finished)``: one :class:`ServedResult` per
+      row, and ``finished``, the one clock read that ended the traced
+      rows' ``execute`` span;
+    * ``failed(rows, exc, ran)``: rows a batch failed (``ran=True``) or
+      a full or closed queue refused or displaced (``ran=False``);
+    * ``cancel(rows)``: rows a non-draining shutdown dropped.
+
+    Three owners implement them: :class:`_ClientFutures`, whose rows
+    each hold the ``future`` a client waits on (a direct submit, or the
+    request plane's attempt), a mirror participant's vote seat
+    (:mod:`repro.serving.plane`), and a worker process's request block
+    (:mod:`repro.serving.worker`).  Rows of the last two hold no future.
     """
 
     __slots__ = (
-        "levels", "future", "enqueued_at", "lane",
-        "trace", "queue_span", "attempt",
+        "levels", "enqueued_at", "lane", "owner", "future",
+        "trace", "queue_span",
     )
 
     def __init__(
         self,
         levels: np.ndarray,
         enqueued_at: float,
-        lane: int = 0,
-        attempt=None,
-        future=None,
+        lane: int,
+        owner,
+        future: "Optional[Future[ServedResult]]" = None,
     ):
         self.levels = levels
-        self.future: "Future[ServedResult]" = (
-            Future() if future is None else future
-        )
         self.enqueued_at = enqueued_at
         self.lane = lane
+        self.owner = owner
+        self.future = future
         # Tracing state: ``trace`` is the sampled Trace riding this
         # request (almost always None) and ``queue_span`` the
-        # currently-open lane-wait span.  Success and cancellation
-        # finish any trace here; an error finishes only a direct
-        # request's, because a routed row may still fail over.
+        # currently-open lane-wait span.  The scheduler closes the spans
+        # it opens; the owner finishes the trace.
         self.trace: Optional[Trace] = None
         self.queue_span: Optional[Span] = None
-        self.attempt = attempt
+
+
+_owner = operator.attrgetter("owner")
+
+
+class _ClientFutures:
+    """The owner of rows whose client holds a future per row.
+
+    Counts each client request once, before any of the futures resolves
+    (completed, failed, shed for an :class:`Overloaded` refusal, or
+    cancelled), finishes its trace and resolves its future.  A direct
+    submit's rows share their scheduler's instance; the request plane's
+    attempt record extends it with failover.  ``claimed`` says the
+    rows' futures are already running (a batch ran them and failed), so
+    no client can cancel them and nobody claims them again.
+    """
+
+    __slots__ = ("telemetry", "claimed")
+
+    def __init__(self, telemetry: Telemetry, claimed: bool = False):
+        self.telemetry = telemetry
+        self.claimed = claimed
+
+    def claim(self, rows: List[_Request]) -> List[_Request]:
+        # A claimed (running) future can no longer be cancelled under
+        # us, so the set_result/set_exception that settle it later
+        # cannot raise InvalidStateError and kill a batch worker.
+        if self.claimed:
+            return rows
+        kept = []
+        for row in rows:
+            if row.future.set_running_or_notify_cancel():
+                kept.append(row)
+            elif row.trace is not None:
+                if row.queue_span is not None:
+                    row.queue_span.end(outcome="cancelled")
+                row.trace.finish("cancelled")
+        if len(kept) < len(rows):
+            self.telemetry.record_cancelled(len(rows) - len(kept))
+        return kept
+
+    def served(self, rows: List[_Request], results: list,
+               finished: float) -> None:
+        self.telemetry.record_completed(
+            results[0].model,
+            len(rows),
+            latencies_s=[finished - row.enqueued_at for row in rows],
+        )
+        for row, result in zip(rows, results):
+            if row.trace is not None:
+                row.trace.finish("served", finished)
+            row.future.set_result(result)
+
+    def failed(self, rows: List[_Request], exc: BaseException,
+               ran: bool) -> None:
+        """Resolve ``rows`` with ``exc``: shed when it is
+        :class:`Overloaded`, failed otherwise (a row its client
+        cancelled before anything claimed it counts cancelled)."""
+        if not ran:
+            rows = self.claim(rows)
+        if not rows:
+            return
+        if isinstance(exc, Overloaded):
+            outcome = "shed"
+            self.telemetry.record_shed(len(rows))
+        else:
+            outcome = "failed"
+            self.telemetry.record_failed(len(rows))
+        for row in rows:
+            if row.trace is not None:
+                row.trace.finish(outcome)
+            row.future.set_exception(exc)
+
+    def cancel(self, rows: List[_Request]) -> None:
+        self.telemetry.record_cancelled(len(rows))
+        for row in rows:
+            if row.trace is not None:
+                row.trace.finish("cancelled")
+            if self.claimed:
+                # Running futures cannot be cancelled: the cancellation
+                # arrives as their error.
+                row.future.set_exception(CancelledError())
+            else:
+                row.future.cancel()
 
 
 class _LaneQueue:
@@ -327,13 +421,6 @@ class MicroBatchScheduler:
         legacy behaviour).  Arrivals at a full queue shed the cheapest
         queued request or are rejected with :class:`Overloaded` — see
         the module docstring's admission-control contract.
-    tracer:
-        Optional request :class:`~repro.serving.observability.Tracer`.
-        When set, :meth:`submit` and :meth:`submit_many` sample traces
-        for direct requests (routed rows arrive carrying the router's).
-        May also be attached after construction
-        (``scheduler.tracer = tracer``) — the attribute is read per
-        submit.
 
     The scheduler owns one daemon worker thread.  ``submit`` never
     blocks on inference — it enqueues and returns a future (unless the
@@ -346,15 +433,15 @@ class MicroBatchScheduler:
         policy: Optional[BatchPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         max_queue_depth: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.policy = policy or BatchPolicy()
         self.resolve_engine = resolve_engine
         self.telemetry = telemetry or Telemetry(self.policy.max_batch)
-        self.tracer = tracer
         if max_queue_depth is not None:
             check_positive_int(max_queue_depth, "max_queue_depth")
         self.max_queue_depth = max_queue_depth
+        # The owner of every direct submit's rows.
+        self._direct = _ClientFutures(self.telemetry)
         self._scratch = default_pool()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -391,19 +478,24 @@ class MicroBatchScheduler:
         survives sheds — first; only meaningful on a bounded queue).
         With ``block=True`` a full queue exerts backpressure: the call
         waits up to ``timeout`` seconds for space instead of shedding,
-        then raises :class:`Overloaded`.  An attached ``tracer`` may
-        sample a trace for the request.
+        then raises :class:`Overloaded`.  A refused request is counted
+        before the raise — shed, or failed after shutdown
+        (:class:`SchedulerClosed`).
         """
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 1:
             raise ValueError(
                 f"submit takes one 1-D sample, got shape {levels.shape}"
             )
-        request = _Request(levels, time.monotonic(), lane=int(priority))
-        tracer = self.tracer
-        if tracer is not None:
-            request.trace = tracer.sample(str(key))
-        self._admit(key, request, block, timeout)
+        request = _Request(
+            levels, time.monotonic(), int(priority), self._direct, Future()
+        )
+        self.telemetry.record_submitted()
+        try:
+            self._admit(key, request, block, timeout)
+        except (Overloaded, SchedulerClosed) as exc:
+            self._direct.failed([request], exc, ran=False)
+            raise
         return request.future
 
     def _admit(
@@ -416,14 +508,10 @@ class MicroBatchScheduler:
         """Queue one request under the admission contract.
 
         Raises :class:`SchedulerClosed` after shutdown and
-        :class:`Overloaded` when a bounded queue refuses the request.
-        A direct request is counted here (submitted, or submitted and
-        shed).  A routed row was counted once by the router, so here it
-        only moves the lane-depth gauge, and a refusal is the router's
-        to resolve.
+        :class:`Overloaded` when a bounded queue refuses the request;
+        settling the refused request is the caller's.
         """
         lane = request.lane
-        direct = request.attempt is None
         victim: Optional[_Request] = None
         rejection: Optional[Overloaded] = None
         blocked_at: Optional[float] = None
@@ -431,8 +519,6 @@ class MicroBatchScheduler:
         with self._lock:
             while True:
                 if self._closed:
-                    if request.trace is not None and direct:
-                        request.trace.finish("error")
                     raise SchedulerClosed("scheduler is shut down")
                 queue = self._queues.setdefault(key, _LaneQueue())
                 if (
@@ -475,14 +561,10 @@ class MicroBatchScheduler:
                 # worker: a drain recorded first would clamp at zero and
                 # leave this rise behind as a phantom queued row.  The
                 # telemetry lock is a leaf, so nesting it here is safe.
-                if direct:
-                    self.telemetry.record_submitted(lane=lane)
-                else:
-                    self.telemetry.record_lane_queued(lane)
+                self.telemetry.record_lane_queued(lane)
                 queue.append(request)
-                self._pending += 1
-                if victim is not None:
-                    self._pending -= 1
+                if victim is None:
+                    self._pending += 1
                 # Waking the worker on *every* submit is a context-switch
                 # storm under load; it only needs to hear about a queue's
                 # first request (a new age-out deadline) or a queue just
@@ -490,23 +572,15 @@ class MicroBatchScheduler:
                 # by the deadline it is already sleeping on.
                 if len(queue) == 1 or len(queue) == self.policy.max_batch:
                     self._wake.notify()
-        # Futures resolve outside the lock: a displaced routed victim
-        # fails over, which takes other schedulers' locks.
+        # Owners settle outside the lock: a displaced routed victim fails
+        # over, which takes other schedulers' locks.
         if rejection is not None:
-            if direct:
-                # The arrival was counted in, then straight back out:
-                # both sides of the ledger move so in_flight stays
-                # balanced.
-                self.telemetry.record_submitted()
-                self.telemetry.record_shed(lane=lane)
             if request.trace is not None:
                 request.trace.add_span(
                     "admit", request.enqueued_at, time.monotonic(),
                     key=str(key), lane=lane, outcome="shed",
                     depth=rejection.depth,
                 )
-                if direct:
-                    request.trace.finish("shed")
             self.telemetry.emit(
                 "shed", key=str(key), lane=lane, depth=rejection.depth,
                 reason="backpressure_timeout" if block else "door",
@@ -521,29 +595,20 @@ class MicroBatchScheduler:
             )
 
     def _displace(self, key: Hashable, victim: _Request, lane: int) -> None:
-        """Resolve a queued request shed to admit a priority-``lane``
-        arrival.  A direct victim's future fails with
-        :class:`Overloaded`; a routed victim is busy, not broken, and
-        goes back to its attempt record to spill to a sibling."""
+        """Hand a queued request shed to admit a priority-``lane``
+        arrival back to its owner as failed with :class:`Overloaded`
+        (a routed victim is busy, not broken: it spills to a sibling)."""
         if victim.queue_span is not None:
             victim.queue_span.end(outcome="shed")
         self.telemetry.emit(
             "displacement", key=str(key), lane=lane,
             victim_lane=victim.lane, depth=self.max_queue_depth,
         )
-        shed = Overloaded(
+        self.telemetry.record_lane_drained(victim.lane)
+        victim.owner.failed([victim], Overloaded(
             f"shed from the queue for {key!r} by a priority-{lane} arrival",
             key=key, depth=self.max_queue_depth, lane=victim.lane,
-        )
-        if victim.attempt is not None:
-            self.telemetry.record_lane_drained(victim.lane)
-            victim.attempt.failed([victim], shed, ran=False)
-            return
-        self.telemetry.record_shed(lane=victim.lane, dequeued=True)
-        if victim.trace is not None:
-            victim.trace.finish("shed")
-        if victim.future.set_running_or_notify_cancel():
-            victim.future.set_exception(shed)
+        ), ran=False)
 
     @staticmethod
     def _trace_admitted(key: Hashable, request: _Request) -> None:
@@ -580,20 +645,14 @@ class MicroBatchScheduler:
                 f"submit_many takes (n, features) samples, got {levels.shape}"
             )
         now = time.monotonic()
-        requests = [_Request(row, now, lane=int(priority)) for row in levels]
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            for request in requests:
-                request.trace = tracer.sample(str(key))
-        refused, refusal = self.enqueue(key, requests)
+        lane = int(priority)
+        requests = [
+            _Request(row, now, lane, self._direct, Future()) for row in levels
+        ]
+        self.telemetry.record_submitted(len(requests))
+        refusal = self.enqueue(key, requests)
         if isinstance(refusal, SchedulerClosed):
-            for request in refused:
-                if request.trace is not None:
-                    request.trace.finish("error")
             raise refusal
-        for request in refused:
-            request.future.set_running_or_notify_cancel()
-            request.future.set_exception(refusal)
         return [r.future for r in requests]
 
     def enqueue(
@@ -601,53 +660,56 @@ class MicroBatchScheduler:
         key: Hashable,
         requests: List[_Request],
         block: bool = False,
-    ) -> Tuple[List[_Request], Optional[BaseException]]:
-        """Queue prebuilt requests of one lane for ``key``.
+    ) -> Optional[BaseException]:
+        """Queue prebuilt requests of one owner and one lane for ``key``.
 
-        The entry point of :meth:`submit_many` and of the router.  An
-        unbounded queue takes the whole stack under one lock
+        The entry point of :meth:`submit_many` and of a replica's host.
+        An unbounded queue takes the whole stack under one lock
         acquisition.  A bounded queue admits row by row under the
         :meth:`submit` contract (displacement, ``block`` backpressure,
-        door rejection).  Nothing is raised: returns the refused rows
-        and the last refusal, ``([], None)`` when every row was queued.
+        door rejection).  Nothing is raised: refused rows go back to
+        their owner as failed (``ran=False``), and the last refusal is
+        returned (``None`` when every row was queued).
         """
         if not requests:
-            return [], None
+            return None
+        refused: List[_Request] = []
+        refusal: Optional[BaseException] = None
         if self.max_queue_depth is not None:
-            refused: List[_Request] = []
-            refusal: Optional[BaseException] = None
             for request in requests:
                 try:
                     self._admit(key, request, block)
                 except (Overloaded, SchedulerClosed) as exc:
                     refused.append(request)
                     refusal = exc
-            return refused, refusal
-        with self._lock:
-            if self._closed:
-                return list(requests), SchedulerClosed(
-                    "scheduler is shut down"
-                )
-            queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = _LaneQueue()
-            before = len(queue)
-            # As in _admit: the gauge rises before any row is visible.
-            lane = requests[0].lane
-            if requests[0].attempt is None:
-                self.telemetry.record_submitted(len(requests), lane=lane)
-            else:
-                self.telemetry.record_lane_queued(lane, len(requests))
-            for request in requests:
-                if request.trace is not None:
-                    self._trace_admitted(key, request)
-                queue.append(request)
-            self._pending += len(requests)
-            # As in _admit: wake the worker only for a new age-out
-            # deadline or a batch that just filled.
-            if before == 0 or before < self.policy.max_batch <= len(queue):
-                self._wake.notify()
-        return [], None
+        else:
+            with self._lock:
+                if self._closed:
+                    refused = requests
+                    refusal = SchedulerClosed("scheduler is shut down")
+                else:
+                    self._append(key, requests)
+        if refused:
+            refused[0].owner.failed(refused, refusal, ran=False)
+        return refusal
+
+    def _append(self, key: Hashable, requests: List[_Request]) -> None:
+        """Queue a whole stack (the unbounded path); under the lock."""
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = _LaneQueue()
+        before = len(queue)
+        # As in _admit: the gauge rises before any row is visible.
+        self.telemetry.record_lane_queued(requests[0].lane, len(requests))
+        for request in requests:
+            if request.trace is not None:
+                self._trace_admitted(key, request)
+            queue.append(request)
+        self._pending += len(requests)
+        # As in _admit: wake the worker only for a new age-out deadline
+        # or a batch that just filled.
+        if before == 0 or before < self.policy.max_batch <= len(queue):
+            self._wake.notify()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Flush every queue now and wait until all requests resolved.
@@ -728,9 +790,10 @@ class MicroBatchScheduler:
 
         With ``drain=True`` (the default) every queued request is served
         first — the graceful path.  With ``drain=False`` queued requests
-        are cancelled (their futures report cancellation; a routed row
-        queued here by a failover is already running, so its future
-        raises :class:`~concurrent.futures.CancelledError` instead).
+        go back to their owners as cancelled (a client's future reports
+        cancellation; a routed row queued here by a failover is already
+        running, so its future raises
+        :class:`~concurrent.futures.CancelledError` instead).
         """
         if drain:
             self.drain(timeout)
@@ -746,31 +809,12 @@ class MicroBatchScheduler:
             # Blocked (backpressure) submitters must observe _closed
             # and raise SchedulerClosed instead of sleeping forever.
             self._space.notify_all()
-        clients = 0
+        self._drained(cancelled)
         for request in cancelled:
-            attempt = request.attempt
-            if attempt is not None and attempt.claimed:
-                # The batch that failed this row over set its future
-                # running, so it can no longer be cancelled: it takes
-                # the cancellation as its error instead.
-                request.future.set_exception(CancelledError())
-                clients += 1
-            elif request.future.cancel():
-                # (A mirror participant's vote slot refuses: its
-                # client request is the vote's to account.)
-                clients += 1
-            if request.trace is not None:
-                if request.queue_span is not None:
-                    request.queue_span.end(outcome="cancelled")
-                request.trace.finish("cancelled")
-        if clients:
-            self.telemetry.record_cancelled(clients)
-        if cancelled:
-            by_lane: Dict[int, int] = {}
-            for request in cancelled:
-                by_lane[request.lane] = by_lane.get(request.lane, 0) + 1
-            for lane, count in by_lane.items():
-                self.telemetry.record_lane_drained(lane, count)
+            if request.queue_span is not None:
+                request.queue_span.end(outcome="cancelled")
+        for owner, run in itertools.groupby(cancelled, _owner):
+            owner.cancel(list(run))
         self._worker.join()
 
     @property
@@ -842,33 +886,12 @@ class MicroBatchScheduler:
                 if self.max_queue_depth is not None:
                     # Room just opened up for backpressured submitters.
                     self._space.notify_all()
-            if popped:
-                drained_lanes: Dict[int, int] = {}
-                for request in popped:
-                    drained_lanes[request.lane] = (
-                        drained_lanes.get(request.lane, 0) + 1
-                    )
-                for lane, count in drained_lanes.items():
-                    self.telemetry.record_lane_drained(lane, count)
-            # Claim each future before executing: a request the client
-            # already cancelled drops out here, and a claimed (RUNNING)
-            # future can no longer be cancelled under us — so the
-            # set_result/set_exception calls below cannot raise
-            # InvalidStateError and kill the worker.  A routed row that
-            # is failing over was claimed by the batch that failed it.
+            self._drained(popped)
+            # Each owner claims its rows before the read: a row its
+            # client already cancelled drops out here, unread.
             batch = []
-            for r in popped:
-                attempt = r.attempt
-                if (
-                    attempt is not None and attempt.claimed
-                ) or r.future.set_running_or_notify_cancel():
-                    batch.append(r)
-                elif r.trace is not None:
-                    if r.queue_span is not None:
-                        r.queue_span.end(outcome="cancelled")
-                    r.trace.finish("cancelled")
-            if len(batch) < len(popped):
-                self.telemetry.record_cancelled(len(popped) - len(batch))
+            for owner, run in itertools.groupby(popped, _owner):
+                batch += owner.claim(list(run))
             try:
                 if batch:
                     self._execute(key, batch)
@@ -884,7 +907,7 @@ class MicroBatchScheduler:
         started = time.monotonic()
         try:
             engine = self.resolve_engine(key)
-        except BaseException as exc:  # noqa: BLE001 — failures go to futures
+        except BaseException as exc:  # noqa: BLE001 — failures go to owners
             self._fail(batch, started, exc)
             return
         # Requests are stacked per feature width so one malformed
@@ -896,20 +919,25 @@ class MicroBatchScheduler:
         for group in groups.values():
             self._execute_group(key, engine, group, started)
 
+    def _drained(self, requests: List[_Request]) -> None:
+        """Lower the lane gauge for rows that left their queues."""
+        by_lane: Dict[int, int] = {}
+        for request in requests:
+            by_lane[request.lane] = by_lane.get(request.lane, 0) + 1
+        for lane, count in by_lane.items():
+            self.telemetry.record_lane_drained(lane, count)
+
+    @staticmethod
     def _fail(
-        self, requests: List[_Request], started: float, exc: BaseException
+        requests: List[_Request], started: float, exc: BaseException
     ) -> None:
-        """Resolve the requests of a batch whose engine resolve/read failed.
+        """Hand the requests of a batch whose engine resolve/read failed
+        back to their owners, one call per owner run.
 
         Spans close first: a routed row's failover appends new spans to
-        the same trace, and those must come after these.  A direct
-        request takes the error; routed rows go back to their attempt
-        record — one call per record, not per row — which re-enqueues
-        them on the next untried replica or surfaces the error.
+        the same trace, and those must come after these.
         """
         now = time.monotonic()
-        direct = 0
-        routed: Dict[object, List[_Request]] = {}
         for request in requests:
             if request.trace is not None:
                 if request.queue_span is not None:
@@ -917,17 +945,8 @@ class MicroBatchScheduler:
                 request.trace.add_span(
                     "execute", started, now, error=type(exc).__name__
                 )
-            if request.attempt is None:
-                if request.trace is not None:
-                    request.trace.finish("failed")
-                request.future.set_exception(exc)
-                direct += 1
-            else:
-                routed.setdefault(request.attempt, []).append(request)
-        if direct:
-            self.telemetry.record_failed(direct)
-        for attempt, rows in routed.items():
-            attempt.failed(rows, exc, ran=True)
+        for owner, run in itertools.groupby(requests, _owner):
+            owner.failed(list(run), exc, ran=True)
 
     @staticmethod
     def _trace_attrs(report, rows: List[int], size: int) -> List[dict]:
@@ -970,7 +989,7 @@ class MicroBatchScheduler:
             levels[i] = request.levels
         try:
             report = engine.infer_batch(levels)
-        except BaseException as exc:  # noqa: BLE001 — failures go to futures
+        except BaseException as exc:  # noqa: BLE001 — failures go to owners
             self._fail(group, started, exc)
             return
         finally:
@@ -981,14 +1000,10 @@ class MicroBatchScheduler:
             i for i, request in enumerate(group) if request.trace is not None
         ]
         # The traced rows' span attributes are computed first, inside
-        # ``execute``; then one clock read ends each traced row's span
-        # and finishes its trace, so no per-row work (and no thread
-        # switch during it) opens a hole between the two.  Every trace
-        # closes before any future resolves: each set_result runs its
-        # done callbacks synchronously, and a trace finished only after
-        # its siblings' callbacks would blame that time on nothing (the
-        # span-accounting gate bounds the unexplained gap).  Success is
-        # terminal for direct and routed traces alike.
+        # ``execute``; then one clock read ends each traced row's span,
+        # and its owner finishes the trace at that same reading, so no
+        # per-row work (and no thread switch during it) opens a hole
+        # between the two.
         attrs = self._trace_attrs(report, traced, size) if traced else ()
         finished = time.monotonic()
         for i, row_attrs in zip(traced, attrs):
@@ -996,35 +1011,21 @@ class MicroBatchScheduler:
             if request.queue_span is not None:
                 request.queue_span.end(started)
             request.trace.add_span("execute", started, finished, **row_attrs)
-            request.trace.finish("served", finished)
-        # Routed rows are accounted once per attempt record per batch
-        # (replica served, failovers, mark-down of the failed chain), and
-        # before any future resolves, so a client reading stats() after
-        # its result sees them.  A chunk's rows sit together in the
-        # queue, so a batch usually holds one or two records.  Only
-        # client requests complete here: a record's served() says how
-        # many of its rows are.
-        completed: List[_Request] = []
-        for attempt, run in itertools.groupby(
-            group, operator.attrgetter("attempt")
-        ):
-            run = list(run)
-            if attempt is None or attempt.served(len(run)):
-                completed += run
-        for i, request in enumerate(group):
-            request.future.set_result(
-                ServedResult(
-                    model=model,
-                    batch_size=size,
-                    queue_wait_s=started - request.enqueued_at,
-                    _report=report,
-                    _index=i,
-                )
-            )
         self.telemetry.record_executed(size, max_batch=self.policy.max_batch)
-        if completed:
-            self.telemetry.record_completed(
-                model,
-                len(completed),
-                latencies_s=[finished - r.enqueued_at for r in completed],
+        results = [
+            ServedResult(
+                model=model,
+                batch_size=size,
+                queue_wait_s=started - request.enqueued_at,
+                _report=report,
+                _index=i,
             )
+            for i, request in enumerate(group)
+        ]
+        # A chunk's rows sit together in the queue, so a batch usually
+        # settles in one or two owner calls.
+        lo = 0
+        for owner, run in itertools.groupby(group, _owner):
+            run = list(run)
+            owner.served(run, results[lo:lo + len(run)], finished)
+            lo += len(run)

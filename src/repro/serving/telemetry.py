@@ -45,8 +45,9 @@ class TelemetrySnapshot:
     Attributes
     ----------
     submitted:
-        Client requests accepted: one per direct scheduler submit, one
-        per routed row however many replicas it visits.
+        Client requests accepted: one per direct scheduler submit (a
+        refused one too, then counted shed or failed), one per routed
+        row however many replicas it visits.
     completed:
         Requests whose future resolved with a result.
     failed:
@@ -301,48 +302,31 @@ class Telemetry:
         if recorder is not None:
             recorder.record(kind, **detail)
 
-    def record_submitted(self, n: int = 1, lane: Optional[int] = None) -> None:
-        """``n`` requests admitted; with ``lane`` set, the per-lane
-        depth gauge rises until :meth:`record_lane_drained` (or a
-        dequeued shed) takes them back out."""
+    def record_submitted(self, n: int = 1) -> None:
+        """``n`` client requests accepted."""
         with self._lock:
             self._submitted += n
-            if lane is not None:
-                self._lane_depth[lane] = self._lane_depth.get(lane, 0) + n
 
-    def record_shed(
-        self, n: int = 1, lane: int = 0, dequeued: bool = False
-    ) -> None:
-        """``n`` requests rejected by admission control.
-
-        ``dequeued=True`` means the victims were already queued (their
-        admission bumped the lane gauge, which must come back down);
-        door rejections never entered a lane.
-        """
+    def record_shed(self, n: int = 1) -> None:
+        """``n`` client requests rejected by admission control."""
         with self._lock:
             self._shed += n
-            if dequeued:
-                depth = self._lane_depth.get(lane, 0) - n
-                if depth > 0:
-                    self._lane_depth[lane] = depth
-                else:
-                    self._lane_depth.pop(lane, None)
+
+    def record_lane_queued(self, lane: int, n: int = 1) -> None:
+        """``n`` rows entered a scheduler's ``lane``: the per-lane depth
+        gauge rises until :meth:`record_lane_drained` takes them back
+        out.  A failover re-enqueue raises it again, never ``submitted``."""
+        with self._lock:
+            self._lane_depth[lane] = self._lane_depth.get(lane, 0) + n
 
     def record_lane_drained(self, lane: int, n: int = 1) -> None:
-        """``n`` queued requests left ``lane`` (batched or cancelled)."""
+        """``n`` queued rows left ``lane`` (batched, shed or cancelled)."""
         with self._lock:
             depth = self._lane_depth.get(lane, 0) - n
             if depth > 0:
                 self._lane_depth[lane] = depth
             else:
                 self._lane_depth.pop(lane, None)
-
-    def record_lane_queued(self, lane: int, n: int = 1) -> None:
-        """``n`` routed rows entered ``lane``.  The router counted them
-        submitted once already, so neither their first enqueue nor a
-        failover re-enqueue counts them again."""
-        with self._lock:
-            self._lane_depth[lane] = self._lane_depth.get(lane, 0) + n
 
     def record_scale_up(self) -> None:
         """One replica added by the autoscale controller."""

@@ -18,10 +18,10 @@ an ``error``).  Three threads per worker:
 
 * the **message loop** (main thread) dispatches control and request
   frames; request execution itself is asynchronous — a ``request``
-  frame's rows are queued as one chunk, each row holding a future-like
-  slot of the frame's :class:`_Block`, and the batch worker that
-  resolves the last row sends the frame's one ``result`` reply, so a
-  slow batch never blocks control traffic;
+  frame's rows are queued as one chunk owned by the frame's
+  :class:`_Block`, the scheduler settles them through it a run at a
+  time, and the call that settles the last row sends the frame's one
+  ``result`` reply, so a slow batch never blocks control traffic;
 * the **heartbeat thread** sends liveness only, on the supervision
   cadence — the signal whose absence triggers failover;
 * each host's scheduler batch worker.
@@ -106,62 +106,52 @@ class _EventForwarder:
 
 
 class _Block:
-    """One ``request`` frame's rows inside the worker.
+    """One ``request`` frame's rows inside the worker, and their owner.
 
-    Each row's scheduler request holds a :class:`_RowSlot` of the block
-    instead of a Future; the scheduler's calls on the slots land in
-    :meth:`resolve`, and the row that resolves last sends the frame's
-    one ``result`` reply (from whichever thread resolved it — normally
-    the batch worker, right after the read).
+    The scheduler settles the rows through the owner calls (see
+    :class:`~repro.serving.scheduler._Request`); a row's first outcome
+    sticks, and the call that settles the last row sends the frame's
+    one ``result`` reply (from whichever thread made it — normally the
+    batch worker, right after the read).
     """
 
-    __slots__ = ("host", "request_id", "replica", "outcomes", "remaining",
-                 "lock")
+    __slots__ = ("host", "request_id", "replica", "rows", "outcomes", "lock")
 
-    def __init__(self, host: "WorkerHost", request_id, replica, n: int):
+    def __init__(self, host: "WorkerHost", request_id, replica, levels,
+                 priority: int = 0):
         self.host = host
         self.request_id = request_id
         self.replica = replica
-        self.outcomes: List[object] = [None] * n
-        self.remaining = n
+        now = time.monotonic()
+        self.rows = [_Request(row, now, priority, self) for row in levels]
+        self.outcomes: Dict[_Request, object] = {}
         self.lock = threading.Lock()
 
-    def resolve(self, row: int, outcome) -> None:
-        """Row ``row`` served (a ServedResult) or failed (an exception)."""
+    def claim(self, rows: List[_Request]) -> List[_Request]:
+        return rows  # no client in this process can cancel a row
+
+    def served(self, rows: List[_Request], results: list,
+               finished: float) -> None:
+        self._settle(zip(rows, results))
+
+    def failed(self, rows: List[_Request], exc: BaseException,
+               ran: bool) -> None:
+        self._settle((row, exc) for row in rows)
+
+    def cancel(self, rows: List[_Request]) -> None:
+        self.failed(rows, RuntimeError("request cancelled in worker"), False)
+
+    def _settle(self, outcomes) -> None:
+        """Record each ``(row, outcome)`` pair unless the row already
+        has one; the call that completes the block replies."""
+        n = len(self.rows)
         with self.lock:
-            if self.outcomes[row] is not None:
-                return  # a row resolves once
-            self.outcomes[row] = outcome
-            self.remaining -= 1
-            if self.remaining:
-                return
+            done = len(self.outcomes)
+            for row, outcome in outcomes:
+                self.outcomes.setdefault(row, outcome)
+            if done == n or len(self.outcomes) < n:
+                return  # replied already, or rows still out
         self.host._reply(self)
-
-
-class _RowSlot:
-    """The future-like slot of one block row: the four calls the
-    scheduler makes on a request's future, routed to the block."""
-
-    __slots__ = ("block", "row")
-
-    def __init__(self, block: _Block, row: int):
-        self.block = block
-        self.row = row
-
-    def set_running_or_notify_cancel(self) -> bool:
-        return True  # no client in this process can cancel a row
-
-    def set_result(self, result) -> None:
-        self.block.resolve(self.row, result)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self.block.resolve(self.row, exc)
-
-    def cancel(self) -> bool:
-        self.block.resolve(
-            self.row, RuntimeError("request cancelled in worker")
-        )
-        return True
 
 
 def _result_columns(outcomes: list) -> Dict[str, list]:
@@ -354,11 +344,10 @@ class WorkerHost:
     def _on_request(self, message: dict):
         """Queue one block of rows on the placed replica it addresses.
 
-        The rows go in as one chunk under one scheduler lock, each with
-        a slot of the frame's :class:`_Block`; the reply leaves once the
-        last row resolves — the message loop is already back on
-        ``recv`` while the batch coalesces, so a worker pipelines many
-        in-flight blocks.
+        The rows go in as one chunk under one scheduler lock, owned by
+        the frame's :class:`_Block`; the reply leaves once the last row
+        settles — the message loop is already back on ``recv`` while the
+        batch coalesces, so a worker pipelines many in-flight blocks.
         """
         host = self._host(message)
         levels = np.asarray(message["levels"], dtype=int)
@@ -367,16 +356,10 @@ class WorkerHost:
                 f"request levels must be a non-empty (rows, features) "
                 f"block, got shape {levels.shape}"
             )
-        block = _Block(self, message["id"], host, len(levels))
-        priority = int(message.get("priority", 0))
-        now = time.monotonic()
-        requests = [
-            _Request(row, now, priority, future=_RowSlot(block, i))
-            for i, row in enumerate(levels)
-        ]
-        refused, refusal = host.enqueue(requests)
-        for request in refused:
-            request.future.set_exception(refusal)
+        block = _Block(
+            self, message["id"], host, levels, int(message.get("priority", 0))
+        )
+        host.enqueue(block.rows)
 
     def _reply(self, block: _Block) -> None:
         """Send a finished block's ``result`` frame.
@@ -386,8 +369,9 @@ class WorkerHost:
         no front-end future waits forever on it.
         """
         host = block.replica
+        outcomes = [block.outcomes[row] for row in block.rows]
         errors = [
-            (row, outcome) for row, outcome in enumerate(block.outcomes)
+            (row, outcome) for row, outcome in enumerate(outcomes)
             if isinstance(outcome, BaseException)
         ]
         try:
@@ -397,7 +381,7 @@ class WorkerHost:
                 worker=self.worker_id,
                 result=encode_block(
                     str(host.key),
-                    _result_columns(block.outcomes),
+                    _result_columns(outcomes),
                     errors,
                     replica=host.label,
                     worker=self.worker_id,

@@ -41,7 +41,7 @@ from repro.serving.transport import (
     make,
     protocol,
 )
-from repro.serving.worker import WorkerHost, _Block, _RowSlot
+from repro.serving.worker import WorkerHost, _Block
 
 POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
 
@@ -470,20 +470,22 @@ class TestWorkerReplies:
 
         class Host:
             def _reply(self, block):
-                replies.append(list(block.outcomes))
+                replies.append([block.outcomes[row] for row in block.rows])
 
         n, n_threads = 512, 8
-        block = _Block(Host(), "r1", None, n)
-        slots = [_RowSlot(block, row) for row in range(n)]
+        block = _Block(Host(), "r1", None, np.zeros((n, 1), dtype=int))
+        rows = block.rows
         start = threading.Barrier(n_threads)
 
         def resolve(k):
             start.wait(timeout=10)
             for row in range(k, n, n_threads):
-                slots[row].set_result(("served", row))
+                block.served([rows[row]], [("served", row)], 0.0)
                 # Races the row's owner thread; whichever lands second
                 # must change nothing.
-                slots[(row + 1) % n].set_exception(RuntimeError("late"))
+                block.failed(
+                    [rows[(row + 1) % n]], RuntimeError("late"), ran=True
+                )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -500,7 +502,7 @@ class TestWorkerReplies:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(replies) == 1
-        assert block.remaining == 0
+        assert len(block.outcomes) == n
         assert all(outcome is not None for outcome in replies[0])
 
 

@@ -8,8 +8,10 @@ from repro.io import load_deployment, save_deployment
 from repro.serving import (
     Deployment,
     DeploymentError,
+    PlacementSpec,
     ReplicaSpec,
     RoutingPolicy,
+    SLOPolicy,
     single_replica_deployment,
 )
 
@@ -89,6 +91,22 @@ class TestValidation:
     def test_bad_version_rejected(self):
         with pytest.raises(DeploymentError, match="version"):
             two_replica(version=0).validate()
+
+    def test_backpressure_refused_on_process_placement(self):
+        # A worker-hosted queue cannot block its submitter: it would
+        # shed where the spec asks it to block.
+        blocking = SLOPolicy(max_replicas=2, backpressure=True)
+        with pytest.raises(
+            DeploymentError, match=r"slo\.backpressure.*placement\.kind"
+        ):
+            two_replica(
+                slo=blocking, placement=PlacementSpec(kind="process")
+            ).validate()
+        two_replica(slo=blocking, placement=PlacementSpec(kind="local")).validate()
+        two_replica(
+            slo=SLOPolicy(max_replicas=2),
+            placement=PlacementSpec(kind="process"),
+        ).validate()
 
     def test_single_replica_helper(self):
         dep = single_replica_deployment("iris", "fefet")

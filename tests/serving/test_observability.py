@@ -248,7 +248,8 @@ class TestPrometheus:
 
     def test_round_trip_with_latencies_lanes_and_replicas(self):
         telemetry = Telemetry(max_batch=8)
-        telemetry.record_submitted(4, lane=1)
+        telemetry.record_submitted(4)
+        telemetry.record_lane_queued(1, 4)
         telemetry.record_batch("m", 4, latencies_s=np.array([0.002] * 4))
         telemetry.record_replica_served("m@v1#r0", 4)
         text = to_prometheus(telemetry.snapshot(), replicas=2)

@@ -293,6 +293,31 @@ class TestRoutingPolicies:
         assert snapshot.mirror_votes == 20
         assert balanced(snapshot) and snapshot.in_flight == 0
 
+    def test_mirror_close_without_drain_cancels_the_votes(self, tmp_path):
+        """A non-draining close that cancels every participant of a
+        mirrored request cancels the request: it is counted cancelled,
+        as a routed row in the same close is, not failed."""
+        server = FeBiMServer(
+            ModelRegistry(tmp_path / "reg"), policy=POLICY, seed=0
+        )
+        server.register("iris", make_model(seed=1))
+        dep = deploy(
+            server,
+            ReplicaSpec("ideal"),
+            ReplicaSpec("cmos"),
+            policy=RoutingPolicy("mirror"),
+        )
+        for replica in dep.replicas:
+            assert replica.scheduler.pause(timeout=5)
+        futures = [server.submit("iris", SAMPLE) for _ in range(5)]
+        server.close(drain=False)
+        for future in futures:
+            with pytest.raises(CancelledError):
+                future.result(timeout=5)
+        snapshot = server.stats()
+        assert snapshot.cancelled == 5 and snapshot.failed == 0
+        assert snapshot.in_flight == 0
+
     def test_mirror_fanout_limits_participants(self, server):
         deploy(
             server,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serving import BatchPolicy, MicroBatchScheduler, SchedulerClosed
+from repro.serving.scheduler import Overloaded, _Request
 from repro.serving.telemetry import Telemetry
 
 
@@ -428,12 +429,12 @@ class TestLaneGauge:
                 super().record_lane_drained(lane, n)
                 drained.set()
 
-            def record_submitted(self, n=1, lane=None):
-                if lane is not None and sched.pending:
+            def record_lane_queued(self, lane, n=1):
+                if sched.pending:
                     late.append(lane)
                     sched.resume()
                     assert drained.wait(10), "the worker never drained"
-                super().record_submitted(n, lane)
+                super().record_lane_queued(lane, n)
 
         engine = RecordingEngine()
         sched = MicroBatchScheduler(
@@ -458,3 +459,165 @@ class TestLaneGauge:
             assert snapshot.lane_depth == {}
         finally:
             sched.shutdown()
+
+
+class RecordingOwner:
+    """Row-owner stub: records every call the scheduler makes on it and
+    keeps every row (a stub counts nothing in telemetry)."""
+
+    def __init__(self):
+        self.calls = []
+        self.lock = threading.Lock()
+        self.cancelled = threading.Event()
+
+    def _record(self, call, rows, **detail):
+        with self.lock:
+            self.calls.append((call, list(rows), detail))
+
+    def claim(self, rows):
+        self._record("claim", rows)
+        return rows
+
+    def served(self, rows, results, finished):
+        self._record("served", rows, results=list(results))
+
+    def failed(self, rows, exc, ran):
+        self._record("failed", rows, exc=exc, ran=ran)
+
+    def cancel(self, rows):
+        self._record("cancel", rows)
+        self.cancelled.set()
+
+    def rows(self, n, lane=0):
+        now = time.monotonic()
+        return [_Request(np.array([i, 1]), now, lane, self) for i in range(n)]
+
+    def history(self, row):
+        """The calls ``row`` went through, in order."""
+        return [kind for kind, batch, _ in self.calls for r in batch if r is row]
+
+    def assert_settled_once(self, rows, call, claimed):
+        """Every row settled exactly once, by ``call`` — after one claim
+        when ``claimed``, unclaimed otherwise."""
+        expected = ["claim", call] if claimed else [call]
+        assert [self.history(row) for row in rows] == [expected] * len(rows)
+
+
+class TestRowOwners:
+    """The scheduler settles every queued row through its owner,
+    exactly once: claim before the read, then served, failed or
+    cancelled."""
+
+    def test_served_rows_are_claimed_then_served(self):
+        sched, _ = make_scheduler(max_batch=4, max_wait_ms=1.0)
+        owner = RecordingOwner()
+        rows = owner.rows(6)
+        try:
+            assert sched.enqueue("m", rows) is None
+            assert sched.drain(timeout=5)
+            owner.assert_settled_once(rows, "served", claimed=True)
+            served = [
+                (row, result) for kind, batch, detail in owner.calls
+                if kind == "served"
+                for row, result in zip(batch, detail["results"])
+            ]
+            assert [r.prediction for _, r in served] == [
+                int(row.levels.sum()) for row, _ in served
+            ]
+            snapshot = sched.telemetry.snapshot()
+            # Counting client requests is the owner's, not the queue's.
+            assert snapshot.submitted == snapshot.completed == 0
+            assert snapshot.batches == 2 and snapshot.lane_depth == {}
+        finally:
+            sched.shutdown()
+
+    def test_failing_engine_fails_the_rows_that_ran(self):
+        sched, _ = make_scheduler(FailingEngine(), max_batch=4, max_wait_ms=1.0)
+        owner = RecordingOwner()
+        rows = owner.rows(3)
+        try:
+            sched.enqueue("m", rows)
+            assert sched.drain(timeout=5)
+            owner.assert_settled_once(rows, "failed", claimed=True)
+            for kind, _, detail in owner.calls:
+                if kind == "failed":
+                    assert detail["ran"] is True
+                    assert "caught fire" in str(detail["exc"])
+        finally:
+            sched.shutdown()
+
+    def test_displaced_row_fails_unread_with_overloaded(self):
+        engine = RecordingEngine(gated=True)
+        sched = MicroBatchScheduler(
+            lambda key: engine,
+            BatchPolicy(max_batch=1, max_wait_ms=0.0),
+            max_queue_depth=1,
+        )
+        owner = RecordingOwner()
+        rows = owner.rows(1, lane=0)
+        try:
+            running = sched.submit("m", np.array([1]))
+            assert engine.started.wait(5)  # the worker is inside batch 1
+            sched.enqueue("m", rows)
+            vip = sched.submit("m", np.array([2]), priority=5)
+            owner.assert_settled_once(rows, "failed", claimed=False)
+            (_, _, detail), = owner.calls
+            assert isinstance(detail["exc"], Overloaded)
+            assert detail["ran"] is False
+            engine.release.set()
+            assert running.result(timeout=5) and vip.result(timeout=5)
+            assert sched.drain(timeout=5)
+            assert len(owner.calls) == 1
+            assert sched.telemetry.snapshot().lane_depth == {}
+        finally:
+            engine.release.set()
+            sched.shutdown()
+
+    def test_non_draining_shutdown_cancels_queued_rows(self):
+        engine = RecordingEngine(gated=True)
+        sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
+        owner = RecordingOwner()
+        rows = owner.rows(3)
+        running = sched.submit("m", np.array([1]))
+        assert engine.started.wait(5)  # the worker is inside batch 1
+        sched.enqueue("m", rows)
+        # shutdown() cancels the queue before it joins the worker, which
+        # is held inside batch 1 until the cancellation has landed.
+        stopper = threading.Thread(
+            target=sched.shutdown, kwargs={"drain": False}
+        )
+        stopper.start()
+        assert owner.cancelled.wait(5)
+        engine.release.set()
+        stopper.join(5)
+        assert not stopper.is_alive()
+        running.result(timeout=5)
+        owner.assert_settled_once(rows, "cancel", claimed=False)
+        assert sched.telemetry.snapshot().lane_depth == {}
+
+    def test_refused_direct_submit_is_counted_before_the_raise(self):
+        """A direct submit is a client request too: refused, it is
+        counted (shed at a full queue, failed when closed) before
+        ``submit`` raises, so the direct books balance."""
+        engine = RecordingEngine(gated=True)
+        sched = MicroBatchScheduler(
+            lambda key: engine,
+            BatchPolicy(max_batch=1, max_wait_ms=0.0),
+            max_queue_depth=1,
+        )
+        running = sched.submit("m", np.array([1]))
+        assert engine.started.wait(5)  # the worker is inside batch 1
+        queued = sched.submit("m", np.array([2]))
+        with pytest.raises(Overloaded):
+            sched.submit("m", np.array([3]))
+        engine.release.set()
+        assert running.result(timeout=5) and queued.result(timeout=5)
+        sched.shutdown()
+        with pytest.raises(SchedulerClosed):
+            sched.submit("m", np.array([4]))
+        snapshot = sched.telemetry.snapshot()
+        assert snapshot.submitted == 4
+        assert (snapshot.completed, snapshot.shed_requests, snapshot.failed) == (
+            2, 1, 1,
+        )
+        assert snapshot.in_flight == 0

@@ -49,20 +49,24 @@ class TestLedgerBalance:
                 style = i % 4
                 if style == 0:
                     # Served: admitted to a lane, drained into a batch.
-                    telemetry.record_submitted(lane=lane)
+                    telemetry.record_submitted()
+                    telemetry.record_lane_queued(lane)
                     telemetry.record_lane_drained(lane)
                     telemetry.record_batch("m", 1, latencies_s=np.array([0.001]))
                 elif style == 1:
                     # Displaced victim: admitted, then shed out of the lane.
-                    telemetry.record_submitted(lane=lane)
-                    telemetry.record_shed(lane=lane, dequeued=True)
+                    telemetry.record_submitted()
+                    telemetry.record_lane_queued(lane)
+                    telemetry.record_lane_drained(lane)
+                    telemetry.record_shed()
                 elif style == 2:
                     # Door rejection: counted submitted + shed, never laned.
                     telemetry.record_submitted()
                     telemetry.record_shed()
                 else:
                     # Cancelled at shutdown: admitted, drained, cancelled.
-                    telemetry.record_submitted(lane=lane)
+                    telemetry.record_submitted()
+                    telemetry.record_lane_queued(lane)
                     telemetry.record_lane_drained(lane)
                     telemetry.record_cancelled(1)
 
@@ -83,7 +87,8 @@ class TestLedgerBalance:
 
         def worker(idx):
             for _ in range(PER_THREAD):
-                telemetry.record_submitted(lane=0)
+                telemetry.record_submitted()
+                telemetry.record_lane_queued(0)
                 telemetry.record_lane_drained(0)
                 telemetry.record_failed(1)
 
@@ -113,7 +118,8 @@ class TestLedgerBalance:
 
             def worker(idx):
                 for _ in range(PER_THREAD):
-                    telemetry.record_submitted(lane=idx % 2)
+                    telemetry.record_submitted()
+                    telemetry.record_lane_queued(idx % 2)
                     telemetry.record_lane_drained(idx % 2)
                     telemetry.record_batch("m", 1)
 
