@@ -52,7 +52,7 @@ import socket
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
@@ -124,7 +124,8 @@ class _RemoteHost:
     frame with one pending entry; the worker's columnar reply, an
     ``error`` frame or the worker's loss then settles the rows through
     their owner, as a local scheduler would after a batch: ``claim`` and
-    ``served`` for the served rows, ``failed`` for the rest.  ``block``
+    ``served`` for the served rows, ``cancel`` for the rows the worker's
+    queue cancelled, ``failed`` for the rest.  ``block``
     is ignored — backpressure is the worker scheduler's, and never
     blocks a frame.  ``pending`` counts the front end's in-flight rows,
     the cost policy's signal, kept without a round trip.  The control
@@ -188,15 +189,15 @@ class _RemoteHost:
 
     def _settle(self, requests: list, outcomes: list) -> None:
         """Settle one reply through the rows' owner, one call per
-        outcome kind: the served rows it claims, then the shed and the
-        failed ones."""
+        outcome kind: the served rows it claims, then the shed, the
+        cancelled and the failed ones."""
         pool = self.pool
         with pool._lock:
             self.pending -= len(requests)
             if not self.pending:
                 pool._settled.notify_all()
         owner = requests[0].owner
-        served, results, spilled, broken = [], [], [], []
+        served, results, spilled, cancelled, broken = [], [], [], [], []
         for request, outcome in zip(requests, outcomes):
             if not isinstance(outcome, BaseException):
                 served.append(request)
@@ -204,6 +205,8 @@ class _RemoteHost:
             elif isinstance(outcome, Overloaded):
                 spilled.append(request)
                 spill_exc = outcome
+            elif isinstance(outcome, CancelledError):
+                cancelled.append(request)
             else:
                 broken.append(request)
                 broken_exc = outcome
@@ -215,6 +218,8 @@ class _RemoteHost:
             owner.served(claimed, results, time.monotonic())
         if spilled:
             owner.failed(spilled, spill_exc, ran=False)
+        if cancelled:
+            owner.cancel(cancelled)
         if broken:
             owner.failed(broken, broken_exc, ran=False)
 

@@ -250,7 +250,7 @@ class SLOPolicy:
         p95 end-to-end latency objective in milliseconds (``None`` =
         scale on queue pressure only).
     max_queue_depth:
-        Bound on each replica's per-model queue (``None`` = unbounded:
+        Bound on each replica's scheduler queue (``None`` = unbounded:
         admission control off, autoscaling on queue depth disabled).
     min_replicas / max_replicas:
         The controller never shrinks below / grows above these.

@@ -61,24 +61,19 @@ class Observability:
     ledger, as a unit.
 
     Convenience bundle so workloads and the CLI arm every surface with
-    one object: ``server.enable_observability(obs)`` threads the tracer
-    into every scheduler, hangs the recorder off telemetry, attaches
-    the ledger to the router's hardware sampler, and lets the
-    maintenance/metrics cadence fill the rings.
+    one object: ``server.enable_observability(obs)`` hands the tracer
+    to the router's request plane, hangs the recorder off telemetry,
+    attaches the ledger to the router's hardware sampler, and lets the
+    maintenance/metrics cadence fill the rings.  Each ring holds its
+    module's default capacity (``TRACE_CAPACITY``, ``RECORDER_CAPACITY``,
+    ``METRICS_CAPACITY``, ``LEDGER_CAPACITY``).
     """
 
-    def __init__(
-        self,
-        trace_rate: float = 0.0,
-        trace_capacity: int = TRACE_CAPACITY,
-        recorder_capacity: int = RECORDER_CAPACITY,
-        metrics_capacity: int = METRICS_CAPACITY,
-        ledger_capacity: int = LEDGER_CAPACITY,
-    ):
-        self.tracer = Tracer(trace_rate, capacity=trace_capacity)
-        self.recorder = FlightRecorder(capacity=recorder_capacity)
-        self.metrics = MetricsRing(capacity=metrics_capacity)
-        self.ledger = DeviceHealthLedger(capacity=ledger_capacity)
+    def __init__(self, trace_rate: float = 0.0):
+        self.tracer = Tracer(trace_rate)
+        self.recorder = FlightRecorder()
+        self.metrics = MetricsRing()
+        self.ledger = DeviceHealthLedger()
 
     def __repr__(self) -> str:
         return (

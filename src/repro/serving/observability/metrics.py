@@ -246,18 +246,16 @@ class MetricsSampler:
 
 
 def count_replicas(server) -> int:
-    """Serviceable replicas across applied deployments (at least 1: an
-    undeployed model is served by one implicit replica)."""
+    """Serviceable replicas across every deployment the router serves,
+    implicit ones included (at least 1: the first request to an
+    undeployed model builds its one implicit replica)."""
     router = getattr(server, "router", None)
     if router is None:
         return 1
-    total = 0
-    for name in router.deployments():
-        try:
-            statuses = router.status(name)
-        except KeyError:  # undeployed between listing and status
-            continue
-        total += sum(1 for s in statuses if s.state in ("healthy", "down"))
+    total = sum(
+        1 for dep in router._all() for replica in dep.replicas
+        if replica.state in ("healthy", "down")
+    )
     return max(total, 1)
 
 

@@ -25,10 +25,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.backends.registry import get_backend_class
 from repro.core.engine import FeBiMEngine
 from repro.core.quantization import QuantizedBayesianModel
-from repro.crossbar.parameters import CircuitParameters
 from repro.crossbar.tiling import TiledFeBiM
 from repro.devices.fefet import MultiLevelCellSpec
-from repro.devices.variation import VariationModel
 from repro.io.serialize import DEFAULT_BACKEND, load_artifact, save_model
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive_int
@@ -248,9 +246,6 @@ class ModelRegistry:
         *,
         max_rows: Optional[int] = None,
         seed: RngLike = None,
-        variation: Optional[VariationModel] = None,
-        params: Optional[CircuitParameters] = None,
-        mirror_gain_sigma: float = 0.0,
         backend: Optional[str] = None,
         backend_options: Optional[dict] = None,
         fresh: bool = False,
@@ -276,9 +271,10 @@ class ModelRegistry:
         entry* (and therefore the same programmed engine object) as a
         lookup without overrides.
 
-        Engines are cached (LRU) when the configuration is hashable and
-        reproducible: ``seed`` of ``None``/``int`` and default
-        ``variation``/``params``/``mirror_gain_sigma``.  Any other
+        Engines are built with the default variation model, circuit
+        parameters and mirror gain, and cached (LRU) when the
+        configuration is hashable and reproducible: ``seed`` of
+        ``None``/``int`` and hashable backend options.  Any other
         configuration builds a fresh uncached engine — a Generator seed
         has stream position, so caching it would serve different noise
         than a fresh materialisation.
@@ -294,11 +290,7 @@ class ModelRegistry:
         except TypeError:
             options_key = None  # unhashable option values: uncacheable
         cacheable = (
-            (seed is None or isinstance(seed, int))
-            and variation is None
-            and params is None
-            and mirror_gain_sigma == 0.0
-            and options_key is not None
+            (seed is None or isinstance(seed, int)) and options_key is not None
         )
         key = (name, version, max_rows, seed, backend_name, options_key)
         if cacheable and not fresh:
@@ -312,9 +304,6 @@ class ModelRegistry:
             engine = FeBiMEngine(
                 model,
                 spec=spec,
-                variation=variation,
-                params=params,
-                mirror_gain_sigma=mirror_gain_sigma,
                 seed=seed,
                 backend=backend_name,
                 backend_options=options,
@@ -324,8 +313,6 @@ class ModelRegistry:
                 model,
                 max_rows=max_rows,
                 spec=spec,
-                variation=variation,
-                params=params,
                 seed=seed,
                 backend=backend_name,
                 backend_options=options,

@@ -3,15 +3,15 @@
 PR 1 made the *offline* read path fast by amortising every layer over
 dense batches; an online server receives single-sample requests that
 would each pay the full per-call overhead again.  This module closes
-the gap with the classic serving idiom: a thread-safe queue per routing
-key, a worker that coalesces whatever is pending into one
-``infer_batch`` call, and per-request futures that resolve to views
-into the shared batch report.
+the gap with the classic serving idiom: one thread-safe queue, a worker
+that coalesces whatever is pending into one ``infer_batch`` call per
+routing key and feature width, and per-request futures that resolve to
+views into the shared batch report.
 
 Coalescing policy (:class:`BatchPolicy`)
 ----------------------------------------
 
-A queue is flushed as soon as either bound is hit:
+The queue is flushed as soon as either bound is hit:
 
 * ``max_batch`` requests are waiting (the batch is full), or
 * the *oldest* waiting request has aged ``max_wait_ms`` (latency bound).
@@ -23,23 +23,26 @@ than ``max_wait_ms`` beyond its own service time.
 Admission control
 -----------------
 
-By default a queue is unbounded (the legacy behaviour).  With
-``max_queue_depth`` set, the scheduler refuses to let a backlog grow
-past the bound; an arrival at a full queue is resolved by priority:
+Every row enters through one path, :meth:`MicroBatchScheduler.enqueue`,
+which admits a chunk (rows of one owner and one lane; ``submit`` is a
+one-row chunk) under one lock acquisition.  By default the queue is
+unbounded.  With ``max_queue_depth`` set, the bound applies to the
+scheduler's one queue, and a row that finds it full is resolved by
+priority, in chunk order:
 
-* a *lower-priority* queued request is shed to make room (its future
-  fails with :class:`Overloaded` — a typed, fast rejection the caller
-  can distinguish from a real failure), or
-* the arrival itself is rejected with :class:`Overloaded` when nothing
-  cheaper is queued, or
-* with ``block=True`` the submitter waits for space instead
-  (backpressure; ``timeout`` bounds the wait).
+* with ``block=True`` the row waits for space (backpressure;
+  ``timeout`` bounds the wait), or
+* it displaces the newest queued request of a *lower* lane (that
+  request fails with :class:`Overloaded` — a typed, fast rejection the
+  caller can distinguish from a real failure), or
+* it is refused with :class:`Overloaded` when nothing cheaper is
+  queued (or the wait timed out), together with the rows after it.
 
-Within a queue, requests live in *priority lanes*: batches fill from
-the highest lane first (FIFO within a lane), and sheds always take the
-newest request of the lowest lane — a low-priority tenant degrades
-before a high-priority one ever notices.  All-default traffic lands in
-lane 0 and behaves exactly as the unbounded FIFO did.
+Requests live in *priority lanes*: batches fill from the highest lane
+first (FIFO within a lane), and sheds always take the newest request of
+the lowest lane — a low-priority tenant degrades before a
+high-priority one ever notices.  All-default traffic lands in lane 0
+and behaves exactly as a plain FIFO.
 
 Determinism
 -----------
@@ -174,15 +177,15 @@ class ServedResult:
 
 
 class SchedulerClosed(RuntimeError):
-    """Raised by :meth:`MicroBatchScheduler.submit` after shutdown."""
+    """The refusal of a row that arrives after shutdown."""
 
 
 class Overloaded(RuntimeError):
     """Typed admission rejection: the bounded queue is full.
 
-    Raised synchronously by :meth:`MicroBatchScheduler.submit` when the
-    arrival itself is refused (nothing lower-priority to shed, or a
-    blocking submit timed out), and set on the future of a queued
+    The refusal of a row that found the queue full (nothing
+    lower-priority to shed, or a blocking enqueue timed out) — raised by
+    :meth:`MicroBatchScheduler.submit` — and set on the future of a queued
     request that was shed to admit a higher-priority arrival.  A shed
     is *not* a failure — the request was never attempted — so the
     request plane's failover path retries it elsewhere without marking
@@ -223,10 +226,13 @@ class _Request:
     request plane's attempt), a mirror participant's vote seat
     (:mod:`repro.serving.plane`), and a worker process's request block
     (:mod:`repro.serving.worker`).  Rows of the last two hold no future.
+
+    ``key`` is the routing key the row was last admitted under; the
+    batch worker resolves the engine that reads it from that key.
     """
 
     __slots__ = (
-        "levels", "enqueued_at", "lane", "owner", "future",
+        "levels", "enqueued_at", "lane", "owner", "future", "key",
         "trace", "queue_span",
     )
 
@@ -243,6 +249,7 @@ class _Request:
         self.lane = lane
         self.owner = owner
         self.future = future
+        self.key: Hashable = None
         # Tracing state: ``trace`` is the sampled Trace riding this
         # request (almost always None) and ``queue_span`` the
         # currently-open lane-wait span.  The scheduler closes the spans
@@ -336,12 +343,12 @@ class _ClientFutures:
 
 
 class _LaneQueue:
-    """One routing key's pending requests, split into priority lanes.
+    """A scheduler's pending requests, split into priority lanes.
 
     Flush order is highest lane first, FIFO within a lane; sheds take
     the *newest* request of the *lowest* lane (it has waited least and
-    matters least).  The common all-lane-0 case degenerates to the
-    plain FIFO deque this class replaced.
+    matters least).  The common all-lane-0 case degenerates to a plain
+    FIFO deque.
     """
 
     __slots__ = ("lanes", "size")
@@ -350,12 +357,10 @@ class _LaneQueue:
         self.lanes: Dict[int, deque] = {}
         self.size = 0
 
-    def __len__(self) -> int:
-        return self.size
-
-    def append(self, request: _Request) -> None:
-        self.lanes.setdefault(request.lane, deque()).append(request)
-        self.size += 1
+    def extend(self, lane: int, requests: List[_Request]) -> None:
+        """Append requests of one ``lane``, in order."""
+        self.lanes.setdefault(lane, deque()).extend(requests)
+        self.size += len(requests)
 
     def oldest_enqueued_at(self) -> float:
         """Earliest enqueue time across lanes (age-out deadline)."""
@@ -410,21 +415,23 @@ class MicroBatchScheduler:
         ``delay`` and ``energy.total`` per-sample arrays (both
         :class:`~repro.core.engine.FeBiMEngine` and
         :class:`~repro.crossbar.tiling.TiledFeBiM` qualify).  Called on
-        the worker thread once per flushed batch; resolution errors
-        fail that batch's futures, not the scheduler.
+        the worker thread once per key and feature width of a flushed
+        batch; resolution errors fail that group's rows, not the
+        scheduler.
     policy:
         Coalescing bounds; defaults to ``BatchPolicy()``.
     telemetry:
         Shared counters; a private instance is created when omitted.
     max_queue_depth:
-        Bound on each routing key's backlog (``None`` = unbounded, the
-        legacy behaviour).  Arrivals at a full queue shed the cheapest
-        queued request or are rejected with :class:`Overloaded` — see
-        the module docstring's admission-control contract.
+        Bound on the scheduler's one queue, shared by every key it is
+        fed (``None`` = unbounded).  Rows that find it full displace the
+        cheapest queued request or are refused with :class:`Overloaded`
+        — see the module docstring's admission-control contract.
 
-    The scheduler owns one daemon worker thread.  ``submit`` never
-    blocks on inference — it enqueues and returns a future (unless the
-    caller opts into backpressure with ``block=True``).
+    The scheduler owns one daemon worker thread.  Every row enters
+    through :meth:`enqueue`, which never blocks on inference (unless the
+    caller opts into backpressure with ``block=True``); :meth:`submit`
+    and :meth:`submit_many` wrap it for clients that want futures.
     """
 
     def __init__(
@@ -443,15 +450,15 @@ class MicroBatchScheduler:
         # The owner of every direct submit's rows.
         self._direct = _ClientFutures(self.telemetry)
         self._scratch = default_pool()
+        self._queue = _LaneQueue()
         self._lock = threading.Lock()
+        # The batch worker waits on ``_wake``; drain, pause and
+        # backpressured enqueues wait on ``_progress``, which the worker
+        # notifies when a pop frees space or a batch finishes.
         self._wake = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
-        self._queues: Dict[Hashable, _LaneQueue] = {}
-        self._pending = 0
+        self._progress = threading.Condition(self._lock)
         self._inflight = 0
         self._paused = 0
-        self._quiet = threading.Condition(self._lock)
         self._draining = False
         self._closed = False
         self._worker = threading.Thread(
@@ -474,13 +481,10 @@ class MicroBatchScheduler:
         The future resolves to a :class:`ServedResult` (or raises the
         engine/resolution error that failed its batch).
 
-        ``priority`` is the request's lane (higher serves — and
-        survives sheds — first; only meaningful on a bounded queue).
-        With ``block=True`` a full queue exerts backpressure: the call
-        waits up to ``timeout`` seconds for space instead of shedding,
-        then raises :class:`Overloaded`.  A refused request is counted
-        before the raise — shed, or failed after shutdown
-        (:class:`SchedulerClosed`).
+        A one-row :meth:`enqueue` (``priority`` is its lane; ``block``
+        and ``timeout`` as there) that raises the refusal: a refused
+        request is counted first — shed (:class:`Overloaded`), or failed
+        after shutdown (:class:`SchedulerClosed`).
         """
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 1:
@@ -491,153 +495,21 @@ class MicroBatchScheduler:
             levels, time.monotonic(), int(priority), self._direct, Future()
         )
         self.telemetry.record_submitted()
-        try:
-            self._admit(key, request, block, timeout)
-        except (Overloaded, SchedulerClosed) as exc:
-            self._direct.failed([request], exc, ran=False)
-            raise
+        refusal = self.enqueue(key, [request], block, timeout)
+        if refusal is not None:
+            raise refusal
         return request.future
-
-    def _admit(
-        self,
-        key: Hashable,
-        request: _Request,
-        block: bool = False,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Queue one request under the admission contract.
-
-        Raises :class:`SchedulerClosed` after shutdown and
-        :class:`Overloaded` when a bounded queue refuses the request;
-        settling the refused request is the caller's.
-        """
-        lane = request.lane
-        victim: Optional[_Request] = None
-        rejection: Optional[Overloaded] = None
-        blocked_at: Optional[float] = None
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            while True:
-                if self._closed:
-                    raise SchedulerClosed("scheduler is shut down")
-                queue = self._queues.setdefault(key, _LaneQueue())
-                if (
-                    self.max_queue_depth is None
-                    or len(queue) < self.max_queue_depth
-                ):
-                    break
-                if block:
-                    # Backpressure: wait for the worker to make room.
-                    # The queue object may be deleted while we sleep
-                    # (worker drains it empty), so it is re-fetched at
-                    # the top of the loop.
-                    if blocked_at is None:
-                        blocked_at = time.monotonic()
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            rejection = Overloaded(
-                                f"queue for {key!r} still full after "
-                                f"{timeout:.3g} s of backpressure",
-                                key=key, depth=len(queue), lane=lane,
-                            )
-                            break
-                    self._space.wait(remaining)
-                    continue
-                victim = queue.shed_lowest(lane)
-                if victim is None:
-                    rejection = Overloaded(
-                        f"queue for {key!r} is full "
-                        f"({len(queue)}/{self.max_queue_depth}) and nothing "
-                        f"below priority {lane} is queued",
-                        key=key, depth=len(queue), lane=lane,
-                    )
-                break
-            if rejection is None:
-                if request.trace is not None:
-                    self._trace_admitted(key, request)
-                # The lane gauge rises before the row is visible to the
-                # worker: a drain recorded first would clamp at zero and
-                # leave this rise behind as a phantom queued row.  The
-                # telemetry lock is a leaf, so nesting it here is safe.
-                self.telemetry.record_lane_queued(lane)
-                queue.append(request)
-                if victim is None:
-                    self._pending += 1
-                # Waking the worker on *every* submit is a context-switch
-                # storm under load; it only needs to hear about a queue's
-                # first request (a new age-out deadline) or a queue just
-                # reaching a full batch.  Anything in between is covered
-                # by the deadline it is already sleeping on.
-                if len(queue) == 1 or len(queue) == self.policy.max_batch:
-                    self._wake.notify()
-        # Owners settle outside the lock: a displaced routed victim fails
-        # over, which takes other schedulers' locks.
-        if rejection is not None:
-            if request.trace is not None:
-                request.trace.add_span(
-                    "admit", request.enqueued_at, time.monotonic(),
-                    key=str(key), lane=lane, outcome="shed",
-                    depth=rejection.depth,
-                )
-            self.telemetry.emit(
-                "shed", key=str(key), lane=lane, depth=rejection.depth,
-                reason="backpressure_timeout" if block else "door",
-            )
-            raise rejection
-        if victim is not None:
-            self._displace(key, victim, lane)
-        if blocked_at is not None:
-            self.telemetry.emit(
-                "backpressure_block", key=str(key), lane=lane,
-                waited_ms=(time.monotonic() - blocked_at) * 1e3,
-            )
-
-    def _displace(self, key: Hashable, victim: _Request, lane: int) -> None:
-        """Hand a queued request shed to admit a priority-``lane``
-        arrival back to its owner as failed with :class:`Overloaded`
-        (a routed victim is busy, not broken: it spills to a sibling)."""
-        if victim.queue_span is not None:
-            victim.queue_span.end(outcome="shed")
-        self.telemetry.emit(
-            "displacement", key=str(key), lane=lane,
-            victim_lane=victim.lane, depth=self.max_queue_depth,
-        )
-        self.telemetry.record_lane_drained(victim.lane)
-        victim.owner.failed([victim], Overloaded(
-            f"shed from the queue for {key!r} by a priority-{lane} arrival",
-            key=key, depth=self.max_queue_depth, lane=victim.lane,
-        ), ran=False)
-
-    @staticmethod
-    def _trace_admitted(key: Hashable, request: _Request) -> None:
-        """Close the admit span and open the lane-wait span.
-
-        Runs under the lock, before the request becomes visible to the
-        worker — it may pop (and must close) the queue span the instant
-        the lock drops.
-        """
-        t_admitted = time.monotonic()
-        request.trace.add_span(
-            "admit", request.enqueued_at, t_admitted,
-            key=str(key), lane=request.lane,
-        )
-        request.queue_span = request.trace.span(
-            "queue", start_s=t_admitted, lane=request.lane
-        )
 
     def submit_many(
         self, key: Hashable, evidence_levels: np.ndarray, priority: int = 0
     ) -> List["Future[ServedResult]"]:
-        """Enqueue a stack of samples as independent requests.
+        """Enqueue a stack of samples as one chunk of independent requests.
 
-        A convenience for bulk submitters: one lock acquisition for the
-        whole stack, but each sample still gets its own future and may
-        land in a different micro-batch.  On a bounded queue each sample
-        goes through :meth:`submit`'s full admission path individually
-        (some may shed or be rejected — a rejected sample's future
-        carries the :class:`Overloaded` instead of raising).
+        Each sample gets its own future and may land in a different
+        micro-batch.  On a bounded queue some may displace cheaper rows
+        or be refused — a refused sample's future carries the
+        :class:`Overloaded` instead of raising; after shutdown the call
+        raises :class:`SchedulerClosed`.
         """
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 2:
@@ -660,81 +532,171 @@ class MicroBatchScheduler:
         key: Hashable,
         requests: List[_Request],
         block: bool = False,
+        timeout: Optional[float] = None,
     ) -> Optional[BaseException]:
-        """Queue prebuilt requests of one owner and one lane for ``key``.
+        """Queue a chunk — prebuilt rows of one owner and one lane — for
+        ``key``; the only way a row enters the queue.
 
-        The entry point of :meth:`submit_many` and of a replica's host.
-        An unbounded queue takes the whole stack under one lock
-        acquisition.  A bounded queue admits row by row under the
-        :meth:`submit` contract (displacement, ``block`` backpressure,
-        door rejection).  Nothing is raised: refused rows go back to
-        their owner as failed (``ran=False``), and the last refusal is
-        returned (``None`` when every row was queued).
+        The chunk is admitted under one lock acquisition (a blocked one
+        releases the lock only while it waits): the lane gauge rises
+        before any row is visible to the batch worker, which is woken
+        only for a new age-out deadline or a batch that just filled.  On
+        a bounded queue each row that finds it full, in order, waits for
+        space (with ``block``, up to ``timeout`` seconds; one
+        ``backpressure_block`` event per chunk that waited), displaces
+        the newest request of a lower lane (without ``block``), or is
+        refused together with the rows after it (one ``shed`` event
+        each).  Nothing is raised: refused rows go back to their owner
+        as failed (``ran=False``), displaced ones too, and the refusal —
+        :class:`Overloaded`, or :class:`SchedulerClosed` after shutdown
+        — is returned (``None`` when every row was queued).
         """
         if not requests:
             return None
-        refused: List[_Request] = []
+        lane = requests[0].lane
+        queue = self._queue
+        bound = self.max_queue_depth
+        max_batch = self.policy.max_batch
+        deadline = None if timeout is None else time.monotonic() + timeout
+        admitted = 0
+        victims: List[_Request] = []
         refusal: Optional[BaseException] = None
-        if self.max_queue_depth is not None:
-            for request in requests:
-                try:
-                    self._admit(key, request, block)
-                except (Overloaded, SchedulerClosed) as exc:
-                    refused.append(request)
-                    refusal = exc
-        else:
-            with self._lock:
+        blocked_at: Optional[float] = None
+        with self._lock:
+            while True:
                 if self._closed:
-                    refused = requests
                     refusal = SchedulerClosed("scheduler is shut down")
-                else:
-                    self._append(key, requests)
+                    break
+                rows = requests[admitted:]
+                if bound is not None:
+                    room = bound - queue.size
+                    while room < len(rows) and not block:
+                        victim = queue.shed_lowest(lane)
+                        if victim is None:
+                            break
+                        victims.append(victim)
+                        room += 1
+                    rows = rows[:room]
+                if rows:
+                    # The lane gauge rises before the rows are visible
+                    # to the worker: a drain recorded first would clamp
+                    # at zero and leave this rise behind as a phantom
+                    # queued row.  The telemetry lock is a leaf, so
+                    # nesting it here is safe.
+                    self.telemetry.record_lane_queued(lane, len(rows))
+                    for request in rows:
+                        request.key = key
+                        if request.trace is not None:
+                            self._trace_admitted(key, request)
+                    before = queue.size
+                    queue.extend(lane, rows)
+                    admitted += len(rows)
+                    # Waking the worker for every row is a context-switch
+                    # storm under load; it only needs to hear about a
+                    # new age-out deadline or a batch that just filled.
+                    if before == 0 or before < max_batch <= queue.size:
+                        self._wake.notify()
+                if admitted == len(requests):
+                    break
+                if not block:
+                    refusal = Overloaded(
+                        f"queue for {key!r} is full ({queue.size}/{bound}) "
+                        f"and nothing below priority {lane} is queued",
+                        key=key, depth=queue.size, lane=lane,
+                    )
+                    break
+                if blocked_at is None:
+                    blocked_at = time.monotonic()
+                if not self._progress.wait_for(
+                    lambda: self._closed or queue.size < bound,
+                    None if deadline is None else deadline - time.monotonic(),
+                ):
+                    refusal = Overloaded(
+                        f"queue for {key!r} still full after "
+                        f"{timeout:.3g} s of backpressure",
+                        key=key, depth=queue.size, lane=lane,
+                    )
+                    break
+        # Owners settle outside the lock: a displaced or refused routed
+        # row fails over, which takes other schedulers' locks.
+        for victim in victims:
+            self._displace(victim, lane)
+        refused = requests[admitted:]
+        if isinstance(refusal, Overloaded):
+            now = time.monotonic()
+            reason = "backpressure_timeout" if block else "door"
+            for request in refused:
+                if request.trace is not None:
+                    request.trace.add_span(
+                        "admit", request.enqueued_at, now, key=str(key),
+                        lane=lane, outcome="shed", depth=refusal.depth,
+                    )
+                self.telemetry.emit(
+                    "shed", key=str(key), lane=lane, depth=refusal.depth,
+                    reason=reason,
+                )
         if refused:
             refused[0].owner.failed(refused, refusal, ran=False)
+        if blocked_at is not None:
+            self.telemetry.emit(
+                "backpressure_block", key=str(key), lane=lane,
+                waited_ms=(time.monotonic() - blocked_at) * 1e3,
+            )
         return refusal
 
-    def _append(self, key: Hashable, requests: List[_Request]) -> None:
-        """Queue a whole stack (the unbounded path); under the lock."""
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = self._queues[key] = _LaneQueue()
-        before = len(queue)
-        # As in _admit: the gauge rises before any row is visible.
-        self.telemetry.record_lane_queued(requests[0].lane, len(requests))
-        for request in requests:
-            if request.trace is not None:
-                self._trace_admitted(key, request)
-            queue.append(request)
-        self._pending += len(requests)
-        # As in _admit: wake the worker only for a new age-out deadline
-        # or a batch that just filled.
-        if before == 0 or before < self.policy.max_batch <= len(queue):
-            self._wake.notify()
+    def _displace(self, victim: _Request, lane: int) -> None:
+        """Hand a queued request shed to admit a priority-``lane``
+        arrival back to its owner as failed with :class:`Overloaded`
+        (a routed victim is busy, not broken: it spills to a sibling)."""
+        if victim.queue_span is not None:
+            victim.queue_span.end(outcome="shed")
+        self.telemetry.emit(
+            "displacement", key=str(victim.key), lane=lane,
+            victim_lane=victim.lane, depth=self.max_queue_depth,
+        )
+        self.telemetry.record_lane_drained(victim.lane)
+        victim.owner.failed([victim], Overloaded(
+            f"shed from the queue for {victim.key!r} by a priority-{lane} "
+            f"arrival",
+            key=victim.key, depth=self.max_queue_depth, lane=victim.lane,
+        ), ran=False)
+
+    @staticmethod
+    def _trace_admitted(key: Hashable, request: _Request) -> None:
+        """Close the admit span and open the lane-wait span.
+
+        Runs under the lock, before the request becomes visible to the
+        worker — it may pop (and must close) the queue span the instant
+        the lock drops.
+        """
+        t_admitted = time.monotonic()
+        request.trace.add_span(
+            "admit", request.enqueued_at, t_admitted,
+            key=str(key), lane=request.lane,
+        )
+        request.queue_span = request.trace.span(
+            "queue", start_s=t_admitted, lane=request.lane
+        )
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Flush every queue now and wait until all requests resolved.
+        """Flush the queue now and wait until all requests resolved.
 
         Returns ``True`` when the scheduler went idle within
         ``timeout`` seconds (``None`` = wait forever).
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             self._draining = True
             self._wake.notify()
             try:
-                while self._pending or self._inflight:
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            return False
-                    self._idle.wait(remaining)
+                return self._progress.wait_for(
+                    lambda: not self._queue.size and not self._inflight,
+                    timeout,
+                )
             finally:
                 # Also on timeout: leaving the flag set would force
                 # every future batch to flush immediately, silently
                 # collapsing coalescing to per-request calls.
                 self._draining = False
-        return True
 
     def pause(self, timeout: Optional[float] = None) -> bool:
         """Stop launching batches and wait out the in-flight one.
@@ -748,22 +710,16 @@ class MicroBatchScheduler:
         (and does not pause) if the in-flight batch fails to finish
         within ``timeout`` seconds.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             self._paused += 1
-            while self._inflight:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._paused -= 1
-                        self._wake.notify()
-                        return False
-                self._quiet.wait(remaining)
-        return True
+            if self._progress.wait_for(lambda: not self._inflight, timeout):
+                return True
+            self._paused -= 1
+            self._wake.notify()
+            return False
 
     def resume(self) -> None:
-        """Undo one :meth:`pause`; the worker picks queues back up."""
+        """Undo one :meth:`pause`; the worker picks the queue back up."""
         with self._lock:
             if self._paused == 0:
                 raise RuntimeError("resume() without a matching pause()")
@@ -801,14 +757,11 @@ class MicroBatchScheduler:
             if self._closed:
                 return
             self._closed = True
-            cancelled = []
-            for queue in self._queues.values():
-                cancelled.extend(queue.drain_all())
-            self._pending -= len(cancelled)
+            cancelled = self._queue.drain_all()
             self._wake.notify()
-            # Blocked (backpressure) submitters must observe _closed
-            # and raise SchedulerClosed instead of sleeping forever.
-            self._space.notify_all()
+            # Backpressured enqueues must observe _closed and refuse
+            # their rows instead of sleeping forever.
+            self._progress.notify_all()
         self._drained(cancelled)
         for request in cancelled:
             if request.queue_span is not None:
@@ -826,7 +779,7 @@ class MicroBatchScheduler:
         there, while contending with the batch worker for the lock is
         not.
         """
-        return self._pending
+        return self._queue.size
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self
@@ -835,57 +788,31 @@ class MicroBatchScheduler:
         self.shutdown(drain=exc == (None, None, None))
 
     # ---------------------------------------------------------------- worker
-    def _next_ready_key(self, now: float):
-        """(key, deadline): a key due for flushing, or the earliest deadline.
-
-        Called under the lock.  Returns ``(key, None)`` when ``key``
-        must flush now, ``(None, deadline)`` to sleep until the earliest
-        age-out, or ``(None, None)`` when everything is empty.
-        """
-        max_wait = self.policy.max_wait_ms / 1e3
-        earliest = None
-        for key, queue in self._queues.items():
-            if not queue:
-                continue
-            if self._draining or len(queue) >= self.policy.max_batch:
-                return key, None
-            deadline = queue.oldest_enqueued_at() + max_wait
-            if deadline <= now:
-                return key, None
-            if earliest is None or deadline < earliest:
-                earliest = deadline
-        return None, earliest
-
     def _run(self) -> None:
+        queue = self._queue
+        max_batch = self.policy.max_batch
+        max_wait = self.policy.max_wait_ms / 1e3
         while True:
             with self._lock:
                 while True:
                     if self._closed:
                         return
-                    if self._paused:
-                        self._wake.wait()
-                        continue
-                    key, deadline = self._next_ready_key(time.monotonic())
-                    if key is not None:
-                        break
-                    self._wake.wait(
-                        None if deadline is None
-                        else max(deadline - time.monotonic(), 0.0)
-                    )
-                queue = self._queues[key]
-                popped = queue.pop_batch(
-                    min(len(queue), self.policy.max_batch)
-                )
-                if not queue:
-                    # Retired routing keys (e.g. superseded model
-                    # versions) must not accumulate empty queues the
-                    # scan above would walk forever.
-                    del self._queues[key]
-                self._pending -= len(popped)
+                    wait = None
+                    if queue.size and not self._paused:
+                        if self._draining or queue.size >= max_batch:
+                            break
+                        wait = (
+                            queue.oldest_enqueued_at() + max_wait
+                            - time.monotonic()
+                        )
+                        if wait <= 0:
+                            break
+                    self._wake.wait(wait)
+                popped = queue.pop_batch(max_batch)
                 self._inflight += len(popped)
                 if self.max_queue_depth is not None:
-                    # Room just opened up for backpressured submitters.
-                    self._space.notify_all()
+                    # Room just opened up for backpressured enqueues.
+                    self._progress.notify_all()
             self._drained(popped)
             # Each owner claims its rows before the read: a row its
             # client already cancelled drops out here, unread.
@@ -894,33 +821,33 @@ class MicroBatchScheduler:
                 batch += owner.claim(list(run))
             try:
                 if batch:
-                    self._execute(key, batch)
+                    self._execute(batch)
             finally:
                 with self._lock:
                     self._inflight -= len(popped)
-                    if not self._inflight:
-                        self._quiet.notify_all()
-                    if not self._pending and not self._inflight:
-                        self._idle.notify_all()
+                    self._progress.notify_all()
 
-    def _execute(self, key: Hashable, batch: List[_Request]) -> None:
+    def _execute(self, batch: List[_Request]) -> None:
         started = time.monotonic()
-        try:
-            engine = self.resolve_engine(key)
-        except BaseException as exc:  # noqa: BLE001 — failures go to owners
-            self._fail(batch, started, exc)
-            return
-        # Requests are stacked per feature width so one malformed
-        # request can only fail its own group, never the well-formed
-        # requests that happened to share the coalescing window.
+        # Rows are read per routing key and feature width, so one key
+        # whose engine fails to resolve, or one malformed request, can
+        # only fail its own group, never the well-formed requests that
+        # happened to share the coalescing window.
         groups: Dict[tuple, List[_Request]] = {}
         for request in batch:
-            groups.setdefault(request.levels.shape, []).append(request)
-        for group in groups.values():
+            groups.setdefault(
+                (request.key, request.levels.shape), []
+            ).append(request)
+        for (key, _), group in groups.items():
+            try:
+                engine = self.resolve_engine(key)
+            except BaseException as exc:  # noqa: BLE001 — failures go to owners
+                self._fail(group, started, exc)
+                continue
             self._execute_group(key, engine, group, started)
 
     def _drained(self, requests: List[_Request]) -> None:
-        """Lower the lane gauge for rows that left their queues."""
+        """Lower the lane gauge for rows that left the queue."""
         by_lane: Dict[int, int] = {}
         for request in requests:
             by_lane[request.lane] = by_lane.get(request.lane, 0) + 1

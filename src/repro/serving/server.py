@@ -406,23 +406,22 @@ class FeBiMServer:
         self.router.ledger = None
 
     def sample_hardware(self):
-        """One device-health sweep over every deployment's replicas.
+        """One device-health sweep over the replicas of every deployment
+        the router serves, implicit ones included.
 
         Returns the flat list of
         :class:`~repro.reliability.observability.DeviceHealthSample`
         rows (recorded into the armed ledger), or ``None`` when
-        observability is off.  Per-deployment failures are isolated —
-        a deployment racing an undeploy is skipped, not fatal.
+        observability is off.
         """
         if self.observability is None:
             return None
-        samples = []
-        for name in list(self.router.deployments()):
-            try:
-                samples.extend(self.router.hardware_status(name))
-            except KeyError:
-                continue  # undeployed between the snapshot and the sweep
-        return samples
+        router = self.router
+        return [
+            router._hardware_sample(dep, replica)
+            for dep in router._all()
+            for replica in dep.replicas
+        ]
 
     def sample_metrics(self):
         """Fold one telemetry snapshot into the metrics ring (no-op

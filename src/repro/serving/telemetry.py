@@ -248,13 +248,12 @@ class Telemetry:
     ----------
     max_batch:
         The scheduler's coalescing limit, used for occupancy.
-    window:
-        Ring-buffer capacity for latency percentile queries.
+
+    Latency percentiles read the last :data:`LATENCY_WINDOW` completions.
     """
 
-    def __init__(self, max_batch: int, window: int = LATENCY_WINDOW):
+    def __init__(self, max_batch: int):
         self.max_batch = check_positive_int(max_batch, "max_batch")
-        check_positive_int(window, "window")
         #: Optional :class:`~repro.serving.observability.FlightRecorder`.
         #: Left ``None`` until observability is armed, so :meth:`emit`
         #: is a single attribute check on the hot path.
@@ -268,7 +267,7 @@ class Telemetry:
         self._batched_samples = 0
         self._occupancy_sum = 0.0
         self._per_model: Dict[str, int] = {}
-        self._latencies = deque(maxlen=window)
+        self._latencies = deque(maxlen=LATENCY_WINDOW)
         self._health_checks = 0
         self._canary_failures = 0
         self._refreshes = 0

@@ -42,10 +42,13 @@ round-trips every modelled delay and energy bit for bit.
 
 Typed scheduler errors survive the boundary: :func:`encode_error` /
 :func:`decode_error` rebuild :class:`~repro.serving.scheduler.Overloaded`
-(with key/depth/lane) and :class:`~repro.backends.base.CapabilityError`
-(with backend/capability) on the client side, so cluster callers catch
-exactly the exceptions the in-process path raises.  Anything else
-degrades to :class:`RemoteWorkerError` carrying the original type name.
+(with key/depth/lane), :class:`~concurrent.futures.CancelledError` (a
+row a worker's queue cancelled) and
+:class:`~repro.backends.base.CapabilityError` (with backend/capability)
+on the client side, so cluster callers catch exactly the exceptions the
+in-process path raises.  Anything else degrades to
+:class:`RemoteWorkerError` carrying the original type name (so does an
+error type a peer does not know).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import json
 import socket
 import struct
 import threading
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -271,6 +275,8 @@ def encode_error(exc: BaseException) -> dict:
             "depth": exc.depth,
             "lane": exc.lane,
         }
+    if isinstance(exc, CancelledError):
+        return {"type": "cancelled", "message": str(exc)}
     if isinstance(exc, CapabilityError):
         return {
             "type": "capability",
@@ -295,6 +301,8 @@ def decode_error(payload: dict) -> BaseException:
             depth=int(payload.get("depth", 0)),
             lane=int(payload.get("lane", 0)),
         )
+    if etype == "cancelled":
+        return CancelledError(payload.get("message", ""))
     if etype == "capability":
         exc = CapabilityError.__new__(CapabilityError)
         RuntimeError.__init__(exc, payload.get("message", "capability error"))

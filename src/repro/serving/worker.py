@@ -44,6 +44,7 @@ import socket
 import threading
 import time
 import traceback
+from concurrent.futures import CancelledError
 from typing import Dict, List
 
 import numpy as np
@@ -139,7 +140,9 @@ class _Block:
         self._settle((row, exc) for row in rows)
 
     def cancel(self, rows: List[_Request]) -> None:
-        self.failed(rows, RuntimeError("request cancelled in worker"), False)
+        # Typed on the wire, so the front end settles these rows as
+        # cancelled, as a local queue would.
+        self.failed(rows, CancelledError(), False)
 
     def _settle(self, outcomes) -> None:
         """Record each ``(row, outcome)`` pair unless the row already

@@ -6,12 +6,14 @@ chaos scenario (SIGKILL mid-burst) is additionally exercised every CI
 run by ``benchmarks/bench_cluster.py``.
 """
 
+import itertools
 import math
 import queue
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.serving.transport import (
     make,
     protocol,
 )
+from repro.serving.scheduler import _Request
 from repro.serving.worker import WorkerHost, _Block
 
 POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
@@ -428,6 +431,25 @@ class _FakeConnection:
                 return message
 
 
+class _StubOwner:
+    """Row owner that records the settlement calls it receives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def claim(self, rows):
+        return rows
+
+    def served(self, rows, results, finished):
+        self.calls.append(("served", rows))
+
+    def failed(self, rows, exc, ran):
+        self.calls.append(("failed", rows))
+
+    def cancel(self, rows):
+        self.calls.append(("cancel", rows))
+
+
 class TestWorkerReplies:
     def test_unencodable_result_is_answered_with_an_error(
         self, registry_root, monkeypatch
@@ -461,6 +483,54 @@ class TestWorkerReplies:
             assert rebuilt.exc_type == "ProtocolError"
         finally:
             host.close()
+
+    def test_worker_cancellations_reply_as_cancellations(self, registry_root):
+        """Rows a non-draining retire cancels in the worker's queue come
+        back typed as cancellations, not as remote failures."""
+        conn = _FakeConnection()
+        host = WorkerHost("w0", conn, {"registry_root": registry_root,
+                                       "seed": 0, "max_batch": 64})
+        try:
+            host._dispatch(make("place", id="c1", placement="p0", host={
+                "name": "iris", "version": 1, "index": 0,
+                "spec": ReplicaSpec("fefet").to_dict(), "key": "iris@v1#r0",
+                "max_queue_depth": None,
+            }, fresh=False))
+            assert conn.next("done")["id"] == "c1"
+            assert host.hosts["p0"].scheduler.pause(timeout=5)
+            host._dispatch(make("request", id="r1", placement="p0",
+                                levels=[[0, 1, 2]] * 3, priority=0))
+            host._dispatch(make("retire", id="c2", placement="p0",
+                                drain=False))
+            reply = conn.next("result")
+            assert reply["id"] == "r1"
+            outcomes = protocol.decode_block(reply["result"])
+            assert [type(o) for o in outcomes] == [CancelledError] * 3
+            assert conn.next("done")["id"] == "c2"
+        finally:
+            host.close()
+
+    def test_settle_hands_cancelled_rows_to_their_owner(self):
+        """The front end settles rows its worker cancelled with one
+        ``cancel`` call, as a local queue's shutdown would."""
+        lock = threading.Lock()
+        pool = SimpleNamespace(_ids=itertools.count(), _lock=lock,
+                               _settled=threading.Condition(lock))
+        remote = cluster_module._RemoteHost(pool, None, None, {})
+        owner = _StubOwner()
+        rows = [
+            _Request(np.array([0, 1, 2]), time.monotonic(), 0, owner)
+            for _ in range(3)
+        ]
+        remote.pending = len(rows)
+        body = protocol.encode_block(
+            "iris@v1#r0",
+            {name: [None] * len(rows) for name in protocol.RESULT_COLUMNS},
+            [(i, CancelledError()) for i in range(len(rows))],
+        )
+        remote._settle(rows, protocol.decode_block(body))
+        assert owner.calls == [("cancel", rows)]
+        assert remote.pending == 0
 
     def test_block_replies_once_under_racing_resolutions(self):
         """Rows of one block resolved from many threads at once, each

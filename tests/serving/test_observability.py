@@ -324,6 +324,18 @@ class TestServerWiring:
         assert point.replicas == count_replicas(server) == 1
         assert obs.metrics.points()[-1] is point
 
+    def test_implicit_tenants_reach_the_hardware_plane(self, server):
+        """Undeployed models serve through implicit deployments; the
+        device-health sweep and the replica gauge count those too."""
+        server.register("beta", make_model(seed=2))
+        obs = server.enable_observability()
+        for name in ("alpha", "beta"):
+            server.predict(name, np.array([0, 1, 2]), timeout=5)
+        samples = server.sample_hardware()
+        assert len(samples) == len(obs.ledger) == 2
+        assert [s.replica.split("@")[0] for s in samples] == ["alpha", "beta"]
+        assert count_replicas(server) == 2
+
     def test_submit_many_traces_each_request(self, server):
         obs = server.enable_observability(trace_rate=1.0)
         futures = server.submit_many("alpha", np.zeros((4, 3), dtype=int))

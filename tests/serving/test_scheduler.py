@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serving import BatchPolicy, MicroBatchScheduler, SchedulerClosed
+from repro.serving.observability import FlightRecorder
 from repro.serving.scheduler import Overloaded, _Request
 from repro.serving.telemetry import Telemetry
 
@@ -273,16 +274,6 @@ class TestLifecycle:
             # The force-flush flag must not stay latched after a timeout.
             assert sched._draining is False
             assert sched.drain(timeout=10) is True
-        finally:
-            sched.shutdown()
-
-    def test_empty_queues_are_retired(self):
-        sched, _ = make_scheduler(max_batch=4, max_wait_ms=0.5)
-        try:
-            for key in ("m@v1", "m@v2", "m@v3"):
-                sched.submit("m", np.array([1]))
-            assert sched.drain(timeout=10)
-            assert sched._queues == {}
         finally:
             sched.shutdown()
 
@@ -621,3 +612,109 @@ class TestRowOwners:
             2, 1, 1,
         )
         assert snapshot.in_flight == 0
+
+
+class TestOneAdmissionPath:
+    """Every row enters through ``enqueue``: a chunk is admitted under
+    one lock, into the scheduler's one queue."""
+
+    @staticmethod
+    def bounded(depth):
+        """A depth-bounded scheduler whose worker is held inside its
+        first batch, with a flight recorder on its telemetry."""
+        engine = RecordingEngine(gated=True)
+        sched = MicroBatchScheduler(
+            lambda key: engine,
+            BatchPolicy(max_batch=1, max_wait_ms=0.0),
+            max_queue_depth=depth,
+        )
+        sched.telemetry.recorder = FlightRecorder()
+        running = sched.submit("m", np.array([0, 0]))
+        assert engine.started.wait(5)  # the worker is inside batch 1
+        return sched, engine, running
+
+    def test_higher_lane_chunk_displaces_newest_first_refuses_the_rest(self):
+        sched, engine, running = self.bounded(depth=2)
+        low, high = RecordingOwner(), RecordingOwner()
+        queued = low.rows(2, lane=0)
+        chunk = high.rows(4, lane=5)
+        try:
+            assert sched.enqueue("m", queued) is None
+            refusal = sched.enqueue("m", chunk)
+            assert isinstance(refusal, Overloaded) and refusal.lane == 5
+            # Both lane-0 rows were displaced, newest first, unread.
+            assert [(kind, rows) for kind, rows, _ in low.calls] == [
+                ("failed", [queued[1]]), ("failed", [queued[0]]),
+            ]
+            for _, _, detail in low.calls:
+                assert isinstance(detail["exc"], Overloaded)
+                assert detail["ran"] is False
+            # The two rows left over were refused in one call.
+            (kind, rows, detail), = high.calls
+            assert (kind, rows, detail["ran"]) == ("failed", chunk[2:], False)
+            assert detail["exc"] is refusal
+            kinds = [e.kind for e in sched.telemetry.recorder.events()]
+            assert kinds.count("displacement") == 2
+            assert kinds.count("shed") == 2
+            engine.release.set()
+            assert running.result(timeout=5)
+            assert sched.drain(timeout=5)
+            high.assert_settled_once(chunk[:2], "served", claimed=True)
+            assert sched.telemetry.snapshot().lane_depth == {}
+        finally:
+            engine.release.set()
+            sched.shutdown()
+
+    def test_blocking_chunk_refuses_the_rows_still_out_at_its_timeout(self):
+        sched, engine, running = self.bounded(depth=2)
+        owner = RecordingOwner()
+        chunk = owner.rows(4)
+        try:
+            refusal = sched.enqueue("m", chunk, block=True, timeout=0.05)
+            assert isinstance(refusal, Overloaded)
+            (kind, rows, detail), = owner.calls
+            assert (kind, rows, detail["ran"]) == ("failed", chunk[2:], False)
+            assert detail["exc"] is refusal
+            events = sched.telemetry.recorder.events()
+            assert [
+                e.detail["reason"] for e in events if e.kind == "shed"
+            ] == ["backpressure_timeout"] * 2
+            assert [e.kind for e in events].count("backpressure_block") == 1
+            engine.release.set()
+            assert running.result(timeout=5)
+            assert sched.drain(timeout=5)
+            owner.assert_settled_once(chunk[:2], "served", claimed=True)
+        finally:
+            engine.release.set()
+            sched.shutdown()
+
+    def test_rows_of_two_keys_in_one_batch_are_read_as_two_groups(self):
+        engines = {"a": RecordingEngine(), "b": RecordingEngine()}
+        sched = MicroBatchScheduler(
+            lambda key: engines[key], BatchPolicy(max_batch=8, max_wait_ms=0.0)
+        )
+        owner = RecordingOwner()
+        rows_a, rows_b = owner.rows(2), owner.rows(3)
+        try:
+            assert sched.pause(timeout=5)
+            sched.enqueue("a", rows_a)
+            sched.enqueue("b", rows_b)
+            sched.resume()
+            assert sched.drain(timeout=5)
+            # One batch, claimed once, read and settled per key.
+            assert [(kind, rows) for kind, rows, _ in owner.calls] == [
+                ("claim", rows_a + rows_b),
+                ("served", rows_a),
+                ("served", rows_b),
+            ]
+            assert [len(b) for b in engines["a"].batches] == [2]
+            assert [len(b) for b in engines["b"].batches] == [3]
+            models = [
+                (result.model, result.batch_size)
+                for kind, _, detail in owner.calls if kind == "served"
+                for result in detail["results"]
+            ]
+            assert models == [("a", 2)] * 2 + [("b", 3)] * 3
+            assert sched.telemetry.snapshot().batches == 2
+        finally:
+            sched.shutdown()
