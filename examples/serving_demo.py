@@ -78,8 +78,8 @@ def main() -> None:
 
             # Hot model update: re-register wine (here: freshly retrained
             # at a finer likelihood precision) and keep serving — the
-            # registry invalidates the cached v1 engine, so the very next
-            # request is routed to v2.
+            # registry invalidates wine, so the router drains its v1
+            # route and the very next request is routed to v2.
             wine_v2, _, _ = train_tenant("wine", seed=7)
             new_version = server.register(
                 "wine", wine_v2.quantized_model_, wine_v2.engine_.spec

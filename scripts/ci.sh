@@ -2,7 +2,10 @@
 # Tier-1 CI gate (documented in ROADMAP.md).
 #
 # Fourteen stages, strictly ordered so the cheapest failure fires first:
-#   1. compile-all  — every file under src/ must byte-compile;
+#   1. compile-all  — every file under src/ must byte-compile; then one
+#      informational line, never a gate, prints the code-line total of
+#      src/repro/serving (scripts/code_lines.py), the size ROADMAP aim 2
+#      tracks, so every CI log carries it;
 #   2. tier-1       — the fast default suite (slow marks skipped);
 #   3. slow-tier check — the --runslow split must stay wired: slow-marked
 #      tests have to exist and collect cleanly (run them too with
@@ -76,6 +79,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== stage 1/14: compile-all =="
 python -m compileall -q src
+# Informational only: a failure here never fails the gate.
+echo "serving code lines: $(python scripts/code_lines.py src/repro/serving | tail -1 || true)"
 
 echo "== stage 2/14: tier-1 (pytest -x -q) =="
 python -m pytest -x -q

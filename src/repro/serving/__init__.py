@@ -6,7 +6,8 @@ stream of independent single-sample requests.  This package bridges the
 two:
 
 * :class:`ModelRegistry` — named, versioned model persistence (plain
-  JSON via :mod:`repro.io`) with an LRU cache of programmed engines;
+  JSON via :mod:`repro.io`); every ``get_engine`` call programs a new
+  engine, owned by the replica host that asked for it;
 * :class:`MicroBatchScheduler` — a thread-safe queue that coalesces
   pending requests per model into batched crossbar reads under a
   ``max_batch`` / ``max_wait_ms`` policy, resolving per-request futures;

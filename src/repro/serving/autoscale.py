@@ -379,7 +379,7 @@ class AutoscaleController:
                 self._step, "hold", "refusing to retire the last replica"
             )
         # Retire the newest replica first (LIFO): the spec-declared
-        # floor replicas keep their sticky clients and cache entries.
+        # floor replicas keep their sticky clients and their arrays.
         victim = max(serviceable, key=lambda s: s.index)
         status = router.retire_replica(self.model, victim.index)
         slot_label = None

@@ -15,8 +15,9 @@ A worker-hosted replica's host is a :class:`_RemoteHost`: each
 per-replica control frames (:mod:`repro.serving.transport.protocol`)
 that the worker answers by calling the same
 :class:`~repro.serving.host.ReplicaHost` methods a local replica's host
-runs.  Placement ids are minted here, one per placement, so a worker
-can hold an old and a new ``r0`` at once during a re-apply.
+runs.  Placement ids are minted here, one per host (the replace rung
+keeps it, a re-placement on another worker mints a new one), so a
+worker can hold an old and a new ``r0`` at once during a re-apply.
 
 The :class:`WorkerPool` is the supervision half, run first in every
 maintenance sweep (:meth:`~repro.serving.router.Router.check_all`):
@@ -116,9 +117,9 @@ class _WorkerHandle:
 
 
 class _RemoteHost:
-    """A worker-hosted replica's host, seen from the front end: one
-    placement of the replica on one worker (a re-placed replica gets a
-    new host, which makes failure seen through this one stale evidence).
+    """A worker-hosted replica's host, seen from the front end: the
+    replica on one worker, under the placement id ``placement`` (a
+    replica re-placed on another worker gets a new host and id).
 
     Its queue (:meth:`enqueue`) ships one hop's rows as one ``request``
     frame with one pending entry; the worker's columnar reply, an
@@ -129,9 +130,10 @@ class _RemoteHost:
     is ignored — backpressure is the worker scheduler's, and never
     blocks a frame.  ``pending`` counts the front end's in-flight rows,
     the cost policy's signal, kept without a round trip.  The control
-    methods mirror :class:`~repro.serving.host.ReplicaHost`'s; each
-    quiesces the replica in the worker, and raises :class:`WorkerLost`
-    when the worker is gone.
+    methods mirror :class:`~repro.serving.host.ReplicaHost`'s (and
+    :meth:`place` renews the placement token ``placed`` the same way);
+    each quiesces the replica in the worker, and raises
+    :class:`WorkerLost` when the worker is gone.
     """
 
     def __init__(self, pool: "WorkerPool", worker: _WorkerHandle, replica,
@@ -141,6 +143,7 @@ class _RemoteHost:
         self.replica = replica
         self.identity = identity
         self.placement = f"p{next(pool._ids)}"
+        self.placed = None
         self.pending = 0
         self.retired = False
 
@@ -230,13 +233,13 @@ class _RemoteHost:
             self.worker, kind, timeout, placement=self.placement, **fields
         )["result"]
 
-    def place(self, canaries=None, fresh: bool = False) -> Optional[CanaryRead]:
+    def place(self, canaries=None) -> Optional[CanaryRead]:
         read = self._call(
             "place",
             host=self.identity,
             canaries=None if canaries is None else np.asarray(canaries).tolist(),
-            fresh=fresh,
         )
+        self.placed = object()
         return None if read is None else CanaryRead.from_fields(read)
 
     def read(self, levels) -> CanaryRead:

@@ -3,7 +3,7 @@
 PR 4 left the serving layer one constructor change away from
 replication: the registry knows the array technology per artifact, but
 :class:`~repro.serving.server.FeBiMServer` could route a request to
-exactly one cached engine.  A :class:`Deployment` closes that gap
+exactly one engine per model.  A :class:`Deployment` closes that gap
 declaratively — it names a registered model, lists the
 :class:`ReplicaSpec` arrays that should serve it (each on its own
 backend technology, with its own backend options and capacity weight)

@@ -3,15 +3,17 @@
 A :class:`ReplicaHost` is one replica's programmed engine and the
 :class:`~repro.serving.scheduler.MicroBatchScheduler` that feeds it.
 The :class:`~repro.serving.router.Router` owns every replica and calls
-its host for everything that touches the array — materialise and probe
-(:meth:`ReplicaHost.place`, which with ``fresh=True`` is the heal
+its host for everything that touches the array — program and probe
+(:meth:`ReplicaHost.place`, which on a placed replica is the heal
 ladder's replace rung), the canary read, refresh (``program``), spare
 repair, the hardware inventory, kill and retire — and queues routed
-rows on it (:meth:`ReplicaHost.enqueue`).  A ``placement: local``
-replica's host lives in process.  A ``placement: process`` replica's
-host lives in a worker process (:mod:`repro.serving.worker`), which
-answers the front end's per-replica control frames by calling these
-same methods, so the engine-side code is written once.
+rows on it (:meth:`ReplicaHost.enqueue`).  The host is the only owner
+of the engine it programs: the registry hands each call a new array.
+A ``placement: local`` replica's host lives in process.  A
+``placement: process`` replica's host lives in a worker process
+(:mod:`repro.serving.worker`), which answers the front end's
+per-replica control frames by calling these same methods, so the
+engine-side code is written once.
 
 Every call that reads or reprograms the array runs under the
 scheduler's quiesce, so no canary read or reprogram ever interleaves
@@ -100,38 +102,24 @@ def replica_stream_seed(
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def replica_engine(server, name: str, version: int, index: int, spec,
-                   fresh: bool = False):
-    """Program (or fetch from the registry cache) the engine replica
-    ``index`` of ``name`` v``version`` serves on ``spec``, under
-    ``server``'s registry, seed and ``max_rows``; ``fresh=True`` forces
-    new hardware that takes over the cache slot without touching the
-    model's other cached engines."""
+def replica_engine(server, name: str, version: int, index: int, spec):
+    """Program a new engine for replica ``index`` of ``name``
+    v``version`` on ``spec``, under ``server``'s registry, seed and
+    ``max_rows``."""
     registry = server.registry
     # A replica on the registry's own technology with no options of
-    # its own inherits the registry's serving configuration — and
-    # therefore an implicit deployment's cache key (single-replica
+    # its own inherits the registry's serving configuration, so it
+    # programs the engine an implicit deployment would (single-replica
     # bit-identity, enforced by tests/serving/test_router.py).
     backend = None if spec.backend == registry.backend else spec.backend
     options = spec.backend_options or (None if backend is None else {})
-    seed = replica_stream_seed(server.seed, name, version, index)
-    if seed is None and index > 0:
-        # A seedless server draws fresh entropy per engine, but the
-        # registry caches seed=None configurations under one key —
-        # which would collapse same-backend replicas into a single
-        # shared engine (no real redundancy, and a data race on
-        # stateful readers).  A Generator seed keeps the fresh
-        # entropy while bypassing the cache; replica 0 stays on the
-        # cached entry.
-        seed = np.random.default_rng()
     return registry.get_engine(
         name,
         version,
         max_rows=server.max_rows,
-        seed=seed,
+        seed=replica_stream_seed(server.seed, name, version, index),
         backend=backend,
         backend_options=options,
-        fresh=fresh,
     )
 
 
@@ -156,6 +144,7 @@ class ReplicaHost:
         self.key = key
         self.wrap = wrap
         self.engine = None
+        self.placed = None  # this placement's token; see place()
         self.scheduler = MicroBatchScheduler(
             lambda _key: self.resolve(),
             policy=server.policy,
@@ -188,24 +177,25 @@ class ReplicaHost:
         return self.scheduler.quiesce(timeout)
 
     # ------------------------------------------------------------ programming
-    def _materialise(self, fresh: bool):
-        """Program (or fetch from the registry cache) this replica's
-        engine, wrapped; see :func:`replica_engine`."""
-        engine = replica_engine(
-            self.server, self.name, self.version, self.index, self.spec, fresh
-        )
-        return engine if self.wrap is None else self.wrap(engine)
+    def place(self, canaries=None) -> Optional[CanaryRead]:
+        """Program a new engine, swap it in and probe it on ``canaries``.
 
-    def place(self, canaries=None, fresh: bool = False) -> Optional[CanaryRead]:
-        """Materialise the engine and probe it on ``canaries``.
-
-        ``fresh=True`` swaps in new hardware with the same stream seed
-        (the replace rung).  Returns the probe read, or ``None`` when no
-        canaries were given.
+        Every call programs new hardware with the replica's stream seed
+        (:func:`replica_engine`; wrapped by ``wrap``): the first
+        placement, and on a placed replica the replace rung.  Each call
+        starts a new placement, whose token :attr:`placed` stamps the
+        request plane's evidence, so a failure seen on the old array
+        never marks the new one down.  Returns the probe read, or
+        ``None`` when no canaries were given.
         """
-        engine = self._materialise(fresh)
+        engine = replica_engine(
+            self.server, self.name, self.version, self.index, self.spec
+        )
+        if self.wrap is not None:
+            engine = self.wrap(engine)
         with self.quiesce():
             self.engine = engine
+            self.placed = object()
             if canaries is None:
                 return None
             return self._read(canaries)

@@ -29,9 +29,11 @@ participant's row is owned by its :class:`_Seat`, whose settlement is
 its vote, so no queue counts a participant as a client request: the
 mirrored request completes, once, when its vote resolves.
 
-A replica gets a fresh host each time it is placed, and that object is
-the stale-evidence token: a failure seen through a host the replica no
-longer uses says nothing about its new home.
+Every ``place()`` of a replica's host starts a new placement — the
+first one, the heal ladder's replace rung, a re-placement on another
+worker — and each hop records the placement its replica was on
+(``placed``).  A failure seen on an older placement says nothing about
+the array now serving, so it never marks the replica down.
 """
 
 from __future__ import annotations
@@ -83,14 +85,15 @@ class _Attempt(_ClientFutures):
     """One routing hop, shared by every row of a routed chunk, and the
     owner the rows settle through.
 
-    Where the rows were sent (``replica`` and the ``host`` it had then),
-    every replica they have tried (``attempted``) and the earlier hops
-    that failed them (``failed_chain``, marked down once another replica
-    serves the rows).  Never mutated: a failover hands the failed rows
-    a new record one hop further on.
+    Where the rows were sent (``replica``, and the token ``placed`` of
+    the placement it was on), every replica they have tried
+    (``attempted``) and the earlier hops that failed them
+    (``failed_chain``, marked down once another replica serves the
+    rows).  Never mutated: a failover hands the failed rows a new record
+    one hop further on.
     """
 
-    __slots__ = ("plane", "dep", "replica", "host", "attempted",
+    __slots__ = ("plane", "dep", "replica", "placed", "attempted",
                  "failed_chain")
 
     def __init__(self, plane, dep, replica, attempted: set,
@@ -99,7 +102,7 @@ class _Attempt(_ClientFutures):
         self.plane = plane
         self.dep = dep
         self.replica = replica
-        self.host = replica.host
+        self.placed = replica.host.placed
         self.attempted = attempted
         self.failed_chain = failed_chain
 
@@ -166,7 +169,7 @@ class _Attempt(_ClientFutures):
             rows=len(rows),
         )
         try:
-            hop.host.enqueue(rows)
+            fallback.host.enqueue(rows)
         except Exception as resubmit_exc:  # noqa: BLE001
             # The client futures must always resolve, never hang.
             _ClientFutures.failed(hop, rows, resubmit_exc, ran)
@@ -207,12 +210,12 @@ class _Seat:
     no client request, so it books only the replica's served row.
     """
 
-    __slots__ = ("vote", "replica", "host", "outcome")
+    __slots__ = ("vote", "replica", "placed", "outcome")
 
     def __init__(self, vote: _Vote, replica):
         self.vote = vote
         self.replica = replica
-        self.host = replica.host
+        self.placed = replica.host.placed
         self.outcome = None
 
     def claim(self, rows: List[_Request]) -> List[_Request]:
@@ -347,7 +350,7 @@ class RequestPlane:
         # the client's own thread.  Failover attempts run on queue
         # worker threads — two workers blocking into each other's full
         # queues would deadlock the data plane.
-        attempt.host.enqueue(
+        replica.host.enqueue(
             requests, block=slo is not None and bool(slo.backpressure)
         )
         return [request.future for request in requests]
@@ -355,10 +358,12 @@ class RequestPlane:
     def _mark_down(self, hop) -> None:
         """Mark the replica of ``hop`` (an attempt or a mirror seat) down
         — unless the evidence is stale (the replica has been placed
-        again, on a new host)."""
+        again since the hop saw it)."""
         replica = hop.replica
         with self._lock:
-            flipped = replica.host is hop.host and replica.state == HEALTHY
+            flipped = (
+                replica.host.placed is hop.placed and replica.state == HEALTHY
+            )
             if flipped:
                 replica.state = DOWN
         if flipped:
@@ -376,7 +381,7 @@ class RequestPlane:
         self.telemetry.record_submitted()
         now = time.monotonic()
         for seat in vote.seats:
-            seat.host.enqueue([_Request(levels, now, 0, seat)])
+            seat.replica.host.enqueue([_Request(levels, now, 0, seat)])
         return vote.future
 
     def _resolve_vote(self, vote: _Vote) -> None:

@@ -6,19 +6,21 @@ plain-JSON artifact per version under ``root/<name>/v<NNNN>.json`` — so
 a registry directory survives process restarts and can be shipped
 between machines like any other artifact directory.
 
-Materialisation is the expensive half: programming a crossbar replays
-the whole pulse-train write sequence.  :meth:`ModelRegistry.get_engine`
-therefore keeps a small LRU cache of *programmed* engines keyed by
-``(name, version, max_rows, seed)``; re-registering a name invalidates
-every cached engine of that name so stale weights can never serve a
-request after an update.
+Materialisation programs a crossbar: :meth:`ModelRegistry.get_engine`
+replays the whole pulse-train write sequence on every call, and the
+caller owns the array it gets back.  In the serving layer that caller is
+a replica's host, so each programmed array has one owner, whose canary
+baseline, wear ledger and heal ladder describe that array alone.  The
+registry keeps the artifacts, a latest-version cache and per-name
+generation stamps: re-registering a name moves its stamp, so holders
+of its engines (the router's implicit deployments) rebuild and stale
+weights never serve a request after an update.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -47,16 +49,18 @@ def _check_name(name: str) -> str:
 
 
 class ModelRegistry:
-    """Versioned quantised-model store with an LRU of programmed engines.
+    """Versioned quantised-model store that programs engines on demand.
 
     Parameters
     ----------
     root:
         Directory holding the artifacts (created if missing).
     engine_cache_size:
-        Maximum number of programmed engines kept alive at once.  The
-        cache evicts least-recently-used; an evicted engine is simply
-        re-programmed on the next request for it.
+        How many implicit deployments (the routes of undeployed models,
+        each holding one programmed engine) a
+        :class:`~repro.serving.router.Router` over this registry keeps
+        at once; the least recently served one drains and shuts, and is
+        re-programmed on its next request.
     backend:
         The array technology this registry serves (a
         :mod:`repro.backends` registry name; ``"fefet"`` by default).
@@ -75,12 +79,10 @@ class ModelRegistry:
 
     Notes
     -----
-    All public methods are thread-safe: the serving scheduler resolves
-    engines from its worker thread while registrations arrive from
-    others.  Engine construction itself happens *outside* the registry
-    lock so a slow programming pass never blocks registrations — the
-    only consequence is that two concurrent first requests for the same
-    engine may both program it, with one result winning the cache slot.
+    All public methods are thread-safe: replicas are placed from
+    router and worker threads while registrations arrive from others.
+    Engine construction happens *outside* the registry lock, so a slow
+    programming pass never blocks registrations.
     """
 
     def __init__(
@@ -99,7 +101,6 @@ class ModelRegistry:
         self.backend = str(backend)
         self.backend_options = dict(backend_options or {})
         self._lock = threading.RLock()
-        self._engines: "OrderedDict[tuple, object]" = OrderedDict()
         # latest-version cache: version=None resolution sits on the
         # serving hot path (every submit routes through it), and a
         # directory scan per request is a syscall tax the scheduler
@@ -125,8 +126,8 @@ class ModelRegistry:
         """Persist ``model`` as the next version of ``name``.
 
         Returns the new version number (1 for a first registration).
-        Any cached engines for ``name`` — all versions — are dropped, so
-        subsequent ``version=None`` lookups serve the new weights.
+        ``name``'s generation stamp moves, so subsequent ``version=None``
+        lookups serve the new weights.
         """
         _check_name(name)
         with self._lock:
@@ -224,7 +225,7 @@ class ModelRegistry:
         return model, spec
 
     def unregister(self, name: str) -> None:
-        """Delete every version of ``name`` and its cached engines."""
+        """Delete every version of ``name`` (its generation stamp moves)."""
         with self._lock:
             directory = self._model_dir(name)
             for version in self.versions(name):
@@ -248,113 +249,61 @@ class ModelRegistry:
         seed: RngLike = None,
         backend: Optional[str] = None,
         backend_options: Optional[dict] = None,
-        fresh: bool = False,
     ):
-        """A programmed engine for ``name``/``version`` (latest by default).
+        """Program a new engine for ``name``/``version`` (latest by default).
 
-        ``fresh=True`` skips the cache *read* and materialises anew —
-        the replacement rung of the repair ladders.  The replacement
-        takes over the cache slot, so later lookups of the same
-        configuration serve the new hardware; other cached engines of
-        the model are untouched (unlike :meth:`invalidate`).
-
+        Every call programs its own array, which the caller owns.
         Returns a flat :class:`FeBiMEngine`, or a
         :class:`~repro.crossbar.tiling.TiledFeBiM` when ``max_rows`` is
         given (hierarchical WTA for many-class models).
 
         ``backend``/``backend_options`` override the registry's serving
         configuration for this engine only — the deployment path, where
-        each replica names its own technology (see
-        :meth:`load` for the pin-check semantics).  Left ``None`` they
-        resolve to the registry defaults, so a single-replica
-        deployment on the registry backend shares the *same cache
-        entry* (and therefore the same programmed engine object) as a
-        lookup without overrides.
-
-        Engines are built with the default variation model, circuit
-        parameters and mirror gain, and cached (LRU) when the
-        configuration is hashable and reproducible: ``seed`` of
-        ``None``/``int`` and hashable backend options.  Any other
-        configuration builds a fresh uncached engine — a Generator seed
-        has stream position, so caching it would serve different noise
-        than a fresh materialisation.
+        each replica names its own technology (see :meth:`load` for the
+        pin-check semantics).  Left ``None`` they resolve to the
+        registry defaults, so a single-replica deployment on the
+        registry backend programs, from the same ``seed``, the
+        bit-identical engine an undeployed model's implicit deployment
+        does.  Engines are built with the default variation model,
+        circuit parameters and mirror gain.
         """
         version = self.resolve_version(name, version)
-        backend_name = self.backend if backend is None else str(backend)
-        options = dict(
-            self.backend_options if backend_options is None else backend_options
-        )
-        try:
-            options_key = tuple(sorted(options.items()))
-            hash(options_key)
-        except TypeError:
-            options_key = None  # unhashable option values: uncacheable
-        cacheable = (
-            (seed is None or isinstance(seed, int)) and options_key is not None
-        )
-        key = (name, version, max_rows, seed, backend_name, options_key)
-        if cacheable and not fresh:
-            with self._lock:
-                if key in self._engines:
-                    self._engines.move_to_end(key)
-                    return self._engines[key]
-
         model, spec = self.load(name, version, backend=backend)
+        config = dict(
+            spec=spec,
+            seed=seed,
+            backend=self.backend if backend is None else str(backend),
+            backend_options=dict(
+                self.backend_options if backend_options is None
+                else backend_options
+            ),
+        )
         if max_rows is None:
-            engine = FeBiMEngine(
-                model,
-                spec=spec,
-                seed=seed,
-                backend=backend_name,
-                backend_options=options,
-            )
-        else:
-            engine = TiledFeBiM(
-                model,
-                max_rows=max_rows,
-                spec=spec,
-                seed=seed,
-                backend=backend_name,
-                backend_options=options,
-            )
-        if cacheable:
-            with self._lock:
-                self._engines[key] = engine
-                self._engines.move_to_end(key)
-                while len(self._engines) > self.engine_cache_size:
-                    self._engines.popitem(last=False)
-        return engine
+            return FeBiMEngine(model, **config)
+        return TiledFeBiM(model, max_rows=max_rows, **config)
 
-    # ------------------------------------------------------------ cache admin
+    # ---------------------------------------------------------- invalidation
     def _invalidate_locked(self, name: str) -> None:
         self._generations[name] = self._generations.get(name, 0) + 1
         self._latest.pop(name, None)
-        for key in [k for k in self._engines if k[0] == name]:
-            del self._engines[key]
 
     def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop cached engines and version lookups for ``name`` (all
-        names when ``None``) — e.g. after another process wrote into
-        the registry directory."""
+        """Move the generation stamp and drop the version lookup of
+        ``name`` (of every name when ``None``) — e.g. after another
+        process wrote into the registry directory."""
         with self._lock:
             if name is None:
                 self._epoch += 1
-                self._engines.clear()
                 self._latest.clear()
             else:
                 self._invalidate_locked(name)
 
     def generation(self, name: str) -> tuple:
-        """A stamp that changes whenever ``name``'s engines are
-        invalidated (:meth:`register`, :meth:`unregister`,
-        :meth:`invalidate`): holders of engines built outside the cache
-        compare it to know when to rebuild."""
+        """A stamp that changes whenever ``name`` is invalidated
+        (:meth:`register`, :meth:`unregister`, :meth:`invalidate`):
+        holders of its programmed engines compare it to know when to
+        rebuild."""
         return self._epoch, self._generations.get(name, 0)
-
-    def cached_engines(self) -> List[tuple]:
-        """Cache keys currently alive, least- to most-recently used."""
-        with self._lock:
-            return list(self._engines)
 
     def __contains__(self, name: str) -> bool:
         return bool(self.versions(name))
@@ -362,6 +311,5 @@ class ModelRegistry:
     def __repr__(self) -> str:
         return (
             f"ModelRegistry({str(self.root)!r}, backend={self.backend!r}, "
-            f"{len(self.list_models())} models, "
-            f"{len(self._engines)}/{self.engine_cache_size} engines cached)"
+            f"{len(self.list_models())} models)"
         )

@@ -860,8 +860,8 @@ class Router:
         emits ``canary_failure`` and climbs the rungs: **refresh**
         (reprogram in place — clears drift, cannot fix stuck hardware),
         **spare repair** (remap BIST-flagged rows onto manufactured
-        spares, when the backend has any), **replace** (drop the cached
-        engine and re-materialise on fresh hardware, same stream seed),
+        spares, when the backend has any), **replace** (program a new
+        engine on fresh hardware, same stream seed),
         **evict** (remove the replica from routing permanently; the
         deployment keeps serving on the survivors).  A deployment's last
         serviceable replica is never evicted once a replace has given it
@@ -1003,7 +1003,7 @@ class Router:
             if replica.killed and not replica.recoverable:
                 raise KilledReplicaError(f"replica {label} is unrecoverable")
             replica.killed = False
-            read = host.place(canaries, fresh=True)
+            read = host.place(canaries)
             placed.append(read)
             replica.wear.add_cycles(1)
             telemetry.record_replacement()

@@ -702,7 +702,7 @@ class MicroBatchScheduler:
         """Stop launching batches and wait out the in-flight one.
 
         The quiesce primitive for engine maintenance (reprogramming a
-        live array, swapping a cached engine): after ``pause`` returns
+        live array, swapping in a new one): after ``pause`` returns
         ``True`` the worker is guaranteed not to be touching any engine
         until :meth:`resume`.  Requests keep queueing meanwhile — the
         pause is invisible to clients beyond added latency.  Nests:

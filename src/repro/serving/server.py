@@ -50,7 +50,7 @@ def model_stream_seed(base_seed: Optional[int], name: str, version: int) -> Opti
     identity through ``SeedSequence``, which is exactly how
     :func:`~repro.utils.rng.spawn_rngs` derives independent child
     streams — here keyed by name/version instead of spawn order so the
-    stream survives cache eviction and process restarts.
+    stream survives re-programming and process restarts.
     """
     if base_seed is None:
         return None
@@ -227,9 +227,10 @@ class FeBiMServer:
     ) -> int:
         """Register/update a tenant model; returns its new version.
 
-        Delegates to the registry, whose engine-cache invalidation
-        guarantees no request batched after this call is served by the
-        previous version's weights.
+        Delegates to the registry, whose generation stamp for ``name``
+        moves, so the router rebuilds the model's implicit deployment
+        and no request routed after this call is served by the previous
+        version's weights.
         """
         return self.registry.register(name, model, spec)
 

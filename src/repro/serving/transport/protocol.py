@@ -19,12 +19,13 @@ they saw, never by misparsing bytes.
 The front end's router owns every replica; a worker only hosts them,
 each under a placement id the front end mints.  Per-replica control
 frames carry the heal ladder and the replica lifecycle to the host —
-``place`` (materialise and probe, or with ``fresh`` swap in new
-hardware: the replace rung), ``read`` (a canary read: predictions and
-wordline currents), ``program`` (the refresh rung), ``repair`` (the
-spare-repair rung), ``kill`` (chaos), ``inventory`` (spare rows and
-BIST faults) and ``retire`` — each acked by one ``done`` frame or
-answered by an ``error``.  Heartbeats carry liveness only.
+``place`` (program and probe: the first for a placement id builds its
+host, a later one swaps in new hardware, the replace rung), ``read``
+(a canary read: predictions and wordline currents), ``program`` (the
+refresh rung), ``repair`` (the spare-repair rung), ``kill`` (chaos),
+``inventory`` (spare rows and BIST faults) and ``retire`` — each acked
+by one ``done`` frame or answered by an ``error``.  Heartbeats carry
+liveness only.
 
 The request plane moves blocks, not rows: one ``request`` frame carries
 up to ``max_batch`` rows of evidence levels (a list of integer lists)
@@ -70,8 +71,10 @@ MAGIC = 0x4642
 
 #: Protocol revision; bumped on any incompatible frame/body change
 #: (2: block ``request`` / columnar ``result`` bodies; 3: workers host
-#: replicas by placement id under per-replica control frames).
-WIRE_VERSION = 3
+#: replicas by placement id under per-replica control frames; 4:
+#: ``place`` has no ``fresh`` flag, and one for a placement id the
+#: worker hosts programs new hardware into it).
+WIRE_VERSION = 4
 
 #: Frame header: (magic, version, body length), network byte order.
 HEADER = struct.Struct("!HHI")

@@ -10,8 +10,9 @@ a re-apply one worker can hold an old and a new ``r0`` at once.  Engines
 materialise with the replica's own index and the front end's base seed,
 so they are bit-identical to the ones a local deployment would build.
 
-Control frames call the host's methods — ``place`` (materialise and
-probe; ``fresh`` swaps in new hardware), ``read`` (canary read),
+Control frames call the host's methods — ``place`` (program and probe:
+the first ``place`` of a placement id builds its host, a later one
+programs new hardware into it, the replace rung), ``read`` (canary read),
 ``program`` (refresh), ``repair`` (spare rows), ``kill``,
 ``inventory`` and ``retire`` — and are acked by one ``done`` frame (or
 an ``error``).  Three threads per worker:
@@ -307,12 +308,13 @@ class WorkerHost:
 
     # ------------------------------------------------------ replica control
     def _on_place(self, message: dict):
-        """Host a replica under the placement id the front end minted
-        (``host`` holds its :class:`ReplicaHost` arguments), materialise
-        and probe it; with ``fresh``, swap new hardware into a placed one
-        (the replace rung)."""
-        if message.get("fresh"):
-            return self._on_control(message)
+        """Program and probe the replica under the placement id the
+        front end minted: a placed one gets new hardware (the replace
+        rung), and an unknown id first gets a host, built from ``host``
+        (its :class:`ReplicaHost` arguments)."""
+        host = self.hosts.get(message["placement"])
+        if host is not None:
+            return self._done(message, host.place(message.get("canaries")))
         args = message["host"]
         host = ReplicaHost(
             self, **dict(args, spec=ReplicaSpec.from_dict(args["spec"]))
@@ -326,12 +328,11 @@ class WorkerHost:
         self._done(message, read)
 
     def _on_control(self, message: dict):
-        """``read`` / ``program`` / ``repair`` / ``kill`` / ``inventory``
-        and a fresh ``place``: the host method of the frame's kind, its
-        result in the ack."""
+        """``read`` / ``program`` / ``repair`` / ``kill`` / ``inventory``:
+        the host method of the frame's kind, its result in the ack."""
         args = {
             k: v for k, v in message.items()
-            if k not in ("kind", "id", "placement", "host")
+            if k not in ("kind", "id", "placement")
         }
         self._done(message, getattr(self._host(message), message["kind"])(**args))
 

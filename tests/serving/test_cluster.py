@@ -464,7 +464,7 @@ class TestWorkerReplies:
                 "name": "iris", "version": 1, "index": 0,
                 "spec": ReplicaSpec("fefet").to_dict(), "key": "iris@v1#r0",
                 "max_queue_depth": None,
-            }, canaries=[[0, 1, 2]], fresh=False))
+            }, canaries=[[0, 1, 2]]))
             assert conn.next("done")["id"] == "c1"
             levels = [[0, 1, 2]] * 40
             host._dispatch(make("request", id="r1", placement="p0",
@@ -495,7 +495,7 @@ class TestWorkerReplies:
                 "name": "iris", "version": 1, "index": 0,
                 "spec": ReplicaSpec("fefet").to_dict(), "key": "iris@v1#r0",
                 "max_queue_depth": None,
-            }, fresh=False))
+            }))
             assert conn.next("done")["id"] == "c1"
             assert host.hosts["p0"].scheduler.pause(timeout=5)
             host._dispatch(make("request", id="r1", placement="p0",
@@ -507,6 +507,34 @@ class TestWorkerReplies:
             outcomes = protocol.decode_block(reply["result"])
             assert [type(o) for o in outcomes] == [CancelledError] * 3
             assert conn.next("done")["id"] == "c2"
+        finally:
+            host.close()
+
+    def test_second_place_reprograms_the_placed_host(self, registry_root):
+        """A ``place`` frame for a placement id the worker already hosts
+        programs new hardware into that host (the replace rung): one
+        host and one scheduler for ``p0``, a new engine, the same probe
+        read (same stream seed)."""
+        conn = _FakeConnection()
+        host = WorkerHost("w0", conn, {"registry_root": registry_root,
+                                       "seed": 0, "max_batch": 64})
+        try:
+            place = make("place", id="c1", placement="p0", host={
+                "name": "iris", "version": 1, "index": 0,
+                "spec": ReplicaSpec("fefet").to_dict(), "key": "iris@v1#r0",
+                "max_queue_depth": None,
+            }, canaries=[[0, 1, 2]])
+            host._dispatch(place)
+            first = conn.next("done")
+            placed = host.hosts["p0"]
+            scheduler, engine = placed.scheduler, placed.engine
+            host._dispatch(dict(place, id="c2"))
+            second = conn.next("done")
+            assert second["id"] == "c2"
+            assert host.hosts == {"p0": placed}
+            assert placed.scheduler is scheduler
+            assert placed.engine is not engine
+            assert second["result"] == first["result"]
         finally:
             host.close()
 
@@ -734,8 +762,10 @@ class TestWorkerHostedReplicas:
     ):
         rows = np.random.default_rng(13).integers(0, 4, size=(19, 3))
         remote = [f.result(30) for f in shared.submit_many("tenant", rows)]
-        assert shared.router.serving("tenant").implicit
-        assert len(shared.registry._engines) == 0  # no engine up front
+        dep = shared.router.serving("tenant")
+        assert dep.implicit
+        # The replica's host is the worker's: no engine up front.
+        assert isinstance(dep.replicas[0].host, cluster_module._RemoteHost)
         with FeBiMServer(
             ModelRegistry(shared.registry.root), policy=POLICY, seed=7
         ) as server:

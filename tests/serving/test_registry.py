@@ -1,4 +1,4 @@
-"""Model registry: versioned persistence + the programmed-engine LRU."""
+"""Model registry: versioned persistence + engine materialisation."""
 
 import numpy as np
 import pytest
@@ -68,7 +68,6 @@ class TestRegistration:
         registry.get_engine("m", seed=0)
         registry.unregister("m")
         assert "m" not in registry
-        assert registry.cached_engines() == []
 
     def test_persistence_across_instances(self, registry):
         registry.register("m", make_model(seed=5))
@@ -88,21 +87,9 @@ class TestEngineCache:
         assert isinstance(engine, TiledFeBiM)
         assert engine.n_tiles == 3
 
-    def test_cache_hit_returns_same_object(self, registry):
-        registry.register("m", make_model())
-        assert registry.get_engine("m", seed=0) is registry.get_engine("m", seed=0)
-
     def test_distinct_seeds_distinct_entries(self, registry):
         registry.register("m", make_model())
         assert registry.get_engine("m", seed=0) is not registry.get_engine("m", seed=1)
-
-    def test_lru_eviction(self, registry):
-        registry.register("m", make_model())
-        first = registry.get_engine("m", seed=0)
-        registry.get_engine("m", seed=1)
-        registry.get_engine("m", seed=2)  # capacity 2: seed-0 evicted
-        assert len(registry.cached_engines()) == 2
-        assert registry.get_engine("m", seed=0) is not first
 
     def test_reregister_invalidates(self, registry):
         registry.register("m", make_model(seed=0))
@@ -116,12 +103,6 @@ class TestEngineCache:
         registry.get_engine("m", seed=0)
         registry.register("m", make_model(seed=1, k=5))
         assert registry.get_engine("m", seed=0).model.n_classes == 5
-
-    def test_generator_seed_bypasses_cache(self, registry):
-        registry.register("m", make_model())
-        rng = np.random.default_rng(0)
-        registry.get_engine("m", seed=rng)
-        assert registry.cached_engines() == []
 
     def test_engine_spec_round_trips(self, registry):
         spec = MultiLevelCellSpec(n_levels=4, i_min=0.2e-6, i_max=2.0e-6)

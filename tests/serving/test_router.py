@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import quantize_model
+from repro.reliability import FaultInjector
 from repro.serving import (
     BatchPolicy,
     Deployment,
@@ -76,7 +77,7 @@ class TestSingleReplicaBitIdentity:
     def test_matches_legacy_path(self, tmp_path, server):
         """A single-replica deployment on the registry backend serves
         the bit-identical result of the legacy register/predict path —
-        same derived stream seed, same registry cache entry."""
+        same derived stream seed, same registry configuration."""
         legacy = server.predict("iris", SAMPLE, timeout=5)
         legacy_engine = server.engine_for("iris")
 
@@ -96,10 +97,41 @@ class TestSingleReplicaBitIdentity:
                 legacy.report().wordline_currents,
             )
 
-    def test_shares_legacy_engine_cache_entry(self, server):
-        deploy(server, ReplicaSpec("fefet"))
-        dep = server.router.deployment_for("iris")
-        assert dep.replicas[0].engine is server.engine_for("iris")
+    def test_deployment_programs_its_own_array(self, server):
+        """A deployment over a served implicit replica programs its own
+        array: a dead column in the implicit replica's array is not in
+        the new replica's hardware inventory."""
+        server.predict("iris", SAMPLE, timeout=5)
+        implicit = server.engine_for("iris")
+        FaultInjector(implicit.backend, seed=5).inject_dead_column(0, "off")
+        dep = deploy(server, ReplicaSpec("fefet"))
+        assert server.router.hardware_status("iris")[0].faulty_cells == 0
+        assert dep.replicas[0].engine is not implicit
+
+    def test_reapply_programs_new_arrays_bit_identically(self, server):
+        """Re-applying a spec programs every replica anew — no new
+        replica reads an array the draining old deployment still holds
+        — from the same stream seeds, so answers stay bit-identical."""
+        specs = (ReplicaSpec("fefet"), ReplicaSpec("fefet"))
+        policy = RoutingPolicy("round_robin")
+        rows = np.random.default_rng(3).integers(0, 4, size=(16, 3))
+
+        def served():
+            return [
+                (r.model, int(r.prediction), r.delay, r.energy_total)
+                for r in (f.result(timeout=10)
+                          for f in server.submit_many("iris", rows))
+            ]
+
+        old = deploy(server, *specs, policy=policy)
+        held = [replica.engine for replica in old.replicas]
+        before = served()
+        new = deploy(server, *specs, policy=policy)
+        assert not any(
+            replica.engine is engine
+            for replica in new.replicas for engine in held
+        )
+        assert served() == before
 
 
 class TestRoutingPolicies:
@@ -225,9 +257,9 @@ class TestRoutingPolicies:
         assert len(snapshot.per_replica) == 3
 
     def test_seedless_server_replicas_get_distinct_engines(self, tmp_path):
-        """With seed=None the registry caches under one key — replicas
-        must still be independent physical arrays, never one shared
-        engine voting against itself."""
+        """With seed=None every replica draws fresh entropy — replicas
+        must be independent physical arrays, never one shared engine
+        voting against itself."""
         with FeBiMServer(ModelRegistry(tmp_path / "reg"), policy=POLICY) as srv:
             srv.register("iris", make_model(seed=1))
             dep = deploy(srv, ReplicaSpec("ideal"), ReplicaSpec("ideal"))
@@ -619,6 +651,28 @@ class TestHealLadder:
         report = server.router.check_replica("iris", 0)
         assert report.action == "replace"
         assert report.healed
+
+    def test_failure_seen_before_a_replace_is_stale(self, server):
+        """A row that failed on a killed replica, then waited on a
+        sibling while the ladder replaced the replica on its own host,
+        never marks the healed replica down when the sibling serves it:
+        the failure was seen on the old placement."""
+        dep = deploy(
+            server, ReplicaSpec("ideal"), ReplicaSpec("ideal"),
+            policy=RoutingPolicy("round_robin"),
+        )
+        r0, r1 = dep.replicas
+        server.router.kill_replica("iris", 0, recoverable=True)
+        with r1.scheduler.quiesce(timeout=5):
+            future = server.submit("iris", SAMPLE)
+            # r0's batch worker fails the row over before it idles.
+            assert r0.scheduler.drain(timeout=5)
+            assert r1.pending == 1
+            report = server.router.check_replica("iris", 0)
+            assert report.action == "replace" and report.healed
+        assert future.result(timeout=5).model == "iris@v1#r1"
+        assert [s.state for s in server.router.status("iris")] == [
+            "healthy", "healthy"]
 
     def test_maintenance_sweep_heals_automatically(self, server):
         dep = deploy(server, ReplicaSpec("ideal"), ReplicaSpec("cmos"))

@@ -46,7 +46,7 @@ SAMPLE_BODIES = {
               "host": {"name": "iris", "version": 1, "index": 0,
                        "spec": {"backend": "fefet"}, "key": "iris@v1#r0",
                        "max_queue_depth": None},
-              "canaries": [[0, 1, 2]], "fresh": False},
+              "canaries": [[0, 1, 2]]},
     "read": {"id": "c2", "placement": "p0", "levels": [[0, 1, 2]]},
     "program": {"id": "c3", "placement": "p0"},
     "repair": {"id": "c4", "placement": "p0"},
@@ -97,7 +97,7 @@ class TestFraming:
         # Version 2 changed the request and result bodies to blocks, and
         # version 3 addresses replicas by placement id; a v1 peer must
         # fail loudly on its first frame, never misparse.
-        assert WIRE_VERSION == 3
+        assert WIRE_VERSION == 4
         body = json.dumps({"kind": "request", "id": "r1", "model": "iris",
                            "replica_index": 0, "levels": [3, 0, 1],
                            "priority": 0}).encode()
