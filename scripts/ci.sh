@@ -68,8 +68,11 @@
 #      ledger.router_sps >= 0.7 x ledger.scheduler_sps; the same rows
 #      over the wire (ClusterServer.submit_many to one worker process,
 #      block frames) keep within reach of the routed path,
-#      ledger.cluster_sps >= 0.5 x ledger.router_sps — ratios between
-#      layers measured in one run, never an absolute rate;
+#      ledger.cluster_sps >= 0.5 x ledger.router_sps; and the routed
+#      path keeps the block-native request plane's gain over the
+#      engine's own batched read, ledger.router_sps >= 0.08 x
+#      ledger.engine_sps — ratios between layers measured in one run,
+#      never an absolute rate;
 #  14. examples — every examples/*.py runs to a zero exit (the
 #      user-facing flows, serving_demo.py and reliability_demo.py among
 #      them, drive the public API end to end).
@@ -141,12 +144,15 @@ router = result["metrics"]["ledger.router_sps"]["value"]
 legacy = result["metrics"]["ledger.legacy_sps"]["value"]
 scheduler = result["metrics"]["ledger.scheduler_sps"]["value"]
 cluster = result["metrics"]["ledger.cluster_sps"]["value"]
+engine = result["metrics"]["ledger.engine_sps"]["value"]
 print(f"ledger: router {router:.0f} sps / legacy {legacy:.0f} sps "
       f"= {router / legacy:.2f} (gate >= 0.70)")
 print(f"ledger: router {router:.0f} sps / scheduler {scheduler:.0f} sps "
       f"= {router / scheduler:.2f} (gate >= 0.70)")
 print(f"ledger: cluster {cluster:.0f} sps / router {router:.0f} sps "
       f"= {cluster / router:.2f} (gate >= 0.50)")
+print(f"ledger: router {router:.0f} sps / engine {engine:.0f} sps "
+      f"= {router / engine:.3f} (gate >= 0.08)")
 if not result["correct"]:
     sys.exit("error: the traced benchmark run served wrong answers")
 if router < 0.7 * legacy:
@@ -155,6 +161,8 @@ if router < 0.7 * scheduler:
     sys.exit("error: routed submit_many fell below 0.7x a bare scheduler")
 if cluster < 0.5 * router:
     sys.exit("error: cluster submit_many fell below 0.5x the routed path")
+if router < 0.08 * engine:
+    sys.exit("error: routed submit_many fell below 0.08x the engine read")
 EOF
 
 echo "== stage 14/14: examples =="

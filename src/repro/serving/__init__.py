@@ -10,7 +10,9 @@ two:
   engine, owned by the replica host that asked for it;
 * :class:`MicroBatchScheduler` — a thread-safe queue that coalesces
   pending requests per model into batched crossbar reads under a
-  ``max_batch`` / ``max_wait_ms`` policy, resolving per-request futures;
+  ``max_batch`` / ``max_wait_ms`` policy, one queue entry per chunk
+  (a ``submit`` resolves one future, a ``submit_many`` chunk's row
+  handles read one completion slot);
 * :class:`FeBiMServer` — the multi-tenant front end: every request
   routes to a deployment (an undeployed model to its implicit
   one-replica deployment), independent per-model RNG streams,

@@ -62,7 +62,7 @@ from repro.serving.host import CanaryRead, WorkerLost
 from repro.serving.observability.events import EVENT_KINDS
 from repro.serving.policy import DOWN, DRAINING, HEALTHY, UNPLACED
 from repro.serving.registry import ModelRegistry
-from repro.serving.scheduler import BatchPolicy, Overloaded
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.server import FeBiMServer
 from repro.serving.transport.protocol import (
     MessageConnection,
@@ -121,15 +121,16 @@ class _RemoteHost:
     replica on one worker, under the placement id ``placement`` (a
     replica re-placed on another worker gets a new host and id).
 
-    Its queue (:meth:`enqueue`) ships one hop's rows as one ``request``
+    Its queue (:meth:`enqueue`) ships each entry as one ``request``
     frame with one pending entry; the worker's columnar reply, an
-    ``error`` frame or the worker's loss then settles the rows through
-    their owner, as a local scheduler would after a batch: ``claim`` and
-    ``served`` for the served rows, ``cancel`` for the rows the worker's
-    queue cancelled, ``failed`` for the rest.  ``block``
-    is ignored — backpressure is the worker scheduler's, and never
-    blocks a frame.  ``pending`` counts the front end's in-flight rows,
-    the cost policy's signal, kept without a round trip.  The control
+    ``error`` frame or the worker's loss then settles the entry through
+    its owner, once per segment, as a local scheduler would after a
+    batch: ``claim`` and ``served`` for the served rows (their handles
+    index the decoded columns), ``cancel`` for the rows the worker's
+    queue cancelled, ``failed`` for the rest.  ``block`` is
+    ignored — backpressure is the worker scheduler's, and never blocks
+    a frame.  ``pending`` counts the front end's in-flight rows, the
+    cost policy's signal, kept without a round trip.  The control
     methods mirror :class:`~repro.serving.host.ReplicaHost`'s (and
     :meth:`place` renews the placement token ``placed`` the same way);
     each quiesces the replica in the worker, and raises
@@ -148,83 +149,83 @@ class _RemoteHost:
         self.retired = False
 
     # ------------------------------------------------------------------ queue
-    def enqueue(self, requests: list, block: bool = False) -> None:
-        """Send the rows; all of them fail back to their owner when the
-        frame cannot be encoded (a block beyond ``MAX_FRAME``) or the
-        worker is not up."""
+    def enqueue(self, entries: list, block: bool = False) -> None:
+        """Send each entry as one ``request`` frame; an entry fails back
+        to its owner when its frame cannot be encoded (a block beyond
+        ``MAX_FRAME``) or the worker is not up."""
+        for entry in entries:
+            self._ship(entry)
+
+    def _ship(self, entry) -> None:
         pool, worker = self.pool, self.worker
-        n = len(requests)
         request_id = f"r{next(pool._ids)}"
         try:
             frame = encode_frame(make(
                 "request",
                 id=request_id,
                 placement=self.placement,
-                levels=[request.levels.tolist() for request in requests],
-                priority=requests[0].lane,
+                levels=entry.levels.tolist(),
+                priority=entry.lane,
             ))
         except ProtocolError as exc:
-            requests[0].owner.failed(requests, exc, ran=False)
+            entry.owner.failed([entry], exc, ran=False)
             return
 
         def on_result(message: dict) -> None:
             try:
-                outcomes = decode_block(message["result"])
-                if len(outcomes) != n:
+                reply = decode_block(message["result"])
+                if len(reply) != len(entry):
                     raise ProtocolError(
-                        f"{len(outcomes)} result rows for a {n}-row request"
+                        f"{len(reply)} result rows for a {len(entry)}-row "
+                        f"request"
                     )
             except Exception as exc:  # noqa: BLE001 — malformed reply
-                outcomes = [exc] * n
-            self._settle(requests, outcomes)
+                reply = exc
+            self._settle(entry, reply)
 
         with pool._lock:
-            self.pending += n
+            self.pending += len(entry)
         if not pool._send(
             worker, request_id, frame, on_result,
-            lambda exc: self._settle(requests, [exc] * n),
+            lambda exc: self._settle(entry, exc),
         ):
             with pool._lock:
-                self.pending -= n
-            requests[0].owner.failed(requests, WorkerLost(
+                self.pending -= len(entry)
+            entry.owner.failed([entry], WorkerLost(
                 f"worker {worker.worker_id} of {self.replica.label} is not up"
             ), ran=False)
 
-    def _settle(self, requests: list, outcomes: list) -> None:
-        """Settle one reply through the rows' owner, one call per
-        outcome kind: the served rows it claims, then the shed, the
-        cancelled and the failed ones."""
+    def _settle(self, entry, reply) -> None:
+        """Settle one frame's entry through its owner: ``reply`` is the
+        decoded :class:`~repro.serving.transport.protocol.ResultBlock`
+        (frame row ``r`` is slot position ``entry.lo + r``), or the
+        exception that failed the whole frame.  The served rows are
+        claimed and served in one call; each failed range follows,
+        cancelled or failed."""
         pool = self.pool
         with pool._lock:
-            self.pending -= len(requests)
+            self.pending -= len(entry)
             if not self.pending:
                 pool._settled.notify_all()
-        owner = requests[0].owner
-        served, results, spilled, cancelled, broken = [], [], [], [], []
-        for request, outcome in zip(requests, outcomes):
-            if not isinstance(outcome, BaseException):
-                served.append(request)
-                results.append(outcome)
-            elif isinstance(outcome, Overloaded):
-                spilled.append(request)
-                spill_exc = outcome
-            elif isinstance(outcome, CancelledError):
-                cancelled.append(request)
-            else:
-                broken.append(request)
-                broken_exc = outcome
-        claimed = owner.claim(served)
-        if len(claimed) < len(served):
-            kept = set(claimed)
-            results = [r for row, r in zip(served, results) if row in kept]
-        if claimed:
-            owner.served(claimed, results, time.monotonic())
-        if spilled:
-            owner.failed(spilled, spill_exc, ran=False)
-        if cancelled:
-            owner.cancel(cancelled)
-        if broken:
-            owner.failed(broken, broken_exc, ran=False)
+        owner = entry.owner
+        if isinstance(reply, BaseException):
+            pieces = [(entry, reply)]
+        else:
+            pieces = entry.cut([
+                (entry.lo + lo, entry.lo + hi, exc)
+                for lo, hi, exc in reply.errors
+            ])
+            reply.base = entry.lo
+            claimed = owner.claim([p for p, exc in pieces if exc is None])
+            if claimed:
+                owner.served(
+                    claimed, [reply] * len(claimed), time.monotonic()
+                )
+        for piece, exc in pieces:
+            if isinstance(exc, CancelledError):
+                owner.cancel([piece])
+            elif exc is not None:
+                owner.failed([piece], exc, ran=False)
 
     # ---------------------------------------------------------------- control
     def _call(self, kind: str, timeout: Optional[float] = None, **fields):
@@ -763,9 +764,6 @@ class ClusterServer(FeBiMServer):
     ):
         super().__init__(registry, policy=policy, seed=seed, max_rows=max_rows)
         self.pool = self.router.pool = WorkerPool(self, heartbeat_period_s)
-        # Client futures come from this module's ``Future``, which lets a
-        # test substitute a subclass that counts how often each resolves.
-        self.router.plane.future = Future
         if maintenance_period_s is not None:
             self.enable_maintenance(maintenance_period_s)
 

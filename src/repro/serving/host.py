@@ -160,10 +160,10 @@ class ReplicaHost:
     def pending(self) -> int:
         return self.scheduler.pending
 
-    def enqueue(self, requests, block: bool = False):
+    def enqueue(self, entries, block: bool = False):
         """The request plane's queue: the scheduler, bound to the key
         (refused rows go back to their owner)."""
-        return self.scheduler.enqueue(self.key, requests, block)
+        return self.scheduler.enqueue(self.key, entries, block)
 
     def resolve(self):
         """The engine serving this replica; raises when killed."""

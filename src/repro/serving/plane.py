@@ -7,22 +7,25 @@ the policy pick (:mod:`repro.serving.policy`), the immutable
 rejection counted once per client request, stale-guarded mark-down,
 and mirror fan-out with one vote resolution.
 
-Only where each replica's engine and queue live depends on its
-placement: the plane calls one method of a replica's *host*,
-``enqueue(requests, block)``, with the
-:class:`~repro.serving.scheduler._Request` rows of one hop, and each
-row's ``owner`` is that hop.  A local replica's host queues the rows on
-its micro-batch scheduler (:class:`~repro.serving.host.ReplicaHost`); a
-worker-hosted one ships them to its worker as one ``request`` frame.
+A routed chunk is one queue entry
+(:class:`~repro.serving.scheduler._Request`): its ``(n, cols)`` rows,
+its lane, its hop and one completion slot, which the client's row
+handles (``submit_many``) or one real future (``submit``) read.  Only
+where each replica's engine and queue live depends on its placement:
+the plane calls one method of a replica's *host*,
+``enqueue(entries, block)``, with the entries of one hop, and each
+entry's ``owner`` is that hop.  A local replica's host queues the entry
+on its micro-batch scheduler (:class:`~repro.serving.host.ReplicaHost`);
+a worker-hosted one ships it to its worker as one ``request`` frame.
 Either way the rows come back through the scheduler's owner protocol,
-a run of one owner's rows at a time — ``claim`` before the read
-(rows their clients cancelled drop out), then ``served``, ``failed``
-or ``cancel`` — made by the local scheduler after each batch, or by
-the remote host when the worker's reply or loss settles the frame.
+once per entry segment — ``claim`` before the read (rows their clients
+cancelled drop out), then ``served``, ``failed`` or ``cancel`` — made
+by the local scheduler after each batch, or by the remote host when
+the worker's reply or loss settles the frame.
 
-An :class:`_Attempt` is a client-future owner
+An :class:`_Attempt` is a client owner
 (:class:`~repro.serving.scheduler._ClientFutures`, which counts each
-client request once, finishes its trace and resolves its future) that
+client request once, finishes its trace and completes its slot) that
 also books the replica that served, marks down the replicas that failed
 rows this one then served, and fails failed rows over.  A mirror
 participant's row is owned by its :class:`_Seat`, whose settlement is
@@ -48,7 +51,14 @@ import numpy as np
 
 from repro.serving import policy as routing_policy
 from repro.serving.policy import DOWN, DRAINING, HEALTHY
-from repro.serving.scheduler import Overloaded, _ClientFutures, _Request
+from repro.serving.scheduler import (
+    Overloaded,
+    RowHandle,
+    _ClientFutures,
+    _FutureSlot,
+    _Request,
+    _Slot,
+)
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,8 @@ class MirroredResult:
 
 
 class _Attempt(_ClientFutures):
-    """One routing hop, shared by every row of a routed chunk, and the
-    owner the rows settle through.
+    """One routing hop of a routed chunk, and the owner its entry
+    segments settle through.
 
     Where the rows were sent (``replica``, and the token ``placed`` of
     the placement it was on), every replica they have tried
@@ -106,9 +116,9 @@ class _Attempt(_ClientFutures):
         self.attempted = attempted
         self.failed_chain = failed_chain
 
-    def served(self, rows: List[_Request], results: list,
+    def served(self, entries: List[_Request], results: list,
                finished: float) -> None:
-        n = len(rows)
+        n = sum(map(len, entries))
         telemetry = self.telemetry
         telemetry.record_replica_served(self.replica.label, n)
         # One failover per earlier attempt of each row: a request that
@@ -118,11 +128,11 @@ class _Attempt(_ClientFutures):
         # bad (the rows were fine).
         for bad in self.failed_chain:
             self.plane._mark_down(bad)
-        super().served(rows, results, finished)
+        super().served(entries, results, finished)
 
-    def failed(self, rows: List[_Request], exc: BaseException,
+    def failed(self, entries: List[_Request], exc: BaseException,
                ran: bool) -> None:
-        """Re-enqueue rows that failed this hop on the next untried
+        """Re-enqueue entries that failed this hop on the next untried
         replica of the live deployment, or reject them.
 
         When no untried replica is left the rows failed everywhere — a
@@ -138,7 +148,7 @@ class _Attempt(_ClientFutures):
             None,
         )
         if fallback is None:
-            super().failed(rows, exc, ran)
+            super().failed(entries, exc, ran)
             return
         # Overloaded means *busy*, not broken: the rows were shed
         # unattempted, so they spill without putting this replica on
@@ -150,13 +160,13 @@ class _Attempt(_ClientFutures):
                        chain, self.claimed or ran)
         now = time.monotonic()
         reason = type(exc).__name__
-        for row in rows:
-            row.owner = hop
-            row.enqueued_at = now
-            if row.trace is not None:
+        for entry in entries:
+            entry.owner = hop
+            entry.enqueued_at = now
+            for _, trace, _ in entry.traces or ():
                 # Zero-width marker: the hop takes no request time, but
                 # the trace shows where routing bounced and why.
-                row.trace.add_span(
+                trace.add_span(
                     "failover", now, now,
                     to_replica=fallback.label, reason=reason,
                 )
@@ -166,13 +176,13 @@ class _Attempt(_ClientFutures):
             to_replica=fallback.label,
             reason=reason,
             attempts=len(hop.attempted),
-            rows=len(rows),
+            rows=sum(map(len, entries)),
         )
         try:
-            fallback.host.enqueue(rows)
+            fallback.host.enqueue(entries)
         except Exception as resubmit_exc:  # noqa: BLE001
-            # The client futures must always resolve, never hang.
-            _ClientFutures.failed(hop, rows, resubmit_exc, ran)
+            # The client's rows must always complete, never hang.
+            _ClientFutures.failed(hop, entries, resubmit_exc, ran)
 
 
 class _Vote:
@@ -218,21 +228,19 @@ class _Seat:
         self.placed = replica.host.placed
         self.outcome = None
 
-    def claim(self, rows: List[_Request]) -> List[_Request]:
-        return rows  # only the client's own future can be cancelled
+    def claim(self, entries: List[_Request]) -> List[_Request]:
+        return entries  # only the client's own future can be cancelled
 
-    def served(self, rows: List[_Request], results: list,
+    def served(self, entries: List[_Request], results: list,
                finished: float) -> None:
-        self.vote.plane.telemetry.record_replica_served(
-            self.replica.label, len(rows)
-        )
-        self.vote.cast(self, results[0])
+        self.vote.plane.telemetry.record_replica_served(self.replica.label)
+        self.vote.cast(self, results[0].at(entries[0].lo))
 
-    def failed(self, rows: List[_Request], exc: BaseException,
+    def failed(self, entries: List[_Request], exc: BaseException,
                ran: bool) -> None:
         self.vote.cast(self, exc)
 
-    def cancel(self, rows: List[_Request]) -> None:
+    def cancel(self, entries: List[_Request]) -> None:
         # A queue shutting down abstains the participant.
         self.vote.cast(self, CancelledError())
 
@@ -245,12 +253,11 @@ class RequestPlane:
     the rows per ``submit_many`` chunk, ``lock`` the owner's
     replica-state lock, ``live(dep)`` the owner's deployment now serving
     in ``dep``'s place, or ``None`` (so rows routed under a deployment
-    replaced mid-flight fail over onto the replacement's replicas);
-    :attr:`future` is the class client futures are built from.  Deployments
-    expose ``name`` / ``version`` / ``route`` / ``spec`` / ``replicas``
-    / ``rr_counter``;
-    replicas the policy core's candidate surface plus ``label`` and
-    ``host``.  :attr:`tracer` (``None`` = off) samples traces that
+    replaced mid-flight fail over onto the replacement's replicas).
+    Deployments expose ``name`` / ``version`` / ``route`` / ``spec`` /
+    ``replicas`` / ``rr_counter``; replicas the policy core's candidate
+    surface plus ``label`` and ``host``.  :attr:`tracer` (``None`` =
+    off) samples traces that
     follow a routed row across every failover hop; mirror fan-out is not
     traced (parallel reads would break the span-sum invariant).
     """
@@ -261,7 +268,6 @@ class RequestPlane:
         self.max_batch = max_batch
         self._lock = lock
         self._live = live
-        self.future = Future
         self.tracer = None
 
     @staticmethod
@@ -302,17 +308,20 @@ class RequestPlane:
             )
         if dep.spec.policy.kind == "mirror":
             return self._mirror(dep, levels)
-        return self._route(dep, (levels,), client)[0]
+        slot = _FutureSlot()
+        self._route(dep, levels, client, slot)
+        return slot.future
 
     def submit_many(self, dep, evidence_levels,
-                    client: Optional[object] = None) -> List[Future]:
-        """Route a stack of samples; one future per row.
+                    client: Optional[object] = None) -> List[RowHandle]:
+        """Route a stack of samples; one row handle per row.
 
         The rows go in ``max_batch`` chunks, each with one policy pick
-        and queued as one attempt (``cost`` re-scores every chunk
-        against the queue depth the chunks before it left, and
-        ``round_robin`` alternates per chunk).  Mirror fan-out is per
-        row.
+        and queued as one entry with one completion slot, which its
+        rows' handles (:class:`~repro.serving.scheduler.RowHandle`) read
+        (``cost`` re-scores every chunk against the queue depth the
+        chunks before it left, and ``round_robin`` alternates per
+        chunk).  Mirror fan-out is per row, one real future each.
         """
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 2:
@@ -322,38 +331,43 @@ class RequestPlane:
         if dep.spec.policy.kind == "mirror":
             return [self._mirror(dep, row) for row in levels]
         step = self.max_batch
-        futures: List[Future] = []
+        handles: List[RowHandle] = []
         for lo in range(0, len(levels), step):
-            futures += self._route(dep, levels[lo:lo + step], client)
-        return futures
+            chunk = levels[lo:lo + step]
+            slot = _Slot(len(chunk))
+            self._route(dep, chunk, client, slot)
+            handles += slot.handles()
+        return handles
 
-    def _route(self, dep, rows, client: Optional[object]) -> List[Future]:
-        """Queue ``rows`` on one picked replica as one attempt."""
+    def _route(self, dep, levels: np.ndarray, client: Optional[object],
+               slot) -> None:
+        """Queue ``levels`` on one picked replica as one entry, whose
+        rows complete ``slot``."""
         label = None if client is None else str(client)
         slo = dep.spec.slo
         priority = 0 if slo is None else slo.priority_for(label)
         replica = self.pick(dep, client)
-        attempt = _Attempt(self, dep, replica, {replica})
-        now = time.monotonic()
-        new = self.future
-        requests = [_Request(row, now, priority, attempt, new()) for row in rows]
+        entry = _Request(
+            levels, time.monotonic(), priority,
+            _Attempt(self, dep, replica, {replica}), slot,
+        )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
-            # The admit span starts when the trace does.
-            for request in requests:
-                request.trace = tracer.sample(dep.route, client=label)
-                if request.trace is not None:
-                    request.enqueued_at = request.trace.created_s
+            sampled = [tracer.sample(dep.route, client=label)
+                       for _ in range(len(entry))]
+            entry.traces = [
+                [pos, trace, None] for pos, trace in enumerate(sampled)
+                if trace is not None
+            ] or None
         # Counted once here: a failover hop never counts a row again.
-        self.telemetry.record_submitted(len(requests))
+        self.telemetry.record_submitted(len(entry))
         # Backpressure may only block the *first* attempt, which runs on
         # the client's own thread.  Failover attempts run on queue
         # worker threads — two workers blocking into each other's full
         # queues would deadlock the data plane.
         replica.host.enqueue(
-            requests, block=slo is not None and bool(slo.backpressure)
+            [entry], block=slo is not None and bool(slo.backpressure)
         )
-        return [request.future for request in requests]
 
     def _mark_down(self, hop) -> None:
         """Mark the replica of ``hop`` (an attempt or a mirror seat) down
@@ -376,7 +390,7 @@ class RequestPlane:
             routing_policy.mirror_candidates(
                 self._candidates(dep), dep.spec.policy.mirror_fanout
             ),
-            self.future(),
+            Future(),
         )
         self.telemetry.record_submitted()
         now = time.monotonic()

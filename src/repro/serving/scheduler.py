@@ -5,16 +5,24 @@ dense batches; an online server receives single-sample requests that
 would each pay the full per-call overhead again.  This module closes
 the gap with the classic serving idiom: one thread-safe queue, a worker
 that coalesces whatever is pending into one ``infer_batch`` call per
-routing key and feature width, and per-request futures that resolve to
-views into the shared batch report.
+routing key and feature width, and results that are views into the
+shared batch report.
+
+The unit the queue holds is an *entry* (:class:`_Request`): an
+``(n, cols)`` block of rows of one owner and one lane.  A ``submit`` is
+a one-row entry with one real :class:`~concurrent.futures.Future`; a
+``submit_many`` chunk is one entry whose rows share one completion
+slot, read by light row handles (:class:`RowHandle`).  A flush takes
+whole entries and splits the last one at the ``max_batch`` boundary by
+slicing, so an entry that fills a batch is read with no restacking.
 
 Coalescing policy (:class:`BatchPolicy`)
 ----------------------------------------
 
 The queue is flushed as soon as either bound is hit:
 
-* ``max_batch`` requests are waiting (the batch is full), or
-* the *oldest* waiting request has aged ``max_wait_ms`` (latency bound).
+* ``max_batch`` rows are waiting (the batch is full), or
+* the *oldest* waiting entry has aged ``max_wait_ms`` (latency bound).
 
 Under heavy traffic the scheduler therefore runs full batches at the
 offline throughput ceiling; under trickle traffic no request waits more
@@ -24,22 +32,23 @@ Admission control
 -----------------
 
 Every row enters through one path, :meth:`MicroBatchScheduler.enqueue`,
-which admits a chunk (rows of one owner and one lane; ``submit`` is a
-one-row chunk) under one lock acquisition.  By default the queue is
-unbounded.  With ``max_queue_depth`` set, the bound applies to the
-scheduler's one queue, and a row that finds it full is resolved by
-priority, in chunk order:
+which admits entries of one owner and one lane under one lock
+acquisition.  By default the queue is unbounded.  With
+``max_queue_depth`` set, the bound counts the rows of the scheduler's
+one queue, and rows that find it full are resolved by priority, in
+order:
 
-* with ``block=True`` the row waits for space (backpressure;
-  ``timeout`` bounds the wait), or
-* it displaces the newest queued request of a *lower* lane (that
-  request fails with :class:`Overloaded` — a typed, fast rejection the
-  caller can distinguish from a real failure), or
-* it is refused with :class:`Overloaded` when nothing cheaper is
-  queued (or the wait timed out), together with the rows after it.
+* with ``block=True`` they wait for space (backpressure; ``timeout``
+  bounds the wait), or
+* they displace the newest queued rows of a *lower* lane (an entry
+  split at the boundary; the displaced rows fail with
+  :class:`Overloaded` — a typed, fast rejection the caller can
+  distinguish from a real failure), or
+* they are refused with :class:`Overloaded` when nothing cheaper is
+  queued (or the wait timed out), together with the rows after them.
 
-Requests live in *priority lanes*: batches fill from the highest lane
-first (FIFO within a lane), and sheds always take the newest request of
+Rows live in *priority lanes*: batches fill from the highest lane
+first (FIFO within a lane), and sheds always take the newest rows of
 the lowest lane — a low-priority tenant degrades before a
 high-priority one ever notices.  All-default traffic lands in lane 0
 and behaves exactly as a plain FIFO.
@@ -59,24 +68,25 @@ macro's thermal noise would).
 Settlement
 ----------
 
-The scheduler never resolves a row itself.  Every queued row carries
+The scheduler never resolves a row itself.  Every queued entry carries
 its *owner*, the hop that queued it, and the scheduler hands each run
-of one owner's rows back through four calls (see :class:`_Request`):
-``claim`` before the read, then exactly one of ``served``, ``failed``
-or ``cancel``.  Counting a client request, finishing its trace and
-resolving its future are the owner's.  The scheduler keeps only the
-batch counters, the lane gauge and the spans it opens (admit, queue,
-execute).
+of one owner's entry segments back through four calls (see
+:class:`_Request`): ``claim`` before the read, then exactly one of
+``served``, ``failed`` or ``cancel`` — once per segment, never per row.
+Counting client requests, finishing their traces and completing their
+slots are the owner's.  The scheduler keeps only the batch counters,
+the lane gauge and the spans it opens (admit, queue, execute).
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import operator
 import threading
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError, Future, InvalidStateError
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional
@@ -89,9 +99,10 @@ from repro.reliability.observability import (
     report_currents,
     sample_margin,
 )
-from repro.serving.observability.trace import Span, Trace
 from repro.serving.telemetry import Telemetry
 from repro.utils.validation import check_positive_int
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ class ServedResult:
     """One request's slice of the micro-batch it was served in.
 
     Holds a reference into the shared batch report instead of eagerly
-    copying per-sample fields — resolving thousands of futures per
+    copying per-sample fields — resolving thousands of requests per
     second must not cost a per-request report materialisation.
 
     Attributes
@@ -176,6 +187,31 @@ class ServedResult:
         return self._report.sample(self._index)
 
 
+class ServedRows:
+    """The results of one served entry segment: the row at slot
+    position ``pos`` is row ``pos + shift`` of the batch ``report``.
+
+    One object per segment, however many rows it holds; :meth:`at`
+    builds a row's :class:`ServedResult` only when someone reads it.
+    """
+
+    __slots__ = ("model", "batch_size", "queue_wait_s", "report", "shift")
+
+    def __init__(self, model: str, batch_size: int, queue_wait_s: float,
+                 report, shift: int):
+        self.model = model
+        self.batch_size = batch_size
+        self.queue_wait_s = queue_wait_s
+        self.report = report
+        self.shift = shift
+
+    def at(self, pos: int) -> ServedResult:
+        return ServedResult(
+            self.model, self.batch_size, self.queue_wait_s, self.report,
+            pos + self.shift,
+        )
+
+
 class SchedulerClosed(RuntimeError):
     """The refusal of a row that arrives after shutdown."""
 
@@ -183,13 +219,13 @@ class SchedulerClosed(RuntimeError):
 class Overloaded(RuntimeError):
     """Typed admission rejection: the bounded queue is full.
 
-    The refusal of a row that found the queue full (nothing
+    The refusal of rows that found the queue full (nothing
     lower-priority to shed, or a blocking enqueue timed out) — raised by
-    :meth:`MicroBatchScheduler.submit` — and set on the future of a queued
-    request that was shed to admit a higher-priority arrival.  A shed
-    is *not* a failure — the request was never attempted — so the
-    request plane's failover path retries it elsewhere without marking
-    the overloaded replica down.
+    :meth:`MicroBatchScheduler.submit` — and the outcome of queued rows
+    that were shed to admit a higher-priority arrival.  A shed is *not*
+    a failure — the request was never attempted — so the request
+    plane's failover path retries it elsewhere without marking the
+    overloaded replica down.
     """
 
     def __init__(
@@ -206,34 +242,46 @@ class Overloaded(RuntimeError):
 
 
 class _Request:
-    """One queued sample and the owner it settles through.
+    """One queue entry: an ``(n, cols)`` block of rows, its lane, the
+    owner it settles through, its sampled traces and its completion
+    slot.
 
-    ``owner`` is the hop that queued the row, and the only code that
-    resolves it.  The scheduler hands each run of one owner's rows back
-    through four calls:
+    ``owner`` is the hop that queued the entry, and the only code that
+    resolves its rows.  The scheduler hands each run of one owner's
+    entry segments back through four calls, once per segment:
 
-    * ``claim(rows) -> rows`` before the read: a row its client already
-      cancelled drops out, never read;
-    * ``served(rows, results, finished)``: one :class:`ServedResult` per
-      row, and ``finished``, the one clock read that ended the traced
-      rows' ``execute`` span;
-    * ``failed(rows, exc, ran)``: rows a batch failed (``ran=True``) or
-      a full or closed queue refused or displaced (``ran=False``);
-    * ``cancel(rows)``: rows a non-draining shutdown dropped.
+    * ``claim(entries) -> entries`` before the read: rows their client
+      already cancelled drop out, never read (the kept rows may come
+      back as several segments);
+    * ``served(entries, results, finished)``: one :class:`ServedRows`
+      per segment, and ``finished``, the one clock read that ended the
+      traced rows' ``execute`` span;
+    * ``failed(entries, exc, ran)``: segments a batch failed
+      (``ran=True``) or a full or closed queue refused or displaced
+      (``ran=False``);
+    * ``cancel(entries)``: segments a non-draining shutdown dropped.
 
-    Three owners implement them: :class:`_ClientFutures`, whose rows
-    each hold the ``future`` a client waits on (a direct submit, or the
-    request plane's attempt), a mirror participant's vote seat
-    (:mod:`repro.serving.plane`), and a worker process's request block
-    (:mod:`repro.serving.worker`).  Rows of the last two hold no future.
+    Three owners implement them: :class:`_ClientFutures` (a direct
+    submit, or the request plane's attempt), whose entries complete a
+    client ``slot`` (a ``submit_many`` chunk's :class:`_Slot`, or a
+    ``submit``'s one :class:`_FutureSlot`); a mirror participant's vote
+    seat (:mod:`repro.serving.plane`); and a worker process's request
+    block (:mod:`repro.serving.worker`).  Entries of the last two hold
+    no slot.
 
-    ``key`` is the routing key the row was last admitted under; the
-    batch worker resolves the engine that reads it from that key.
+    ``lo`` is the slot position of the entry's first row: a flush, a
+    displacement or a claim that splits an entry (:meth:`split`) keeps
+    every segment addressed in its chunk's coordinates.  ``key`` is the
+    routing key the entry was last admitted under; the batch worker
+    resolves the engine that reads it from that key.  ``traces`` is
+    ``None`` or a list of ``[pos, trace, queue_span]`` for the sampled
+    rows: the scheduler closes the spans it opens, the owner finishes
+    the traces.
     """
 
     __slots__ = (
-        "levels", "enqueued_at", "lane", "owner", "future", "key",
-        "trace", "queue_span",
+        "levels", "enqueued_at", "lane", "owner", "slot", "lo", "key",
+        "traces",
     )
 
     def __init__(
@@ -242,35 +290,248 @@ class _Request:
         enqueued_at: float,
         lane: int,
         owner,
-        future: "Optional[Future[ServedResult]]" = None,
+        slot=None,
+        lo: int = 0,
     ):
-        self.levels = levels
+        # A 1-D sample is a one-row entry.
+        self.levels = levels if levels.ndim == 2 else levels.reshape(1, -1)
         self.enqueued_at = enqueued_at
         self.lane = lane
         self.owner = owner
-        self.future = future
+        self.slot = slot
+        self.lo = lo
         self.key: Hashable = None
-        # Tracing state: ``trace`` is the sampled Trace riding this
-        # request (almost always None) and ``queue_span`` the
-        # currently-open lane-wait span.  The scheduler closes the spans
-        # it opens; the owner finishes the trace.
-        self.trace: Optional[Trace] = None
-        self.queue_span: Optional[Span] = None
+        self.traces: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def piece(self, a: int, b: int) -> "_Request":
+        """A new entry for slot positions ``a..b`` of this one."""
+        entry = _Request(
+            self.levels[a - self.lo:b - self.lo], self.enqueued_at,
+            self.lane, self.owner, self.slot, a,
+        )
+        entry.key = self.key
+        if self.traces:
+            entry.traces = [t for t in self.traces if a <= t[0] < b] or None
+        return entry
+
+    def split(self, k: int) -> "_Request":
+        """Keep the first ``k`` rows; return the rest as a new entry."""
+        tail = self.piece(self.lo + k, self.lo + len(self))
+        self.levels = self.levels[:k]
+        if self.traces:
+            cut = self.lo + k
+            self.traces = [t for t in self.traces if t[0] < cut] or None
+        return tail
+
+    def cut(self, marks: list) -> list:
+        """``(piece, mark)`` over this entry's rows, cut at ``marks``:
+        sorted, disjoint ``(a, b, mark)`` slot-position ranges, with the
+        rows between them marked ``None``; an entry no mark splits comes
+        back whole."""
+        end = self.lo + len(self)
+        spans, pos = [], self.lo
+        for a, b, mark in marks + [(end, end, None)]:
+            if pos < a:
+                spans.append((pos, a, None))
+            if a < b:
+                spans.append((a, b, mark))
+            pos = b
+        if len(spans) == 1:
+            return [(self, spans[0][2])]
+        return [(self.piece(a, b), mark) for a, b, mark in spans]
+
+    def finish_traces(self, outcome: str, end_s: Optional[float] = None) -> None:
+        for _, trace, _ in self.traces or ():
+            trace.finish(outcome, end_s)
 
 
 _owner = operator.attrgetter("owner")
 
+# A slot row's state byte.
+_PENDING, _RUNNING, _CANCELLED, _DONE = 0, 1, 2, 3
+
+
+class _Slot:
+    """The one completion slot of a ``submit_many`` chunk.
+
+    One state byte and one outcome per row, under one lock and one
+    condition; the chunk's row handles (:class:`RowHandle`) read it.  A
+    row is pending, running (claimed for a read), cancelled (by its
+    client, before any claim) or done.  A done row's outcome is its
+    segment's results (``at(pos)`` gives the row's result) or the
+    exception that failed it.  Settling writes a whole segment at once.
+    """
+
+    __slots__ = ("state", "outcomes", "lock", "changed", "callbacks")
+
+    def __init__(self, n: int):
+        self.state = bytearray(n)
+        self.outcomes: list = [None] * n
+        self.lock = threading.Lock()
+        self.changed = threading.Condition(self.lock)
+        self.callbacks: Dict[int, list] = {}
+
+    def handles(self) -> List["RowHandle"]:
+        return [RowHandle(self, pos) for pos in range(len(self.state))]
+
+    def claim(self, lo: int, hi: int) -> List[int]:
+        """Mark rows ``lo..hi`` running; returns the positions whose
+        client cancelled them first (they stay cancelled).  A done row
+        raises, as claiming a finished Future does."""
+        with self.lock:
+            state = self.state
+            if state.find(_DONE, lo, hi) >= 0:
+                raise InvalidStateError(f"rows {lo}..{hi} already done")
+            if state.find(_CANCELLED, lo, hi) < 0:
+                state[lo:hi] = bytes((_RUNNING,)) * (hi - lo)
+                return []
+            gone = []
+            for pos in range(lo, hi):
+                if state[pos] == _CANCELLED:
+                    gone.append(pos)
+                else:
+                    state[pos] = _RUNNING
+            return gone
+
+    def settle(self, lo: int, hi: int, outcome) -> None:
+        """Rows ``lo..hi`` are done with ``outcome``."""
+        self._set(lo, hi, _DONE, outcome)
+
+    def cancel(self, lo: int, hi: int) -> None:
+        """A queue dropped unclaimed rows ``lo..hi``: they are cancelled."""
+        self._set(lo, hi, _CANCELLED, None)
+
+    def cancel_row(self, pos: int) -> bool:
+        """A client cancels one row: ``True`` unless it is already
+        running or done."""
+        return (
+            self._set(pos, pos + 1, _CANCELLED, None, only_pending=True)
+            or self.state[pos] == _CANCELLED
+        )
+
+    def _set(self, lo: int, hi: int, state: int, outcome,
+             only_pending: bool = False) -> bool:
+        with self.lock:
+            if only_pending and self.state[lo] != _PENDING:
+                return False
+            if self.state.find(_DONE, lo, hi) >= 0:
+                # As a Future refuses a second result: a row completes
+                # exactly once.
+                raise InvalidStateError(f"rows {lo}..{hi} already done")
+            self.outcomes[lo:hi] = [outcome] * (hi - lo)
+            self.state[lo:hi] = bytes((state,)) * (hi - lo)
+            self.changed.notify_all()
+            fired = []
+            if self.callbacks:
+                for pos in range(lo, hi):
+                    fired += self.callbacks.pop(pos, ())
+        for handle, fn in fired:
+            try:
+                fn(handle)
+            except Exception:  # noqa: BLE001 — as concurrent.futures does
+                _log.exception("exception calling callback for %r", handle)
+        return True
+
+
+class RowHandle:
+    """One row of a ``submit_many`` chunk: the
+    :class:`~concurrent.futures.Future` reading surface (``result``,
+    ``exception``, ``done``, ``cancelled``, ``cancel`` and
+    ``add_done_callback``) over the chunk's one completion slot.
+
+    Two references and no lock of its own, so a chunk of rows costs
+    one slot, not one future per row.  ``cancel`` succeeds while the
+    row is queued; the row then drops out when its batch is claimed,
+    never read.
+    """
+
+    __slots__ = ("slot", "pos")
+
+    def __init__(self, slot: _Slot, pos: int):
+        self.slot = slot
+        self.pos = pos
+
+    def done(self) -> bool:
+        return self.slot.state[self.pos] >= _CANCELLED
+
+    def cancelled(self) -> bool:
+        return self.slot.state[self.pos] == _CANCELLED
+
+    def cancel(self) -> bool:
+        return self.slot.cancel_row(self.pos)
+
+    def result(self, timeout: Optional[float] = None):
+        outcome = self._outcome(timeout)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome.at(self.pos)
+
+    def exception(self, timeout: Optional[float] = None):
+        outcome = self._outcome(timeout)
+        return outcome if isinstance(outcome, BaseException) else None
+
+    def add_done_callback(self, fn) -> None:
+        slot = self.slot
+        with slot.lock:
+            if slot.state[self.pos] < _CANCELLED:
+                slot.callbacks.setdefault(self.pos, []).append((self, fn))
+                return
+        try:
+            fn(self)
+        except Exception:  # noqa: BLE001 — as concurrent.futures does
+            _log.exception("exception calling callback for %r", self)
+
+    def _outcome(self, timeout: Optional[float]):
+        slot, pos = self.slot, self.pos
+        state = slot.state[pos]
+        if state < _CANCELLED:
+            with slot.changed:
+                if not slot.changed.wait_for(
+                    lambda: slot.state[pos] >= _CANCELLED, timeout
+                ):
+                    raise TimeoutError()
+            state = slot.state[pos]
+        if state == _CANCELLED:
+            raise CancelledError()
+        return slot.outcomes[pos]
+
+
+class _FutureSlot:
+    """The completion slot of a one-row ``submit``: one real
+    :class:`~concurrent.futures.Future`."""
+
+    __slots__ = ("future",)
+
+    def __init__(self):
+        self.future: "Future[ServedResult]" = Future()
+
+    def claim(self, lo: int, hi: int) -> List[int]:
+        return [] if self.future.set_running_or_notify_cancel() else [lo]
+
+    def settle(self, lo: int, hi: int, outcome) -> None:
+        if isinstance(outcome, BaseException):
+            self.future.set_exception(outcome)
+        else:
+            self.future.set_result(outcome.at(lo))
+
+    def cancel(self, lo: int, hi: int) -> None:
+        self.future.cancel()
+
 
 class _ClientFutures:
-    """The owner of rows whose client holds a future per row.
+    """The owner of entries whose rows a client waits on.
 
-    Counts each client request once, before any of the futures resolves
+    Counts each client request once, before any of its rows completes
     (completed, failed, shed for an :class:`Overloaded` refusal, or
-    cancelled), finishes its trace and resolves its future.  A direct
-    submit's rows share their scheduler's instance; the request plane's
-    attempt record extends it with failover.  ``claimed`` says the
-    rows' futures are already running (a batch ran them and failed), so
-    no client can cancel them and nobody claims them again.
+    cancelled), finishes its trace and completes the entry's slot, one
+    call per segment.  A direct submit's entries share their
+    scheduler's instance; the request plane's attempt record extends it
+    with failover.  ``claimed`` says the rows are already running (a
+    batch ran them and failed), so no client can cancel them and nobody
+    claims them again.
     """
 
     __slots__ = ("telemetry", "claimed")
@@ -279,75 +540,85 @@ class _ClientFutures:
         self.telemetry = telemetry
         self.claimed = claimed
 
-    def claim(self, rows: List[_Request]) -> List[_Request]:
-        # A claimed (running) future can no longer be cancelled under
-        # us, so the set_result/set_exception that settle it later
-        # cannot raise InvalidStateError and kill a batch worker.
+    def claim(self, entries: List[_Request]) -> List[_Request]:
+        # Claimed rows can no longer be cancelled under us, so the
+        # settlement that completes them later cannot race a cancel.
         if self.claimed:
-            return rows
-        kept = []
-        for row in rows:
-            if row.future.set_running_or_notify_cancel():
-                kept.append(row)
-            elif row.trace is not None:
-                if row.queue_span is not None:
-                    row.queue_span.end(outcome="cancelled")
-                row.trace.finish("cancelled")
-        if len(kept) < len(rows):
-            self.telemetry.record_cancelled(len(rows) - len(kept))
+            return entries
+        kept: List[_Request] = []
+        dropped = 0
+        for entry in entries:
+            gone = entry.slot.claim(entry.lo, entry.lo + len(entry))
+            if not gone:
+                kept.append(entry)
+                continue
+            dropped += len(gone)
+            marks = [(pos, pos + 1, True) for pos in gone]
+            for piece, cancelled in entry.cut(marks):
+                if not cancelled:
+                    kept.append(piece)
+                    continue
+                for _, trace, queue_span in piece.traces or ():
+                    if queue_span is not None:
+                        queue_span.end(outcome="cancelled")
+                    trace.finish("cancelled")
+        if dropped:
+            self.telemetry.record_cancelled(dropped)
         return kept
 
-    def served(self, rows: List[_Request], results: list,
+    def served(self, entries: List[_Request], results: list,
                finished: float) -> None:
+        latencies: List[float] = []
+        for entry in entries:
+            latencies += [finished - entry.enqueued_at] * len(entry)
         self.telemetry.record_completed(
-            results[0].model,
-            len(rows),
-            latencies_s=[finished - row.enqueued_at for row in rows],
+            results[0].model, len(latencies), latencies_s=latencies
         )
-        for row, result in zip(rows, results):
-            if row.trace is not None:
-                row.trace.finish("served", finished)
-            row.future.set_result(result)
+        for entry, result in zip(entries, results):
+            entry.finish_traces("served", finished)
+            entry.slot.settle(entry.lo, entry.lo + len(entry), result)
 
-    def failed(self, rows: List[_Request], exc: BaseException,
+    def failed(self, entries: List[_Request], exc: BaseException,
                ran: bool) -> None:
-        """Resolve ``rows`` with ``exc``: shed when it is
+        """Complete ``entries`` with ``exc``: shed when it is
         :class:`Overloaded`, failed otherwise (a row its client
         cancelled before anything claimed it counts cancelled)."""
         if not ran:
-            rows = self.claim(rows)
-        if not rows:
+            entries = self.claim(entries)
+        if not entries:
             return
+        n = sum(map(len, entries))
         if isinstance(exc, Overloaded):
             outcome = "shed"
-            self.telemetry.record_shed(len(rows))
+            self.telemetry.record_shed(n)
         else:
             outcome = "failed"
-            self.telemetry.record_failed(len(rows))
-        for row in rows:
-            if row.trace is not None:
-                row.trace.finish(outcome)
-            row.future.set_exception(exc)
+            self.telemetry.record_failed(n)
+        for entry in entries:
+            entry.finish_traces(outcome)
+            entry.slot.settle(entry.lo, entry.lo + len(entry), exc)
 
-    def cancel(self, rows: List[_Request]) -> None:
-        self.telemetry.record_cancelled(len(rows))
-        for row in rows:
-            if row.trace is not None:
-                row.trace.finish("cancelled")
+    def cancel(self, entries: List[_Request]) -> None:
+        self.telemetry.record_cancelled(sum(map(len, entries)))
+        for entry in entries:
+            entry.finish_traces("cancelled")
             if self.claimed:
-                # Running futures cannot be cancelled: the cancellation
+                # Running rows cannot be cancelled: the cancellation
                 # arrives as their error.
-                row.future.set_exception(CancelledError())
+                entry.slot.settle(
+                    entry.lo, entry.lo + len(entry), CancelledError()
+                )
             else:
-                row.future.cancel()
+                entry.slot.cancel(entry.lo, entry.lo + len(entry))
 
 
 class _LaneQueue:
-    """A scheduler's pending requests, split into priority lanes.
+    """A scheduler's pending entries, split into priority lanes.
 
-    Flush order is highest lane first, FIFO within a lane; sheds take
-    the *newest* request of the *lowest* lane (it has waited least and
-    matters least).  The common all-lane-0 case degenerates to a plain
+    ``size`` counts rows.  Flush order is highest lane first, FIFO
+    within a lane; sheds take the *newest* rows of the *lowest* lane
+    (they have waited least and matter least).  Both split an entry at
+    their boundary.  The common all-lane-0 case degenerates to a plain
     FIFO deque.
     """
 
@@ -357,44 +628,60 @@ class _LaneQueue:
         self.lanes: Dict[int, deque] = {}
         self.size = 0
 
-    def extend(self, lane: int, requests: List[_Request]) -> None:
-        """Append requests of one ``lane``, in order."""
-        self.lanes.setdefault(lane, deque()).extend(requests)
-        self.size += len(requests)
+    def extend(self, lane: int, entries: List[_Request], rows: int) -> None:
+        """Append ``entries`` (``rows`` rows) of one ``lane``, in order."""
+        self.lanes.setdefault(lane, deque()).extend(entries)
+        self.size += rows
 
     def oldest_enqueued_at(self) -> float:
         """Earliest enqueue time across lanes (age-out deadline)."""
         return min(q[0].enqueued_at for q in self.lanes.values() if q)
 
     def pop_batch(self, n: int) -> List[_Request]:
-        """Up to ``n`` requests, highest lane first, FIFO within."""
+        """Up to ``n`` rows of entries, highest lane first, FIFO within;
+        the entry at the boundary is split, its rest left at the head."""
         popped: List[_Request] = []
+        room = n
         for lane in sorted(self.lanes, reverse=True):
             queue = self.lanes[lane]
-            while queue and len(popped) < n:
-                popped.append(queue.popleft())
+            while queue and room:
+                entry = queue[0]
+                if len(entry) > room:
+                    queue[0] = entry.split(room)
+                    popped.append(entry)
+                    room = 0
+                else:
+                    popped.append(queue.popleft())
+                    room -= len(entry)
             if not queue:
                 del self.lanes[lane]
-            if len(popped) == n:
+            if not room:
                 break
-        self.size -= len(popped)
+        self.size -= n - room
         return popped
 
-    def shed_lowest(self, below_lane: int) -> Optional[_Request]:
-        """Evict the newest request of the lowest lane strictly below
-        ``below_lane``; ``None`` when nothing cheaper is queued."""
+    def shed_lowest(self, below_lane: int, n: int) -> List[_Request]:
+        """Evict up to ``n`` of the newest rows of the lowest lanes
+        strictly below ``below_lane``, newest first; empty when nothing
+        cheaper is queued."""
+        victims: List[_Request] = []
         for lane in sorted(self.lanes):
-            if lane >= below_lane:
-                return None
+            if lane >= below_lane or not n:
+                break
             queue = self.lanes[lane]
-            if not queue:
-                continue
-            victim = queue.pop()
+            while queue and n:
+                entry = queue[-1]
+                if len(entry) > n:
+                    victims.append(entry.split(len(entry) - n))
+                    self.size -= n
+                    n = 0
+                else:
+                    victims.append(queue.pop())
+                    self.size -= len(entry)
+                    n -= len(entry)
             if not queue:
                 del self.lanes[lane]
-            self.size -= 1
-            return victim
-        return None
+        return victims
 
     def drain_all(self) -> List[_Request]:
         """Remove and return everything (shutdown cancellation)."""
@@ -405,7 +692,7 @@ class _LaneQueue:
 
 
 class MicroBatchScheduler:
-    """Coalesces single-sample requests into batched engine reads.
+    """Coalesces queued rows into batched engine reads.
 
     Parameters
     ----------
@@ -423,15 +710,16 @@ class MicroBatchScheduler:
     telemetry:
         Shared counters; a private instance is created when omitted.
     max_queue_depth:
-        Bound on the scheduler's one queue, shared by every key it is
-        fed (``None`` = unbounded).  Rows that find it full displace the
-        cheapest queued request or are refused with :class:`Overloaded`
-        — see the module docstring's admission-control contract.
+        Bound on the rows of the scheduler's one queue, shared by every
+        key it is fed (``None`` = unbounded).  Rows that find it full
+        displace the cheapest queued rows or are refused with
+        :class:`Overloaded` — see the module docstring's
+        admission-control contract.
 
     The scheduler owns one daemon worker thread.  Every row enters
     through :meth:`enqueue`, which never blocks on inference (unless the
     caller opts into backpressure with ``block=True``); :meth:`submit`
-    and :meth:`submit_many` wrap it for clients that want futures.
+    and :meth:`submit_many` wrap it for clients that want results.
     """
 
     def __init__(
@@ -491,41 +779,44 @@ class MicroBatchScheduler:
             raise ValueError(
                 f"submit takes one 1-D sample, got shape {levels.shape}"
             )
-        request = _Request(
-            levels, time.monotonic(), int(priority), self._direct, Future()
+        slot = _FutureSlot()
+        entry = _Request(
+            levels, time.monotonic(), int(priority), self._direct, slot
         )
         self.telemetry.record_submitted()
-        refusal = self.enqueue(key, [request], block, timeout)
+        refusal = self.enqueue(key, [entry], block, timeout)
         if refusal is not None:
             raise refusal
-        return request.future
+        return slot.future
 
     def submit_many(
         self, key: Hashable, evidence_levels: np.ndarray, priority: int = 0
-    ) -> List["Future[ServedResult]"]:
-        """Enqueue a stack of samples as one chunk of independent requests.
+    ) -> List[RowHandle]:
+        """Enqueue a stack of samples as one entry of independent rows.
 
-        Each sample gets its own future and may land in a different
-        micro-batch.  On a bounded queue some may displace cheaper rows
-        or be refused — a refused sample's future carries the
-        :class:`Overloaded` instead of raising; after shutdown the call
-        raises :class:`SchedulerClosed`.
+        Returns one :class:`RowHandle` per row, over the entry's one
+        completion slot; rows may land in different micro-batches.  On
+        a bounded queue some may displace cheaper rows or be refused —
+        a refused row's handle carries the :class:`Overloaded` instead
+        of raising; after shutdown the call raises
+        :class:`SchedulerClosed`.
         """
         levels = np.asarray(evidence_levels, dtype=int)
         if levels.ndim != 2:
             raise ValueError(
                 f"submit_many takes (n, features) samples, got {levels.shape}"
             )
-        now = time.monotonic()
-        lane = int(priority)
-        requests = [
-            _Request(row, now, lane, self._direct, Future()) for row in levels
-        ]
-        self.telemetry.record_submitted(len(requests))
-        refusal = self.enqueue(key, requests)
+        if not len(levels):
+            return []
+        slot = _Slot(len(levels))
+        entry = _Request(
+            levels, time.monotonic(), int(priority), self._direct, slot
+        )
+        self.telemetry.record_submitted(len(levels))
+        refusal = self.enqueue(key, [entry])
         if isinstance(refusal, SchedulerClosed):
             raise refusal
-        return [r.future for r in requests]
+        return slot.handles()
 
     def enqueue(
         self,
@@ -534,20 +825,21 @@ class MicroBatchScheduler:
         block: bool = False,
         timeout: Optional[float] = None,
     ) -> Optional[BaseException]:
-        """Queue a chunk — prebuilt rows of one owner and one lane — for
-        ``key``; the only way a row enters the queue.
+        """Queue entries of one owner and one lane for ``key``; the only
+        way a row enters the queue.
 
-        The chunk is admitted under one lock acquisition (a blocked one
-        releases the lock only while it waits): the lane gauge rises
+        The entries are admitted under one lock acquisition (a blocked
+        one releases the lock only while it waits): the lane gauge rises
         before any row is visible to the batch worker, which is woken
         only for a new age-out deadline or a batch that just filled.  On
-        a bounded queue each row that finds it full, in order, waits for
+        a bounded queue the rows that find it full, in order, wait for
         space (with ``block``, up to ``timeout`` seconds; one
-        ``backpressure_block`` event per chunk that waited), displaces
-        the newest request of a lower lane (without ``block``), or is
-        refused together with the rows after it (one ``shed`` event
-        each).  Nothing is raised: refused rows go back to their owner
-        as failed (``ran=False``), displaced ones too, and the refusal —
+        ``backpressure_block`` event per call that waited), displace the
+        newest rows of a lower lane (without ``block``), or are refused
+        together with the rows after them (one ``shed`` event per
+        refused segment); an entry is split wherever the room runs out.
+        Nothing is raised: refused rows go back to their owner as failed
+        (``ran=False``), displaced ones too, and the refusal —
         :class:`Overloaded`, or :class:`SchedulerClosed` after shutdown
         — is returned (``None`` when every row was queued).
         """
@@ -558,7 +850,7 @@ class MicroBatchScheduler:
         bound = self.max_queue_depth
         max_batch = self.policy.max_batch
         deadline = None if timeout is None else time.monotonic() + timeout
-        admitted = 0
+        pending = list(requests)
         victims: List[_Request] = []
         refusal: Optional[BaseException] = None
         blocked_at: Optional[float] = None
@@ -567,36 +859,44 @@ class MicroBatchScheduler:
                 if self._closed:
                     refusal = SchedulerClosed("scheduler is shut down")
                     break
-                rows = requests[admitted:]
-                if bound is not None:
+                if bound is None:
+                    admit, pending = pending, []
+                else:
                     room = bound - queue.size
-                    while room < len(rows) and not block:
-                        victim = queue.shed_lowest(lane)
-                        if victim is None:
-                            break
-                        victims.append(victim)
-                        room += 1
-                    rows = rows[:room]
-                if rows:
+                    want = sum(map(len, pending))
+                    if room < want and not block:
+                        victims += queue.shed_lowest(lane, want - room)
+                        room = bound - queue.size
+                    admit = []
+                    while pending and room > 0:
+                        entry = pending[0]
+                        if len(entry) > room:
+                            pending[0] = entry.split(room)
+                        else:
+                            pending.pop(0)
+                        admit.append(entry)
+                        room -= len(entry)
+                if admit:
+                    rows = sum(map(len, admit))
                     # The lane gauge rises before the rows are visible
                     # to the worker: a drain recorded first would clamp
                     # at zero and leave this rise behind as a phantom
                     # queued row.  The telemetry lock is a leaf, so
                     # nesting it here is safe.
-                    self.telemetry.record_lane_queued(lane, len(rows))
-                    for request in rows:
-                        request.key = key
-                        if request.trace is not None:
-                            self._trace_admitted(key, request)
+                    self.telemetry.record_lane_queued(lane, rows)
+                    for entry in admit:
+                        entry.key = key
+                        if entry.traces:
+                            self._trace_admitted(key, entry)
                     before = queue.size
-                    queue.extend(lane, rows)
-                    admitted += len(rows)
-                    # Waking the worker for every row is a context-switch
-                    # storm under load; it only needs to hear about a
-                    # new age-out deadline or a batch that just filled.
+                    queue.extend(lane, admit, rows)
+                    # Waking the worker for every entry is a
+                    # context-switch storm under load; it only needs to
+                    # hear about a new age-out deadline or a batch that
+                    # just filled.
                     if before == 0 or before < max_batch <= queue.size:
                         self._wake.notify()
-                if admitted == len(requests):
+                if not pending:
                     break
                 if not block:
                     refusal = Overloaded(
@@ -621,22 +921,22 @@ class MicroBatchScheduler:
         # row fails over, which takes other schedulers' locks.
         for victim in victims:
             self._displace(victim, lane)
-        refused = requests[admitted:]
         if isinstance(refusal, Overloaded):
             now = time.monotonic()
             reason = "backpressure_timeout" if block else "door"
-            for request in refused:
-                if request.trace is not None:
-                    request.trace.add_span(
-                        "admit", request.enqueued_at, now, key=str(key),
-                        lane=lane, outcome="shed", depth=refusal.depth,
+            for entry in pending:
+                for _, trace, _ in entry.traces or ():
+                    trace.add_span(
+                        "admit", max(entry.enqueued_at, trace.created_s),
+                        now, key=str(key), lane=lane, outcome="shed",
+                        depth=refusal.depth,
                     )
                 self.telemetry.emit(
                     "shed", key=str(key), lane=lane, depth=refusal.depth,
-                    reason=reason,
+                    reason=reason, rows=len(entry),
                 )
-        if refused:
-            refused[0].owner.failed(refused, refusal, ran=False)
+        if pending:
+            pending[0].owner.failed(pending, refusal, ran=False)
         if blocked_at is not None:
             self.telemetry.emit(
                 "backpressure_block", key=str(key), lane=lane,
@@ -645,16 +945,18 @@ class MicroBatchScheduler:
         return refusal
 
     def _displace(self, victim: _Request, lane: int) -> None:
-        """Hand a queued request shed to admit a priority-``lane``
-        arrival back to its owner as failed with :class:`Overloaded`
-        (a routed victim is busy, not broken: it spills to a sibling)."""
-        if victim.queue_span is not None:
-            victim.queue_span.end(outcome="shed")
+        """Hand queued rows shed to admit a priority-``lane`` arrival
+        back to their owner as failed with :class:`Overloaded` (a routed
+        victim is busy, not broken: it spills to a sibling)."""
+        for _, _, queue_span in victim.traces or ():
+            if queue_span is not None:
+                queue_span.end(outcome="shed")
         self.telemetry.emit(
             "displacement", key=str(victim.key), lane=lane,
             victim_lane=victim.lane, depth=self.max_queue_depth,
+            rows=len(victim),
         )
-        self.telemetry.record_lane_drained(victim.lane)
+        self.telemetry.record_lane_drained(victim.lane, len(victim))
         victim.owner.failed([victim], Overloaded(
             f"shed from the queue for {victim.key!r} by a priority-{lane} "
             f"arrival",
@@ -662,21 +964,23 @@ class MicroBatchScheduler:
         ), ran=False)
 
     @staticmethod
-    def _trace_admitted(key: Hashable, request: _Request) -> None:
-        """Close the admit span and open the lane-wait span.
+    def _trace_admitted(key: Hashable, entry: _Request) -> None:
+        """Close the sampled rows' admit spans and open their lane-wait
+        spans.
 
-        Runs under the lock, before the request becomes visible to the
-        worker — it may pop (and must close) the queue span the instant
-        the lock drops.
+        Runs under the lock, before the entry becomes visible to the
+        worker — it may pop (and must close) the queue spans the
+        instant the lock drops.  An admit span starts when its trace
+        did, or at the failover that re-queued the row.
         """
         t_admitted = time.monotonic()
-        request.trace.add_span(
-            "admit", request.enqueued_at, t_admitted,
-            key=str(key), lane=request.lane,
-        )
-        request.queue_span = request.trace.span(
-            "queue", start_s=t_admitted, lane=request.lane
-        )
+        for traced in entry.traces:
+            trace = traced[1]
+            trace.add_span(
+                "admit", max(entry.enqueued_at, trace.created_s), t_admitted,
+                key=str(key), lane=entry.lane,
+            )
+            traced[2] = trace.span("queue", start_s=t_admitted, lane=entry.lane)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Flush the queue now and wait until all requests resolved.
@@ -745,10 +1049,10 @@ class MicroBatchScheduler:
         """Stop the worker; idempotent.
 
         With ``drain=True`` (the default) every queued request is served
-        first — the graceful path.  With ``drain=False`` queued requests
-        go back to their owners as cancelled (a client's future reports
+        first — the graceful path.  With ``drain=False`` queued rows go
+        back to their owners as cancelled (a client's row reports
         cancellation; a routed row queued here by a failover is already
-        running, so its future raises
+        running, so it raises
         :class:`~concurrent.futures.CancelledError` instead).
         """
         if drain:
@@ -763,16 +1067,17 @@ class MicroBatchScheduler:
             # their rows instead of sleeping forever.
             self._progress.notify_all()
         self._drained(cancelled)
-        for request in cancelled:
-            if request.queue_span is not None:
-                request.queue_span.end(outcome="cancelled")
+        for entry in cancelled:
+            for _, _, queue_span in entry.traces or ():
+                if queue_span is not None:
+                    queue_span.end(outcome="cancelled")
         for owner, run in itertools.groupby(cancelled, _owner):
             owner.cancel(list(run))
         self._worker.join()
 
     @property
     def pending(self) -> int:
-        """Requests queued but not yet launched in a batch.
+        """Rows queued but not yet launched in a batch.
 
         Read without the queue lock: the router's cost score reads it
         for every pick, and a count one request out of date is harmless
@@ -814,8 +1119,8 @@ class MicroBatchScheduler:
                     # Room just opened up for backpressured enqueues.
                     self._progress.notify_all()
             self._drained(popped)
-            # Each owner claims its rows before the read: a row its
-            # client already cancelled drops out here, unread.
+            # Each owner claims its entries before the read: rows their
+            # client already cancelled drop out here, unread.
             batch = []
             for owner, run in itertools.groupby(popped, _owner):
                 batch += owner.claim(list(run))
@@ -834,10 +1139,10 @@ class MicroBatchScheduler:
         # only fail its own group, never the well-formed requests that
         # happened to share the coalescing window.
         groups: Dict[tuple, List[_Request]] = {}
-        for request in batch:
+        for entry in batch:
             groups.setdefault(
-                (request.key, request.levels.shape), []
-            ).append(request)
+                (entry.key, entry.levels.shape[1:]), []
+            ).append(entry)
         for (key, _), group in groups.items():
             try:
                 engine = self.resolve_engine(key)
@@ -846,33 +1151,33 @@ class MicroBatchScheduler:
                 continue
             self._execute_group(key, engine, group, started)
 
-    def _drained(self, requests: List[_Request]) -> None:
+    def _drained(self, entries: List[_Request]) -> None:
         """Lower the lane gauge for rows that left the queue."""
         by_lane: Dict[int, int] = {}
-        for request in requests:
-            by_lane[request.lane] = by_lane.get(request.lane, 0) + 1
+        for entry in entries:
+            by_lane[entry.lane] = by_lane.get(entry.lane, 0) + len(entry)
         for lane, count in by_lane.items():
             self.telemetry.record_lane_drained(lane, count)
 
     @staticmethod
     def _fail(
-        requests: List[_Request], started: float, exc: BaseException
+        entries: List[_Request], started: float, exc: BaseException
     ) -> None:
-        """Hand the requests of a batch whose engine resolve/read failed
+        """Hand the entries of a batch whose engine resolve/read failed
         back to their owners, one call per owner run.
 
         Spans close first: a routed row's failover appends new spans to
         the same trace, and those must come after these.
         """
         now = time.monotonic()
-        for request in requests:
-            if request.trace is not None:
-                if request.queue_span is not None:
-                    request.queue_span.end(started)
-                request.trace.add_span(
+        for entry in entries:
+            for _, trace, queue_span in entry.traces or ():
+                if queue_span is not None:
+                    queue_span.end(started)
+                trace.add_span(
                     "execute", started, now, error=type(exc).__name__
                 )
-        for owner, run in itertools.groupby(requests, _owner):
+        for owner, run in itertools.groupby(entries, _owner):
             owner.failed(list(run), exc, ran=True)
 
     @staticmethod
@@ -904,52 +1209,55 @@ class MicroBatchScheduler:
     def _execute_group(
         self, key: Hashable, engine, group: List[_Request], started: float
     ) -> None:
-        # Stack the batch's levels into a pooled buffer: the steady
-        # state re-serves the same few micro-batch shapes, and the
-        # engine only derives activation masks from the levels (it
-        # retains no reference), so the row-stacking that fed every
-        # infer_batch call stops allocating per batch.
-        levels = self._scratch.take(
-            (len(group), group[0].levels.shape[0]), dtype=int
-        )
-        for i, request in enumerate(group):
-            levels[i] = request.levels
+        # An entry that fills the batch is read as it is.  Several are
+        # concatenated into a pooled buffer: the steady state re-serves
+        # the same few micro-batch shapes, and the engine only derives
+        # activation masks from the levels (it retains no reference).
+        pooled = None
+        if len(group) == 1:
+            levels = group[0].levels
+        else:
+            pooled = levels = self._scratch.take(
+                (sum(map(len, group)), group[0].levels.shape[1]), dtype=int
+            )
+            np.concatenate([entry.levels for entry in group], out=levels)
         try:
             report = engine.infer_batch(levels)
         except BaseException as exc:  # noqa: BLE001 — failures go to owners
             self._fail(group, started, exc)
             return
         finally:
-            self._scratch.give(levels)
-        size = len(group)
+            if pooled is not None:
+                self._scratch.give(pooled)
+        size = len(levels)
         model = str(key)
-        traced = [
-            i for i, request in enumerate(group) if request.trace is not None
-        ]
+        results = []
+        traced = []
+        first = 0
+        for entry in group:
+            shift = first - entry.lo
+            results.append(ServedRows(
+                model, size, started - entry.enqueued_at, report, shift
+            ))
+            for row in entry.traces or ():
+                traced.append((row[0] + shift, row))
+            first += len(entry)
         # The traced rows' span attributes are computed first, inside
         # ``execute``; then one clock read ends each traced row's span,
         # and its owner finishes the trace at that same reading, so no
         # per-row work (and no thread switch during it) opens a hole
         # between the two.
-        attrs = self._trace_attrs(report, traced, size) if traced else ()
+        attrs = (
+            self._trace_attrs(report, [i for i, _ in traced], size)
+            if traced else ()
+        )
         finished = time.monotonic()
-        for i, row_attrs in zip(traced, attrs):
-            request = group[i]
-            if request.queue_span is not None:
-                request.queue_span.end(started)
-            request.trace.add_span("execute", started, finished, **row_attrs)
+        for (_, (_, trace, queue_span)), row_attrs in zip(traced, attrs):
+            if queue_span is not None:
+                queue_span.end(started)
+            trace.add_span("execute", started, finished, **row_attrs)
         self.telemetry.record_executed(size, max_batch=self.policy.max_batch)
-        results = [
-            ServedResult(
-                model=model,
-                batch_size=size,
-                queue_wait_s=started - request.enqueued_at,
-                _report=report,
-                _index=i,
-            )
-            for i, request in enumerate(group)
-        ]
-        # A chunk's rows sit together in the queue, so a batch usually
+        # A chunk's entries sit together in the queue, so a batch usually
         # settles in one or two owner calls.
         lo = 0
         for owner, run in itertools.groupby(group, _owner):

@@ -38,7 +38,7 @@ from repro.serving.observability import (
 )
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import Router
-from repro.serving.scheduler import BatchPolicy, ServedResult
+from repro.serving.scheduler import BatchPolicy, RowHandle, ServedResult
 from repro.serving.telemetry import Telemetry, TelemetrySnapshot
 
 
@@ -347,11 +347,17 @@ class FeBiMServer:
         evidence_levels: np.ndarray,
         version: Optional[int] = None,
         client: Optional[object] = None,
-    ) -> List["Future[ServedResult]"]:
-        """Enqueue a stack of samples, one future per row.
+    ) -> List[RowHandle]:
+        """Enqueue a stack of samples; one row handle per row.
 
         Routes through the router's request plane — one policy pick per
-        ``max_batch`` chunk, each chunk queued under one scheduler lock.
+        ``max_batch`` chunk, each chunk queued as one entry under one
+        scheduler lock.  Each :class:`~repro.serving.scheduler.RowHandle`
+        reads like a :class:`~concurrent.futures.Future` (``result``,
+        ``exception``, ``done``, ``cancelled``, ``cancel``,
+        ``add_done_callback``) over its chunk's one completion slot; a
+        mirrored deployment's rows each get one real future (one vote
+        per row).
         """
         return self.router.plane.submit_many(
             self.router.serving(name, version), evidence_levels, client

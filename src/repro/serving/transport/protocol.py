@@ -28,18 +28,21 @@ by one ``done`` frame or answered by an ``error``.  Heartbeats carry
 liveness only.
 
 The request plane moves blocks, not rows: one ``request`` frame carries
-up to ``max_batch`` rows of evidence levels (a list of integer lists)
-for one placed replica, and the worker answers it with one ``result`` frame
-whose body holds the rows' columns in row order — ``prediction``,
-``delay``, ``energy_total``, ``queue_wait_s``, ``batch_size``,
-``margin`` — plus an ``errors`` list of ``[row, typed error]`` pairs
-for rows that failed (:func:`encode_block` / :func:`decode_block`).
-Framing, the socket write and JSON parsing are paid once per block.
-The bodies stay strict JSON — a block of short integer rows and float
-columns is small next to :data:`MAX_FRAME`, and Python's float repr
-round-trips every modelled delay and energy bit for bit.
-``allow_nan=False`` keeps the wire strict: NaN margins are mapped to
-``null`` explicitly before encoding.
+one queue entry — up to ``max_batch`` rows of evidence levels (a list
+of integer lists) for one placed replica — and the worker answers it
+with one ``result`` frame whose body holds the rows' columns in row
+order (:func:`encode_block` / :func:`decode_block`): ``prediction``
+as a list of the model's class labels (integers, strings or floats, as
+the model holds them), ``batch_size`` as an integer list, and
+``delay``, ``energy_total``, ``queue_wait_s`` and ``margin`` as base64
+strings of little-endian float64 columns, plus an ``errors`` list of
+``[lo, hi, typed error]`` row ranges that failed.  Framing, the socket
+write and JSON parsing are paid once per block, and packing the floats
+spares the per-float decimal formatting that would otherwise dominate
+a reply's encoding; the packed bytes carry every modelled delay and
+energy bit for bit.  The bodies stay strict JSON (``allow_nan=False``):
+a packed column may hold NaN (a degenerate margin, a failed row), which
+decodes to ``None`` for a margin.
 
 Typed scheduler errors survive the boundary: :func:`encode_error` /
 :func:`decode_error` rebuild :class:`~repro.serving.scheduler.Overloaded`
@@ -54,13 +57,15 @@ error type a peer does not know).
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
 import struct
 import threading
 from concurrent.futures import CancelledError
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.backends.base import CapabilityError
 from repro.serving.scheduler import Overloaded
@@ -73,8 +78,10 @@ MAGIC = 0x4642
 #: (2: block ``request`` / columnar ``result`` bodies; 3: workers host
 #: replicas by placement id under per-replica control frames; 4:
 #: ``place`` has no ``fresh`` flag, and one for a placement id the
-#: worker hosts programs new hardware into it).
-WIRE_VERSION = 4
+#: worker hosts programs new hardware into it; 5: ``result`` float
+#: columns packed as base64 little-endian float64, errors as row
+#: ranges).
+WIRE_VERSION = 5
 
 #: Frame header: (magic, version, body length), network byte order.
 HEADER = struct.Struct("!HHI")
@@ -318,8 +325,7 @@ def decode_error(payload: dict) -> BaseException:
     )
 
 
-@dataclass(frozen=True)
-class RemoteServedResult:
+class RemoteServedResult(NamedTuple):
     """A :class:`~repro.serving.scheduler.ServedResult` view that crossed
     the wire.
 
@@ -328,7 +334,8 @@ class RemoteServedResult:
     drop-in; the shared batch report stayed in the worker — only the
     scalars this request owns travelled.  ``margin`` is the answer's
     winner/runner-up read margin (``None`` when degenerate), shipped so
-    weighted mirror votes work across processes.
+    weighted mirror votes work across processes.  An immutable named
+    tuple: a handle builds one per row it reads, so it must be cheap.
     """
 
     model: str
@@ -347,59 +354,126 @@ RESULT_COLUMNS = (
     "prediction", "delay", "energy_total", "queue_wait_s", "batch_size",
     "margin",
 )
+#: The columns a ``result`` body packs as base64 little-endian float64.
+FLOAT_COLUMNS = ("delay", "energy_total", "queue_wait_s", "margin")
+_FLOAT64 = np.dtype("<f8")
+
+
+def pack_floats(values) -> str:
+    """A float column as base64 little-endian float64 (NaN for ``None``)."""
+    column = np.array(values, dtype=_FLOAT64)
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def unpack_floats(text: str) -> list:
+    """The floats :func:`pack_floats` packed, bit for bit."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"float column is not base64: {exc}")
+    if len(raw) % _FLOAT64.itemsize:
+        raise ProtocolError("float column is not whole float64 values")
+    return np.frombuffer(raw, dtype=_FLOAT64).tolist()
 
 
 def encode_block(
     model: str,
-    columns: Dict[str, list],
-    errors: Sequence[Tuple[int, BaseException]] = (),
+    columns: Dict[str, Sequence],
+    errors: Sequence[Tuple[int, int, BaseException]] = (),
     replica: str = "",
     worker: str = "",
 ) -> dict:
     """The ``result`` body answering one ``request`` frame.
 
-    ``columns`` maps every name in :data:`RESULT_COLUMNS` to a list with
-    one entry per row of the request, in row order.  ``errors`` names
-    the rows that failed as ``(row, exception)`` pairs; their column
-    entries go out as ``null`` and the exceptions as typed error
-    payloads.  NaN margins go out as ``null`` too.  The column lists are
-    used in place (failed rows are blanked in them), not copied.
+    ``columns`` maps every name in :data:`RESULT_COLUMNS` to one value
+    per row of the request, in row order (a list or an array); the
+    :data:`FLOAT_COLUMNS` are packed, and the others go out as JSON
+    lists of their values (a prediction keeps its label's type).
+    ``errors`` names the row ranges ``lo..hi`` that failed as ``(lo, hi,
+    exception)``; their column values are ignored, and the exceptions go
+    out as typed error payloads.
     """
     body = {"model": model, "replica": replica, "worker": worker}
     for name in RESULT_COLUMNS:
-        body[name] = columns[name]
-    body["margin"] = [None if m != m else m for m in body["margin"]]
-    wire_errors = []
-    for row, exc in errors:
-        for name in RESULT_COLUMNS:
-            body[name][row] = None
-        wire_errors.append([int(row), encode_error(exc)])
-    body["errors"] = wire_errors
+        values = columns[name]
+        if name in FLOAT_COLUMNS:
+            body[name] = pack_floats(values)
+        else:
+            body[name] = np.asarray(values).tolist()
+    body["errors"] = [
+        [int(lo), int(hi), encode_error(exc)] for lo, hi, exc in errors
+    ]
     return body
 
 
-def decode_block(
-    payload: dict,
-) -> List[Union[RemoteServedResult, BaseException]]:
-    """One outcome per row of a ``result`` body, in row order: the row's
-    :class:`RemoteServedResult`, or its typed exception."""
-    columns = [payload[name] for name in RESULT_COLUMNS]
+class ResultBlock:
+    """A decoded ``result`` body: one outcome per row, built when read.
+
+    ``block[i]`` is row ``i``'s :class:`RemoteServedResult`, or the
+    typed exception of the error range that holds it; ``errors`` lists
+    those ranges as sorted, disjoint ``(lo, hi, exception)``.  Decoding
+    is one pass per column, never per row: ``rows`` zips the decoded
+    columns, in :data:`RESULT_COLUMNS` order.  ``base`` is the slot
+    position of the frame's first row in the chunk it answers (the
+    front end sets it when it settles the reply), so :meth:`at` reads a
+    row the way :class:`~repro.serving.scheduler.ServedRows` does.
+    """
+
+    __slots__ = ("model", "replica", "worker", "rows", "errors", "base")
+
+    def __init__(self, model: str, replica: str, worker: str, rows: list,
+                 errors: list):
+        self.model = model
+        self.replica = replica
+        self.worker = worker
+        self.rows = rows
+        self.errors = errors
+        self.base = 0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def at(self, pos: int) -> Union[RemoteServedResult, BaseException]:
+        """The outcome of the row at slot position ``pos``."""
+        return self[pos - self.base]
+
+    def __getitem__(self, i: int) -> Union[RemoteServedResult, BaseException]:
+        for lo, hi, exc in self.errors:
+            if lo <= i < hi:
+                return exc
+        prediction, delay, energy, wait, size, margin = self.rows[i]
+        return RemoteServedResult(
+            self.model, prediction, delay, energy, wait, size,
+            margin if margin == margin else None, self.replica, self.worker,
+        )
+
+
+def decode_block(payload: dict) -> ResultBlock:
+    """The :class:`ResultBlock` of a ``result`` body."""
+    columns = [
+        unpack_floats(payload[name]) if name in FLOAT_COLUMNS
+        else payload[name]
+        for name in RESULT_COLUMNS
+    ]
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ProtocolError("result columns differ in length")
-    model = payload["model"]
-    replica = payload.get("replica", "")
-    worker = payload.get("worker", "")
-    failed = {
-        int(row): decode_error(error)
-        for row, error in payload.get("errors", ())
-    }
-    # RESULT_COLUMNS follows RemoteServedResult's field order.
-    return [
-        failed[i] if i in failed
-        else RemoteServedResult(model, *values, replica, worker)
-        for i, values in enumerate(zip(*columns))
-    ]
+    errors = sorted(
+        ((int(lo), int(hi), decode_error(error))
+         for lo, hi, error in payload.get("errors", ())),
+        key=lambda error: error[0],
+    )
+    bounds = [0] + [b for lo, hi, _ in errors for b in (lo, hi)] + [n]
+    if any(a > b for a, b in zip(bounds, bounds[1:])) or any(
+        lo == hi for lo, hi, _ in errors
+    ):
+        raise ProtocolError(
+            f"result error ranges are not disjoint row ranges of {n} rows"
+        )
+    return ResultBlock(
+        payload["model"], payload.get("replica", ""),
+        payload.get("worker", ""), list(zip(*columns)), errors,
+    )
 
 
 def encode_result(result, margin: Optional[float] = None,
@@ -415,7 +489,7 @@ def encode_result(result, margin: Optional[float] = None,
     return encode_block(
         result.model,
         {
-            "prediction": [int(result.prediction)],
+            "prediction": [result.prediction],
             "delay": [float(result.delay)],
             "energy_total": [float(result.energy_total)],
             "queue_wait_s": [float(result.queue_wait_s)],

@@ -19,10 +19,11 @@ an ``error``).  Three threads per worker:
 
 * the **message loop** (main thread) dispatches control and request
   frames; request execution itself is asynchronous — a ``request``
-  frame's rows are queued as one chunk owned by the frame's
-  :class:`_Block`, the scheduler settles them through it a run at a
-  time, and the call that settles the last row sends the frame's one
-  ``result`` reply, so a slow batch never blocks control traffic;
+  frame's rows are queued as one entry owned by the frame's
+  :class:`_Block`, the scheduler settles it through the block one
+  segment at a time, and the call that settles the last row sends the
+  frame's one ``result`` reply, built from slices of the batch reports,
+  so a slow batch never blocks control traffic;
 * the **heartbeat thread** sends liveness only, on the supervision
   cadence — the signal whose absence triggers failover;
 * each host's scheduler batch worker.
@@ -59,7 +60,6 @@ from repro.serving.telemetry import Telemetry
 from repro.serving.transport.protocol import (
     MessageConnection,
     ProtocolError,
-    RESULT_COLUMNS,
     encode_block,
     encode_error,
     encode_frame,
@@ -108,93 +108,94 @@ class _EventForwarder:
 
 
 class _Block:
-    """One ``request`` frame's rows inside the worker, and their owner.
+    """One ``request`` frame's entry inside the worker, and its owner.
 
-    The scheduler settles the rows through the owner calls (see
-    :class:`~repro.serving.scheduler._Request`); a row's first outcome
-    sticks, and the call that settles the last row sends the frame's
-    one ``result`` reply (from whichever thread made it — normally the
-    batch worker, right after the read).
+    The scheduler settles the entry through the owner calls (see
+    :class:`~repro.serving.scheduler._Request`), once per segment; the
+    block keeps each served segment's results and each failed
+    segment's row range, and the call that settles its last row sends
+    the frame's one ``result`` reply (from whichever thread made it —
+    normally the batch worker, right after the read).
     """
 
-    __slots__ = ("host", "request_id", "replica", "rows", "outcomes", "lock")
+    __slots__ = ("host", "request_id", "replica", "n", "settled", "results",
+                 "errors", "lock")
 
-    def __init__(self, host: "WorkerHost", request_id, replica, levels,
-                 priority: int = 0):
+    def __init__(self, host: "WorkerHost", request_id, replica, n: int):
         self.host = host
         self.request_id = request_id
         self.replica = replica
-        now = time.monotonic()
-        self.rows = [_Request(row, now, priority, self) for row in levels]
-        self.outcomes: Dict[_Request, object] = {}
+        self.n = n
+        self.settled = 0
+        self.results: list = []  # (entry segment, its ServedRows)
+        self.errors: list = []  # (lo, hi, exception)
         self.lock = threading.Lock()
 
-    def claim(self, rows: List[_Request]) -> List[_Request]:
-        return rows  # no client in this process can cancel a row
+    def claim(self, entries: List[_Request]) -> List[_Request]:
+        return entries  # no client in this process can cancel a row
 
-    def served(self, rows: List[_Request], results: list,
+    def served(self, entries: List[_Request], results: list,
                finished: float) -> None:
-        self._settle(zip(rows, results))
+        self._settle(entries, list(zip(entries, results)), [])
 
-    def failed(self, rows: List[_Request], exc: BaseException,
+    def failed(self, entries: List[_Request], exc: BaseException,
                ran: bool) -> None:
-        self._settle((row, exc) for row in rows)
+        self._settle(entries, [], [
+            (entry.lo, entry.lo + len(entry), exc) for entry in entries
+        ])
 
-    def cancel(self, rows: List[_Request]) -> None:
+    def cancel(self, entries: List[_Request]) -> None:
         # Typed on the wire, so the front end settles these rows as
         # cancelled, as a local queue would.
-        self.failed(rows, CancelledError(), False)
+        self.failed(entries, CancelledError(), False)
 
-    def _settle(self, outcomes) -> None:
-        """Record each ``(row, outcome)`` pair unless the row already
-        has one; the call that completes the block replies."""
-        n = len(self.rows)
+    def _settle(self, entries: List[_Request], results: list,
+                errors: list) -> None:
+        """Record settled segments; the call that completes the block
+        replies."""
         with self.lock:
-            done = len(self.outcomes)
-            for row, outcome in outcomes:
-                self.outcomes.setdefault(row, outcome)
-            if done == n or len(self.outcomes) < n:
-                return  # replied already, or rows still out
+            self.results += results
+            self.errors += errors
+            self.settled += sum(map(len, entries))
+            if self.settled < self.n:
+                return
         self.host._reply(self)
 
 
-def _result_columns(outcomes: list) -> Dict[str, list]:
-    """The ``result`` columns of a block's served rows.
-
-    Rows are gathered per batch report — a block usually ran in one
-    batch — so each column is one fancy-index of the report's arrays and
-    the read margins are one :func:`margin_signal` call per report over
-    the currents the read already sensed.  Failed rows stay ``None``.
-    """
-    n = len(outcomes)
-    columns = {name: [None] * n for name in RESULT_COLUMNS}
-    by_report: Dict[int, tuple] = {}
-    for row, outcome in enumerate(outcomes):
-        if isinstance(outcome, BaseException):
-            continue
-        group = by_report.get(id(outcome._report))
-        if group is None:
-            group = by_report[id(outcome._report)] = (outcome._report, [], [])
-        group[1].append(row)
-        group[2].append(outcome._index)
-        columns["queue_wait_s"][row] = outcome.queue_wait_s
-        columns["batch_size"][row] = outcome.batch_size
-    for report, rows, index in by_report.values():
-        index = np.asarray(index)
+def _result_columns(block: _Block) -> dict:
+    """The ``result`` columns of a settled block, one slice of a batch
+    report per served segment; the read margins are one
+    :func:`margin_signal` call per segment over the currents the read
+    already sensed.  Failed rows keep placeholders (their error ranges
+    go out beside the columns).  Predictions are the model's own class
+    labels, so their column is a list of the report's values, whatever
+    their type."""
+    n = block.n
+    columns = {
+        "prediction": [None] * n,
+        "batch_size": np.zeros(n, dtype=np.int64),
+        "delay": np.full(n, np.nan),
+        "energy_total": np.full(n, np.nan),
+        "queue_wait_s": np.full(n, np.nan),
+        "margin": np.full(n, np.nan),
+    }
+    for entry, rows in block.results:
+        report = rows.report
+        out = slice(entry.lo, entry.lo + len(entry))
+        read = slice(entry.lo + rows.shift, entry.lo + rows.shift + len(entry))
+        columns["prediction"][out] = (
+            np.asarray(report.predictions)[read].tolist()
+        )
+        columns["delay"][out] = np.asarray(report.delay)[read]
+        columns["energy_total"][out] = np.asarray(report.energy.total)[read]
+        columns["queue_wait_s"][out] = rows.queue_wait_s
+        columns["batch_size"][out] = rows.batch_size
         try:
-            margins = margin_signal(report_currents(report)[index])[0]
+            columns["margin"][out] = margin_signal(
+                report_currents(report)[read]
+            )[0]
         except Exception:  # noqa: BLE001 — a margin never fails a reply
-            margins = np.full(len(index), np.nan)
-        for name, values in (
-            ("prediction", np.asarray(report.predictions)[index]),
-            ("delay", np.asarray(report.delay, dtype=float)[index]),
-            ("energy_total",
-             np.asarray(report.energy.total, dtype=float)[index]),
-            ("margin", margins),
-        ):
-            column = columns[name]
-            for row, value in zip(rows, values.tolist()):
-                column[row] = value
+            pass
     return columns
 
 
@@ -348,7 +349,7 @@ class WorkerHost:
     def _on_request(self, message: dict):
         """Queue one block of rows on the placed replica it addresses.
 
-        The rows go in as one chunk under one scheduler lock, owned by
+        The rows go in as one entry under one scheduler lock, owned by
         the frame's :class:`_Block`; the reply leaves once the last row
         settles — the message loop is already back on ``recv`` while the
         batch coalesces, so a worker pipelines many in-flight blocks.
@@ -360,24 +361,19 @@ class WorkerHost:
                 f"request levels must be a non-empty (rows, features) "
                 f"block, got shape {levels.shape}"
             )
-        block = _Block(
-            self, message["id"], host, levels, int(message.get("priority", 0))
-        )
-        host.enqueue(block.rows)
+        block = _Block(self, message["id"], host, len(levels))
+        host.enqueue([_Request(
+            levels, time.monotonic(), int(message.get("priority", 0)), block
+        )])
 
     def _reply(self, block: _Block) -> None:
         """Send a finished block's ``result`` frame.
 
         A reply that cannot be encoded (larger than ``MAX_FRAME``, or
         not strict JSON) is answered with an ``error`` frame instead, so
-        no front-end future waits forever on it.
+        no front-end row waits forever on it.
         """
         host = block.replica
-        outcomes = [block.outcomes[row] for row in block.rows]
-        errors = [
-            (row, outcome) for row, outcome in enumerate(outcomes)
-            if isinstance(outcome, BaseException)
-        ]
         try:
             frame = encode_frame(make(
                 "result",
@@ -385,8 +381,8 @@ class WorkerHost:
                 worker=self.worker_id,
                 result=encode_block(
                     str(host.key),
-                    _result_columns(outcomes),
-                    errors,
+                    _result_columns(block),
+                    block.errors,
                     replica=host.label,
                     worker=self.worker_id,
                 ),

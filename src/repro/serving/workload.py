@@ -9,7 +9,7 @@ property tests all run through it.  Before it returns, every run checks
 the serving invariants and raises :class:`InvariantViolation` naming
 each one it broke:
 
-* ``futures`` — every accepted client future is done;
+* ``futures`` — every accepted client future or row handle is done;
 * ``books`` — the client's own tallies (ok, shed, failed, cancelled)
   equal the server's (completed, shed, failed, cancelled) and sum to
   its ``submitted``; submits that raised are ``refused``, counted apart;
@@ -35,7 +35,7 @@ import threading
 import time
 import zlib
 from collections import Counter
-from concurrent.futures import CancelledError, wait
+from concurrent.futures import CancelledError
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -251,8 +251,11 @@ class Scenario:
     until the spike capacity is back.  **Traffic**: ``n_requests`` from
     ``submitters`` closed-loop threads, or with ``duration_s`` the
     open-loop :func:`bursty_trace` (``spike_factor`` burst) from one
-    paced submitter; round-robin across tenants, every
-    :data:`INTERACTIVE_SHARE`-th request ``"interactive"``.
+    paced submitter, ``block`` consecutive requests per client call
+    (``1``: one ``submit`` each; more: one ``submit_many``, sent once
+    its last row has arrived); round-robin across tenants per call,
+    every :data:`INTERACTIVE_SHARE`-th call's first request
+    ``"interactive"``.
     **Serving**: ``policy``; ``service_time_ms`` paces in-process
     engines (:class:`PacedEngine`); ``maintenance_s`` runs the sweep.
     **Observed**: ``trace_rate`` and ``metrics_s`` (the series period)
@@ -267,6 +270,7 @@ class Scenario:
     deployment: Optional[Deployment] = None
     n_requests: int = 2048
     submitters: int = 4
+    block: int = 1
     duration_s: Optional[float] = None
     spike_factor: float = 12.0
     policy: BatchPolicy = BatchPolicy()
@@ -282,6 +286,7 @@ class Scenario:
         check_positive_int(self.n_models, "n_models")
         check_positive_int(self.n_requests, "n_requests")
         check_positive_int(self.submitters, "submitters")
+        check_positive_int(self.block, "block")
         for name in ("duration_s", "service_time_ms", "maintenance_s",
                      "metrics_s"):
             if getattr(self, name) is not None:
@@ -610,16 +615,19 @@ def _fire(server, dep: Deployment, fault: Fault) -> dict:
     return record
 
 
-def _drive(submit, fire, n: int, threads: int, arrivals) -> Tuple[list, float]:
-    """Hand request indices ``0..n-1`` to ``threads`` submitter threads
-    from one shared counter; open loop (``arrivals`` set) holds each
-    index until its arrival time.  ``fire(i)`` runs under the counter
-    lock before index ``i`` is handed out.  A submit that raises leaves
-    its exception in the slot — a refused request — and the submitter
-    keeps going.  Returns the futures-or-exceptions by index and the
+def _drive(submit, fire, n: int, threads: int, arrivals,
+           block: int) -> Tuple[list, float]:
+    """Hand request indices ``0..n-1``, ``block`` consecutive ones per
+    client call, to ``threads`` submitter threads from one shared
+    counter; open loop (``arrivals`` set) holds each call until its last
+    index's arrival time.  ``fire(i)`` runs under the counter lock
+    before index ``i`` is handed out.  ``submit(i, j)`` sends indices
+    ``i..j`` and returns their handles; one that raises leaves its
+    exception in their slots — refused requests — and the submitter
+    keeps going.  Returns the handles-or-exceptions by index and the
     clock reading at the start barrier."""
     handles: list = [None] * n
-    indices = iter(range(n))
+    calls = iter(range(0, n, block))
     lock = threading.Lock()
     started: List[float] = []
     barrier = threading.Barrier(
@@ -630,18 +638,19 @@ def _drive(submit, fire, n: int, threads: int, arrivals) -> Tuple[list, float]:
         barrier.wait()
         while True:
             with lock:
-                i = next(indices, None)
+                i = next(calls, None)
                 if i is None:
                     return
-                fire(i)
+                j = min(i + block, n)
+                fire(j - 1)
             if arrivals is not None:
-                lead = arrivals[i] - (time.perf_counter() - started[0])
+                lead = arrivals[j - 1] - (time.perf_counter() - started[0])
                 if lead > 0:
                     time.sleep(lead)
             try:
-                handles[i] = submit(i)
+                handles[i:j] = submit(i, j)
             except Exception as exc:  # noqa: BLE001 — tallied as refused
-                handles[i] = exc
+                handles[i:j] = [exc] * (j - i)
 
     workers = [
         threading.Thread(
@@ -662,7 +671,9 @@ def _broken(telemetry: TelemetrySnapshot, tally: Dict[str, int],
     """The invariants a drained run broke (see the module docstring)."""
     broken = []
     if pending:
-        broken.append(f"futures: {pending} accepted futures still pending")
+        broken.append(
+            f"futures: {pending} accepted futures or handles still pending"
+        )
     client = tuple(tally[k] for k in ("ok", "shed", "failed", "cancelled"))
     books = (telemetry.completed, telemetry.shed_requests, telemetry.failed,
              telemetry.cancelled)
@@ -820,9 +831,22 @@ def run_scenario(
             while timeline and timeline[0].at <= i:
                 fired.append(_fire(server, dep, timeline.pop(0)))
 
-        def submit(i: int):
-            name, _, pool = routes[i % len(routes)]
-            return server.submit(name, pool[i % len(pool)], client=_client(i))
+        def route(i: int):
+            """Request ``i``'s tenant, one per client call."""
+            return routes[(i // s.block) % len(routes)]
+
+        def client(i: int) -> str:
+            """Request ``i``'s client: its call's first request's."""
+            return _client(i - i % s.block)
+
+        def submit(i: int, j: int) -> list:
+            name, _, pool = route(i)
+            if s.block == 1:
+                return [server.submit(name, pool[i % len(pool)],
+                                      client=client(i))]
+            return server.submit_many(
+                name, pool[np.arange(i, j) % len(pool)], client=client(i)
+            )
 
         # The default 5 ms switch interval convoys the queue workers
         # behind the submitters.
@@ -830,7 +854,7 @@ def run_scenario(
         sys.setswitchinterval(1e-3)
         handles, started = _drive(
             submit, fire, n, 1 if arrivals is not None else s.submitters,
-            arrivals,
+            arrivals, s.block,
         )
         fire(float("inf"))
         server.drain(DRAIN_TIMEOUT_S)
@@ -851,15 +875,26 @@ def run_scenario(
             for _ in range((SCALE_DOWN_PATIENCE + 2) * (dep.slo.max_replicas + 1)):
                 controller.step()
 
-        accepted = [h for h in handles if not isinstance(h, BaseException)]
-        pending = wait(accepted, timeout=SETTLE_TIMEOUT_S).not_done
+        # A drained server has settled every accepted request; give the
+        # last completions a bounded moment to land.
+        settle_by = time.monotonic() + SETTLE_TIMEOUT_S
+        for handle in handles:
+            if not isinstance(handle, BaseException) and not handle.done():
+                try:
+                    handle.result(
+                        timeout=max(settle_by - time.monotonic(), 0.0)
+                    )
+                except Exception:  # noqa: BLE001 — tallied below
+                    pass
+        pending = 0
         tally = dict.fromkeys(("ok", "shed", "failed", "cancelled", "refused"), 0)
         shed_by_class: Dict[str, int] = {}
         matched = 0
         for i, handle in enumerate(handles):
             if isinstance(handle, BaseException):
                 outcome = "refused"
-            elif handle in pending:
+            elif not handle.done():
+                pending += 1
                 continue
             elif handle.cancelled():
                 outcome = "cancelled"
@@ -873,10 +908,10 @@ def run_scenario(
                 )
             tally[outcome] += 1
             if outcome == "shed":
-                cls = "interactive" if _client(i) == "interactive" else "batch"
+                cls = "interactive" if client(i) == "interactive" else "batch"
                 shed_by_class[cls] = shed_by_class.get(cls, 0) + 1
             elif outcome == "ok":
-                name, _, pool = routes[i % len(routes)]
+                name, _, pool = route(i)
                 result = handle.result()
                 slot = _spec_slot(result.model, len(specs))
                 expected = references[name, slot][i % len(pool)]
@@ -888,7 +923,7 @@ def run_scenario(
         recorded = tuple(
             e.to_dict() for e in server.telemetry.recorder.events()
         )
-        broken = _broken(telemetry, tally, len(pending), recorded)
+        broken = _broken(telemetry, tally, pending, recorded)
         traces = flight = metrics = hardware = ()
         if observability is not None:
             flight = recorded

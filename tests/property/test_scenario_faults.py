@@ -1,13 +1,16 @@
 """Seeded randomized fault timelines against small deployments.
 
 Each example draws a deployment of two or three replicas, a routing
-policy, a submitter count, a batch bound and up to six faults, and runs
-it through :func:`~repro.serving.workload.run_scenario`.  The runner
+policy, a submitter count, a batch bound, the rows per client call (one
+``submit``, or ``submit_many`` chunks that split across batches) and up
+to six faults, and runs it through
+:func:`~repro.serving.workload.run_scenario`.  The runner
 checks the serving invariants on every run and raises when one breaks
-(a pending future, books that disagree with the clients, a queue left
-behind, flight events out of causal order, a leaked thread or worker
-process), so returning at all is the property; on top of that every
-request must be accounted for exactly once.
+(a pending future or row handle, books that disagree with the
+clients, a queue left behind, flight events out of causal order, a
+leaked thread or worker process), so returning at all is the property;
+on top of that every request must be accounted for exactly once, and
+every served row must match an offline read.
 """
 
 import numpy as np
@@ -66,6 +69,7 @@ def scenarios(draw, process=False):
         timeline.append(
             Fault("kill_worker", at=draw(st.integers(0, N_REQUESTS - 1)))
         )
+    max_batch = draw(st.sampled_from((4, 16)))
     return Scenario(
         deployment=Deployment(
             "iris",
@@ -79,9 +83,8 @@ def scenarios(draw, process=False):
         ),
         n_requests=N_REQUESTS,
         submitters=draw(st.integers(1, 3)),
-        policy=BatchPolicy(
-            max_batch=draw(st.sampled_from((4, 16))), max_wait_ms=1.0
-        ),
+        block=draw(st.sampled_from((1, 3, 2 * max_batch + 1))),
+        policy=BatchPolicy(max_batch=max_batch, max_wait_ms=1.0),
         maintenance_s=MAINTENANCE_S if process else None,
         faults=tuple(timeline),
     )
@@ -93,7 +96,7 @@ def check(result) -> None:
         + result.refused
     )
     assert outcomes == result.n_requests == N_REQUESTS
-    assert result.matched <= result.ok
+    assert result.matched == result.ok
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

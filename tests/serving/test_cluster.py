@@ -12,7 +12,7 @@ import queue
 import sys
 import threading
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,14 +49,16 @@ from repro.serving.worker import WorkerHost, _Block
 POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
 
 
-def make_model(k=3, m=4, seed=1):
+def make_model(k=3, m=4, seed=1, classes=None):
     rng = np.random.default_rng(seed)
     tables = []
     for _ in range(3):
         t = rng.random((k, m)) + 1e-3
         tables.append(t / t.sum(axis=1, keepdims=True))
     prior = rng.random(k) + 0.5
-    return quantize_model(tables, prior / prior.sum(), n_levels=4)
+    return quantize_model(
+        tables, prior / prior.sum(), n_levels=4, classes=classes
+    )
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,52 @@ class TestBitIdentity:
 
         assert served_stream(remote_many) == served_stream(local)
         assert served_stream(remote) == served_stream(local)
+
+    def test_class_labels_cross_the_wire_unchanged(self, tmp_path):
+        """A prediction is the model's own class label: string and
+        fractional labels come back from a worker equal to the local
+        answers, through ``submit_many`` and ``submit``."""
+        labels = {"words": ["ham", "spam", "eggs"], "halves": [0.5, 1.5, 2.5]}
+        registry = ModelRegistry(tmp_path)
+        for name, classes in labels.items():
+            registry.register(name, make_model(classes=classes))
+        levels = np.random.default_rng(3).integers(0, 4, size=(20, 3))
+
+        def deployment(name, **placement):
+            return Deployment(
+                name, [ReplicaSpec("fefet")], RoutingPolicy("round_robin"),
+                **placement,
+            )
+
+        with FeBiMServer(ModelRegistry(tmp_path), policy=POLICY,
+                         seed=7) as server:
+            local = {}
+            for name in labels:
+                server.deploy(deployment(name))
+                local[name] = [
+                    h.result(10).prediction
+                    for h in server.submit_many(name, levels)
+                ]
+        with ClusterServer(
+            str(tmp_path), policy=POLICY, seed=7, maintenance_period_s=None
+        ) as cluster:
+            for name, classes in labels.items():
+                cluster.deploy(deployment(name, placement=PlacementSpec(
+                    kind="process", workers=1,
+                )))
+                many = [
+                    h.result(30).prediction
+                    for h in cluster.submit_many(name, levels)
+                ]
+                one = [
+                    cluster.submit(name, row).result(30).prediction
+                    for row in levels
+                ]
+                assert len(set(local[name])) > 1
+                assert set(local[name]) <= set(classes)
+                assert many == one == local[name]
+                assert {type(p) for p in many} == {type(classes[0])}
+            assert cluster.stats().failed == 0
 
 
 class TestClusterBehaviour:
@@ -346,6 +394,29 @@ class TestBlockPath:
         # The cost signal counts rows and settles back to zero.
         assert [s.pending for s in cluster.status("iris")] == [0]
 
+    def test_cancelled_rows_drop_out_at_the_front_end_claim(self, cluster):
+        """Every third handle of a 2 x max_batch block is cancelled while
+        its replies are held: exactly those rows drop out when the
+        replies are claimed, counted cancelled, and the rest are
+        served."""
+        n = 2 * 256
+        rows = np.random.default_rng(7).integers(0, 4, size=(n, 3))
+        before = cluster.stats()
+        # The reader pops a reply's pending entry under the pool lock,
+        # so holding it holds every reply until the cancels are in.
+        with cluster.pool._lock:
+            handles = cluster.submit_many("iris", rows)
+            doomed = handles[::3]
+            assert all(handle.cancel() for handle in doomed)
+        kept = [h for h in handles if not h.cancelled()]
+        assert len(kept) == n - len(doomed)
+        assert all(h.result(30).prediction in (0, 1, 2) for h in kept)
+        after = cluster.stats()
+        assert after.completed - before.completed == len(kept)
+        assert after.cancelled - before.cancelled == len(doomed)
+        assert balanced(after)
+        assert [s.pending for s in cluster.status("iris")] == [0]
+
     def test_oversized_block_fails_its_rows_not_the_worker(
         self, cluster, monkeypatch
     ):
@@ -539,57 +610,58 @@ class TestWorkerReplies:
             host.close()
 
     def test_settle_hands_cancelled_rows_to_their_owner(self):
-        """The front end settles rows its worker cancelled with one
+        """The front end settles an entry its worker cancelled with one
         ``cancel`` call, as a local queue's shutdown would."""
         lock = threading.Lock()
         pool = SimpleNamespace(_ids=itertools.count(), _lock=lock,
                                _settled=threading.Condition(lock))
         remote = cluster_module._RemoteHost(pool, None, None, {})
         owner = _StubOwner()
-        rows = [
-            _Request(np.array([0, 1, 2]), time.monotonic(), 0, owner)
-            for _ in range(3)
-        ]
-        remote.pending = len(rows)
+        entry = _Request(
+            np.tile([0, 1, 2], (3, 1)), time.monotonic(), 0, owner
+        )
+        remote.pending = len(entry)
         body = protocol.encode_block(
             "iris@v1#r0",
-            {name: [None] * len(rows) for name in protocol.RESULT_COLUMNS},
-            [(i, CancelledError()) for i in range(len(rows))],
+            {name: [0] * len(entry) for name in protocol.RESULT_COLUMNS},
+            [(0, len(entry), CancelledError())],
         )
-        remote._settle(rows, protocol.decode_block(body))
-        assert owner.calls == [("cancel", rows)]
+        remote._settle(entry, protocol.decode_block(body))
+        assert owner.calls == [("cancel", [entry])]
         assert remote.pending == 0
 
-    def test_block_replies_once_under_racing_resolutions(self):
-        """Rows of one block resolved from many threads at once, each
-        row twice: the first resolution of a row sticks, the second is
-        ignored, and exactly one reply leaves once every row is in."""
+    def test_block_replies_once_under_racing_settlements(self):
+        """Segments of one block settled from many threads at once, each
+        exactly once: exactly one reply leaves, once every row is in."""
         replies = []
 
         class Host:
             def _reply(self, block):
-                replies.append([block.outcomes[row] for row in block.rows])
+                replies.append(
+                    (block.settled, len(block.results), len(block.errors))
+                )
 
         n, n_threads = 512, 8
-        block = _Block(Host(), "r1", None, np.zeros((n, 1), dtype=int))
-        rows = block.rows
+        block = _Block(Host(), "r1", None, n)
+        entry = _Request(np.zeros((n, 1), dtype=int), 0.0, 0, block)
+        segments = [entry.piece(row, row + 1) for row in range(n)]
         start = threading.Barrier(n_threads)
 
-        def resolve(k):
+        def settle(k):
             start.wait(timeout=10)
             for row in range(k, n, n_threads):
-                block.served([rows[row]], [("served", row)], 0.0)
-                # Races the row's owner thread; whichever lands second
-                # must change nothing.
-                block.failed(
-                    [rows[(row + 1) % n]], RuntimeError("late"), ran=True
-                )
+                if row % 2:
+                    block.served([segments[row]], [("served", row)], 0.0)
+                else:
+                    block.failed(
+                        [segments[row]], RuntimeError("late"), ran=True
+                    )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=resolve, args=(k,))
+                threading.Thread(target=settle, args=(k,))
                 for k in range(n_threads)
             ]
             for thread in threads:
@@ -599,9 +671,7 @@ class TestWorkerReplies:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(replies) == 1
-        assert len(block.outcomes) == n
-        assert all(outcome is not None for outcome in replies[0])
+        assert replies == [(n, n // 2, n // 2)]
 
 
 class TestTeardown:
@@ -868,22 +938,11 @@ class TestChaos:
             )
 
     def test_sigkill_under_a_block_resolves_every_row_once(
-        self, registry_root, monkeypatch
+        self, registry_root
     ):
         """A worker SIGKILLed while a 4 x max_batch ``submit_many`` is
         in flight: its orphaned chunks fail over whole, and every row
         resolves exactly once, with zero errors."""
-
-        class CountingFuture(Future):
-            def __init__(self):
-                super().__init__()
-                self.claims = 0
-
-            def set_running_or_notify_cancel(self):
-                self.claims += 1
-                return super().set_running_or_notify_cancel()
-
-        monkeypatch.setattr(cluster_module, "Future", CountingFuture)
         dep = Deployment(
             "iris",
             [ReplicaSpec("fefet")] * 4,
@@ -898,11 +957,20 @@ class TestChaos:
             rows = np.random.default_rng(8).integers(
                 0, 4, size=(4 * POLICY.max_batch, 3)
             )
-            futures = cluster.submit_many("iris", rows)
+            handles = cluster.submit_many("iris", rows)
+            resolved = [0] * len(rows)
+            lock = threading.Lock()
+
+            def count(handle):
+                with lock:
+                    resolved[handles.index(handle)] += 1
+
+            for handle in handles:
+                handle.add_done_callback(count)
             cluster.kill_worker("w0")
-            errors = [f.exception(timeout=30) for f in futures]
+            errors = [h.exception(timeout=30) for h in handles]
             assert errors == [None] * len(rows)
-            assert all(f.claims == 1 for f in futures)
+            assert resolved == [1] * len(rows)
             snap = cluster.stats()
             assert snap.completed == len(rows)
             assert balanced(snap)

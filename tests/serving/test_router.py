@@ -15,9 +15,11 @@ from repro.serving import (
     FeBiMServer,
     MirroredResult,
     ModelRegistry,
+    Overloaded,
     ReplicaSpec,
     RoutingPolicy,
     SchedulerClosed,
+    SLOPolicy,
 )
 
 
@@ -449,8 +451,9 @@ class TestFailover:
 
 
 class TestBlockPath:
-    """Routed submit_many: one future per row, one policy pick per
-    max_batch chunk, accounting once per batch."""
+    """Routed submit_many: one row handle per row over one slot per
+    max_batch chunk, one policy pick per chunk, accounting once per
+    batch."""
 
     def test_failover_resolves_each_row_once_bit_identical(self, server):
         dep = deploy(
@@ -517,6 +520,32 @@ class TestBlockPath:
         assert snapshot.cancelled == len(doomed)
         assert snapshot.in_flight == 0
 
+    def test_priority_chunk_splits_a_queued_entry(self, server):
+        """On a bounded queue, a lane-5 chunk splits a queued lane-0
+        entry and displaces its newest rows (one replica: they shed);
+        the lane-0 rows before the split are still served."""
+        server.deploy(Deployment(
+            "iris", [ReplicaSpec("ideal")], RoutingPolicy("cost"),
+            slo=SLOPolicy(max_queue_depth=8, priorities={"vip": 5}),
+        ))
+        with quiesced(server):
+            low = server.submit_many("iris", np.tile(SAMPLE, (6, 1)))
+            high = server.submit_many(
+                "iris", np.tile(SAMPLE, (5, 1)), client="vip"
+            )
+            # 6 + 5 rows against a depth of 8: the three newest lane-0
+            # rows make room, unread.
+            assert [h.done() for h in low] == [False] * 3 + [True] * 3
+            for handle in low[3:]:
+                with pytest.raises(Overloaded):
+                    handle.result(timeout=0)
+            assert server.stats().lane_depth == {0: 3, 5: 5}
+        assert all(h.result(timeout=10) for h in low[:3] + high)
+        assert server.drain(timeout=10)
+        snapshot = server.stats()
+        assert (snapshot.completed, snapshot.shed_requests) == (8, 3)
+        assert snapshot.submitted == 11 and snapshot.in_flight == 0
+
     def test_close_without_drain_resolves_failed_over_rows(self, tmp_path):
         server = FeBiMServer(
             ModelRegistry(tmp_path / "reg"), policy=POLICY, seed=0
@@ -545,7 +574,9 @@ class TestBlockPath:
                 future.result(timeout=0)
         assert server.stats().in_flight == 0
 
-    def test_submit_many_builds_one_future_per_row(self, server, monkeypatch):
+    def test_submit_many_builds_no_future(self, server, monkeypatch):
+        """A routed chunk is one queue entry with one completion slot:
+        its rows' handles build no ``Future`` at all."""
         deploy(server, ReplicaSpec("ideal"))
         built = []
         init = Future.__init__
@@ -555,12 +586,13 @@ class TestBlockPath:
             init(future)
 
         monkeypatch.setattr(Future, "__init__", counting_init)
-        futures = server.submit_many(
-            "iris", np.tile(SAMPLE, (3 * POLICY.max_batch, 1))
-        )
-        for future in futures:
-            future.result(timeout=10)
-        assert built == futures
+        n = 3 * POLICY.max_batch
+        handles = server.submit_many("iris", np.tile(SAMPLE, (n, 1)))
+        results = [handle.result(timeout=10) for handle in handles]
+        assert built == []
+        assert len(results) == n
+        assert all(handle.done() for handle in handles)
+        assert server.stats().completed == n
 
     def test_traced_submit_many_spans_partition_each_row(self, server):
         deploy(server, ReplicaSpec("ideal"))

@@ -1,14 +1,16 @@
 """Micro-batch scheduler: coalescing, futures, drain, shutdown."""
 
+import sys
 import threading
 import time
+from concurrent.futures import InvalidStateError
 
 import numpy as np
 import pytest
 
 from repro.serving import BatchPolicy, MicroBatchScheduler, SchedulerClosed
 from repro.serving.observability import FlightRecorder
-from repro.serving.scheduler import Overloaded, _Request
+from repro.serving.scheduler import Overloaded, _Request, _Slot
 from repro.serving.telemetry import Telemetry
 
 
@@ -512,7 +514,7 @@ class TestRowOwners:
                 if kind == "served"
                 for row, result in zip(batch, detail["results"])
             ]
-            assert [r.prediction for _, r in served] == [
+            assert [r.at(row.lo).prediction for row, r in served] == [
                 int(row.levels.sum()) for row, _ in served
             ]
             snapshot = sched.telemetry.snapshot()
@@ -612,6 +614,81 @@ class TestRowOwners:
             2, 1, 1,
         )
         assert snapshot.in_flight == 0
+
+
+class TestRowHandles:
+    """A ``submit_many`` chunk's rows share one completion slot."""
+
+    def test_cancels_racing_the_batch_worker_settle_each_row_once(self):
+        """Eight threads cancel rows while the batch worker claims and
+        serves them: each row ends cancelled or served, never both, its
+        done callback fires once, and the books close."""
+        sched, _ = make_scheduler(max_batch=16, max_wait_ms=0.0)
+        n, n_threads = 2048, 8
+        fired = [0] * n
+        lock = threading.Lock()
+
+        def count(handle):
+            with lock:
+                fired[handle.pos] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert sched.pause(timeout=5)
+            handles = sched.submit_many("m", np.arange(n)[:, None])
+            with pytest.raises(TimeoutError):
+                handles[0].result(timeout=0.01)
+            for handle in handles:
+                handle.add_done_callback(count)
+            start = threading.Barrier(n_threads + 1)
+
+            def cancel(k):
+                start.wait(timeout=10)
+                for handle in handles[k::n_threads]:
+                    handle.cancel()
+
+            threads = [
+                threading.Thread(target=cancel, args=(k,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            start.wait(timeout=10)
+            sched.resume()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert sched.drain(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            sched.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert fired == [1] * n
+        cancelled = [h.pos for h in handles if h.cancelled()]
+        served = [h.pos for h in handles if not h.cancelled()]
+        assert [handles[i].result(timeout=0).prediction for i in served] == (
+            served
+        )
+        snapshot = sched.telemetry.snapshot()
+        assert snapshot.submitted == n
+        assert (snapshot.completed, snapshot.cancelled) == (
+            len(served), len(cancelled),
+        )
+
+    def test_a_done_row_is_never_claimed_again(self):
+        """Claiming or settling a finished row raises, as a finished
+        Future refuses both, and leaves the row's outcome as it was."""
+        slot = _Slot(4)
+        handle = slot.handles()[1]
+        assert slot.claim(0, 4) == []
+        slot.settle(0, 2, ValueError("served once"))
+        for again in (
+            lambda: slot.claim(1, 3), lambda: slot.settle(1, 2, None)
+        ):
+            with pytest.raises(InvalidStateError):
+                again()
+            assert handle.done() and not handle.cancelled()
+            assert isinstance(handle.exception(timeout=0), ValueError)
 
 
 class TestOneAdmissionPath:

@@ -1,11 +1,13 @@
 """Wire protocol: framing, round-trips, typed errors, malformed input."""
 
+import base64
 import json
 import math
 import socket
 import struct
 import threading
 
+import numpy as np
 import pytest
 
 from repro.backends.base import CapabilityError
@@ -94,10 +96,11 @@ class TestFraming:
             FrameDecoder().feed(frame)
 
     def test_v1_per_row_frame_refused(self):
-        # Version 2 changed the request and result bodies to blocks, and
-        # version 3 addresses replicas by placement id; a v1 peer must
-        # fail loudly on its first frame, never misparse.
-        assert WIRE_VERSION == 4
+        # Version 2 changed the request and result bodies to blocks,
+        # version 3 addresses replicas by placement id and version 5
+        # packs the result's float columns; a v1 peer must fail loudly
+        # on its first frame, never misparse.
+        assert WIRE_VERSION == 5
         body = json.dumps({"kind": "request", "id": "r1", "model": "iris",
                            "replica_index": 0, "levels": [3, 0, 1],
                            "priority": 0}).encode()
@@ -153,10 +156,10 @@ class TestFraming:
             queue_wait_s=0.0, batch_size=1, margin=float("nan"),
         )
         payload = encode_result(result)
-        assert payload["margin"] == [None]
         # The full frame must be strict JSON (allow_nan=False holds).
         frame = encode_frame(make("result", id="r1", result=payload))
         json.loads(frame[HEADER.size:])
+        assert decode_result(payload).margin is None
 
 
 class TestTypedErrors:
@@ -239,25 +242,24 @@ class TestResultCodecs:
             assert (outcome.energy_total.hex()
                     == expected["energy_total"][i].hex())
 
-    def test_nan_margins_go_to_null_and_back(self):
+    def test_nan_margins_decode_to_none(self):
         margins = [0.5, float("nan"), None, 0.25]
         body = encode_block("iris", block_columns(4, margins))
-        assert body["margin"] == [0.5, None, None, 0.25]
         frame = encode_frame(make("result", id="r1", result=body))
         json.loads(frame[HEADER.size:])  # strict JSON: no NaN token
         outcomes = decode_block(roundtrip(make("result", result=body))["result"])
         assert [o.margin for o in outcomes] == [0.5, None, None, 0.25]
 
-    def test_error_rows_decode_to_typed_exceptions(self):
+    def test_error_ranges_decode_to_typed_exceptions(self):
         errors = [
-            (1, Overloaded("queue full", key="iris#r0", depth=4, lane=2)),
-            (3, CapabilityError("memristor", "margin-probe")),
-            (4, KeyError("gone")),
+            (1, 2, Overloaded("queue full", key="iris#r0", depth=4, lane=2)),
+            (3, 4, CapabilityError("memristor", "margin-probe")),
+            (4, 5, KeyError("gone")),
         ]
         body = encode_block("iris", block_columns(5), errors)
-        assert [row for row, _ in body["errors"]] == [1, 3, 4]
-        # Failed rows carry no column values.
-        assert body["prediction"][1] is None and body["delay"][3] is None
+        assert [[lo, hi] for lo, hi, _ in body["errors"]] == [
+            [1, 2], [3, 4], [4, 5],
+        ]
         outcomes = decode_block(roundtrip(make("result", result=body))["result"])
         assert isinstance(outcomes[0], RemoteServedResult)
         assert isinstance(outcomes[2], RemoteServedResult)
@@ -273,15 +275,54 @@ class TestResultCodecs:
 
     def test_one_row_error_raises_from_decode_result(self):
         body = encode_block("iris", block_columns(1),
-                            [(0, Overloaded("full", key="iris"))])
+                            [(0, 1, Overloaded("full", key="iris"))])
         with pytest.raises(Overloaded):
             decode_result(body)
 
     def test_ragged_columns_rejected(self):
         body = encode_block("iris", block_columns(3))
-        body["delay"].pop()
+        body["prediction"].pop()
         with pytest.raises(ProtocolError, match="length"):
             decode_block(body)
+
+    @pytest.mark.parametrize("ranges", [
+        [[0, 4]],  # past the last row
+        [[0, 2], [1, 3]],  # overlapping
+        [[1, 1]],  # empty
+    ])
+    def test_error_ranges_outside_the_rows_rejected(self, ranges):
+        body = encode_block("iris", block_columns(3))
+        error = encode_error(KeyError("gone"))
+        body["errors"] = [[lo, hi, error] for lo, hi in ranges]
+        with pytest.raises(ProtocolError, match="error ranges"):
+            decode_block(body)
+
+    def test_float_columns_are_packed_and_round_trip_bit_for_bit(self):
+        """Version 5 ships the float columns as base64 little-endian
+        float64: no decimal formatting, every bit back."""
+        n = 64
+        rng = np.random.default_rng(5)
+        columns = block_columns(n)
+        columns["delay"] = rng.random(n) * 1e-9
+        columns["energy_total"] = np.nextafter(rng.random(n), 1.0) * 1e-14
+        columns["queue_wait_s"] = rng.exponential(1e-3, n)
+        columns["margin"] = np.where(
+            np.arange(n) % 5 == 0, np.nan, rng.random(n)
+        )
+        body = encode_block("iris", columns)
+        for name in ("delay", "energy_total", "queue_wait_s", "margin"):
+            assert isinstance(body[name], str)
+            raw = base64.b64decode(body[name])
+            assert raw == np.asarray(columns[name], dtype="<f8").tobytes()
+        outcomes = decode_block(roundtrip(make("result", result=body))["result"])
+        for name in ("delay", "energy_total", "queue_wait_s"):
+            assert [getattr(o, name).hex() for o in outcomes] == [
+                float(v).hex() for v in columns[name]
+            ]
+        assert [o.margin for o in outcomes] == [
+            None if i % 5 == 0 else float(columns["margin"][i])
+            for i in range(n)
+        ]
 
 
 class TestMessageConnection:
