@@ -71,6 +71,7 @@ from repro.serving.transport.protocol import (
     decode_error,
     encode_frame,
     make,
+    pack_levels,
 )
 from repro.serving.worker import worker_main
 
@@ -122,7 +123,8 @@ class _RemoteHost:
     replica re-placed on another worker gets a new host and id).
 
     Its queue (:meth:`enqueue`) ships each entry as one ``request``
-    frame with one pending entry; the worker's columnar reply, an
+    frame (its levels packed as one int64 block) with one pending entry;
+    the worker's columnar reply, an
     ``error`` frame or the worker's loss then settles the entry through
     its owner, once per segment, as a local scheduler would after a
     batch: ``claim`` and ``served`` for the served rows (their handles
@@ -159,12 +161,14 @@ class _RemoteHost:
     def _ship(self, entry) -> None:
         pool, worker = self.pool, self.worker
         request_id = f"r{next(pool._ids)}"
+        levels, features = pack_levels(entry.levels)
         try:
             frame = encode_frame(make(
                 "request",
                 id=request_id,
                 placement=self.placement,
-                levels=entry.levels.tolist(),
+                levels=levels,
+                features=features,
                 priority=entry.lane,
             ))
         except ProtocolError as exc:
@@ -416,7 +420,10 @@ class WorkerPool:
         handle.process.start()
 
     def _ensure_workers(self, count: int) -> List[_WorkerHandle]:
-        """The first ``count`` workers, spawned and hello'd."""
+        """The first ``count`` workers, spawned and hello'd; raises as
+        soon as one exits before its hello (a worker that dies at
+        bootstrap never connects), or when one stays silent for
+        ``SPAWN_TIMEOUT_S``."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("cluster is closed")
@@ -430,11 +437,19 @@ class WorkerPool:
                 handles.append(handle)
         deadline = time.monotonic() + SPAWN_TIMEOUT_S
         for handle in handles:
-            if not handle.hello.wait(max(deadline - time.monotonic(), 0.0)):
-                raise RuntimeError(
-                    f"worker {handle.worker_id} did not connect within "
-                    f"{SPAWN_TIMEOUT_S:g}s"
-                )
+            # The process is checked every 0.1 s while its hello is due.
+            while not handle.hello.wait(0.1):
+                code = handle.process.exitcode
+                if code is not None:
+                    raise RuntimeError(
+                        f"worker {handle.worker_id} exited with code {code} "
+                        f"before it connected"
+                    )
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(
+                        f"worker {handle.worker_id} did not connect within "
+                        f"{SPAWN_TIMEOUT_S:g}s"
+                    )
         return handles
 
     def _least_loaded(self, candidates) -> Optional[_WorkerHandle]:

@@ -127,13 +127,16 @@ class BatchPolicy:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
 
 
-@dataclass(frozen=True)
 class ServedResult:
-    """One request's slice of the micro-batch it was served in.
+    """One request's row of the micro-batch it was served in.
 
-    Holds a reference into the shared batch report instead of eagerly
-    copying per-sample fields — resolving thousands of requests per
-    second must not cost a per-request report materialisation.
+    A two-slot view: the :class:`ServedRows` of the segment that served
+    the row, and the row's index in the shared batch report.  Reading a
+    served row builds this one small object and copies nothing — the
+    batch's read already produced every per-sample field, so resolving
+    thousands of requests per second must not pay a per-request report
+    materialisation, or even a per-request copy of the segment's
+    scalars.  Every public field is read-only.
 
     Attributes
     ----------
@@ -145,26 +148,38 @@ class ServedResult:
         Time spent queued before the batch launched (seconds).
     """
 
-    model: str
-    batch_size: int
-    queue_wait_s: float
-    _report: object
-    _index: int
+    __slots__ = ("_rows", "_index")
+
+    def __init__(self, rows: "ServedRows", index: int):
+        self._rows = rows
+        self._index = index
+
+    @property
+    def model(self) -> str:
+        return self._rows.model
+
+    @property
+    def batch_size(self) -> int:
+        return self._rows.batch_size
+
+    @property
+    def queue_wait_s(self) -> float:
+        return self._rows.queue_wait_s
 
     @property
     def prediction(self) -> int:
         """The winning class label."""
-        return self._report.predictions[self._index]
+        return self._rows.report.predictions[self._index]
 
     @property
     def delay(self) -> float:
         """Worst-case circuit inference latency of this sample (s)."""
-        return float(self._report.delay[self._index])
+        return float(self._rows.report.delay[self._index])
 
     @property
     def energy_total(self) -> float:
         """Total inference energy attributed to this sample (J)."""
-        return float(self._report.energy.total[self._index])
+        return float(self._rows.report.energy.total[self._index])
 
     @property
     def margin(self) -> float:
@@ -178,13 +193,15 @@ class ServedResult:
         engines).
         """
         try:
-            return sample_margin(report_currents(self._report)[self._index])[0]
+            return sample_margin(
+                report_currents(self._rows.report)[self._index]
+            )[0]
         except Exception:  # noqa: BLE001 — weighting must never fail a vote
             return float("nan")
 
     def report(self):
         """The full scalar per-sample report (flat or tiled flavour)."""
-        return self._report.sample(self._index)
+        return self._rows.report.sample(self._index)
 
 
 class ServedRows:
@@ -192,7 +209,8 @@ class ServedRows:
     position ``pos`` is row ``pos + shift`` of the batch ``report``.
 
     One object per segment, however many rows it holds; :meth:`at`
-    builds a row's :class:`ServedResult` only when someone reads it.
+    builds a row's :class:`ServedResult` view only when someone reads
+    it.
     """
 
     __slots__ = ("model", "batch_size", "queue_wait_s", "report", "shift")
@@ -206,10 +224,7 @@ class ServedRows:
         self.shift = shift
 
     def at(self, pos: int) -> ServedResult:
-        return ServedResult(
-            self.model, self.batch_size, self.queue_wait_s, self.report,
-            pos + self.shift,
-        )
+        return ServedResult(self, pos + self.shift)
 
 
 class SchedulerClosed(RuntimeError):
@@ -421,6 +436,8 @@ class _Slot:
                 # As a Future refuses a second result: a row completes
                 # exactly once.
                 raise InvalidStateError(f"rows {lo}..{hi} already done")
+            # The outcome first: ``RowHandle._outcome`` reads a done
+            # row's outcome without the lock once it sees the state byte.
             self.outcomes[lo:hi] = [outcome] * (hi - lo)
             self.state[lo:hi] = bytes((state,)) * (hi - lo)
             self.changed.notify_all()

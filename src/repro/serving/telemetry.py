@@ -382,7 +382,7 @@ class Telemetry:
             self._completed += n
             self._per_model[model] = self._per_model.get(model, 0) + n
             if latencies_s is not None:
-                self._latencies.extend(float(v) for v in latencies_s)
+                self._latencies.extend(latencies_s)
 
     def record_failed(self, n: int) -> None:
         with self._lock:

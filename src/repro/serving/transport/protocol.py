@@ -28,20 +28,25 @@ by one ``done`` frame or answered by an ``error``.  Heartbeats carry
 liveness only.
 
 The request plane moves blocks, not rows: one ``request`` frame carries
-one queue entry — up to ``max_batch`` rows of evidence levels (a list
-of integer lists) for one placed replica — and the worker answers it
-with one ``result`` frame whose body holds the rows' columns in row
-order (:func:`encode_block` / :func:`decode_block`): ``prediction``
-as a list of the model's class labels (integers, strings or floats, as
-the model holds them), ``batch_size`` as an integer list, and
-``delay``, ``energy_total``, ``queue_wait_s`` and ``margin`` as base64
-strings of little-endian float64 columns, plus an ``errors`` list of
-``[lo, hi, typed error]`` row ranges that failed.  Framing, the socket
-write and JSON parsing are paid once per block, and packing the floats
-spares the per-float decimal formatting that would otherwise dominate
-a reply's encoding; the packed bytes carry every modelled delay and
-energy bit for bit.  The bodies stay strict JSON (``allow_nan=False``):
-a packed column may hold NaN (a degenerate margin, a failed row), which
+one queue entry — up to ``max_batch`` rows of evidence levels for one
+placed replica, packed as one base64 string of little-endian int64
+values plus the block's ``features`` count (:func:`pack_levels` /
+:func:`unpack_levels`, so the worker reads the block back with one
+``np.frombuffer``) — and the worker answers it with one ``result``
+frame whose body holds the rows' columns in row order
+(:func:`encode_block` / :func:`decode_block`): ``prediction`` as a list
+of the model's class labels (integers, strings or floats, as the model
+holds them), ``batch_size`` as an integer list, and ``delay``,
+``energy_total``, ``queue_wait_s`` and ``margin`` as base64 strings of
+little-endian float64 columns, plus an ``errors`` list of ``[lo, hi,
+typed error]`` row ranges that failed.  Framing, the socket write and
+JSON parsing are paid once per block, and packing the levels and the
+floats spares the per-number decimal formatting and parsing that would
+otherwise dominate a block's encoding; the packed bytes carry every
+level and every modelled delay and energy bit for bit.  Control frames
+(a ``read`` or a ``place`` frame's canaries) keep their levels as
+integer lists.  The bodies stay strict JSON (``allow_nan=False``): a
+packed column may hold NaN (a degenerate margin, a failed row), which
 decodes to ``None`` for a margin.
 
 Typed scheduler errors survive the boundary: :func:`encode_error` /
@@ -63,6 +68,7 @@ import socket
 import struct
 import threading
 from concurrent.futures import CancelledError
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,8 +86,9 @@ MAGIC = 0x4642
 #: ``place`` has no ``fresh`` flag, and one for a placement id the
 #: worker hosts programs new hardware into it; 5: ``result`` float
 #: columns packed as base64 little-endian float64, errors as row
-#: ranges).
-WIRE_VERSION = 5
+#: ranges; 6: ``request`` levels packed as base64 little-endian int64
+#: plus a ``features`` count).
+WIRE_VERSION = 6
 
 #: Frame header: (magic, version, body length), network byte order.
 HEADER = struct.Struct("!HHI")
@@ -335,7 +342,9 @@ class RemoteServedResult(NamedTuple):
     scalars this request owns travelled.  ``margin`` is the answer's
     winner/runner-up read margin (``None`` when degenerate), shipped so
     weighted mirror votes work across processes.  An immutable named
-    tuple: a handle builds one per row it reads, so it must be cheap.
+    tuple, built for every row of a reply in one pass at decode
+    (:func:`decode_block`, without the generated ``__new__``), so a
+    handle reading a row builds nothing.
     """
 
     model: str
@@ -357,6 +366,34 @@ RESULT_COLUMNS = (
 #: The columns a ``result`` body packs as base64 little-endian float64.
 FLOAT_COLUMNS = ("delay", "energy_total", "queue_wait_s", "margin")
 _FLOAT64 = np.dtype("<f8")
+_INT64 = np.dtype("<i8")
+
+
+def pack_levels(levels) -> Tuple[str, int]:
+    """A ``request`` body's levels: an ``(n, features)`` integer block
+    as base64 little-endian int64, and its feature count."""
+    block = np.asarray(levels, dtype=_INT64)
+    return base64.b64encode(block.tobytes()).decode("ascii"), block.shape[1]
+
+
+def unpack_levels(text: str, features: int) -> np.ndarray:
+    """The ``(n, features)`` int64 block :func:`pack_levels` packed, bit
+    for bit: one ``np.frombuffer`` over the decoded bytes (a read-only
+    view)."""
+    if not isinstance(features, int) or features < 1:
+        raise ProtocolError(
+            f"request feature count must be an integer >= 1, got {features!r}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"request levels are not base64: {exc}")
+    if len(raw) % (features * _INT64.itemsize):
+        raise ProtocolError(
+            f"request levels are {len(raw)} bytes, not whole rows of "
+            f"{features} int64 levels"
+        )
+    return np.frombuffer(raw, dtype=_INT64).reshape(-1, features)
 
 
 def pack_floats(values) -> str:
@@ -412,11 +449,12 @@ class ResultBlock:
     ``block[i]`` is row ``i``'s :class:`RemoteServedResult`, or the
     typed exception of the error range that holds it; ``errors`` lists
     those ranges as sorted, disjoint ``(lo, hi, exception)``.  Decoding
-    is one pass per column, never per row: ``rows`` zips the decoded
-    columns, in :data:`RESULT_COLUMNS` order.  ``base`` is the slot
-    position of the frame's first row in the chunk it answers (the
-    front end sets it when it settles the reply), so :meth:`at` reads a
-    row the way :class:`~repro.serving.scheduler.ServedRows` does.
+    is one pass per column, never per row: ``rows`` holds each row's
+    :class:`RemoteServedResult`, zipped from the decoded columns.
+    ``base`` is the slot position of the frame's first row in the chunk
+    it answers (the front end sets it when it settles the reply), so
+    :meth:`at` reads a row the way
+    :class:`~repro.serving.scheduler.ServedRows` does.
     """
 
     __slots__ = ("model", "replica", "worker", "rows", "errors", "base")
@@ -434,18 +472,17 @@ class ResultBlock:
         return len(self.rows)
 
     def at(self, pos: int) -> Union[RemoteServedResult, BaseException]:
-        """The outcome of the row at slot position ``pos``."""
-        return self[pos - self.base]
+        """The outcome of the row at slot position ``pos``: the error
+        ranges are scanned only when the reply has any."""
+        i = pos - self.base
+        if self.errors:
+            for lo, hi, exc in self.errors:
+                if lo <= i < hi:
+                    return exc
+        return self.rows[i]
 
     def __getitem__(self, i: int) -> Union[RemoteServedResult, BaseException]:
-        for lo, hi, exc in self.errors:
-            if lo <= i < hi:
-                return exc
-        prediction, delay, energy, wait, size, margin = self.rows[i]
-        return RemoteServedResult(
-            self.model, prediction, delay, energy, wait, size,
-            margin if margin == margin else None, self.replica, self.worker,
-        )
+        return self.at(i + self.base)
 
 
 def decode_block(payload: dict) -> ResultBlock:
@@ -458,6 +495,9 @@ def decode_block(payload: dict) -> ResultBlock:
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ProtocolError("result columns differ in length")
+    # A NaN margin (degenerate, or a failed row's placeholder) reads None.
+    margins = RESULT_COLUMNS.index("margin")
+    columns[margins] = [None if m != m else m for m in columns[margins]]
     errors = sorted(
         ((int(lo), int(hi), decode_error(error))
          for lo, hi, error in payload.get("errors", ())),
@@ -470,10 +510,13 @@ def decode_block(payload: dict) -> ResultBlock:
         raise ProtocolError(
             f"result error ranges are not disjoint row ranges of {n} rows"
         )
-    return ResultBlock(
-        payload["model"], payload.get("replica", ""),
-        payload.get("worker", ""), list(zip(*columns)), errors,
-    )
+    model = payload["model"]
+    replica = payload.get("replica", "")
+    worker = payload.get("worker", "")
+    rows = list(map(tuple.__new__, repeat(RemoteServedResult, n), zip(
+        repeat(model, n), *columns, repeat(replica, n), repeat(worker, n)
+    )))
+    return ResultBlock(model, replica, worker, rows, errors)
 
 
 def encode_result(result, margin: Optional[float] = None,

@@ -19,7 +19,8 @@ an ``error``).  Three threads per worker:
 
 * the **message loop** (main thread) dispatches control and request
   frames; request execution itself is asynchronous — a ``request``
-  frame's rows are queued as one entry owned by the frame's
+  frame's packed levels are read back with one ``np.frombuffer`` and
+  queued as one entry owned by the frame's
   :class:`_Block`, the scheduler settles it through the block one
   segment at a time, and the call that settles the last row sends the
   frame's one ``result`` reply, built from slices of the batch reports,
@@ -64,6 +65,7 @@ from repro.serving.transport.protocol import (
     encode_error,
     encode_frame,
     make,
+    unpack_levels,
 )
 
 
@@ -355,12 +357,9 @@ class WorkerHost:
         batch coalesces, so a worker pipelines many in-flight blocks.
         """
         host = self._host(message)
-        levels = np.asarray(message["levels"], dtype=int)
-        if levels.ndim != 2 or not len(levels):
-            raise ProtocolError(
-                f"request levels must be a non-empty (rows, features) "
-                f"block, got shape {levels.shape}"
-            )
+        levels = unpack_levels(message["levels"], message["features"])
+        if not len(levels):
+            raise ProtocolError("request levels must hold at least one row")
         block = _Block(self, message["id"], host, len(levels))
         host.enqueue([_Request(
             levels, time.monotonic(), int(message.get("priority", 0)), block

@@ -16,7 +16,13 @@ import pytest
 
 from repro.core import FeBiMEngine, quantize_model
 from repro.devices import VariationModel
-from repro.serving import BatchPolicy, FeBiMServer, ModelRegistry
+from repro.reliability.observability import report_currents, sample_margin
+from repro.serving import (
+    BatchPolicy,
+    FeBiMServer,
+    MicroBatchScheduler,
+    ModelRegistry,
+)
 from repro.serving.server import model_stream_seed
 
 
@@ -91,6 +97,94 @@ class TestServedBitIdentity:
             assert len(batch_sizes) >= 1
             snapshot = server.stats()
             assert snapshot.submitted == snapshot.completed == n
+
+    def test_chunks_straddling_max_batch_read_their_own_rows(self, registry):
+        """``submit_many`` chunks whose lengths straddle ``max_batch``,
+        interleaved with a second tenant's in one scheduler queue:
+        entries split at flush boundaries and share flushes with other
+        entries and the other tenant's rows, and each row's view still
+        reads its own row of the read that served it."""
+        max_batch = 7
+        models = {"a": make_model(3, seed=1), "b": make_model(5, seed=2)}
+        rng = np.random.default_rng(1)
+        pools = {name: rng.integers(0, 4, size=(40, 4)) for name in models}
+        engines = {}
+        for name, model in models.items():
+            registry.register(name, model)
+            engines[name] = registry.get_engine(
+                name, seed=model_stream_seed(123, name, 1)
+            )
+        direct = {name: engines[name].infer_batch(pools[name])
+                  for name in models}
+        plan = [("a", 6), ("b", 14), ("a", 8), ("a", 3), ("b", 5), ("a", 13),
+                ("b", 1), ("a", 2), ("b", 20), ("a", 15), ("b", 2), ("a", 7),
+                ("b", 8)]
+        chunks = []
+        with MicroBatchScheduler(
+            engines.__getitem__,
+            policy=BatchPolicy(max_batch=max_batch, max_wait_ms=0.5),
+        ) as scheduler:
+            # Paused, every chunk queues first, so each flush takes
+            # max_batch rows across entries and tenants.
+            assert scheduler.pause(timeout=10)
+            for name, n in plan:
+                rows = rng.integers(0, len(pools[name]), n)
+                chunks.append((name, rows, scheduler.submit_many(
+                    name, pools[name][rows]
+                )))
+            scheduler.resume()
+            assert scheduler.drain(timeout=60)
+
+        reads = {}  # each batch read -> the chunk of every row it served
+        for k, (name, rows, handles) in enumerate(chunks):
+            assert len(handles) == len(rows)
+            for row, handle in zip(rows, handles):
+                result = handle.result(timeout=0)
+                reference = direct[name].sample(row)
+                assert result.model == name
+                assert result.prediction == reference.prediction
+                assert result.delay == reference.delay  # bit-identical
+                assert result.energy_total == reference.energy.total
+                assert result.margin == sample_margin(
+                    report_currents(direct[name])[row])[0]
+                np.testing.assert_array_equal(
+                    result.report().wordline_currents,
+                    reference.wordline_currents,
+                )
+                reads.setdefault(id(result._rows.report), []).append(
+                    (k, result))
+        for served in reads.values():
+            assert {r.batch_size for _, r in served} == {len(served)}
+        # A flush reads each tenant's rows apart, so more reads than
+        # flushes means flushes held both tenants' rows; reads held
+        # several entries; and a chunk no longer than max_batch was
+        # split across two reads.
+        total = sum(n for _, n in plan)
+        assert len(reads) > -(-total // max_batch)
+        assert any(len({k for k, _ in served}) > 1 for served in reads.values())
+        reads_of = {}
+        for read, served in reads.items():
+            for k, _ in served:
+                reads_of.setdefault(k, set()).add(read)
+        assert any(
+            len(reads_of[k]) > 1
+            for k, (_, n) in enumerate(plan) if n <= max_batch
+        )
+
+    def test_served_result_fields_are_read_only(self, registry):
+        registry.register("a", make_model(3, seed=1))
+        engine = registry.get_engine("a", seed=5)
+        with MicroBatchScheduler(lambda key: engine) as scheduler:
+            (handle,) = scheduler.submit_many("a", np.array([[0, 1, 2, 3]]))
+            result = handle.result(timeout=30)
+        for name in ("model", "batch_size", "queue_wait_s", "prediction",
+                     "delay", "energy_total", "margin"):
+            before = getattr(result, name)
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0)
+            assert getattr(result, name) == before
+        with pytest.raises(AttributeError):
+            result.extra = 1
 
     def test_served_engine_equals_fresh_engine_under_variation(self, registry):
         """The server's engine is reconstructible from (seed, name, version).

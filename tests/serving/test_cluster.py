@@ -9,6 +9,7 @@ run by ``benchmarks/bench_cluster.py``.
 import itertools
 import math
 import queue
+import socket
 import sys
 import threading
 import time
@@ -387,10 +388,15 @@ class TestBlockPath:
         assert len(futures) == 600
         assert all(f.result(30).prediction in (0, 1, 2) for f in futures)
         assert len(sent) == math.ceil(600 / 256)
-        assert [len(m["levels"]) for m in sent] == [256, 256, 88]
+        blocks = [protocol.unpack_levels(m["levels"], m["features"])
+                  for m in sent]
+        assert [len(block) for block in blocks] == [256, 256, 88]
+        np.testing.assert_array_equal(np.concatenate(blocks), rows)
         del sent[:]
         cluster.submit("iris", rows[0]).result(30)
-        assert len(sent) == 1 and sent[0]["levels"] == [rows[0].tolist()]
+        assert len(sent) == 1 and protocol.unpack_levels(
+            sent[0]["levels"], sent[0]["features"]
+        ).tolist() == [rows[0].tolist()]
         # The cost signal counts rows and settles back to zero.
         assert [s.pending for s in cluster.status("iris")] == [0]
 
@@ -537,16 +543,16 @@ class TestWorkerReplies:
                 "max_queue_depth": None,
             }, canaries=[[0, 1, 2]]))
             assert conn.next("done")["id"] == "c1"
-            levels = [[0, 1, 2]] * 40
+            levels, features = protocol.pack_levels([[0, 1, 2]] * 40)
             host._dispatch(make("request", id="r1", placement="p0",
-                                levels=levels, priority=0))
+                                levels=levels, features=features, priority=0))
             reply = conn.next("result")
             assert reply["id"] == "r1" and reply["result"]["errors"] == []
             assert len(reply["result"]["prediction"]) == 40
 
             monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
             host._dispatch(make("request", id="r2", placement="p0",
-                                levels=levels, priority=0))
+                                levels=levels, features=features, priority=0))
             error = conn.next("error")
             assert error["id"] == "r2"
             rebuilt = protocol.decode_error(error["error"])
@@ -569,8 +575,9 @@ class TestWorkerReplies:
             }))
             assert conn.next("done")["id"] == "c1"
             assert host.hosts["p0"].scheduler.pause(timeout=5)
+            levels, features = protocol.pack_levels([[0, 1, 2]] * 3)
             host._dispatch(make("request", id="r1", placement="p0",
-                                levels=[[0, 1, 2]] * 3, priority=0))
+                                levels=levels, features=features, priority=0))
             host._dispatch(make("retire", id="c2", placement="p0",
                                 drain=False))
             reply = conn.next("result")
@@ -578,6 +585,43 @@ class TestWorkerReplies:
             outcomes = protocol.decode_block(reply["result"])
             assert [type(o) for o in outcomes] == [CancelledError] * 3
             assert conn.next("done")["id"] == "c2"
+        finally:
+            host.close()
+
+    def test_malformed_levels_are_answered_with_an_error(self, registry_root):
+        """A ``request`` whose packed levels do not decode gets an
+        ``error`` frame for its id, and the worker keeps serving."""
+        conn = _FakeConnection()
+        host = WorkerHost("w0", conn, {"registry_root": registry_root,
+                                       "seed": 0, "max_batch": 64})
+        try:
+            host._dispatch(make("place", id="c1", placement="p0", host={
+                "name": "iris", "version": 1, "index": 0,
+                "spec": ReplicaSpec("fefet").to_dict(), "key": "iris@v1#r0",
+                "max_queue_depth": None,
+            }))
+            assert conn.next("done")["id"] == "c1"
+            levels, features = protocol.pack_levels([[0, 1, 2]] * 2)
+            for i, body in enumerate([
+                {"levels": "not base64!", "features": 3},
+                {"levels": levels, "features": 4},  # not whole rows
+                {"levels": levels, "features": 0},
+                {"levels": [[0, 1, 2]] * 2, "features": 3},  # a v5 body
+                {"levels": "", "features": 3},  # no rows
+            ]):
+                assert host._dispatch(make(
+                    "request", id=f"bad{i}", placement="p0", priority=0,
+                    **body,
+                ))
+                error = conn.next("error")
+                assert error["id"] == f"bad{i}"
+                rebuilt = protocol.decode_error(error["error"])
+                assert rebuilt.exc_type == "ProtocolError"
+            host._dispatch(make("request", id="r1", placement="p0",
+                                levels=levels, features=features, priority=0))
+            reply = conn.next("result")
+            assert reply["id"] == "r1" and reply["result"]["errors"] == []
+            assert len(reply["result"]["prediction"]) == 2
         finally:
             host.close()
 
@@ -695,6 +739,29 @@ class TestTeardown:
         while accepting() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert accepting() == []
+
+
+class TestSpawnFailure:
+    def test_worker_dead_at_bootstrap_fails_the_deploy_fast(
+        self, registry_root
+    ):
+        """A worker that exits before its hello fails the deploy with
+        its exit code at once, not after ``SPAWN_TIMEOUT_S``: pointed at
+        a loopback port nothing listens on, its connect-back is refused
+        at bootstrap."""
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        address = probe.getsockname()
+        probe.close()
+        with ClusterServer(
+            registry_root, policy=POLICY, seed=0, maintenance_period_s=None,
+        ) as cluster:
+            cluster.pool._address = address
+            started = time.monotonic()
+            with pytest.raises(DeploymentError,
+                               match="worker w0 exited with code 1"):
+                cluster.deploy(process_deployment(workers=1))
+            assert time.monotonic() - started < 15.0
 
 
 class TestPlacementGuards:

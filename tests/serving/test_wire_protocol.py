@@ -33,6 +33,7 @@ from repro.serving.transport import (
     encode_result,
     make,
 )
+from repro.serving.transport.protocol import pack_levels, unpack_levels
 
 
 def roundtrip(message: dict) -> dict:
@@ -59,7 +60,8 @@ SAMPLE_BODIES = {
              "result": {"predictions": [1], "delay": 3.7e-10,
                         "currents": [[1.5e-06, 2.25e-07, 3e-07]]}},
     "request": {"id": "r1", "placement": "p0",
-                "levels": [[3, 0, 1], [2, 2, 0]], "priority": 1},
+                "levels": pack_levels([[3, 0, 1], [2, 2, 0]])[0],
+                "features": 3, "priority": 1},
     "result": {"id": "r1", "worker": "w0", "result": {"model": "iris"}},
     "error": {"id": "r1", "worker": "w0", "error": {"type": "runtime"}},
     "heartbeat": {"worker": "w0"},
@@ -97,15 +99,21 @@ class TestFraming:
 
     def test_v1_per_row_frame_refused(self):
         # Version 2 changed the request and result bodies to blocks,
-        # version 3 addresses replicas by placement id and version 5
-        # packs the result's float columns; a v1 peer must fail loudly
-        # on its first frame, never misparse.
-        assert WIRE_VERSION == 5
+        # version 3 addresses replicas by placement id, version 5 packs
+        # the result's float columns and version 6 the request's levels;
+        # a v1 or v5 peer must fail loudly on its first frame, never
+        # misparse.
+        assert WIRE_VERSION == 6
         body = json.dumps({"kind": "request", "id": "r1", "model": "iris",
                            "replica_index": 0, "levels": [3, 0, 1],
                            "priority": 0}).encode()
         frame = HEADER.pack(MAGIC, 1, len(body)) + body
         with pytest.raises(ProtocolError, match="unsupported wire version 1"):
+            FrameDecoder().feed(frame)
+        body = json.dumps({"kind": "request", "id": "r1", "placement": "p0",
+                           "levels": [[3, 0, 1]], "priority": 0}).encode()
+        frame = HEADER.pack(MAGIC, 5, len(body)) + body
+        with pytest.raises(ProtocolError, match="unsupported wire version 5"):
             FrameDecoder().feed(frame)
 
     def test_oversize_length_rejected_before_buffering(self):
@@ -191,6 +199,52 @@ class TestTypedErrors:
         assert isinstance(rebuilt, RemoteWorkerError)
         assert rebuilt.exc_type == "KeyError"
         assert "no such model" in str(rebuilt)
+
+
+class TestRequestLevels:
+    """Version 6 packs a ``request`` frame's levels as one base64
+    little-endian int64 block plus its feature count."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (256, 3), (0, 5)])
+    def test_any_int64_block_round_trips_bit_for_bit(self, shape):
+        info = np.iinfo(np.int64)
+        block = np.random.default_rng(11).integers(
+            info.min, info.max, size=shape, dtype=np.int64, endpoint=True
+        )
+        if block.size:
+            block.flat[0], block.flat[-1] = info.min, info.max
+        text, features = pack_levels(block)
+        assert features == shape[1]
+        assert base64.b64decode(text) == block.astype("<i8").tobytes()
+        body = roundtrip(make("request", id="r1", placement="p0",
+                              levels=text, features=features, priority=0))
+        back = unpack_levels(body["levels"], body["features"])
+        assert back.dtype == np.int64 and back.shape == shape
+        np.testing.assert_array_equal(back, block)
+
+    def test_a_strided_view_packs_in_row_order(self):
+        block = np.arange(24, dtype=np.int64).reshape(6, 4)[::2, 1:3]
+        np.testing.assert_array_equal(unpack_levels(*pack_levels(block)), block)
+
+    def test_text_that_is_not_base64_is_refused(self):
+        with pytest.raises(ProtocolError, match="not base64"):
+            unpack_levels("not base64!", 3)
+        with pytest.raises(ProtocolError, match="not base64"):
+            unpack_levels([[0, 1, 2]], 3)  # a v5 list body
+
+    def test_a_partial_row_is_refused(self):
+        text, _ = pack_levels(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ProtocolError, match="whole rows"):
+            unpack_levels(text, 4)
+        partial = base64.b64encode(b"\0" * 20).decode("ascii")
+        with pytest.raises(ProtocolError, match="whole rows"):
+            unpack_levels(partial, 1)
+
+    @pytest.mark.parametrize("features", [0, -1, None, "3"])
+    def test_a_feature_count_below_one_is_refused(self, features):
+        text, _ = pack_levels(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ProtocolError, match="feature count"):
+            unpack_levels(text, features)
 
 
 def block_columns(n, margins=None):
