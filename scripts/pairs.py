@@ -8,14 +8,20 @@ Exports ``--parent``'s committed files with ``git archive`` into a
 fresh temporary directory (as the benchmark runs a commit; nothing is
 written into the repository's ``.git``) and runs ``perfbench/run.py``
 on it and on the working tree, ``--pairs`` times each.  Pair ``i``
-runs both sides with seed ``i`` (from 1) for ``BENCHMARK.json``'s
-``run_seconds``, and the side that runs first alternates from pair to
-pair, so a drift in host speed lands on both sides alike.  Each side
-writes its records to a fresh ``perfbench/results`` (the working
-tree's old one is moved aside to a stamped
-``perfbench/results.<time>``).  The run ends with a table of pairwise
-wins per end-to-end metric and ``perfbench/run.py --compare``, and the
-export is removed.
+runs both sides with seed ``--first-seed + i`` (from ``--first-seed``,
+default 1, so acceptance pairs can use seeds the development pairs did
+not) for ``BENCHMARK.json``'s ``run_seconds``, and the side that runs
+first alternates from pair to pair, so a drift in host speed lands on
+both sides alike.  Each side writes its records to a fresh
+``perfbench/results`` (the working tree's old one is moved aside to a
+stamped ``perfbench/results.<time>``).  The run ends with a table per
+end-to-end metric and ``perfbench/run.py --compare``, and the export is
+removed.  The table gives the pairwise wins, both medians and the
+parent's quartile distance (IQR), whether the gain rule holds (the
+change wins at least 9 in 10 pairs and its median beats the parent's by
+more than the parent's IQR), and whether the change is worse than the
+metric's ``BENCHMARK.json`` bound (its median worse than the parent's
+by more than that fraction).
 """
 
 from __future__ import annotations
@@ -67,18 +73,24 @@ def quartile_distance(values: list) -> float:
 
 
 def summarise(spec: dict, parent: list, change: list) -> None:
-    """Pairwise wins, medians and the parent's quartile distance of
-    every end-to-end metric."""
+    """Pairwise wins, medians, the parent's quartile distance, the gain
+    rule and the bound check of every end-to-end metric."""
     print(f"{'metric':16s} {'wins':>6s} {'parent':>12s} {'change':>12s} "
-          f"{'parent IQR':>11s}")
+          f"{'parent IQR':>11s} {'gain rule':>10s} {'vs bound':>9s}")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         a = [r["metrics"][name]["value"] for r in parent]
         b = [r["metrics"][name]["value"] for r in change]
         sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        print(f"{name:16s} {wins:3d}/{len(a):<2d} {statistics.median(a):12.5g} "
-              f"{statistics.median(b):12.5g} {quartile_distance(a):11.4g}")
+        ma, mb, iqr = statistics.median(a), statistics.median(b), \
+            quartile_distance(a)
+        gain = wins * 10 >= 9 * len(a) and sign * (mb - ma) > iqr
+        ratio = mb / ma if ma else float("inf")
+        worse = sign * (ratio - 1.0) < -metric["bound"]
+        print(f"{name:16s} {wins:3d}/{len(a):<2d} {ma:12.5g} {mb:12.5g} "
+              f"{iqr:11.4g} {'holds' if gain else 'no':>10s} "
+              f"{'WORSE' if worse else 'ok':>9s}")
 
 
 def main(argv=None) -> int:
@@ -86,6 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="seed of the first pair (default 1)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])
@@ -104,7 +118,7 @@ def main(argv=None) -> int:
         sides = {"parent": parent_tree, "change": ROOT}
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
-            seed = i + 1
+            seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                                "parent")
             for side in order:

@@ -2,10 +2,11 @@
 
 :class:`FeFETBackend` is a thin adapter over
 :class:`~repro.crossbar.array.FeFETCrossbar` — it owns one, forwards
-the protocol surface to it verbatim and implements the cost model with
-the calibrated :class:`~repro.crossbar.timing.DelayModel` /
-:class:`~repro.crossbar.energy.EnergyModel` exactly as the engine did
-before the backend abstraction existed.  Construction order matters
+the protocol surface to it verbatim and implements the cost model as
+one pass over the calibrated :class:`~repro.crossbar.timing.DelayModel`
+/ :class:`~repro.crossbar.energy.EnergyModel` arithmetic, bit-identical
+to the values the engine computed before the backend abstraction
+existed.  Construction order matters
 and is preserved: the crossbar's variation offsets are drawn inside
 its constructor from the ``seed`` stream passed through unchanged, so
 an engine built through this backend is **bit-identical** to the
@@ -25,7 +26,8 @@ import numpy as np
 from repro.backends.base import ArrayBackend, Capability, CapabilityError
 from repro.backends.registry import register_backend
 from repro.crossbar.array import FeFETCrossbar
-from repro.crossbar.energy import EnergyModel
+from repro.crossbar.drivers import bitline_switch_energy, wordline_bias_energy
+from repro.crossbar.energy import BatchEnergyBreakdown
 from repro.crossbar.parameters import CircuitParameters
 from repro.crossbar.timing import DelayModel
 from repro.devices.fefet import FeFET, MultiLevelCellSpec
@@ -95,7 +97,7 @@ class FeFETBackend(ArrayBackend):
         # current values are contractual; winners stay parity-gated.
         self.kernel_dtype = kernel_dtype
         self._delay_model = DelayModel(self.params)
-        self._energy_model = EnergyModel(self.params)
+        self._terms: dict = {}
 
     # ------------------------------------------------------------- geometry
     @property
@@ -158,42 +160,85 @@ class FeFETBackend(ArrayBackend):
         return self._read_tables_cache[1]
 
     # ------------------------------------------------------------ cost model
+    def _cost_terms(self, n_active_bls: int) -> tuple:
+        """The cost-model terms no read changes, computed once per
+        engine (and activation count): the geometry part of the delay,
+        the gap fallback and floor, and the per-sample driver, mirror
+        and WTA energies."""
+        terms = self._terms.get(n_active_bls)
+        if terms is None:
+            params, rows, cols = self.params, self.rows, self.cols
+            terms = self._terms[n_active_bls] = (
+                self._delay_model.fixed_delay(rows, cols),
+                self.spec.level_separation(),
+                1e-9 * self.spec.i_min,
+                bitline_switch_energy(params, rows, n_active_bls),
+                wordline_bias_energy(params, rows, cols),
+                rows * params.e_mirror_per_row,
+                rows * params.e_wta_per_row,
+            )
+        return terms
+
     def inference_cost_batch(
         self, wordline_currents: np.ndarray, n_active_bls: int
-    ) -> Tuple[np.ndarray, object]:
-        """The calibrated FeBiM delay/energy models (Fig. 6).
+    ) -> Tuple[np.ndarray, BatchEnergyBreakdown]:
+        """The calibrated FeBiM delay/energy models (Fig. 6), in one pass.
 
-        Exactly the computation the engine performed inline before the
-        backend split — top-two gap per sample with the ``gap or one
-        LSB`` tie fallback, then the batched delay and energy models —
-        so per-sample results stay bit-identical to the pre-refactor
-        reports.
+        Per sample: the top-two gap with the ``gap or one LSB`` tie
+        fallback, floored at ``1e-9 * i_min``; the delay
+        ``fixed + t_gap_coeff * ln(max(I_total / gap, 1))`` with
+        ``I_total`` clamped at 1e-12 A; then the conduction and mirror
+        energies from the same row sums.  Each row's currents are summed
+        once, the geometry terms come from :meth:`_cost_terms`, and only
+        the input is checked (a negative current raises ``ValueError``):
+        the clamps make every intermediate positive, so nothing is
+        checked twice.  Every value is bit-identical to composing
+        :meth:`~repro.crossbar.timing.DelayModel.inference_delay_batch`
+        with the energy model's per-sample arithmetic, which is how the
+        engine computed it before (the golden and property tests keep
+        that composition as the reference).
         """
         currents = np.asarray(wordline_currents, dtype=float)
-        rows, cols = self.rows, self.cols
+        rows = self.rows
+        if currents.ndim != 2 or currents.shape[1] != rows:
+            raise ValueError(
+                f"wordline_currents must have shape (n, {rows}), "
+                f"got {currents.shape}"
+            )
+        if currents.min(initial=0.0) < 0:
+            raise ValueError("wordline currents must be non-negative")
+        fixed, separation, floor, bitline, wordline, mirror, wta = (
+            self._cost_terms(n_active_bls)
+        )
+        params = self.params
         n = currents.shape[0]
-        separation = self.spec.level_separation()
         if rows > 1:
             top_two = np.partition(currents, rows - 2, axis=1)[:, rows - 2:]
             gaps = top_two[:, 1] - top_two[:, 0]
-            gaps = np.where(gaps == 0.0, separation, gaps)
+            gaps[gaps == 0.0] = separation
+            np.maximum(gaps, floor, out=gaps)
         else:
-            gaps = np.full(n, separation)
-        min_gaps = np.maximum(gaps, 1e-9 * self.spec.i_min)
-        delay = self._delay_model.inference_delay_batch(
-            rows=rows,
-            cols=cols,
-            i_total=np.maximum(currents.sum(axis=1), 1e-12),
-            delta_i=min_gaps,
+            gaps = np.full(n, max(separation, floor))
+        sums = currents.sum(axis=1)
+        delay = np.maximum(sums, 1e-12)
+        delay /= gaps
+        np.maximum(delay, 1.0, out=delay)
+        np.log(delay, out=delay)
+        delay *= params.t_gap_coeff
+        delay += fixed
+        conduction = sums * params.v_wl_read
+        conduction *= delay
+        mirrors = 2.0 * params.mirror_ratio * sums
+        mirrors *= params.v_dd
+        mirrors *= delay
+        mirrors += mirror
+        return delay, BatchEnergyBreakdown(
+            bitline=np.full(n, bitline),
+            wordline=np.full(n, wordline),
+            conduction=conduction,
+            mirrors=mirrors,
+            wta=np.full(n, wta),
         )
-        energy = self._energy_model.inference_energy_batch(
-            rows=rows,
-            cols=cols,
-            n_active_bls=n_active_bls,
-            wordline_currents=currents,
-            delay=delay,
-        )
-        return delay, energy
 
     # ``stage2_cost`` is inherited: the ArrayBackend default *is* the
     # paper's analog current-mode second-stage WTA, this backend's own

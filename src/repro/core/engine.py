@@ -22,7 +22,9 @@ wordline reads
 (:meth:`~repro.crossbar.array.FeFETCrossbar.wordline_currents_batch`
 over the array's cached per-cell current matrices), WTA decisions
 (:meth:`~repro.crossbar.sensing.SensingModule.decide_batch`), and the
-delay/energy models' ``*_batch`` forms — returning a
+backend's cost model
+(:meth:`~repro.backends.base.ArrayBackend.inference_cost_batch`, one
+pass over the batch on the FeFET backend) — returning a
 :class:`BatchInferenceReport` with per-sample predictions, currents,
 delays and an energy breakdown.
 

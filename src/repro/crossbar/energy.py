@@ -9,6 +9,7 @@ with the sensing-side mirror/WTA energies
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,6 +58,8 @@ class BatchEnergyBreakdown:
     every field; the derived ``array``/``sensing``/``total`` properties
     combine them with the same arithmetic, so ``batch.total[i]`` is
     bit-identical to the matching per-sample ``EnergyBreakdown.total``.
+    The :class:`~repro.backends.fefet.FeFETBackend` cost pass builds it
+    (see ``FeFETBackend.inference_cost_batch``).
     """
 
     bitline: np.ndarray
@@ -73,8 +76,10 @@ class BatchEnergyBreakdown:
     def sensing(self) -> np.ndarray:
         return self.mirrors + self.wta
 
-    @property
+    @cached_property
     def total(self) -> np.ndarray:
+        """``array + sensing`` per sample, computed on the first read
+        and kept: a served batch reads it once per row."""
         return self.array + self.sensing
 
     def __len__(self) -> int:
@@ -137,72 +142,6 @@ class EnergyModel:
             conduction=conduction_energy(params, currents, delay),
             mirrors=mirrors,
             wta=rows * params.e_wta_per_row,
-        )
-
-    def inference_energy_batch(
-        self,
-        rows: int,
-        cols: int,
-        n_active_bls: int,
-        wordline_currents: np.ndarray,
-        delay: Optional[np.ndarray] = None,
-    ) -> BatchEnergyBreakdown:
-        """Energy breakdowns for a batch of inferences in one pass.
-
-        Parameters
-        ----------
-        rows, cols, n_active_bls:
-            Geometry / activation count, shared by every sample.
-        wordline_currents:
-            Per-sample I_WL vectors, shape ``(n_samples, rows)``.
-        delay:
-            Per-sample inference durations, shape ``(n_samples,)``;
-            computed from the delay model's worst case when omitted.
-
-        The driver terms (bitline, wordline, WTA charge) depend only on
-        the geometry, so they are constant across the batch; conduction
-        and mirror terms vectorise over the per-sample currents and
-        delays with the same operation order as :meth:`inference_energy`,
-        keeping each sample's entries bit-identical to the scalar path.
-        """
-        currents = np.asarray(wordline_currents, dtype=float)
-        if currents.ndim != 2 or currents.shape[1] != rows:
-            raise ValueError(
-                f"wordline_currents must have shape (n, {rows}), "
-                f"got {currents.shape}"
-            )
-        if np.any(currents < 0):
-            raise ValueError("wordline currents must be non-negative")
-        n = currents.shape[0]
-        sums = currents.sum(axis=1)
-        if delay is None:
-            # Match the scalar path: worst-case delay at the default
-            # single-LSB gap of ``inference_delay``.
-            delay = self._delay_model.inference_delay_batch(
-                rows,
-                cols,
-                i_total=np.maximum(sums, 1e-12),
-                delta_i=np.full(n, DelayModel.default_delta_i()),
-            )
-        else:
-            delay = np.asarray(delay, dtype=float)
-            if delay.shape != (n,):
-                raise ValueError(
-                    f"delay must have shape ({n},), got {delay.shape}"
-                )
-            if np.any(delay <= 0):
-                raise ValueError("delay must be positive")
-        params = self.params
-        mirrors = rows * params.e_mirror_per_row + (
-            2.0 * params.mirror_ratio * sums * params.v_dd * delay
-        )
-        conduction = sums * params.v_wl_read * delay
-        return BatchEnergyBreakdown(
-            bitline=np.full(n, bitline_switch_energy(params, rows, n_active_bls)),
-            wordline=np.full(n, wordline_bias_energy(params, rows, cols)),
-            conduction=conduction,
-            mirrors=mirrors,
-            wta=np.full(n, rows * params.e_wta_per_row),
         )
 
     def stress_energy(self, rows: int, cols: int) -> EnergyBreakdown:

@@ -72,6 +72,9 @@ class BayesianArrayLayout:
             offset += width
         self._block_starts = tuple(starts)
         self._total_cols = offset
+        # The batch path's bounds and offsets, built once.
+        self._width_array = np.asarray(widths, dtype=np.uint64)
+        self._start_array = np.asarray(starts, dtype=np.int64)
 
     # ------------------------------------------------------------- equality
     def __eq__(self, other: object) -> bool:
@@ -166,22 +169,24 @@ class BayesianArrayLayout:
 
     def active_columns_batch(self, evidence_levels: np.ndarray) -> np.ndarray:
         """Activation masks for a batch, shape ``(n_samples, total_cols)``."""
-        evidence_levels = np.asarray(evidence_levels, dtype=int)
+        evidence_levels = np.asarray(evidence_levels, dtype=np.int64)
         if evidence_levels.ndim != 2 or evidence_levels.shape[1] != self.n_features:
             raise ValueError(
                 f"evidence_levels must have shape (n, {self.n_features}), "
                 f"got {evidence_levels.shape}"
             )
-        widths = np.asarray(self.block_widths)
-        if np.any(evidence_levels < 0) or np.any(evidence_levels >= widths[None, :]):
+        # One pass checks both bounds: read as unsigned, a negative
+        # level is larger than any width.
+        if (evidence_levels.view(np.uint64) >= self._width_array).any():
             raise ValueError("evidence level out of range")
         n = evidence_levels.shape[0]
-        masks = np.zeros((n, self.total_cols), dtype=bool)
+        total = self.total_cols
+        masks = np.zeros((n, total), dtype=bool)
         if self.include_prior:
             masks[:, self.prior_col] = True
-        starts = np.asarray(self._block_starts)
-        cols = starts[None, :] + evidence_levels
-        masks[np.arange(n)[:, None], cols] = True
+        flat = evidence_levels + self._start_array
+        flat += np.arange(0, n * total, total)[:, None]
+        masks.put(flat, True)
         return masks
 
     @property

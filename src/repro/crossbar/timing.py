@@ -44,6 +44,20 @@ class DelayModel:
         check_positive_int(rows, "rows")
         return self.params.t_per_row * rows
 
+    def fixed_delay(self, rows: int, cols: int) -> float:
+        """The part of every inference's delay the geometry alone sets:
+        front-end overhead, WL settling and WTA loading (seconds).
+
+        Summed in the order :meth:`inference_delay` adds them, so a
+        caller that adds the gap-dependent part to this once-computed
+        value gets the same bits as the full method.
+        """
+        return (
+            self.params.t_base
+            + self.wordline_settling(cols)
+            + self.wta_loading(rows)
+        )
+
     @staticmethod
     def default_delta_i(i_cell_max: float = 1.0e-6, levels: int = 4) -> float:
         """The worst-case adjacent-gap default: one cell LSB (amperes).
@@ -87,12 +101,7 @@ class DelayModel:
             i_total = rows * cols * 0.55 * i_cell_max
         if delta_i is None:
             delta_i = self.default_delta_i(i_cell_max, levels)
-        return (
-            self.params.t_base
-            + self.wordline_settling(cols)
-            + self.wta_loading(rows)
-            + self.gap_resolution(i_total, delta_i)
-        )
+        return self.fixed_delay(rows, cols) + self.gap_resolution(i_total, delta_i)
 
     def gap_resolution_batch(self, i_total: np.ndarray, delta_i: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`gap_resolution` over per-sample currents/gaps.
@@ -125,13 +134,8 @@ class DelayModel:
         order matches the scalar method exactly, keeping batched delays
         bit-identical to the legacy loop.
         """
-        check_positive_int(rows, "rows")
-        check_positive_int(cols, "cols")
-        return (
-            self.params.t_base
-            + self.wordline_settling(cols)
-            + self.wta_loading(rows)
-            + self.gap_resolution_batch(i_total, delta_i)
+        return self.fixed_delay(rows, cols) + self.gap_resolution_batch(
+            i_total, delta_i
         )
 
     def column_sweep(self, rows: int, col_counts) -> np.ndarray:

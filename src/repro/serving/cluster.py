@@ -124,12 +124,12 @@ class _RemoteHost:
 
     Its queue (:meth:`enqueue`) ships each entry as one ``request``
     frame (its levels packed as one int64 block) with one pending entry;
-    the worker's columnar reply, an
-    ``error`` frame or the worker's loss then settles the entry through
-    its owner, once per segment, as a local scheduler would after a
-    batch: ``claim`` and ``served`` for the served rows (their handles
-    index the decoded columns), ``cancel`` for the rows the worker's
-    queue cancelled, ``failed`` for the rest.  ``block`` is
+    the worker's columnar reply, an ``error`` frame or the worker's loss
+    then settles the entry through its owner, once per segment, as a
+    local scheduler would after a batch: ``claim`` and ``served`` for
+    the served rows (their slots store the rows :func:`decode_block`
+    built), ``cancel`` for the rows the worker's queue cancelled,
+    ``failed`` for the rest.  ``block`` is
     ignored — backpressure is the worker scheduler's, and never blocks
     a frame.  ``pending`` counts the front end's in-flight rows, the
     cost policy's signal, kept without a round trip.  The control

@@ -5,8 +5,8 @@ dense batches; an online server receives single-sample requests that
 would each pay the full per-call overhead again.  This module closes
 the gap with the classic serving idiom: one thread-safe queue, a worker
 that coalesces whatever is pending into one ``infer_batch`` call per
-routing key and feature width, and results that are views into the
-shared batch report.
+routing key and feature width, and each row's result record built
+once per served segment from the shared batch report.
 
 The unit the queue holds is an *entry* (:class:`_Request`): an
 ``(n, cols)`` block of rows of one owner and one lane.  A ``submit`` is
@@ -89,7 +89,9 @@ from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, List, Optional
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional,
+)
 
 import numpy as np
 
@@ -127,59 +129,45 @@ class BatchPolicy:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
 
 
-class ServedResult:
+class ServedResult(NamedTuple):
     """One request's row of the micro-batch it was served in.
 
-    A two-slot view: the :class:`ServedRows` of the segment that served
-    the row, and the row's index in the shared batch report.  Reading a
-    served row builds this one small object and copies nothing — the
-    batch's read already produced every per-sample field, so resolving
-    thousands of requests per second must not pay a per-request report
-    materialisation, or even a per-request copy of the segment's
-    scalars.  Every public field is read-only.
+    A read-only record, built together with every other row of its
+    segment in one pass over the batch report's columns
+    (:meth:`ServedRows.results`), and stored in the row's completion
+    slot, so reading a served row builds nothing.  Its values are plain
+    Python scalars, as a row that crossed the wire carries them
+    (:class:`~repro.serving.transport.protocol.RemoteServedResult`).
+    ``margin`` and :meth:`report` are computed only when read, through
+    ``segment`` (the :class:`ServedRows` that served the row) and
+    ``row`` (the row's index in the shared batch report).  Equality is
+    a tuple's: two records of the same row compare equal, and the
+    segment compares by identity, never by its report's arrays.
 
     Attributes
     ----------
     model:
         Routing key the request was served under.
-    batch_size:
-        How many requests shared the micro-batch.
+    prediction:
+        The winning class label.
+    delay:
+        Worst-case circuit inference latency of this sample (s).
+    energy_total:
+        Total inference energy attributed to this sample (J).
     queue_wait_s:
         Time spent queued before the batch launched (seconds).
+    batch_size:
+        How many requests shared the micro-batch.
     """
 
-    __slots__ = ("_rows", "_index")
-
-    def __init__(self, rows: "ServedRows", index: int):
-        self._rows = rows
-        self._index = index
-
-    @property
-    def model(self) -> str:
-        return self._rows.model
-
-    @property
-    def batch_size(self) -> int:
-        return self._rows.batch_size
-
-    @property
-    def queue_wait_s(self) -> float:
-        return self._rows.queue_wait_s
-
-    @property
-    def prediction(self) -> int:
-        """The winning class label."""
-        return self._rows.report.predictions[self._index]
-
-    @property
-    def delay(self) -> float:
-        """Worst-case circuit inference latency of this sample (s)."""
-        return float(self._rows.report.delay[self._index])
-
-    @property
-    def energy_total(self) -> float:
-        """Total inference energy attributed to this sample (J)."""
-        return float(self._rows.report.energy.total[self._index])
+    model: str
+    prediction: object
+    delay: float
+    energy_total: float
+    queue_wait_s: float
+    batch_size: int
+    segment: "ServedRows"
+    row: int
 
     @property
     def margin(self) -> float:
@@ -194,23 +182,24 @@ class ServedResult:
         """
         try:
             return sample_margin(
-                report_currents(self._rows.report)[self._index]
+                report_currents(self.segment.report)[self.row]
             )[0]
         except Exception:  # noqa: BLE001 — weighting must never fail a vote
             return float("nan")
 
     def report(self):
         """The full scalar per-sample report (flat or tiled flavour)."""
-        return self._rows.report.sample(self._index)
+        return self.segment.report.sample(self.row)
 
 
 class ServedRows:
     """The results of one served entry segment: the row at slot
     position ``pos`` is row ``pos + shift`` of the batch ``report``.
 
-    One object per segment, however many rows it holds; :meth:`at`
-    builds a row's :class:`ServedResult` view only when someone reads
-    it.
+    One object per segment, however many rows it holds.  An owner that
+    completes client handles asks it for its rows' records once
+    (:meth:`results`); the worker's request block reads slices of the
+    report instead, and a mirror vote one row (:meth:`at`).
     """
 
     __slots__ = ("model", "batch_size", "queue_wait_s", "report", "shift")
@@ -223,8 +212,25 @@ class ServedRows:
         self.report = report
         self.shift = shift
 
+    def results(self, lo: int, hi: int) -> List[ServedResult]:
+        """The :class:`ServedResult` of every row at slot positions
+        ``lo..hi``, built in one pass over ``.tolist()`` slices of the
+        report's columns."""
+        a, b = lo + self.shift, hi + self.shift
+        report, n = self.report, hi - lo
+        return list(map(tuple.__new__, itertools.repeat(ServedResult, n), zip(
+            itertools.repeat(self.model, n),
+            np.asarray(report.predictions)[a:b].tolist(),
+            np.asarray(report.delay)[a:b].tolist(),
+            np.asarray(report.energy.total)[a:b].tolist(),
+            itertools.repeat(self.queue_wait_s, n),
+            itertools.repeat(self.batch_size, n),
+            itertools.repeat(self, n),
+            range(a, b),
+        )))
+
     def at(self, pos: int) -> ServedResult:
-        return ServedResult(self, pos + self.shift)
+        return self.results(pos, pos + 1)[0]
 
 
 class SchedulerClosed(RuntimeError):
@@ -268,9 +274,12 @@ class _Request:
     * ``claim(entries) -> entries`` before the read: rows their client
       already cancelled drop out, never read (the kept rows may come
       back as several segments);
-    * ``served(entries, results, finished)``: one :class:`ServedRows`
-      per segment, and ``finished``, the one clock read that ended the
-      traced rows' ``execute`` span;
+    * ``served(entries, results, finished)``: one results object per
+      segment (a local batch's :class:`ServedRows`, or the decoded reply
+      of a worker), whose ``results(lo, hi)`` are the records of the
+      rows at slot positions ``lo..hi`` and ``at(pos)`` one row's; and
+      ``finished``, the one clock read that ended the traced rows'
+      ``execute`` span;
     * ``failed(entries, exc, ran)``: segments a batch failed
       (``ran=True``) or a full or closed queue refused or displaced
       (``ran=False``);
@@ -375,9 +384,11 @@ class _Slot:
     One state byte and one outcome per row, under one lock and one
     condition; the chunk's row handles (:class:`RowHandle`) read it.  A
     row is pending, running (claimed for a read), cancelled (by its
-    client, before any claim) or done.  A done row's outcome is its
-    segment's results (``at(pos)`` gives the row's result) or the
-    exception that failed it.  Settling writes a whole segment at once.
+    client, before any claim) or done.  A done row's outcome is its own
+    result record (a :class:`ServedResult`, or a
+    :class:`~repro.serving.transport.protocol.RemoteServedResult` on
+    process placement) or the exception that failed it.  Settling
+    writes a whole segment at once.
     """
 
     __slots__ = ("state", "outcomes", "lock", "changed", "callbacks")
@@ -412,22 +423,28 @@ class _Slot:
             return gone
 
     def settle(self, lo: int, hi: int, outcome) -> None:
-        """Rows ``lo..hi`` are done with ``outcome``."""
-        self._set(lo, hi, _DONE, outcome)
+        """Rows ``lo..hi`` are done with the one ``outcome`` (the
+        exception that failed them)."""
+        self._set(lo, hi, _DONE, [outcome] * (hi - lo))
+
+    def serve(self, lo: int, hi: int, results: list) -> None:
+        """Rows ``lo..hi`` are served: ``results`` holds each row's
+        record, in order."""
+        self._set(lo, hi, _DONE, results)
 
     def cancel(self, lo: int, hi: int) -> None:
         """A queue dropped unclaimed rows ``lo..hi``: they are cancelled."""
-        self._set(lo, hi, _CANCELLED, None)
+        self._set(lo, hi, _CANCELLED, [None] * (hi - lo))
 
     def cancel_row(self, pos: int) -> bool:
         """A client cancels one row: ``True`` unless it is already
         running or done."""
         return (
-            self._set(pos, pos + 1, _CANCELLED, None, only_pending=True)
+            self._set(pos, pos + 1, _CANCELLED, [None], only_pending=True)
             or self.state[pos] == _CANCELLED
         )
 
-    def _set(self, lo: int, hi: int, state: int, outcome,
+    def _set(self, lo: int, hi: int, state: int, outcomes: list,
              only_pending: bool = False) -> bool:
         with self.lock:
             if only_pending and self.state[lo] != _PENDING:
@@ -438,7 +455,7 @@ class _Slot:
                 raise InvalidStateError(f"rows {lo}..{hi} already done")
             # The outcome first: ``RowHandle._outcome`` reads a done
             # row's outcome without the lock once it sees the state byte.
-            self.outcomes[lo:hi] = [outcome] * (hi - lo)
+            self.outcomes[lo:hi] = outcomes
             self.state[lo:hi] = bytes((state,)) * (hi - lo)
             self.changed.notify_all()
             fired = []
@@ -460,9 +477,11 @@ class RowHandle:
     ``add_done_callback``) over the chunk's one completion slot.
 
     Two references and no lock of its own, so a chunk of rows costs
-    one slot, not one future per row.  ``cancel`` succeeds while the
-    row is queued; the row then drops out when its batch is claimed,
-    never read.
+    one slot, not one future per row.  ``result`` returns the record
+    the slot stores for the row (its owner built every row's record
+    once per served segment) and builds nothing.  ``cancel`` succeeds
+    while the row is queued; the row then drops out when its batch is
+    claimed, never read.
     """
 
     __slots__ = ("slot", "pos")
@@ -484,7 +503,7 @@ class RowHandle:
         outcome = self._outcome(timeout)
         if isinstance(outcome, BaseException):
             raise outcome
-        return outcome.at(self.pos)
+        return outcome
 
     def exception(self, timeout: Optional[float] = None):
         outcome = self._outcome(timeout)
@@ -529,10 +548,10 @@ class _FutureSlot:
         return [] if self.future.set_running_or_notify_cancel() else [lo]
 
     def settle(self, lo: int, hi: int, outcome) -> None:
-        if isinstance(outcome, BaseException):
-            self.future.set_exception(outcome)
-        else:
-            self.future.set_result(outcome.at(lo))
+        self.future.set_exception(outcome)
+
+    def serve(self, lo: int, hi: int, results: list) -> None:
+        self.future.set_result(results[0])
 
     def cancel(self, lo: int, hi: int) -> None:
         self.future.cancel()
@@ -593,7 +612,9 @@ class _ClientFutures:
         )
         for entry, result in zip(entries, results):
             entry.finish_traces("served", finished)
-            entry.slot.settle(entry.lo, entry.lo + len(entry), result)
+            lo = entry.lo
+            hi = lo + len(entry)
+            entry.slot.serve(lo, hi, result.results(lo, hi))
 
     def failed(self, entries: List[_Request], exc: BaseException,
                ran: bool) -> None:

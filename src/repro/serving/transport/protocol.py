@@ -33,21 +33,25 @@ placed replica, packed as one base64 string of little-endian int64
 values plus the block's ``features`` count (:func:`pack_levels` /
 :func:`unpack_levels`, so the worker reads the block back with one
 ``np.frombuffer``) — and the worker answers it with one ``result``
-frame whose body holds the rows' columns in row order
-(:func:`encode_block` / :func:`decode_block`): ``prediction`` as a list
-of the model's class labels (integers, strings or floats, as the model
-holds them), ``batch_size`` as an integer list, and ``delay``,
-``energy_total``, ``queue_wait_s`` and ``margin`` as base64 strings of
-little-endian float64 columns, plus an ``errors`` list of ``[lo, hi,
-typed error]`` row ranges that failed.  Framing, the socket write and
-JSON parsing are paid once per block, and packing the levels and the
+frame (:func:`encode_block` / :func:`decode_block`).  Its body holds
+the rows' per-row columns in row order — ``prediction`` as a list of
+the model's class labels (integers, strings or floats, as the model
+holds them), and ``delay``, ``energy_total`` and ``margin`` as base64
+strings of little-endian float64 columns — and the row ranges that
+cover them: ``segments``, one ``[lo, hi, batch_size, queue_wait_s]``
+per served segment (the values every row of a segment shares go out
+once), and ``errors``, one ``[lo, hi, typed error]`` per failed range.
+Together the ranges cover every row exactly once, in order; a body
+whose ranges do not is refused.  Framing, the socket write and JSON
+parsing are paid once per block, and packing the levels and the
 floats spares the per-number decimal formatting and parsing that would
-otherwise dominate a block's encoding; the packed bytes carry every
-level and every modelled delay and energy bit for bit.  Control frames
-(a ``read`` or a ``place`` frame's canaries) keep their levels as
-integer lists.  The bodies stay strict JSON (``allow_nan=False``): a
-packed column may hold NaN (a degenerate margin, a failed row), which
-decodes to ``None`` for a margin.
+otherwise dominate a block's encoding; the packed bytes (and the
+shortest round-trip decimal of a segment's ``queue_wait_s``) carry
+every level, every modelled delay and energy and every wait bit for
+bit.  Control frames (a ``read`` or a ``place`` frame's canaries) keep
+their levels as integer lists.  The bodies stay strict JSON
+(``allow_nan=False``): a packed column may hold NaN (a degenerate
+margin, a failed row), which decodes to ``None`` for a margin.
 
 Typed scheduler errors survive the boundary: :func:`encode_error` /
 :func:`decode_error` rebuild :class:`~repro.serving.scheduler.Overloaded`
@@ -87,8 +91,10 @@ MAGIC = 0x4642
 #: worker hosts programs new hardware into it; 5: ``result`` float
 #: columns packed as base64 little-endian float64, errors as row
 #: ranges; 6: ``request`` levels packed as base64 little-endian int64
-#: plus a ``features`` count).
-WIRE_VERSION = 6
+#: plus a ``features`` count; 7: ``result`` sends ``batch_size`` and
+#: ``queue_wait_s`` once per served segment, as ``segments`` ranges
+#: beside the error ranges, which together must cover every row).
+WIRE_VERSION = 7
 
 #: Frame header: (magic, version, body length), network byte order.
 HEADER = struct.Struct("!HHI")
@@ -333,18 +339,19 @@ def decode_error(payload: dict) -> BaseException:
 
 
 class RemoteServedResult(NamedTuple):
-    """A :class:`~repro.serving.scheduler.ServedResult` view that crossed
-    the wire.
+    """A :class:`~repro.serving.scheduler.ServedResult` that crossed the
+    wire.
 
     Same reading surface (``prediction`` / ``delay`` / ``energy_total``
-    / ``queue_wait_s`` / ``batch_size``) so cluster callers are
-    drop-in; the shared batch report stayed in the worker — only the
-    scalars this request owns travelled.  ``margin`` is the answer's
-    winner/runner-up read margin (``None`` when degenerate), shipped so
-    weighted mirror votes work across processes.  An immutable named
-    tuple, built for every row of a reply in one pass at decode
-    (:func:`decode_block`, without the generated ``__new__``), so a
-    handle reading a row builds nothing.
+    / ``queue_wait_s`` / ``batch_size`` / ``margin``, as plain Python
+    scalars) so cluster callers are drop-in; the shared batch report
+    stayed in the worker — only the scalars this request owns
+    travelled.  ``margin`` is the answer's winner/runner-up read margin
+    (``None`` when degenerate), shipped so weighted mirror votes work
+    across processes.  An immutable named tuple, built for every row of
+    a reply in one pass per segment at decode (:func:`decode_block`,
+    without the generated ``__new__``), so a handle reading a row
+    builds nothing.
     """
 
     model: str
@@ -359,12 +366,9 @@ class RemoteServedResult(NamedTuple):
 
 
 #: The per-row columns of a ``result`` body, in wire order.
-RESULT_COLUMNS = (
-    "prediction", "delay", "energy_total", "queue_wait_s", "batch_size",
-    "margin",
-)
+RESULT_COLUMNS = ("prediction", "delay", "energy_total", "margin")
 #: The columns a ``result`` body packs as base64 little-endian float64.
-FLOAT_COLUMNS = ("delay", "energy_total", "queue_wait_s", "margin")
+FLOAT_COLUMNS = ("delay", "energy_total", "margin")
 _FLOAT64 = np.dtype("<f8")
 _INT64 = np.dtype("<i8")
 
@@ -416,6 +420,7 @@ def unpack_floats(text: str) -> list:
 def encode_block(
     model: str,
     columns: Dict[str, Sequence],
+    segments: Sequence[Tuple[int, int, int, float]],
     errors: Sequence[Tuple[int, int, BaseException]] = (),
     replica: str = "",
     worker: str = "",
@@ -423,20 +428,21 @@ def encode_block(
     """The ``result`` body answering one ``request`` frame.
 
     ``columns`` maps every name in :data:`RESULT_COLUMNS` to one value
-    per row of the request, in row order (a list or an array); the
-    :data:`FLOAT_COLUMNS` are packed, and the others go out as JSON
-    lists of their values (a prediction keeps its label's type).
-    ``errors`` names the row ranges ``lo..hi`` that failed as ``(lo, hi,
-    exception)``; their column values are ignored, and the exceptions go
-    out as typed error payloads.
+    per row of the request, in row order: ``prediction`` a list of JSON
+    values (sent as it is), the :data:`FLOAT_COLUMNS` lists or arrays
+    (packed).  ``segments`` names the served row ranges ``lo..hi`` as
+    ``(lo, hi, batch_size, queue_wait_s)``, and ``errors`` the failed
+    ones as ``(lo, hi, exception)``; a failed row's column values are
+    ignored, and the exceptions go out as typed error payloads.
     """
-    body = {"model": model, "replica": replica, "worker": worker}
-    for name in RESULT_COLUMNS:
-        values = columns[name]
-        if name in FLOAT_COLUMNS:
-            body[name] = pack_floats(values)
-        else:
-            body[name] = np.asarray(values).tolist()
+    body = {"model": model, "replica": replica, "worker": worker,
+            "prediction": columns["prediction"]}
+    for name in FLOAT_COLUMNS:
+        body[name] = pack_floats(columns[name])
+    body["segments"] = [
+        [int(lo), int(hi), int(size), float(wait)]
+        for lo, hi, size, wait in segments
+    ]
     body["errors"] = [
         [int(lo), int(hi), encode_error(exc)] for lo, hi, exc in errors
     ]
@@ -444,79 +450,96 @@ def encode_block(
 
 
 class ResultBlock:
-    """A decoded ``result`` body: one outcome per row, built when read.
+    """A decoded ``result`` body: one outcome per row, built at decode.
 
-    ``block[i]`` is row ``i``'s :class:`RemoteServedResult`, or the
-    typed exception of the error range that holds it; ``errors`` lists
-    those ranges as sorted, disjoint ``(lo, hi, exception)``.  Decoding
-    is one pass per column, never per row: ``rows`` holds each row's
-    :class:`RemoteServedResult`, zipped from the decoded columns.
+    ``outcomes[i]`` is frame row ``i``'s :class:`RemoteServedResult`,
+    or the typed exception of the error range that holds it; ``errors``
+    lists those ranges as sorted, disjoint ``(lo, hi, exception)``.
     ``base`` is the slot position of the frame's first row in the chunk
     it answers (the front end sets it when it settles the reply), so
-    :meth:`at` reads a row the way
+    :meth:`results` and :meth:`at` read rows by slot position, as
     :class:`~repro.serving.scheduler.ServedRows` does.
     """
 
-    __slots__ = ("model", "replica", "worker", "rows", "errors", "base")
+    __slots__ = ("model", "replica", "worker", "outcomes", "errors", "base")
 
-    def __init__(self, model: str, replica: str, worker: str, rows: list,
-                 errors: list):
+    def __init__(self, model: str, replica: str, worker: str,
+                 outcomes: list, errors: list):
         self.model = model
         self.replica = replica
         self.worker = worker
-        self.rows = rows
+        self.outcomes = outcomes
         self.errors = errors
         self.base = 0
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.outcomes)
+
+    def results(self, lo: int, hi: int) -> list:
+        """The outcomes of the rows at slot positions ``lo..hi``."""
+        return self.outcomes[lo - self.base:hi - self.base]
 
     def at(self, pos: int) -> Union[RemoteServedResult, BaseException]:
-        """The outcome of the row at slot position ``pos``: the error
-        ranges are scanned only when the reply has any."""
-        i = pos - self.base
-        if self.errors:
-            for lo, hi, exc in self.errors:
-                if lo <= i < hi:
-                    return exc
-        return self.rows[i]
+        """The outcome of the row at slot position ``pos``."""
+        return self.outcomes[pos - self.base]
 
     def __getitem__(self, i: int) -> Union[RemoteServedResult, BaseException]:
-        return self.at(i + self.base)
+        return self.outcomes[i]
 
 
 def decode_block(payload: dict) -> ResultBlock:
-    """The :class:`ResultBlock` of a ``result`` body."""
-    columns = [
-        unpack_floats(payload[name]) if name in FLOAT_COLUMNS
-        else payload[name]
-        for name in RESULT_COLUMNS
-    ]
-    n = len(columns[0])
-    if any(len(column) != n for column in columns):
+    """The :class:`ResultBlock` of a ``result`` body.
+
+    Refuses with :class:`ProtocolError` columns of different lengths,
+    and ranges that do not cover every row exactly once: segments out
+    of order, ranges that overlap (a segment on an error range, too),
+    run past the rows or are empty, and rows no range covers.
+    """
+    predictions = payload["prediction"]
+    delay, energy, margins = (
+        unpack_floats(payload[name]) for name in FLOAT_COLUMNS
+    )
+    n = len(predictions)
+    if any(len(column) != n for column in (delay, energy, margins)):
         raise ProtocolError("result columns differ in length")
     # A NaN margin (degenerate, or a failed row's placeholder) reads None.
-    margins = RESULT_COLUMNS.index("margin")
-    columns[margins] = [None if m != m else m for m in columns[margins]]
+    margins = [None if m != m else m for m in margins]
+    segments = [
+        (int(lo), int(hi), (int(size), float(wait)))
+        for lo, hi, size, wait in payload["segments"]
+    ]
+    if any(a[0] >= b[0] for a, b in zip(segments, segments[1:])):
+        raise ProtocolError("result segments are not in row order")
     errors = sorted(
         ((int(lo), int(hi), decode_error(error))
          for lo, hi, error in payload.get("errors", ())),
         key=lambda error: error[0],
     )
-    bounds = [0] + [b for lo, hi, _ in errors for b in (lo, hi)] + [n]
-    if any(a > b for a, b in zip(bounds, bounds[1:])) or any(
-        lo == hi for lo, hi, _ in errors
-    ):
-        raise ProtocolError(
-            f"result error ranges are not disjoint row ranges of {n} rows"
-        )
     model = payload["model"]
     replica = payload.get("replica", "")
     worker = payload.get("worker", "")
-    rows = list(map(tuple.__new__, repeat(RemoteServedResult, n), zip(
-        repeat(model, n), *columns, repeat(replica, n), repeat(worker, n)
-    )))
-    return ResultBlock(model, replica, worker, rows, errors)
+    outcomes: list = []
+    for lo, hi, what in sorted(segments + errors, key=lambda r: r[0]):
+        if lo != len(outcomes) or not lo < hi <= n:
+            raise ProtocolError(
+                f"result ranges do not cover {n} rows once each: "
+                f"{lo}..{hi} after row {len(outcomes)}"
+            )
+        k = hi - lo
+        if isinstance(what, BaseException):
+            outcomes += [what] * k
+            continue
+        size, wait = what
+        outcomes += map(tuple.__new__, repeat(RemoteServedResult, k), zip(
+            repeat(model, k), predictions[lo:hi], delay[lo:hi],
+            energy[lo:hi], repeat(wait, k), repeat(size, k), margins[lo:hi],
+            repeat(replica, k), repeat(worker, k),
+        ))
+    if len(outcomes) != n:
+        raise ProtocolError(
+            f"result ranges cover {len(outcomes)} of {n} rows"
+        )
+    return ResultBlock(model, replica, worker, outcomes, errors)
 
 
 def encode_result(result, margin: Optional[float] = None,
@@ -535,10 +558,9 @@ def encode_result(result, margin: Optional[float] = None,
             "prediction": [result.prediction],
             "delay": [float(result.delay)],
             "energy_total": [float(result.energy_total)],
-            "queue_wait_s": [float(result.queue_wait_s)],
-            "batch_size": [int(result.batch_size)],
             "margin": [margin],
         },
+        [(0, 1, result.batch_size, result.queue_wait_s)],
         replica=replica or getattr(result, "replica", ""),
         worker=worker or getattr(result, "worker", ""),
     )

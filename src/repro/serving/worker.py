@@ -48,7 +48,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import CancelledError
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -164,41 +164,40 @@ class _Block:
         self.host._reply(self)
 
 
-def _result_columns(block: _Block) -> dict:
+def _result_columns(block: _Block) -> Tuple[dict, list]:
     """The ``result`` columns of a settled block, one slice of a batch
-    report per served segment; the read margins are one
+    report per served segment, and its served segments as ``(lo, hi,
+    batch_size, queue_wait_s)``; the read margins are one
     :func:`margin_signal` call per segment over the currents the read
     already sensed.  Failed rows keep placeholders (their error ranges
-    go out beside the columns).  Predictions are the model's own class
+    go out beside the segments).  Predictions are the model's own class
     labels, so their column is a list of the report's values, whatever
     their type."""
     n = block.n
     columns = {
         "prediction": [None] * n,
-        "batch_size": np.zeros(n, dtype=np.int64),
         "delay": np.full(n, np.nan),
         "energy_total": np.full(n, np.nan),
-        "queue_wait_s": np.full(n, np.nan),
         "margin": np.full(n, np.nan),
     }
+    segments = []
     for entry, rows in block.results:
         report = rows.report
-        out = slice(entry.lo, entry.lo + len(entry))
-        read = slice(entry.lo + rows.shift, entry.lo + rows.shift + len(entry))
-        columns["prediction"][out] = (
+        lo, hi = entry.lo, entry.lo + len(entry)
+        read = slice(lo + rows.shift, hi + rows.shift)
+        columns["prediction"][lo:hi] = (
             np.asarray(report.predictions)[read].tolist()
         )
-        columns["delay"][out] = np.asarray(report.delay)[read]
-        columns["energy_total"][out] = np.asarray(report.energy.total)[read]
-        columns["queue_wait_s"][out] = rows.queue_wait_s
-        columns["batch_size"][out] = rows.batch_size
+        columns["delay"][lo:hi] = np.asarray(report.delay)[read]
+        columns["energy_total"][lo:hi] = np.asarray(report.energy.total)[read]
+        segments.append((lo, hi, rows.batch_size, rows.queue_wait_s))
         try:
-            columns["margin"][out] = margin_signal(
+            columns["margin"][lo:hi] = margin_signal(
                 report_currents(report)[read]
             )[0]
         except Exception:  # noqa: BLE001 — a margin never fails a reply
             pass
-    return columns
+    return columns, segments
 
 
 class WorkerHost:
@@ -374,13 +373,15 @@ class WorkerHost:
         """
         host = block.replica
         try:
+            columns, segments = _result_columns(block)
             frame = encode_frame(make(
                 "result",
                 id=block.request_id,
                 worker=self.worker_id,
                 result=encode_block(
                     str(host.key),
-                    _result_columns(block),
+                    columns,
+                    segments,
                     block.errors,
                     replica=host.label,
                     worker=self.worker_id,

@@ -103,6 +103,7 @@ RESPAWN_TIMEOUT_S = 30.0
 LEAK_TIMEOUT_S = 5.0
 FAULT_KINDS = (
     "kill_worker", "kill_replica", "retire_replica", "add_replica", "sweep",
+    "cancel",
 )
 
 
@@ -218,8 +219,10 @@ class Fault:
     ``replica`` (``recoverable``: the replace rung can heal it);
     ``retire_replica`` drains and removes it; ``add_replica`` grows the
     deployment by a copy of its first spec; ``sweep`` runs the heal
-    ladder.  A fault the server refuses (retiring the last serviceable
-    replica, a gone index) is recorded with the refusal, not raised.
+    ladder; ``cancel`` has the client cancel every handle it holds that
+    is not yet done (its record counts the cancels that took).  A fault
+    the server refuses (retiring the last serviceable replica, a gone
+    index) is recorded with the refusal, not raised.
     """
 
     kind: str
@@ -592,12 +595,21 @@ def _spec_slot(served_by: str, n_specs: int) -> int:
     return int(index) if sep and int(index) < n_specs else 0
 
 
-def _fire(server, dep: Deployment, fault: Fault) -> dict:
-    """Apply one fault; returns its record (the refusal, if any)."""
+def _fire(server, dep: Deployment, fault: Fault, handles: list) -> dict:
+    """Apply one fault; returns its record (the refusal, if any).
+    ``handles`` holds the client's handles so far (``None`` where a
+    call has not returned yet, its exception where it was refused)."""
     router = server.router
     record = {"kind": fault.kind, "at": fault.at}
     try:
-        if fault.kind == "kill_worker":
+        if fault.kind == "cancel":
+            record["cancelled"] = sum(
+                handle.cancel() for handle in list(handles)
+                if handle is not None
+                and not isinstance(handle, BaseException)
+                and not handle.done()
+            )
+        elif fault.kind == "kill_worker":
             record["worker"] = min(server.worker_pids())
             server.kill_worker(record["worker"])
         elif fault.kind == "kill_replica":
@@ -620,8 +632,8 @@ def _drive(submit, fire, n: int, threads: int, arrivals,
     """Hand request indices ``0..n-1``, ``block`` consecutive ones per
     client call, to ``threads`` submitter threads from one shared
     counter; open loop (``arrivals`` set) holds each call until its last
-    index's arrival time.  ``fire(i)`` runs under the counter lock
-    before index ``i`` is handed out.  ``submit(i, j)`` sends indices
+    index's arrival time.  ``fire(i, handles)`` runs under the counter
+    lock before index ``i`` is handed out.  ``submit(i, j)`` sends indices
     ``i..j`` and returns their handles; one that raises leaves its
     exception in their slots — refused requests — and the submitter
     keeps going.  Returns the handles-or-exceptions by index and the
@@ -642,7 +654,7 @@ def _drive(submit, fire, n: int, threads: int, arrivals,
                 if i is None:
                     return
                 j = min(i + block, n)
-                fire(j - 1)
+                fire(j - 1, handles)
             if arrivals is not None:
                 lead = arrivals[j - 1] - (time.perf_counter() - started[0])
                 if lead > 0:
@@ -827,9 +839,9 @@ def run_scenario(
         timeline = sorted(s.faults, key=lambda fault: fault.at)
         fired: List[dict] = []
 
-        def fire(i: float) -> None:
+        def fire(i: float, handles: list) -> None:
             while timeline and timeline[0].at <= i:
-                fired.append(_fire(server, dep, timeline.pop(0)))
+                fired.append(_fire(server, dep, timeline.pop(0), handles))
 
         def route(i: int):
             """Request ``i``'s tenant, one per client call."""
@@ -856,7 +868,7 @@ def run_scenario(
             submit, fire, n, 1 if arrivals is not None else s.submitters,
             arrivals, s.block,
         )
-        fire(float("inf"))
+        fire(float("inf"), handles)
         server.drain(DRAIN_TIMEOUT_S)
         wall = time.perf_counter() - started
         if any(f["kind"] == "kill_worker" and "refused" not in f for f in fired):

@@ -3,7 +3,8 @@
 Each example draws a deployment of two or three replicas, a routing
 policy, a submitter count, a batch bound, the rows per client call (one
 ``submit``, or ``submit_many`` chunks that split across batches) and up
-to six faults, and runs it through
+to six faults (a ``cancel`` fault has the client cancel every handle it
+holds that is not yet done), and runs it through
 :func:`~repro.serving.workload.run_scenario`.  The runner
 checks the serving invariants on every run and raises when one breaks
 (a pending future or row handle, books that disagree with the
@@ -30,7 +31,9 @@ from repro.serving import (
 from repro.serving.workload import MAINTENANCE_S, Fault, Scenario, run_scenario
 
 N_REQUESTS = 96
-LOCAL_FAULTS = ("kill_replica", "retire_replica", "add_replica", "sweep")
+LOCAL_FAULTS = (
+    "kill_replica", "retire_replica", "add_replica", "sweep", "cancel",
+)
 
 
 def make_model(k=3, m=4, seed=1):

@@ -151,7 +151,7 @@ class TestServedBitIdentity:
                     result.report().wordline_currents,
                     reference.wordline_currents,
                 )
-                reads.setdefault(id(result._rows.report), []).append(
+                reads.setdefault(id(result.segment.report), []).append(
                     (k, result))
         for served in reads.values():
             assert {r.batch_size for _, r in served} == {len(served)}

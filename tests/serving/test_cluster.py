@@ -79,9 +79,14 @@ def process_deployment(*specs, policy=None, workers=2):
 
 
 def served_stream(results):
-    """The modeled quantities of a result stream (queue_wait_s is
-    wall-clock bookkeeping, not part of the contract)."""
-    return [(int(r.prediction), r.delay, r.energy_total) for r in results]
+    """The modeled quantities of a result stream, with their types
+    (queue_wait_s is wall-clock bookkeeping, not part of the
+    contract)."""
+    return [
+        (type(r.prediction), r.prediction, type(r.delay), r.delay,
+         type(r.energy_total), r.energy_total)
+        for r in results
+    ]
 
 
 def balanced(snap) -> bool:
@@ -190,6 +195,9 @@ class TestBitIdentity:
                 assert len(set(local[name])) > 1
                 assert set(local[name]) <= set(classes)
                 assert many == one == local[name]
+                typed = [(type(p), p) for p in local[name]]
+                assert [(type(p), p) for p in many] == typed
+                assert [(type(p), p) for p in one] == typed
                 assert {type(p) for p in many} == {type(classes[0])}
             assert cluster.stats().failed == 0
 
@@ -668,6 +676,7 @@ class TestWorkerReplies:
         body = protocol.encode_block(
             "iris@v1#r0",
             {name: [0] * len(entry) for name in protocol.RESULT_COLUMNS},
+            [],
             [(0, len(entry), CancelledError())],
         )
         remote._settle(entry, protocol.decode_block(body))

@@ -100,10 +100,11 @@ class TestFraming:
     def test_v1_per_row_frame_refused(self):
         # Version 2 changed the request and result bodies to blocks,
         # version 3 addresses replicas by placement id, version 5 packs
-        # the result's float columns and version 6 the request's levels;
-        # a v1 or v5 peer must fail loudly on its first frame, never
+        # the result's float columns, version 6 the request's levels
+        # and version 7 sends per-segment values as result segments; a
+        # v1, v5 or v6 peer must fail loudly on its first frame, never
         # misparse.
-        assert WIRE_VERSION == 6
+        assert WIRE_VERSION == 7
         body = json.dumps({"kind": "request", "id": "r1", "model": "iris",
                            "replica_index": 0, "levels": [3, 0, 1],
                            "priority": 0}).encode()
@@ -114,6 +115,12 @@ class TestFraming:
                            "levels": [[3, 0, 1]], "priority": 0}).encode()
         frame = HEADER.pack(MAGIC, 5, len(body)) + body
         with pytest.raises(ProtocolError, match="unsupported wire version 5"):
+            FrameDecoder().feed(frame)
+        body = json.dumps({"kind": "result", "id": "r1", "result": {
+            "model": "iris", "prediction": [1], "batch_size": [1],
+        }}).encode()
+        frame = HEADER.pack(MAGIC, 6, len(body)) + body
+        with pytest.raises(ProtocolError, match="unsupported wire version 6"):
             FrameDecoder().feed(frame)
 
     def test_oversize_length_rejected_before_buffering(self):
@@ -248,16 +255,34 @@ class TestRequestLevels:
 
 
 def block_columns(n, margins=None):
-    """Columns of an ``n``-row block with awkward float values."""
+    """Per-row columns of an ``n``-row block with awkward float values."""
     return {
         "prediction": [i % 3 for i in range(n)],
         "delay": [3.7e-10 + i * 1.1e-13 for i in range(n)],
         "energy_total": [1.7142e-14 / (i + 3) for i in range(n)],
-        "queue_wait_s": [0.1 + 1e-7 * i for i in range(n)],
-        "batch_size": [n] * n,
         "margin": list(margins) if margins is not None
         else [0.2 / (i + 1) for i in range(n)],
     }
+
+
+def block_segments(n, errors=(), cuts=()):
+    """Served segments over the rows of an ``n``-row block no error
+    range holds, also cut at ``cuts``; segment ``k`` has its own
+    awkward batch size and queue wait."""
+    failed = {row for lo, hi, _ in errors for row in range(lo, hi)}
+    segments, lo = [], None
+    for row in range(n + 1):
+        if lo is not None and (row == n or row in failed or row in cuts):
+            k = len(segments)
+            segments.append((lo, row, row - lo + 7 * k, 0.1 + 1e-7 * k))
+            lo = None
+        if lo is None and row < n and row not in failed:
+            lo = row
+    return segments
+
+
+def segment_of(segments, row):
+    return next(s for s in segments if s[0] <= row < s[1])
 
 
 class TestResultCodecs:
@@ -280,25 +305,41 @@ class TestResultCodecs:
     def test_columnar_block_round_trips_bit_identically(self):
         n = 29
         columns = block_columns(n)
+        segments = block_segments(n, cuts=(10, 20))
+        assert len(segments) == 3
         expected = {name: list(values) for name, values in columns.items()}
         message = make("result", id="r7", worker="w1", result=encode_block(
-            "iris@v1#r0", columns, replica="iris@v1/r0[fefet]", worker="w1",
+            "iris@v1#r0", columns, segments, replica="iris@v1/r0[fefet]",
+            worker="w1",
         ))
         outcomes = decode_block(roundtrip(message)["result"])
         assert len(outcomes) == n
         for i, outcome in enumerate(outcomes):
+            _, _, size, wait = segment_of(segments, i)
             assert outcome == RemoteServedResult(
-                "iris@v1#r0", *(expected[name][i] for name in RESULT_COLUMNS),
-                "iris@v1/r0[fefet]", "w1",
+                "iris@v1#r0", expected["prediction"][i], expected["delay"][i],
+                expected["energy_total"][i], wait, size,
+                expected["margin"][i], "iris@v1/r0[fefet]", "w1",
             )
             # Bit for bit, not approximately.
             assert outcome.delay.hex() == expected["delay"][i].hex()
             assert (outcome.energy_total.hex()
                     == expected["energy_total"][i].hex())
+            assert outcome.queue_wait_s.hex() == wait.hex()
+
+    def test_segment_values_go_out_once_per_segment(self):
+        """Version 7 sends ``batch_size`` and ``queue_wait_s`` once per
+        served segment, beside the per-row columns."""
+        segments = block_segments(9, cuts=(4,))
+        body = encode_block("iris", block_columns(9), segments)
+        assert "batch_size" not in body and "queue_wait_s" not in body
+        assert body["segments"] == [list(segment) for segment in segments]
+        assert set(RESULT_COLUMNS) <= set(body)
 
     def test_nan_margins_decode_to_none(self):
         margins = [0.5, float("nan"), None, 0.25]
-        body = encode_block("iris", block_columns(4, margins))
+        body = encode_block("iris", block_columns(4, margins),
+                            block_segments(4))
         frame = encode_frame(make("result", id="r1", result=body))
         json.loads(frame[HEADER.size:])  # strict JSON: no NaN token
         outcomes = decode_block(roundtrip(make("result", result=body))["result"])
@@ -310,7 +351,8 @@ class TestResultCodecs:
             (3, 4, CapabilityError("memristor", "margin-probe")),
             (4, 5, KeyError("gone")),
         ]
-        body = encode_block("iris", block_columns(5), errors)
+        body = encode_block("iris", block_columns(5),
+                            block_segments(5, errors), errors)
         assert [[lo, hi] for lo, hi, _ in body["errors"]] == [
             [1, 2], [3, 4], [4, 5],
         ]
@@ -328,13 +370,13 @@ class TestResultCodecs:
         assert outcomes[4].exc_type == "KeyError"
 
     def test_one_row_error_raises_from_decode_result(self):
-        body = encode_block("iris", block_columns(1),
+        body = encode_block("iris", block_columns(1), [],
                             [(0, 1, Overloaded("full", key="iris"))])
         with pytest.raises(Overloaded):
             decode_result(body)
 
     def test_ragged_columns_rejected(self):
-        body = encode_block("iris", block_columns(3))
+        body = encode_block("iris", block_columns(3), block_segments(3))
         body["prediction"].pop()
         with pytest.raises(ProtocolError, match="length"):
             decode_block(body)
@@ -345,34 +387,61 @@ class TestResultCodecs:
         [[1, 1]],  # empty
     ])
     def test_error_ranges_outside_the_rows_rejected(self, ranges):
-        body = encode_block("iris", block_columns(3))
+        body = encode_block("iris", block_columns(3), [])
         error = encode_error(KeyError("gone"))
         body["errors"] = [[lo, hi, error] for lo, hi in ranges]
-        with pytest.raises(ProtocolError, match="error ranges"):
+        with pytest.raises(ProtocolError, match="ranges"):
+            decode_block(body)
+
+    @pytest.mark.parametrize("segments, errors", [
+        ([[2, 4, 4, 0.0], [0, 2, 4, 0.0]], []),  # unsorted
+        ([[0, 3, 4, 0.0], [2, 4, 4, 0.0]], []),  # overlapping
+        ([[0, 5, 5, 0.0]], []),  # past the last row
+        ([[0, 0, 4, 0.0], [0, 4, 4, 0.0]], []),  # empty
+        ([[0, 4, 4, 0.0]], [[3, 4]]),  # on an error range
+        ([[0, 2, 4, 0.0]], [[3, 4]]),  # row 2 uncovered
+        ([[0, 3, 4, 0.0]], []),  # the last row uncovered
+        ([], []),  # no row covered
+    ])
+    def test_ranges_that_do_not_cover_the_rows_once_rejected(
+            self, segments, errors):
+        body = encode_block("iris", block_columns(4), [])
+        error = encode_error(KeyError("gone"))
+        body["segments"] = segments
+        body["errors"] = [[lo, hi, error] for lo, hi in errors]
+        with pytest.raises(ProtocolError):
             decode_block(body)
 
     def test_float_columns_are_packed_and_round_trip_bit_for_bit(self):
-        """Version 5 ships the float columns as base64 little-endian
-        float64: no decimal formatting, every bit back."""
+        """The float columns go out as base64 little-endian float64 (no
+        decimal formatting, every bit back), and a segment's queue wait
+        as a JSON number that decodes to the same bits."""
         n = 64
         rng = np.random.default_rng(5)
         columns = block_columns(n)
         columns["delay"] = rng.random(n) * 1e-9
         columns["energy_total"] = np.nextafter(rng.random(n), 1.0) * 1e-14
-        columns["queue_wait_s"] = rng.exponential(1e-3, n)
         columns["margin"] = np.where(
             np.arange(n) % 5 == 0, np.nan, rng.random(n)
         )
-        body = encode_block("iris", columns)
-        for name in ("delay", "energy_total", "queue_wait_s", "margin"):
+        waits = rng.exponential(1e-3, n)
+        segments = [(i, i + 1, 1 + i % 7, float(waits[i])) for i in range(n)]
+        body = encode_block("iris", columns, segments)
+        for name in ("delay", "energy_total", "margin"):
             assert isinstance(body[name], str)
             raw = base64.b64decode(body[name])
             assert raw == np.asarray(columns[name], dtype="<f8").tobytes()
         outcomes = decode_block(roundtrip(make("result", result=body))["result"])
-        for name in ("delay", "energy_total", "queue_wait_s"):
+        for name in ("delay", "energy_total"):
             assert [getattr(o, name).hex() for o in outcomes] == [
                 float(v).hex() for v in columns[name]
             ]
+        assert [o.queue_wait_s.hex() for o in outcomes] == [
+            float(w).hex() for w in waits
+        ]
+        assert [o.batch_size for o in outcomes] == [
+            1 + i % 7 for i in range(n)
+        ]
         assert [o.margin for o in outcomes] == [
             None if i % 5 == 0 else float(columns["margin"][i])
             for i in range(n)
