@@ -2,10 +2,12 @@
 # Tier-1 CI gate (documented in ROADMAP.md).
 #
 # Fourteen stages, strictly ordered so the cheapest failure fires first:
-#   1. compile-all  — every file under src/ must byte-compile; then one
-#      informational line, never a gate, prints the code-line total of
-#      src/repro/serving (scripts/code_lines.py), the size ROADMAP aim 2
-#      tracks, so every CI log carries it;
+#   1. compile-all  — every file under src/ must byte-compile; then two
+#      informational lines, never gates, so every CI log carries them:
+#      the code-line total of src/repro/serving (scripts/code_lines.py),
+#      the size ROADMAP aim 2 tracks, and the worker boot, the median
+#      wall time of three fresh `import repro.serving.worker` runs (what
+#      each spawned or respawned worker pays before its hello);
 #   2. tier-1       — the fast default suite (slow marks skipped);
 #   3. slow-tier check — the --runslow split must stay wired: slow-marked
 #      tests have to exist and collect cleanly (run them too with
@@ -84,6 +86,24 @@ echo "== stage 1/14: compile-all =="
 python -m compileall -q src
 # Informational only: a failure here never fails the gate.
 echo "serving code lines: $(python scripts/code_lines.py src/repro/serving | tail -1 || true)"
+boot=$(python - <<'EOF' || true
+import statistics
+import subprocess
+import sys
+import time
+
+
+def boot():
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import repro.serving.worker"],
+                   check=True)
+    return time.perf_counter() - start
+
+
+print(f"{statistics.median(boot() for _ in range(3)):.2f} s")
+EOF
+)
+echo "worker boot (median of 3 fresh imports): ${boot}"
 
 echo "== stage 2/14: tier-1 (pytest -x -q) =="
 python -m pytest -x -q

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
@@ -91,6 +90,10 @@ class BayesianNetwork:
     """
 
     def __init__(self, nodes: Optional[Sequence[DiscreteNode]] = None):
+        # networkx is imported where it is used, so that importing repro
+        # (every serving process does) does not load it.
+        import networkx as nx
+
         self._nodes: Dict[str, DiscreteNode] = {}
         self._graph = nx.DiGraph()
         for node in nodes or []:
@@ -99,6 +102,8 @@ class BayesianNetwork:
     # ------------------------------------------------------------ structure
     def add_node(self, node: DiscreteNode) -> None:
         """Add a node whose parents are already present."""
+        import networkx as nx
+
         if node.name in self._nodes:
             raise ValueError(f"duplicate node {node.name!r}")
         for parent in node.parents:
@@ -126,6 +131,8 @@ class BayesianNetwork:
 
     @property
     def node_names(self) -> List[str]:
+        import networkx as nx
+
         return list(nx.topological_sort(self._graph))
 
     def node(self, name: str) -> DiscreteNode:

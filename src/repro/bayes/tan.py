@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.rng import RngLike
@@ -84,6 +83,9 @@ class TreeAugmentedNaiveBayes:
 
     # ------------------------------------------------------------ structure
     def _chow_liu_tree(self, X: np.ndarray, y: np.ndarray) -> List[Optional[int]]:
+        # Imported on use, so that importing repro does not load networkx.
+        import networkx as nx
+
         n_features = X.shape[1]
         if n_features == 1:
             return [None]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.crossbar.parameters import CircuitParameters
 from repro.utils.validation import check_positive
@@ -81,6 +80,9 @@ def macro_transient(
         deterministically alternates so the *losing* rows can settle
         first and create the transient-hazard scenario.
     """
+    # Imported on use: no serving or programming path needs the ODE solver.
+    from scipy.integrate import solve_ivp
+
     currents = np.asarray(final_currents, dtype=float)
     if currents.ndim != 1 or currents.size < 2:
         raise ValueError("need at least two wordline currents")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.utils.validation import check_positive
 
@@ -160,6 +159,9 @@ def wta_transient(
         Tiny initial asymmetry (fraction) so exact ties break
         deterministically toward the lowest index.
     """
+    # Imported on use: no serving or programming path needs the ODE solver.
+    from scipy.integrate import solve_ivp
+
     currents = np.asarray(input_currents, dtype=float)
     if currents.ndim != 1 or currents.size < 2:
         raise ValueError("need at least two input currents")

@@ -81,9 +81,11 @@ two-tenant walkthrough.
 from repro.serving.autoscale import (
     AutoscaleController,
     AutoscaleEvent,
+    DeploymentPressure,
     HardwarePool,
     HardwareSlot,
     ScaleDecision,
+    measure_pressure,
 )
 from repro.serving.cluster import ClusterServer, WorkerLost
 from repro.serving.deployment import (
@@ -94,11 +96,6 @@ from repro.serving.deployment import (
     RoutingPolicy,
     SLOPolicy,
     single_replica_deployment,
-)
-from repro.serving.health import (
-    DeploymentPressure,
-    HealthReport,
-    measure_pressure,
 )
 from repro.serving.observability import (
     EVENT_KINDS,
@@ -119,7 +116,7 @@ from repro.serving.observability import (
 from repro.serving.plane import MirroredResult
 from repro.serving.registry import ModelRegistry
 from repro.serving.host import replica_stream_seed
-from repro.serving.router import ReplicaStatus, Router
+from repro.serving.router import HealthReport, ReplicaStatus, Router
 from repro.serving.scheduler import (
     BatchPolicy,
     MicroBatchScheduler,

@@ -44,7 +44,7 @@ from typing import List, Optional
 
 from repro.reliability.faults import AgeClock, WearState
 from repro.serving.deployment import DeploymentError, ReplicaSpec, SLOPolicy
-from repro.serving.health import DeploymentPressure, measure_pressure
+from repro.serving.policy import DOWN, HEALTHY
 
 
 @dataclass
@@ -132,6 +132,51 @@ class HardwarePool:
                 slot.replica_index = None
                 return slot
         return None
+
+
+@dataclass(frozen=True)
+class DeploymentPressure:
+    """Aggregate load view of one deployment's replica set.
+
+    The autoscale controller's decision input, derived purely from
+    :class:`~repro.serving.router.ReplicaStatus` rows so synthetic
+    statuses drive it in tests without a live router.
+
+    Attributes
+    ----------
+    replicas:
+        Replicas in the routing set (any state).
+    serviceable:
+        Replicas accepting traffic (healthy or down-but-retriable).
+    queued:
+        Total requests pending across serviceable replicas.
+    deepest:
+        The single deepest serviceable queue — the admission bound is
+        per replica, so one saturated queue sheds even while the
+        deployment-wide mean looks calm.
+    """
+
+    replicas: int
+    serviceable: int
+    queued: int
+    deepest: int
+
+
+def measure_pressure(statuses) -> DeploymentPressure:
+    """Fold replica statuses into a :class:`DeploymentPressure`.
+
+    Accepts any iterable of objects with ``state`` / ``pending``
+    attributes (the router's ``status()`` rows or test doubles).
+    """
+    statuses = list(statuses)
+    serviceable = [s for s in statuses if s.state in (HEALTHY, DOWN)]
+    pending = [int(s.pending) for s in serviceable]
+    return DeploymentPressure(
+        replicas=len(statuses),
+        serviceable=len(serviceable),
+        queued=sum(pending),
+        deepest=max(pending, default=0),
+    )
 
 
 @dataclass(frozen=True)
@@ -245,8 +290,7 @@ class AutoscaleController:
         Mutates only the controller's own bookkeeping (shed watermark,
         calm streak, cooldown) — never the router.  ``snapshot`` is a
         :class:`~repro.serving.telemetry.TelemetrySnapshot`;
-        ``statuses`` any rows :func:`~repro.serving.health.
-        measure_pressure` accepts.
+        ``statuses`` any rows :func:`measure_pressure` accepts.
         """
         self._step += 1
         slo = self.slo

@@ -84,7 +84,6 @@ from repro.serving.deployment import (
     single_replica_deployment,
     validate_replica_spec,
 )
-from repro.serving.health import HealthReport
 from repro.serving.host import (
     CanaryRead,
     KilledReplicaError,
@@ -152,6 +151,49 @@ class ReplicaStatus:
             "pending": self.pending,
             "index": self.index,
             "wear_fraction": self.wear_fraction,
+        }
+
+
+@dataclass(frozen=True)
+class HealthReport:
+    """One replica's heal-ladder pass (:meth:`Router.check_replica`).
+
+    ``accuracy`` (canary agreement with the replica's baseline),
+    ``current_shift`` (mean relative wordline-current shift from the
+    baseline read), ``signal_ratio`` and ``margin`` describe the state
+    the sweep *found*: its first canary read, before any repair (NaN
+    when the replica could not be read).  ``action`` is the deepest rung
+    taken (``"ok"``, ``"refresh"``, ``"spare_repair"``, ``"replace"`` or
+    ``"evict"``; ``"wait"`` for a worker-hosted replica between workers,
+    which no rung touches), ``healed`` whether the replica left the pass
+    reading clean canaries, and ``state`` its routing state afterwards.
+    """
+
+    replica: str
+    state: str
+    accuracy: float
+    action: str
+    healed: bool
+    current_shift: float = float("nan")
+    signal_ratio: float = float("nan")
+    margin: float = float("nan")
+
+    @property
+    def ok(self) -> bool:
+        """True when the replica passed without needing repair."""
+        return self.action == "ok"
+
+    def to_dict(self) -> dict:
+        return {
+            "replica": self.replica,
+            "state": self.state,
+            "accuracy": self.accuracy,
+            "current_shift": _or_none(self.current_shift),
+            "signal_ratio": _or_none(self.signal_ratio),
+            "margin": _or_none(self.margin),
+            "action": self.action,
+            "healed": self.healed,
+            "ok": self.ok,
         }
 
 

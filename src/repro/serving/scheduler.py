@@ -401,7 +401,9 @@ class _Slot:
         self.callbacks: Dict[int, list] = {}
 
     def handles(self) -> List["RowHandle"]:
-        return [RowHandle(self, pos) for pos in range(len(self.state))]
+        n = len(self.state)
+        return list(map(tuple.__new__, itertools.repeat(RowHandle, n),
+                        zip(itertools.repeat(self, n), range(n))))
 
     def claim(self, lo: int, hi: int) -> List[int]:
         """Mark rows ``lo..hi`` running; returns the positions whose
@@ -453,8 +455,8 @@ class _Slot:
                 # As a Future refuses a second result: a row completes
                 # exactly once.
                 raise InvalidStateError(f"rows {lo}..{hi} already done")
-            # The outcome first: ``RowHandle._outcome`` reads a done
-            # row's outcome without the lock once it sees the state byte.
+            # The outcome first: a ``RowHandle`` reads a done row's
+            # outcome without the lock once it sees the state byte.
             self.outcomes[lo:hi] = outcomes
             self.state[lo:hi] = bytes((state,)) * (hi - lo)
             self.changed.notify_all()
@@ -470,25 +472,25 @@ class _Slot:
         return True
 
 
-class RowHandle:
+class RowHandle(tuple):
     """One row of a ``submit_many`` chunk: the
     :class:`~concurrent.futures.Future` reading surface (``result``,
     ``exception``, ``done``, ``cancelled``, ``cancel`` and
     ``add_done_callback``) over the chunk's one completion slot.
 
-    Two references and no lock of its own, so a chunk of rows costs
-    one slot, not one future per row.  ``result`` returns the record
-    the slot stores for the row (its owner built every row's record
-    once per served segment) and builds nothing.  ``cancel`` succeeds
-    while the row is queued; the row then drops out when its batch is
-    claimed, never read.
+    A ``(slot, pos)`` pair and no lock of its own, so a chunk of rows
+    costs one slot, not one future per row, and its handles are built
+    in one C-level pass (:meth:`_Slot.handles`).  ``result`` returns the
+    record the slot stores for the row (its owner built every row's
+    record once per served segment) and builds nothing.  ``cancel``
+    succeeds while the row is queued; the row then drops out when its
+    batch is claimed, never read.
     """
 
-    __slots__ = ("slot", "pos")
+    __slots__ = ()
 
-    def __init__(self, slot: _Slot, pos: int):
-        self.slot = slot
-        self.pos = pos
+    slot = property(operator.itemgetter(0))
+    pos = property(operator.itemgetter(1))
 
     def done(self) -> bool:
         return self.slot.state[self.pos] >= _CANCELLED
@@ -500,7 +502,11 @@ class RowHandle:
         return self.slot.cancel_row(self.pos)
 
     def result(self, timeout: Optional[float] = None):
-        outcome = self._outcome(timeout)
+        slot, pos = self
+        # A done row, the usual case by the time a client reads it, is
+        # read in place; any other waits in ``_outcome``.
+        outcome = (slot.outcomes[pos] if slot.state[pos] == _DONE
+                   else self._outcome(timeout))
         if isinstance(outcome, BaseException):
             raise outcome
         return outcome
@@ -521,7 +527,7 @@ class RowHandle:
             _log.exception("exception calling callback for %r", self)
 
     def _outcome(self, timeout: Optional[float]):
-        slot, pos = self.slot, self.pos
+        slot, pos = self
         state = slot.state[pos]
         if state < _CANCELLED:
             with slot.changed:

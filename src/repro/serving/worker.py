@@ -37,7 +37,9 @@ front end replays into its own recorder tagged with the worker id.
 The module-level :func:`worker_main` entry point is what
 ``multiprocessing`` (spawn context — no forked locks, a clean
 interpreter) launches; everything it needs travels in a picklable
-config dict.
+config dict.  Its boot imports the serving graph only (numpy,
+``scipy.special`` and ``repro``'s own modules): the Fig. 5c ODE solver
+and the network/TAN structure code import where they are called.
 """
 
 from __future__ import annotations

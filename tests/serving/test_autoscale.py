@@ -31,7 +31,7 @@ from repro.serving import (
     SchedulerClosed,
     SLOPolicy,
 )
-from repro.serving.health import measure_pressure
+from repro.serving.autoscale import measure_pressure
 from repro.serving.telemetry import Telemetry
 
 
