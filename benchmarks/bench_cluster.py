@@ -7,7 +7,7 @@ SIGKILL of one worker mid-burst with
 1. **zero client-visible errors** — every orphaned in-flight request
    fails over to a surviving worker's replica;
 2. the incident on the record — a ``worker_lost`` flight event, the
-   dead worker's replicas re-placed onto survivors (``replace``
+   dead worker's replicas re-placed onto survivors (``relocate``
    events, same cluster-wide indices so the stream seeds are
    unchanged), and at least one recorded failover;
 3. the supervisor healing the fleet — the killed worker respawns
@@ -84,7 +84,7 @@ def check(result) -> None:
     # The incident is on the record.
     assert telemetry.workers_lost == 1, counts
     assert counts.get("worker_lost") == 1, counts
-    assert counts.get("replace", 0) >= 1, counts
+    assert counts.get("relocate", 0) >= 1, counts
     assert telemetry.failovers >= 1, counts
     # The supervisor heals the fleet back to full strength.
     assert telemetry.worker_respawns >= 1, counts

@@ -17,7 +17,9 @@ contracts before anyone is allowed to trust it during an incident:
    (one spike, one recovery);
 3. **export round-trip** — the Prometheus text rendering of the final
    snapshot parses under the strict reader (no NaN samples, no
-   malformed lines) and reproduces the headline counters exactly;
+   malformed lines) and reproduces every counter exactly, and the
+   metrics series' request-outcome deltas sum to the counters and
+   account for every submitted request;
 4. **off means off** — with tracing disabled the serving hot path pays
    one attribute read and one integer comparison.  Asserted at two
    levels: a tight loop over the routed ``FeBiMServer.submit`` path
@@ -49,6 +51,7 @@ from repro.serving.observability import (
     parse_prometheus,
     to_prometheus,
 )
+from repro.serving.telemetry import COUNTERS
 from repro.serving.workload import Scenario, run_scenario, spike
 
 TRACE_RATE = 0.1
@@ -73,6 +76,9 @@ SUBMIT_PATH_WARMUP = 2
 #: the submit path above.
 OVERHEAD_MARGIN = 0.60
 OVERHEAD_REQUESTS = 2048
+#: Where a drained run's submitted requests end; with ``submitted``,
+#: the metrics-point deltas that sum exactly to the final counters.
+REQUEST_OUTCOMES = ("completed", "failed", "shed", "cancelled")
 
 
 def run_spike(duration_s: float = FULL_DURATION_S, seed: int = 0):
@@ -144,9 +150,12 @@ def check_flight(result) -> None:
 def check_prometheus(result) -> None:
     text = to_prometheus(result.telemetry, replicas=result.final_replicas)
     series = parse_prometheus(text)  # raises on NaN / malformed lines
-    assert series["febim_submitted_total"] == result.telemetry.submitted
-    assert series["febim_shed_total"] == result.telemetry.shed_requests
-    assert series["febim_scale_ups_total"] == result.telemetry.scale_ups
+    for counter in COUNTERS:
+        name = f"febim_{counter.stem}_total"
+        value = getattr(result.telemetry, counter.name)
+        assert series.get(name) == value, (
+            f"{name}: {series.get(name)} exported, {value} counted"
+        )
     assert series["febim_replicas"] == result.final_replicas
     assert "febim_latency_p95_seconds" in series
 
@@ -155,8 +164,23 @@ def check_metrics_series(result) -> None:
     points = list(result.metrics)
     assert len(points) >= 2, "metrics ring has no time-series to read"
     # The series must surface the spike: a p95 excursion somewhere in
-    # the middle, and the cumulative shed delta matching telemetry.
-    assert sum(p["shed"] for p in points) == result.telemetry.shed_requests
+    # the middle, and request-outcome deltas that sum to the counters
+    # and account for every submitted request.  (Maintenance may tick
+    # its own counters between the last sample and the snapshot.)
+    counted = {c.stem: getattr(result.telemetry, c.name) for c in COUNTERS}
+    summed = {
+        stem: sum(p[stem] for p in points)
+        for stem in ("submitted", *REQUEST_OUTCOMES)
+    }
+    for stem, total in summed.items():
+        assert total == counted[stem], (
+            f"summed {stem} deltas {total} != {counted[stem]} counted"
+        )
+    outcomes = sum(summed[stem] for stem in REQUEST_OUTCOMES)
+    assert summed["submitted"] == outcomes, (
+        f"the series submitted {summed['submitted']} requests but "
+        f"completed, failed, shed or cancelled {outcomes}"
+    )
     assert any(p["p95_ms"] is not None for p in points)
     assert points[-1]["in_flight"] == 0, "series did not close after drain"
 

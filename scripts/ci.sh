@@ -35,9 +35,12 @@
 #   9. observability smoke — bench_observability.py --smoke: a traced
 #      spike yields spans that partition every sampled request, a
 #      flight ring that replays the scale story in causal order with
-#      snapshots attached, a metrics series whose shed deltas match
-#      the counters, a Prometheus export that round-trips the strict
-#      parser, and a submit path that tracing-disabled does not slow:
+#      snapshots attached, a metrics series whose request-outcome
+#      deltas (submitted, completed, failed, shed, cancelled) sum to
+#      the counters and account for every submitted request, a
+#      Prometheus export that round-trips the strict parser with
+#      every counter of the telemetry table, and a submit path that
+#      tracing-disabled does not slow:
 #      the path served traffic takes (FeBiMServer.submit into an
 #      undeployed model's implicit deployment), no router tracer vs a
 #      rate-0 one, the two arms interleaved chunk by chunk, gated at 0.8x;
@@ -58,7 +61,8 @@
 #  12. cluster smoke — bench_cluster.py: a two-worker multi-process
 #      deployment absorbs the SIGKILL of one worker mid-burst with zero
 #      client-visible errors, the dead worker's replicas re-placed onto
-#      the survivor and the process respawned, all on the flight record;
+#      the survivor (relocate events) and the process respawned, all on
+#      the flight record;
 #      the heal ladder reached the workers (health_checks >= 4, one
 #      canary sweep per worker-hosted replica at least) and no sweep
 #      overlapping the kill evicted a replica (zero evict events);

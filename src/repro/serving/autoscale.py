@@ -396,7 +396,6 @@ class AutoscaleController:
             dep = router.deployment_for(self.model)
             status = router.add_replica(self.model, dep.spec.replicas[0])
             slot_label = None
-        self.server.telemetry.record_scale_up()
         self.server.telemetry.emit(
             "scale_up",
             model=self.model,
@@ -417,7 +416,7 @@ class AutoscaleController:
 
     def _scale_down(self, decision: ScaleDecision, statuses) -> AutoscaleEvent:
         router = self.server.router
-        serviceable = [s for s in statuses if s.state in ("healthy", "down")]
+        serviceable = [s for s in statuses if s.state in (HEALTHY, DOWN)]
         if len(serviceable) <= 1:
             return AutoscaleEvent(
                 self._step, "hold", "refusing to retire the last replica"
@@ -431,7 +430,6 @@ class AutoscaleController:
             released = self.pool.release(victim.index)
             if released is not None:
                 slot_label = released.label
-        self.server.telemetry.record_scale_down()
         self.server.telemetry.emit(
             "scale_down",
             model=self.model,

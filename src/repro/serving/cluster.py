@@ -31,7 +31,7 @@ maintenance sweep (:meth:`~repro.serving.router.Router.check_all`):
   replicas immediately (recorded ``failover`` events, zero
   client-visible errors while any survivor can serve), its replicas are
   re-placed onto survivors — same index, so same stream seed, the
-  *same engine bits* (``replace`` events) — and a fresh process is
+  *same engine bits* (``relocate`` events) — and a fresh process is
   respawned under the same worker id (``worker_respawn``).  A replica
   between workers is ``unplaced``: no traffic, and the heal ladder runs
   no rung on it.
@@ -348,13 +348,11 @@ class WorkerPool:
             handle.last_heartbeat = time.monotonic()
         telemetry = self.server.telemetry
         if handle.respawns:
-            telemetry.record_worker_respawn()
             telemetry.emit(
                 "worker_respawn", worker=worker_id, pid=hello.get("pid"),
                 respawns=handle.respawns,
             )
         else:
-            telemetry.record_worker_started()
             telemetry.emit(
                 "worker_start", worker=worker_id, pid=hello.get("pid"),
             )
@@ -573,9 +571,7 @@ class WorkerPool:
                     # ``pending`` comes back down as the orphans below
                     # are settled, one chunk at a time.
                     replica.state = UNPLACED
-        telemetry = self.server.telemetry
-        telemetry.record_worker_lost()
-        telemetry.emit(
+        self.server.telemetry.emit(
             "worker_lost",
             worker=handle.worker_id,
             reason=reason,
@@ -593,7 +589,7 @@ class WorkerPool:
         """Re-place every replica whose host's worker was lost onto the
         least-loaded live worker.
 
-        The cluster replace rung: the replica keeps its index, hence its
+        A ``relocate`` event each: the replica keeps its index, hence its
         stream seed — the survivor materialises the *same engine bits*
         the lost worker held.  A draining replica keeps draining on its
         new host; an evicted or retired one is left where it fell."""
@@ -647,7 +643,7 @@ class WorkerPool:
             return
         replica.wear.add_cycles(1)  # one programming pass
         self.server.telemetry.emit(
-            "replace",
+            "relocate",
             replica=replica.label,
             worker=target.worker_id,
             model=old.identity["name"],

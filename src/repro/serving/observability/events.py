@@ -47,8 +47,8 @@ EVENT_KINDS = frozenset(
         # health (the router's replica heal ladder)
         "canary_failure",  # a sweep found the engine off its baseline
         "refresh",  # rung 1: reprogram in place
-        "replace",  # rung 2: fresh hardware, same stream seed
-        "evict",  # rung 3: replica removed from routing for good
+        "replace",  # rung 3: fresh hardware, same stream seed
+        "evict",  # rung 4: replica removed from routing for good
         # elasticity (autoscale controller / router)
         "scale_decision",  # evaluate() chose up/down, snapshot attached
         "scale_up",  # replica added (slot + wear recorded)
@@ -64,6 +64,7 @@ EVENT_KINDS = frozenset(
         "worker_heartbeat",  # supervision sweep saw the worker alive
         "worker_lost",  # heartbeat/connection loss; replicas rescheduled
         "worker_respawn",  # a lost worker's replacement process came up
+        "relocate",  # a lost worker's replica re-placed on a live worker
     }
 )
 

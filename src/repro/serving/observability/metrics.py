@@ -4,11 +4,11 @@
 totals — good for invariants, useless for "what did p95 do during the
 spike".  :class:`MetricsRing` closes that gap: each :meth:`sample`
 folds the current :class:`~repro.serving.telemetry.TelemetrySnapshot`
-into a :class:`MetricsPoint` carrying the **deltas** since the previous
-sample (completed/s, shed/s) next to the instantaneous gauges (p50/p95,
-occupancy, lane depth, replica count), so the ring is a genuine
-time-series a dashboard — or the autoscale post-mortem in SERVING.md —
-can plot.
+into a :class:`MetricsPoint` carrying every counter's **delta** since
+the previous sample (and completed/s, shed/s) next to the instantaneous
+gauges (p50/p95, occupancy, lane depth, replica count), so the ring is
+a genuine time-series a dashboard — or the autoscale post-mortem in
+SERVING.md — can plot.
 
 Two export formats:
 
@@ -34,7 +34,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.serving.telemetry import TelemetrySnapshot
+from repro.serving.policy import DOWN, HEALTHY
+from repro.serving.telemetry import COUNTERS, TelemetrySnapshot
 from repro.utils.validation import check_positive, check_positive_int
 
 #: Default history ring capacity.
@@ -48,14 +49,19 @@ def _or_none(value: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class MetricsPoint:
-    """One periodic sample: deltas since the previous point + gauges."""
+    """One periodic sample: every counter's delta since the previous
+    point, plus gauges.
+
+    ``deltas`` holds one entry per
+    :data:`~repro.serving.telemetry.COUNTERS` counter, keyed by its
+    export stem, and each reads as an attribute too (``point.shed``,
+    ``point.replacements``): a heal storm or a worker crash loop shows
+    on a scraper's rate() graphs, not only in the since-boot counters.
+    """
 
     t_s: float
     interval_s: float
-    submitted: int  # delta
-    completed: int  # delta
-    shed: int  # delta
-    failed: int  # delta
+    deltas: Dict[str, int]
     completed_per_s: float
     shed_per_s: float
     p50_ms: Optional[float]
@@ -65,26 +71,21 @@ class MetricsPoint:
     queue_depth: int  # total across lanes, at sample time
     lane_depth: Dict[int, int] = field(default_factory=dict)
     replicas: Optional[int] = None
-    # Heal-ladder deltas: a heal storm (a canary failing every sweep,
-    # refreshes escalating to replacements) must show on a scraper's
-    # rate() graphs, not only in the since-boot counters.
-    canary_failures: int = 0  # delta
-    refreshes: int = 0  # delta
-    replacements: int = 0  # delta
-    replica_evictions: int = 0  # delta
-    maintenance_sweeps: int = 0  # delta
     # Hardware-plane gauges (``HardwareGauges.to_dict`` shape) sampled
     # from the device-health ledger; ``None`` when no replica reported.
     hardware: Optional[dict] = None
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            return self.__dict__["deltas"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def to_dict(self) -> dict:
         return {
             "t_s": self.t_s,
             "interval_s": self.interval_s,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed": self.failed,
+            **self.deltas,
             "completed_per_s": self.completed_per_s,
             "shed_per_s": self.shed_per_s,
             "p50_ms": self.p50_ms,
@@ -94,11 +95,6 @@ class MetricsPoint:
             "queue_depth": self.queue_depth,
             "lane_depth": {str(k): v for k, v in sorted(self.lane_depth.items())},
             "replicas": self.replicas,
-            "canary_failures": self.canary_failures,
-            "refreshes": self.refreshes,
-            "replacements": self.replacements,
-            "replica_evictions": self.replica_evictions,
-            "maintenance_sweeps": self.maintenance_sweeps,
             "hardware": self.hardware,
         }
 
@@ -139,19 +135,19 @@ class MetricsRing:
         with self._lock:
             prev, prev_t = self._last, self._last_t
             interval = 0.0 if prev_t is None else max(now - prev_t, 0.0)
-            d_submitted = snapshot.submitted - (prev.submitted if prev else 0)
-            d_completed = snapshot.completed - (prev.completed if prev else 0)
-            d_shed = snapshot.shed_requests - (prev.shed_requests if prev else 0)
-            d_failed = snapshot.failed - (prev.failed if prev else 0)
+            deltas = {
+                c.stem: getattr(snapshot, c.name)
+                - (getattr(prev, c.name) if prev else 0)
+                for c in COUNTERS
+            }
             point = MetricsPoint(
                 t_s=now,
                 interval_s=interval,
-                submitted=d_submitted,
-                completed=d_completed,
-                shed=d_shed,
-                failed=d_failed,
-                completed_per_s=d_completed / interval if interval > 0 else 0.0,
-                shed_per_s=d_shed / interval if interval > 0 else 0.0,
+                deltas=deltas,
+                completed_per_s=(
+                    deltas["completed"] / interval if interval > 0 else 0.0
+                ),
+                shed_per_s=deltas["shed"] / interval if interval > 0 else 0.0,
                 p50_ms=_or_none(snapshot.p50_latency_s * 1e3),
                 p95_ms=_or_none(snapshot.p95_latency_s * 1e3),
                 occupancy=float(snapshot.occupancy),
@@ -159,15 +155,6 @@ class MetricsRing:
                 queue_depth=sum(snapshot.lane_depth.values()),
                 lane_depth=dict(snapshot.lane_depth),
                 replicas=replicas,
-                canary_failures=snapshot.canary_failures
-                - (prev.canary_failures if prev else 0),
-                refreshes=snapshot.refreshes - (prev.refreshes if prev else 0),
-                replacements=snapshot.replacements
-                - (prev.replacements if prev else 0),
-                replica_evictions=snapshot.replica_evictions
-                - (prev.replica_evictions if prev else 0),
-                maintenance_sweeps=snapshot.maintenance_sweeps
-                - (prev.maintenance_sweeps if prev else 0),
                 hardware=hardware,
             )
             self._points.append(point)
@@ -254,7 +241,7 @@ def count_replicas(server) -> int:
         return 1
     total = sum(
         1 for dep in router._all() for replica in dep.replicas
-        if replica.state in ("healthy", "down")
+        if replica.state in (HEALTHY, DOWN)
     )
     return max(total, 1)
 
@@ -276,7 +263,8 @@ def to_prometheus(
 ) -> str:
     """Render one snapshot in the Prometheus text exposition format.
 
-    Counters get ``_total`` names; gauges that are undefined before the
+    Every :data:`~repro.serving.telemetry.COUNTERS` counter exports as
+    ``febim_<stem>_total``; gauges that are undefined before the
     first completion (the latency percentiles) are *omitted* rather
     than exported as NaN — an absent series is how Prometheus models
     "no data yet".  ``hardware`` (a
@@ -287,31 +275,16 @@ def to_prometheus(
     """
     lines: List[str] = []
 
-    def counter(name: str, value) -> None:
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {int(value)}")
-
     def gauge(name: str, value, labels: str = "") -> None:
         if value is None or float(value) != float(value):  # absent / NaN
             return
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name}{labels} {float(value):g}")
 
-    counter("febim_submitted_total", snapshot.submitted)
-    counter("febim_completed_total", snapshot.completed)
-    counter("febim_failed_total", snapshot.failed)
-    counter("febim_cancelled_total", snapshot.cancelled)
-    counter("febim_shed_total", snapshot.shed_requests)
-    counter("febim_batches_total", snapshot.batches)
-    counter("febim_failovers_total", snapshot.failovers)
-    counter("febim_replica_evictions_total", snapshot.replica_evictions)
-    counter("febim_scale_ups_total", snapshot.scale_ups)
-    counter("febim_scale_downs_total", snapshot.scale_downs)
-    counter("febim_health_checks_total", snapshot.health_checks)
-    counter("febim_canary_failures_total", snapshot.canary_failures)
-    counter("febim_refreshes_total", snapshot.refreshes)
-    counter("febim_replacements_total", snapshot.replacements)
-    counter("febim_maintenance_sweeps_total", snapshot.maintenance_sweeps)
+    for c in COUNTERS:
+        name = f"febim_{c.stem}_total"
+        lines += (f"# TYPE {name} counter",
+                  f"{name} {getattr(snapshot, c.name)}")
     gauge("febim_occupancy", snapshot.occupancy)
     gauge("febim_in_flight", snapshot.in_flight)
     if snapshot.p50_latency_s == snapshot.p50_latency_s:  # not NaN

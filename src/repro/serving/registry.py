@@ -31,7 +31,6 @@ from repro.crossbar.tiling import TiledFeBiM
 from repro.devices.fefet import MultiLevelCellSpec
 from repro.io.serialize import DEFAULT_BACKEND, load_artifact, save_model
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_positive_int
 
 #: Registered names must be filesystem- and URL-safe.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -55,12 +54,6 @@ class ModelRegistry:
     ----------
     root:
         Directory holding the artifacts (created if missing).
-    engine_cache_size:
-        How many implicit deployments (the routes of undeployed models,
-        each holding one programmed engine) a
-        :class:`~repro.serving.router.Router` over this registry keeps
-        at once; the least recently served one drains and shuts, and is
-        re-programmed on its next request.
     backend:
         The array technology this registry serves (a
         :mod:`repro.backends` registry name; ``"fefet"`` by default).
@@ -88,15 +81,11 @@ class ModelRegistry:
     def __init__(
         self,
         root: Union[str, Path],
-        engine_cache_size: int = 8,
         backend: str = DEFAULT_BACKEND,
         backend_options: Optional[dict] = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.engine_cache_size = check_positive_int(
-            engine_cache_size, "engine_cache_size"
-        )
         get_backend_class(backend)  # fail fast on unknown names
         self.backend = str(backend)
         self.backend_options = dict(backend_options or {})

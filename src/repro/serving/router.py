@@ -31,7 +31,7 @@ A model nobody deployed is served all the same: :meth:`Router.serving`
 builds it an *implicit* one-replica ``cost`` deployment on the
 registry's backend on first use, kept per ``(name, version)`` until the
 registry invalidates the model, the sweep evicts its replica, or more
-than ``registry.engine_cache_size`` routes are live (the least recently
+than :attr:`Router.max_implicit` routes are live (the least recently
 served one drains and shuts); its replica keeps the ``name@vN``
 routing key.  So every request takes the routed path and every replica
 is swept by one heal ladder.
@@ -364,6 +364,11 @@ class Router:
         # never trigger repairs).
         self.min_signal_ratio = 0.0
         self.max_current_shift = float("inf")
+        # How many implicit deployments (the routes of undeployed
+        # models, one programmed array each) live at once; building one
+        # more drains and shuts the least recently served, which is
+        # re-programmed on its next request.
+        self.max_implicit = 8
 
     @property
     def max_current_shift(self) -> float:
@@ -403,8 +408,8 @@ class Router:
         invalidates the model (a re-register, an unregister) or the
         sweep evicts the replica, the next request rebuilds the route —
         same stream seed, same canaries — and drains the model's stale
-        implicit deployments.  At most ``registry.engine_cache_size``
-        implicit deployments live at once: a build beyond that drains
+        implicit deployments.  At most :attr:`max_implicit` implicit
+        deployments live at once: a build beyond that drains
         and shuts the least recently served one, which rebuilds the
         same way on its next request.  Raises ``KeyError`` for an
         unknown model and :class:`SchedulerClosed` after :meth:`close`.
@@ -474,10 +479,10 @@ class Router:
 
     def _pop_least_served(self) -> List[_AppliedDeployment]:
         """Unlink the least recently served implicit deployments beyond
-        ``registry.engine_cache_size``; the caller holds the lock and
-        drain-shuts them after releasing it."""
+        :attr:`max_implicit`; the caller holds the lock and drain-shuts
+        them after releasing it."""
         keys = sorted(self._implicit, key=lambda k: self._implicit[k].served_at)
-        excess = len(keys) - self.server.registry.engine_cache_size
+        excess = len(keys) - self.max_implicit
         return [self._implicit.pop(key) for key in keys[:max(excess, 0)]]
 
     def deployments(self) -> Dict[str, Deployment]:
@@ -1033,7 +1038,6 @@ class Router:
         def refresh():
             host.program()
             replica.wear.add_cycles(1)
-            telemetry.record_refresh()
             telemetry.emit("refresh", model=dep.name, replica=label)
             return host.read(canaries)
 
@@ -1048,7 +1052,6 @@ class Router:
             read = host.place(canaries)
             placed.append(read)
             replica.wear.add_cycles(1)
-            telemetry.record_replacement()
             telemetry.emit("replace", model=dep.name, replica=label)
             return read
 
@@ -1091,7 +1094,6 @@ class Router:
                     host.kill()
                 except WorkerLost:
                     pass  # the pool leaves an evicted replica where it fell
-                telemetry.record_replica_eviction()
                 telemetry.emit(
                     "evict", model=dep.name, replica=label, accuracy=accuracy,
                 )

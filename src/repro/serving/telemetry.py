@@ -8,6 +8,17 @@ and latency percentiles come from a bounded ring buffer of recent
 end-to-end latencies (a full history would grow without bound under the
 sustained traffic the server is built for).
 
+Every scalar counter is declared once, in :data:`COUNTERS`: its
+:class:`TelemetrySnapshot` attribute, its report group, its export
+stem and, for an incident the flight recorder names, the event kind
+that counts it.  :class:`Telemetry` keeps one count per entry, and the
+snapshot, its ``to_dict`` and ``format_lines``, the metrics-ring deltas
+and the Prometheus export all iterate the table, so a counter declared
+there reaches every reader.  An incident is counted where it is
+reported: :meth:`Telemetry.emit` of a counted kind (a heal-ladder
+``refresh``, a ``scale_up``, a ``worker_lost``, ...) bumps its counter
+whether or not a flight recorder is armed.
+
 Two accounting subtleties worth naming:
 
 * **Occupancy is aggregated per batch, not globally.**  Each replica
@@ -28,7 +39,9 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +49,57 @@ from repro.utils.validation import check_positive_int
 
 #: Default number of recent latency samples kept for percentile queries.
 LATENCY_WINDOW = 8192
+
+
+class CounterSpec(NamedTuple):
+    """One scalar counter of :class:`TelemetrySnapshot`.
+
+    ``name`` is the snapshot attribute and ``to_dict`` key; ``group``
+    the :meth:`TelemetrySnapshot.format_lines` line that reports it;
+    ``event`` the flight-event kind each :meth:`Telemetry.emit` of
+    which counts one (``None``: a ``record_*`` call counts it);
+    ``export`` the export stem, where it differs from ``name``.
+    """
+
+    name: str
+    group: str
+    event: Optional[str] = None
+    export: Optional[str] = None
+
+    @property
+    def stem(self) -> str:
+        """The Prometheus series ``febim_<stem>_total`` and the
+        :class:`~repro.serving.observability.MetricsPoint` delta."""
+        return self.export or self.name
+
+
+#: Every scalar counter, declared once, in report order (the snapshot's
+#: docstring is each one's help text).
+COUNTERS = (
+    CounterSpec("submitted", "requests"),
+    CounterSpec("completed", "requests"),
+    CounterSpec("failed", "requests"),
+    CounterSpec("cancelled", "requests"),
+    CounterSpec("batches", "requests"),
+    CounterSpec("health_checks", "health"),
+    CounterSpec("canary_failures", "health"),
+    CounterSpec("refreshes", "health", event="refresh"),
+    CounterSpec("replacements", "health", event="replace"),
+    CounterSpec("maintenance_sweeps", "health"),
+    CounterSpec("failovers", "routing"),
+    CounterSpec("replica_evictions", "routing", event="evict"),
+    CounterSpec("mirror_votes", "routing"),
+    CounterSpec("mirror_disagreements", "routing"),
+    CounterSpec("shed_requests", "slo", export="shed"),
+    CounterSpec("scale_ups", "slo", event="scale_up"),
+    CounterSpec("scale_downs", "slo", event="scale_down"),
+    CounterSpec("workers_started", "cluster", event="worker_start"),
+    CounterSpec("workers_lost", "cluster", event="worker_lost"),
+    CounterSpec("worker_respawns", "cluster", event="worker_respawn"),
+)
+
+#: Event kind -> the counter each of its emits bumps.
+_COUNTED_BY = {c.event: c.name for c in COUNTERS if c.event}
 
 
 @dataclass(frozen=True)
@@ -55,7 +119,7 @@ class TelemetrySnapshot:
         only when its error reached the client, never a failed-over
         attempt).
     cancelled:
-        Requests cancelled by a non-draining shutdown.
+        Requests cancelled, by the client or by a non-draining shutdown.
     batches:
         Micro-batches executed.
     avg_batch:
@@ -75,7 +139,8 @@ class TelemetrySnapshot:
         when the replica could not be read).
     refreshes / replacements:
         Automatic repairs the heal ladder triggered: in-place
-        reprograms and full engine re-materialisations.
+        reprograms and full engine re-materialisations (a worker
+        pool's ``relocate`` of a lost worker's replica is neither).
     maintenance_sweeps:
         Background sweeps completed by the server's maintenance
         thread (each sweep runs the heal ladder over every replica).
@@ -161,73 +226,36 @@ class TelemetrySnapshot:
             return None if seconds != seconds else seconds * 1e3
 
         return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "batches": self.batches,
+            **{c.name: getattr(self, c.name) for c in COUNTERS},
             "max_batch": self.max_batch,
             "avg_batch": self.avg_batch,
             "occupancy": self.occupancy,
             "p50_latency_ms": _ms(self.p50_latency_s),
             "p95_latency_ms": _ms(self.p95_latency_s),
             "per_model": dict(self.per_model),
-            "health_checks": self.health_checks,
-            "canary_failures": self.canary_failures,
-            "refreshes": self.refreshes,
-            "replacements": self.replacements,
-            "maintenance_sweeps": self.maintenance_sweeps,
             "per_replica": dict(self.per_replica),
-            "failovers": self.failovers,
-            "replica_evictions": self.replica_evictions,
-            "mirror_votes": self.mirror_votes,
-            "mirror_disagreements": self.mirror_disagreements,
-            "shed_requests": self.shed_requests,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
             "lane_depth": {str(k): v for k, v in sorted(self.lane_depth.items())},
-            "workers_started": self.workers_started,
-            "workers_lost": self.workers_lost,
-            "worker_respawns": self.worker_respawns,
         }
 
     def format_lines(self) -> str:
-        """Human-readable report block (for ``febim serve --report``)."""
-        lines = [
-            f"requests   submitted {self.submitted}  completed {self.completed}"
-            f"  failed {self.failed}  cancelled {self.cancelled}",
-            f"batches    {self.batches}  avg fill {self.avg_batch:.1f}/"
-            f"{self.max_batch} ({self.occupancy * 100:.0f}% occupancy)",
+        """Human-readable report block (for ``febim serve --report``):
+        one line per counter group — the request counters always, the
+        others once they counted anything — then lanes, models and
+        replicas."""
+        lines = []
+        for group, counters in groupby(COUNTERS, attrgetter("group")):
+            counts = [(c.name, getattr(self, c.name)) for c in counters]
+            if not lines or any(n for _, n in counts):
+                lines.append(f"{group:10s} " + "  ".join(
+                    f"{name.replace('_', ' ')} {n}" for name, n in counts
+                ))
+        # Batching and latency gauges report under the request counters.
+        lines[1:1] = [
+            f"occupancy  avg fill {self.avg_batch:.1f}/{self.max_batch} "
+            f"({self.occupancy * 100:.0f}%)",
             f"latency    p50 {self.p50_latency_s * 1e3:.2f} ms   "
             f"p95 {self.p95_latency_s * 1e3:.2f} ms",
         ]
-        if self.health_checks:
-            lines.append(
-                f"health     {self.health_checks} checks  "
-                f"{self.canary_failures} canary failures  "
-                f"{self.refreshes} refreshes  "
-                f"{self.replacements} replacements  "
-                f"{self.maintenance_sweeps} sweeps"
-            )
-        if self.failovers or self.replica_evictions or self.mirror_votes:
-            lines.append(
-                f"routing    {self.failovers} failovers  "
-                f"{self.replica_evictions} evictions  "
-                f"{self.mirror_votes} mirror votes "
-                f"({self.mirror_disagreements} split)"
-            )
-        if self.shed_requests or self.scale_ups or self.scale_downs:
-            lines.append(
-                f"slo        {self.shed_requests} shed  "
-                f"{self.scale_ups} scale-ups  "
-                f"{self.scale_downs} scale-downs"
-            )
-        if self.workers_started or self.workers_lost or self.worker_respawns:
-            lines.append(
-                f"cluster    {self.workers_started} workers started  "
-                f"{self.workers_lost} lost  "
-                f"{self.worker_respawns} respawned"
-            )
         for lane in sorted(self.lane_depth):
             lines.append(
                 f"  lane {lane:2d} depth {self.lane_depth[lane]}"
@@ -259,44 +287,34 @@ class Telemetry:
         #: is a single attribute check on the hot path.
         self.recorder = None
         self._lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._batches = 0
+        # One count per :data:`COUNTERS` entry, by snapshot attribute.
+        self._counts = dict.fromkeys((c.name for c in COUNTERS), 0)
         self._batched_samples = 0
         self._occupancy_sum = 0.0
-        self._per_model: Dict[str, int] = {}
         self._latencies = deque(maxlen=LATENCY_WINDOW)
-        self._health_checks = 0
-        self._canary_failures = 0
-        self._refreshes = 0
-        self._replacements = 0
-        self._maintenance_sweeps = 0
+        self._per_model: Dict[str, int] = {}
         self._per_replica: Dict[str, int] = {}
-        self._failovers = 0
-        self._replica_evictions = 0
-        self._mirror_votes = 0
-        self._mirror_disagreements = 0
-        self._shed = 0
-        self._scale_ups = 0
-        self._scale_downs = 0
         self._lane_depth: Dict[int, int] = {}
-        self._workers_started = 0
-        self._workers_lost = 0
-        self._worker_respawns = 0
 
     # ------------------------------------------------------------- recording
     def emit(self, kind: str, **detail) -> None:
-        """Forward one typed event to the attached flight recorder.
+        """Count one incident of ``kind`` and forward it, as a typed
+        event, to the attached flight recorder.
 
         Telemetry is the object every layer (scheduler, router and its
-        heal ladder, autoscale controller) already holds, so it doubles as
-        the event bus: call sites ``emit`` next to their ``record_*``
-        call and pass the detail only they know (victim lane, replica
-        label, triggering snapshot).  With no recorder attached this is
+        heal ladder, autoscale controller, worker pool) already holds,
+        so it doubles as the event bus.  A kind that a :data:`COUNTERS`
+        entry names (a heal-ladder ``replace``, a ``scale_up``, a
+        ``worker_lost``, ...) bumps that counter, armed or not: the
+        call site reports the incident once, with the detail only it
+        knows (victim lane, replica label, triggering snapshot).  Any
+        other kind with no recorder attached costs one dict lookup and
         one ``None`` check — the disabled path stays allocation-free.
         """
+        counter = _COUNTED_BY.get(kind)
+        if counter is not None:
+            with self._lock:
+                self._counts[counter] += 1
         recorder = self.recorder
         if recorder is not None:
             recorder.record(kind, **detail)
@@ -304,12 +322,12 @@ class Telemetry:
     def record_submitted(self, n: int = 1) -> None:
         """``n`` client requests accepted."""
         with self._lock:
-            self._submitted += n
+            self._counts["submitted"] += n
 
     def record_shed(self, n: int = 1) -> None:
         """``n`` client requests rejected by admission control."""
         with self._lock:
-            self._shed += n
+            self._counts["shed_requests"] += n
 
     def record_lane_queued(self, lane: int, n: int = 1) -> None:
         """``n`` rows entered a scheduler's ``lane``: the per-lane depth
@@ -326,16 +344,6 @@ class Telemetry:
                 self._lane_depth[lane] = depth
             else:
                 self._lane_depth.pop(lane, None)
-
-    def record_scale_up(self) -> None:
-        """One replica added by the autoscale controller."""
-        with self._lock:
-            self._scale_ups += 1
-
-    def record_scale_down(self) -> None:
-        """One replica retired by the autoscale controller."""
-        with self._lock:
-            self._scale_downs += 1
 
     def record_batch(
         self,
@@ -359,7 +367,7 @@ class Telemetry:
         deployments aggregate correctly.
         """
         with self._lock:
-            self._batches += 1
+            self._counts["batches"] += 1
             self._batched_samples += size
             self._occupancy_sum += size / (max_batch or self.max_batch)
 
@@ -379,40 +387,30 @@ class Telemetry:
         (counted in the worker's own telemetry).
         """
         with self._lock:
-            self._completed += n
+            self._counts["completed"] += n
             self._per_model[model] = self._per_model.get(model, 0) + n
             if latencies_s is not None:
                 self._latencies.extend(latencies_s)
 
     def record_failed(self, n: int) -> None:
         with self._lock:
-            self._failed += n
+            self._counts["failed"] += n
 
     def record_cancelled(self, n: int) -> None:
         with self._lock:
-            self._cancelled += n
+            self._counts["cancelled"] += n
 
     def record_health_check(self, failed_canaries: int = 0) -> None:
         """One heal-ladder pass that found ``failed_canaries`` baseline
         mismatches."""
         with self._lock:
-            self._health_checks += 1
-            self._canary_failures += failed_canaries
-
-    def record_refresh(self) -> None:
-        """One automatic in-place reprogram triggered by the heal ladder."""
-        with self._lock:
-            self._refreshes += 1
-
-    def record_replacement(self) -> None:
-        """One automatic engine re-materialisation (fresh hardware)."""
-        with self._lock:
-            self._replacements += 1
+            self._counts["health_checks"] += 1
+            self._counts["canary_failures"] += failed_canaries
 
     def record_maintenance_sweep(self) -> None:
         """One completed background maintenance sweep."""
         with self._lock:
-            self._maintenance_sweeps += 1
+            self._counts["maintenance_sweeps"] += 1
 
     def record_replica_served(self, replica: str, n: int = 1) -> None:
         """``n`` requests answered by deployment replica ``replica``."""
@@ -426,74 +424,33 @@ class Telemetry:
         if n <= 0:
             return
         with self._lock:
-            self._failovers += n
-
-    def record_replica_eviction(self) -> None:
-        """One replica removed from routing by the heal ladder."""
-        with self._lock:
-            self._replica_evictions += 1
+            self._counts["failovers"] += n
 
     def record_mirror_vote(self, unanimous: bool) -> None:
         """One mirrored request resolved by majority vote."""
         with self._lock:
-            self._mirror_votes += 1
+            self._counts["mirror_votes"] += 1
             if not unanimous:
-                self._mirror_disagreements += 1
-
-    def record_worker_started(self) -> None:
-        """One cluster worker process connected and said hello."""
-        with self._lock:
-            self._workers_started += 1
-
-    def record_worker_lost(self) -> None:
-        """One cluster worker declared dead by the supervisor."""
-        with self._lock:
-            self._workers_lost += 1
-
-    def record_worker_respawn(self) -> None:
-        """One lost worker's replacement process came up."""
-        with self._lock:
-            self._worker_respawns += 1
+                self._counts["mirror_disagreements"] += 1
 
     # --------------------------------------------------------------- reading
     def snapshot(self) -> TelemetrySnapshot:
         """Consistent snapshot of every counter."""
         with self._lock:
-            avg = self._batched_samples / self._batches if self._batches else 0.0
+            batches = self._counts["batches"]
             if self._latencies:
                 lat = np.fromiter(self._latencies, dtype=float)
                 p50, p95 = np.percentile(lat, [50.0, 95.0])
             else:
                 p50 = p95 = float("nan")
             return TelemetrySnapshot(
-                submitted=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                batches=self._batches,
                 max_batch=self.max_batch,
-                avg_batch=avg,
-                occupancy=(
-                    self._occupancy_sum / self._batches if self._batches else 0.0
-                ),
+                avg_batch=self._batched_samples / batches if batches else 0.0,
+                occupancy=self._occupancy_sum / batches if batches else 0.0,
                 p50_latency_s=float(p50),
                 p95_latency_s=float(p95),
                 per_model=dict(self._per_model),
-                health_checks=self._health_checks,
-                canary_failures=self._canary_failures,
-                refreshes=self._refreshes,
-                replacements=self._replacements,
-                maintenance_sweeps=self._maintenance_sweeps,
                 per_replica=dict(self._per_replica),
-                failovers=self._failovers,
-                replica_evictions=self._replica_evictions,
-                mirror_votes=self._mirror_votes,
-                mirror_disagreements=self._mirror_disagreements,
-                shed_requests=self._shed,
-                scale_ups=self._scale_ups,
-                scale_downs=self._scale_downs,
                 lane_depth=dict(self._lane_depth),
-                workers_started=self._workers_started,
-                workers_lost=self._workers_lost,
-                worker_respawns=self._worker_respawns,
+                **self._counts,
             )

@@ -56,6 +56,7 @@ from repro.serving.deployment import (
 )
 from repro.serving.host import replica_engine
 from repro.serving.observability import FlightRecorder, MetricsSampler
+from repro.serving.policy import DOWN, HEALTHY
 from repro.serving.registry import ModelRegistry
 from repro.serving.scheduler import BatchPolicy, Overloaded
 from repro.serving.server import FeBiMServer
@@ -444,7 +445,7 @@ class ScenarioResult:
     @property
     def final_replicas(self) -> int:
         """Serviceable replicas of the deployment at the end."""
-        return sum(r["state"] in ("healthy", "down") for r in self.replicas)
+        return sum(r["state"] in (HEALTHY, DOWN) for r in self.replicas)
 
     @property
     def placements(self) -> Tuple[dict, ...]:
@@ -516,7 +517,7 @@ class ScenarioResult:
                 lines.append(
                     f"chaos: SIGKILL {fault['worker']} mid-burst — "
                     f"{counts.get('worker_lost', 0)} lost, "
-                    f"{counts.get('replace', 0)} replicas re-placed, "
+                    f"{counts.get('relocate', 0)} replicas re-placed, "
                     f"{counts.get('worker_respawn', 0)} respawned, "
                     f"{self.telemetry.failovers} failovers; "
                     f"{self.workers_up}/{dep.placement.workers} workers up "
@@ -758,10 +759,7 @@ def run_scenario(
         if registry is None:
             registry = stack.enter_context(tempfile.TemporaryDirectory())
         if not isinstance(registry, ModelRegistry):
-            registry = ModelRegistry(
-                registry, engine_cache_size=max(8, 2 * s.n_models),
-                backend=s.backend,
-            )
+            registry = ModelRegistry(registry, backend=s.backend)
         routes = _train_tenants(s, registry) if trained else []
         if dep is not None:
             if dep.model not in registry:
@@ -780,6 +778,7 @@ def run_scenario(
             ) if s.process
             else FeBiMServer(registry, policy=s.policy, seed=s.seed)
         )
+        server.router.max_implicit = max(8, 2 * s.n_models)
         observability = None
         if s.trace_rate > 0 or s.metrics_s is not None:
             observability = server.enable_observability(trace_rate=s.trace_rate)

@@ -677,9 +677,9 @@ class TestOccupancyAggregation:
 
     def test_scale_counters_round_trip(self):
         telemetry = Telemetry(max_batch=8)
-        telemetry.record_scale_up()
-        telemetry.record_scale_up()
-        telemetry.record_scale_down()
+        telemetry.emit("scale_up")
+        telemetry.emit("scale_up")
+        telemetry.emit("scale_down")
         snapshot = telemetry.snapshot()
         assert snapshot.scale_ups == 2
         assert snapshot.scale_downs == 1

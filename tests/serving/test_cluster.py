@@ -1001,8 +1001,10 @@ class TestChaos:
             for event in cluster.observability.recorder.events():
                 kinds[event.kind] = kinds.get(event.kind, 0) + 1
             assert kinds.get("worker_lost", 0) == 1
-            assert kinds.get("replace", 0) >= 1
+            assert kinds.get("relocate", 0) >= 1
             assert kinds.get("worker_respawn", 0) >= 1
+            # A relocation is not a heal-ladder replace.
+            assert snap.replacements == kinds.get("replace", 0)
 
             # The healed cluster still serves.
             after = [

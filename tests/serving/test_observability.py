@@ -1,5 +1,6 @@
 """Unit tests for the observability plane: traces, events, metrics."""
 
+import dataclasses
 import json
 import math
 import time
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core import quantize_model
-from repro.serving import BatchPolicy, FeBiMServer, ModelRegistry
+from repro.serving import (
+    BatchPolicy,
+    Deployment,
+    FeBiMServer,
+    ModelRegistry,
+    ReplicaSpec,
+    RoutingPolicy,
+)
 from repro.serving.observability import (
     EVENT_KINDS,
     FlightRecorder,
@@ -22,7 +30,8 @@ from repro.serving.observability import (
     parse_prometheus,
     to_prometheus,
 )
-from repro.serving.telemetry import Telemetry
+from repro.serving.telemetry import COUNTERS, Telemetry, TelemetrySnapshot
+from repro.serving.workload import Fault, Scenario, run_scenario
 
 
 def make_model(k=3, m=4, seed=0):
@@ -195,6 +204,93 @@ def test_telemetry_emit_is_noop_without_recorder():
     assert [e.kind for e in recorder.events()] == ["shed"]
     with pytest.raises(ValueError):
         telemetry.emit("not-a-kind")
+
+
+def test_emit_counts_the_incidents_the_table_names():
+    """With no recorder armed, each counted kind bumps its one counter
+    and any other kind bumps none."""
+    telemetry = Telemetry(max_batch=8)
+
+    def counts():
+        data = telemetry.snapshot().to_dict()
+        return {c.name: data[c.name] for c in COUNTERS}
+
+    zero = counts()
+    telemetry.emit("shed", key="m")
+    assert counts() == zero
+    telemetry.emit("scale_up", model="m")
+    assert counts() == {**zero, "scale_ups": 1}
+    for c in COUNTERS:
+        if c.event is not None:
+            before = counts()
+            telemetry.emit(c.event)
+            assert counts() == {**before, c.name: before[c.name] + 1}
+
+
+# ------------------------------------------------------------------- counters
+class TestCounterTable:
+    def test_table_names_every_counter_once(self):
+        ints = {
+            f.name for f in dataclasses.fields(TelemetrySnapshot)
+            if f.type == "int"
+        } - {"max_batch"}  # a setting, not a counter
+        names = [c.name for c in COUNTERS]
+        assert len(names) == len(set(names)) and set(names) == ints
+        assert {c.event for c in COUNTERS if c.event} <= EVENT_KINDS
+        # The series a metrics point carried before every counter did.
+        assert {
+            "submitted", "completed", "shed", "failed", "canary_failures",
+            "refreshes", "replacements", "replica_evictions",
+            "maintenance_sweeps",
+        } <= {c.stem for c in COUNTERS}
+
+    def test_every_reader_carries_every_counter(self):
+        values = {c.name: 10 + i for i, c in enumerate(COUNTERS)}
+        snapshot = dataclasses.replace(
+            Telemetry(max_batch=8).snapshot(), **values
+        )
+        series = parse_prometheus(to_prometheus(snapshot))
+        data = snapshot.to_dict()
+        point = MetricsRing().sample(snapshot)  # deltas against zero
+        report = snapshot.format_lines()
+        for c in COUNTERS:
+            value = values[c.name]
+            assert series[f"febim_{c.stem}_total"] == value, c
+            assert data[c.name] == value, c
+            assert getattr(point, c.stem) == point.to_dict()[c.stem] == value
+            assert f"{c.name.replace('_', ' ')} {value}" in report, c
+
+    def test_drained_series_reconciles_with_the_snapshot(self, tmp_path):
+        """Summed deltas equal the final counters, and the summed
+        outcomes account for every submitted request."""
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.register("alpha", make_model(seed=1))
+        result = run_scenario(Scenario(
+            deployment=Deployment(
+                "alpha", [ReplicaSpec("ideal")] * 2,
+                RoutingPolicy("round_robin"),
+            ),
+            n_requests=64,
+            submitters=2,
+            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            service_time_ms=5.0,  # rows still queue when the client cancels
+            metrics_s=0.005,
+            faults=(
+                Fault("kill_replica", at=16),
+                Fault("sweep", at=24),
+                Fault("cancel", at=48),
+            ),
+        ), registry)
+        points, snapshot = result.metrics, result.telemetry
+        assert len(points) >= 2
+        assert snapshot.cancelled and snapshot.replica_evictions
+        total = {c.stem: sum(p[c.stem] for p in points) for c in COUNTERS}
+        for c in COUNTERS:
+            assert total[c.stem] == getattr(snapshot, c.name), c
+        assert total["submitted"] == (
+            total["completed"] + total["failed"] + total["shed"]
+            + total["cancelled"]
+        )
 
 
 # -------------------------------------------------------------------- metrics
@@ -373,4 +469,5 @@ def test_event_taxonomy_is_frozen_and_documented():
         "worker_heartbeat",
         "worker_lost",
         "worker_respawn",
+        "relocate",
     }

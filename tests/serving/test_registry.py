@@ -21,7 +21,7 @@ def make_model(k=3, m=4, seed=0, n_levels=4):
 
 @pytest.fixture()
 def registry(tmp_path):
-    return ModelRegistry(tmp_path / "registry", engine_cache_size=2)
+    return ModelRegistry(tmp_path / "registry")
 
 
 class TestRegistration:

@@ -228,14 +228,15 @@ class TestImplicitLifecycle:
         assert server.router.check_replica("alpha", 0).ok
 
     def test_implicit_deployments_are_capped(self, tmp_path):
-        """At most ``engine_cache_size`` implicit deployments live: a
+        """At most ``router.max_implicit`` implicit deployments live: a
         build beyond that drains and shuts the least recently served
         one, whose next request rebuilds it bit for bit."""
         with FeBiMServer(
-            ModelRegistry(tmp_path / "reg", engine_cache_size=2),
+            ModelRegistry(tmp_path / "reg"),
             policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
             seed=0,
         ) as server:
+            server.router.max_implicit = 2
             names = ["m0", "m1", "m2", "m3"]
             for i, name in enumerate(names):
                 server.register(name, make_model(seed=i + 1))

@@ -91,10 +91,12 @@ class TestLedgerBalance:
                 telemetry.record_lane_queued(0)
                 telemetry.record_lane_drained(0)
                 telemetry.record_failed(1)
+                telemetry.emit("evict")  # counted by emit, no recorder armed
 
         _run_threads(worker)
         snapshot = telemetry.snapshot()
         assert snapshot.failed == THREADS * PER_THREAD
+        assert snapshot.replica_evictions == THREADS * PER_THREAD
         assert snapshot.in_flight == 0
         assert snapshot.lane_depth == {}
 
