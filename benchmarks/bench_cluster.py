@@ -68,7 +68,7 @@ def run_bench():
             ),
             n_requests=N_REQUESTS,
             submitters=4,
-            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=8),
             maintenance_s=MAINTENANCE_S,
             seed=7,
             faults=(Fault("kill_worker", at=N_REQUESTS // 4),),

@@ -201,8 +201,9 @@ def measure_submit_path(
     dynamics).
 
     Both arms' servers stay alive for the whole measurement and are
-    interleaved: each round times one chunk of submits per arm, the arm
-    that goes first alternating, and drains both servers untimed.  A
+    interleaved: each round times one chunk of submits per arm, with
+    that arm's replica paused so no batch runs meanwhile, the arm that
+    goes first alternating, and drains both servers untimed.  A
     drift or a noisy neighbour then hits both arms alike, and the
     fastest chunk per arm filters the multi-millisecond preemption
     spikes a shared box injects.  Returns submits/sec
@@ -222,13 +223,14 @@ def measure_submit_path(
         X_tr, y_tr
     )
     sample = pipe.transform_levels(X_te)[0]
-    # A batch bound above the chunk and a long wait keep the worker
-    # asleep while a chunk is timed: the timing sees the submit path
-    # alone, not GIL contention with batch execution.
-    policy = BatchPolicy(max_batch=2 * chunk, max_wait_ms=60_000.0)
+    # Each arm's replica is paused while its chunk is timed, so the
+    # timing sees the submit path alone, not GIL contention with batch
+    # execution; a batch bound above the chunk reads it in one batch.
+    policy = BatchPolicy(max_batch=2 * chunk)
     best = [float("inf"), float("inf")]
     with tempfile.TemporaryDirectory() as root:
         arms = []
+        held = []
         try:
             for arm, tracer in enumerate((None, Tracer(0.0))):
                 server = FeBiMServer(
@@ -239,14 +241,17 @@ def measure_submit_path(
                 server.register("iris", pipe.quantized_model_, pipe.engine_.spec)
                 server.engine_for("iris")  # the implicit deployment, untimed
                 server.router.tracer = tracer
+                held.append(server.router.serving("iris").replicas[0].scheduler)
             for round_ in range(rounds):
                 order = (0, 1) if round_ % 2 == 0 else (1, 0)
                 for arm in order:
                     submit = arms[arm].submit
+                    held[arm].pause()
                     start = time.perf_counter()
                     for _ in range(chunk):
                         submit("iris", sample)
                     elapsed = time.perf_counter() - start
+                    held[arm].resume()
                     if round_ >= SUBMIT_PATH_WARMUP:
                         best[arm] = min(best[arm], elapsed)
                 for server in arms:

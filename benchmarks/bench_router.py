@@ -63,7 +63,7 @@ def run_bench() -> dict:
         pool = request_pool(registry, "iris", seed=0)
 
         with FeBiMServer(
-            registry, policy=BatchPolicy(max_batch=16, max_wait_ms=1.0), seed=0
+            registry, policy=BatchPolicy(max_batch=16), seed=0
         ) as server:
             server.deploy(
                 Deployment(
@@ -99,7 +99,7 @@ def run_bench() -> dict:
 
         # Cost policy: sequential traffic lands on the cheaper replica.
         with FeBiMServer(
-            registry, policy=BatchPolicy(max_batch=16, max_wait_ms=1.0), seed=0
+            registry, policy=BatchPolicy(max_batch=16), seed=0
         ) as server:
             server.deploy(
                 Deployment(

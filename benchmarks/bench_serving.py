@@ -30,7 +30,7 @@ def run_bench():
     return run_scenario(Scenario(
         dataset="synthetic",
         n_requests=N_REQUESTS,
-        policy=BatchPolicy(max_batch=64, max_wait_ms=2.0),
+        policy=BatchPolicy(max_batch=64),
     ))
 
 

@@ -42,7 +42,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         registry = ModelRegistry(root)
-        policy = BatchPolicy(max_batch=32, max_wait_ms=1.0)
+        policy = BatchPolicy(max_batch=32)
         with FeBiMServer(registry, policy=policy, seed=42) as server:
             server.register("iris", iris_pipe.quantized_model_, iris_pipe.engine_.spec)
             server.register("wine", wine_pipe.quantized_model_, wine_pipe.engine_.spec)

@@ -43,7 +43,8 @@
 #      tracing-disabled does not slow:
 #      the path served traffic takes (FeBiMServer.submit into an
 #      undeployed model's implicit deployment), no router tracer vs a
-#      rate-0 one, the two arms interleaved chunk by chunk, gated at 0.8x;
+#      rate-0 one, the two arms interleaved chunk by chunk, each arm's
+#      replica paused while its chunk is timed, gated at 0.8x;
 #  10. health smoke — bench_health.py --smoke: a seeded aging run where
 #      the margin gauge crosses the warning threshold strictly before
 #      the first accuracy-affecting flip, the armed margin floor heals
@@ -78,7 +79,10 @@
 #      path keeps the block-native request plane's gain over the
 #      engine's own batched read, ledger.router_sps >= 0.08 x
 #      ledger.engine_sps — ratios between layers measured in one run,
-#      never an absolute rate;
+#      never an absolute rate; it also prints, never gating, what
+#      coalescing the idle-flush rule leaves: the median queue span of
+#      the traced run's paced burst (scheduler.queue_ms.p50) and the
+#      probe server's average batch (scheduler.avg_batch);
 #  14. examples — every examples/*.py runs to a zero exit (the
 #      user-facing flows, serving_demo.py and reliability_demo.py among
 #      them, drive the public API end to end).
@@ -177,6 +181,10 @@ print(f"ledger: cluster {cluster:.0f} sps / router {router:.0f} sps "
       f"= {cluster / router:.2f} (gate >= 0.50)")
 print(f"ledger: router {router:.0f} sps / engine {engine:.0f} sps "
       f"= {router / engine:.3f} (gate >= 0.08)")
+queue_ms = result["metrics"]["scheduler.queue_ms.p50"]["value"]
+avg_batch = result["metrics"]["scheduler.avg_batch"]["value"]
+print(f"coalescing (never gates): paced-burst queue p50 {queue_ms:.3f} ms, "
+      f"avg batch {avg_batch:.1f} rows")
 if not result["correct"]:
     sys.exit("error: the traced benchmark run served wrong answers")
 if router < 0.7 * legacy:

@@ -190,7 +190,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     registry = args.registry
     common = dict(
-        policy=BatchPolicy(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms),
+        policy=BatchPolicy(max_batch=args.max_batch),
         n_requests=args.requests,
         submitters=args.submitters,
         trace_rate=args.trace_rate,
@@ -417,7 +417,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     with FeBiMServer(
         registry,
-        policy=BatchPolicy(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms),
+        policy=BatchPolicy(max_batch=args.max_batch),
         seed=args.seed,
     ) as server:
         try:
@@ -628,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=2048)
     serve.add_argument("--submitters", type=int, default=4)
     serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument("--qf", type=int, default=4)
     serve.add_argument("--ql", type=int, default=2)
     serve.add_argument(
@@ -814,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--version", type=int, help="pin a version (default latest)")
     submit.add_argument("--max-batch", type=int, default=64)
-    submit.add_argument("--max-wait-ms", type=float, default=2.0)
     submit.add_argument("--seed", type=int, default=0)
     add_backend_flag(submit)
     submit.add_argument("--json", action="store_true", help="emit JSON")

@@ -9,10 +9,11 @@ two:
   JSON via :mod:`repro.io`); every ``get_engine`` call programs a new
   engine, owned by the replica host that asked for it;
 * :class:`MicroBatchScheduler` — a thread-safe queue that coalesces
-  pending requests per model into batched crossbar reads under a
-  ``max_batch`` / ``max_wait_ms`` policy, one queue entry per chunk
-  (a ``submit`` resolves one future, a ``submit_many`` chunk's row
-  handles read one completion slot);
+  pending requests per model into batched crossbar reads: its worker
+  pops up to ``max_batch`` rows whenever it is idle, so rows that
+  arrive during a batch form the next one and none waits on a timer;
+  one queue entry per chunk (a ``submit`` resolves one future, a
+  ``submit_many`` chunk's row handles read one completion slot);
 * :class:`FeBiMServer` — the multi-tenant front end: every request
   routes to a deployment (an undeployed model to its implicit
   one-replica deployment), independent per-model RNG streams,

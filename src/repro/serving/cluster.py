@@ -406,7 +406,6 @@ class WorkerPool:
             "seed": server.seed,
             "max_rows": server.max_rows,
             "max_batch": server.policy.max_batch,
-            "max_wait_ms": server.policy.max_wait_ms,
             "heartbeat_period_s": self.heartbeat_period_s,
         }
         handle.process = self._ctx.Process(

@@ -128,7 +128,9 @@ class _Attempt(_ClientFutures):
         # bad (the rows were fine).
         for bad in self.failed_chain:
             self.plane._mark_down(bad)
-        super().served(entries, results, finished)
+        # Booked per deployment route (``name@vN``), as a mirror vote
+        # is, not per replica: ``per_replica`` already counts those.
+        super().served(entries, results, finished, self.dep.route)
 
     def failed(self, entries: List[_Request], exc: BaseException,
                ran: bool) -> None:
@@ -445,7 +447,7 @@ class RequestPlane:
         ) / len(seats)
         telemetry.record_mirror_vote(unanimous=agreement == 1.0)
         telemetry.record_completed(
-            vote.dep.name, latencies_s=[time.monotonic() - vote.t0]
+            vote.dep.route, latencies_s=[time.monotonic() - vote.t0]
         )
         future.set_result(MirroredResult(
             model=vote.dep.route,

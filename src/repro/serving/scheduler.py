@@ -16,17 +16,16 @@ slot, read by light row handles (:class:`RowHandle`).  A flush takes
 whole entries and splits the last one at the ``max_batch`` boundary by
 slicing, so an entry that fills a batch is read with no restacking.
 
-Coalescing policy (:class:`BatchPolicy`)
-----------------------------------------
+Coalescing rule (:class:`BatchPolicy`)
+--------------------------------------
 
-The queue is flushed as soon as either bound is hit:
-
-* ``max_batch`` rows are waiting (the batch is full), or
-* the *oldest* waiting entry has aged ``max_wait_ms`` (latency bound).
-
-Under heavy traffic the scheduler therefore runs full batches at the
-offline throughput ceiling; under trickle traffic no request waits more
-than ``max_wait_ms`` beyond its own service time.
+The batch worker is work-conserving: whenever it is idle and the queue
+holds rows, it pops up to ``max_batch`` of them at once.  Rows that
+arrive while a batch runs wait for the next pop, and form the next
+batch together.  No row ever waits on a timer, so a lone request is
+read as soon as it is queued, while under load the batches grow with
+the arrival rate until they are full (``max_batch`` rows, the offline
+throughput ceiling).  The busier the worker, the bigger its batches.
 
 Admission control
 -----------------
@@ -85,10 +84,11 @@ import logging
 import operator
 import threading
 import time
+import warnings
 from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import (
     Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional,
 )
@@ -109,24 +109,35 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Coalescing knobs for the micro-batch scheduler.
+    """The coalescing bound of the micro-batch scheduler.
 
     Attributes
     ----------
     max_batch:
-        Largest number of requests fused into one ``infer_batch`` call.
+        Largest number of rows fused into one ``infer_batch`` call.  The
+        batch worker pops up to this many whenever it is idle and the
+        queue holds rows (the module docstring's coalescing rule).
     max_wait_ms:
-        Longest a request may sit in the queue waiting for company
-        before its batch is launched anyway (milliseconds).
+        Deprecated and ignored, an init-only argument that is not kept:
+        the worker no longer waits for company.  Passing any value warns
+        :class:`DeprecationWarning`; a negative one still raises
+        ``ValueError``.
     """
 
     max_batch: int = 64
-    max_wait_ms: float = 2.0
+    max_wait_ms: InitVar[Optional[float]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, max_wait_ms: Optional[float]) -> None:
         check_positive_int(self.max_batch, "max_batch")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if max_wait_ms is None:
+            return
+        warnings.warn(
+            "BatchPolicy(max_wait_ms=...) is deprecated and ignored: the "
+            "batch worker flushes whenever it is idle",
+            DeprecationWarning, stacklevel=3,
+        )
+        if max_wait_ms < 0:
+            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
 
 
 class ServedResult(NamedTuple):
@@ -609,12 +620,14 @@ class _ClientFutures:
         return kept
 
     def served(self, entries: List[_Request], results: list,
-               finished: float) -> None:
+               finished: float, model: Optional[str] = None) -> None:
+        """Complete served ``entries``, booked under ``model`` (default:
+        the routing key the rows were read under)."""
         latencies: List[float] = []
         for entry in entries:
             latencies += [finished - entry.enqueued_at] * len(entry)
         self.telemetry.record_completed(
-            results[0].model, len(latencies), latencies_s=latencies
+            model or results[0].model, len(latencies), latencies_s=latencies
         )
         for entry, result in zip(entries, results):
             entry.finish_traces("served", finished)
@@ -676,10 +689,6 @@ class _LaneQueue:
         """Append ``entries`` (``rows`` rows) of one ``lane``, in order."""
         self.lanes.setdefault(lane, deque()).extend(entries)
         self.size += rows
-
-    def oldest_enqueued_at(self) -> float:
-        """Earliest enqueue time across lanes (age-out deadline)."""
-        return min(q[0].enqueued_at for q in self.lanes.values() if q)
 
     def pop_batch(self, n: int) -> List[_Request]:
         """Up to ``n`` rows of entries, highest lane first, FIFO within;
@@ -750,7 +759,7 @@ class MicroBatchScheduler:
         batch; resolution errors fail that group's rows, not the
         scheduler.
     policy:
-        Coalescing bounds; defaults to ``BatchPolicy()``.
+        Coalescing bound; defaults to ``BatchPolicy()``.
     telemetry:
         Shared counters; a private instance is created when omitted.
     max_queue_depth:
@@ -791,7 +800,6 @@ class MicroBatchScheduler:
         self._progress = threading.Condition(self._lock)
         self._inflight = 0
         self._paused = 0
-        self._draining = False
         self._closed = False
         self._worker = threading.Thread(
             target=self._run, name="febim-microbatch", daemon=True
@@ -875,7 +883,8 @@ class MicroBatchScheduler:
         The entries are admitted under one lock acquisition (a blocked
         one releases the lock only while it waits): the lane gauge rises
         before any row is visible to the batch worker, which is woken
-        only for a new age-out deadline or a batch that just filled.  On
+        only when the queue was empty (a busy worker finds the rows when
+        its batch ends), so at most once per batch.  On
         a bounded queue the rows that find it full, in order, wait for
         space (with ``block``, up to ``timeout`` seconds; one
         ``backpressure_block`` event per call that waited), displace the
@@ -892,7 +901,6 @@ class MicroBatchScheduler:
         lane = requests[0].lane
         queue = self._queue
         bound = self.max_queue_depth
-        max_batch = self.policy.max_batch
         deadline = None if timeout is None else time.monotonic() + timeout
         pending = list(requests)
         victims: List[_Request] = []
@@ -932,14 +940,13 @@ class MicroBatchScheduler:
                         entry.key = key
                         if entry.traces:
                             self._trace_admitted(key, entry)
-                    before = queue.size
-                    queue.extend(lane, admit, rows)
-                    # Waking the worker for every entry is a
-                    # context-switch storm under load; it only needs to
-                    # hear about a new age-out deadline or a batch that
-                    # just filled.
-                    if before == 0 or before < max_batch <= queue.size:
+                    # Only an idle worker sleeps on an empty queue: a
+                    # busy one pops these rows when its batch ends, so
+                    # waking it for every entry would be a
+                    # context-switch storm under load.
+                    if not queue.size:
                         self._wake.notify()
+                    queue.extend(lane, admit, rows)
                 if not pending:
                     break
                 if not block:
@@ -1027,24 +1034,15 @@ class MicroBatchScheduler:
             traced[2] = trace.span("queue", start_s=t_admitted, lane=entry.lane)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Flush the queue now and wait until all requests resolved.
+        """Wait until every queued row has been read and settled.
 
         Returns ``True`` when the scheduler went idle within
         ``timeout`` seconds (``None`` = wait forever).
         """
         with self._lock:
-            self._draining = True
-            self._wake.notify()
-            try:
-                return self._progress.wait_for(
-                    lambda: not self._queue.size and not self._inflight,
-                    timeout,
-                )
-            finally:
-                # Also on timeout: leaving the flag set would force
-                # every future batch to flush immediately, silently
-                # collapsing coalescing to per-request calls.
-                self._draining = False
+            return self._progress.wait_for(
+                lambda: not self._queue.size and not self._inflight, timeout
+            )
 
     def pause(self, timeout: Optional[float] = None) -> bool:
         """Stop launching batches and wait out the in-flight one.
@@ -1140,23 +1138,17 @@ class MicroBatchScheduler:
     def _run(self) -> None:
         queue = self._queue
         max_batch = self.policy.max_batch
-        max_wait = self.policy.max_wait_ms / 1e3
         while True:
             with self._lock:
+                # Work-conserving: an idle worker pops whatever is
+                # queued, up to a full batch; it sleeps only on an empty
+                # queue or a pause.
                 while True:
                     if self._closed:
                         return
-                    wait = None
                     if queue.size and not self._paused:
-                        if self._draining or queue.size >= max_batch:
-                            break
-                        wait = (
-                            queue.oldest_enqueued_at() + max_wait
-                            - time.monotonic()
-                        )
-                        if wait <= 0:
-                            break
-                    self._wake.wait(wait)
+                        break
+                    self._wake.wait()
                 popped = queue.pop_batch(max_batch)
                 self._inflight += len(popped)
                 if self.max_queue_depth is not None:
@@ -1181,7 +1173,7 @@ class MicroBatchScheduler:
         # Rows are read per routing key and feature width, so one key
         # whose engine fails to resolve, or one malformed request, can
         # only fail its own group, never the well-formed requests that
-        # happened to share the coalescing window.
+        # happened to share the batch.
         groups: Dict[tuple, List[_Request]] = {}
         for entry in batch:
             groups.setdefault(

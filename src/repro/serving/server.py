@@ -521,6 +521,5 @@ class FeBiMServer:
     def __repr__(self) -> str:
         return (
             f"FeBiMServer({len(self.models())} models, "
-            f"max_batch={self.policy.max_batch}, "
-            f"max_wait_ms={self.policy.max_wait_ms})"
+            f"max_batch={self.policy.max_batch})"
         )

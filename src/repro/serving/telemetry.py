@@ -125,7 +125,7 @@ class TelemetrySnapshot:
     avg_batch:
         Mean samples per executed batch (0.0 before the first batch).
     occupancy:
-        ``avg_batch / max_batch`` — how full the coalescing window ran.
+        ``avg_batch / max_batch`` — how full the batches ran.
     p50_latency_s / p95_latency_s:
         Median / tail end-to-end latency (submit -> result) over the
         recent window, in seconds (``nan`` before the first completion).

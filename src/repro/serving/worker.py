@@ -213,10 +213,7 @@ class WorkerHost:
     def __init__(self, worker_id: str, conn: MessageConnection, config: dict):
         self.worker_id = worker_id
         self.conn = conn
-        self.policy = BatchPolicy(
-            max_batch=int(config.get("max_batch", 32)),
-            max_wait_ms=float(config.get("max_wait_ms", 2.0)),
-        )
+        self.policy = BatchPolicy(max_batch=int(config.get("max_batch", 32)))
         self.registry = ModelRegistry(
             config["registry_root"],
             backend=config.get("backend", "fefet"),

@@ -351,7 +351,7 @@ def spike(
         ),
         duration_s=duration_s,
         spike_factor=spike_factor,
-        policy=BatchPolicy(max_batch=16, max_wait_ms=2.0),
+        policy=BatchPolicy(max_batch=16),
         service_time_ms=2.0,
         maintenance_s=0.12 if slo else None,
         trace_rate=trace_rate,
@@ -485,8 +485,7 @@ class ScenarioResult:
         lines = [
             f"{self.bench} workload: {served} — {self.n_requests} "
             f"requests, {traffic}",
-            f"policy     max_batch {s.policy.max_batch}, "
-            f"max_wait {s.policy.max_wait_ms} ms",
+            f"policy     max_batch {s.policy.max_batch}",
             f"throughput served {self.served_sps:.0f} sps vs offline ceiling "
             f"{self.offline_sps:.0f} sps ({self.served_fraction * 100:.0f}%)",
             f"outcome    {self.ok} served  {self.shed} shed  {self.failed} "

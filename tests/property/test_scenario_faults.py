@@ -87,7 +87,7 @@ def scenarios(draw, process=False):
         n_requests=N_REQUESTS,
         submitters=draw(st.integers(1, 3)),
         block=draw(st.sampled_from((1, 3, 2 * max_batch + 1))),
-        policy=BatchPolicy(max_batch=max_batch, max_wait_ms=1.0),
+        policy=BatchPolicy(max_batch=max_batch),
         maintenance_s=MAINTENANCE_S if process else None,
         faults=tuple(timeline),
     )

@@ -49,7 +49,7 @@ class TestServedBitIdentity:
         pools = {name: rng.integers(0, 4, size=(40, 4)) for name in models}
 
         with FeBiMServer(
-            registry, policy=BatchPolicy(max_batch=7, max_wait_ms=0.5), seed=123
+            registry, policy=BatchPolicy(max_batch=7), seed=123
         ) as server:
             for name, model in models.items():
                 server.register(name, model)
@@ -122,7 +122,7 @@ class TestServedBitIdentity:
         chunks = []
         with MicroBatchScheduler(
             engines.__getitem__,
-            policy=BatchPolicy(max_batch=max_batch, max_wait_ms=0.5),
+            policy=BatchPolicy(max_batch=max_batch),
         ) as scheduler:
             # Paused, every chunk queues first, so each flush takes
             # max_batch rows across entries and tenants.
@@ -223,7 +223,7 @@ class TestServedBitIdentity:
         levels = np.random.default_rng(7).integers(0, 4, size=(15, 4))
         with FeBiMServer(
             registry,
-            policy=BatchPolicy(max_batch=4, max_wait_ms=0.5),
+            policy=BatchPolicy(max_batch=4),
             seed=9,
             max_rows=8,
         ) as server:

@@ -46,7 +46,7 @@ def make_model(k=3, m=4, seed=0):
     return quantize_model(tables, prior / prior.sum(), n_levels=4)
 
 
-POLICY = BatchPolicy(max_batch=1, max_wait_ms=1.0)
+POLICY = BatchPolicy(max_batch=1)
 SAMPLE = np.array([0, 1, 2])
 
 
@@ -97,7 +97,7 @@ def make_bounded(depth, max_batch=1):
     engine = GatedEngine()
     sched = MicroBatchScheduler(
         lambda key: engine,
-        BatchPolicy(max_batch=max_batch, max_wait_ms=1.0),
+        BatchPolicy(max_batch=max_batch),
         max_queue_depth=depth,
     )
     return sched, engine
@@ -178,7 +178,7 @@ class TestAdmissionControl:
     def test_unbounded_by_default_never_sheds(self):
         engine = GatedEngine()
         sched = MicroBatchScheduler(
-            lambda key: engine, BatchPolicy(max_batch=4, max_wait_ms=1.0)
+            lambda key: engine, BatchPolicy(max_batch=4)
         )
         try:
             futures = [sched.submit("m", SAMPLE) for _ in range(64)]

@@ -47,7 +47,7 @@ from repro.serving.transport import (
 from repro.serving.scheduler import _Request
 from repro.serving.worker import WorkerHost, _Block
 
-POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
+POLICY = BatchPolicy(max_batch=8)
 
 
 def make_model(k=3, m=4, seed=1, classes=None):
@@ -289,7 +289,7 @@ class TestClusterBehaviour:
         )
         with ClusterServer(
             registry_root,
-            policy=BatchPolicy(max_batch=1, max_wait_ms=20.0),
+            policy=BatchPolicy(max_batch=1),
             seed=0,
             maintenance_period_s=None,
         ) as cluster:
@@ -380,7 +380,7 @@ class TestBlockPath:
     def cluster(self, registry_root):
         with ClusterServer(
             registry_root,
-            policy=BatchPolicy(max_batch=256, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=256),
             seed=0,
             maintenance_period_s=None,
         ) as cluster:
@@ -469,7 +469,7 @@ class TestBlockPath:
         rows = np.random.default_rng(6).integers(0, 4, size=(8, 3))
         with ClusterServer(
             block_registry,
-            policy=BatchPolicy(max_batch=8, max_wait_ms=100.0),
+            policy=BatchPolicy(max_batch=8),
             seed=0,
             maintenance_period_s=None,
         ) as cluster:

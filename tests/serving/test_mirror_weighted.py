@@ -17,7 +17,7 @@ from repro.serving import (
     RoutingPolicy,
 )
 
-POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
+POLICY = BatchPolicy(max_batch=8)
 SAMPLE = np.array([0, 1, 2])
 
 

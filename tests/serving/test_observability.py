@@ -272,7 +272,7 @@ class TestCounterTable:
             ),
             n_requests=64,
             submitters=2,
-            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=8),
             service_time_ms=5.0,  # rows still queue when the client cancels
             metrics_s=0.005,
             faults=(
@@ -372,7 +372,7 @@ class TestPrometheus:
 def server(tmp_path):
     with FeBiMServer(
         ModelRegistry(tmp_path / "reg"),
-        policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+        policy=BatchPolicy(max_batch=8),
         seed=0,
     ) as srv:
         srv.register("alpha", make_model(seed=1))

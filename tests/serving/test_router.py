@@ -33,7 +33,7 @@ def make_model(k=3, m=4, seed=0):
     return quantize_model(tables, prior / prior.sum(), n_levels=4)
 
 
-POLICY = BatchPolicy(max_batch=8, max_wait_ms=1.0)
+POLICY = BatchPolicy(max_batch=8)
 SAMPLE = np.array([0, 1, 2])
 
 
@@ -258,6 +258,22 @@ class TestRoutingPolicies:
         assert snapshot.mirror_disagreements == 0
         assert len(snapshot.per_replica) == 3
 
+    @pytest.mark.parametrize("kind", ["round_robin", "mirror"])
+    def test_per_model_books_the_deployment_route(self, server, kind):
+        """Completions are booked per model version (``name@vN``) on the
+        routed path and on the mirror vote alike; ``per_replica`` keeps
+        the split across replicas."""
+        deploy(
+            server, ReplicaSpec("ideal"), ReplicaSpec("ideal"),
+            policy=RoutingPolicy(kind),
+        )
+        for _ in range(4):
+            server.predict("iris", SAMPLE, timeout=5)
+        for handle in server.submit_many("iris", np.tile(SAMPLE, (6, 1))):
+            handle.result(timeout=5)
+        assert server.stats().per_model == {"iris@v1": 10}
+        assert len(server.stats().per_replica) == 2
+
     def test_seedless_server_replicas_get_distinct_engines(self, tmp_path):
         """With seed=None every replica draws fresh entropy — replicas
         must be independent physical arrays, never one shared engine
@@ -408,7 +424,7 @@ class TestFailover:
         dead: half fail over, yet every request is counted once."""
         # Four-row chunks alternate the round-robin pick evenly, just
         # as single submits do.
-        policy = BatchPolicy(max_batch=4, max_wait_ms=1.0)
+        policy = BatchPolicy(max_batch=4)
         with FeBiMServer(
             ModelRegistry(tmp_path / "reg"), policy=policy, seed=0
         ) as srv:

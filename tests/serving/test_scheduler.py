@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import InvalidStateError
 
 import numpy as np
@@ -68,21 +69,23 @@ def make_scheduler(engine=None, **policy_kwargs):
 
 class TestPolicy:
     def test_defaults(self):
-        policy = BatchPolicy()
-        assert policy.max_batch == 64 and policy.max_wait_ms == 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = BatchPolicy()
+        assert policy.max_batch == 64 and policy.max_wait_ms is None
 
     def test_invalid_max_batch(self):
         with pytest.raises((ValueError, TypeError)):
             BatchPolicy(max_batch=0)
 
     def test_negative_wait_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
             BatchPolicy(max_wait_ms=-1.0)
 
 
 class TestCoalescing:
     def test_single_request_served(self):
-        sched, engine = make_scheduler(max_batch=8, max_wait_ms=1.0)
+        sched, engine = make_scheduler(max_batch=8)
         try:
             result = sched.submit("m", np.array([1, 2, 3])).result(timeout=5)
             assert result.prediction == 6
@@ -92,9 +95,12 @@ class TestCoalescing:
             sched.shutdown()
 
     def test_full_batch_flushes_before_deadline(self):
-        sched, engine = make_scheduler(max_batch=4, max_wait_ms=10_000.0)
+        sched, engine = make_scheduler(max_batch=4)
         try:
+            # Paused, all four rows queue before the worker can pop.
+            assert sched.pause(timeout=5)
             futures = [sched.submit("m", np.array([i])) for i in range(4)]
+            sched.resume()
             for f in futures:
                 f.result(timeout=5)
             assert len(engine.batches) == 1
@@ -103,7 +109,7 @@ class TestCoalescing:
             sched.shutdown()
 
     def test_deadline_flushes_partial_batch(self):
-        sched, engine = make_scheduler(max_batch=1000, max_wait_ms=5.0)
+        sched, engine = make_scheduler(max_batch=1000)
         try:
             future = sched.submit("m", np.array([7]))
             result = future.result(timeout=5)
@@ -111,8 +117,38 @@ class TestCoalescing:
         finally:
             sched.shutdown()
 
+    def test_lone_row_never_waits_for_company(self):
+        """The deprecated hold is ignored: an idle worker reads a lone
+        row at once, not after 60 s."""
+        with pytest.warns(DeprecationWarning, match="max_wait_ms"):
+            policy = BatchPolicy(max_batch=1000, max_wait_ms=60_000)
+        engine = RecordingEngine()
+        with MicroBatchScheduler(lambda key: engine, policy) as sched:
+            result = sched.submit("m", np.array([7])).result(timeout=5)
+            assert result.batch_size == 1
+            assert result.prediction == 7
+
+    def test_rows_queued_during_a_batch_form_the_next(self):
+        engine = RecordingEngine(gated=True)
+        sched, _ = make_scheduler(engine, max_batch=8)
+        try:
+            first = sched.submit("m", np.array([100]))
+            assert engine.started.wait(5)  # the worker holds batch 1
+            later = [sched.submit("m", np.array([i])) for i in range(5)]
+            engine.release.set()
+            results = [f.result(timeout=5) for f in later]
+            assert first.result(timeout=5).batch_size == 1
+            assert [b[:, 0].tolist() for b in engine.batches] == [
+                [100], [0, 1, 2, 3, 4],
+            ]
+            assert [r.prediction for r in results] == [0, 1, 2, 3, 4]
+            assert [r.batch_size for r in results] == [5] * 5
+        finally:
+            engine.release.set()
+            sched.shutdown()
+
     def test_oversized_wave_splits_into_batches(self):
-        sched, engine = make_scheduler(max_batch=4, max_wait_ms=1.0)
+        sched, engine = make_scheduler(max_batch=4)
         try:
             futures = sched.submit_many("m", np.arange(10)[:, None])
             for f in futures:
@@ -124,7 +160,7 @@ class TestCoalescing:
             sched.shutdown()
 
     def test_results_keep_request_order_within_batch(self):
-        sched, engine = make_scheduler(max_batch=8, max_wait_ms=5.0)
+        sched, engine = make_scheduler(max_batch=8)
         try:
             futures = sched.submit_many("m", np.arange(8)[:, None])
             preds = [f.result(timeout=5).prediction for f in futures]
@@ -133,10 +169,12 @@ class TestCoalescing:
             sched.shutdown()
 
     def test_queue_wait_and_report_view(self):
-        sched, engine = make_scheduler(max_batch=2, max_wait_ms=50.0)
+        sched, engine = make_scheduler(max_batch=2)
         try:
+            assert sched.pause(timeout=5)
             f1 = sched.submit("m", np.array([1]))
             f2 = sched.submit("m", np.array([2]))
+            sched.resume()
             r1, r2 = f1.result(timeout=5), f2.result(timeout=5)
             assert r1.queue_wait_s >= 0.0
             assert r1.delay == pytest.approx(1e-9)
@@ -159,7 +197,7 @@ class TestCoalescing:
 
 class TestFailures:
     def test_engine_error_fails_batch_futures(self):
-        sched, _ = make_scheduler(FailingEngine(), max_batch=2, max_wait_ms=1.0)
+        sched, _ = make_scheduler(FailingEngine(), max_batch=2)
         try:
             futures = [sched.submit("m", np.array([i])) for i in range(2)]
             for f in futures:
@@ -179,11 +217,14 @@ class TestFailures:
                 return super().infer_batch(levels)
 
         sched, engine = make_scheduler(
-            WidthCheckingEngine(), max_batch=8, max_wait_ms=20.0
+            WidthCheckingEngine(), max_batch=8
         )
         try:
+            # Paused, all four rows share the worker's next pop.
+            assert sched.pause(timeout=5)
             good = [sched.submit("m", np.array([i, i])) for i in range(3)]
             bad = sched.submit("m", np.array([1, 2, 3]))
+            sched.resume()
             for i, f in enumerate(good):
                 assert f.result(timeout=5).prediction == 2 * i
             with pytest.raises(ValueError, match="bad width"):
@@ -194,7 +235,7 @@ class TestFailures:
             sched.shutdown()
 
     def test_unknown_key_fails_future_not_scheduler(self):
-        sched, _ = make_scheduler(max_batch=4, max_wait_ms=1.0)
+        sched, _ = make_scheduler(max_batch=4)
         try:
             bad = sched.submit("ghost", np.array([1]))
             with pytest.raises(KeyError):
@@ -208,7 +249,7 @@ class TestFailures:
 
 class TestLifecycle:
     def test_drain_completes_everything(self):
-        sched, engine = make_scheduler(max_batch=64, max_wait_ms=10_000.0)
+        sched, engine = make_scheduler(max_batch=64)
         futures = sched.submit_many("m", np.arange(10)[:, None])
         assert sched.drain(timeout=10)
         assert all(f.done() for f in futures)
@@ -228,7 +269,7 @@ class TestLifecycle:
 
     def test_non_draining_shutdown_cancels_queued(self):
         engine = RecordingEngine(gated=True)
-        sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
+        sched, _ = make_scheduler(engine, max_batch=1)
         first = sched.submit("m", np.array([1]))
         assert engine.started.wait(5)  # the worker is inside batch 1
         queued = [sched.submit("m", np.array([i])) for i in range(5)]
@@ -252,7 +293,7 @@ class TestLifecycle:
     def test_client_cancel_does_not_kill_worker(self):
         """A client cancelling its own future must not poison serving."""
         engine = RecordingEngine(gated=True)
-        sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
+        sched, _ = make_scheduler(engine, max_batch=1)
         try:
             blocker = sched.submit("m", np.array([1]))
             assert engine.started.wait(5)  # worker inside batch 1
@@ -268,26 +309,32 @@ class TestLifecycle:
             sched.shutdown()
 
     def test_drain_timeout_restores_coalescing(self):
-        engine = RecordingEngine(block_s=0.2)
-        sched, _ = make_scheduler(engine, max_batch=4, max_wait_ms=50.0)
+        engine = RecordingEngine(gated=True)
+        sched, _ = make_scheduler(engine, max_batch=4)
         try:
             sched.submit("m", np.array([1]))
+            assert engine.started.wait(5)  # the worker holds batch 1
             assert sched.drain(timeout=0.05) is False
-            # The force-flush flag must not stay latched after a timeout.
-            assert sched._draining is False
+            # A timed-out drain leaves nothing latched: rows queued
+            # after it still coalesce into the next batch.
+            for i in range(3):
+                sched.submit("m", np.array([i]))
+            engine.release.set()
             assert sched.drain(timeout=10) is True
+            assert [len(b) for b in engine.batches] == [1, 3]
         finally:
+            engine.release.set()
             sched.shutdown()
 
     def test_context_manager_drains(self):
-        with make_scheduler(max_batch=64, max_wait_ms=10_000.0)[0] as sched:
+        with make_scheduler(max_batch=64)[0] as sched:
             futures = sched.submit_many("m", np.arange(5)[:, None])
         assert all(f.done() and not f.cancelled() for f in futures)
 
 
 class TestConcurrency:
     def test_concurrent_submitters_no_drop_no_dup(self):
-        sched, engine = make_scheduler(max_batch=16, max_wait_ms=1.0)
+        sched, engine = make_scheduler(max_batch=16)
         try:
             n, workers = 400, 4
             futures = [None] * n
@@ -316,16 +363,52 @@ class TestConcurrency:
         finally:
             sched.shutdown()
 
+    def test_lone_round_trips_never_lose_a_wake(self):
+        """Eight clients each send a row and wait for its answer before
+        the next, so the queue empties and refills all the time.  No
+        timer rescues a stranded row: under a 1 µs switch interval, a
+        wake lost between an ``enqueue`` and the worker's sleep would
+        leave a row unread past its timeout."""
+        sched, _ = make_scheduler(max_batch=4)
+        n_threads, per_thread = 8, 50
+        answers = [[] for _ in range(n_threads)]
+
+        def client(k):
+            for i in range(per_thread):
+                future = sched.submit("m", np.array([k, i]))
+                answers[k].append(future.result(timeout=10).prediction)
+
+        threads = [
+            threading.Thread(target=client, args=(k,))
+            for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            sched.shutdown(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [
+            [k + i for i in range(per_thread)] for k in range(n_threads)
+        ]
+        snapshot = sched.telemetry.snapshot()
+        assert snapshot.submitted == snapshot.completed == n_threads * per_thread
+
 
 class TestQuiesce:
     """pause/resume/quiesce: the engine-maintenance primitive."""
 
     def test_pause_holds_batches_resume_releases(self):
-        sched, engine = make_scheduler(max_batch=4, max_wait_ms=0.1)
+        sched, engine = make_scheduler(max_batch=4)
         try:
             assert sched.pause(timeout=5)
             futures = [sched.submit("m", np.array([i])) for i in range(3)]
-            time.sleep(0.05)  # far beyond max_wait: would have flushed
+            time.sleep(0.05)  # an unpaused idle worker flushes at once
             assert engine.batches == []
             assert sched.pending == 3
             sched.resume()
@@ -336,7 +419,7 @@ class TestQuiesce:
 
     def test_pause_waits_out_inflight_batch(self):
         engine = RecordingEngine(gated=True)
-        sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
+        sched, _ = make_scheduler(engine, max_batch=1)
         try:
             future = sched.submit("m", np.array([7]))
             assert engine.started.wait(5)  # the worker holds the batch
@@ -354,7 +437,7 @@ class TestQuiesce:
 
     def test_pause_timeout_leaves_scheduler_running(self):
         engine = RecordingEngine(gated=True)
-        sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
+        sched, _ = make_scheduler(engine, max_batch=1)
         try:
             sched.submit("m", np.array([1]))
             assert engine.started.wait(5)
@@ -367,7 +450,7 @@ class TestQuiesce:
             sched.shutdown()
 
     def test_quiesce_context_manager(self):
-        sched, engine = make_scheduler(max_batch=2, max_wait_ms=0.1)
+        sched, engine = make_scheduler(max_batch=2)
         try:
             with sched.quiesce(timeout=5):
                 sched.submit("m", np.array([1]))
@@ -387,7 +470,7 @@ class TestQuiesce:
             sched.shutdown()
 
     def test_nested_pause(self):
-        sched, engine = make_scheduler(max_batch=1, max_wait_ms=0.0)
+        sched, engine = make_scheduler(max_batch=1)
         try:
             sched.pause(timeout=5)
             sched.pause(timeout=5)
@@ -432,7 +515,7 @@ class TestLaneGauge:
         engine = RecordingEngine()
         sched = MicroBatchScheduler(
             lambda key: engine,
-            BatchPolicy(max_batch=8, max_wait_ms=0),
+            BatchPolicy(max_batch=8),
             telemetry=GatedTelemetry(8),
             max_queue_depth=4 if path == "bounded" else None,
         )
@@ -502,7 +585,7 @@ class TestRowOwners:
     cancelled."""
 
     def test_served_rows_are_claimed_then_served(self):
-        sched, _ = make_scheduler(max_batch=4, max_wait_ms=1.0)
+        sched, _ = make_scheduler(max_batch=4)
         owner = RecordingOwner()
         rows = owner.rows(6)
         try:
@@ -525,7 +608,7 @@ class TestRowOwners:
             sched.shutdown()
 
     def test_failing_engine_fails_the_rows_that_ran(self):
-        sched, _ = make_scheduler(FailingEngine(), max_batch=4, max_wait_ms=1.0)
+        sched, _ = make_scheduler(FailingEngine(), max_batch=4)
         owner = RecordingOwner()
         rows = owner.rows(3)
         try:
@@ -543,7 +626,7 @@ class TestRowOwners:
         engine = RecordingEngine(gated=True)
         sched = MicroBatchScheduler(
             lambda key: engine,
-            BatchPolicy(max_batch=1, max_wait_ms=0.0),
+            BatchPolicy(max_batch=1),
             max_queue_depth=1,
         )
         owner = RecordingOwner()
@@ -568,7 +651,7 @@ class TestRowOwners:
 
     def test_non_draining_shutdown_cancels_queued_rows(self):
         engine = RecordingEngine(gated=True)
-        sched, _ = make_scheduler(engine, max_batch=1, max_wait_ms=0.0)
+        sched, _ = make_scheduler(engine, max_batch=1)
         owner = RecordingOwner()
         rows = owner.rows(3)
         running = sched.submit("m", np.array([1]))
@@ -595,7 +678,7 @@ class TestRowOwners:
         engine = RecordingEngine(gated=True)
         sched = MicroBatchScheduler(
             lambda key: engine,
-            BatchPolicy(max_batch=1, max_wait_ms=0.0),
+            BatchPolicy(max_batch=1),
             max_queue_depth=1,
         )
         running = sched.submit("m", np.array([1]))
@@ -623,7 +706,7 @@ class TestRowHandles:
         """Eight threads cancel rows while the batch worker claims and
         serves them: each row ends cancelled or served, never both, its
         done callback fires once, and the books close."""
-        sched, _ = make_scheduler(max_batch=16, max_wait_ms=0.0)
+        sched, _ = make_scheduler(max_batch=16)
         n, n_threads = 2048, 8
         fired = [0] * n
         lock = threading.Lock()
@@ -702,7 +785,7 @@ class TestOneAdmissionPath:
         engine = RecordingEngine(gated=True)
         sched = MicroBatchScheduler(
             lambda key: engine,
-            BatchPolicy(max_batch=1, max_wait_ms=0.0),
+            BatchPolicy(max_batch=1),
             max_queue_depth=depth,
         )
         sched.telemetry.recorder = FlightRecorder()
@@ -768,7 +851,7 @@ class TestOneAdmissionPath:
     def test_rows_of_two_keys_in_one_batch_are_read_as_two_groups(self):
         engines = {"a": RecordingEngine(), "b": RecordingEngine()}
         sched = MicroBatchScheduler(
-            lambda key: engines[key], BatchPolicy(max_batch=8, max_wait_ms=0.0)
+            lambda key: engines[key], BatchPolicy(max_batch=8)
         )
         owner = RecordingOwner()
         rows_a, rows_b = owner.rows(2), owner.rows(3)

@@ -31,7 +31,7 @@ def make_model(k=3, m=4, seed=0):
 def server(tmp_path):
     with FeBiMServer(
         ModelRegistry(tmp_path / "reg"),
-        policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+        policy=BatchPolicy(max_batch=8),
         seed=0,
     ) as srv:
         srv.register("alpha", make_model(seed=1))
@@ -93,7 +93,7 @@ class TestRngStreams:
     def test_same_seed_servers_share_engine_stream(self, tmp_path, server):
         with FeBiMServer(
             ModelRegistry(tmp_path / "reg2"),
-            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=8),
             seed=0,
         ) as other:
             other.register("alpha", make_model(seed=1))
@@ -143,7 +143,7 @@ class TestTelemetryAndLifecycle:
         before = set(threading.enumerate())
         server = FeBiMServer(
             ModelRegistry(tmp_path / "reg6"),
-            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=8),
             seed=0,
         )
         for seed, name in enumerate(("alpha", "beta", "gamma", "delta")):
@@ -233,7 +233,7 @@ class TestImplicitLifecycle:
         one, whose next request rebuilds it bit for bit."""
         with FeBiMServer(
             ModelRegistry(tmp_path / "reg"),
-            policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=8),
             seed=0,
         ) as server:
             server.router.max_implicit = 2
@@ -294,7 +294,7 @@ class TestTiledRouting:
     def test_many_class_tenant_served_tiled(self, tmp_path):
         with FeBiMServer(
             ModelRegistry(tmp_path / "reg5"),
-            policy=BatchPolicy(max_batch=4, max_wait_ms=1.0),
+            policy=BatchPolicy(max_batch=4),
             seed=0,
             max_rows=8,
         ) as server:

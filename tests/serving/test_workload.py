@@ -55,7 +55,7 @@ def scenario(*backends, kind="round_robin", **kwargs):
             RoutingPolicy(kind),
         ),
         submitters=2,
-        policy=BatchPolicy(max_batch=8, max_wait_ms=1.0),
+        policy=BatchPolicy(max_batch=8),
         **kwargs,
     )
 

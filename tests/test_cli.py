@@ -32,8 +32,13 @@ class TestParser:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.max_batch == 64 and args.max_wait_ms == 2.0
+        assert args.max_batch == 64 and not hasattr(args, "max_wait_ms")
         assert args.models == 2 and not args.json
+
+    def test_flush_timer_flags_are_gone(self):
+        for argv in (["serve"], ["submit", "reg", "model", "--levels", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--max-wait-ms", "2"])
 
     def test_submit_requires_levels(self):
         with pytest.raises(SystemExit):
