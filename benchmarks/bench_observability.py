@@ -17,9 +17,13 @@ contracts before anyone is allowed to trust it during an incident:
    (one spike, one recovery);
 3. **export round-trip** — the Prometheus text rendering of the final
    snapshot parses under the strict reader (no NaN samples, no
-   malformed lines) and reproduces every counter exactly, and the
+   malformed lines) and reproduces every counter exactly, the
    metrics series' request-outcome deltas sum to the counters and
-   account for every submitted request;
+   account for every submitted request, and the whole result — its
+   traces, flight events, metrics points and hardware samples, the
+   rows ``febim trace --out``, ``febim events --out`` and
+   ``--metrics-out`` write — serialises as strict JSON (no ``NaN`` or
+   ``Infinity`` token);
 4. **off means off** — with tracing disabled the serving hot path pays
    one attribute read and one integer comparison.  Asserted at two
    levels: a tight loop over the routed ``FeBiMServer.submit`` path
@@ -185,6 +189,15 @@ def check_metrics_series(result) -> None:
     assert points[-1]["in_flight"] == 0, "series did not close after drain"
 
 
+def check_strict_json(result) -> None:
+    try:
+        json.dumps(result.to_dict(), allow_nan=False)
+    except ValueError as exc:
+        raise AssertionError(
+            f"the traced spike's result is not strict JSON: {exc}"
+        ) from None
+
+
 def measure_submit_path(
     rounds: int = SUBMIT_PATH_ROUNDS,
     chunk: int = SUBMIT_PATH_CHUNK,
@@ -314,6 +327,7 @@ def test_observability_gate(once):
     check_flight(result)
     check_prometheus(result)
     check_metrics_series(result)
+    check_strict_json(result)
 
 
 def test_observability_submit_path(once):
@@ -369,6 +383,7 @@ def main() -> int:
         check_flight(result)
         check_prometheus(result)
         check_metrics_series(result)
+        check_strict_json(result)
         untraced_sps, rate0_sps = measure_submit_path(seed=args.seed)
         check_submit_path(untraced_sps, rate0_sps)
         if not args.smoke:

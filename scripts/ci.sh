@@ -39,8 +39,11 @@
 #      deltas (submitted, completed, failed, shed, cancelled) sum to
 #      the counters and account for every submitted request, a
 #      Prometheus export that round-trips the strict parser with
-#      every counter of the telemetry table, and a submit path that
-#      tracing-disabled does not slow:
+#      every counter of the telemetry table, a result (traces, flight
+#      events, metrics points, hardware samples) that serialises as
+#      strict JSON with json.dumps(..., allow_nan=False), the rule the
+#      shared bounded log and the CLI's JSONL files follow, and a
+#      submit path that tracing-disabled does not slow:
 #      the path served traffic takes (FeBiMServer.submit into an
 #      undeployed model's implicit deployment), no router tracer vs a
 #      rate-0 one, the two arms interleaved chunk by chunk, each arm's

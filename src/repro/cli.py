@@ -87,8 +87,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     )
     widths = {t.shape[1] for t in model.likelihood_levels}
     if len(widths) != 1:
-        print("error: artifact has heterogeneous evidence widths", file=sys.stderr)
-        return 2
+        raise ValueError("artifact has heterogeneous evidence widths")
     disc = FeatureDiscretizer(widths.pop()).fit(X_tr)
     acc = engine.score(disc.transform(X_te), y_te)
     print(f"crossbar {engine.shape[0]} x {engine.shape[1]}")
@@ -125,11 +124,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
     except ValueError:
-        print("error: --batch-sizes must be comma-separated integers", file=sys.stderr)
-        return 2
+        raise ValueError("--batch-sizes must be comma-separated integers") from None
     if not batch_sizes or any(b < 1 for b in batch_sizes):
-        print("error: --batch-sizes needs at least one integer >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--batch-sizes needs at least one integer >= 1")
     result = run_throughput(
         dataset=args.dataset,
         batch_sizes=batch_sizes,
@@ -150,11 +147,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _write_jsonl(path: str, rows) -> None:
     """Write dict rows (traces, events, metrics points) as strict JSONL."""
-    import json
+    from repro.reliability.observability import strict_jsonl
 
+    text = strict_jsonl(rows)
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def _emit_rows(args: argparse.Namespace, rows: list, noun: str, render,
@@ -162,14 +159,13 @@ def _emit_rows(args: argparse.Namespace, rows: list, noun: str, render,
     """The tail ``trace`` and ``events`` share: every row to ``--out``
     as JSONL, or the first ``limit`` printed one JSON object per line
     (``--json``) or rendered by ``render``."""
-    import json
+    from repro.reliability.observability import strict_jsonl
 
     if args.out:
         _write_jsonl(args.out, rows)
         print(f"{len(rows)} {noun} written to {args.out}")
     elif args.json:
-        for row in rows[:limit]:
-            print(json.dumps(row, allow_nan=False))
+        print(strict_jsonl(rows[:limit]), end="")
     else:
         print(render(rows[:limit]))
     return 0
@@ -197,58 +193,54 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics_s=0.1 if args.metrics_out else None,
         seed=args.seed,
     )
-    try:
-        if (args.workers or args.kill_worker) and not args.deployment:
-            raise ValueError("--workers and --kill-worker need --deployment")
-        if args.slo:
-            registry = None
-            scenario = dataclasses.replace(
-                spike(trace_rate=args.trace_rate, seed=args.seed),
-                metrics_s=common["metrics_s"],
-            )
-        elif args.deployment:
-            from repro.io import load_deployment
-            from repro.serving.deployment import PlacementSpec
-            from repro.serving.registry import ModelRegistry
+    if (args.workers or args.kill_worker) and not args.deployment:
+        raise ValueError("--workers and --kill-worker need --deployment")
+    if args.slo:
+        registry = None
+        scenario = dataclasses.replace(
+            spike(trace_rate=args.trace_rate, seed=args.seed),
+            metrics_s=common["metrics_s"],
+        )
+    elif args.deployment:
+        from repro.io import load_deployment
+        from repro.serving.deployment import PlacementSpec
+        from repro.serving.registry import ModelRegistry
 
-            if not args.registry:
-                raise ValueError(
-                    "--deployment needs --registry (the directory the "
-                    "deployed model is registered in)"
-                )
-            deployment = load_deployment(args.deployment)
-            if args.workers is not None:
-                # Force the spec onto process placement without editing
-                # the file.
-                deployment = dataclasses.replace(
-                    deployment,
-                    placement=PlacementSpec(
-                        kind="process", workers=args.workers
-                    ).validate(),
-                )
-            registry = ModelRegistry(args.registry, backend=args.backend)
-            scenario = Scenario(
-                deployment=deployment,
-                maintenance_s=MAINTENANCE_S if args.kill_worker else None,
-                faults=(
-                    (Fault("kill_worker", at=args.requests // 4),)
-                    if args.kill_worker else ()
-                ),
-                **common,
+        if not args.registry:
+            raise ValueError(
+                "--deployment needs --registry (the directory the "
+                "deployed model is registered in)"
             )
-        else:
-            scenario = Scenario(
-                dataset=args.dataset,
-                n_models=args.models,
-                q_f=args.qf,
-                q_l=args.ql,
-                backend=args.backend,
-                **common,
+        deployment = load_deployment(args.deployment)
+        if args.workers is not None:
+            # Force the spec onto process placement without editing
+            # the file.
+            deployment = dataclasses.replace(
+                deployment,
+                placement=PlacementSpec(
+                    kind="process", workers=args.workers
+                ).validate(),
             )
-        result = run_scenario(scenario, registry)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        registry = ModelRegistry(args.registry, backend=args.backend)
+        scenario = Scenario(
+            deployment=deployment,
+            maintenance_s=MAINTENANCE_S if args.kill_worker else None,
+            faults=(
+                (Fault("kill_worker", at=args.requests // 4),)
+                if args.kill_worker else ()
+            ),
+            **common,
+        )
+    else:
+        scenario = Scenario(
+            dataset=args.dataset,
+            n_models=args.models,
+            q_f=args.qf,
+            q_l=args.ql,
+            backend=args.backend,
+            **common,
+        )
+    result = run_scenario(scenario, registry)
     if args.metrics_out:
         _write_jsonl(args.metrics_out, result.metrics)
         print(f"metrics time-series written to {args.metrics_out}")
@@ -266,8 +258,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.serving.workload import Scenario, run_scenario, spike
 
     if not 0.0 < args.rate <= 1.0:
-        print("error: --rate must lie in (0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("--rate must lie in (0, 1]")
     if args.slo:
         scenario = spike(trace_rate=args.rate, seed=args.seed)
     else:
@@ -291,12 +282,10 @@ def _cmd_events(args: argparse.Namespace) -> int:
         kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
         unknown = kinds - EVENT_KINDS
         if unknown:
-            print(
-                f"error: unknown event kinds: {', '.join(sorted(unknown))} "
-                f"(taxonomy: {', '.join(sorted(EVENT_KINDS))})",
-                file=sys.stderr,
+            raise ValueError(
+                f"unknown event kinds: {', '.join(sorted(unknown))} "
+                f"(taxonomy: {', '.join(sorted(EVENT_KINDS))})"
             )
-            return 2
     result = run_scenario(
         spike(spike_factor=args.spike_factor, trace_rate=args.rate, seed=args.seed)
     )
@@ -312,11 +301,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.serving.workload import format_health_run, run_health_workload
 
     if not 0.0 < args.warn_ratio <= 1.0:
-        print("error: --warn-ratio must lie in (0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("--warn-ratio must lie in (0, 1]")
     if args.drift_rate <= 0.0:
-        print("error: --drift-rate must be > 0", file=sys.stderr)
-        return 2
+        raise ValueError("--drift-rate must be > 0")
     result = run_health_workload(
         warn_ratio=args.warn_ratio,
         drift_rate=args.drift_rate,
@@ -345,17 +332,14 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     try:
         deployment = load_deployment(args.spec)
     except (ValueError, OSError) as exc:
-        print(f"error: invalid deployment spec: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"invalid deployment spec: {exc}") from None
     registry = ModelRegistry(args.registry, backend=args.backend)
     if deployment.model not in registry:
         known = ", ".join(sorted(registry.list_models())) or "<none>"
-        print(
-            f"error: deployment model {deployment.model!r} is not in the "
-            f"registry (registered: {known})",
-            file=sys.stderr,
+        raise ValueError(
+            f"deployment model {deployment.model!r} is not in the "
+            f"registry (registered: {known})"
         )
-        return 2
     if args.validate_only:
         print(f"spec OK: {deployment.describe()}")
         return 0
@@ -365,8 +349,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         try:
             applied = server.deploy(deployment)
         except (ValueError, KeyError) as exc:
-            print(f"error: deployment failed to apply: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"deployment failed to apply: {exc}") from None
         statuses = [s.to_dict() for s in server.router.status(deployment.model)]
     if args.json:
         print(
@@ -401,20 +384,15 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         levels = [int(v) for v in args.levels.split(",") if v.strip()]
     except ValueError:
-        print("error: --levels must be comma-separated integers", file=sys.stderr)
-        return 2
+        raise ValueError("--levels must be comma-separated integers") from None
     if not levels:
-        print("error: --levels needs at least one integer", file=sys.stderr)
-        return 2
+        raise ValueError("--levels needs at least one integer")
     registry = ModelRegistry(args.registry, backend=args.backend)
     if args.model not in registry:
         known = ", ".join(sorted(registry.list_models())) or "<none>"
-        print(
-            f"error: no model {args.model!r} in registry "
-            f"(registered: {known})",
-            file=sys.stderr,
+        raise ValueError(
+            f"no model {args.model!r} in registry (registered: {known})"
         )
-        return 2
     with FeBiMServer(
         registry,
         policy=BatchPolicy(max_batch=args.max_batch),
@@ -425,8 +403,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 args.model, levels, version=args.version, timeout=60.0
             )
         except (ValueError, KeyError) as exc:
-            print(f"error: request rejected: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"request rejected: {exc}") from None
         payload = {
             "model": result.model,
             "prediction": int(result.prediction),
@@ -471,36 +448,30 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     )
     from repro.devices.retention import RetentionModel
 
-    # Every usage error follows the CLI contract: message on stderr,
-    # exit code 2 — never a traceback or a bare SystemExit(1).
-    try:
-        if args.ages is not None:
-            ages = _parse_float_list(args.ages, "--ages")
-            if any(a < 0 for a in ages):
-                raise ValueError("--ages must be >= 0")
-            points = aging_points(ages)
-        else:
-            rates = _parse_float_list(args.rates, "--rates")
-            if any(not 0.0 <= r <= 1.0 for r in rates):
-                raise ValueError("--rates must lie in [0, 1]")
-            points = fault_rate_points(rates)
-        config = CampaignConfig(
-            points=points,
-            dataset=args.dataset,
-            trials=args.trials,
-            q_f=args.qf,
-            q_l=args.ql,
-            mitigation=args.mitigation,
-            spare_rows=args.spare_rows,
-            max_rows=args.max_rows,
-            retention=RetentionModel(drift_rate=args.drift_rate_mv * 1e-3),
-            backend=args.backend,
-            shared_model=args.shared_model,
-        )
-        result = run_campaign(config, seed=args.seed, workers=args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.ages is not None:
+        ages = _parse_float_list(args.ages, "--ages")
+        if any(a < 0 for a in ages):
+            raise ValueError("--ages must be >= 0")
+        points = aging_points(ages)
+    else:
+        rates = _parse_float_list(args.rates, "--rates")
+        if any(not 0.0 <= r <= 1.0 for r in rates):
+            raise ValueError("--rates must lie in [0, 1]")
+        points = fault_rate_points(rates)
+    config = CampaignConfig(
+        points=points,
+        dataset=args.dataset,
+        trials=args.trials,
+        q_f=args.qf,
+        q_l=args.ql,
+        mitigation=args.mitigation,
+        spare_rows=args.spare_rows,
+        max_rows=args.max_rows,
+        retention=RetentionModel(drift_rate=args.drift_rate_mv * 1e-3),
+        backend=args.backend,
+        shared_model=args.shared_model,
+    )
+    result = run_campaign(config, seed=args.seed, workers=args.workers)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -901,9 +872,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``febim`` console script."""
+    """Entry point for the ``febim`` console script.
+
+    Every usage error follows one contract: a command's bad value
+    (``ValueError``), unknown name (``KeyError``) or unusable path
+    (``OSError``) prints ``error: <message>`` on stderr and exits 2,
+    never a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,10 +23,18 @@ first-class surface:
 * :class:`HardwareGauges` folds the latest sample per replica into the
   worst-case scalar gauges the Prometheus exporter publishes.
 
+:class:`BoundedLog` is the one ring all four observability logs are
+built on — the serving plane's flight recorder, tracer and metrics
+ring, and the ledger here: a lock, a ``deque(maxlen=capacity)`` that
+evicts the oldest record first, locked snapshot reads, ``len``,
+``clear`` and one strict-JSONL rule (:func:`strict_jsonl`: one JSON
+object per line, ``ValueError`` on a NaN or infinity, never a
+``NaN`` token).  It lives here because the serving layer imports this
+module, never the other way round.
+
 Everything here is pure bookkeeping over numpy arrays; nothing imports
-the serving layer (the serving layer imports us), and nothing touches
-a device — the read-path cost of a disabled probe is zero by
-construction.
+the serving layer, and nothing touches a device — the read-path cost
+of a disabled probe is zero by construction.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -51,6 +60,52 @@ def _or_none(value) -> Optional[float]:
         return None
     value = float(value)
     return None if value != value else value
+
+
+# ---------------------------------------------------------------- shared log
+def strict_jsonl(rows: Iterable[dict]) -> str:
+    """The one JSONL rule: each row one strict-JSON line.
+
+    A NaN or infinity raises ``ValueError`` (absent values go through
+    :func:`_or_none` as ``null``); every line ends in a newline.
+    """
+    return "".join(json.dumps(row, allow_nan=False) + "\n" for row in rows)
+
+
+class BoundedLog:
+    """Thread-safe ring of records, the oldest evicted first.
+
+    Each record has a ``to_dict()``; subclasses add how a record is
+    made and their named readers over :meth:`_snapshot`.
+    """
+
+    def __init__(self, capacity: int):
+        check_positive_int(capacity, "capacity")
+        self._lock = threading.Lock()
+        self._records: deque = deque(maxlen=capacity)
+
+    def _append(self, record):
+        with self._lock:
+            self._records.append(record)
+        return record
+
+    def _snapshot(self) -> list:
+        """Retained records, oldest first."""
+        with self._lock:
+            return list(self._records)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._records)
+
+    def clear(self) -> None:
+        """Drop every retained record."""
+        with self._lock:
+            self._records.clear()
+
+    def to_jsonl(self) -> str:
+        """Retained records as strict JSONL (:func:`strict_jsonl`)."""
+        return strict_jsonl(r.to_dict() for r in self._snapshot())
 
 
 # ---------------------------------------------------------------- margin math
@@ -208,7 +263,7 @@ class DeviceHealthSample:
         }
 
 
-class DeviceHealthLedger:
+class DeviceHealthLedger(BoundedLog):
     """Thread-safe bounded ring of :class:`DeviceHealthSample` rows.
 
     The hardware plane's flight recorder: the maintenance cadence
@@ -218,18 +273,11 @@ class DeviceHealthLedger:
     """
 
     def __init__(self, capacity: int = LEDGER_CAPACITY):
-        check_positive_int(capacity, "capacity")
-        self._lock = threading.Lock()
-        self._samples: List[DeviceHealthSample] = []
-        self._capacity = capacity
+        super().__init__(capacity)
 
     def record(self, sample: DeviceHealthSample) -> DeviceHealthSample:
         """Append one sample (oldest rows evicted past capacity)."""
-        with self._lock:
-            self._samples.append(sample)
-            if len(self._samples) > self._capacity:
-                del self._samples[: len(self._samples) - self._capacity]
-        return sample
+        return self._append(sample)
 
     def sample(
         self,
@@ -266,8 +314,7 @@ class DeviceHealthLedger:
         self, replica: Optional[str] = None
     ) -> List[DeviceHealthSample]:
         """Retained samples in record order, optionally one replica's."""
-        with self._lock:
-            snapshot = list(self._samples)
+        snapshot = self._snapshot()
         if replica is None:
             return snapshot
         return [s for s in snapshot if s.replica == replica]
@@ -278,28 +325,6 @@ class DeviceHealthLedger:
         for sample in self.samples():
             result[sample.replica] = sample
         return result
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
-
-    def to_jsonl(self) -> str:
-        """Strict JSONL (NaN margins serialise as ``null``)."""
-        return "\n".join(
-            json.dumps(s.to_dict(), allow_nan=False) for s in self.samples()
-        )
-
-    def dump(self, path: str) -> str:
-        """Write :meth:`to_jsonl` to ``path``; returns the path."""
-        with open(path, "w") as fh:
-            text = self.to_jsonl()
-            if text:
-                fh.write(text + "\n")
-        return path
 
     def __repr__(self) -> str:
         return f"DeviceHealthLedger({len(self)} samples)"

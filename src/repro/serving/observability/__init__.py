@@ -9,7 +9,7 @@ Three complementary windows into a running :class:`~repro.serving.server.FeBiMSe
 * **Flight recorder** (:mod:`~repro.serving.observability.events`) —
   a bounded ring of typed transitions (shed, failover, heal-ladder
   rung, scale decision with its triggering snapshot) for post-incident
-  forensics, dumpable as JSONL.
+  forensics.
 * **Metrics export** (:mod:`~repro.serving.observability.metrics`) —
   periodic delta time-series over telemetry snapshots, exportable as
   Prometheus text or JSONL.
@@ -19,7 +19,11 @@ Three complementary windows into a running :class:`~repro.serving.server.FeBiMSe
   inventory, BIST fault counts and read-margin statistics, sampled on
   the maintenance cadence.
 
-All four are off by default and cost nearly nothing until armed; wire
+All four are one bounded log
+(:class:`~repro.reliability.observability.BoundedLog`): a ring that
+evicts its oldest record first, with ``len``, ``clear`` and a strict
+``to_jsonl`` (one JSON object per line, never a ``NaN`` token).  All
+four are off by default and cost nearly nothing until armed; wire
 them in with :meth:`FeBiMServer.enable_observability`, or construct an
 :class:`Observability` bundle directly for workload harnesses.
 """

@@ -6,14 +6,16 @@ incident the question is *which, in what order, and why*.  The
 serving plane — a shed, a displacement, a failover hop, a canary
 failure, a heal-ladder rung, a scale decision with the snapshot that
 triggered it — is appended as a :class:`FlightEvent` with a monotonic
-sequence number, so a JSONL dump replays the incident in causal order.
+sequence number, so its :meth:`~FlightRecorder.to_jsonl` replays the
+incident in causal order.
 
 Events are emitted through
 :meth:`repro.serving.telemetry.Telemetry.emit`, which is a single
 ``None`` check when no recorder is attached — the recorder costs
-nothing until armed.  The ring is bounded (oldest events evicted), so a
-long-lived server can leave it on permanently; capacity is the
-retention window, not a leak.
+nothing until armed.  The ring is the shared
+:class:`~repro.reliability.observability.BoundedLog` (oldest events
+evicted, strict JSONL), so a long-lived server can leave it on
+permanently; capacity is the retention window, not a leak.
 
 The event taxonomy is **closed**: :meth:`FlightRecorder.record`
 rejects kinds outside :data:`EVENT_KINDS`, so a typo at an emission
@@ -22,14 +24,11 @@ site fails loudly in tests instead of silently fragmenting the stream.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.utils.validation import check_positive_int
+from repro.reliability.observability import BoundedLog, strict_jsonl
 
 #: Default ring capacity.
 RECORDER_CAPACITY = 4096
@@ -74,7 +73,7 @@ class FlightEvent:
     """One recorded transition.
 
     ``seq`` is a per-recorder monotonic counter — the causal order of
-    the dump, immune to clock granularity; ``t_s`` is the
+    the JSONL, immune to clock granularity; ``t_s`` is the
     ``time.monotonic()`` reading for interval arithmetic against other
     events and trace spans.
     """
@@ -89,21 +88,19 @@ class FlightEvent:
                 **self.detail}
 
 
-class FlightRecorder:
+class FlightRecorder(BoundedLog):
     """Thread-safe bounded ring of :class:`FlightEvent`.
 
     Parameters
     ----------
     capacity:
         Events retained; the oldest fall off first.  Sequence numbers
-        keep counting, so a dump makes eviction visible (the first
-        retained ``seq`` is not 0).
+        keep counting (through :meth:`clear` too), so the JSONL makes
+        eviction visible (the first retained ``seq`` is not 0).
     """
 
     def __init__(self, capacity: int = RECORDER_CAPACITY):
-        check_positive_int(capacity, "capacity")
-        self._lock = threading.Lock()
-        self._events: deque = deque(maxlen=capacity)
+        super().__init__(capacity)
         self._seq = 0
 
     def record(self, kind: str, **detail) -> FlightEvent:
@@ -117,12 +114,8 @@ class FlightRecorder:
         with self._lock:
             event = FlightEvent(self._seq, now, kind, detail)
             self._seq += 1
-            self._events.append(event)
+            self._records.append(event)
         return event
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
 
     # --------------------------------------------------------------- reading
     def events(
@@ -136,38 +129,17 @@ class FlightRecorder:
                 raise ValueError(
                     f"unknown event kinds: {', '.join(sorted(unknown))}"
                 )
-        with self._lock:
-            snapshot = list(self._events)
+        snapshot = self._snapshot()
         if kinds is None:
             return snapshot
         return [e for e in snapshot if e.kind in kinds]
 
     def to_jsonl(self, kinds: Optional[Iterable[str]] = None) -> str:
-        """One strict-JSON object per event (post-incident dump)."""
-        return "\n".join(
-            json.dumps(e.to_dict(), allow_nan=False)
-            for e in self.events(kinds)
-        )
-
-    def dump(self, path: str, kinds: Optional[Iterable[str]] = None) -> str:
-        """Write :meth:`to_jsonl` to ``path``; returns the path."""
-        with open(path, "w") as fh:
-            text = self.to_jsonl(kinds)
-            if text:
-                fh.write(text + "\n")
-        return path
-
-    def clear(self) -> None:
-        """Drop retained events (the sequence counter keeps running)."""
-        with self._lock:
-            self._events.clear()
+        """One strict-JSON line per event, optionally kind-filtered."""
+        return strict_jsonl(e.to_dict() for e in self.events(kinds))
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"FlightRecorder({len(self._events)} events retained, "
-                f"seq={self._seq})"
-            )
+        return f"FlightRecorder({len(self)} events retained, seq={self._seq})"
 
 
 def format_events(events) -> str:

@@ -15,9 +15,10 @@ Two export formats:
 * :func:`to_prometheus` renders one snapshot in the Prometheus text
   exposition format (``febim_*`` counters and gauges with ``# TYPE``
   headers), the pull-scrape integration point;
-* :meth:`MetricsRing.to_jsonl` dumps the ring as strict JSONL (NaN-free
-  — pre-first-completion percentiles serialise as ``null``), the
-  ``--metrics-out`` file format.
+* :meth:`MetricsRing.to_jsonl` writes the ring as strict JSONL (the
+  rule every observability log shares; pre-first-completion
+  percentiles serialise as ``null``), the ``--metrics-out`` file
+  format.
 
 :func:`parse_prometheus` is the matching minimal parser — the CI
 observability gate round-trips the exporter through it so a formatting
@@ -26,25 +27,19 @@ regression cannot ship.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.reliability.observability import BoundedLog, _or_none
 from repro.serving.policy import DOWN, HEALTHY
 from repro.serving.telemetry import COUNTERS, TelemetrySnapshot
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive
 
 #: Default history ring capacity.
 METRICS_CAPACITY = 512
-
-
-def _or_none(value: float) -> Optional[float]:
-    """NaN-safe gauge: strict JSON has no NaN, so absent is ``null``."""
-    return None if value != value else float(value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class MetricsPoint:
         }
 
 
-class MetricsRing:
+class MetricsRing(BoundedLog):
     """Bounded time-series of telemetry deltas.
 
     Thread-safe; one writer (the sampler cadence) is the expected
@@ -108,9 +103,7 @@ class MetricsRing:
     """
 
     def __init__(self, capacity: int = METRICS_CAPACITY):
-        check_positive_int(capacity, "capacity")
-        self._lock = threading.Lock()
-        self._points: deque = deque(maxlen=capacity)
+        super().__init__(capacity)
         self._last: Optional[TelemetrySnapshot] = None
         self._last_t: Optional[float] = None
 
@@ -157,31 +150,13 @@ class MetricsRing:
                 replicas=replicas,
                 hardware=hardware,
             )
-            self._points.append(point)
+            self._records.append(point)
             self._last, self._last_t = snapshot, now
         return point
 
     def points(self) -> List[MetricsPoint]:
-        with self._lock:
-            return list(self._points)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._points)
-
-    def to_jsonl(self) -> str:
-        """Strict JSONL (one point per line; NaN-free by construction)."""
-        return "\n".join(
-            json.dumps(p.to_dict(), allow_nan=False) for p in self.points()
-        )
-
-    def dump(self, path: str) -> str:
-        """Write :meth:`to_jsonl` to ``path``; returns the path."""
-        with open(path, "w") as fh:
-            text = self.to_jsonl()
-            if text:
-                fh.write(text + "\n")
-        return path
+        """Retained points, oldest first."""
+        return self._snapshot()
 
     def __repr__(self) -> str:
         return f"MetricsRing({len(self)} points)"

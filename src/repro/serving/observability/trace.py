@@ -16,22 +16,22 @@ a traced run is reproducible and the untraced hot path pays exactly one
 ``sample()`` returns ``None`` before touching the lock — tracing costs
 nothing until someone turns it on.
 
-Traces land in a bounded ring at *creation* time, not completion: a
-request that vanished mid-flight shows up as a trace with an open span,
-which is precisely the kind of request a flight recorder dump gets
-pulled for.
+Traces land in a bounded ring (the shared
+:class:`~repro.reliability.observability.BoundedLog`, strict JSONL
+like every other observability log) at *creation* time, not
+completion: a request that vanished mid-flight shows up as a trace
+with an open span, which is precisely the kind of request a flight
+recorder dump gets pulled for.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional
 
-from repro.utils.validation import check_positive_int
+from repro.reliability.observability import BoundedLog
 
 #: Default ring capacity for retained traces.
 TRACE_CAPACITY = 256
@@ -189,22 +189,9 @@ class Trace:
         }
 
     def format_lines(self) -> str:
-        """Human-readable one-trace report (``febim trace``)."""
-        head = (
-            f"trace {self.trace_id} {self.route}"
-            + (f" client={self.client}" if self.client else "")
-            + f"  {self.duration_s * 1e3:.3f} ms -> {self.outcome or 'in flight'}"
-        )
-        lines = [head]
-        for span in self.spans:
-            attrs = "  ".join(
-                f"{k}={_fmt_attr(v)}" for k, v in sorted(span.attributes.items())
-            )
-            state = (
-                f"{span.duration_s * 1e3:9.3f} ms" if span.closed else "     open"
-            )
-            lines.append(f"  {span.name:<12s} {state}  {attrs}".rstrip())
-        return "\n".join(lines)
+        """Human-readable one-trace report: :func:`format_trace_dicts`
+        of its :meth:`to_dict`, the one trace renderer."""
+        return format_trace_dicts([self.to_dict()])
 
 
 def _fmt_attr(value) -> str:
@@ -243,7 +230,7 @@ def format_trace_dicts(traces) -> str:
     return "\n".join(lines)
 
 
-class Tracer:
+class Tracer(BoundedLog):
     """Deterministic every-Nth request sampler with a bounded trace ring.
 
     Parameters
@@ -264,13 +251,11 @@ class Tracer:
             raise ValueError(
                 f"sample_rate must lie in [0, 1], got {sample_rate}"
             )
-        check_positive_int(capacity, "capacity")
+        super().__init__(capacity)
         self.sample_rate = float(sample_rate)
         self._period = 0 if sample_rate <= 0 else max(1, round(1.0 / sample_rate))
         self._counter = itertools.count()
         self._ids = itertools.count()
-        self._lock = threading.Lock()
-        self._traces: deque = deque(maxlen=capacity)
 
     @property
     def enabled(self) -> bool:
@@ -286,34 +271,17 @@ class Tracer:
             return None
         if next(self._counter) % self._period:
             return None
-        trace = Trace(next(self._ids), route, client=client)
-        with self._lock:
-            self._traces.append(trace)
-        return trace
+        return self._append(Trace(next(self._ids), route, client=client))
 
     # --------------------------------------------------------------- reading
     def traces(self) -> List[Trace]:
         """Retained traces, oldest first (finished or not)."""
-        with self._lock:
-            return list(self._traces)
+        return self._snapshot()
 
     def finished(self) -> List[Trace]:
         return [t for t in self.traces() if t.finished]
 
-    def to_jsonl(self) -> str:
-        """One JSON object per retained trace (post-incident dump)."""
-        return "\n".join(json.dumps(t.to_dict()) for t in self.traces())
-
-    def dump(self, path: str) -> str:
-        """Write :meth:`to_jsonl` to ``path``; returns the path."""
-        with open(path, "w") as fh:
-            text = self.to_jsonl()
-            if text:
-                fh.write(text + "\n")
-        return path
-
     def __repr__(self) -> str:
         return (
-            f"Tracer(rate={self.sample_rate:g}, "
-            f"{len(self.traces())} traces retained)"
+            f"Tracer(rate={self.sample_rate:g}, {len(self)} traces retained)"
         )

@@ -19,6 +19,7 @@ from repro.serving import (
 )
 from repro.serving.observability import (
     EVENT_KINDS,
+    DeviceHealthLedger,
     FlightRecorder,
     MetricsRing,
     Observability,
@@ -42,6 +43,77 @@ def make_model(k=3, m=4, seed=0):
         tables.append(t / t.sum(axis=1, keepdims=True))
     prior = rng.random(k) + 0.5
     return quantize_model(tables, prior / prior.sum(), n_levels=4)
+
+
+# ----------------------------------------------------------------- shared log
+#: Each log on the shared ring: build it at a capacity, append one
+#: record carrying ``value``, read ``value`` back from a JSONL row.
+LOGS = {
+    "FlightRecorder": (
+        FlightRecorder,
+        lambda log, value: log.record("shed", value=value),
+        lambda row: row["value"],
+    ),
+    "Tracer": (
+        lambda capacity: Tracer(1.0, capacity=capacity),
+        lambda log, value: log.sample("m").add_span(
+            "queue", 0.0, 1.0, value=value
+        ),
+        lambda row: row["spans"][0]["attributes"]["value"],
+    ),
+    "MetricsRing": (
+        MetricsRing,
+        lambda log, value: log.sample(
+            Telemetry(max_batch=8).snapshot(), t_s=value
+        ),
+        lambda row: row["t_s"],
+    ),
+    "DeviceHealthLedger": (
+        DeviceHealthLedger,
+        lambda log, value: log.sample(
+            "r", "healthy", wear_fraction=0.0, age_s=value
+        ),
+        lambda row: row["age_s"],
+    ),
+}
+
+
+def _reject(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
+@pytest.mark.parametrize("name", list(LOGS))
+class TestSharedLog:
+    def test_oldest_record_goes_first(self, name):
+        make, add, read = LOGS[name]
+        log = make(3)
+        for value in range(5):
+            add(log, float(value))
+        rows = [json.loads(line) for line in log.to_jsonl().splitlines()]
+        assert [read(row) for row in rows] == [2.0, 3.0, 4.0]
+
+    def test_len_and_clear_agree(self, name):
+        make, add, _ = LOGS[name]
+        log = make(3)
+        for value in range(2):
+            add(log, float(value))
+        assert len(log) == 2 == len(log.to_jsonl().splitlines())
+        log.clear()
+        assert len(log) == 0 and log.to_jsonl() == ""
+        add(log, 0.0)
+        assert len(log) == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_jsonl_is_strict_or_raises(self, name, value):
+        make, add, _ = LOGS[name]
+        log = make(3)
+        add(log, value)
+        try:
+            text = log.to_jsonl()
+        except ValueError:
+            return
+        for line in text.splitlines():
+            json.loads(line, parse_constant=_reject)
 
 
 # -------------------------------------------------------------------- tracing
@@ -91,6 +163,7 @@ class TestSpanAndTrace:
         trace.finish("served")
         text = trace.format_lines()
         assert "trace 7" in text and "admit" in text and "served" in text
+        assert text == format_trace_dicts([trace.to_dict()])
 
 
 class TestTracer:

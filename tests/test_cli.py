@@ -324,3 +324,33 @@ class TestServingCommands:
             == 2
         )
         assert "max_rows" in capsys.readouterr().err
+
+
+#: A bad value on each command that used to escape as a ``ValueError``
+#: traceback (exit 1), and the name its message must carry.
+BAD_VALUES = [
+    (["events", "--rate", "2"], "sample_rate"),
+    (["events", "--spike-factor", "0.5"], "spike_factor"),
+    (["trace", "--requests", "0"], "n_requests"),
+    (["trace", "--models", "0"], "n_models"),
+    (["trace", "--submitters", "0"], "submitters"),
+    (["serve", "--max-batch", "0"], "max_batch"),
+    (["submit", "REG", "iris", "--levels", "1,2,3,0", "--max-batch", "0"],
+     "max_batch"),
+    (["bench", "--repeats", "0", "--no-baseline"], "repeats"),
+    (["train", "--qf", "0"], "q_f"),
+    (["report", "--epochs", "0", "--fast"], "epochs"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name", BAD_VALUES, ids=[" ".join(argv) for argv, _ in BAD_VALUES]
+)
+def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, name):
+    """Message on stderr naming the value, exit 2, no traceback."""
+    if "REG" in argv:
+        _register_iris(tmp_path)
+        argv = [str(tmp_path) if arg == "REG" else arg for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err, err
